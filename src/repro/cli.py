@@ -238,18 +238,14 @@ def _cmd_run(args) -> int:
               f"known: {', '.join(sorted(known))} (plus mix tokens, "
               f"see `list`)", file=sys.stderr)
         return 2
-    if settings.sampling is not None:
-        from repro.sim.sampling import SamplingSchedule
-
-        measured = SamplingSchedule(settings.sampling).measured_count(
-            settings.instructions)
-        if settings.sampling.degenerate or measured == 0:
-            print(f"note: --sampling {args.sampling} measures "
-                  f"{'everything' if settings.sampling.degenerate else 'nothing'} "
-                  f"at {settings.instructions} instructions per run; cells "
-                  f"execute unsampled (raise --instructions past "
-                  f"{settings.sampling.fast_forward + settings.sampling.warmup} "
-                  f"to sample)", file=sys.stderr)
+    if settings.sampling is not None \
+            and not settings.sampling.samples_horizon(settings.instructions):
+        print(f"note: --sampling {args.sampling} measures "
+              f"{'everything' if settings.sampling.degenerate else 'nothing'} "
+              f"at {settings.instructions} instructions per run; cells "
+              f"execute unsampled (raise --instructions past "
+              f"{settings.sampling.fast_forward + settings.sampling.warmup} "
+              f"to sample)", file=sys.stderr)
     if args.no_timecore:
         # Via the environment rather than a Simulator argument so sweep
         # worker processes inherit the switch.

@@ -298,13 +298,13 @@ def run_one_b_cell(benchmark: str = ONE_B_BENCHMARK,
                    machine: Optional[MachineConfig] = None) -> Dict[str, object]:
     """Run one billion-instruction streaming cell end to end.
 
-    Streaming is explicit (:meth:`Simulator.run_streaming`, regardless of
-    the ``REPRO_STREAMING`` override): the cell exists to demonstrate — and
-    regression-gate — that the 1B regime completes in one-sample-flat
-    memory.  The headline figure is *end-to-end* horizon instructions per
-    wall second, because at 99.8% skip the run is generation-dominated by
-    construction: that is the quantity that collapses (by ~15x) if the
-    native fast-forward kernel silently stops carrying the skip windows.
+    The cell runs :meth:`Simulator.run_streaming` directly: it exists to
+    demonstrate — and regression-gate — that the 1B regime completes in
+    one-sample-flat memory.  The headline figure is *end-to-end* horizon
+    instructions per wall second, because at 99.8% skip the run is
+    generation-dominated by construction: that is the quantity that
+    collapses (by ~15x) if the native fast-forward kernel silently stops
+    carrying the skip windows.
     ``peak_rss_mb`` is stamped by :func:`run_bench` when the cell finishes
     and is ceiling-gated via ``one_b_peak_rss_mb``.
     """

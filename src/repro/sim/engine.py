@@ -19,8 +19,10 @@ cheapest way available:
 4. **simulate** — remaining cells are grouped *per benchmark*: one job
    generates the benchmark's dynamic trace once (as a
    :class:`~repro.workloads.bundle.TraceBundle`) and replays it under every
-   requested configuration.  Jobs run serially or on a
-   :class:`~concurrent.futures.ProcessPoolExecutor`.
+   requested configuration; a §9.1-sampled job instead streams its samples
+   (:class:`~repro.workloads.streaming.SampleStream`), replaying each under
+   every configuration before generating the next.  Jobs run serially or on
+   a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Because the trace is a pure function of (profile, seed) and each cell is
 independent, the merge is deterministic: results are keyed by (benchmark,
@@ -80,7 +82,10 @@ from repro.sim.journal import RunJournal
 from repro.sim.results import CellFailure, CellResult, DegradationEvent
 from repro.sim.sampling import SamplingConfig
 from repro.sim.simulator import OutcomeAccumulator, Simulator, \
-    aggregate_outcomes, resolve_pipeline
+    SimulationOutcome, resolve_pipeline
+# Unused here, but kept: perfbench's tests read
+# ``repro.sim.engine.aggregate_outcomes`` and assert it is the simulator's.
+from repro.sim.simulator import aggregate_outcomes  # noqa: F401
 from repro.sim.spec import (
     ExperimentSpec,
     MergedGrid,
@@ -89,7 +94,7 @@ from repro.sim.spec import (
     request_content_key,
 )
 from repro.workloads.bundle import TraceBundle
-from repro.workloads.streaming import SampleStream, use_streaming
+from repro.workloads.streaming import SampleStream
 
 CellKey = Tuple[str, str]
 
@@ -129,17 +134,17 @@ class BenchmarkJob:
     faults: Optional[FaultPlan] = None
 
 
-#: Per-process memo of generated trace bundles, keyed by the job's workload
-#: identity.  In a worker process this persists across jobs, so even when
-#: several jobs of the same benchmark land on one worker (e.g. after a cache
+#: Per-process memo of generated (unsampled and mix-member) trace bundles,
+#: keyed by the job's workload identity; sampled jobs stream and never enter
+#: it.  In a worker process this persists across jobs, so even when several
+#: jobs of the same benchmark land on one worker (e.g. after a cache
 #: partially resolved a grid) the trace is generated at most once per process.
 #: Bounded by each bundle's *live footprint* (:meth:`TraceBundle.footprint_ops`)
 #: rather than entry count: that counts the raw trace streams plus the
 #: compiled token/stream caches and working-set arrays a replayed bundle pins
-#: — which for a long sampled bundle dwarf the traces themselves.  At the
-#: default scale (20 benchmarks × 10k ops plus their compiled streams)
-#: everything stays memoized across an `--all` run, while a couple of
-#: million-instruction sampled bundles evict LRU-first instead of pinning
+#: — which dwarf the traces themselves.  At the default scale (20 benchmarks
+#: × 10k ops plus their compiled streams) everything stays memoized across
+#: an `--all` run, while larger bundles evict LRU-first instead of pinning
 #: gigabytes in a long-lived worker.
 _BUNDLES: "OrderedDict[Tuple[str, int, int, Optional[int], Optional[SamplingConfig]], TraceBundle]" = \
     OrderedDict()
@@ -205,11 +210,11 @@ def execute_job(job: BenchmarkJob,
     """Run every cell of one benchmark job (module-level: picklable).
 
     ``sample_pool`` (only ever passed for in-parent execution) enables
-    per-sample parallelism for sampled bundles: the §9.1 samples of one cell
+    per-sample parallelism for sampled jobs: the §9.1 samples of one cell
     are mutually independent, so when a batch degenerates to a single
     benchmark job — the typical paper-scale shape, one long-horizon cell —
     the otherwise idle worker pool is used *inside* the cell instead of
-    across cells.
+    across cells (see :func:`_execute_sampled`).
 
     Fault-injection hooks fire first (a ``crash`` fault kills this process
     when it is a pool worker), and a non-``native`` job runs with the native
@@ -232,18 +237,9 @@ def _execute_job_cells(job: BenchmarkJob,
     if parsed is not None:
         return _execute_mix_job(job, parsed, machine)
     if job.sampling is not None and job.warmup_instructions is None \
-            and use_streaming(job.instructions, job.sampling):
-        # Streaming regime: never materialize (or memoize) the full bundle —
-        # samples are generated, simulated under every cell config, folded
-        # and dropped one at a time, so the job's peak memory is one sample.
-        if sample_pool is not None:
-            return _execute_streaming_pooled(job, machine, sample_pool)
-        return _execute_streaming_serial(job, machine)
+            and job.sampling.samples_horizon(job.instructions):
+        return _execute_sampled(job, machine, sample_pool)
     bundle = _bundle_for(job)
-    if bundle.samples:
-        if sample_pool is not None and len(bundle.samples) > 1:
-            return _execute_sampled_job(job, bundle, machine, sample_pool)
-        return _execute_sampled_serial(job, bundle, machine)
     simulator = Simulator(machine, pipeline=job.pipeline)
     results: List[CellResult] = []
     for label, config in job.cells:
@@ -279,129 +275,55 @@ def _execute_mix_job(job: BenchmarkJob, parsed,
     return results
 
 
-def _execute_sampled_serial(job: BenchmarkJob, bundle: TraceBundle,
-                            machine: Optional[MachineConfig]) -> List[CellResult]:
-    """Run a sampled job sample-major, releasing each sample's caches.
+def _replay_sample(payload) -> List[SimulationOutcome]:
+    """Replay one streamed sample under every cell config, in config order.
 
-    Iterating samples in the outer loop (instead of configs) keeps the
-    per-sample token/stream sharing across the job's configurations intact
-    while letting the bundle drop each sample's compiled streams and
-    working-set arrays as soon as every configuration has consumed it — so a
-    long multi-figure sampled run holds at most one sample's compiled
-    artifacts at a time instead of accumulating all of them.  Samples are
-    mutually independent and aggregation happens per configuration in sample
-    index order, so the results are bit-identical to the config-major order
-    (and to a pooled per-sample fan-out).
+    The payload's one-sample bundle is all that is pickled to a pool worker;
+    its compiled-stream caches share tokenization and per-equivalence-class
+    compilation across the configs.
     """
-    simulator = Simulator(machine, pipeline=job.pipeline)
-    per_config: List[List["SimulationOutcome"]] = [[] for _ in job.cells]
-    for index in range(len(bundle.samples)):
-        for slot, (_, config) in enumerate(job.cells):
-            per_config[slot].append(simulator.sample_outcome(bundle, index,
-                                                             config))
-        bundle.release_sample_caches(index)
-    return [CellResult.from_outcome(aggregate_outcomes(per_config[slot]),
-                                    label=label)
-            for slot, (label, _) in enumerate(job.cells)]
-
-
-def _sample_slice_job(payload) -> List[List["SimulationOutcome"]]:
-    """Run one sample slice of a sampled bundle under every cell config.
-
-    The payload's bundle carries a single :class:`SampleSegment`, so only
-    that sample's streams are pickled to the worker; compiled-stream caching
-    inside the slice bundle still shares tokenization and per-equivalence-
-    class compilation across the cell configs.
-    """
-    slice_bundle, configs, machine, pipeline = payload
+    bundle, configs, machine, pipeline = payload
     simulator = Simulator(machine, pipeline=pipeline)
-    return [simulator.sample_outcomes(slice_bundle, config)
-            for config in configs]
+    return [simulator.sample_outcome(bundle, 0, config) for config in configs]
 
 
-def _execute_sampled_job(job: BenchmarkJob, bundle: TraceBundle,
-                         machine: Optional[MachineConfig],
-                         sample_pool: ProcessPoolExecutor) -> List[CellResult]:
-    """Fan a sampled bundle's samples across the pool, config-batched.
+def _execute_sampled(job: BenchmarkJob, machine: Optional[MachineConfig],
+                     sample_pool: Optional[ProcessPoolExecutor]) -> List[CellResult]:
+    """Run a sampled job sample-major, one sample generated at a time.
 
-    Each worker task replays one sample under *all* of the job's
-    configurations (tokenizing the sample once); the parent then aggregates
-    per configuration in sample-index order, which is exactly the serial
-    :meth:`Simulator.sample_outcomes` order — results are bit-identical to
-    a ``workers=1`` run.
-    """
-    configs = tuple(config for _, config in job.cells)
-    payloads = [(dataclasses.replace(bundle, samples=(sample,)), configs,
-                 machine, job.pipeline)
-                for sample in bundle.samples]
-    per_config: List[List["SimulationOutcome"]] = [[] for _ in configs]
-    for slice_result in sample_pool.map(_sample_slice_job, payloads):
-        for index, outcomes in enumerate(slice_result):
-            per_config[index].extend(outcomes)
-    return [CellResult.from_outcome(aggregate_outcomes(per_config[index]),
-                                    label=label)
-            for index, (label, _) in enumerate(job.cells)]
-
-
-def _execute_streaming_serial(job: BenchmarkJob,
-                              machine: Optional[MachineConfig]) -> List[CellResult]:
-    """Run a streaming sampled job in-process, one sample in memory.
-
-    Sample-major like :func:`_execute_sampled_serial` — each streamed
-    segment is wrapped as a transient one-sample bundle, replayed under
-    every cell configuration (sharing tokenization and per-equivalence-class
-    compilation through the transient bundle's caches), folded into each
-    configuration's accumulator, and dropped.  Aggregation order is sample
-    order, so results are bit-identical to the retained-bundle paths.
-    """
-    simulator = Simulator(machine, pipeline=job.pipeline)
-    stream = SampleStream(job.benchmark, job.seed, job.instructions,
-                          job.sampling)
-    accumulators = [OutcomeAccumulator() for _ in job.cells]
-    for segment in stream.segments():
-        bundle = stream.segment_bundle(segment)
-        for slot, (_, config) in enumerate(job.cells):
-            accumulators[slot].add(simulator.sample_outcome(bundle, 0, config))
-    return [CellResult.from_outcome(accumulators[slot].finalize(), label=label)
-            for slot, (label, _) in enumerate(job.cells)]
-
-
-def _execute_streaming_pooled(job: BenchmarkJob,
-                              machine: Optional[MachineConfig],
-                              sample_pool: ProcessPoolExecutor) -> List[CellResult]:
-    """Fan a streaming job's samples across the pool, boundedly in flight.
-
-    Generation stays serial in the parent (the workload state is one
-    continuous evolution), but simulation fans out: each streamed segment is
-    submitted as a one-sample slice task, and at most ``pool width + 2``
-    slices exist at once — the parent blocks on the *oldest* future before
-    generating further, so completed samples are folded and freed in sample
-    order (bit-identical aggregation, exactly the serial order) and peak
-    memory is bounded by the in-flight window instead of the horizon.
+    Generation is serial in the parent (the workload state is one continuous
+    evolution): each streamed segment is wrapped as a transient one-sample
+    bundle and replayed under every cell configuration — in-process, or as
+    one task on ``sample_pool``.  At most ``pool width + 2`` tasks are in
+    flight; the parent waits on the *oldest* before generating further, so
+    every configuration's :class:`OutcomeAccumulator` folds in sample order
+    (bit-identical to a serial run) and peak memory is bounded by the
+    in-flight window, not the horizon.
     """
     configs = tuple(config for _, config in job.cells)
     stream = SampleStream(job.benchmark, job.seed, job.instructions,
                           job.sampling)
     accumulators = [OutcomeAccumulator() for _ in configs]
+
+    def absorb(outcomes: List[SimulationOutcome]) -> None:
+        for accumulator, outcome in zip(accumulators, outcomes):
+            accumulator.add(outcome)
+
     max_inflight = (getattr(sample_pool, "_max_workers", None) or 2) + 2
-
-    def absorb(future) -> None:
-        for index, outcomes in enumerate(future.result()):
-            for outcome in outcomes:
-                accumulators[index].add(outcome)
-
     inflight: "deque" = deque()
     for segment in stream.segments():
         payload = (stream.segment_bundle(segment), configs, machine,
                    job.pipeline)
-        inflight.append(sample_pool.submit(_sample_slice_job, payload))
+        if sample_pool is None:
+            absorb(_replay_sample(payload))
+            continue
+        inflight.append(sample_pool.submit(_replay_sample, payload))
         if len(inflight) >= max_inflight:
-            absorb(inflight.popleft())
+            absorb(inflight.popleft().result())
     while inflight:
-        absorb(inflight.popleft())
-    return [CellResult.from_outcome(accumulators[index].finalize(),
-                                    label=label)
-            for index, (label, _) in enumerate(job.cells)]
+        absorb(inflight.popleft().result())
+    return [CellResult.from_outcome(accumulator.finalize(), label=label)
+            for accumulator, (label, _) in zip(accumulators, job.cells)]
 
 
 @dataclass

@@ -101,6 +101,16 @@ class SamplingConfig:
         """Whether this schedule measures every instruction (no skip/warm)."""
         return self.fast_forward == 0 and self.warmup == 0
 
+    def samples_horizon(self, instructions: int) -> bool:
+        """Whether this schedule genuinely samples an ``instructions`` horizon.
+
+        False when it measures everything (:attr:`degenerate`) or nothing
+        (the horizon ends inside the first period's skip and warm-up); both
+        normalize to unsampled execution.
+        """
+        return not self.degenerate \
+            and SamplingSchedule(self).measured_count(instructions) > 0
+
 
 #: Named §9.1 schedules selectable from the CLI and the standalone figure
 #: drivers (``--sampling``); each value is a zero-argument factory and

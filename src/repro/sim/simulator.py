@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from repro.core.config import WatchdogConfig
 from repro.core.pointer_id import PointerIdStats
@@ -33,7 +33,7 @@ from repro.sim.trace import DynamicOp, TraceExpander
 from repro.workloads.bundle import TraceBundle, WorkingSet, \
     default_warmup_instructions
 from repro.workloads.profiles import BenchmarkProfile, profile_by_name
-from repro.workloads.streaming import SampleStream, use_streaming
+from repro.workloads.streaming import SampleStream
 from repro.workloads.synthetic import SyntheticWorkload
 
 
@@ -83,68 +83,20 @@ def resolve_pipeline(pipeline: Optional[str] = None) -> str:
     return pipeline
 
 
-def aggregate_outcomes(outcomes: Sequence[SimulationOutcome]) -> SimulationOutcome:
-    """Fold per-sample outcomes into one, §9.1-style.
+class OutcomeAccumulator:
+    """Fold per-sample outcomes one at a time, §9.1-style.
 
     Cycle and µop counters sum — the aggregate IPC is total µops over total
     cycles, i.e. the cycle-weighted mean of the per-sample IPCs, exactly as
     if the measure windows had executed back to back — injection and pointer
     classification counters sum, and the page accountant unions the touched
     word sets.  Per-port wait averages are weighted by each sample's cycles.
-    """
-    first = outcomes[0]
-    timings = [outcome.timing for outcome in outcomes]
-    total_cycles = sum(timing.cycles for timing in timings)
-    port_waits = {}
-    for timing in timings:
-        for port, wait in timing.port_waits.items():
-            port_waits[port] = port_waits.get(port, 0.0) \
-                + wait * (timing.cycles / total_cycles if total_cycles else 0.0)
-    timing = TimingResult(
-        cycles=total_cycles,
-        total_uops=sum(t.total_uops for t in timings),
-        injected_uops=sum(t.injected_uops for t in timings),
-        macro_instructions=sum(t.macro_instructions for t in timings),
-        memory_accesses=sum(t.memory_accesses for t in timings),
-        lock_cache_misses=sum(t.lock_cache_misses for t in timings),
-        l1d_misses=sum(t.l1d_misses for t in timings),
-        port_waits=port_waits,
-    )
-    injection = InjectionStats(**{
-        field.name: sum(getattr(outcome.injection, field.name)
-                        for outcome in outcomes)
-        for field in dataclasses.fields(InjectionStats)})
-    pointer = PointerIdStats(
-        memory_ops=sum(o.pointer_stats.memory_ops for o in outcomes),
-        pointer_ops=sum(o.pointer_stats.pointer_ops for o in outcomes))
-    pages = PageAccountant()
-    for outcome in outcomes:
-        pages.data_words |= outcome.pages.data_words
-        pages.shadow_words |= outcome.pages.shadow_words
-    return SimulationOutcome(
-        benchmark=first.benchmark,
-        configuration=first.configuration,
-        timing=timing,
-        injection=injection,
-        pointer_stats=pointer,
-        pages=pages,
-    )
 
-
-class OutcomeAccumulator:
-    """Fold per-sample outcomes one at a time, releasing each as it lands.
-
-    Bit-identical to calling :func:`aggregate_outcomes` on the full outcome
-    list — pinned by the streaming golden tests — while pinning only
-    per-sample scalars between samples.  The heavyweight parts of an outcome
-    (the page accountant's touched-word sets, injection/pointer counters)
-    fold into running totals immediately; only each sample's
-    :class:`TimingResult` (a handful of ints and a small per-port dict) is
-    retained, because the §9.1 cycle-weighted port-wait average divides by
-    the *total* cycles, which are unknown until the last sample.  At
-    :meth:`finalize` the port waits are folded with exactly
-    :func:`aggregate_outcomes`'s float expression in exactly its iteration
-    order, so streaming aggregation is not merely close but equal.
+    Only per-sample scalars stay pinned between samples: the heavyweight
+    parts of an outcome fold into running totals immediately, and just each
+    sample's :class:`TimingResult` is kept, because the cycle-weighted
+    port-wait average divides by the *total* cycles, unknown until
+    :meth:`finalize`.
     """
 
     def __init__(self):
@@ -206,6 +158,15 @@ class OutcomeAccumulator:
         )
 
 
+def aggregate_outcomes(
+        outcomes: Iterable[SimulationOutcome]) -> SimulationOutcome:
+    """Fold per-sample outcomes (in sample order) into one, §9.1-style."""
+    accumulator = OutcomeAccumulator()
+    for outcome in outcomes:
+        accumulator.add(outcome)
+    return accumulator.finalize()
+
+
 class Simulator:
     """Runs workloads and programs under Watchdog configurations.
 
@@ -219,7 +180,6 @@ class Simulator:
 
     def __init__(self, machine: Optional[MachineConfig] = None,
                  pipeline: Optional[str] = None,
-                 release_sample_caches: bool = False,
                  timecore: Optional[bool] = None):
         self.machine = machine or MachineConfig()
         self.pipeline = resolve_pipeline(pipeline)
@@ -228,11 +188,6 @@ class Simulator:
         #: load), ``False`` forces the Python loops, ``None`` defers to the
         #: ``REPRO_TIMECORE`` environment switch.
         self.timecore = timecore
-        #: When set, sampled replays drop each sample's compiled-stream and
-        #: working-set-array caches as soon as its outcome is aggregated
-        #: (see :meth:`sample_outcomes`), trading recompilation on a later
-        #: replay for a flat memory profile over long horizons.
-        self.release_sample_caches = bool(release_sample_caches)
 
     # -- workload timing runs ---------------------------------------------------------
     def run_trace(self, trace: Iterable[DynamicOp], config: WatchdogConfig,
@@ -423,14 +378,13 @@ class Simulator:
         :class:`TraceBundle` instead and use :meth:`run_bundle`, which
         produces bit-identical results.
 
-        Sampled runs past the streaming threshold (or with ``REPRO_STREAMING=1``
-        set) take :meth:`run_streaming` instead of materializing a retained
-        bundle — same windows, same samples, bit-identical aggregate, flat
-        memory.
+        A schedule that genuinely samples the horizon runs through
+        :meth:`run_streaming`, one sample in memory; one that measures
+        everything or nothing normalizes to the unsampled bundle.
         """
         if sampling is not None:
             if warmup_instructions is None \
-                    and use_streaming(instructions, sampling):
+                    and sampling.samples_horizon(instructions):
                 return self.run_streaming(profile, config,
                                           instructions=instructions,
                                           sampling=sampling, seed=seed)
@@ -462,10 +416,12 @@ class Simulator:
         A sampled bundle (§9.1) runs each measure window as an independent
         timing run — fresh core, working set installed from the window's own
         snapshot, warm-up window replayed untimed — and aggregates the
-        per-sample results (see :func:`aggregate_outcomes`).
+        per-sample results (see :class:`OutcomeAccumulator`).
         """
         if bundle.samples:
-            return self._run_sampled(bundle, config)
+            return aggregate_outcomes(
+                self.sample_outcome(bundle, index, config)
+                for index in range(len(bundle.samples)))
         if self.pipeline == PIPELINE_COMPILED:
             from repro.sim.compiled import CompiledTraceUnsupported
 
@@ -482,11 +438,6 @@ class Simulator:
                               warmup_trace=bundle.warmup or None,
                               workload=bundle.working_set)
 
-    def _run_sampled(self, bundle: TraceBundle,
-                     config: WatchdogConfig) -> SimulationOutcome:
-        """Replay every sample of a sampled bundle and fold the results."""
-        return aggregate_outcomes(self.sample_outcomes(bundle, config))
-
     def run_streaming(self, profile, config: WatchdogConfig,
                       instructions: int, sampling: SamplingConfig,
                       seed: int = 0) -> SimulationOutcome:
@@ -502,11 +453,9 @@ class Simulator:
         ``profile`` may be a :class:`BenchmarkProfile` or a profile name.
         """
         stream = SampleStream(profile, seed, instructions, sampling)
-        accumulator = OutcomeAccumulator()
-        for segment in stream.segments():
-            bundle = stream.segment_bundle(segment)
-            accumulator.add(self.sample_outcome(bundle, 0, config))
-        return accumulator.finalize()
+        return aggregate_outcomes(
+            self.sample_outcome(stream.segment_bundle(segment), 0, config)
+            for segment in stream.segments())
 
     def sample_outcome(self, bundle: TraceBundle, index: int,
                        config: WatchdogConfig) -> SimulationOutcome:
@@ -536,25 +485,6 @@ class Simulator:
         return self._run_trace_reference(
             iter(sample.measured), config, bundle.benchmark,
             sample.warmup or None, sample.working_set)
-
-    def sample_outcomes(self, bundle: TraceBundle,
-                        config: WatchdogConfig) -> List[SimulationOutcome]:
-        """Per-sample outcomes of a sampled bundle, in sample order.
-
-        Samples are mutually independent, which is what lets the sweep engine
-        fan them out across its worker pool and aggregate in index order with
-        bit-identical results (see :func:`repro.sim.engine.execute_job`).
-        With :attr:`release_sample_caches` set, each sample's compiled
-        streams and working-set arrays are dropped right after its outcome is
-        recorded, so a paper-scale replay pins at most one sample's compiled
-        footprint instead of accumulating every sample's.
-        """
-        outcomes: List[SimulationOutcome] = []
-        for index in range(len(bundle.samples)):
-            outcomes.append(self.sample_outcome(bundle, index, config))
-            if self.release_sample_caches:
-                bundle.release_sample_caches(index)
-        return outcomes
 
     # -- program detection runs --------------------------------------------------------
     def run_program(self, program: Program, config: WatchdogConfig,

@@ -72,12 +72,10 @@ def validate_sampling(sampling: Optional[SamplingConfig],
             f"got {type(sampling).__name__}: {sampling!r}")
     sampling.validate()
     if instructions is not None:
-        from repro.sim.sampling import SamplingSchedule
         from repro.workloads.bundle import MAX_NORMALIZED_UNSAMPLED_INSTRUCTIONS
 
         if instructions > MAX_NORMALIZED_UNSAMPLED_INSTRUCTIONS and \
-                (sampling.degenerate or
-                 SamplingSchedule(sampling).measured_count(instructions) == 0):
+                not sampling.samples_horizon(instructions):
             raise ConfigurationError(
                 f"sampling schedule (period {sampling.period}) measures "
                 f"{'everything' if sampling.degenerate else 'nothing'} "

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.sim.sampling import SamplingConfig, SamplingSchedule
+from repro.sim.sampling import SamplingConfig
 from repro.sim.trace import DynamicOp
 from repro.workloads.profiles import BenchmarkProfile, profile_by_name
 from repro.workloads.synthetic import SyntheticWorkload
@@ -101,7 +101,8 @@ class TraceBundle:
     warmup: Tuple[DynamicOp, ...]
     #: The measured stream the timing model replays.
     measured: Tuple[DynamicOp, ...]
-    #: Live working set at the warm-up/measure boundary.
+    #: Live working set at the warm-up/measure boundary (the last sample's,
+    #: for a sampled bundle).
     working_set: WorkingSetSnapshot
     #: The §9.1 schedule this bundle was segmented under, or ``None`` for a
     #: conventional (fully measured) bundle.
@@ -123,11 +124,13 @@ class TraceBundle:
         indistinguishable from regenerating the workload per configuration.
 
         With ``sampling``, the ``instructions``-long dynamic stream is instead
-        segmented into the schedule's skip/warm-up/measure windows (see
-        :meth:`_generate_sampled`).  A schedule that would measure everything
-        (no fast-forward, no warm-up) or nothing (the trace ends inside the
-        first fast-forward window) is normalized to the unsampled layout, so
-        degenerate schedules reproduce the unsampled results bit-for-bit.
+        segmented into the schedule's skip/warm-up/measure windows: the
+        bundle retains every segment of
+        :meth:`repro.workloads.streaming.SampleStream.segments`.  A schedule
+        that would measure everything (no fast-forward, no warm-up) or
+        nothing (the trace ends inside the first fast-forward window) is
+        normalized to the unsampled layout, so degenerate schedules
+        reproduce the unsampled results bit-for-bit.
         """
         if isinstance(profile, str):
             profile = profile_by_name(profile)
@@ -139,20 +142,24 @@ class TraceBundle:
                 raise ConfigurationError(
                     "warmup_instructions cannot be combined with a sampling "
                     "schedule: the schedule's warm-up windows apply")
-            schedule = SamplingSchedule(sampling.validate())
-            if sampling.degenerate or schedule.measured_count(instructions) == 0:
-                if instructions > MAX_NORMALIZED_UNSAMPLED_INSTRUCTIONS:
-                    raise ConfigurationError(
-                        f"sampling schedule measures "
-                        f"{'everything' if sampling.degenerate else 'nothing'} "
-                        f"over {instructions} instructions and would fall "
-                        f"back to materializing the whole horizon unsampled; "
-                        f"choose a schedule whose period fits the horizon "
-                        f"(e.g. SamplingConfig.paper_scaled())")
-                sampling = None
-            else:
-                return cls._generate_sampled(profile, seed, instructions,
-                                             sampling, schedule)
+            if sampling.validate().samples_horizon(instructions):
+                from repro.workloads.streaming import SampleStream
+
+                samples = tuple(SampleStream(profile, seed, instructions,
+                                             sampling).segments())
+                return cls(benchmark=profile.name, seed=seed,
+                           instructions=instructions, warmup_instructions=0,
+                           warmup=(), measured=(),
+                           working_set=samples[-1].working_set,
+                           sampling=sampling, samples=samples)
+            if instructions > MAX_NORMALIZED_UNSAMPLED_INSTRUCTIONS:
+                raise ConfigurationError(
+                    f"sampling schedule measures "
+                    f"{'everything' if sampling.degenerate else 'nothing'} "
+                    f"over {instructions} instructions and would fall "
+                    f"back to materializing the whole horizon unsampled; "
+                    f"choose a schedule whose period fits the horizon "
+                    f"(e.g. SamplingConfig.paper_scaled())")
         if instructions > MAX_NORMALIZED_UNSAMPLED_INSTRUCTIONS:
             raise ConfigurationError(
                 f"an unsampled bundle would materialize all {instructions} "
@@ -170,46 +177,6 @@ class TraceBundle:
         return cls(benchmark=profile.name, seed=seed, instructions=instructions,
                    warmup_instructions=warmup_instructions, warmup=warmup,
                    measured=measured, working_set=snapshot)
-
-    @classmethod
-    def _generate_sampled(cls, profile: BenchmarkProfile, seed: int,
-                          instructions: int, sampling: SamplingConfig,
-                          schedule: SamplingSchedule) -> "TraceBundle":
-        """Segment one continuous generation run into sampling periods.
-
-        One workload walks the whole ``instructions`` horizon so the dynamic
-        stream is identical to what an unsampled run of the same length would
-        produce; the schedule only decides each window's fate: skip windows
-        advance the workload functionally through the state-evolution core
-        (:meth:`SyntheticWorkload.fast_forward` — allocator state, working
-        set and locality cursors move, nothing is materialized), warm-up
-        windows are emitted for untimed cache priming, and each measure
-        window is emitted for timing with the working set frozen at its
-        warm-up/measure boundary.  An event split by a window boundary stays
-        pending inside the workload, so the concatenation of all windows is
-        exactly the continuous stream.
-        """
-        workload = SyntheticWorkload(profile, seed=seed)
-        samples = []
-        pending_warm: Tuple[DynamicOp, ...] = ()
-        for start, end, phase in schedule.windows(instructions):
-            length = end - start
-            if phase == SamplingSchedule.SKIP:
-                workload.fast_forward(length)
-                pending_warm = ()
-            elif phase == SamplingSchedule.WARMUP:
-                pending_warm = tuple(workload.emit(length))
-            else:
-                snapshot = workload.snapshot_working_set()
-                samples.append(SampleSegment(
-                    warmup=pending_warm,
-                    measured=tuple(workload.emit(length)),
-                    working_set=snapshot))
-                pending_warm = ()
-        return cls(benchmark=profile.name, seed=seed, instructions=instructions,
-                   warmup_instructions=0, warmup=(), measured=(),
-                   working_set=workload.snapshot_working_set(),
-                   sampling=sampling, samples=tuple(samples))
 
     @property
     def measured_instructions(self) -> int:
@@ -293,36 +260,14 @@ class TraceBundle:
         streams[key] = built
         return built
 
-    def release_sample_caches(self, index: int) -> None:
-        """Drop the compiled artifacts pinned for one sample.
-
-        Removes the sample's interned token streams and every
-        configuration-class compiled stream (packed µop arrays, warm access
-        sequences and working-set snapshot arrays) built for it, so a
-        long-horizon sampled replay that is done with a sample stops pinning
-        its — by far dominant — compiled footprint.  The raw
-        :class:`SampleSegment` traces stay: they are what makes the bundle
-        replayable under further configurations, and re-deriving the compiled
-        artifacts from them is exactly the lazy path :meth:`_compiled` already
-        implements, so a released sample can still be replayed (it just
-        recompiles).
-        """
-        tokens = self.__dict__.get(_TOKEN_CACHE_ATTR)
-        if tokens:
-            tokens.pop(index, None)
-        streams = self.__dict__.get(_STREAM_CACHE_ATTR)
-        if streams:
-            for key in [key for key in streams if key[2] == index]:
-                del streams[key]
-
     def footprint_ops(self) -> int:
         """The bundle's pinned memory, in dynamic-op equivalents.
 
         What the engine's per-process bundle memo budgets against: the raw
         trace streams (top-level and per-sample), the working-set snapshots,
-        and — crucially for long sampled bundles — the lazily-built token and
-        compiled-stream caches this instance currently pins, which for a
-        compiled replay dwarf the traces themselves.
+        and — crucially — the lazily-built token and compiled-stream caches
+        this instance currently pins, which for a compiled replay dwarf the
+        traces themselves.
         """
         def _snapshot_ops(snapshot: WorkingSetSnapshot) -> int:
             return len(snapshot.lines) + len(snapshot.locks)

@@ -1,17 +1,16 @@
-"""Streaming sampled generation: one sample in memory, any horizon.
+"""Sampled generation: the §9.1 windows walk, one sample at a time.
 
-A retained :class:`~repro.workloads.bundle.TraceBundle` materializes every
-§9.1 :class:`~repro.workloads.bundle.SampleSegment` up front and keeps them
-all for replayability — the right trade for sweeps that replay one trace
-under many configurations at the 1M long-profile scale, and a linear memory
-wall past ~100M instructions.  :class:`SampleStream` is the streaming
-counterpart: it walks the very same windows loop over one continuous
-workload, but *yields* each sample segment as it is generated, so the driver
-(:meth:`repro.sim.simulator.Simulator.run_streaming`, or the sweep engine's
-streaming executor) can generate → compile → simulate → aggregate → release
-one sample at a time.  Peak memory is one sample's raw traces plus its
+:class:`SampleStream` walks the schedule's skip/warm-up/measure windows over
+one continuous workload and *yields* each
+:class:`~repro.workloads.bundle.SampleSegment` as it is generated.  It is the
+only sampled generator: the simulator
+(:meth:`repro.sim.simulator.Simulator.run_streaming`) and the sweep engine's
+sampled executor generate → compile → simulate → aggregate → release one
+sample at a time, so peak memory is one sample's raw traces plus its
 compiled artifacts, regardless of horizon — which is what makes
-billion-instruction (``*-1b``) horizons run in flat memory.
+billion-instruction (``*-1b``) horizons run in flat memory.  A retained
+sampled :class:`~repro.workloads.bundle.TraceBundle` is simply
+``tuple(stream.segments())``.
 
 Replay-on-demand (:meth:`SampleStream.segment`) regenerates any single
 sample bit-identically from the state core alone: a fresh workload
@@ -19,14 +18,12 @@ fast-forwards functionally to the sample's warm-up window start and re-emits
 the warm-up and measure windows.  Because ``fast_forward`` is pinned
 bit-identical to emit-and-discard (the golden fast-forward tests), the
 regenerated segment is byte-for-byte the one the continuous walk produced —
-the debugging path for "what did sample 73 of that 1B run contain?", and the
-anchor the golden tests use to pin streaming equal to the retained path.
+the debugging path for "what did sample 73 of that 1B run contain?".
 """
 
 from __future__ import annotations
 
-import os
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.sim.sampling import SamplingConfig, SamplingSchedule
@@ -34,47 +31,12 @@ from repro.workloads.bundle import SampleSegment, TraceBundle
 from repro.workloads.profiles import BenchmarkProfile, profile_by_name
 from repro.workloads.synthetic import SyntheticWorkload
 
-#: Horizons past this stream by default (``REPRO_STREAMING`` overrides).
-#: Below it the retained bundle is the better trade: the raw segments fit
-#: comfortably in memory and stay replayable under further configurations
-#: (the sweep engine's bundle memo), while regeneration would cost a full
-#: horizon walk per run.  Above it — the ``*-paper`` and ``*-1b`` tiers —
-#: memory flatness wins and the generator is fast enough to re-walk.
-STREAMING_THRESHOLD_INSTRUCTIONS = 8_000_000
-
-
-def use_streaming(instructions: int,
-                  sampling: Optional[SamplingConfig]) -> bool:
-    """Whether a sampled run of this shape should stream its samples.
-
-    Streaming requires a schedule that genuinely samples the horizon
-    (degenerate or measures-nothing schedules normalize to the unsampled
-    layout and cannot stream).  Within that, ``REPRO_STREAMING=1`` forces
-    streaming at any scale (the golden-equality CI leg), ``REPRO_STREAMING=0``
-    forces the retained bundle, and by default horizons past
-    :data:`STREAMING_THRESHOLD_INSTRUCTIONS` stream.
-    """
-    if sampling is None:
-        return False
-    schedule = SamplingSchedule(sampling)
-    if sampling.degenerate or schedule.measured_count(instructions) == 0:
-        return False
-    override = os.environ.get("REPRO_STREAMING", "").strip()
-    if override == "1":
-        return True
-    if override == "0":
-        return False
-    return instructions > STREAMING_THRESHOLD_INSTRUCTIONS
-
 
 class SampleStream:
     """One benchmark's §9.1 samples, generated and surrendered one at a time.
 
-    The streaming walk (:meth:`segments`) and the eager
-    :meth:`TraceBundle._generate_sampled` run the identical windows loop over
-    the identical workload state, so segment *i* of the stream equals segment
-    *i* of the retained bundle byte for byte; the only difference is
-    ownership — the stream keeps no reference to a yielded segment.
+    The stream keeps no reference to a yielded segment: the caller owns it,
+    and a retained bundle is just the caller that keeps them all.
     """
 
     def __init__(self, profile: Union[str, BenchmarkProfile], seed: int,
@@ -86,8 +48,7 @@ class SampleStream:
         self.instructions = instructions
         self.sampling = sampling.validate()
         self.schedule = SamplingSchedule(self.sampling)
-        if self.sampling.degenerate \
-                or self.schedule.measured_count(instructions) == 0:
+        if not self.sampling.samples_horizon(instructions):
             raise ConfigurationError(
                 f"sampling schedule measures "
                 f"{'everything' if self.sampling.degenerate else 'nothing'} "
@@ -110,11 +71,18 @@ class SampleStream:
     def segments(self) -> Iterator[SampleSegment]:
         """Walk the horizon once, yielding each sample segment in order.
 
-        The loop body is :meth:`TraceBundle._generate_sampled`'s, verbatim:
-        skip windows advance the workload functionally, warm-up windows are
-        emitted and held pending, and each measure window is emitted with the
-        working set frozen at its warm-up/measure boundary.  The caller owns
-        every yielded segment outright — dropping it frees the sample.
+        One workload walks the whole horizon, so the dynamic stream is
+        identical to an unsampled run of the same length; the schedule only
+        decides each window's fate.  Skip windows advance the workload
+        functionally through the state-evolution core
+        (:meth:`SyntheticWorkload.fast_forward`: allocator state, working set
+        and locality cursors move, nothing is materialized), warm-up windows
+        are emitted and held pending, and each measure window is emitted with
+        the working set frozen at its warm-up/measure boundary.  An event
+        split by a window boundary stays pending inside the workload, so the
+        concatenation of all windows is exactly the continuous stream.  The
+        caller owns every yielded segment outright — dropping it frees the
+        sample.
         """
         workload = SyntheticWorkload(self.profile, seed=self.seed)
         pending_warm: Tuple = ()
@@ -153,9 +121,10 @@ class SampleStream:
         position = measure_positions[index]
         measure_start, measure_end, _ = windows[position]
         # The warm-up is the immediately preceding window iff it is a WARMUP:
-        # the eager loop resets its pending warm-up on every skip window, and
-        # a warm-up window is always directly followed by its measure window
-        # (non-degenerate schedules interpose a skip between periods).
+        # the segments() walk resets its pending warm-up on every skip
+        # window, and a warm-up window is always directly followed by its
+        # measure window (non-degenerate schedules interpose a skip between
+        # periods).
         warm_start = measure_start
         if position > 0 and windows[position - 1][2] == SamplingSchedule.WARMUP:
             warm_start = windows[position - 1][0]

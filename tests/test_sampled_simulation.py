@@ -16,6 +16,7 @@ from repro.core.config import WatchdogConfig
 from repro.errors import ConfigurationError
 from repro.sim.cache import ResultCache, request_fingerprint
 from repro.sim.engine import SweepEngine, _BUNDLES, _bundle_for, BenchmarkJob
+from repro.sim.results import CellResult
 from repro.sim.sampling import SamplingConfig, SamplingSchedule
 from repro.sim.simulator import Simulator
 from repro.sim.spec import ExperimentSettings, ExperimentSpec, RunRequest
@@ -197,6 +198,84 @@ class TestGoldenSampledEquivalence:
             assert compiled.pages.shadow_words == reference.pages.shadow_words
 
 
+def _pinned_cell(configuration, **counters):
+    return CellResult(benchmark="mcf-long", configuration=configuration,
+                      **counters)
+
+
+class TestPinnedSampledAggregate:
+    """A ten-sample aggregate pinned to literal values.
+
+    Recorded while the list-based aggregator and the streaming accumulator
+    were still two separate copies of the §9.1 arithmetic, so it checks the
+    one remaining fold against the old arithmetic rather than against
+    itself.  Every counter and every (float) port wait compares with ``==``
+    on each executor: ``run_bundle``, and ``execute_job`` serial and on a
+    two-worker sample pool.
+    """
+
+    INSTRUCTIONS = 40_000
+    CELLS = {
+        "baseline": (
+            WatchdogConfig.disabled(),
+            _pinned_cell(
+                "baseline", cycles=10972, total_uops=15022, injected_uops=0,
+                macro_instructions=15000, memory_accesses=4531,
+                lock_cache_misses=4, l1d_misses=1106, baseline_uops=15022,
+                data_words=2690, data_pages=25),
+            {"alu": 1.4752640114521363, "branch": 4.2939976160187925,
+             "load": 1.775717091724315, "store": 3.9720253328408623,
+             "muldiv": 0.19698872692555558, "fp": 0.0, "lock": 0.0}),
+        "isa-assisted": (
+            ISA,
+            _pinned_cell(
+                "isa-assisted", cycles=12865, total_uops=22579,
+                injected_uops=7557, macro_instructions=15000,
+                memory_accesses=10838, lock_cache_misses=23, l1d_misses=2821,
+                baseline_uops=15022, check_uops=4523, pointer_load_uops=1241,
+                pointer_store_uops=521, select_uops=1184, frame_uops=88,
+                other_uops=8, memory_ops=4523, pointer_ops=1762,
+                data_words=2690, shadow_words=2116, data_pages=25,
+                shadow_pages=28),
+            {"alu": 1.217541863754615, "branch": 2.409876997058084,
+             "load": 1.2416020732268593, "store": 4.4121184999356515,
+             "muldiv": 0.14275059665632267, "fp": 0.0,
+             "lock": 1.1391751138868422}),
+    }
+
+    def _job(self):
+        return BenchmarkJob(
+            benchmark="mcf-long", seed=7, instructions=self.INSTRUCTIONS,
+            warmup_instructions=None, sampling=SMALL, pipeline="compiled",
+            cells=tuple((label, config)
+                        for label, (config, _, _) in self.CELLS.items()))
+
+    def test_run_bundle_matches_pinned_values(self):
+        bundle = TraceBundle.generate("mcf-long", seed=7,
+                                      instructions=self.INSTRUCTIONS,
+                                      sampling=SMALL)
+        assert len(bundle.samples) == 10
+        for label, (config, cell, port_waits) in self.CELLS.items():
+            outcome = Simulator().run_bundle(bundle, config)
+            assert CellResult.from_outcome(outcome, label=label) == cell
+            assert outcome.timing.port_waits == port_waits
+
+    def test_execute_job_serial_matches_pinned_values(self):
+        from repro.sim.engine import execute_job
+
+        assert execute_job(self._job()) == \
+            [cell for _, cell, _ in self.CELLS.values()]
+
+    def test_execute_job_sample_pool_matches_pinned_values(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.sim.engine import execute_job
+
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pooled = execute_job(self._job(), sample_pool=pool)
+        assert pooled == [cell for _, cell, _ in self.CELLS.values()]
+
+
 class TestEngineRoundTrip:
     def test_sampled_jobs_round_trip_through_pool_and_cache(self, tmp_path):
         spec = small_spec()
@@ -328,78 +407,36 @@ class TestBundleMemoFootprint:
         assert len(_BUNDLES) == 1  # gzip evicted despite being "only" 2.5k ops
         _BUNDLES.clear()
 
-
-class TestSampleCacheRelease:
-    """Per-sample compiled caches are dropped once a sample is aggregated."""
-
-    @staticmethod
-    def _cache_entries(bundle):
-        tokens = bundle.__dict__.get("_cc_tokens") or {}
-        streams = bundle.__dict__.get("_cc_streams") or {}
-        return dict(tokens), dict(streams)
-
-    def test_release_drops_only_the_given_samples_caches(self):
-        bundle = TraceBundle.generate("gzip", seed=7, instructions=12_000,
-                                      sampling=SMALL)
-        for index in range(len(bundle.samples)):
-            bundle.compiled_sample_streams(index, ISA)
-        tokens, streams = self._cache_entries(bundle)
-        assert set(tokens) == set(range(len(bundle.samples)))
-        bundle.release_sample_caches(0)
-        tokens, streams = self._cache_entries(bundle)
-        assert 0 not in tokens
-        assert all(key[2] != 0 for key in streams)
-        assert set(tokens) == set(range(1, len(bundle.samples)))
-
-    def test_simulator_release_flag_frees_caches_and_stays_bit_identical(self):
-        bundle = TraceBundle.generate("gzip", seed=7, instructions=12_000,
-                                      sampling=SMALL)
-        kept = Simulator().run_bundle(bundle, ISA)
-        tokens, streams = self._cache_entries(bundle)
-        assert tokens and streams  # default: caches pinned for replay
-
-        fresh = TraceBundle.generate("gzip", seed=7, instructions=12_000,
-                                     sampling=SMALL)
-        released = Simulator(release_sample_caches=True).run_bundle(fresh, ISA)
-        tokens, streams = self._cache_entries(fresh)
-        assert not tokens and not streams
-        assert released.timing == kept.timing
-        assert released.injection == kept.injection
-
-    def test_engine_serial_sampled_job_releases_and_matches_run_bundle(self):
+    def test_sampled_jobs_stream_past_the_memo(self):
         from repro.sim.engine import execute_job
 
         _BUNDLES.clear()
         job = BenchmarkJob(benchmark="gzip", seed=7, instructions=12_000,
                            warmup_instructions=None, sampling=SMALL,
-                           pipeline="compiled",
-                           cells=(("wd", ISA),
-                                  ("baseline", WatchdogConfig.disabled())))
-        results = execute_job(job)
-        bundle = _bundle_for(job)
-        tokens, streams = self._cache_entries(bundle)
-        assert not tokens and not streams  # all samples released
-
-        # Sample-major execution with release is bit-identical to the plain
-        # config-major replay of the same bundle.
-        simulator = Simulator()
-        for (label, config), cell in zip(job.cells, results):
-            expected = simulator.run_bundle(
-                TraceBundle.generate("gzip", seed=7, instructions=12_000,
-                                     sampling=SMALL), config)
-            assert cell.cycles == expected.timing.cycles
-            assert cell.total_uops == expected.timing.total_uops
-            assert cell.configuration == label
+                           pipeline="compiled", cells=(("wd", ISA),))
+        execute_job(job)
+        assert not _BUNDLES  # streamed: no sample outlives its replay
+        # Schedules that measure everything or nothing normalize to the
+        # unsampled bundle, which is memoized like any unsampled job.
+        for sampling in (None, SamplingConfig.unsampled(3_000),
+                         SamplingConfig.quick()):
+            execute_job(dataclasses.replace(job, instructions=3_000,
+                                            sampling=sampling))
+        assert len(_BUNDLES) == 3
         _BUNDLES.clear()
 
-    def test_released_sample_can_be_replayed_again(self):
+
+class TestSampleReplay:
+    def test_sample_can_be_replayed_again(self):
         bundle = TraceBundle.generate("gzip", seed=7, instructions=12_000,
                                       sampling=SMALL)
         simulator = Simulator()
         first = simulator.sample_outcome(bundle, 0, ISA)
-        bundle.release_sample_caches(0)
+        for index in range(len(bundle.samples)):
+            simulator.sample_outcome(bundle, index, ISA)
         again = simulator.sample_outcome(bundle, 0, ISA)
         assert again.timing == first.timing
+        assert again.injection == first.injection
 
 
 class TestSpecValidation:

@@ -129,6 +129,16 @@ class TestSampling:
         assert schedule.windows(10) == [(0, 10, SamplingSchedule.MEASURE)]
         assert schedule.measured_count(10) == 10
 
+    def test_samples_horizon_needs_skip_or_warmup_and_a_measured_window(self):
+        config = SamplingConfig(fast_forward=4, warmup=4, sample=2)
+        assert config.samples_horizon(9)
+        assert not config.samples_horizon(8)       # ends inside the warm-up
+        assert not config.samples_horizon(0)
+        # Measures everything at any horizon: normalizes to unsampled.
+        assert not SamplingConfig.unsampled(10).samples_horizon(10)
+        assert SamplingConfig(fast_forward=0, warmup=1, sample=1) \
+            .samples_horizon(2)
+
     def test_windows_match_per_index_classification(self):
         schedule = SamplingSchedule(SamplingConfig(fast_forward=3, warmup=2, sample=4))
         for total in (0, 1, 3, 5, 8, 9, 13, 27):

@@ -1,15 +1,15 @@
 """Tests for streaming sampled simulation (one sample in memory).
 
 Covers the :class:`~repro.workloads.streaming.SampleStream` walk against the
-eagerly-built bundle (segment-for-segment bit-equality), the
-replay-on-demand property (a random single sample regenerated from the state
-core alone equals the eager bundle's, native fast-forward kernel on and
-off), streaming-vs-retained golden equality through
-:meth:`Simulator.run_profile` and the sweep engine (serial and pooled,
-timecore on and off), the incremental :class:`OutcomeAccumulator` against
-:func:`aggregate_outcomes`, the state core's retired-slot compaction
-(bit-invisible on every span path), the audited bundle footprint
-accounting, and the billion-instruction profile/bench plumbing.
+retained bundle (segment-for-segment bit-equality), the replay-on-demand
+property (a random single sample regenerated from the state core alone
+equals the retained bundle's, native fast-forward kernel on and off),
+streamed runs through :meth:`Simulator.run_profile` and the sweep engine
+(serial and pooled, timecore on and off) against the retained replay
+:meth:`Simulator.run_bundle`, the incremental :class:`OutcomeAccumulator`,
+the state core's retired-slot compaction (bit-invisible on every span path),
+the audited bundle footprint accounting, and the billion-instruction
+profile/bench plumbing.
 """
 
 import random
@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.config import WatchdogConfig
 from repro.errors import ConfigurationError
+from repro.sim.results import CellResult
 from repro.sim.sampling import SamplingConfig, SamplingSchedule
 from repro.sim.simulator import (
     OutcomeAccumulator,
@@ -32,11 +33,7 @@ from repro.workloads.profiles import (
     one_b_profile_names,
     profile_by_name,
 )
-from repro.workloads.streaming import (
-    STREAMING_THRESHOLD_INSTRUCTIONS,
-    SampleStream,
-    use_streaming,
-)
+from repro.workloads.streaming import SampleStream
 from repro.workloads.synthetic import SyntheticWorkload
 
 ISA = WatchdogConfig.isa_assisted_uaf()
@@ -157,16 +154,20 @@ def _outcome_key(outcome):
             outcome.pages.data_words, outcome.pages.shadow_words)
 
 
+def _retained(benchmark, seed, instructions, sampling, config, **simulator):
+    """The retained replay: every sample generated up front, then replayed."""
+    bundle = TraceBundle.generate(benchmark, seed=seed,
+                                  instructions=instructions, sampling=sampling)
+    return Simulator(**simulator).run_bundle(bundle, config)
+
+
 class TestStreamingGoldenEquality:
     @pytest.mark.parametrize("timecore", [None, False])
-    def test_run_profile_streaming_equals_retained(self, monkeypatch,
-                                                   timecore):
+    def test_run_profile_streaming_equals_retained(self, timecore):
         profile = profile_by_name("mcf-long")
         for config in (WatchdogConfig.disabled(), ISA):
-            monkeypatch.setenv("REPRO_STREAMING", "0")
-            retained = Simulator(timecore=timecore).run_profile(
-                profile, config, instructions=20_000, seed=7, sampling=SMALL)
-            monkeypatch.setenv("REPRO_STREAMING", "1")
+            retained = _retained("mcf-long", 7, 20_000, SMALL, config,
+                                 timecore=timecore)
             streamed = Simulator(timecore=timecore).run_profile(
                 profile, config, instructions=20_000, seed=7, sampling=SMALL)
             assert _outcome_key(streamed) == _outcome_key(retained)
@@ -181,59 +182,79 @@ class TestStreamingGoldenEquality:
                                            sampling=SMALL, seed=3)
         assert _outcome_key(streamed) == _outcome_key(retained)
 
-    def test_reference_pipeline_streams_identically(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMING", "1")
+    def test_reference_pipeline_streams_identically(self):
         streamed = Simulator(pipeline="reference").run_profile(
             profile_by_name("mcf-long"), ISA, instructions=20_000, seed=7,
             sampling=SMALL)
-        monkeypatch.setenv("REPRO_STREAMING", "0")
-        retained = Simulator(pipeline="compiled").run_profile(
-            profile_by_name("mcf-long"), ISA, instructions=20_000, seed=7,
-            sampling=SMALL)
+        retained = _retained("mcf-long", 7, 20_000, SMALL, ISA,
+                             pipeline="compiled")
         assert _outcome_key(streamed) == _outcome_key(retained)
+
+    def test_degenerate_schedules_never_stream(self, monkeypatch):
+        calls = []
+        run_streaming = Simulator.run_streaming
+
+        def spy(self, *args, **kwargs):
+            calls.append(kwargs["instructions"])
+            return run_streaming(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run_streaming", spy)
+        profile = profile_by_name("mcf-long")
+        for instructions, sampling in (
+                (20_000, SamplingConfig.unsampled(20_000)),
+                (1_000, SMALL),  # measures nothing
+                (20_000, SMALL)):
+            Simulator().run_profile(profile, ISA, instructions=instructions,
+                                    seed=7, sampling=sampling)
+        assert calls == [20_000]
 
 
 class TestEngineStreaming:
-    def _job(self):
+    def _job(self, benchmark="mcf-long", instructions=20_000):
         from repro.sim.engine import BenchmarkJob
 
         return BenchmarkJob(
-            benchmark="mcf-long", seed=7, instructions=20_000,
+            benchmark=benchmark, seed=7, instructions=instructions,
             warmup_instructions=None, sampling=SMALL, pipeline="compiled",
             cells=(("baseline", WatchdogConfig.disabled()), ("isa", ISA)))
 
-    def test_serial_streaming_matches_retained(self, monkeypatch):
+    @pytest.mark.parametrize("name, instructions",
+                             [("mcf-long", 20_000), ("gzip", 12_000)])
+    def test_serial_streaming_matches_retained(self, name, instructions):
         from repro.sim.engine import execute_job
 
-        monkeypatch.setenv("REPRO_STREAMING", "0")
-        retained = execute_job(self._job())
-        monkeypatch.setenv("REPRO_STREAMING", "1")
-        streamed = execute_job(self._job())
-        assert streamed == retained
+        job = self._job(name, instructions)
+        retained = [
+            CellResult.from_outcome(
+                _retained(name, 7, instructions, SMALL, config), label=label)
+            for label, config in job.cells]
+        assert execute_job(job) == retained
 
-    def test_pooled_streaming_matches_serial(self, monkeypatch):
+    def test_pooled_streaming_matches_serial(self):
         from concurrent.futures import ProcessPoolExecutor
 
         from repro.sim.engine import execute_job
 
-        monkeypatch.setenv("REPRO_STREAMING", "1")
         serial = execute_job(self._job())
         with ProcessPoolExecutor(max_workers=2) as pool:
             pooled = execute_job(self._job(), sample_pool=pool)
         assert pooled == serial
 
-    def test_sweep_round_trip_forced_streaming(self, monkeypatch):
+    def test_sweep_round_trip_matches_retained(self):
         from repro.sim.engine import SweepEngine
         from repro.sim.spec import ExperimentSettings, ExperimentSpec
 
         settings = ExperimentSettings(benchmarks=("mcf-long",),
                                       instructions=20_000, sampling=SMALL)
         spec = ExperimentSpec.build("stream", {"wd": ISA}, settings=settings)
-        monkeypatch.setenv("REPRO_STREAMING", "0")
-        retained = SweepEngine().run_spec(spec)
-        monkeypatch.setenv("REPRO_STREAMING", "1")
-        streamed = SweepEngine().run_spec(spec)
-        assert streamed == retained
+        retained = {
+            request.key: CellResult.from_outcome(
+                _retained(request.benchmark, request.seed,
+                          request.instructions, request.sampling,
+                          request.config),
+                label=request.label)
+            for request in spec.requests()}
+        assert SweepEngine().run_spec(spec) == retained
 
 
 class TestOutcomeAccumulator:
@@ -241,7 +262,8 @@ class TestOutcomeAccumulator:
         bundle = TraceBundle.generate("mcf-long", seed=7,
                                       instructions=20_000, sampling=SMALL)
         simulator = Simulator()
-        outcomes = simulator.sample_outcomes(bundle, ISA)
+        outcomes = [simulator.sample_outcome(bundle, index, ISA)
+                    for index in range(len(bundle.samples))]
         accumulator = OutcomeAccumulator()
         for outcome in outcomes:
             accumulator.add(outcome)
@@ -342,25 +364,6 @@ class TestFootprintAudit:
         tuple_only.__dict__["_uop_tuples"] = tuples
         cache[key] = dc.replace(built, measured=tuple_only)
         assert bundle.footprint_ops() == base + 8 * len(tuples)
-
-
-class TestUseStreaming:
-    def test_threshold_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAMING", raising=False)
-        assert not use_streaming(20_000, SMALL)
-        assert use_streaming(STREAMING_THRESHOLD_INSTRUCTIONS + 1, SMALL)
-        assert not use_streaming(STREAMING_THRESHOLD_INSTRUCTIONS + 1, None)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMING", "1")
-        assert use_streaming(20_000, SMALL)
-        monkeypatch.setenv("REPRO_STREAMING", "0")
-        assert not use_streaming(100_000_000, SMALL)
-
-    def test_degenerate_schedules_never_stream(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMING", "1")
-        assert not use_streaming(20_000, SamplingConfig.unsampled(20_000))
-        assert not use_streaming(1_000, SMALL)  # measures nothing
 
 
 class TestOneBPlumbing:
