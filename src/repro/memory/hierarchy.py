@@ -22,15 +22,17 @@ but never miss and never displace data).
 from __future__ import annotations
 
 import enum
-import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.memory.cache import Cache, CacheConfig
-from repro.memory.prefetcher import PrefetcherConfig, StreamPrefetcher
-from repro.memory.tlb import TLB, TLBConfig
+from repro.memory.cache import Cache, CacheConfig, set_demand
+from repro.memory.prefetcher import (
+    PrefetcherConfig,
+    StreamPrefetcher,
+    pf_on_miss,
+)
+from repro.memory.tlb import TLB, TLBConfig, tlb_access
 
 
 class PortKind(enum.Enum):
@@ -96,6 +98,12 @@ _STAT_INDEX = {name: i for i, name in enumerate(_STAT_KINDS)}
 _SHARED_KEYS = ("l2_hits", "l2_misses", "l3_hits", "l3_misses",
                 "lock_hits", "lock_misses", "lock_evictions",
                 "lock_writebacks")
+
+#: Counter deltas of one batch, in the native kernel's layout: 0-3 L1D
+#: hits, misses, evictions, writebacks; 4-7 L2; 8-11 L3; 12-15 lock cache;
+#: 16-17 DTLB hits, misses; 18-19 lock TLB; 20-21 L1D/L2 prefetches issued;
+#: 22-24 accesses per port (data, lock, shadow); 25-27 their latency sums.
+N_COUNTERS = 28
 
 
 class HierarchyStats:
@@ -177,22 +185,6 @@ class SharedMemoryBackend:
         self.l2_prefetcher = StreamPrefetcher(self.config.l2_prefetcher,
                                               self.l2)
 
-    def _tc_sync(self) -> None:
-        """Rebuild the shared-level OrderedDicts from the native arenas.
-
-        While any attached core runs native batches, the shared-role arenas
-        (``_tc_shared``) are the authoritative L2/L3/lock-cache state.
-        Popping the dict also invalidates every core's exported
-        ``_tc_state`` (each holds a reference to it — see
-        :func:`repro.native._timecore.attach_state`), so their next native
-        batch re-exports against the rebuilt structures instead of running
-        on arenas that no longer reflect reality.
-        """
-        state = self.__dict__.pop("_tc_shared", None)
-        if state is not None:
-            from repro.native import _timecore
-            _timecore.import_shared_state(state, self)
-
     def reset_stats(self) -> None:
         for cache in (self.l2, self.l3, self.lock_cache):
             cache.reset_stats()
@@ -221,9 +213,10 @@ class MemoryHierarchy:
         self.core_id = core_id
         self.l1d = Cache(self.config.l1d)
         # The shared levels are plain attribute references into the backend:
-        # every existing consumer (hot loops, arena marshalling, stats
-        # readers) sees the same objects whether the backend is private to
-        # this core or contended by several.
+        # every consumer (per-access path, batch replay in Python or in the
+        # kernel, stats readers) sees the same objects, and so the same
+        # arrays, whether the backend is private to this core or contended
+        # by several.
         self.l2 = shared.l2
         self.l3 = shared.l3
         self.lock_cache = shared.lock_cache
@@ -259,8 +252,6 @@ class MemoryHierarchy:
     def access(self, address: int, is_write: bool = False,
                port: PortKind = PortKind.DATA) -> int:
         """Perform one access and return its total latency in cycles."""
-        if self._tc_dirty():
-            self._tc_sync()
         if port is PortKind.LOCK and self.config.lock_cache_enabled:
             return self._lock_access(address, is_write)
         if port is PortKind.SHADOW and self.config.ideal_shadow:
@@ -309,10 +300,11 @@ class MemoryHierarchy:
     # The compiled pipeline separates hierarchy replay from µop scheduling:
     # the access *order* of a timed µop stream is its program order, so all
     # cache/TLB/prefetcher state transitions — and the load latencies the
-    # scheduler needs — can be produced in one tight pass.  The two methods
-    # below are semantically identical to calling :meth:`access` once per
-    # element in sequence; they inline the L1/TLB hit paths and keep the
-    # counters in locals, which is where the per-access overhead lives.
+    # scheduler needs — can be produced in one tight pass.  A batch runs in
+    # the native kernel's ``hier_batch`` when it is loaded, else in
+    # :meth:`_replay`, its Python mirror; both work on the structures' own
+    # arrays and return the same counter deltas, which :meth:`_apply` folds
+    # back.
 
     def access_batch(self, addrs, specs, positions, lats) -> None:
         """Replay a demand-access sequence, filling per-µop load latencies.
@@ -322,361 +314,239 @@ class MemoryHierarchy:
         ``lats[positions[i]]`` (loads); the rest only update hierarchy state
         and statistics (stores retire at fixed latency off the critical
         path).  State transitions and statistics are bit-identical to the
-        equivalent :meth:`access` sequence.
-
-        When the native timing core is available (and not overridden off),
-        the whole batch is replayed by the C kernel instead — with identical
-        results by construction (see :mod:`repro.native._timecore`).  The
-        stream compiler hands in ``array("q")`` columns, which the kernel
-        consumes with zero per-batch marshalling; any other sequence type
-        is converted on entry.
+        equivalent :meth:`access` sequence.  The stream compiler hands in
+        ``array("q")`` columns, which the kernel consumes as they are; any
+        other sequence type is converted on entry.
         """
-        if len(addrs) and self.native_override is not False:
-            from repro.native import _timecore
-            lib = _timecore.load()
-            if lib is not None:
-                self._batch_native(lib, addrs, specs, positions, lats, True)
-                return
-        if self._tc_dirty():
-            self._tc_sync()
-        config = self.config
-        lock_en = config.lock_cache_enabled
-        ideal = config.ideal_shadow
-        l1 = self.l1d
-        l1_sets = l1._sets
-        l1_nsets = l1.config.num_sets
-        l1_bb = l1.config.block_bytes
-        l1_assoc = l1.config.associativity
-        l1_lat = config.l1d.hit_latency
-        l1_hits = l1_misses = l1_evd = l1_wb = 0
-        lk = self.lock_cache
-        lk_sets = lk._sets
-        lk_nsets = lk.config.num_sets
-        lk_bb = lk.config.block_bytes
-        lk_assoc = lk.config.associativity
-        lk_lat = config.lock_cache.hit_latency
-        lk_hits = lk_misses = lk_evd = lk_wb = 0
-        l3 = self.l3
-        l3_sets = l3._sets
-        l3_nsets = l3.config.num_sets
-        l3_bb = l3.config.block_bytes
-        l3_assoc = l3.config.associativity
-        l3_evd = l3_wb = 0
-        dtlb = self.dtlb
-        dtlb_map = dtlb._entries
-        dtlb_pb = dtlb.config.page_bytes
-        dtlb_cap = dtlb.config.entries
-        dtlb_pen = dtlb.config.miss_penalty
-        dtlb_hits = dtlb_misses = 0
-        ltlb = self.lock_tlb
-        ltlb_map = ltlb._entries
-        ltlb_pb = ltlb.config.page_bytes
-        ltlb_cap = ltlb.config.entries
-        ltlb_pen = ltlb.config.miss_penalty
-        ltlb_hits = ltlb_misses = 0
-        dtlb_last = ltlb_last = -1
-        beyond = self._access_beyond_l1
-        prefetch = self.l1d_prefetcher.on_miss
-        counts = [0, 0, 0]
-        waits = [0, 0, 0]
-
-        for a, spec, pos in zip(addrs, specs, positions):
-            port = spec & 3
-            if port == 1 and lock_en:
-                # -- dedicated lock location cache (no L1 prefetcher) -------
-                page = a // ltlb_pb
-                if page == ltlb_last:
-                    ltlb_hits += 1
-                    lat = lk_lat
-                elif page in ltlb_map:
-                    ltlb_map.move_to_end(page)
-                    ltlb_hits += 1
-                    ltlb_last = page
-                    lat = lk_lat
-                else:
-                    ltlb_misses += 1
-                    if len(ltlb_map) >= ltlb_cap:
-                        ltlb_map.popitem(last=False)
-                    ltlb_map[page] = True
-                    ltlb_last = page
-                    lat = ltlb_pen + lk_lat
-                block = a // lk_bb
-                idx = block % lk_nsets
-                cset = lk_sets.get(idx)
-                if cset is None:
-                    cset = lk_sets[idx] = OrderedDict()
-                if block in cset:
-                    cset.move_to_end(block)
-                    lk_hits += 1
-                    if spec & 4:
-                        cset[block] = True
-                else:
-                    lk_misses += 1
-                    if len(cset) >= lk_assoc:
-                        _, dirty = cset.popitem(last=False)
-                        lk_evd += 1
-                        if dirty:
-                            lk_wb += 1
-                    cset[block] = True if spec & 4 else False
-                    lat += beyond(a, bool(spec & 4))
-            elif port == 2 and ideal:
-                # Idealized shadow: a port-occupying L1 hit, no allocation.
-                lat = l1_lat
-                counts[2] += 1
-                waits[2] += lat
-                if spec & 8:
-                    lats[pos] = lat
-                continue
-            else:
-                # -- the L1 data cache (data, shadow, lock-on-data) ----------
-                page = a // dtlb_pb
-                if page == dtlb_last:
-                    dtlb_hits += 1
-                    lat = l1_lat
-                elif page in dtlb_map:
-                    dtlb_map.move_to_end(page)
-                    dtlb_hits += 1
-                    dtlb_last = page
-                    lat = l1_lat
-                else:
-                    dtlb_misses += 1
-                    if len(dtlb_map) >= dtlb_cap:
-                        dtlb_map.popitem(last=False)
-                    dtlb_map[page] = True
-                    dtlb_last = page
-                    lat = dtlb_pen + l1_lat
-                block = a // l1_bb
-                idx = block % l1_nsets
-                cset = l1_sets.get(idx)
-                if cset is None:
-                    cset = l1_sets[idx] = OrderedDict()
-                if block in cset:
-                    cset.move_to_end(block)
-                    l1_hits += 1
-                    if spec & 4:
-                        cset[block] = True
-                else:
-                    l1_misses += 1
-                    if len(cset) >= l1_assoc:
-                        _, dirty = cset.popitem(last=False)
-                        l1_evd += 1
-                        if dirty:
-                            l1_wb += 1
-                    cset[block] = True if spec & 4 else False
-                    prefetch(a)
-                    lat += beyond(a, bool(spec & 4))
-            # inclusive L3 install (demand accesses of every class)
-            block = a // l3_bb
-            idx = block % l3_nsets
-            cset = l3_sets.get(idx)
-            if cset is None:
-                cset = l3_sets[idx] = OrderedDict()
-            if block in cset:
-                cset.move_to_end(block)
-            else:
-                if len(cset) >= l3_assoc:
-                    _, dirty = cset.popitem(last=False)
-                    l3_evd += 1
-                    if dirty:
-                        l3_wb += 1
-                cset[block] = False
-            counts[port] += 1
-            waits[port] += lat
-            if spec & 8:
-                lats[pos] = lat
-
-        # -- merge local counters back into the shared statistics ------------
-        l1.hits += l1_hits
-        l1.misses += l1_misses
-        l1.evictions += l1_evd
-        l1.writebacks += l1_wb
-        lk.hits += lk_hits
-        lk.misses += lk_misses
-        lk.evictions += lk_evd
-        lk.writebacks += lk_wb
-        shared = self.stats.shared
-        shared["lock_hits"] += lk_hits
-        shared["lock_misses"] += lk_misses
-        shared["lock_evictions"] += lk_evd
-        shared["lock_writebacks"] += lk_wb
-        l3.evictions += l3_evd
-        l3.writebacks += l3_wb
-        dtlb.hits += dtlb_hits
-        dtlb.misses += dtlb_misses
-        ltlb.hits += ltlb_hits
-        ltlb.misses += ltlb_misses
-        names = ("data",
-                 "lock" if lock_en else "lock-on-data",
-                 "shadow-ideal" if ideal else "shadow")
-        for code in (0, 1, 2):
-            if counts[code]:
-                self.stats.fold(names[code], counts[code], waits[code])
+        self._batch(addrs, specs, positions, lats, True)
 
     def warm_batch(self, addrs, specs) -> None:
-        """Replay accesses for warm-up: state transitions only, no counters.
+        """Replay accesses for warm-up: the same state transitions as
+        :meth:`access_batch`, but the L1, lock-cache, TLB and L3-install
+        counters and the per-class stats are left alone.
 
         Callers reset every statistic right after warming, so only cache,
-        TLB and prefetcher *state* is observable — skipping the counters
-        makes the warm-up replay considerably cheaper.  ``specs`` is either
-        a per-access sequence or one int applied to every address.  Shadow
-        accesses under the ideal-shadow ablation change no state and are
-        skipped entirely (matching :meth:`access`).
+        TLB and prefetcher *state* is observable.  ``specs`` is either a
+        per-access sequence or one int applied to every address.
         """
-        if len(addrs) and self.native_override is not False:
+        self._batch(addrs, specs, None, None, False)
+
+    def _batch(self, addrs, specs, positions, lats, collect: bool) -> None:
+        if not len(addrs):
+            return
+        if self.native_override is not False:
             from repro.native import _timecore
             lib = _timecore.load()
             if lib is not None:
-                self._batch_native(lib, addrs, specs, None, None, False)
+                self._batch_native(lib, addrs, specs, positions, lats,
+                                   collect)
                 return
-        if self._tc_dirty():
-            self._tc_sync()
         if isinstance(specs, int):
-            specs = itertools.repeat(specs)
-        config = self.config
-        lock_en = config.lock_cache_enabled
-        ideal = config.ideal_shadow
-        l1 = self.l1d
-        l1_sets = l1._sets
-        l1_nsets = l1.config.num_sets
-        l1_bb = l1.config.block_bytes
-        l1_assoc = l1.config.associativity
-        lk = self.lock_cache
-        lk_sets = lk._sets
-        lk_nsets = lk.config.num_sets
-        lk_bb = lk.config.block_bytes
-        lk_assoc = lk.config.associativity
-        l3 = self.l3
-        l3_sets = l3._sets
-        l3_nsets = l3.config.num_sets
-        l3_bb = l3.config.block_bytes
-        l3_assoc = l3.config.associativity
-        dtlb_map = self.dtlb._entries
-        dtlb_pb = self.dtlb.config.page_bytes
-        dtlb_cap = self.dtlb.config.entries
-        ltlb_map = self.lock_tlb._entries
-        ltlb_pb = self.lock_tlb.config.page_bytes
-        ltlb_cap = self.lock_tlb.config.entries
-        dtlb_last = ltlb_last = -1
-        beyond = self._access_beyond_l1
-        prefetch = self.l1d_prefetcher.on_miss
-
-        for a, spec in zip(addrs, specs):
-            port = spec & 3
-            if port == 1 and lock_en:
-                page = a // ltlb_pb
-                if page != ltlb_last:
-                    if page in ltlb_map:
-                        ltlb_map.move_to_end(page)
-                    else:
-                        if len(ltlb_map) >= ltlb_cap:
-                            ltlb_map.popitem(last=False)
-                        ltlb_map[page] = True
-                    ltlb_last = page
-                block = a // lk_bb
-                idx = block % lk_nsets
-                cset = lk_sets.get(idx)
-                if cset is None:
-                    cset = lk_sets[idx] = OrderedDict()
-                if block in cset:
-                    cset.move_to_end(block)
-                    if spec & 4:
-                        cset[block] = True
-                else:
-                    if len(cset) >= lk_assoc:
-                        cset.popitem(last=False)
-                    cset[block] = True if spec & 4 else False
-                    beyond(a, bool(spec & 4))
-            elif port == 2 and ideal:
-                continue
-            else:
-                page = a // dtlb_pb
-                if page != dtlb_last:
-                    if page in dtlb_map:
-                        dtlb_map.move_to_end(page)
-                    else:
-                        if len(dtlb_map) >= dtlb_cap:
-                            dtlb_map.popitem(last=False)
-                        dtlb_map[page] = True
-                    dtlb_last = page
-                block = a // l1_bb
-                idx = block % l1_nsets
-                cset = l1_sets.get(idx)
-                if cset is None:
-                    cset = l1_sets[idx] = OrderedDict()
-                if block in cset:
-                    cset.move_to_end(block)
-                    if spec & 4:
-                        cset[block] = True
-                else:
-                    if len(cset) >= l1_assoc:
-                        cset.popitem(last=False)
-                    cset[block] = True if spec & 4 else False
-                    prefetch(a)
-                    beyond(a, bool(spec & 4))
-            block = a // l3_bb
-            idx = block % l3_nsets
-            cset = l3_sets.get(idx)
-            if cset is None:
-                cset = l3_sets[idx] = OrderedDict()
-            if block in cset:
-                cset.move_to_end(block)
-            else:
-                if len(cset) >= l3_assoc:
-                    cset.popitem(last=False)
-                cset[block] = False
+            specs, stride = (specs,), 0
+        else:
+            stride = 1
+        self._apply(self._replay(addrs, specs, stride, positions, lats,
+                                 collect), collect)
 
     def _batch_native(self, lib, addrs, specs, positions, lats,
                       collect: bool) -> None:
         """Replay one batch through an already-loaded native timing core.
 
-        The marshalling (OrderedDicts to int64 arenas and back) lives with
-        the kernel in :mod:`repro.native._timecore`; this indirection exists
-        so the kernel's load-time self-test can drive a candidate library
-        against hierarchies whose ``native_override`` forces the Python path.
+        Separate from :meth:`_batch` so the kernel's load-time self-test can
+        drive a candidate library against hierarchies whose
+        ``native_override`` forces the Python path.
         """
         from repro.native import _timecore
-        _timecore.run_batch(lib, self, addrs, specs, positions, lats, collect)
+        self._apply(_timecore.run_batch(lib, self, addrs, specs, positions,
+                                        lats, collect), collect)
 
-    def _tc_dirty(self) -> bool:
-        """True when native arenas are the authoritative hierarchy state.
+    def _replay(self, addrs, specs, stride: int, positions, lats,
+                collect: bool) -> List[int]:
+        """The Python mirror of the kernel's ``hier_batch``.
 
-        Either this core's private arenas (``_tc_state``) or the backend's
-        shared-level arenas (``_tc_shared``) may be live: with several cores
-        attached to one backend, *another* core's native batch makes the
-        shared L2/L3/lock-cache OrderedDicts stale even if this core never
-        exported private state.
+        Same arguments (``specs[k * stride]`` is access ``k``'s spec), same
+        statements in the same order over the same arrays, and the same
+        counter deltas in the kernel's layout (:data:`N_COUNTERS`).
         """
-        return ("_tc_state" in self.__dict__
-                or "_tc_shared" in self.shared.__dict__)
+        config = self.config
+        lock_en = config.lock_cache_enabled
+        ideal = config.ideal_shadow
+        c = 1 if collect else 0
+        l1w, l1_sets, l1_assoc, l1_bb = self.l1d.geometry()
+        l2w, l2_sets, l2_assoc, l2_bb = self.l2.geometry()
+        l3w, l3_sets, l3_assoc, l3_bb = self.l3.geometry()
+        lkw, lk_sets, lk_assoc, lk_bb = self.lock_cache.geometry()
+        l1_lat = config.l1d.hit_latency
+        l2_lat = config.l2.hit_latency
+        l3_lat = config.l3.hit_latency
+        lk_lat = config.lock_cache.hit_latency
+        dram = config.dram_latency
+        dtlb = self.dtlb.slots
+        dtlb_pb = config.l1_tlb.page_bytes
+        dtlb_pen = config.l1_tlb.miss_penalty
+        ltlb = self.lock_tlb.slots
+        ltlb_pb = config.lock_tlb.page_bytes
+        ltlb_pen = config.lock_tlb.miss_penalty
+        pf1 = self.l1d_prefetcher.table
+        pf1_streams = config.l1d_prefetcher.streams
+        pf1_depth = config.l1d_prefetcher.depth
+        pf2 = self.l2_prefetcher.table
+        pf2_streams = config.l2_prefetcher.streams
+        pf2_depth = config.l2_prefetcher.depth
+        ctr = [0] * N_COUNTERS
+        dtlb_last = ltlb_last = -1
 
-    def _tc_sync(self) -> None:
-        """Rebuild the OrderedDict structures from the native arena state.
+        def beyond_l1(a, write):
+            block = a // l2_bb
+            slot = set_demand(l2w, (block % l2_sets) * l2_assoc, l2_assoc,
+                              (block + 1) << 1, write)
+            if slot < 0:
+                ctr[4] += 1
+                return l2_lat
+            ctr[5] += 1
+            if slot:
+                ctr[6] += 1
+                ctr[7] += slot & 1
+            pf_on_miss(pf2, pf2_streams, pf2_depth, l2w, l2_sets, l2_assoc,
+                       block, ctr, 6, 7, 21)
+            block = a // l3_bb
+            slot = set_demand(l3w, (block % l3_sets) * l3_assoc, l3_assoc,
+                              (block + 1) << 1, write)
+            if slot < 0:
+                ctr[8] += 1
+                return l2_lat + l3_lat
+            ctr[9] += 1
+            if slot:
+                ctr[10] += 1
+                ctr[11] += slot & 1
+            return l2_lat + l3_lat + dram
 
-        After a native batch the int64 arenas are the authoritative
-        cache/TLB/prefetcher state and the OrderedDicts are stale; counters
-        and stats are always exact.  Every Python path that reads or mutates
-        the structures directly syncs first; the compiled flow never needs
-        to (it consumes counters only).  Private roles (L1/TLBs/L1
-        prefetcher) import from this core's state, shared roles from the
-        backend's — the latter invalidating every other core's exported
-        state along the way.  Importing also returns the state's pooled
-        arenas (see ``_timecore._ARENAS``), so the next fresh hierarchy's
-        export reuses them instead of allocating and zeroing new ones —
-        the same release a dying hierarchy triggers via its finalizer.
-        No-op when no native batch has run.
-        """
-        state = self.__dict__.pop("_tc_state", None)
-        if state is not None:
-            from repro.native import _timecore
-            _timecore.import_private_state(state, self)
-        self.shared._tc_sync()
+        for k, a in enumerate(addrs):
+            spec = specs[k * stride]
+            port = spec & 3
+            write = (spec >> 2) & 1
+            if port == 1 and lock_en:
+                # -- dedicated lock location cache (no L1 prefetcher) -------
+                page = a // ltlb_pb
+                if page == ltlb_last:
+                    ctr[18] += c
+                    lat = lk_lat
+                elif tlb_access(ltlb, page + 1):
+                    ctr[18] += c
+                    ltlb_last = page
+                    lat = lk_lat
+                else:
+                    ctr[19] += c
+                    ltlb_last = page
+                    lat = ltlb_pen + lk_lat
+                block = a // lk_bb
+                slot = set_demand(lkw, (block % lk_sets) * lk_assoc, lk_assoc,
+                                  (block + 1) << 1, write)
+                if slot < 0:
+                    ctr[12] += c
+                else:
+                    if collect:
+                        ctr[13] += 1
+                        if slot:
+                            ctr[14] += 1
+                            ctr[15] += slot & 1
+                    lat += beyond_l1(a, write)
+            elif port == 2 and ideal:
+                # Idealized shadow: a port-occupying L1 hit, no allocation.
+                if collect:
+                    lat = l1_lat
+                    ctr[24] += 1
+                    ctr[27] += lat
+                    if spec & 8:
+                        lats[positions[k]] = lat
+                continue
+            else:
+                # -- the L1 data cache (data, shadow, lock-on-data) ----------
+                page = a // dtlb_pb
+                if page == dtlb_last:
+                    ctr[16] += c
+                    lat = l1_lat
+                elif tlb_access(dtlb, page + 1):
+                    ctr[16] += c
+                    dtlb_last = page
+                    lat = l1_lat
+                else:
+                    ctr[17] += c
+                    dtlb_last = page
+                    lat = dtlb_pen + l1_lat
+                block = a // l1_bb
+                slot = set_demand(l1w, (block % l1_sets) * l1_assoc, l1_assoc,
+                                  (block + 1) << 1, write)
+                if slot < 0:
+                    ctr[0] += c
+                else:
+                    if collect:
+                        ctr[1] += 1
+                        if slot:
+                            ctr[2] += 1
+                            ctr[3] += slot & 1
+                    pf_on_miss(pf1, pf1_streams, pf1_depth, l1w, l1_sets,
+                               l1_assoc, block, ctr, 2, 3, 20)
+                    lat += beyond_l1(a, write)
+            # inclusive L3 install (demand accesses of every class)
+            block = a // l3_bb
+            slot = set_demand(l3w, (block % l3_sets) * l3_assoc, l3_assoc,
+                              (block + 1) << 1, 0)
+            if collect:
+                if slot > 0:
+                    ctr[10] += 1
+                    ctr[11] += slot & 1
+                ctr[22 + port] += 1
+                ctr[25 + port] += lat
+                if spec & 8:
+                    lats[positions[k]] = lat
+        return ctr
+
+    def _apply(self, ctr, collect: bool) -> None:
+        """Fold one batch's counter deltas into the structures' counters,
+        this core's share of the shared levels and (when collecting) the
+        per-class stats."""
+        for target, base in ((self.l1d, 0), (self.l2, 4), (self.l3, 8),
+                             (self.lock_cache, 12)):
+            target.hits += ctr[base]
+            target.misses += ctr[base + 1]
+            target.evictions += ctr[base + 2]
+            target.writebacks += ctr[base + 3]
+        self.dtlb.hits += ctr[16]
+        self.dtlb.misses += ctr[17]
+        self.lock_tlb.hits += ctr[18]
+        self.lock_tlb.misses += ctr[19]
+        self.l1d_prefetcher.prefetches_issued += ctr[20]
+        self.l2_prefetcher.prefetches_issued += ctr[21]
+        # Warm-up counts L2/L3 demand traffic too (both paths route it
+        # through the same beyond-L1 code); the lock counters are
+        # collect-gated and therefore zero when warming.
+        shared = self.stats.shared
+        shared["l2_hits"] += ctr[4]
+        shared["l2_misses"] += ctr[5]
+        shared["l3_hits"] += ctr[8]
+        shared["l3_misses"] += ctr[9]
+        shared["lock_hits"] += ctr[12]
+        shared["lock_misses"] += ctr[13]
+        shared["lock_evictions"] += ctr[14]
+        shared["lock_writebacks"] += ctr[15]
+        if collect:
+            config = self.config
+            names = ("data",
+                     "lock" if config.lock_cache_enabled else "lock-on-data",
+                     "shadow-ideal" if config.ideal_shadow else "shadow")
+            for code in (0, 1, 2):
+                if ctr[22 + code]:
+                    self.stats.fold(names[code], ctr[22 + code],
+                                    ctr[25 + code])
 
     # -- statistics ----------------------------------------------------------
     def lock_cache_mpki(self, instructions: int) -> float:
-        """Lock location cache misses per 1000 instructions (§9.3)."""
+        """This core's lock location cache misses per 1000 instructions
+        (§9.3); on a shared backend other cores' misses do not count."""
         if instructions <= 0:
             return 0.0
-        return 1000.0 * self.lock_cache.misses / instructions
+        return 1000.0 * self.stats.shared["lock_misses"] / instructions
 
     def reset_stats(self) -> None:
         for cache in (self.l1d, self.l2, self.l3, self.lock_cache):

@@ -5,16 +5,19 @@ Table 2 lists per-level stream prefetchers (2 streams of 4 blocks at L1I,
 classic next-N-blocks stream prefetcher: on a demand miss it looks for an
 existing stream tracking that region, and if the miss extends the stream it
 installs the next ``depth`` blocks into the target cache.
+
+The tracked streams are one ``array("q")`` in the native timing core's
+encoding, ``[count, last_block0, dir0, last_block1, dir1, ...]``, oldest
+stream first.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from array import array
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.memory.cache import Cache
+from repro.memory.cache import Cache, set_demand
 
 
 @dataclass(frozen=True)
@@ -29,10 +32,41 @@ class PrefetcherConfig:
             raise ConfigurationError("prefetcher streams/depth must be positive")
 
 
-@dataclass
-class _Stream:
-    last_block: int
-    direction: int = 1
+def pf_on_miss(table, streams: int, depth: int, ways, num_sets: int,
+               assoc: int, block: int, ctr, evicted: int, writebacks: int,
+               issued: int) -> None:
+    """A demand miss at ``block``: the kernel's ``pf_on_miss``.
+
+    Finds the first stream within ``depth`` blocks; with none, allocates one
+    (dropping the oldest stream when all are in use) and issues nothing.
+    Otherwise retargets the stream and installs the next ``depth`` blocks in
+    its direction into ``ways``, adding to ``ctr[evicted]``,
+    ``ctr[writebacks]`` and ``ctr[issued]``.
+    """
+    n = table[0]
+    for i in range(1, 2 * n, 2):
+        if abs(block - table[i]) <= depth:
+            break
+    else:
+        if n >= streams:
+            table[1:2 * streams - 1] = table[3:2 * streams + 1]
+            n = streams - 1
+        table[1 + 2 * n] = block
+        table[2 + 2 * n] = 1
+        table[0] = n + 1
+        return
+    direction = 1 if block >= table[i] else -1
+    table[i] = block
+    table[i + 1] = direction
+    for b in range(block + direction, block + (depth + 1) * direction,
+                   direction):
+        if b < 0:
+            continue
+        ctr[issued] += 1
+        slot = set_demand(ways, (b % num_sets) * assoc, assoc, (b + 1) << 1, 0)
+        if slot > 0:
+            ctr[evicted] += 1
+            ctr[writebacks] += slot & 1
 
 
 class StreamPrefetcher:
@@ -41,63 +75,20 @@ class StreamPrefetcher:
     def __init__(self, config: PrefetcherConfig, cache: Cache):
         self.config = config
         self.cache = cache
-        self._streams: List[_Stream] = []
+        #: The streams, in the encoding the module docstring describes.
+        self.table = array("q", [0]) * (1 + 2 * config.streams)
         self.prefetches_issued = 0
 
     def on_miss(self, address: int) -> None:
         """Notify the prefetcher of a demand miss at ``address``."""
-        block = self.cache.block_address(address)
-        stream = self._find_stream(block)
-        if stream is None:
-            self._allocate_stream(block)
-            return
-        stream.direction = 1 if block >= stream.last_block else -1
-        stream.last_block = block
-        self._issue(stream)
-
-    def _find_stream(self, block: int) -> Optional[_Stream]:
-        for stream in self._streams:
-            if abs(block - stream.last_block) <= self.config.depth:
-                return stream
-        return None
-
-    def _allocate_stream(self, block: int) -> None:
-        if len(self._streams) >= self.config.streams:
-            self._streams.pop(0)
-        self._streams.append(_Stream(last_block=block))
-
-    def _issue(self, stream: _Stream) -> None:
-        # Equivalent to cache.install() of each of the next ``depth`` blocks,
-        # inlined: on sequential miss storms (working-set warm-up) this loop
-        # runs hundreds of thousands of times per simulation.
         cache = self.cache
-        sets = cache._sets
-        num_sets = cache._num_sets
-        assoc = cache._assoc
-        last_block = stream.last_block
-        direction = stream.direction
-        evictions = writebacks = issued = 0
-        for i in range(1, self.config.depth + 1):
-            block = last_block + i * direction
-            if block < 0:
-                continue
-            issued += 1
-            index = block % num_sets
-            cache_set = sets.get(index)
-            if cache_set is None:
-                sets[index] = cache_set = OrderedDict()
-            if block in cache_set:
-                cache_set.move_to_end(block)
-                continue
-            if len(cache_set) >= assoc:
-                _, dirty = cache_set.popitem(last=False)
-                evictions += 1
-                if dirty:
-                    writebacks += 1
-            cache_set[block] = False
-        cache.evictions += evictions
-        cache.writebacks += writebacks
-        self.prefetches_issued += issued
+        ctr = [0, 0, 0]
+        pf_on_miss(self.table, self.config.streams, self.config.depth,
+                   cache.ways, cache._num_sets, cache._assoc,
+                   address // cache._block_bytes, ctr, 0, 1, 2)
+        cache.evictions += ctr[0]
+        cache.writebacks += ctr[1]
+        self.prefetches_issued += ctr[2]
 
     def reset_stats(self) -> None:
         self.prefetches_issued = 0

@@ -5,11 +5,14 @@ cache ("has its own (small) TLB", §4.2).  Shadow-space accesses go through the
 usual address translation machinery (§3.3), so they consult a TLB too.  The
 model is a fully-associative LRU translation cache; a miss charges a fixed
 page-walk penalty.
+
+The state is one ``array("q")`` of ``entries`` slots in the native timing
+core's encoding: oldest first and compacted, 0 empty, else ``page + 1``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from array import array
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -30,12 +33,36 @@ class TLBConfig:
             raise ConfigurationError(f"tlb {self.name}: sizes must be positive")
 
 
+def tlb_access(slots, key: int) -> bool:
+    """Look ``key`` (``page + 1``) up in ``slots``; returns True on a hit.
+
+    A hit moves the entry to the newest slot; a miss inserts it there,
+    dropping the oldest entry when every slot is taken.  Mirrors the
+    kernel's ``tlb_access``.
+    """
+    last = slots[-1]
+    if last == key:  # already the newest entry of a full TLB
+        return True
+    if key in slots:
+        n = len(slots) if last else slots.index(0)
+        del slots[slots.index(key)]
+        slots.insert(n - 1, key)
+        return True
+    if last:
+        del slots[0]
+        slots.append(key)
+    else:
+        slots[slots.index(0)] = key
+    return False
+
+
 class TLB:
     """Fully-associative LRU TLB."""
 
     def __init__(self, config: TLBConfig):
         self.config = config
-        self._entries: OrderedDict = OrderedDict()
+        #: The translations, in the encoding the module docstring describes.
+        self.slots = array("q", [0]) * config.entries
         self.hits = 0
         self.misses = 0
 
@@ -44,15 +71,10 @@ class TLB:
 
     def access(self, address: int) -> int:
         """Translate ``address``; return the added latency (0 on a hit)."""
-        page = self.page_of(address)
-        if page in self._entries:
-            self._entries.move_to_end(page)
+        if tlb_access(self.slots, address // self.config.page_bytes + 1):
             self.hits += 1
             return 0
         self.misses += 1
-        if len(self._entries) >= self.config.entries:
-            self._entries.popitem(last=False)
-        self._entries[page] = True
         return self.config.miss_penalty
 
     @property
@@ -67,4 +89,4 @@ class TLB:
         self.hits = self.misses = 0
 
     def flush(self) -> None:
-        self._entries.clear()
+        self.slots[:] = array("q", [0]) * len(self.slots)

@@ -13,13 +13,16 @@ machinery (system cc, first use, cached on disk, self-tested at load).
 
 The kernel consumes exactly the structures the Python loops consume:
 
-* ``hier_batch`` — the flattened int64 form of the OrderedDict cache sets,
-  TLBs and prefetcher streams (see ``MemoryHierarchy._batch_native``, which
-  exports the state, runs the kernel and imports it back), plus the packed
-  ``(addrs, specs, positions)`` access sequence, writing latencies into
-  ``lats`` and counter deltas into a counter block.  One entry point serves
-  both the counted (``access_batch``) and warm-up (``warm_batch``) variants,
-  toggled by the ``collect`` config slot.
+* ``hier_batch`` — the hierarchy's own int64 arrays (``Cache.ways``,
+  ``TLB.slots``, ``StreamPrefetcher.table``; the Python paths keep no other
+  copy of that state) plus the packed ``(addrs, specs, positions)`` access
+  sequence, writing latencies into ``lats`` and counter deltas into a
+  counter block that ``MemoryHierarchy._apply`` folds back.  One entry
+  point serves both the counted (``access_batch``) and warm-up
+  (``warm_batch``) variants, toggled by the ``collect`` config slot;
+  ``MemoryHierarchy._replay`` is its Python mirror.
+* ``warm_fill`` — the working-set install of one cache (``Cache.fill`` in
+  Python).
 * ``sched_run`` — per-µop words (flags, cost and the six register-slot
   operands in one int64 each), the post-hierarchy latency array, the
   flattened port-pool free times, and ring buffers for the ROB/IQ/LQ/SQ
@@ -40,16 +43,11 @@ or a failed self-test all fall back to the Python loops silently.
 from __future__ import annotations
 
 import ctypes
-import weakref
 from array import array
-from collections import OrderedDict
 from pathlib import Path
 
+from repro.memory.hierarchy import N_COUNTERS
 from repro.native import build
-
-#: Number of int64 counter slots ``hier_batch`` accumulates into (layout
-#: documented in the C source; applied back by :func:`run_batch`).
-N_COUNTERS = 28
 
 #: Layout indices of the hierarchy config block (:func:`_config_array`).
 CFG_COLLECT = 2
@@ -58,19 +56,19 @@ CFG_STRIDE = 3
 _SOURCE = r"""
 /* Native timing core: batched hierarchy replay + the array scheduler.
  *
- * Replicates repro.memory.hierarchy.MemoryHierarchy.access_batch/warm_batch
- * and repro.pipeline.core.OutOfOrderCore.simulate_compiled statement for
+ * Replicates repro.memory.hierarchy.MemoryHierarchy._replay (the Python
+ * loop behind access_batch/warm_batch), Cache.fill and
+ * repro.pipeline.core.OutOfOrderCore.simulate_compiled statement for
  * statement.  Any change to those Python loops must be mirrored here (the
  * load-time self-test and the timecore golden tests enforce equality).
  *
- * State encoding (produced by the run_batch marshaller in _timecore.py):
+ * State encoding (the Python structures' own arrays, passed in place:
+ * Cache.ways, TLB.slots, StreamPrefetcher.table):
  *   cache set:  `assoc` consecutive int64 slots per set, oldest first,
  *               compacted; 0 = empty, else ((block + 1) << 1) | dirty.
  *   TLB:        `entries` slots, oldest first, 0 = empty, else page + 1.
  *   prefetcher: [count, last_block0, dir0, last_block1, dir1, ...].
- * These are exact images of the OrderedDict/list structures: a hit moves
- * the entry to the newest slot (move_to_end), an eviction drops slot 0
- * (popitem(last=False)).
+ * A hit moves the entry to the newest slot; an eviction drops slot 0.
  *
  * cfg layout (31 int64 slots):
  *   0 lock_cache_enabled, 1 ideal_shadow, 2 collect, 3 spec_stride,
@@ -86,11 +84,10 @@ _SOURCE = r"""
  *   20 l1-prefetches issued, 21 l2-prefetches issued,
  *   22-24 class access counts (data, lock, shadow),  25-27 class latency.
  *
- * collect=0 is warm_batch: identical state transitions, but the counters
- * the Python warm loop skips (L1/lock demand + TLB + L3-install) stay
- * untouched, while everything routed through the shared lookup/prefetch
- * methods (L2/L3 demand, prefetch issue) still counts — reset_stats()
- * erases them right after, exactly as in Python.
+ * collect=0 is warm_batch: identical state transitions, but the L1/lock
+ * demand, TLB and L3-install counters stay untouched, while L2/L3 demand
+ * and prefetch issue still count — reset_stats() erases them right after,
+ * exactly as in the Python mirror.
  */
 #include <stdint.h>
 #include <string.h>
@@ -224,8 +221,7 @@ static void pf_on_miss(i64 *pf, i64 streams, i64 depth, i64 *ways, i64 nsets,
 
 /* MemoryHierarchy._access_beyond_l1: L2 demand (prefetcher on miss), then
  * L3 demand, then DRAM; returns the added latency.  L2/L3 counters always
- * accumulate — the Python warm loop routes through the same shared
- * Cache.lookup / prefetcher methods. */
+ * accumulate, warm-up included (beyond_l1 in MemoryHierarchy._replay). */
 static i64 beyond_l1(const i64 *cfg, i64 *ctr, i64 *l2w, i64 *l3w, i64 *pf2,
                      i64 a, i64 write)
 {
@@ -357,21 +353,9 @@ long long hier_batch(const long long *cfg, long long *ctr,
     return 0;
 }
 
-/* Write the indices of non-empty sets into `out`; returns how many.  Lets
- * the Python import walk only the touched sets of a 16384-set L3. */
-long long occ_scan(const long long *ways, long long nsets, long long assoc,
-                   long long *out)
-{
-    i64 i, n = 0;
-    for (i = 0; i < nsets; i++)
-        if (ways[i * assoc])
-            out[n++] = i;
-    return n;
-}
-
-/* sim.compiled._install_tail's inner loop: sequential warm install of `n`
- * addresses (clean lines; LRU refresh on re-touch, silent oldest-first
- * eviction when a set is full — no counters, warm-up is unobserved). */
+/* Cache.fill: sequential warm install of `n` addresses (clean lines; LRU
+ * refresh on re-touch, silent oldest-first eviction when a set is full —
+ * no counters, warm-up is unobserved). */
 long long warm_fill(i64 *ways, i64 nsets, i64 assoc, i64 block_bytes,
                     i64 n, const i64 *addrs)
 {
@@ -618,8 +602,6 @@ def _bind(so_path: Path):
     p, q = ctypes.c_void_p, ctypes.c_longlong
     lib.hier_batch.restype = q
     lib.hier_batch.argtypes = [p] * 10 + [q] + [p] * 4
-    lib.occ_scan.restype = q
-    lib.occ_scan.argtypes = [p, q, q, p]
     lib.warm_fill.restype = q
     lib.warm_fill.argtypes = [p, q, q, q, q, p]
     lib.pack_words.restype = q
@@ -720,214 +702,6 @@ def pack_stream(stream, lib=None):
     return packed
 
 
-#: Reusable int64 arenas.  String keys are per-role scratch arenas ("occ",
-#: "ctr") recycled across calls; integer keys are free lists of pooled
-#: state-export arenas by element count, recycled across *hierarchies* (see
-#: :func:`_acquire_arena` / :func:`_release_arenas`) — a fresh cell's L3
-#: export (16384 sets x 16 ways = 2MB) reuses a dead cell's arena instead
-#: of allocating and zeroing a new one.  The engine is single-threaded per
-#: process (parallelism is process-based), so sharing is safe.
-_ARENAS = {}
-
-#: Pooled arenas kept per size; beyond this, released arenas are dropped to
-#: the allocator.  Sweeps run cells serially, so a handful per size covers
-#: even a multi-core mix (one private set per core plus the shared set).
-_POOL_LIMIT = 16
-
-
-def _arena(role: str, size: int, zero: bool = True):
-    """The per-role scratch arena, grown and (by default) zeroed."""
-    arena = _ARENAS.get(role)
-    if arena is None or len(arena) < size:
-        arena = _ARENAS[role] = array("q", bytes(8 * size))
-    elif zero:
-        ctypes.memset(arena.buffer_info()[0], 0, 8 * len(arena))
-    return arena
-
-
-def _acquire_arena(size: int):
-    """A zeroed ``size``-element int64 arena, reused from the pool if one
-    of exactly this size is free, freshly allocated otherwise."""
-    free = _ARENAS.get(size)
-    if free:
-        arena = free.pop()
-        ctypes.memset(arena.buffer_info()[0], 0, 8 * size)
-        return arena
-    return array("q", bytes(8 * size))
-
-
-def _release_arenas(arenas) -> None:
-    """Return state-export arenas to the pool (capped per size)."""
-    for arena in arenas:
-        free = _ARENAS.setdefault(len(arena), [])
-        if len(free) < _POOL_LIMIT:
-            free.append(arena)
-
-
-def _retire_state(state) -> None:
-    """Release a state dict's pooled arenas (at most once per state).
-
-    Routed through the ``weakref.finalize`` registered at export so that an
-    explicit import-back and the owner's garbage collection can both trigger
-    the release without ever double-pooling an arena.
-    """
-    release = state.pop("_release", None)
-    if release is not None:
-        release()
-
-
-#: Role names of the shared-level arenas (kept in the backend's
-#: ``_tc_shared`` dict and aliased into every attached core's ``_tc_state``).
-_SHARED_ROLES = ("l2", "l3", "lk", "pf2")
-
-
-def _private_parts(h):
-    """Per-core structures (L1, TLBs, L1 prefetcher) with their role names."""
-    caches = ((h.l1d, "l1"),)
-    tlbs = ((h.dtlb, "dtlb"), (h.lock_tlb, "ltlb"))
-    pfs = ((h.l1d_prefetcher, "pf1"),)
-    return caches, tlbs, pfs
-
-
-def _shared_parts(backend):
-    """Shared-level structures (L2/L3/lock cache, L2 prefetcher) by role."""
-    caches = ((backend.l2, "l2"), (backend.l3, "l3"),
-              (backend.lock_cache, "lk"))
-    tlbs = ()
-    pfs = ((backend.l2_prefetcher, "pf2"),)
-    return caches, tlbs, pfs
-
-
-def _export_parts(state, caches, tlbs, pfs) -> None:
-    """Flatten the given OrderedDict structures into pooled arenas.
-
-    Every arena comes from :func:`_acquire_arena` (zeroed, recycled across
-    hierarchies) and is recorded in ``state["_arenas"]`` so the state's
-    finalizer can return it to the pool when the owner dies or syncs back.
-    """
-    acquired = state.setdefault("_arenas", [])
-    for cache, role in caches:
-        assoc = cache._assoc
-        arena = _acquire_arena(cache._num_sets * assoc)
-        acquired.append(arena)
-        for idx, cset in cache._sets.items():
-            i = idx * assoc
-            for block, dirty in cset.items():
-                arena[i] = (block + 1) << 1 | dirty
-                i += 1
-        state[role] = arena
-    for tlb, role in tlbs:
-        arena = _acquire_arena(tlb.config.entries)
-        acquired.append(arena)
-        i = 0
-        for page in tlb._entries:
-            arena[i] = page + 1
-            i += 1
-        state[role] = arena
-    for pf, role in pfs:
-        arena = _acquire_arena(1 + 2 * pf.config.streams)
-        acquired.append(arena)
-        arena[0] = len(pf._streams)
-        i = 1
-        for s in pf._streams:
-            arena[i] = s.last_block
-            arena[i + 1] = s.direction
-            i += 2
-        state[role] = arena
-
-
-def _export_state(lib, h):
-    """Flatten the hierarchy's OrderedDict state into persistent arenas.
-
-    The arenas become the *authoritative* copy of the cache/TLB/prefetcher
-    state: subsequent batches run the kernel directly on them with no
-    per-batch marshalling, and the OrderedDicts are only rebuilt if someone
-    asks (``MemoryHierarchy._tc_sync``) — the production flow never does, it
-    reads counters, which are applied back after every batch.
-
-    Private roles (L1/TLBs/L1 prefetcher) get fresh arenas per hierarchy;
-    the shared roles (L2/L3/lock cache/L2 prefetcher) live in one arena set
-    registered on the backend (``_tc_shared``) and are *aliased* into every
-    attached core's state — the kernel then runs all cores' batches against
-    the same shared-level memory, which is exactly the contention a
-    multi-core replay needs.  ``state["shared"]`` keeps the identity of the
-    backend dict the aliases came from, so :func:`attach_state` can detect
-    when a shared-level sync has made them stale.
-    """
-    state = {"lib": lib, "cfg": _config_array(h.config)}
-    _export_parts(state, *_private_parts(h))
-    # When the hierarchy dies (or its state is imported back) the arenas
-    # return to the pool; the finalizer closes over the arena list only, so
-    # it neither pins the hierarchy nor can release twice.
-    state["_release"] = weakref.finalize(h, _release_arenas, state["_arenas"])
-    backend = h.shared
-    tc_shared = backend.__dict__.get("_tc_shared")
-    if tc_shared is None:
-        tc_shared = {"lib": lib}
-        _export_parts(tc_shared, *_shared_parts(backend))
-        tc_shared["_release"] = weakref.finalize(
-            backend, _release_arenas, tc_shared["_arenas"])
-        backend.__dict__["_tc_shared"] = tc_shared
-    state["shared"] = tc_shared
-    for role in _SHARED_ROLES:
-        state[role] = tc_shared[role]
-    return state
-
-
-def _import_parts(state, caches, tlbs, pfs) -> None:
-    """Rebuild the given Python OrderedDict structures from arena state."""
-    from repro.memory.prefetcher import _Stream
-
-    lib = state["lib"]
-    for cache, role in caches:
-        assoc = cache._assoc
-        nsets = cache._num_sets
-        arena = state[role]
-        occ = _arena("occ", nsets, zero=False)
-        count = lib.occ_scan(arena.buffer_info()[0], nsets, assoc,
-                             occ.buffer_info()[0])
-        sets = {}
-        for j in range(count):
-            idx = occ[j]
-            cset = OrderedDict()
-            base = idx * assoc
-            for i in range(base, base + assoc):
-                e = arena[i]
-                if not e:
-                    break
-                cset[(e >> 1) - 1] = bool(e & 1)
-            sets[idx] = cset
-        cache._sets = sets
-    for tlb, role in tlbs:
-        arena = state[role]
-        entries = OrderedDict()
-        for i in range(tlb.config.entries):
-            e = arena[i]
-            if not e:
-                break
-            entries[e - 1] = True
-        tlb._entries = entries
-    for pf, role in pfs:
-        arena = state[role]
-        pf._streams = [_Stream(last_block=arena[1 + 2 * i],
-                               direction=arena[2 + 2 * i])
-                       for i in range(arena[0])]
-
-
-def import_private_state(state, h) -> None:
-    """Rebuild one core's private structures (L1/TLBs/L1 prefetcher) and
-    return the state's arenas to the pool."""
-    _import_parts(state, *_private_parts(h))
-    _retire_state(state)
-
-
-def import_shared_state(state, backend) -> None:
-    """Rebuild the backend's shared-level structures (L2/L3/lock/pf2) and
-    return the state's arenas to the pool."""
-    _import_parts(state, *_shared_parts(backend))
-    _retire_state(state)
-
-
 def _config_array(config):
     """The 31-slot int64 config block ``hier_batch`` expects (layout in C)."""
     levels = []
@@ -947,64 +721,21 @@ def _config_array(config):
         config.l2_prefetcher.streams, config.l2_prefetcher.depth])
 
 
-def attach_state(lib, h):
-    """The hierarchy's persistent arena state, exporting it on first use.
-
-    A shared-level sync (:meth:`SharedMemoryBackend._tc_sync`) pops the
-    backend's ``_tc_shared`` dict, which strands the aliases every attached
-    core's state holds.  That staleness is detected here by identity: the
-    private arenas are still authoritative, so they are imported back into
-    the OrderedDicts, and the whole state is re-exported fresh (re-creating
-    — or re-joining — the backend's shared arenas).
-    """
-    state = h.__dict__.get("_tc_state")
-    if state is not None \
-            and state["shared"] is not h.shared.__dict__.get("_tc_shared"):
-        import_private_state(state, h)
-        del h.__dict__["_tc_state"]
-        state = None
-    if state is None:
-        state = h.__dict__["_tc_state"] = _export_state(lib, h)
-    return state
+def fill(lib, cache, addrs) -> None:
+    """:meth:`repro.memory.cache.Cache.fill` of an ``array("q")`` through
+    the kernel's ``warm_fill``."""
+    if len(addrs):
+        lib.warm_fill(cache.ways.buffer_info()[0], cache._num_sets,
+                      cache._assoc, cache._block_bytes, len(addrs),
+                      addrs.buffer_info()[0])
 
 
-def cache_fill(state, role, cache, pieces, limit) -> None:
-    """Native form of :func:`repro.sim.compiled._install_tail`.
+def run_batch(lib, h, addrs, specs, positions, lats, collect: bool):
+    """Replay one access batch through the C kernel, in place of
+    ``MemoryHierarchy._replay``; returns the counter deltas.
 
-    Installs the last ``limit`` addresses of ``pieces`` (concatenated, in
-    order) into the cache's arena; ``None`` installs everything.
-    """
-    if limit is not None:
-        kept = []
-        remaining = limit
-        for piece in reversed(pieces):
-            if remaining <= 0:
-                break
-            if len(piece) > remaining:
-                piece = piece[len(piece) - remaining:]
-            kept.append(piece)
-            remaining -= len(piece)
-        pieces = reversed(kept)
-    tail = array("q")
-    for piece in pieces:
-        tail.extend(piece)
-    if len(tail):
-        state["lib"].warm_fill(
-            state[role].buffer_info()[0], cache._num_sets, cache._assoc,
-            cache._block_bytes, len(tail), tail.buffer_info()[0])
-
-
-def run_batch(lib, h, addrs, specs, positions, lats, collect: bool) -> None:
-    """Replay one access batch through the C kernel, in place of the Python
-    loop of ``access_batch`` (``collect=True``) / ``warm_batch`` (False).
-
-    On the first batch of a hierarchy the OrderedDict cache sets, TLBs and
-    prefetcher streams are flattened into persistent int64 arenas
-    (``h._tc_state``); later batches run the kernel on them directly.
-    Counter deltas and stats are applied back after every batch, so all
-    statistics stay exact at all times — only the OrderedDict *structures*
-    go stale, and ``MemoryHierarchy._tc_sync`` rebuilds them on demand.
-    ``specs`` may be a per-access sequence or a single int (warm-up);
+    The kernel updates the hierarchy's own arrays in place.  ``specs`` may
+    be a per-access sequence or a single int (warm-up);
     ``positions``/``lats`` are ignored when not collecting.
     """
     n = len(addrs)
@@ -1030,65 +761,21 @@ def run_batch(lib, h, addrs, specs, positions, lats, collect: bool) -> None:
         pos_ptr = positions.buffer_info()[0]
         lat_ptr = lats_q.buffer_info()[0]
 
-    state = attach_state(lib, h)
-    cfg = state["cfg"]
+    cfg = _config_array(h.config)
     cfg[CFG_COLLECT] = 1 if collect else 0
     cfg[CFG_STRIDE] = stride
-    ctr = _arena("ctr", N_COUNTERS)
-
+    ctr = array("q", bytes(8 * N_COUNTERS))
     lib.hier_batch(
         cfg.buffer_info()[0], ctr.buffer_info()[0],
-        state["l1"].buffer_info()[0], state["l2"].buffer_info()[0],
-        state["l3"].buffer_info()[0], state["lk"].buffer_info()[0],
-        state["dtlb"].buffer_info()[0], state["ltlb"].buffer_info()[0],
-        state["pf1"].buffer_info()[0], state["pf2"].buffer_info()[0],
+        h.l1d.ways.buffer_info()[0], h.l2.ways.buffer_info()[0],
+        h.l3.ways.buffer_info()[0], h.lock_cache.ways.buffer_info()[0],
+        h.dtlb.slots.buffer_info()[0], h.lock_tlb.slots.buffer_info()[0],
+        h.l1d_prefetcher.table.buffer_info()[0],
+        h.l2_prefetcher.table.buffer_info()[0],
         n, addrs.buffer_info()[0], specs.buffer_info()[0], pos_ptr, lat_ptr)
-
-    h.l1d.hits += ctr[0]
-    h.l1d.misses += ctr[1]
-    h.l1d.evictions += ctr[2]
-    h.l1d.writebacks += ctr[3]
-    h.l2.hits += ctr[4]
-    h.l2.misses += ctr[5]
-    h.l2.evictions += ctr[6]
-    h.l2.writebacks += ctr[7]
-    h.l3.hits += ctr[8]
-    h.l3.misses += ctr[9]
-    h.l3.evictions += ctr[10]
-    h.l3.writebacks += ctr[11]
-    h.lock_cache.hits += ctr[12]
-    h.lock_cache.misses += ctr[13]
-    h.lock_cache.evictions += ctr[14]
-    h.lock_cache.writebacks += ctr[15]
-    h.dtlb.hits += ctr[16]
-    h.dtlb.misses += ctr[17]
-    h.lock_tlb.hits += ctr[18]
-    h.lock_tlb.misses += ctr[19]
-    h.l1d_prefetcher.prefetches_issued += ctr[20]
-    h.l2_prefetcher.prefetches_issued += ctr[21]
-    # Per-core attribution of the shared-level traffic, mirroring the Python
-    # loops exactly: L2/L3 demand counts accumulate during warm-up too (the
-    # Python warm loop routes through _access_beyond_l1), while the lock
-    # counters are collect-gated in the kernel and therefore zero here when
-    # warming — same unconditional fold either way.
-    shared = h.stats.shared
-    shared["l2_hits"] += ctr[4]
-    shared["l2_misses"] += ctr[5]
-    shared["l3_hits"] += ctr[8]
-    shared["l3_misses"] += ctr[9]
-    shared["lock_hits"] += ctr[12]
-    shared["lock_misses"] += ctr[13]
-    shared["lock_evictions"] += ctr[14]
-    shared["lock_writebacks"] += ctr[15]
-    if collect:
-        names = ("data",
-                 "lock" if h.config.lock_cache_enabled else "lock-on-data",
-                 "shadow-ideal" if h.config.ideal_shadow else "shadow")
-        for code in (0, 1, 2):
-            if ctr[22 + code]:
-                h.stats.fold(names[code], ctr[22 + code], ctr[25 + code])
-        if lats_out is not None:
-            lats_out[:] = lats_q
+    if lats_out is not None:
+        lats_out[:] = lats_q
+    return ctr
 
 
 def _self_test_hier(lib) -> bool:
@@ -1155,48 +842,38 @@ def _self_test_hier(lib) -> bool:
             ker_w._batch_native(lib, addrs, warm_specs, None, None, False)
             if not _same_hierarchy(ref_w, ker_w):
                 return False
-        # warm_fill must match the Python working-set install
-        # (sim.compiled._install_tail) including tail-limit semantics.
+        # warm_fill must match Cache.fill, through the one working-set
+        # install both serve (tail-limit slicing included), on sets that
+        # the batch above left holding dirty lines: first re-installing
+        # every resident L3 line (refreshes keep dirty bits), then filling.
         from repro.sim.compiled import _install_tail
-        ref_f = MemoryHierarchy(config)
-        ker_f = MemoryHierarchy(config)
-        pieces = (addrs[:40], addrs[40:])
-        state = attach_state(lib, ker_f)
-        for cache_of, role, limit in (
-                (lambda h: h.l1d, "l1", 6),
-                (lambda h: h.l2, "l2", None)):
-            _install_tail(cache_of(ref_f), pieces, limit)
-            cache_fill(state, role, cache_of(ker_f), pieces, limit)
-        if not _same_hierarchy(ref_f, ker_f):
+        resident = [((slot >> 1) - 1) * config.l3.block_bytes
+                    for slot in ref.l3.ways if slot]
+        split = (addrs[:40], addrs[40:])
+        for cache_of, pieces, limit in ((lambda h: h.l3, (resident,), None),
+                                        (lambda h: h.l1d, split, 6),
+                                        (lambda h: h.l2, split, None)):
+            _install_tail(cache_of(ref), pieces, limit, None)
+            _install_tail(cache_of(ker), pieces, limit, lib)
+        if not _same_hierarchy(ref, ker):
             return False
     return True
 
 
 def _same_hierarchy(a, b) -> bool:
-    """Full state + counter equality, including LRU order."""
-    a._tc_sync()
-    b._tc_sync()
+    """Equal state arrays (LRU order included), counters and stats."""
     for ca, cb in ((a.l1d, b.l1d), (a.l2, b.l2), (a.l3, b.l3),
                    (a.lock_cache, b.lock_cache)):
-        if (ca.hits, ca.misses, ca.evictions, ca.writebacks) != \
-                (cb.hits, cb.misses, cb.evictions, cb.writebacks):
+        if (ca.hits, ca.misses, ca.evictions, ca.writebacks, ca.ways) != \
+                (cb.hits, cb.misses, cb.evictions, cb.writebacks, cb.ways):
             return False
-        if set(ca._sets) != set(cb._sets):
-            return False
-        for idx, sa in ca._sets.items():
-            if list(sa.items()) != list(cb._sets[idx].items()):
-                return False
     for ta, tb in ((a.dtlb, b.dtlb), (a.lock_tlb, b.lock_tlb)):
-        if (ta.hits, ta.misses) != (tb.hits, tb.misses):
-            return False
-        if list(ta._entries) != list(tb._entries):
+        if (ta.hits, ta.misses, ta.slots) != (tb.hits, tb.misses, tb.slots):
             return False
     for pa, pb in ((a.l1d_prefetcher, b.l1d_prefetcher),
                    (a.l2_prefetcher, b.l2_prefetcher)):
-        if pa.prefetches_issued != pb.prefetches_issued:
-            return False
-        if [(s.last_block, s.direction) for s in pa._streams] != \
-                [(s.last_block, s.direction) for s in pb._streams]:
+        if (pa.prefetches_issued, pa.table) != \
+                (pb.prefetches_issued, pb.table):
             return False
     return a.stats == b.stats
 
@@ -1208,15 +885,21 @@ def _self_test_sched(lib) -> bool:
 
     from repro.core.config import WatchdogConfig
     from repro.isa.microops import UopKind
+    from repro.memory.cache import CacheConfig
+    from repro.memory.hierarchy import HierarchyConfig
     from repro.pipeline.config import MachineConfig
     from repro.pipeline.core import OutOfOrderCore
 
     rng = random.Random(42)
     # Tiny windows and widths so every structural stall (ROB/IQ/LQ/SQ full,
     # dispatch width, commit width, fetch refill) occurs within ~1k µops.
+    # The stream makes no memory accesses, so a small L3 only spares each
+    # core allocating (and faulting in) a 2MB Table 2 L3.
     machine = MachineConfig(rob_entries=12, iq_entries=6, lq_entries=3,
                             sq_entries=3, dispatch_width=2, commit_width=2,
-                            branch_misprediction_penalty=5)
+                            branch_misprediction_penalty=5,
+                            hierarchy=HierarchyConfig(l3=CacheConfig(
+                                "L3", size_bytes=16384, associativity=16)))
     kinds = list(UopKind)
     uops, lat_template = [], []
     for _ in range(1200):

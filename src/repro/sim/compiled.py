@@ -46,10 +46,11 @@ from __future__ import annotations
 
 import dataclasses
 from array import array
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
+from repro.native import _timecore
 from repro.native._timecore import pack_entry_words, unpack_words
 
 from repro.core.config import WatchdogConfig
@@ -69,6 +70,7 @@ from repro.memory.hierarchy import (
     SPEC_WRITE,
 )
 from repro.memory.pages import PageAccountant
+from repro.memory.tlb import tlb_access
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.core import (
     FLAG_BRANCH,
@@ -717,9 +719,11 @@ def working_set_arrays(workload, config: WatchdogConfig) -> WorkingSetArrays:
 # LRU order matches a sequential touch.  Both the compiled and the reference
 # pipeline warm through this one implementation.
 
-def _install_tail(cache, pieces, limit: Optional[int]) -> None:
+def _install_tail(cache, pieces, limit: Optional[int], lib) -> None:
     """Install the last ``limit`` addresses of ``pieces`` (concatenated, in
-    order) into ``cache``; ``None`` installs everything."""
+    order) into ``cache``; ``None`` installs everything.  Runs the native
+    kernel's ``warm_fill`` when ``lib`` is loaded, :meth:`Cache.fill`
+    otherwise."""
     if limit is not None:
         tail = []
         remaining = limit
@@ -731,24 +735,13 @@ def _install_tail(cache, pieces, limit: Optional[int]) -> None:
             tail.append(piece)
             remaining -= len(piece)
         pieces = tuple(reversed(tail))
-    sets = cache._sets
-    num_sets = cache._num_sets
-    block_bytes = cache._block_bytes
-    assoc = cache._assoc
-    sets_get = sets.get
+    addrs = array("q")
     for piece in pieces:
-        for address in piece:
-            block = address // block_bytes
-            index = block % num_sets
-            cache_set = sets_get(index)
-            if cache_set is None:
-                cache_set = sets[index] = OrderedDict()
-            if block in cache_set:
-                cache_set.move_to_end(block)
-            else:
-                if len(cache_set) >= assoc:
-                    cache_set.popitem(last=False)
-                cache_set[block] = False
+        addrs.extend(piece)
+    if lib is not None:
+        _timecore.fill(lib, cache, addrs)
+    else:
+        cache.fill(addrs)
 
 
 def _fill_tlb(tlb, pieces) -> None:
@@ -769,9 +762,9 @@ def _fill_tlb(tlb, pieces) -> None:
         else:
             continue
         break
-    entries = tlb._entries
+    slots = tlb.slots
     for page in reversed(newest_first):
-        entries[page] = True
+        tlb_access(slots, page + 1)
 
 
 def warm_working_set(hierarchy, ws: WorkingSetArrays,
@@ -782,8 +775,6 @@ def warm_working_set(hierarchy, ws: WorkingSetArrays,
     metadata is maintained and not idealized), then lock locations, then
     data lines — so data ends up most-recently-used in every level.
     """
-    if hierarchy._tc_dirty():
-        hierarchy._tc_sync()  # installs below mutate the Python structures
     shadow = ws.shadow if (config.enabled and not config.ideal_shadow) else ()
     locks = ws.locks if config.enabled else ()
     data = ws.data
@@ -796,39 +787,18 @@ def warm_working_set(hierarchy, ws: WorkingSetArrays,
         lock_pieces = ()
     all_pieces = (shadow, locks, data)
 
+    lib = _timecore.load() if hierarchy.native_override is not False else None
     l1 = hierarchy.l1d
     l2 = hierarchy.l2
-    lib = None
-    if hierarchy.native_override is not False:
-        from repro.native import _timecore
-        lib = _timecore.load()
-    if lib is not None:
-        # TLBs first (cheap Python fills picked up by the state export),
-        # then the cache installs run natively on the persistent arenas —
-        # so the state never needs flattening after the bulk install.
-        _fill_tlb(hierarchy.dtlb, l1_pieces)
-        if lock_pieces:
-            _fill_tlb(hierarchy.lock_tlb, lock_pieces)
-        state = _timecore.attach_state(lib, hierarchy)
-        _timecore.cache_fill(state, "l1", l1, l1_pieces,
-                             l1._num_sets * l1._assoc)
-        _timecore.cache_fill(state, "l2", l2, all_pieces,
-                             l2._num_sets * l2._assoc)
-        _timecore.cache_fill(state, "l3", hierarchy.l3, all_pieces, None)
-        if lock_pieces:
-            lock_cache = hierarchy.lock_cache
-            _timecore.cache_fill(state, "lk", lock_cache, lock_pieces,
-                                 lock_cache._num_sets * lock_cache._assoc)
-    else:
-        _install_tail(l1, l1_pieces, l1._num_sets * l1._assoc)
-        _install_tail(l2, all_pieces, l2._num_sets * l2._assoc)
-        _install_tail(hierarchy.l3, all_pieces, None)
-        _fill_tlb(hierarchy.dtlb, l1_pieces)
-        if lock_pieces:
-            lock_cache = hierarchy.lock_cache
-            _install_tail(lock_cache, lock_pieces,
-                          lock_cache._num_sets * lock_cache._assoc)
-            _fill_tlb(hierarchy.lock_tlb, lock_pieces)
+    _install_tail(l1, l1_pieces, l1._num_sets * l1._assoc, lib)
+    _install_tail(l2, all_pieces, l2._num_sets * l2._assoc, lib)
+    _install_tail(hierarchy.l3, all_pieces, None, lib)
+    _fill_tlb(hierarchy.dtlb, l1_pieces)
+    if lock_pieces:
+        lock_cache = hierarchy.lock_cache
+        _install_tail(lock_cache, lock_pieces,
+                      lock_cache._num_sets * lock_cache._assoc, lib)
+        _fill_tlb(hierarchy.lock_tlb, lock_pieces)
     hierarchy.reset_stats()
 
 

@@ -191,10 +191,10 @@ class MultiCoreSimulator:
         Access positions are absolute into each core's full latency array,
         so slicing needs no re-indexing; empty tails simply drop out of the
         rotation.  Each slice routes through ``access_batch`` and therefore
-        uses the native kernel (shared arenas) or the Python loops exactly
-        as a single-core batch would.  The streams' memory columns are
-        int64 arrays already (slices of an ``array("q")`` are arrays), so
-        no per-core copies are made.
+        runs in the native kernel or the Python loop exactly as a
+        single-core batch would, on the backend's shared arrays either way.
+        The streams' memory columns are int64 arrays already (slices of an
+        ``array("q")`` are arrays), so no per-core copies are made.
         """
         addrs = [stream.mem_addr for stream in measured]
         specs = [stream.mem_spec for stream in measured]

@@ -431,6 +431,7 @@ class TestKernelFaults:
             self, monkeypatch):
         from repro.native import _timecore
 
+        monkeypatch.delenv("REPRO_TIMECORE", raising=False)
         monkeypatch.setenv("REPRO_FAULTS", "selftest:timecore")
         build.forget("timecore")
         build._WARNED.add("timecore")  # already-warned: keep the test quiet

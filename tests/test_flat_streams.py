@@ -1,4 +1,4 @@
-"""Flat-array stream compilation: packed words, fallbacks, pooled arenas.
+"""Flat-array stream compilation: packed words and fallbacks.
 
 The stream compiler emits kernel-ready ``array("q")`` columns directly
 (``CompiledStream.words``); the legacy per-µop tuple form is rebuilt on
@@ -8,18 +8,14 @@ demand.  These tests pin down the contract:
   :func:`repro.native._timecore.pack_entry_words`, across every benchmark
   profile and every Table 2 configuration;
 * a stream whose fields overflow the packed word format falls back to the
-  tuple-only form and the Python scheduler with unchanged results;
-* the native state-export arenas are pooled — a second hierarchy reuses the
-  first one's (zeroed) arenas and produces bit-identical statistics.
+  tuple-only form and the Python scheduler with unchanged results.
 """
 
-import gc
 from array import array
 
 import pytest
 
 from repro.core.config import WatchdogConfig
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.native import _timecore
 from repro.native._timecore import pack_entry_words, unpack_words
 from repro.sim.simulator import Simulator
@@ -172,67 +168,3 @@ class TestOverflowFallback:
         assert moved.words is None
         assert moved.uops == stream.uops
         assert moved.__dict__["_tc_packed"] is False
-
-
-@needs_kernel
-class TestArenaPooling:
-    """State-export arenas are recycled across hierarchies via _ARENAS."""
-
-    def _run_batch(self, hierarchy):
-        n = 512
-        addrs = array("q", [64 * i * 7 for i in range(n)])
-        specs = array("q", [(i % 3 == 0) << 2 | 1 << 3 for i in range(n)])
-        positions = array("q", range(n))
-        lats = array("q", bytes(8 * n))
-        hierarchy.access_batch(addrs, specs, positions, lats)
-        return lats
-
-    def test_second_hierarchy_reuses_pooled_arenas(self):
-        first = MemoryHierarchy()
-        lats_first = self._run_batch(first)
-        state = first.__dict__["_tc_state"]
-        shared = first.shared.__dict__["_tc_shared"]
-        first_ids = {id(a) for a in state["_arenas"]}
-        first_ids |= {id(a) for a in shared["_arenas"]}
-        l3_size = len(shared["l3"])
-        l3_id = id(shared["l3"])
-        stats_first = first.stats
-        del first, state, shared
-        gc.collect()
-
-        # The finalizers returned every arena to the pool's free lists.
-        assert any(id(a) == l3_id for a in _timecore._ARENAS.get(l3_size, []))
-
-        second = MemoryHierarchy()
-        lats_second = self._run_batch(second)
-        state = second.__dict__["_tc_state"]
-        shared = second.shared.__dict__["_tc_shared"]
-        second_ids = {id(a) for a in state["_arenas"]}
-        second_ids |= {id(a) for a in shared["_arenas"]}
-        # Same config, same shapes: every arena comes back from the pool —
-        # no fresh L3 allocate-and-zero on the second cell.
-        assert second_ids <= first_ids
-        assert id(shared["l3"]) == l3_id
-        # The pooled (re-zeroed) arenas behave exactly like fresh ones.
-        assert lats_second == lats_first
-        assert second.stats == stats_first
-
-    def test_pool_capacity_is_bounded(self):
-        size = 1 << 14
-        free = _timecore._ARENAS.setdefault(size, [])
-        del free[:]
-        arenas = [[array("q", bytes(8 * size))]
-                  for _ in range(_timecore._POOL_LIMIT + 4)]
-        for group in arenas:
-            _timecore._release_arenas(group)
-        assert len(free) == _timecore._POOL_LIMIT
-        del free[:]
-
-    def test_cell_results_identical_across_pool_reuse(self):
-        config = WatchdogConfig.isa_assisted_uaf()
-        bundle = TraceBundle.generate("equake", seed=SEED, instructions=400)
-        simulator = Simulator(pipeline="compiled")
-        first = simulator.run_bundle(bundle, config)
-        gc.collect()  # retire the first cell's hierarchy into the pool
-        second = simulator.run_bundle(bundle, config)
-        assert first.timing == second.timing

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy, PortKind
+from repro.memory.hierarchy import (
+    HierarchyConfig,
+    MemoryHierarchy,
+    PortKind,
+    SharedMemoryBackend,
+)
 
 
 @pytest.fixture
@@ -51,6 +56,17 @@ class TestLockCache:
         hierarchy.access(0x5000, port=PortKind.LOCK)
         assert hierarchy.lock_cache_mpki(1000) == pytest.approx(1.0)
         assert hierarchy.lock_cache_mpki(0) == 0.0
+
+    def test_lock_cache_mpki_is_per_core_on_a_shared_backend(self):
+        backend = SharedMemoryBackend(HierarchyConfig())
+        core0 = MemoryHierarchy(shared=backend, core_id=0)
+        core1 = MemoryHierarchy(shared=backend, core_id=1)
+        for i in range(10):
+            core0.access(0x5000 + 64 * i, port=PortKind.LOCK)
+        core1.access(0x1000)
+        assert backend.lock_cache.misses == 10
+        assert core0.lock_cache_mpki(1000) == pytest.approx(10.0)
+        assert core1.lock_cache_mpki(1000) == 0.0
 
 
 class TestShadowAccesses:

@@ -3,14 +3,21 @@
 The C kernel (:mod:`repro.native._timecore`) is strictly optional: these
 tests pin down the loader lifecycle — the ``REPRO_TIMECORE=0`` kill switch,
 the refusal to hand out a kernel whose self-test fails, and on-disk artifact
-reuse — and the golden contract that kernel-on and kernel-off produce
+reuse — the golden contract that kernel-on and kernel-off produce
 bit-identical ``TimingResult``/``HierarchyStats`` across every benchmark
-profile and Table 2 configuration, sampled and unsampled.
+profile and Table 2 configuration, sampled and unsampled, and the single
+hierarchy state every entry point shares.
 """
+
+import random
 
 import pytest
 
+from repro.core.config import WatchdogConfig
+from repro.memory.hierarchy import PortKind
 from repro.native import _timecore, build
+from repro.pipeline.core import OutOfOrderCore
+from repro.sim.compiled import warm_working_set
 from repro.sim.results import CellResult
 from repro.sim.sampling import SamplingConfig
 from repro.sim.simulator import Simulator
@@ -170,3 +177,116 @@ class TestGoldenEquality:
         assert kernel_h.stats.accesses == python_h.stats.accesses
         assert kernel_h.stats.total_latency == python_h.stats.total_latency
         assert _timecore._same_hierarchy(kernel_h, python_h)
+
+
+class TestSingleHierarchyState:
+    """The structures' arrays are the only hierarchy state.
+
+    One hierarchy goes through every entry point, interleaved, three times
+    over: with the kernel on, with it off, and through the per-access
+    object path alone (``access()`` standing in for ``access_batch``, and
+    ``access()`` plus a stats reset for ``warm_batch`` + reset).  After
+    every step all three must hold equal arrays, counters and stats.
+    """
+
+    PORTS = (PortKind.DATA, PortKind.LOCK, PortKind.SHADOW)
+
+    @staticmethod
+    def _plan(rng, length):
+        addrs, specs = [], []
+        for _ in range(length):
+            region = rng.randrange(3)
+            if region == 0:
+                a = rng.randrange(1 << 16)
+            elif region == 1:
+                a = rng.randrange(1 << 28)
+            else:
+                a = rng.randrange(1 << 12) * 64 + rng.randrange(8) * (1 << 20)
+            addrs.append(a)
+            specs.append(rng.randrange(3) | rng.randrange(2) << 2
+                         | rng.randrange(2) << 3)
+        return addrs, specs
+
+    def _per_access(self, hierarchy, addrs, specs, positions, lats):
+        for a, spec, pos in zip(addrs, specs, positions):
+            lat = hierarchy.access(a, is_write=bool(spec & 4),
+                                   port=self.PORTS[spec & 3])
+            if spec & 8:
+                lats[pos] = lat
+
+    def _drive(self, hierarchies, step, *args):
+        """Run one step on (kernel, python, object) and compare them."""
+        kernel_h, python_h, object_h = hierarchies
+        results = []
+        for hierarchy in hierarchies:
+            lats = {}
+            if step == "warm_working_set":
+                warm_working_set(hierarchy, *args)
+            elif step == "access":
+                addrs, specs = args
+                self._per_access(hierarchy, addrs, specs,
+                                 range(len(addrs)), lats)
+            elif step == "warm_batch":
+                addrs, specs = args
+                if hierarchy is object_h:
+                    if isinstance(specs, int):
+                        specs = [specs] * len(addrs)
+                    self._per_access(hierarchy, addrs, specs,
+                                     range(len(addrs)), {})
+                else:
+                    hierarchy.warm_batch(addrs, specs)
+                hierarchy.reset_stats()
+            else:
+                addrs, specs, positions = args
+                if hierarchy is object_h:
+                    self._per_access(hierarchy, addrs, specs, positions, lats)
+                else:
+                    out = [0] * (max(positions, default=-1) + 1)
+                    hierarchy.access_batch(addrs, specs, positions, out)
+                    lats = {pos: out[pos] for pos, spec
+                            in zip(positions, specs) if spec & 8}
+            results.append(lats)
+        assert results[0] == results[1] == results[2], step
+        assert _timecore._same_hierarchy(kernel_h, python_h), step
+        assert _timecore._same_hierarchy(python_h, object_h), step
+
+    @pytest.mark.parametrize("config", (
+        WatchdogConfig.isa_assisted_uaf(),
+        WatchdogConfig.idealized_shadow().with_(lock_cache_enabled=False),
+        WatchdogConfig.idealized_shadow()),
+        ids=("lock-cache", "ideal-shadow", "lock-cache+ideal-shadow"))
+    def test_every_entry_point_shares_one_state(self, config):
+        rng = random.Random(4242)
+        streams = TraceBundle.generate(
+            "mcf", seed=SEED, instructions=INSTRUCTIONS).compiled_streams(
+                config)
+        measured = streams.measured
+        hierarchies = [OutOfOrderCore(watchdog=config, timecore=flag).hierarchy
+                       for flag in (True, False, False)]
+        drive = self._drive
+        drive(hierarchies, "warm_working_set", streams.working_set, config)
+        drive(hierarchies, "warm_batch", streams.warm.addrs,
+              streams.warm.specs)
+        drive(hierarchies, "warm_batch", *self._plan(rng, 400))
+        drive(hierarchies, "warm_batch", self._plan(rng, 400)[0], 0)
+        half = len(measured.mem_addr) // 2
+        drive(hierarchies, "access_batch", measured.mem_addr[:half],
+              measured.mem_spec[:half], measured.mem_pos[:half])
+        drive(hierarchies, "access", *self._plan(rng, 300))
+        drive(hierarchies, "access_batch", measured.mem_addr[half:],
+              measured.mem_spec[half:], measured.mem_pos[half:])
+        addrs, specs = self._plan(rng, 1_500)
+        drive(hierarchies, "access_batch", addrs, specs,
+              list(range(len(addrs))))
+        # A second install lands on sets holding dirty lines.
+        drive(hierarchies, "warm_working_set", streams.working_set, config)
+        drive(hierarchies, "access", *self._plan(rng, 300))
+        assert sum(hierarchies[0].stats.accesses.values()) > 0
+
+    def test_same_cell_twice_in_a_row_is_identical(self):
+        config = CONFIGURATIONS["isa-assisted"]
+        bundle = TraceBundle.generate("equake", seed=SEED, instructions=400)
+        simulator = Simulator(pipeline="compiled")
+        first = simulator.run_bundle(bundle, config)
+        second = simulator.run_bundle(bundle, config)
+        assert first.timing == second.timing
