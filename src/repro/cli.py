@@ -154,8 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="skip the billion-instruction streaming smoke "
                             "cell (timed by default; --check gates both its "
                             "throughput floor and its peak-RSS ceiling)")
-    bench.add_argument("--no-reference", action="store_true",
-                       help="skip timing the reference object pipeline")
     bench.add_argument("--output", "-o", metavar="FILE", default=None,
                        help="output path (default: BENCH_<rev>.json)")
     bench.add_argument("--check", metavar="BASELINE.json", default=None,
@@ -385,7 +383,6 @@ def _run_bench_record(bench, args, kwargs):
         os.environ["REPRO_TIMECORE"] = "0"
     return bench.run_bench(
         benchmarks=tuple(args.benchmarks.split(",")) if args.benchmarks else None,
-        include_reference=not args.no_reference,
         quick=args.quick,
         sampling=SAMPLING_SCHEDULES[args.sampling](),
         include_sampled=not args.no_sampled,

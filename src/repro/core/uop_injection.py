@@ -89,8 +89,8 @@ class UopInjector:
         self.stats = InjectionStats()
         #: Stamp of the most recent :meth:`expand` call.  Every µop of one
         #: expansion carries the same stamp, and stamps increase monotonically
-        #: per dynamic macro instance, so the timing model can count macro
-        #: instructions without relying on (reusable) object identity.
+        #: per dynamic macro instance, so consumers can tell instances apart
+        #: without relying on (reusable) object identity.
         self.last_macro_seq = -1
 
     # -- helpers -----------------------------------------------------------------

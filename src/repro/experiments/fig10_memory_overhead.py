@@ -69,11 +69,13 @@ DEFINITION = ExperimentDefinition(
     build_spec=spec,
     extract=extract,
     expected=EXPECTED,
-    # The synthetic workloads' shorter traces touch proportionally fewer
-    # data pages per shadow page, inflating the page-granularity overhead
-    # well past the paper's 56%; the wide tolerance absorbs that scale
-    # artifact while still catching a broken page accountant (0% or
-    # runaway overhead).
+    # The model's shadow footprint overshoots the paper's, and the page
+    # overshoot grows with trace length rather than shrinking: measured with
+    # `repro run fig10 --instructions N --no-check`, the pages geomean rises
+    # from 123.1% at N = 8k to 136.8% at 100k (paper: 56%), while words fall
+    # from 43.5% to 39.0% (paper: 32%).  The cause is not yet attributed.
+    # The wide tolerances cover the default-scale gap while still catching
+    # a broken page accountant (0% or runaway overhead).
     tolerances={
         "words_geomean_percent": 25.0,
         "pages_geomean_percent": 75.0,

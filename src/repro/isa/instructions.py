@@ -171,9 +171,9 @@ class Instruction:
     dest:
         Destination register, if any.
     srcs:
-        Source registers in operand order.  For memory operations the first
-        source is the address (base) register; stores pass the value register
-        second.
+        At most two source registers, in operand order.  For memory
+        operations the first source is the address (base) register; stores
+        pass the value register second.
     imm:
         Immediate operand (offsets, constants, branch targets).
     size:
@@ -202,6 +202,9 @@ class Instruction:
 
     def _validate(self) -> None:
         op = self.opcode
+        if len(self.srcs) > 2:
+            raise ProgramError(f"{op.value} has {len(self.srcs)} register "
+                               f"sources (at most 2)")
         if op in MEMORY_OPCODES and not self.srcs:
             raise ProgramError(f"{op.value} requires an address register")
         if op in LOAD_OPCODES and self.dest is None:

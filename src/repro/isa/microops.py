@@ -124,9 +124,8 @@ class MicroOp:
     #: Monotonic id of the *dynamic macro instance* this µop was injected
     #: for, stamped by :class:`~repro.core.uop_injection.UopInjector` — all
     #: µops of one expansion share one stamp.  ``-1`` means "not stamped"
-    #: (hand-built µops); the timing model then falls back to object-identity
-    #: macro counting.  Unlike ``id(macro)``, stamps are never reused, so two
-    #: distinct macro instances can never be silently merged.
+    #: (hand-built µops).  Unlike ``id(macro)``, stamps are never reused, so
+    #: two distinct macro instances can never be silently merged.
     macro_seq: int = -1
 
     def __post_init__(self) -> None:

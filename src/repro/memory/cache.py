@@ -121,37 +121,21 @@ class Cache:
     # -- access --------------------------------------------------------------
     def access(self, address: int, is_write: bool = False) -> AccessResult:
         """Access ``address``; allocate on miss; return hit/miss and latency."""
-        evicted = self._demand(address, is_write)
-        latency = self.config.hit_latency
-        if evicted < 0:
-            return AccessResult(hit=True, latency=latency)
-        if not evicted:
-            return AccessResult(hit=False, latency=latency)
-        return AccessResult(hit=False, latency=latency,
-                            evicted_block=(evicted >> 1) - 1)
-
-    def lookup(self, address: int, is_write: bool = False) -> bool:
-        """Demand access returning only hit/miss (no :class:`AccessResult`).
-
-        State transitions and statistics are identical to :meth:`access`;
-        this is the allocation-free variant the memory hierarchy's per-access
-        path uses — the caller derives the latency from the configuration.
-        """
-        return self._demand(address, is_write) < 0
-
-    def _demand(self, address: int, is_write: bool) -> int:
         block = address // self._block_bytes
         evicted = set_demand(self.ways, (block % self._num_sets) * self._assoc,
                              self._assoc, (block + 1) << 1,
                              1 if is_write else 0)
+        latency = self.config.hit_latency
         if evicted < 0:
             self.hits += 1
-        else:
-            self.misses += 1
-            if evicted:
-                self.evictions += 1
-                self.writebacks += evicted & 1
-        return evicted
+            return AccessResult(hit=True, latency=latency)
+        self.misses += 1
+        if not evicted:
+            return AccessResult(hit=False, latency=latency)
+        self.evictions += 1
+        self.writebacks += evicted & 1
+        return AccessResult(hit=False, latency=latency,
+                            evicted_block=(evicted >> 1) - 1)
 
     def probe(self, address: int) -> bool:
         """Check residency without updating LRU state or statistics."""

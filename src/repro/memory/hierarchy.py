@@ -109,10 +109,9 @@ N_COUNTERS = 28
 class HierarchyStats:
     """Aggregated access counts by class.
 
-    The per-access path (:meth:`record`) is two integer-list stores rather
-    than two string-keyed dict updates; ``accesses``/``total_latency``
-    materialize dicts holding exactly the classes that were recorded, so
-    readers see the same shape as before.
+    Each batch folds its per-class totals into two integer lists
+    (:meth:`fold`); ``accesses``/``total_latency`` materialize dicts holding
+    exactly the classes that were recorded.
     """
 
     __slots__ = ("_counts", "_latency", "shared")
@@ -125,11 +124,6 @@ class HierarchyStats:
         #: traffic is folded only where both the Python and native paths
         #: count it (L2/L3), and callers reset stats after warming anyway.
         self.shared = dict.fromkeys(_SHARED_KEYS, 0)
-
-    def record(self, kind: str, latency: int) -> None:
-        index = _STAT_INDEX[kind]
-        self._counts[index] += 1
-        self._latency[index] += latency
 
     def fold(self, kind: str, count: int, latency: int) -> None:
         """Merge one batch's accumulated count/latency for ``kind``."""
@@ -213,10 +207,9 @@ class MemoryHierarchy:
         self.core_id = core_id
         self.l1d = Cache(self.config.l1d)
         # The shared levels are plain attribute references into the backend:
-        # every consumer (per-access path, batch replay in Python or in the
-        # kernel, stats readers) sees the same objects, and so the same
-        # arrays, whether the backend is private to this core or contended
-        # by several.
+        # every consumer (batch replay in Python or in the kernel, stats
+        # readers) sees the same objects, and so the same arrays, whether the
+        # backend is private to this core or contended by several.
         self.l2 = shared.l2
         self.l3 = shared.l3
         self.lock_cache = shared.lock_cache
@@ -226,79 +219,25 @@ class MemoryHierarchy:
         self.lock_tlb = TLB(self.config.lock_tlb)
         self.stats = HierarchyStats()
 
-    # -- lower levels --------------------------------------------------------
-    def _access_beyond_l1(self, address: int, is_write: bool) -> int:
-        """Access L2, then L3, then DRAM; return the added latency.
-
-        Besides the shared caches' own (global) counters, the hit/miss is
-        attributed to this core's ``stats.shared`` block — the quantity a
-        multi-core simulation reports per core while the cache objects
-        accumulate totals across all cores.
-        """
-        shared = self.stats.shared
-        if self.l2.lookup(address, is_write):
-            shared["l2_hits"] += 1
-            return self.config.l2.hit_latency
-        shared["l2_misses"] += 1
-        self.l2_prefetcher.on_miss(address)
-        if self.l3.lookup(address, is_write):
-            shared["l3_hits"] += 1
-            return self.config.l2.hit_latency + self.config.l3.hit_latency
-        shared["l3_misses"] += 1
-        return (self.config.l2.hit_latency + self.config.l3.hit_latency
-                + self.config.dram_latency)
-
     # -- public access points --------------------------------------------------
     def access(self, address: int, is_write: bool = False,
                port: PortKind = PortKind.DATA) -> int:
-        """Perform one access and return its total latency in cycles."""
-        if port is PortKind.LOCK and self.config.lock_cache_enabled:
-            return self._lock_access(address, is_write)
-        if port is PortKind.SHADOW and self.config.ideal_shadow:
-            # Idealized shadow: occupies a port (charged by the pipeline
-            # model) but always behaves like an L1 hit and allocates nothing.
-            latency = self.config.l1d.hit_latency
-            self.stats.record("shadow-ideal", latency)
-            return latency
-        return self._data_access(address, is_write, port)
+        """Perform one demand access and return its total latency in cycles.
 
-    def _data_access(self, address: int, is_write: bool, port: PortKind) -> int:
-        latency = self.dtlb.access(address) + self.config.l1d.hit_latency
-        if not self.l1d.lookup(address, is_write):
-            self.l1d_prefetcher.on_miss(address)
-            latency += self._access_beyond_l1(address, is_write)
-        # The shared L3 is inclusive (as on the Sandy Bridge parts Table 2
-        # mirrors): every demanded line is tracked there, so lines evicted
-        # from the private levels — or installed into them by the prefetchers
-        # — are found again in the L3 rather than re-fetched from memory.
-        self.l3.install(address)
-        kind = "shadow" if port is PortKind.SHADOW else (
-            "lock-on-data" if port is PortKind.LOCK else "data")
-        self.stats.record(kind, latency)
-        return latency
+        A one-element :meth:`access_batch`: the same state transitions,
+        counters and statistics, on the kernel or the Python loop alike.
+        """
+        spec = PORT_CODES[port] | SPEC_USE_LATENCY
+        if is_write:
+            spec |= SPEC_WRITE
+        lats = [0]
+        self._batch((address,), (spec,), (0,), lats, True)
+        return lats[0]
 
-    def _lock_access(self, address: int, is_write: bool) -> int:
-        latency = self.lock_tlb.access(address) + self.config.lock_cache.hit_latency
-        lock = self.lock_cache
-        shared = self.stats.shared
-        evictions = lock.evictions
-        writebacks = lock.writebacks
-        if lock.lookup(address, is_write):
-            shared["lock_hits"] += 1
-        else:
-            shared["lock_misses"] += 1
-            # lookup() evicts only on a miss, so the deltas land here.
-            shared["lock_evictions"] += lock.evictions - evictions
-            shared["lock_writebacks"] += lock.writebacks - writebacks
-            latency += self._access_beyond_l1(address, is_write)
-        self.l3.install(address)
-        self.stats.record("lock", latency)
-        return latency
-
-    # -- batched access (compiled trace pipeline) -----------------------------
+    # -- batched access -------------------------------------------------------
     #
-    # The compiled pipeline separates hierarchy replay from µop scheduling:
-    # the access *order* of a timed µop stream is its program order, so all
+    # The timing model separates hierarchy replay from µop scheduling: the
+    # access *order* of a compiled µop stream is its program order, so all
     # cache/TLB/prefetcher state transitions — and the load latencies the
     # scheduler needs — can be produced in one tight pass.  A batch runs in
     # the native kernel's ``hier_batch`` when it is loaded, else in
@@ -314,7 +253,8 @@ class MemoryHierarchy:
         ``lats[positions[i]]`` (loads); the rest only update hierarchy state
         and statistics (stores retire at fixed latency off the critical
         path).  State transitions and statistics are bit-identical to the
-        equivalent :meth:`access` sequence.  The stream compiler hands in
+        equivalent :meth:`access` sequence, which is this method one access
+        at a time.  The stream compiler hands in
         ``array("q")`` columns, which the kernel consumes as they are; any
         other sequence type is converted on entry.
         """

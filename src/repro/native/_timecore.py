@@ -219,9 +219,9 @@ static void pf_on_miss(i64 *pf, i64 streams, i64 depth, i64 *ways, i64 nsets,
     }
 }
 
-/* MemoryHierarchy._access_beyond_l1: L2 demand (prefetcher on miss), then
- * L3 demand, then DRAM; returns the added latency.  L2/L3 counters always
- * accumulate, warm-up included (beyond_l1 in MemoryHierarchy._replay). */
+/* beyond_l1 in MemoryHierarchy._replay: L2 demand (prefetcher on miss),
+ * then L3 demand, then DRAM; returns the added latency.  L2/L3 counters
+ * always accumulate, warm-up included. */
 static i64 beyond_l1(const i64 *cfg, i64 *ctr, i64 *l2w, i64 *l3w, i64 *pf2,
                      i64 a, i64 write)
 {

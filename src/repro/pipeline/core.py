@@ -1,9 +1,9 @@
 """Trace-driven out-of-order timing model.
 
-This model replays a timed µop stream (baseline plus Watchdog-injected µops)
-through a dependence-, window- and port-limited approximation of the Table 2
-core.  It captures the effects the paper's evaluation attributes Watchdog's
-overhead to:
+This model replays a compiled µop stream (baseline plus Watchdog-injected
+µops, packed by :mod:`repro.sim.compiled`) through a dependence-, window- and
+port-limited approximation of the Table 2 core.  It captures the effects the
+paper's evaluation attributes Watchdog's overhead to:
 
 * extra µops consuming front-end (rename/dispatch) and issue bandwidth
   (Figure 8 vs Figure 7: "the execution time overhead is lower than the µop
@@ -26,17 +26,15 @@ from __future__ import annotations
 
 import functools
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.core.config import WatchdogConfig
-from repro.isa.microops import UopKind, WATCHDOG_KINDS
-from repro.isa.registers import NUM_REG_SLOTS, ArchReg
-from repro.memory.hierarchy import MemoryHierarchy, PortKind
+from repro.isa.microops import UopKind
+from repro.isa.registers import NUM_REG_SLOTS
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.resources import FunctionalUnits
-from repro.sim.trace import TimedUop
 
 # -- per-µop flag word of the compiled stream format ----------------------------------
 # Bits 0-4 hold the UopKind code; the compiler (repro.sim.compiled) packs
@@ -89,7 +87,7 @@ class TimingResult:
 
 
 class OutOfOrderCore:
-    """Dependence/port/window-limited replay of a timed µop stream."""
+    """Dependence/port/window-limited replay of a compiled µop stream."""
 
     def __init__(self, machine: Optional[MachineConfig] = None,
                  watchdog: Optional[WatchdogConfig] = None,
@@ -112,175 +110,13 @@ class OutOfOrderCore:
             self.hierarchy.native_override = bool(timecore)
         self.units = FunctionalUnits(self.machine.functional_units, self.watchdog)
 
-    # -- helpers -----------------------------------------------------------------
-    def _memory_latency(self, timed: TimedUop) -> int:
-        if timed.address is None:
-            return self.machine.latency_for(timed.uop.kind)
-        return self.hierarchy.access(timed.address, is_write=timed.is_write,
-                                     port=timed.port)
-
-    def _latency(self, timed: TimedUop) -> int:
-        kind = timed.uop.kind
-        if kind in (UopKind.LOAD, UopKind.SHADOW_LOAD, UopKind.CHECK,
-                    UopKind.GETIDENT):
-            return self._memory_latency(timed)
-        if kind in (UopKind.STORE, UopKind.SHADOW_STORE, UopKind.SETIDENT,
-                    UopKind.LOCK_PUSH, UopKind.LOCK_POP):
-            # Stores retire from the store queue; their cache access is off the
-            # critical path but still consumes hierarchy bandwidth/state.
-            if timed.address is not None:
-                self.hierarchy.access(timed.address, is_write=True, port=timed.port)
-            return self.machine.latency_for(kind)
-        return self.machine.latency_for(kind)
-
-    # -- the scheduler -----------------------------------------------------------
-    def simulate(self, timed_uops: Iterable[TimedUop]) -> TimingResult:
-        """Replay the stream and return the cycle count."""
-        machine = self.machine
-        ready: Dict[ArchReg, int] = {}
-        meta_ready: Dict[ArchReg, int] = {}
-
-        rob: Deque[int] = deque()          # commit times of in-flight µops
-        iq: Deque[int] = deque()           # issue times of dispatched µops
-        lq: Deque[int] = deque()           # completion times of in-flight loads
-        sq: Deque[int] = deque()           # completion times of in-flight stores
-
-        dispatch_cycle = machine.fetch_latency + machine.rename_latency
-        dispatched_in_cycle = 0
-        fetch_stall_until = 0
-
-        last_commit_time = 0
-        commits_in_cycle = 0
-        commit_cycle = 0
-
-        total_uops = 0
-        injected_uops = 0
-        macro_instructions = 0
-        memory_accesses = 0
-        seen_macros = set()
-        last_macro_seq = -1
-
-        for timed in timed_uops:
-            uop = timed.uop
-            total_uops += uop.uop_cost
-            if uop.is_injected:
-                injected_uops += uop.uop_cost
-            macro_seq = uop.macro_seq
-            if macro_seq >= 0:
-                # Injector-stamped µops: stamps are monotonic per dynamic
-                # macro instance and shared by all µops of one expansion, so
-                # a simple change detector counts macro instructions exactly
-                # (unlike ``id()``, stamps are never reused after GC).
-                if macro_seq != last_macro_seq:
-                    last_macro_seq = macro_seq
-                    macro_instructions += 1
-            elif uop.macro is not None and id(uop.macro) not in seen_macros:
-                # Hand-built µop streams without stamps fall back to object
-                # identity with periodic clearing (best-effort).
-                seen_macros.add(id(uop.macro))
-                macro_instructions += 1
-                if len(seen_macros) > 65536:
-                    seen_macros.clear()
-            if timed.address is not None:
-                memory_accesses += 1
-
-            # ---- dispatch: front-end width, ROB/IQ/LQ/SQ occupancy ----------
-            if dispatched_in_cycle >= machine.dispatch_width:
-                dispatch_cycle += 1
-                dispatched_in_cycle = 0
-            dispatch_time = max(dispatch_cycle, fetch_stall_until)
-
-            if len(rob) >= machine.rob_entries:
-                dispatch_time = max(dispatch_time, rob.popleft())
-            elif rob and rob[0] <= dispatch_time:
-                rob.popleft()
-            if len(iq) >= machine.iq_entries:
-                dispatch_time = max(dispatch_time, iq.popleft())
-            elif iq and iq[0] <= dispatch_time:
-                iq.popleft()
-            # LQ/SQ: like the ROB/IQ, entries whose µop has completed by the
-            # dispatch point have left the queue — drain them before deciding
-            # whether the queue is actually full and must stall dispatch.
-            if uop.kind in (UopKind.LOAD, UopKind.SHADOW_LOAD):
-                while lq and lq[0] <= dispatch_time:
-                    lq.popleft()
-                if len(lq) >= machine.lq_entries:
-                    dispatch_time = max(dispatch_time, lq.popleft())
-            elif uop.kind in (UopKind.STORE, UopKind.SHADOW_STORE):
-                while sq and sq[0] <= dispatch_time:
-                    sq.popleft()
-                if len(sq) >= machine.sq_entries:
-                    dispatch_time = max(dispatch_time, sq.popleft())
-
-            if dispatch_time > dispatch_cycle:
-                dispatch_cycle = dispatch_time
-                dispatched_in_cycle = 0
-            dispatched_in_cycle += uop.uop_cost
-
-            # ---- issue: data + metadata dependences, then a port -------------
-            operands_ready = dispatch_time + machine.dispatch_latency
-            for src in uop.srcs:
-                operands_ready = max(operands_ready, ready.get(src, 0))
-            for src in uop.meta_srcs:
-                operands_ready = max(operands_ready, meta_ready.get(src, 0))
-
-            pool = self.units.pool_for(uop.kind)
-            start = pool.reserve(operands_ready, occupancy=uop.uop_cost)
-            latency = self._latency(timed)
-            completion = start + latency
-
-            # ---- writeback ----------------------------------------------------
-            if uop.dest is not None and uop.kind not in WATCHDOG_KINDS:
-                ready[uop.dest] = completion
-            if uop.meta_dest is not None:
-                meta_ready[uop.meta_dest] = completion
-
-            # ---- branch misprediction refill ---------------------------------
-            if uop.kind is UopKind.BRANCH and timed.mispredicted_branch:
-                fetch_stall_until = max(fetch_stall_until,
-                                        completion + machine.branch_misprediction_penalty)
-
-            # ---- in-order commit ---------------------------------------------
-            commit_time = max(completion, last_commit_time)
-            if commit_time == commit_cycle:
-                commits_in_cycle += uop.uop_cost
-                if commits_in_cycle >= machine.commit_width:
-                    commit_time += 1
-                    commits_in_cycle = 0
-            else:
-                commit_cycle = commit_time
-                commits_in_cycle = uop.uop_cost
-            last_commit_time = commit_time
-
-            # ---- occupancy bookkeeping -----------------------------------------
-            rob.append(commit_time)
-            iq.append(start)
-            if uop.kind in (UopKind.LOAD, UopKind.SHADOW_LOAD):
-                lq.append(completion)
-            elif uop.kind in (UopKind.STORE, UopKind.SHADOW_STORE):
-                sq.append(commit_time)
-
-        cycles = max(last_commit_time, 1)
-        port_waits = {name: pool.average_wait()
-                      for name, pool in self.units.all_pools().items()}
-        return TimingResult(
-            cycles=cycles,
-            total_uops=total_uops,
-            injected_uops=injected_uops,
-            macro_instructions=macro_instructions,
-            memory_accesses=memory_accesses,
-            lock_cache_misses=self.hierarchy.lock_cache.misses,
-            l1d_misses=self.hierarchy.l1d.misses,
-            port_waits=port_waits,
-        )
-
     # -- the array scheduler -------------------------------------------------------
     def simulate_compiled(self, stream) -> TimingResult:
         """Replay a :class:`~repro.sim.compiled.CompiledStream`.
 
-        Bit-identical to :meth:`simulate` over the equivalent ``TimedUop``
-        stream (the golden equivalence tests enforce this), but consuming
-        packed per-µop tuples instead of objects, in two passes:
+        Reproduces the retired object-per-µop reference model bit for bit
+        (the golden tests pin its recorded digests), consuming packed
+        per-µop words in two passes:
 
         1. the memory hierarchy replays the packed access sequence in one
            batch (access order equals program order, so cache state and load

@@ -21,7 +21,13 @@ from repro.pipeline.config import FunctionalUnitConfig
 
 
 class PortPool:
-    """A group of identical ports, each busy until some cycle."""
+    """A group of identical ports, each busy until some cycle.
+
+    The scheduler (``OutOfOrderCore._schedule_python`` and the kernel's
+    ``sched_run``) issues each µop on the soonest-free port at or after its
+    operands are ready, marks that port busy for the µop's cost, and folds
+    the use and the cycles waited for a port into this pool.
+    """
 
     def __init__(self, name: str, count: int):
         if count <= 0:
@@ -30,18 +36,6 @@ class PortPool:
         self._next_free: List[int] = [0] * count
         self.uses = 0
         self.total_wait = 0
-
-    def reserve(self, earliest: int, occupancy: int = 1) -> int:
-        """Reserve the soonest-available port at or after ``earliest``.
-
-        Returns the cycle at which the port (and hence the µop) can start.
-        """
-        index = min(range(len(self._next_free)), key=lambda i: self._next_free[i])
-        start = max(earliest, self._next_free[index])
-        self._next_free[index] = start + occupancy
-        self.uses += 1
-        self.total_wait += start - earliest
-        return start
 
     @property
     def count(self) -> int:

@@ -1,8 +1,10 @@
 """Simulation harness: traces, statistics, sampling, and the top-level simulator.
 
 * :mod:`repro.sim.trace` — dynamic-trace representation (macro-level
-  :class:`DynamicOp`, timed µops) and the expander that turns a dynamic trace
-  into the µop stream the timing model replays,
+  :class:`DynamicOp`) and the rules that annotate µops with the address and
+  port they access,
+* :mod:`repro.sim.compiled` — the stream compiler that expands a dynamic
+  trace into the packed µop stream the timing model replays,
 * :mod:`repro.sim.stats` — statistic helpers (geometric mean, overhead math),
 * :mod:`repro.sim.sampling` — the periodic-sampling schedule of §9.1,
 * :mod:`repro.sim.results` — result records shared by experiments and benches
@@ -16,7 +18,7 @@
   Watchdog configuration, functional execution and timing together.
 """
 
-from repro.sim.trace import DynamicOp, TimedUop, TraceExpander
+from repro.sim.trace import DynamicOp
 from repro.sim.stats import geometric_mean, percent_overhead, OverheadReport
 from repro.sim.sampling import SamplingConfig, SamplingSchedule
 from repro.sim.results import BenchmarkResult, CellResult, ExperimentResult
@@ -28,9 +30,9 @@ from repro.sim.spec import (
 )
 
 #: Attributes resolved lazily (see ``__getattr__``) — the modules behind them
-#: depend on the pipeline/workload packages, which themselves import
+#: depend on the workload package, which itself imports
 #: :mod:`repro.sim.trace`; importing them eagerly here would create an import
-#: cycle when the pipeline package is loaded first.
+#: cycle when the workload package is loaded first.
 _LAZY = {
     "Simulator": "repro.sim.simulator",
     "SimulationOutcome": "repro.sim.simulator",
@@ -48,8 +50,6 @@ def __getattr__(name):
 
 __all__ = [
     "DynamicOp",
-    "TimedUop",
-    "TraceExpander",
     "geometric_mean",
     "percent_overhead",
     "OverheadReport",

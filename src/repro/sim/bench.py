@@ -27,7 +27,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.core.config import WatchdogConfig
 from repro.pipeline.config import MachineConfig
 from repro.sim.sampling import SamplingConfig, SamplingSchedule
-from repro.sim.simulator import PIPELINE_COMPILED, PIPELINE_REFERENCE, Simulator
+from repro.sim.simulator import Simulator
 from repro.workloads import _ffcore
 from repro.workloads.bundle import TraceBundle
 from repro.workloads.profiles import (
@@ -123,11 +123,10 @@ def repo_revision() -> str:
 
 
 def run_matrix(benchmarks: Sequence[str], instructions: int, seed: int,
-               pipeline: str,
                machine: Optional[MachineConfig] = None,
                sampling: Optional[SamplingConfig] = None,
                timecore: Optional[bool] = None) -> Dict[str, object]:
-    """Time the cell matrix under one pipeline; returns the stats record.
+    """Time the cell matrix; returns the stats record.
 
     The compile phase covers everything between trace tokens and the
     kernel-ready stream, *including* stream packing: the compiler emits the
@@ -138,8 +137,7 @@ def run_matrix(benchmarks: Sequence[str], instructions: int, seed: int,
     """
     from repro.native import _timecore
 
-    simulator = Simulator(machine=machine, pipeline=pipeline,
-                          timecore=timecore)
+    simulator = Simulator(machine=machine, timecore=timecore)
     lib = None if timecore is False else _timecore.load()
     phases = {"generate": 0.0, "compile": 0.0, "simulate": 0.0}
     total_uops = 0
@@ -155,18 +153,17 @@ def run_matrix(benchmarks: Sequence[str], instructions: int, seed: int,
         if bundle.samples:
             sampled_bundles += 1
         for _, config in MATRIX_CONFIGS:
-            if pipeline == PIPELINE_COMPILED:
-                t0 = time.perf_counter()
-                if bundle.samples:
-                    for index in range(len(bundle.samples)):
-                        built = bundle.compiled_sample_streams(
-                            index, config, machine=simulator.machine)
-                        _timecore.pack_stream(built.measured, lib)
-                else:
-                    built = bundle.compiled_streams(
-                        config, machine=simulator.machine)
+            t0 = time.perf_counter()
+            if bundle.samples:
+                for index in range(len(bundle.samples)):
+                    built = bundle.compiled_sample_streams(
+                        index, config, machine=simulator.machine)
                     _timecore.pack_stream(built.measured, lib)
-                phases["compile"] += time.perf_counter() - t0
+            else:
+                built = bundle.compiled_streams(
+                    config, machine=simulator.machine)
+                _timecore.pack_stream(built.measured, lib)
+            phases["compile"] += time.perf_counter() - t0
             t0 = time.perf_counter()
             outcome = simulator.run_bundle(bundle, config)
             phases["simulate"] += time.perf_counter() - t0
@@ -174,7 +171,6 @@ def run_matrix(benchmarks: Sequence[str], instructions: int, seed: int,
             cells += 1
     wall = time.perf_counter() - started
     return {
-        "pipeline": pipeline,
         "cells": cells,
         #: How many of the benchmarks' bundles genuinely sampled; a requested
         #: schedule that measures nothing at this scale normalizes to
@@ -202,10 +198,7 @@ def run_sampled_cell(benchmark: str = SAMPLED_BENCHMARK,
     separately.
     """
     sampling = sampling or SamplingConfig.quick()
-    # Pinned to the compiled pipeline (like run_matrix's explicit pipeline
-    # arg): the gate must measure the path its baseline floor describes,
-    # whatever REPRO_PIPELINE says.
-    simulator = Simulator(machine=machine, pipeline=PIPELINE_COMPILED)
+    simulator = Simulator(machine=machine)
     t0 = time.perf_counter()
     bundle = TraceBundle.generate(benchmark, seed=seed,
                                   instructions=instructions, sampling=sampling)
@@ -309,7 +302,7 @@ def run_one_b_cell(benchmark: str = ONE_B_BENCHMARK,
     and is ceiling-gated via ``one_b_peak_rss_mb``.
     """
     sampling = sampling or ONE_B_SMOKE_SAMPLING
-    simulator = Simulator(machine=machine, pipeline=PIPELINE_COMPILED)
+    simulator = Simulator(machine=machine)
     stream = SampleStream(benchmark, seed, instructions, sampling)
     t0 = time.perf_counter()
     outcome = simulator.run_streaming(benchmark,
@@ -356,8 +349,7 @@ def run_timecore_cell(benchmarks: Optional[Sequence[str]] = None,
     benchmarks = tuple(benchmarks or benchmark_names())
     if instructions is None:
         instructions = DEFAULT_INSTRUCTIONS
-    stats = run_matrix(benchmarks, instructions, seed, PIPELINE_COMPILED,
-                       timecore=True)
+    stats = run_matrix(benchmarks, instructions, seed, timecore=True)
     simulate = stats["phases_seconds"]["simulate"]
     compile_s = stats["phases_seconds"]["compile"]
     return {
@@ -404,7 +396,7 @@ def run_mix_cell(mix_token: str = MIX_BENCHMARK,
                                     instructions=instructions)
                for member_index, profile_name in members]
     generate_wall = time.perf_counter() - t0
-    simulator = MultiCoreSimulator(machine=machine, pipeline=PIPELINE_COMPILED)
+    simulator = MultiCoreSimulator(machine=machine)
     total_uops = 0
     t0 = time.perf_counter()
     for _, config in MIX_CONFIGS:
@@ -465,7 +457,6 @@ def run_suite_cell(seed: int = DEFAULT_SEED, quick: bool = True) -> Dict[str, ob
 def run_bench(benchmarks: Optional[Sequence[str]] = None,
               instructions: Optional[int] = None,
               seed: int = DEFAULT_SEED,
-              include_reference: bool = True,
               quick: bool = False,
               sampling: Optional[SamplingConfig] = None,
               include_sampled: bool = True,
@@ -475,7 +466,7 @@ def run_bench(benchmarks: Optional[Sequence[str]] = None,
               include_timecore: bool = True,
               include_mix: bool = True,
               include_one_b: bool = True) -> Dict[str, object]:
-    """Run the benchmark (optionally under both pipelines) and summarize.
+    """Run the benchmark cells and summarize.
 
     ``instructions=None`` selects the scale implied by ``quick``; an
     explicit count always wins.  ``sampling`` applies a §9.1 schedule to the
@@ -530,17 +521,8 @@ def run_bench(benchmarks: Optional[Sequence[str]] = None,
             else dataclasses.asdict(sampling),
         },
         "compiled": _stamped(run_matrix(benchmarks, instructions, seed,
-                                        PIPELINE_COMPILED, sampling=sampling)),
+                                        sampling=sampling)),
     }
-    if include_reference:
-        record["reference"] = _stamped(
-            run_matrix(benchmarks, instructions, seed,
-                       PIPELINE_REFERENCE, sampling=sampling))
-        compiled_rate = record["compiled"]["uops_per_sec"]
-        reference_rate = record["reference"]["uops_per_sec"]
-        if reference_rate:
-            record["speedup_vs_reference"] = round(
-                compiled_rate / reference_rate, 2)
     if include_sampled:
         record["sampled"] = _stamped(run_sampled_cell(
             instructions=SAMPLED_QUICK_INSTRUCTIONS if quick
@@ -703,20 +685,15 @@ def format_summary(record: Dict[str, object]) -> str:
              f"({len(record['matrix']['benchmarks'])} benchmarks x "
              f"{len(record['matrix']['configurations'])} configs, "
              f"{record['matrix']['instructions']} instructions)"]
-    for key in ("compiled", "reference"):
-        stats = record.get(key)
-        if not stats:
-            continue
+    stats = record.get("compiled")
+    if stats:
         phases = stats["phases_seconds"]
         phase_text = ", ".join(f"{name} {value:.2f}s"
                                for name, value in phases.items())
-        lines.append(f"{key:>10}: {stats['cells']} cells in "
+        lines.append(f"{'compiled':>10}: {stats['cells']} cells in "
                      f"{stats['wall_seconds']:.2f}s — "
                      f"{stats['uops_per_sec']:,.0f} uops/sec, "
                      f"{stats['cells_per_sec']:.2f} cells/sec ({phase_text})")
-    if "speedup_vs_reference" in record:
-        lines.append(f"{'speedup':>10}: {record['speedup_vs_reference']}x "
-                     f"compiled vs in-tree reference pipeline")
     for key in ("sampled", "paper_sampled"):
         sampled = record.get(key)
         if sampled:

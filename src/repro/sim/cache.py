@@ -2,20 +2,16 @@
 
 A simulated cell is a pure function of its inputs: the benchmark profile,
 the workload seed and instruction counts, the §9.1 sampling schedule, the
-Watchdog configuration, the machine configuration and the pipeline
-implementation that executes it.  The cache therefore keys each
+Watchdog configuration and the machine configuration.  The cache therefore
+keys each
 :class:`~repro.sim.results.CellResult` by a SHA-256 digest of a canonical
 JSON rendering of exactly those inputs (plus a schema version that is bumped
 whenever the simulation semantics change), and stores the cell as one small
 JSON file.  Repeated figure runs, the benchmark harness and the CLI all skip
 already-computed cells; any change to a configuration knob changes the
-digest and transparently invalidates the entry.
-
-The pipeline selection is part of the key even though the compiled and
-reference pipelines are *supposed* to be bit-identical: serving a
-``REPRO_PIPELINE=reference`` run from a cell the compiled pipeline produced
-(or vice versa) would mask exactly the divergence the reference model exists
-to expose.
+digest and transparently invalidates the entry.  The native timing core
+is not part of the key: it is bit-identical to the Python loops it
+replaces (a load-time self-test refuses a kernel that is not).
 
 Corrupt entries (truncated writes, hand edits, bit rot) are **quarantined**,
 not just treated as misses: the broken file is renamed to ``<key>.corrupt``
@@ -52,7 +48,8 @@ from repro.sim.spec import RunRequest
 #: v4: multi-core mixes — :class:`CellResult` gained the per-core ``cores``
 #: blocks and benchmark names may now be mix tokens, both changing the
 #: record layout and the cell input space.
-CACHE_SCHEMA_VERSION = 4
+#: v5: the payload lost its ``pipeline`` term (one timing model remains).
+CACHE_SCHEMA_VERSION = 5
 
 #: Default on-disk location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -100,16 +97,8 @@ def canonical_value(value: Any) -> Any:
 
 
 def request_fingerprint(request: RunRequest,
-                        machine: Optional[MachineConfig] = None,
-                        pipeline: Optional[str] = None) -> str:
-    """Content hash identifying one cell's full input space.
-
-    ``pipeline=None`` resolves the selection the executing simulator would
-    make (the ``REPRO_PIPELINE`` environment variable, which worker processes
-    inherit, falling back to the compiled default).
-    """
-    from repro.sim.simulator import resolve_pipeline
-
+                        machine: Optional[MachineConfig] = None) -> str:
+    """Content hash identifying one cell's full input space."""
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "code": code_fingerprint(),
@@ -120,7 +109,6 @@ def request_fingerprint(request: RunRequest,
         "sampling": canonical_value(request.sampling),
         "config": canonical_value(request.config),
         "machine": canonical_value(machine or MachineConfig()),
-        "pipeline": resolve_pipeline(pipeline),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -149,9 +137,8 @@ class ResultCache:
 
     # -- keying ---------------------------------------------------------------------
     def key(self, request: RunRequest,
-            machine: Optional[MachineConfig] = None,
-            pipeline: Optional[str] = None) -> str:
-        return request_fingerprint(request, machine, pipeline=pipeline)
+            machine: Optional[MachineConfig] = None) -> str:
+        return request_fingerprint(request, machine)
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"

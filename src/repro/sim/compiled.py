@@ -1,10 +1,8 @@
 """Compiled µop streams: template-based trace expansion into packed arrays.
 
-The object pipeline (:class:`~repro.sim.trace.TraceExpander` feeding
-:meth:`~repro.pipeline.core.OutOfOrderCore.simulate`) allocates a
-``MicroOp``/``TimedUop`` pair for every µop of every (benchmark ×
-configuration) cell and re-runs decode + injection per dynamic instance.
-This module replaces that hot path with a three-step compilation:
+Every timing run expands its dynamic trace into µops through this module.
+Rather than decoding, injecting and annotating a ``MicroOp`` object per µop
+of every dynamic instance, it compiles in three steps:
 
 1. **Tokenization** (configuration-independent, once per trace): every
    dynamic op is reduced to the *identity* of its static instruction —
@@ -28,10 +26,10 @@ This module replaces that hot path with a three-step compilation:
    deltas.  Each template's µop words are packed once at build time, so
    stream assembly is pure ``array.extend`` and the kernel consumes the
    stream with zero further marshalling; per-µop tuples are rebuilt on
-   demand (:attr:`CompiledStream.uops`) only for the Python fallback
-   scheduler.  A template whose cost or register slots exceed the packed
-   field widths makes the whole stream tuple-only, exactly as the old
-   post-hoc packing did.
+   demand (:attr:`CompiledStream.uops`) only for the Python scheduler.  A
+   template whose cost or register slots exceed the packed field widths
+   makes the whole stream tuple-only, exactly as the old post-hoc packing
+   did.
 
 Two Watchdog configurations that inject identically (same ``enabled``,
 pointer-identification mode, bounds mode and copy-elimination setting) share
@@ -39,7 +37,8 @@ one compiled stream: the *class key* deliberately excludes knobs that only
 affect timing (lock cache, idealized shadow).  The array scheduler that
 consumes these streams lives in
 :meth:`repro.pipeline.core.OutOfOrderCore.simulate_compiled`; the golden
-equivalence tests pin it bit-for-bit to the object pipeline.
+tests pin its results bit for bit to digests recorded from the retired
+object-per-µop reference model.
 """
 
 from __future__ import annotations
@@ -55,12 +54,12 @@ from repro.native._timecore import pack_entry_words, unpack_words
 
 from repro.core.config import WatchdogConfig
 from repro.core.pointer_id import PointerIdStats
-from repro.core.uop_injection import InjectionStats, compile_template
-from repro.errors import ProgramError
-from repro.isa.instructions import Instruction
-from repro.isa.microops import UopKind, WATCHDOG_KINDS
+from repro.core.uop_injection import InjectionStats, UopInjector, \
+    compile_template
+from repro.isa.instructions import Instruction, SINGLE_SOURCE_PROPAGATORS
+from repro.isa.microops import MicroOp, UopKind, WATCHDOG_KINDS
 from repro.isa.registers import RegClass, reg_slot
-from repro.memory.address_space import SHADOW_BIT
+from repro.memory.address_space import SHADOW_BIT, AddressSpaceLayout
 from repro.memory.hierarchy import (
     PORT_CODES,
     PORT_DATA,
@@ -83,14 +82,12 @@ from repro.sim.trace import (
     ADDR_FRAME_PUSH,
     ADDR_FRAME_POP,
     ADDR_LOCK,
-    ADDR_NONE,
     ADDR_SHADOW,
     ANNOTATION_RULES,
     DynamicOp,
     HIERARCHY_LATENCY_KINDS,
     LQ_KINDS,
     SQ_KINDS,
-    TraceExpander,
 )
 
 _M47 = 1 << 47
@@ -99,14 +96,6 @@ _M47 = 1 << 47
 SPEC_DATA_READ = PORT_DATA
 SPEC_LOCK_READ = PORT_LOCK
 SPEC_SHADOW_READ = PORT_SHADOW
-
-
-class CompiledTraceUnsupported(ProgramError):
-    """The trace contains a shape the compiled pipeline does not pack.
-
-    Raised for instructions with more than two register (or metadata)
-    sources; the simulator falls back to the reference object pipeline.
-    """
 
 
 def stream_class_key(config: WatchdogConfig) -> tuple:
@@ -176,11 +165,7 @@ def tokenize(trace: Iterable[DynamicOp]) -> TraceTokens:
         tid = id_get(id(inst))
         if tid is None:
             srcs = inst.srcs
-            n = len(srcs)
-            if n > 2:
-                raise CompiledTraceUnsupported(
-                    f"instruction has {n} register sources "
-                    f"(compiled limit: 2)")
+            n = len(srcs)  # at most two: Instruction enforces it
             dest = inst.dest
             key = inst.opcode.code
             if dest is None:
@@ -300,8 +285,7 @@ class WarmStream:
 
     Contains, interleaved in program order, every address-carrying µop of the
     expanded warm-up trace plus (for metadata-maintaining classes) the shadow
-    lines of each data access — exactly what
-    :meth:`Simulator._warm_hierarchy` replays, without the µop objects.
+    lines of each data access (see :meth:`StreamCompiler.compile_warm`).
     Both columns are int64 arrays, so the native warm replay consumes them
     without conversion.
     """
@@ -381,12 +365,11 @@ class StreamCompiler:
                  machine: Optional[MachineConfig] = None):
         self.config = config
         self.machine = machine or MachineConfig()
-        #: The template expansions run through a real expander so the
+        #: The template expansions run through a real injector so the
         #: statistics deltas (injection counts, pointer classification,
         #: copy-elimination ablation) are captured by construction.
-        self.expander = TraceExpander(config)
-        self.injector = self.expander.injector
-        layout = self.expander.shadow.layout
+        self.injector = UopInjector(config)
+        layout = AddressSpaceLayout()
         self._frame_floor = layout.lock_region.base
         self._frame_start = self._frame_floor + layout.lock_region.size // 2
         self._mw = config.metadata_words
@@ -402,11 +385,22 @@ class StreamCompiler:
         self._cache_key = (stream_class_key(config), self.machine)
 
     # -- template lowering ---------------------------------------------------------
-    def _full_expand(self, inst: Instruction):
+    def _full_expand(self, inst: Instruction) -> List[MicroOp]:
+        """The injector's expansion plus the copy-elimination ablation.
+
+        Without rename-time copy elimination (§6.2), a single-source
+        propagation into an integer register costs an explicit
+        metadata-copy µop, counted as "other".
+        """
         uops = self.injector._expand(inst)
-        extra = self.expander._copy_elimination_ablation(inst)
-        if extra:
-            uops = uops + [timed.uop for timed in extra]
+        config = self.config
+        if config.enabled and not config.copy_elimination \
+                and inst.opcode in SINGLE_SOURCE_PROPAGATORS \
+                and inst.dest is not None and inst.dest.is_int:
+            self.injector.stats.other_uops += 1
+            uops = uops + [MicroOp(kind=UopKind.META_SELECT,
+                                   meta_dest=inst.dest, meta_srcs=inst.srcs,
+                                   injected=True, macro=inst)]
         return uops
 
     def _template(self, inst: Instruction) -> _Template:
@@ -448,9 +442,6 @@ class StreamCompiler:
                 dest = reg_slot(uop.dest)
             srcs = uop.srcs
             meta_srcs = uop.meta_srcs
-            if len(srcs) > 2 or len(meta_srcs) > 2:
-                raise CompiledTraceUnsupported(
-                    f"µop {uop} has more than two (meta) sources")
             s0 = reg_slot(srcs[0]) if srcs else -1
             s1 = reg_slot(srcs[1]) if len(srcs) == 2 else -1
             md = reg_slot(uop.meta_dest) if uop.meta_dest is not None else -1
@@ -626,12 +617,15 @@ class StreamCompiler:
     def compile_warm(self, tokens: TraceTokens) -> WarmStream:
         """Lower the warm-up trace to its bare hierarchy access sequence.
 
-        Mirrors :meth:`Simulator._warm_hierarchy`: each address-carrying µop
-        becomes one access; for metadata-maintaining classes every data
-        access is followed by its ``metadata_words`` shadow lines (skipped
-        at replay under the ideal-shadow ablation, which filters all shadow
-        accesses).  Emits int64 arrays directly, so the native warm replay
-        (:func:`repro.native._timecore.run_batch`) skips its conversion.
+        Each address-carrying µop becomes one access.  For
+        metadata-maintaining classes every data access is followed by its
+        ``metadata_words`` shadow lines: during the paper's long warm-up
+        windows the metadata working set is fully resident, and short
+        synthetic traces would otherwise charge the measured window with
+        artificial first-touch misses.  (The ideal-shadow ablation filters
+        all shadow accesses at replay.)  Emits int64 arrays directly, so the
+        native warm replay (:func:`repro.native._timecore.run_batch`) skips
+        its conversion.
         """
         build = self._template
         ops_by_tid = [build(inst).addr_ops for inst in tokens.insts]
@@ -716,8 +710,7 @@ def working_set_arrays(workload, config: WatchdogConfig) -> WorkingSetArrays:
 # state is installed directly: every warmed block enters the inclusive L3,
 # and each bounded structure (L1D, L2, the lock location cache, the TLBs)
 # receives the most-recent fill its capacity can hold, in access order, so
-# LRU order matches a sequential touch.  Both the compiled and the reference
-# pipeline warm through this one implementation.
+# LRU order matches a sequential touch.
 
 def _install_tail(cache, pieces, limit: Optional[int], lib) -> None:
     """Install the last ``limit`` addresses of ``pieces`` (concatenated, in
@@ -803,7 +796,7 @@ def warm_working_set(hierarchy, ws: WorkingSetArrays,
 
 
 def warm_trace(hierarchy, warm: WarmStream, config: WatchdogConfig) -> None:
-    """Replay the warm-up trace accesses (see :meth:`Simulator._warm_hierarchy`).
+    """Replay the warm-up trace accesses (:meth:`StreamCompiler.compile_warm`).
 
     Unlike the working-set pre-touch, the warm-up *trace* is part of the
     simulated methodology and replays through the full demand machinery

@@ -82,7 +82,7 @@ from repro.sim.journal import RunJournal
 from repro.sim.results import CellFailure, CellResult, DegradationEvent
 from repro.sim.sampling import SamplingConfig
 from repro.sim.simulator import OutcomeAccumulator, Simulator, \
-    SimulationOutcome, resolve_pipeline
+    SimulationOutcome
 # Unused here, but kept: perfbench's tests read
 # ``repro.sim.engine.aggregate_outcomes`` and assert it is the simulator's.
 from repro.sim.simulator import aggregate_outcomes  # noqa: F401
@@ -114,12 +114,6 @@ class BenchmarkJob:
     instructions: int
     warmup_instructions: Optional[int]
     sampling: Optional[SamplingConfig]
-    #: The pipeline the engine keyed this job's cells under.  Resolved once
-    #: per batch in the parent and carried into the worker so the cache key
-    #: and the executing simulator can never disagree (pooled workers keep
-    #: the environment they were forked with, so re-reading
-    #: ``REPRO_PIPELINE`` worker-side could diverge from the parent's view).
-    pipeline: str
     #: (label, config) pairs, in request order.
     cells: Tuple[Tuple[str, object], ...]
     #: 0-based execution attempt (the fault plan keys on it, and retries
@@ -240,7 +234,7 @@ def _execute_job_cells(job: BenchmarkJob,
             and job.sampling.samples_horizon(job.instructions):
         return _execute_sampled(job, machine, sample_pool)
     bundle = _bundle_for(job)
-    simulator = Simulator(machine, pipeline=job.pipeline)
+    simulator = Simulator(machine)
     results: List[CellResult] = []
     for label, config in job.cells:
         outcome = simulator.run_bundle(bundle, config)
@@ -267,7 +261,7 @@ def _execute_mix_job(job: BenchmarkJob, parsed,
             job, benchmark=profile_name,
             seed=mix_member_seed(mix.name, member_index, job.seed)))
         for member_index, profile_name in members]
-    simulator = MultiCoreSimulator(machine, pipeline=job.pipeline)
+    simulator = MultiCoreSimulator(machine)
     results: List[CellResult] = []
     for label, config in job.cells:
         outcome = simulator.run_mix(job.benchmark, bundles, config)
@@ -282,8 +276,8 @@ def _replay_sample(payload) -> List[SimulationOutcome]:
     its compiled-stream caches share tokenization and per-equivalence-class
     compilation across the configs.
     """
-    bundle, configs, machine, pipeline = payload
-    simulator = Simulator(machine, pipeline=pipeline)
+    bundle, configs, machine = payload
+    simulator = Simulator(machine)
     return [simulator.sample_outcome(bundle, 0, config) for config in configs]
 
 
@@ -312,8 +306,7 @@ def _execute_sampled(job: BenchmarkJob, machine: Optional[MachineConfig],
     max_inflight = (getattr(sample_pool, "_max_workers", None) or 2) + 2
     inflight: "deque" = deque()
     for segment in stream.segments():
-        payload = (stream.segment_bundle(segment), configs, machine,
-                   job.pipeline)
+        payload = (stream.segment_bundle(segment), configs, machine)
         if sample_pool is None:
             absorb(_replay_sample(payload))
             continue
@@ -391,10 +384,12 @@ class SweepEngine:
         self.faults = faults if faults is not None else FaultPlan.from_env()
         self.journal = journal
         #: Keyed by cell *content* — everything in the request except the
-        #: cosmetic label.  Different labels for the same configuration
-        #: (fig7's "isa-assisted" vs fig9's "with-lock-cache" vs fig11's
-        #: "watchdog") share one simulation, while the same label under
-        #: different configurations or scales never aliases.
+        #: cosmetic label (:func:`request_content_key`, the key the
+        #: multi-spec merge dedups by, so the two never disagree about which
+        #: cells are the same simulation).  Different labels for the same
+        #: configuration (fig7's "isa-assisted" vs fig9's "with-lock-cache"
+        #: vs fig11's "watchdog") share one simulation, while the same label
+        #: under different configurations or scales never aliases.
         self._memo: Dict[Tuple, CellResult] = {}
         #: Cells actually simulated by this engine (excludes memo/cache hits);
         #: the cache tests and the CLI's summary line read this.
@@ -450,18 +445,14 @@ class SweepEngine:
         to ``failed`` placeholder results, the failures are recorded on
         :attr:`cell_failures`, and every other cell completes normally.
         """
-        # One resolution serves the whole batch: the memo/cache keys and the
-        # jobs shipped to (possibly long-forked) workers must agree on the
-        # pipeline even if the environment changes between batches.
-        pipeline = resolve_pipeline()
         requests = list(requests)
         pending: List[RunRequest] = []
         seen: set = set()
         for request in requests:
-            identity = self._identity(request, pipeline)
+            identity = request_content_key(request)
             if identity in self._memo or identity in seen:
                 continue
-            fingerprint = self._fingerprint(request, pipeline)
+            fingerprint = self._fingerprint(request)
             served = self._load_journaled(request, fingerprint)
             if served is None:
                 served = self._load_cached(request, fingerprint)
@@ -473,19 +464,19 @@ class SweepEngine:
 
         if pending:
             self.simulation_batches += 1
-            for outcome in self._execute(self._group(pending, pipeline)):
-                self._absorb_outcome(outcome, pipeline)
+            for outcome in self._execute(self._group(pending)):
+                self._absorb_outcome(outcome)
         if self.cache is not None:
             self.degradations.extend(self.cache.drain_corruption_events())
         resolved: Dict[CellKey, CellResult] = {}
         for request in requests:
-            cell = self._memo[self._identity(request, pipeline)]
+            cell = self._memo[request_content_key(request)]
             if cell.configuration != request.label:
                 cell = cell.relabel(request.benchmark, request.label)
             resolved.setdefault(request.key, cell)
         return resolved
 
-    def _absorb_outcome(self, outcome: JobOutcome, pipeline: str) -> None:
+    def _absorb_outcome(self, outcome: JobOutcome) -> None:
         """Fold one job's terminal outcome into memo, cache and journal."""
         job = outcome.job
         if outcome.results is not None:
@@ -493,9 +484,9 @@ class SweepEngine:
                 # Results arrive in the job's cell order, so pairing them
                 # positionally stays correct even if two cells share a label.
                 request = self._request_for(job, label, config)
-                self._memo[self._identity(request, pipeline)] = cell
+                self._memo[request_content_key(request)] = cell
                 self.simulated_cells += 1
-                fingerprint = self._fingerprint(request, pipeline)
+                fingerprint = self._fingerprint(request)
                 if self.cache is not None and fingerprint is not None:
                     self.cache.store(fingerprint, cell)
                 if self.journal is not None and fingerprint is not None:
@@ -503,13 +494,13 @@ class SweepEngine:
             return
         for label, config in job.cells:
             request = self._request_for(job, label, config)
-            self._memo[self._identity(request, pipeline)] = \
+            self._memo[request_content_key(request)] = \
                 CellResult.failed_cell(job.benchmark, label)
             self.cell_failures.append(CellFailure(
                 benchmark=job.benchmark, label=label,
                 attempts=outcome.attempts, reason=outcome.reason,
                 detail=outcome.detail))
-            fingerprint = self._fingerprint(request, pipeline)
+            fingerprint = self._fingerprint(request)
             if self.journal is not None and fingerprint is not None:
                 self.journal.record_failed(fingerprint, job.benchmark, label,
                                            outcome.reason)
@@ -522,27 +513,16 @@ class SweepEngine:
             warmup_instructions=job.warmup_instructions,
             sampling=job.sampling)
 
-    @staticmethod
-    def _identity(request: RunRequest, pipeline: str) -> Tuple:
-        """The cell's content identity: the request minus its cosmetic label.
-
-        Derived from the same :func:`request_content_key` the multi-spec
-        merge dedups by, plus the resolved pipeline — so the merge and the
-        memo can never disagree about which cells are the same simulation.
-        """
-        return request_content_key(request) + (pipeline,)
-
     def cell(self, request: RunRequest) -> CellResult:
         """Resolve a single cell (memoized)."""
         return self.run_requests([request])[request.key]
 
     # -- caching / journal ---------------------------------------------------------
-    def _fingerprint(self, request: RunRequest,
-                     pipeline: str) -> Optional[str]:
+    def _fingerprint(self, request: RunRequest) -> Optional[str]:
         """The cell's content hash — computed once, shared by cache+journal."""
         if self.cache is None and self.journal is None:
             return None
-        return request_fingerprint(request, self.machine, pipeline=pipeline)
+        return request_fingerprint(request, self.machine)
 
     def _load_journaled(self, request: RunRequest,
                         fingerprint: Optional[str]) -> Optional[CellResult]:
@@ -565,8 +545,7 @@ class SweepEngine:
         return cell.relabel(request.benchmark, request.label)
 
     # -- execution -----------------------------------------------------------------
-    def _group(self, pending: List[RunRequest],
-               pipeline: str) -> List[BenchmarkJob]:
+    def _group(self, pending: List[RunRequest]) -> List[BenchmarkJob]:
         """Group cells by workload identity, preserving first-seen order."""
         grouped: Dict[Tuple, List[RunRequest]] = {}
         for request in pending:
@@ -577,7 +556,6 @@ class SweepEngine:
         faults = None if self.faults.empty else self.faults
         return [BenchmarkJob(benchmark=key[0], seed=key[1], instructions=key[2],
                              warmup_instructions=key[3], sampling=key[4],
-                             pipeline=pipeline,
                              cells=tuple((r.label, r.config) for r in members),
                              faults=faults)
                 for key, members in grouped.items()]

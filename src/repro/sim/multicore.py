@@ -59,12 +59,7 @@ from repro.memory.hierarchy import MemoryHierarchy, SharedMemoryBackend
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.core import OutOfOrderCore, _derived_hierarchy_config
 from repro.sim.results import CoreResult
-from repro.sim.simulator import (
-    PIPELINE_COMPILED,
-    SimulationOutcome,
-    Simulator,
-    resolve_pipeline,
-)
+from repro.sim.simulator import SimulationOutcome, Simulator
 from repro.workloads.bundle import TraceBundle
 
 #: Demand accesses one core replays before the next core gets a turn.
@@ -79,20 +74,14 @@ EPOCH_ACCESSES = 2048
 class MultiCoreSimulator:
     """Runs a benchmark bundle per core against one shared backend.
 
-    Mixes exist only on the compiled pipeline: the interleaved replay works
-    on packed access arrays, which the reference object-per-µop model does
-    not produce.  (The compiled pipeline is golden-pinned bit-identical to
-    the reference model per core, so nothing is lost.)
+    The interleaved replay works on each member's packed access arrays
+    (:class:`~repro.sim.compiled.CompiledStream`), the same streams a
+    single-core run of that member replays.
     """
 
     def __init__(self, machine: Optional[MachineConfig] = None,
-                 pipeline: Optional[str] = None,
                  timecore: Optional[bool] = None):
         self.machine = machine or MachineConfig()
-        if resolve_pipeline(pipeline) != PIPELINE_COMPILED:
-            raise ConfigurationError(
-                "multi-core mixes require the compiled pipeline "
-                "(REPRO_PIPELINE=reference has no interleaved replay)")
         #: Same knob as :class:`~repro.sim.simulator.Simulator`: ``None``
         #: defers to ``REPRO_TIMECORE``, ``False`` forces the Python loops.
         self.timecore = timecore

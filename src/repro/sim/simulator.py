@@ -3,9 +3,10 @@
 Glues the pieces together for the two kinds of runs the evaluation needs:
 
 * **workload timing runs** (Figures 5, 7, 8, 9, 10, 11): a synthetic
-  SPEC-like workload generates a dynamic trace; the trace expander injects
+  SPEC-like workload generates a dynamic trace; the stream compiler injects
   Watchdog µops and annotates addresses; the out-of-order core replays the
-  timed µop stream against the Table 2 memory hierarchy and reports cycles,
+  compiled µop stream against the Table 2 memory hierarchy and reports
+  cycles,
 * **program detection runs** (§9.2, the examples, the attack scenarios): a
   program built with the builder executes on the functional machine under a
   Watchdog configuration, and the result records whether a violation was
@@ -15,7 +16,6 @@ Glues the pieces together for the two kinds of runs the evaluation needs:
 
 from __future__ import annotations
 
-import os
 import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
@@ -29,7 +29,7 @@ from repro.pipeline.core import OutOfOrderCore, TimingResult
 from repro.program.ir import Program
 from repro.program.machine import ExecutionResult, Machine
 from repro.sim.sampling import SamplingConfig
-from repro.sim.trace import DynamicOp, TraceExpander
+from repro.sim.trace import DynamicOp
 from repro.workloads.bundle import TraceBundle, WorkingSet, \
     default_warmup_instructions
 from repro.workloads.profiles import BenchmarkProfile, profile_by_name
@@ -61,26 +61,6 @@ class SimulationOutcome:
     @property
     def detected(self) -> bool:
         return bool(self.detection and self.detection.detected)
-
-
-#: Pipeline implementations selectable per Simulator (or via the
-#: ``REPRO_PIPELINE`` environment variable, which worker processes inherit).
-PIPELINE_COMPILED = "compiled"
-PIPELINE_REFERENCE = "reference"
-
-
-def resolve_pipeline(pipeline: Optional[str] = None) -> str:
-    """The effective pipeline selection for ``pipeline`` (``None`` = env/default).
-
-    Shared by :class:`Simulator` and the result cache's fingerprinting, so a
-    cached cell is keyed by exactly the pipeline that produced it.
-    """
-    if pipeline is None:
-        pipeline = os.environ.get("REPRO_PIPELINE", PIPELINE_COMPILED)
-    if pipeline not in (PIPELINE_COMPILED, PIPELINE_REFERENCE):
-        raise ValueError(f"unknown pipeline {pipeline!r} "
-                         f"(expected 'compiled' or 'reference')")
-    return pipeline
 
 
 class OutcomeAccumulator:
@@ -170,19 +150,15 @@ def aggregate_outcomes(
 class Simulator:
     """Runs workloads and programs under Watchdog configurations.
 
-    ``pipeline`` selects the timing implementation: ``"compiled"`` (default)
-    packs traces into template-expanded array streams and runs the array
-    scheduler; ``"reference"`` keeps the original object-per-µop path.  The
-    two are bit-identical (enforced by the golden equivalence tests); the
-    reference model exists as the readable specification and as the
-    verification oracle.
+    Every timing run compiles its traces into packed µop streams
+    (:mod:`repro.sim.compiled`) and replays them on the array scheduler —
+    in the native timing core when it is loaded, else in the Python loops,
+    which are bit-identical.
     """
 
     def __init__(self, machine: Optional[MachineConfig] = None,
-                 pipeline: Optional[str] = None,
                  timecore: Optional[bool] = None):
         self.machine = machine or MachineConfig()
-        self.pipeline = resolve_pipeline(pipeline)
         #: Native timing-core override handed to every core this simulator
         #: builds: ``True`` forces the C kernel (still falls back if it can't
         #: load), ``False`` forces the Python loops, ``None`` defers to the
@@ -194,7 +170,7 @@ class Simulator:
                   name: str = "trace",
                   warmup_trace: Optional[Iterable[DynamicOp]] = None,
                   workload: Optional[WorkingSet] = None) -> SimulationOutcome:
-        """Expand and time an already-generated dynamic trace.
+        """Compile and time an already-generated dynamic trace.
 
         ``warmup_trace`` mirrors the §9.1 methodology: its accesses prime the
         cache hierarchy (data, shadow and lock accesses alike) but are not
@@ -204,73 +180,30 @@ class Simulator:
         lines) is additionally pre-touched, which is what the long warm-up
         windows of the paper's sampling methodology achieve.
         """
-        if self.pipeline == PIPELINE_COMPILED:
-            # Freeze the working set before anything consumes the measured
-            # trace: for live workloads the generator advances the working
-            # set, and the warm-up must reflect the warm-up/measure boundary.
-            if workload is not None and hasattr(workload, "snapshot_working_set"):
-                workload = workload.snapshot_working_set()
-            # Materialize generator traces next: compilation consumes the
-            # iterator, and an unsupported-shape fallback must replay the
-            # *whole* trace through the reference model, not the remainder.
-            if not isinstance(trace, (list, tuple)):
-                trace = list(trace)
-            if warmup_trace is not None and \
-                    not isinstance(warmup_trace, (list, tuple)):
-                warmup_trace = list(warmup_trace)
-            outcome = self._run_trace_compiled(trace, config, name,
-                                               warmup_trace, workload)
-            if outcome is not None:
-                return outcome
-            # Unsupported trace shape: fall through to the reference model.
-        return self._run_trace_reference(trace, config, name, warmup_trace,
-                                         workload)
-
-    def _run_trace_reference(self, trace, config, name, warmup_trace,
-                             workload) -> SimulationOutcome:
-        """Expand and time a trace through the reference object pipeline."""
-        pages = PageAccountant()
-        expander = TraceExpander(config, pages=pages)
-        core = OutOfOrderCore(machine=self.machine, watchdog=config,
-                              timecore=self.timecore)
-        if workload is not None:
-            self._warm_working_set(core, config, workload)
-        if warmup_trace is not None:
-            self._warm_hierarchy(core, config, warmup_trace)
-        timing = core.simulate(expander.iter_expand(trace))
-        return SimulationOutcome(
-            benchmark=name,
-            configuration=self._config_name(config),
-            timing=timing,
-            injection=expander.stats,
-            pointer_stats=expander.pointer_id_stats,
-            pages=pages,
-        )
-
-    def _run_trace_compiled(self, trace, config, name, warmup_trace,
-                            workload) -> Optional[SimulationOutcome]:
-        """Compile and run an ad-hoc trace; None if the shape is unsupported.
-
-        The caller materialized the traces and froze the working set, so an
-        unsupported-shape bail-out leaves everything replayable by the
-        reference model.
-        """
         from repro.sim import compiled as compiled_mod
 
+        # Freeze the working set before anything consumes the measured
+        # trace: for live workloads the generator advances the working set,
+        # and the warm-up must reflect the warm-up/measure boundary.
+        if workload is not None and hasattr(workload, "snapshot_working_set"):
+            workload = workload.snapshot_working_set()
         compiler = compiled_mod.StreamCompiler(config, self.machine)
-        try:
-            ws_arrays = compiler.working_set_arrays(workload) \
-                if workload is not None else None
-            warm = compiler.compile_warm(compiled_mod.tokenize(warmup_trace)) \
-                if warmup_trace is not None else None
-            measured = compiler.compile_measured(compiled_mod.tokenize(trace))
-        except compiled_mod.CompiledTraceUnsupported:
-            return None
+        ws_arrays = compiler.working_set_arrays(workload) \
+            if workload is not None else None
+        warm = compiler.compile_warm(compiled_mod.tokenize(warmup_trace)) \
+            if warmup_trace is not None else None
+        measured = compiler.compile_measured(compiled_mod.tokenize(trace))
         return self._run_compiled(measured, warm, ws_arrays, config, name)
 
     def _run_compiled(self, measured, warm, ws_arrays, config,
                       name: str) -> SimulationOutcome:
-        """Warm the hierarchy and run the array scheduler on packed streams."""
+        """Warm the hierarchy and run the array scheduler on packed streams.
+
+        The working set is installed first (see
+        :func:`repro.sim.compiled.warm_working_set`), then the warm-up trace
+        replays through the full demand machinery; both leave every
+        statistic reset.
+        """
         from repro.sim import compiled as compiled_mod
 
         core = OutOfOrderCore(machine=self.machine, watchdog=config,
@@ -288,65 +221,6 @@ class Simulator:
             pointer_stats=measured.pointer,
             pages=measured.pages,
         )
-
-    @staticmethod
-    def _warm_working_set(core: OutOfOrderCore, config: WatchdogConfig,
-                          workload: WorkingSet) -> None:
-        """Install the workload's entire live working set before measuring.
-
-        Brings every data line (and, when metadata is maintained, every
-        corresponding shadow line) and every lock location at least into the
-        lower cache levels, so the measured window contains only the misses a
-        steady-state execution would see (capacity/conflict misses and lines
-        belonging to objects allocated during the window).  Shadow lines are
-        installed first and data lines last, so — as in steady state — the
-        frequently-used data stays resident in the upper levels while the
-        (colder) metadata sits behind it in the hierarchy.
-
-        Both pipelines share one implementation
-        (:func:`repro.sim.compiled.warm_working_set`), which installs the
-        warm state directly instead of replaying hundreds of thousands of
-        demand accesses through the miss/prefetch machinery.
-        """
-        from repro.sim.compiled import warm_working_set, working_set_arrays
-
-        warm_working_set(core.hierarchy, working_set_arrays(workload, config),
-                         config)
-
-    @staticmethod
-    def _warm_hierarchy(core: OutOfOrderCore, config: WatchdogConfig,
-                        warmup_trace: Iterable[DynamicOp]) -> None:
-        """Prime caches/TLBs with the warm-up portion of a workload.
-
-        Every data, lock and shadow access of the warm-up stream is replayed
-        into the hierarchy.  In addition, for configurations that maintain
-        shadow metadata, the shadow line of every warmed *data* line is
-        touched as well: during the paper's 10M-instruction warm-up windows
-        the metadata working set is fully resident, and short synthetic
-        traces would otherwise charge the measured window with artificial
-        cold misses on first-touched shadow lines.
-        """
-        from repro.memory.hierarchy import PortKind
-
-        warm_expander = TraceExpander(config)
-        warm_shadow = config.enabled and not config.ideal_shadow
-        # A 64-byte data line shadows onto ``metadata_words`` consecutive
-        # shadow lines; touch all of them so no artificial first-touch miss
-        # remains in the measured window.
-        shadow_step = 64 // config.metadata_words
-        for timed in warm_expander.iter_expand(warmup_trace):
-            if timed.address is None:
-                continue
-            core.hierarchy.access(timed.address, is_write=timed.is_write,
-                                  port=timed.port)
-            if warm_shadow and timed.port is PortKind.DATA:
-                line_base = timed.address & ~63
-                for step in range(config.metadata_words):
-                    shadow_address = warm_expander.shadow.shadow_address(
-                        line_base + step * shadow_step)
-                    core.hierarchy.access(shadow_address, is_write=False,
-                                          port=PortKind.SHADOW)
-        core.hierarchy.reset_stats()
 
     def run_benchmark(self, benchmark: str, config: WatchdogConfig,
                       instructions: int = 20_000, seed: int = 0,
@@ -407,11 +281,10 @@ class Simulator:
         The bundle is immutable: the same bundle can be replayed under any
         number of configurations (serially or from several worker processes)
         and yields exactly the cycles a fresh per-configuration workload
-        generation would have produced.  Under the compiled pipeline the
-        bundle additionally caches its packed streams per
-        configuration-equivalence class, so replaying n configurations costs
-        one tokenization, one compilation per injection behaviour, and n
-        array-scheduler runs.
+        generation would have produced.  The bundle caches its packed
+        streams per configuration-equivalence class, so replaying n
+        configurations costs one tokenization, one compilation per injection
+        behaviour, and n array-scheduler runs.
 
         A sampled bundle (§9.1) runs each measure window as an independent
         timing run — fresh core, working set installed from the window's own
@@ -422,21 +295,10 @@ class Simulator:
             return aggregate_outcomes(
                 self.sample_outcome(bundle, index, config)
                 for index in range(len(bundle.samples)))
-        if self.pipeline == PIPELINE_COMPILED:
-            from repro.sim.compiled import CompiledTraceUnsupported
-
-            try:
-                streams = bundle.compiled_streams(config, machine=self.machine)
-            except CompiledTraceUnsupported:
-                pass
-            else:
-                return self._run_compiled(streams.measured, streams.warm,
-                                          streams.working_set, config,
-                                          bundle.benchmark)
-        return self.run_trace(iter(bundle.measured), config,
-                              name=bundle.benchmark,
-                              warmup_trace=bundle.warmup or None,
-                              workload=bundle.working_set)
+        streams = bundle.compiled_streams(config, machine=self.machine)
+        return self._run_compiled(streams.measured, streams.warm,
+                                  streams.working_set, config,
+                                  bundle.benchmark)
 
     def run_streaming(self, profile, config: WatchdogConfig,
                       instructions: int, sampling: SamplingConfig,
@@ -462,29 +324,13 @@ class Simulator:
         """Replay one sample of a sampled bundle under one configuration.
 
         Each sample is an ordinary (warm-up, working set, measured) replay at
-        window scale, so both pipelines reuse their unsampled machinery
-        unchanged — which is what keeps compiled and reference bit-identical
-        under sampling.
+        window scale, through the same machinery as an unsampled bundle.
         """
-        if self.pipeline == PIPELINE_COMPILED:
-            from repro.sim.compiled import CompiledTraceUnsupported
-
-            try:
-                streams = bundle.compiled_sample_streams(
-                    index, config, machine=self.machine)
-            except CompiledTraceUnsupported:
-                pass
-            else:
-                return self._run_compiled(
-                    streams.measured, streams.warm, streams.working_set,
-                    config, bundle.benchmark)
-        # Straight to the reference model: compilation of this exact
-        # sample just failed (or the reference pipeline is selected), so
-        # run_trace's re-tokenize-and-retry would be wasted work.
-        sample = bundle.samples[index]
-        return self._run_trace_reference(
-            iter(sample.measured), config, bundle.benchmark,
-            sample.warmup or None, sample.working_set)
+        streams = bundle.compiled_sample_streams(index, config,
+                                                 machine=self.machine)
+        return self._run_compiled(streams.measured, streams.warm,
+                                  streams.working_set, config,
+                                  bundle.benchmark)
 
     # -- program detection runs --------------------------------------------------------
     def run_program(self, program: Program, config: WatchdogConfig,

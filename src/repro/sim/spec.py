@@ -323,8 +323,7 @@ def request_content_key(request: RunRequest) -> Tuple:
     Two requests with equal content keys describe the same simulation even if
     different figures name them differently (fig7's "isa-assisted" is fig9's
     "with-lock-cache" is fig11's "watchdog").  This is the dedup key the
-    multi-experiment merge uses; the engine's memo key is the same content
-    plus the resolved pipeline.
+    multi-experiment merge uses and the engine's memo key.
     """
     return (request.benchmark, request.config, request.instructions,
             request.seed, request.warmup_instructions, request.sampling)

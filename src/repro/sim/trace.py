@@ -1,4 +1,4 @@
-"""Dynamic traces and trace expansion.
+"""Dynamic traces and their timing-annotation rules.
 
 A *dynamic trace* is the sequence of macro-instruction instances a workload
 executes, each annotated with the concrete effective address it touched (for
@@ -7,26 +7,20 @@ memory operations), the lock location of the object it points into (so check
 the synthetic SPEC-like workloads and the functional machine produce dynamic
 traces in this form.
 
-The :class:`TraceExpander` turns a dynamic trace into the *timed µop* stream
-consumed by the out-of-order timing model: baseline µops plus the Watchdog
-µops injected by :class:`repro.core.uop_injection.UopInjector`, each tagged
-with the address and cache port it accesses (data cache, shadow space, or the
-lock location cache/port).
+The stream compiler (:mod:`repro.sim.compiled`) expands a dynamic trace
+into the µop stream the timing model replays: baseline µops plus the
+Watchdog µops injected by :class:`repro.core.uop_injection.UopInjector`,
+each memory µop tagged by the rules below with the address and cache port
+it accesses (data cache, shadow space, or the lock location cache/port).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.core.config import WatchdogConfig
-from repro.core.pointer_id import PointerIdentifier
-from repro.core.uop_injection import UopInjector
-from repro.isa.instructions import Instruction, Opcode, SINGLE_SOURCE_PROPAGATORS
-from repro.isa.microops import MicroOp, UopKind
-from repro.memory.address_space import AddressSpaceLayout
-from repro.memory.pages import PageAccountant
-from repro.memory.shadow import ShadowSpace
+from repro.isa.instructions import Instruction
+from repro.isa.microops import UopKind
 from repro.memory.hierarchy import PortKind
 
 
@@ -45,28 +39,15 @@ class DynamicOp:
     mispredicted: bool = False
 
 
-@dataclass
-class TimedUop:
-    """A µop annotated with the memory behaviour the timing model needs."""
-
-    uop: MicroOp
-    address: Optional[int] = None
-    port: PortKind = PortKind.DATA
-    is_write: bool = False
-    mispredicted_branch: bool = False
-
-
-# -- timing-annotation rules (the numeric form of :meth:`TraceExpander._annotate`) --
+# -- timing-annotation rules -------------------------------------------------
 #
 # For a fixed configuration the annotation of a µop is a pure function of its
 # *kind*: which address it presents to the hierarchy (the dynamic op's data
 # address, its shadow translation, its lock location, or the synthetic frame
-# lock stack), which L1 port it uses, and whether it writes.  The compiled
-# trace pipeline consumes these tables instead of re-running the if-chain per
-# dynamic µop instance.
+# lock stack), which L1 port it uses, and whether it writes.  The stream
+# compiler lowers each instruction template through these tables once.
 
 #: Address-derivation rules.
-ADDR_NONE = 0      #: no memory access
 ADDR_DATA = 1      #: the dynamic op's effective address
 ADDR_SHADOW = 2    #: shadow translation of the effective address
 ADDR_LOCK = 3      #: the dynamic op's lock location
@@ -87,110 +68,12 @@ ANNOTATION_RULES = {
 }
 
 #: Kinds whose execution latency comes from the memory hierarchy (loads).
+#: The other memory kinds (stores) update cache state and statistics off the
+#: critical path and retire at their fixed latency.
 HIERARCHY_LATENCY_KINDS = frozenset({
     UopKind.LOAD, UopKind.SHADOW_LOAD, UopKind.CHECK, UopKind.GETIDENT,
-})
-
-#: Kinds that access the hierarchy off the critical path (stores): the access
-#: updates cache state and statistics but the µop retires at its fixed
-#: latency.
-STORE_ACCESS_KINDS = frozenset({
-    UopKind.STORE, UopKind.SHADOW_STORE, UopKind.SETIDENT,
-    UopKind.LOCK_PUSH, UopKind.LOCK_POP,
 })
 
 #: Kinds occupying the load queue / store queue.
 LQ_KINDS = frozenset({UopKind.LOAD, UopKind.SHADOW_LOAD})
 SQ_KINDS = frozenset({UopKind.STORE, UopKind.SHADOW_STORE})
-
-
-class TraceExpander:
-    """Expands a dynamic macro trace into the timed µop stream."""
-
-    def __init__(self, config: WatchdogConfig,
-                 pointer_identifier: Optional[PointerIdentifier] = None,
-                 layout: Optional[AddressSpaceLayout] = None,
-                 pages: Optional[PageAccountant] = None):
-        self.config = config
-        self.injector = UopInjector(config, pointer_identifier)
-        self.shadow = ShadowSpace(layout or AddressSpaceLayout(),
-                                  metadata_words=config.metadata_words)
-        self.pages = pages
-        #: Synthetic lock-stack pointer for LOCK_PUSH/LOCK_POP addresses.
-        self._frame_lock = self.shadow.layout.lock_region.base + \
-            self.shadow.layout.lock_region.size // 2
-
-    # -- per-µop annotation -------------------------------------------------------
-    def _annotate(self, uop: MicroOp, dop: DynamicOp) -> TimedUop:
-        kind = uop.kind
-        if kind in (UopKind.LOAD, UopKind.STORE):
-            if self.pages is not None and dop.address is not None:
-                self.pages.touch_data(dop.address, int(uop.size))
-            return TimedUop(uop=uop, address=dop.address, port=PortKind.DATA,
-                            is_write=kind is UopKind.STORE)
-        if kind in (UopKind.SHADOW_LOAD, UopKind.SHADOW_STORE):
-            shadow_addr = None
-            if dop.address is not None:
-                shadow_addr = self.shadow.shadow_address(dop.address)
-                if self.pages is not None:
-                    self.pages.touch_shadow(shadow_addr,
-                                            size=self.config.metadata_words * 8)
-            return TimedUop(uop=uop, address=shadow_addr, port=PortKind.SHADOW,
-                            is_write=kind is UopKind.SHADOW_STORE)
-        if kind in (UopKind.CHECK, UopKind.BOUNDS_CHECK):
-            # The bounds comparison itself needs no memory access; only the
-            # identifier check reads the lock location (§8).
-            if kind is UopKind.BOUNDS_CHECK:
-                return TimedUop(uop=uop, address=None, port=PortKind.DATA)
-            return TimedUop(uop=uop, address=dop.lock_address, port=PortKind.LOCK)
-        if kind in (UopKind.LOCK_PUSH, UopKind.LOCK_POP):
-            if kind is UopKind.LOCK_PUSH:
-                self._frame_lock += 8
-            address = self._frame_lock
-            if kind is UopKind.LOCK_POP:
-                self._frame_lock = max(self._frame_lock - 8,
-                                       self.shadow.layout.lock_region.base)
-            return TimedUop(uop=uop, address=address, port=PortKind.LOCK, is_write=True)
-        if kind in (UopKind.SETIDENT, UopKind.GETIDENT):
-            return TimedUop(uop=uop, address=dop.lock_address, port=PortKind.LOCK,
-                            is_write=kind is UopKind.SETIDENT)
-        if kind is UopKind.BRANCH:
-            return TimedUop(uop=uop, mispredicted_branch=dop.mispredicted)
-        return TimedUop(uop=uop)
-
-    def _copy_elimination_ablation(self, inst: Instruction) -> List[TimedUop]:
-        """Extra metadata-copy µops when rename-time elimination is disabled."""
-        if self.config.copy_elimination or not self.config.enabled:
-            return []
-        if inst.opcode not in SINGLE_SOURCE_PROPAGATORS:
-            return []
-        if inst.dest is None or not inst.dest.is_int:
-            return []
-        copy = MicroOp(kind=UopKind.META_SELECT, meta_dest=inst.dest,
-                       meta_srcs=inst.srcs, injected=True, macro=inst,
-                       macro_seq=self.injector.last_macro_seq)
-        self.injector.stats.other_uops += 1
-        return [TimedUop(uop=copy)]
-
-    # -- expansion ------------------------------------------------------------------
-    def expand(self, trace: Iterable[DynamicOp]) -> List[TimedUop]:
-        """Expand a full dynamic trace into timed µops."""
-        return list(self.iter_expand(trace))
-
-    def iter_expand(self, trace: Iterable[DynamicOp]) -> Iterator[TimedUop]:
-        """Lazily expand a dynamic trace (memory-friendly for long traces)."""
-        for dop in trace:
-            for uop in self.injector.expand(dop.instruction):
-                yield self._annotate(uop, dop)
-            for extra in self._copy_elimination_ablation(dop.instruction):
-                yield extra
-
-    @property
-    def stats(self):
-        """Injection statistics accumulated while expanding (Figure 8)."""
-        return self.injector.stats
-
-    @property
-    def pointer_id_stats(self):
-        """Pointer-identification statistics (Figure 5)."""
-        return self.injector.pointer_identifier.stats

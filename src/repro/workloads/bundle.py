@@ -52,7 +52,8 @@ def default_warmup_instructions(instructions: int) -> int:
 class WorkingSetSnapshot:
     """The live working set of a workload at one point in its generation.
 
-    Captures what :meth:`Simulator._warm_working_set` needs — the 64-byte
+    Captures what the working-set warm-up
+    (:func:`repro.sim.compiled.working_set_arrays`) needs — the 64-byte
     data lines and the lock locations of every live object — so the warm-up
     can be replayed for each configuration without keeping (or re-running)
     the workload generator itself.
@@ -81,7 +82,7 @@ class SampleSegment:
     is the warm-up stream, the working set frozen at the warm-up/measure
     boundary, and the measured stream — exactly the inputs one unsampled
     timing run takes, so each sample replays through the unchanged
-    per-pipeline machinery.
+    compile-and-schedule machinery.
     """
 
     warmup: Tuple[DynamicOp, ...]

@@ -1,25 +1,35 @@
-"""Golden equivalence and determinism tests for the compiled trace pipeline.
+"""Golden and determinism tests for the compiled trace pipeline.
 
 The compiled pipeline (template-expanded packed streams + the array
-scheduler) must be *bit-identical* to the reference object pipeline — same
-``TimingResult`` including port-wait averages, same injection/pointer/page
-statistics — across every benchmark profile and every Table 2 configuration.
-These tests are the contract that lets the sweep engine run the fast path by
-default.
+scheduler) must reproduce, bit for bit, what the object-per-µop reference
+timing model produced before it was retired — same ``TimingResult``
+including port-wait averages, same injection/pointer/page statistics —
+across every benchmark profile and every Table 2 configuration.  The
+reference's results are pinned as per-cell digests
+(``tests/reference_digests.json``, see :func:`tests.helpers.cell_digest`),
+checked here with the native timing core on or off as the environment
+selects.
 """
+
+import dataclasses
+import math
 
 import pytest
 
 from repro.core.config import WatchdogConfig
+from repro.core.uop_injection import UopInjector
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.registers import int_reg
+from repro.memory.pages import PAGE_SIZE
 from repro.pipeline.core import OutOfOrderCore
 from repro.sim.compiled import stream_class_key
 from repro.sim.results import CellResult
 from repro.sim.simulator import Simulator
-from repro.sim.trace import DynamicOp, TraceExpander
+from repro.sim.trace import DynamicOp
 from repro.workloads.bundle import TraceBundle
 from repro.workloads.profiles import benchmark_names
+
+from tests.helpers import cell_digest, reference_digests
 
 #: Every Watchdog configuration the Table 2 evaluation exercises.
 CONFIGURATIONS = {
@@ -37,27 +47,28 @@ CONFIGURATIONS = {
 INSTRUCTIONS = 600
 SEED = 11
 
-
-def outcomes_for(bundle, config):
-    reference = Simulator(pipeline="reference").run_bundle(bundle, config)
-    compiled = Simulator(pipeline="compiled").run_bundle(bundle, config)
-    return reference, compiled
+REFERENCE = reference_digests("matrix")
 
 
 class TestGoldenEquivalence:
-    """Compiled vs reference, every profile x every configuration."""
+    """Every profile x every configuration against the pinned reference."""
 
     @pytest.mark.parametrize("profile_name", benchmark_names())
     def test_profile_matches_reference_under_all_configurations(self, profile_name):
         bundle = TraceBundle.generate(profile_name, seed=SEED,
                                       instructions=INSTRUCTIONS)
         for label, config in CONFIGURATIONS.items():
-            reference, compiled = outcomes_for(bundle, config)
-            assert compiled.timing == reference.timing, \
-                f"{profile_name}/{label}: timing diverged"
-            assert CellResult.from_outcome(compiled, label=label) == \
-                CellResult.from_outcome(reference, label=label), \
-                f"{profile_name}/{label}: statistics diverged"
+            outcome = Simulator().run_bundle(bundle, config)
+            assert cell_digest(outcome, label) == \
+                REFERENCE[f"{profile_name}/{label}"], \
+                f"{profile_name}/{label}: diverged from the reference"
+
+    def test_pinned_table_covers_exactly_the_matrix(self):
+        # A missing digest would fail loudly, but a profile or configuration
+        # dropped from the matrix would leave its pinned cells unchecked.
+        assert set(REFERENCE) == {f"{profile_name}/{label}"
+                                  for profile_name in benchmark_names()
+                                  for label in CONFIGURATIONS}
 
     def test_run_profile_matches_run_bundle(self):
         config = WatchdogConfig.isa_assisted_uaf()
@@ -68,34 +79,65 @@ class TestGoldenEquivalence:
                                               instructions=900, seed=3)
         assert replayed.timing == regenerated.timing
 
-    def test_unsupported_shape_falls_back_to_reference(self):
-        # Three register sources exceed the packed-stream operand slots; the
-        # compiled path must fall back and still match the reference model.
-        regs = (int_reg(1), int_reg(2), int_reg(3))
-        trace = [DynamicOp(Instruction(Opcode.ADD_RR, dest=int_reg(4),
-                                       srcs=regs))
-                 for _ in range(20)]
-        config = WatchdogConfig.isa_assisted_uaf()
-        compiled = Simulator(pipeline="compiled").run_trace(list(trace), config)
-        reference = Simulator(pipeline="reference").run_trace(list(trace), config)
-        assert compiled.timing == reference.timing
-
-    def test_unsupported_generator_trace_replays_in_full(self):
-        # The unsupported instruction appears mid-generator: the fallback
-        # must replay the whole trace, not the part after the failure point.
+    def test_generator_trace_replays_in_full(self):
+        # A one-shot generator with a different instruction mid-trace: the
+        # compiler must consume all of it, exactly as it would a list.
         def make_trace():
             good = Instruction(Opcode.ADD_RI, dest=int_reg(1),
                                srcs=(int_reg(1),), imm=1)
-            bad = Instruction(Opcode.ADD_RR, dest=int_reg(4),
-                              srcs=(int_reg(1), int_reg(2), int_reg(3)))
+            load = Instruction(Opcode.LOAD, dest=int_reg(4),
+                               srcs=(int_reg(1),))
             for i in range(101):
-                yield DynamicOp(bad if i == 50 else good)
+                if i == 50:
+                    yield DynamicOp(load, address=0x2000_0000,
+                                    lock_address=0x6000_0000)
+                else:
+                    yield DynamicOp(good)
 
         config = WatchdogConfig.isa_assisted_uaf()
-        compiled = Simulator(pipeline="compiled").run_trace(make_trace(), config)
-        reference = Simulator(pipeline="reference").run_trace(make_trace(), config)
-        assert compiled.timing.macro_instructions == 101
-        assert compiled.timing == reference.timing
+        streamed = Simulator().run_trace(make_trace(), config)
+        listed = Simulator().run_trace(list(make_trace()), config)
+        assert streamed.timing.macro_instructions == 101
+        assert streamed.timing == listed.timing
+
+
+class TestCellDigest:
+    """The pinned digest sees what the flat cell record leaves out."""
+
+    LABEL = "isa-assisted"
+
+    @pytest.fixture
+    def outcome(self):
+        bundle = TraceBundle.generate("mcf", seed=SEED,
+                                      instructions=INSTRUCTIONS)
+        return Simulator().run_bundle(bundle, CONFIGURATIONS[self.LABEL])
+
+    def test_digest_sees_every_port_wait_bit(self, outcome):
+        pinned = cell_digest(outcome, self.LABEL)
+        waits = dict(outcome.timing.port_waits)
+        port = max(waits, key=waits.get)
+        waits[port] = math.nextafter(waits[port], math.inf)
+        nudged = dataclasses.replace(
+            outcome, timing=dataclasses.replace(outcome.timing,
+                                                port_waits=waits))
+        assert cell_digest(nudged, self.LABEL) != pinned
+
+    def test_digest_sees_which_words_were_touched(self, outcome):
+        # Moving one word keeps every page and word count of the cell
+        # record; only the word sets themselves can tell the two apart.
+        pinned = cell_digest(outcome, self.LABEL)
+        for field in ("data_words", "shadow_words"):
+            words = set(getattr(outcome.pages, field))
+            last = max(words)
+            page = last - last % PAGE_SIZE
+            spare = next(word for word in range(page, page + PAGE_SIZE, 8)
+                         if word not in words)
+            moved = (words - {last}) | {spare}
+            pages = dataclasses.replace(outcome.pages, **{field: moved})
+            shifted = dataclasses.replace(outcome, pages=pages)
+            assert CellResult.from_outcome(shifted, label=self.LABEL) == \
+                CellResult.from_outcome(outcome, label=self.LABEL), field
+            assert cell_digest(shifted, self.LABEL) != pinned, field
 
 
 class TestStreamCaching:
@@ -127,7 +169,7 @@ class TestStreamCaching:
         # Interleave configurations sharing one cached stream and re-run the
         # first: every replay of (bundle, config) must be bit-identical.
         bundle = TraceBundle.generate("mcf", seed=SEED, instructions=600)
-        simulator = Simulator(pipeline="compiled")
+        simulator = Simulator()
         first = simulator.run_bundle(bundle, WatchdogConfig.isa_assisted_uaf())
         simulator.run_bundle(bundle, WatchdogConfig.idealized_shadow())
         simulator.run_bundle(bundle, WatchdogConfig.no_lock_cache())
@@ -161,18 +203,6 @@ class TestStreamCaching:
         assert "_cc_tokens" not in clone.__dict__
 
 
-class TestPipelineSelection:
-    def test_invalid_pipeline_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(pipeline="vectorized")
-
-    def test_environment_variable_selects_pipeline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PIPELINE", "reference")
-        assert Simulator().pipeline == "reference"
-        monkeypatch.delenv("REPRO_PIPELINE")
-        assert Simulator().pipeline == "compiled"
-
-
 class TestMacroCounting:
     """The macro-sequence stamp fix (id() reuse could merge distinct macros)."""
 
@@ -183,16 +213,14 @@ class TestMacroCounting:
         trace = [DynamicOp(inst, address=0x2000_0000 + 64 * i,
                            lock_address=0x6000_0000) for i in range(5)]
         config = WatchdogConfig.isa_assisted_uaf()
-        timed = TraceExpander(config).expand(trace)
-        result = OutOfOrderCore(watchdog=config).simulate(timed)
+        result = Simulator().run_trace(trace, config).timing
         assert result.macro_instructions == 5
 
     def test_all_uops_of_one_expansion_share_one_stamp(self):
         config = WatchdogConfig.isa_assisted_uaf()
-        expander = TraceExpander(config)
         inst = Instruction(Opcode.LOAD, dest=int_reg(1), srcs=(int_reg(2),))
-        timed = expander.expand([DynamicOp(inst, address=0x2000_0000,
-                                           lock_address=0x6000_0000)])
-        stamps = {t.uop.macro_seq for t in timed}
+        uops = UopInjector(config).expand(inst)
+        assert len(uops) > 1
+        stamps = {uop.macro_seq for uop in uops}
         assert len(stamps) == 1
         assert stamps.pop() >= 0

@@ -3,12 +3,10 @@
 import pytest
 
 from repro.core.config import WatchdogConfig
-from repro.pipeline.core import OutOfOrderCore
 from repro.program.builder import ProgramBuilder
 from repro.program.compiler import annotate_pointer_hints
 from repro.program.machine import Machine
 from repro.sim.simulator import Simulator
-from repro.sim.trace import TraceExpander
 from repro.workloads.juliet import JulietSuite
 
 
@@ -82,9 +80,8 @@ class TestFunctionalTraceFeedsTimingModel:
         program = linked_list_program()
         machine = Machine(WatchdogConfig.isa_assisted_uaf(), record_trace=True)
         result = machine.run(program)
-        expander = TraceExpander(WatchdogConfig.isa_assisted_uaf())
-        core = OutOfOrderCore(watchdog=WatchdogConfig.isa_assisted_uaf())
-        timing = core.simulate(expander.expand(result.trace))
+        timing = Simulator().run_trace(
+            result.trace, WatchdogConfig.isa_assisted_uaf()).timing
         assert timing.cycles > 0
         assert timing.injected_uops > 0
 

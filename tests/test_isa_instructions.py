@@ -59,6 +59,11 @@ class TestInstructionValidation:
         with pytest.raises(ProgramError):
             Instruction(Opcode.GETIDENT, srcs=(int_reg(1),))
 
+    def test_more_than_two_sources_rejected(self):
+        with pytest.raises(ProgramError):
+            Instruction(Opcode.ADD_RR, dest=int_reg(4),
+                        srcs=(int_reg(1), int_reg(2), int_reg(3)))
+
     def test_srcs_normalised_to_tuple(self):
         inst = Instruction(Opcode.ADD_RR, dest=int_reg(1),
                            srcs=[int_reg(2), int_reg(3)])

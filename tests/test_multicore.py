@@ -131,8 +131,8 @@ class TestSingleCoreIdentity:
         mix, members, bundles = _mix_bundles(token)
         (member_index, profile_name), = members
         assert profile_name == SOLO_TOKENS[token]
-        solo_sim = Simulator(pipeline="compiled", timecore=timecore)
-        mix_sim = MultiCoreSimulator(pipeline="compiled", timecore=timecore)
+        solo_sim = Simulator(timecore=timecore)
+        mix_sim = MultiCoreSimulator(timecore=timecore)
         for label, config in CONFIGURATIONS.items():
             solo = solo_sim.run_bundle(bundles[0], config)
             mixed = mix_sim.run_mix(token, bundles, config)
@@ -152,8 +152,8 @@ class TestMultiCoreReplay:
     @needs_kernel
     def test_four_core_mix_native_matches_python(self):
         _, members, bundles = _mix_bundles("mix1")
-        kernel_sim = MultiCoreSimulator(pipeline="compiled", timecore=True)
-        python_sim = MultiCoreSimulator(pipeline="compiled", timecore=False)
+        kernel_sim = MultiCoreSimulator(timecore=True)
+        python_sim = MultiCoreSimulator(timecore=False)
         for label, config in CONFIGURATIONS.items():
             kernel = kernel_sim.run_mix("mix1", bundles, config)
             python = python_sim.run_mix("mix1", bundles, config)
@@ -164,7 +164,7 @@ class TestMultiCoreReplay:
     @pytest.mark.parametrize("timecore", TIMECORE_MODES)
     def test_per_core_blocks_attribute_the_totals(self, timecore):
         _, members, bundles = _mix_bundles("mix1")
-        simulator = MultiCoreSimulator(pipeline="compiled", timecore=timecore)
+        simulator = MultiCoreSimulator(timecore=timecore)
         outcome = simulator.run_mix("mix1", bundles,
                                     CONFIGURATIONS["isa-assisted"])
         cell = CellResult.from_outcome(outcome, label="isa-assisted")
@@ -182,14 +182,12 @@ class TestMultiCoreReplay:
         for core in cell.cores:
             assert core.cycles > 0 and core.total_uops > 0
 
-    def test_simulator_rejects_reference_pipeline_and_sampled_bundles(self):
-        with pytest.raises(ConfigurationError):
-            MultiCoreSimulator(pipeline="reference")
+    def test_simulator_rejects_sampled_bundles(self):
         sampling = SamplingConfig(fast_forward=313, warmup=328, sample=356)
         sampled = TraceBundle.generate("mcf-long", seed=SEED,
                                        instructions=4_000, sampling=sampling)
         assert sampled.samples
-        simulator = MultiCoreSimulator(pipeline="compiled")
+        simulator = MultiCoreSimulator()
         with pytest.raises(ConfigurationError):
             simulator.run_mix("mix1", [sampled],
                               CONFIGURATIONS["baseline"])
@@ -284,7 +282,7 @@ class TestSharedLevels:
 class TestResultPlumbing:
     def _mix_cell(self):
         _, _, bundles = _mix_bundles("mix5:2")
-        simulator = MultiCoreSimulator(pipeline="compiled")
+        simulator = MultiCoreSimulator()
         outcome = simulator.run_mix("mix5:2", bundles,
                                     CONFIGURATIONS["isa-assisted"])
         return CellResult.from_outcome(outcome, label="isa-assisted")

@@ -1,10 +1,14 @@
 """Tests for the Table 2 machine configuration and execution resources."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.config import WatchdogConfig
 from repro.isa.microops import UopKind
+from repro.isa.registers import int_reg, reg_slot
 from repro.pipeline.config import FunctionalUnitConfig, MachineConfig
+from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.resources import FunctionalUnits, PortPool
 from repro.errors import ConfigurationError
 
@@ -44,27 +48,49 @@ class TestMachineConfig:
             MachineConfig(issue_width=0)
 
 
+def alu_pool_after(uops, lats, ports):
+    """Schedule hand-built ALU µops through the Python scheduler on a core
+    with ``ports`` ALUs; return the ALU pool and the cycle its first µop's
+    operands are ready (fetch + rename + dispatch latency)."""
+    machine = MachineConfig(functional_units=FunctionalUnitConfig(int_alu=ports))
+    core = OutOfOrderCore(machine=machine, watchdog=WatchdogConfig.disabled(),
+                          timecore=False)
+    stream = SimpleNamespace(uops=uops, total_uops=len(uops), injected_uops=0,
+                             macro_instructions=len(uops), memory_accesses=0)
+    core._schedule_python(stream, lats)
+    earliest = (machine.fetch_latency + machine.rename_latency
+                + machine.dispatch_latency)
+    return core.units.alu, earliest
+
+
+def alu_uop(dest=-1, src=-1):
+    """A one-cost ALU µop tuple in the compiled stream format."""
+    return (UopKind.ALU.code, 1, dest, src, -1, -1, -1, -1)
+
+
 class TestPortPool:
     def test_single_port_serialises(self):
-        pool = PortPool("p", 1)
-        assert pool.reserve(0) == 0
-        assert pool.reserve(0) == 1
-        assert pool.reserve(0) == 2
+        # Three µops ready together start one cycle apart.
+        pool, earliest = alu_pool_after([alu_uop()] * 3, [1] * 3, ports=1)
+        assert pool._next_free == [earliest + 3]
+        assert (pool.uses, pool.total_wait) == (3, 0 + 1 + 2)
 
     def test_two_ports_allow_two_per_cycle(self):
-        pool = PortPool("p", 2)
-        assert pool.reserve(0) == 0
-        assert pool.reserve(0) == 0
-        assert pool.reserve(0) == 1
+        pool, earliest = alu_pool_after([alu_uop()] * 3, [1] * 3, ports=2)
+        assert sorted(pool._next_free) == [earliest + 1, earliest + 2]
+        assert (pool.uses, pool.total_wait) == (3, 0 + 0 + 1)
 
     def test_reserve_respects_earliest(self):
-        pool = PortPool("p", 1)
-        assert pool.reserve(10) == 10
+        # The consumer's operand is ready 10 cycles after its producer
+        # starts: it starts then, on a port that has long been free.
+        r1 = reg_slot(int_reg(1))
+        pool, earliest = alu_pool_after(
+            [alu_uop(dest=r1), alu_uop(src=r1)], [10, 1], ports=1)
+        assert pool._next_free == [earliest + 10 + 1]
+        assert pool.total_wait == 0
 
     def test_average_wait(self):
-        pool = PortPool("p", 1)
-        pool.reserve(0)
-        pool.reserve(0)
+        pool, _ = alu_pool_after([alu_uop()] * 2, [1] * 2, ports=1)
         assert pool.average_wait() == pytest.approx(0.5)
 
     def test_zero_ports_rejected(self):

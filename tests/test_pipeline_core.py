@@ -1,101 +1,93 @@
 """Tests for the out-of-order timing model."""
 
-import pytest
-
 from repro.core.config import WatchdogConfig
 from repro.isa.instructions import Instruction, Opcode
-from repro.isa.microops import MicroOp, UopKind
 from repro.isa.registers import int_reg
-from repro.memory.hierarchy import PortKind
+from repro.pipeline.config import MachineConfig
 from repro.pipeline.core import OutOfOrderCore
-from repro.sim.trace import DynamicOp, TimedUop, TraceExpander
+from repro.sim.simulator import Simulator
+from repro.sim.trace import DynamicOp
+
+BASELINE = WatchdogConfig.disabled()
+
+
+def timing_of(trace, config=BASELINE):
+    """Time a dynamic trace on a cold hierarchy."""
+    return Simulator().run_trace(trace, config).timing
 
 
 def alu_chain(length, dependent=True):
-    """A chain of ALU µops, serially dependent or fully independent."""
-    uops = []
+    """A chain of ``ADD_RI`` ops, serially dependent or fully independent."""
+    ops = []
     for i in range(length):
         if dependent:
             dest = int_reg(1)
-            srcs = (int_reg(1),)
+            src = int_reg(1)
         else:
             dest = int_reg(1 + (i % 8))
-            srcs = (int_reg(9),)
-        uops.append(TimedUop(uop=MicroOp(kind=UopKind.ALU, dest=dest, srcs=srcs)))
-    return uops
+            src = int_reg(9)
+        ops.append(DynamicOp(Instruction(Opcode.ADD_RI, dest=dest,
+                                         srcs=(src,), imm=1)))
+    return ops
+
+
+def load_at(address):
+    return DynamicOp(Instruction(Opcode.LOAD, dest=int_reg(1),
+                                 srcs=(int_reg(2),)),
+                     address=address, lock_address=0x6000_0000)
 
 
 class TestDependenceAndWidth:
     def test_dependent_chain_is_serial(self):
-        core = OutOfOrderCore(watchdog=WatchdogConfig.disabled())
-        result = core.simulate(alu_chain(200, dependent=True))
+        result = timing_of(alu_chain(200, dependent=True))
         assert result.cycles >= 200
 
     def test_independent_uops_exploit_width(self):
-        serial = OutOfOrderCore(watchdog=WatchdogConfig.disabled()).simulate(
-            alu_chain(200, dependent=True))
-        parallel = OutOfOrderCore(watchdog=WatchdogConfig.disabled()).simulate(
-            alu_chain(200, dependent=False))
+        serial = timing_of(alu_chain(200, dependent=True))
+        parallel = timing_of(alu_chain(200, dependent=False))
         assert parallel.cycles < serial.cycles
 
     def test_ipc_never_exceeds_machine_width(self):
-        core = OutOfOrderCore(watchdog=WatchdogConfig.disabled())
-        result = core.simulate(alu_chain(500, dependent=False))
-        assert result.ipc <= core.machine.issue_width + 1e-9
+        result = timing_of(alu_chain(500, dependent=False))
+        assert result.ipc <= MachineConfig().issue_width + 1e-9
 
     def test_empty_trace(self):
-        core = OutOfOrderCore(watchdog=WatchdogConfig.disabled())
-        result = core.simulate([])
+        result = timing_of([])
         assert result.cycles >= 1
         assert result.total_uops == 0
 
 
 class TestMemoryBehaviour:
     def test_cache_miss_costs_more_than_hit(self):
-        def load_at(addr):
-            return TimedUop(uop=MicroOp(kind=UopKind.LOAD, dest=int_reg(1),
-                                        srcs=(int_reg(2),)),
-                            address=addr, port=PortKind.DATA)
-        cold = OutOfOrderCore(watchdog=WatchdogConfig.disabled()).simulate(
-            [load_at(i * 4096) for i in range(64)])
-        warm = OutOfOrderCore(watchdog=WatchdogConfig.disabled()).simulate(
-            [load_at(0) for _ in range(64)])
+        cold = timing_of([load_at(i * 4096) for i in range(64)])
+        warm = timing_of([load_at(0) for _ in range(64)])
         assert cold.cycles > warm.cycles
 
     def test_memory_access_count(self):
-        core = OutOfOrderCore(watchdog=WatchdogConfig.disabled())
-        trace = [TimedUop(uop=MicroOp(kind=UopKind.LOAD, dest=int_reg(1),
-                                      srcs=(int_reg(2),)), address=0x1000)]
-        assert core.simulate(trace).memory_accesses == 1
+        assert timing_of([load_at(0x1000)]).memory_accesses == 1
 
     def test_mispredicted_branch_adds_refill_penalty(self):
         def branch(mispredicted):
-            return [TimedUop(uop=MicroOp(kind=UopKind.BRANCH),
-                             mispredicted_branch=mispredicted)] + alu_chain(50, False)
-        good = OutOfOrderCore(watchdog=WatchdogConfig.disabled()).simulate(branch(False))
-        bad = OutOfOrderCore(watchdog=WatchdogConfig.disabled()).simulate(branch(True))
+            inst = Instruction(Opcode.BRANCH, srcs=(int_reg(1),))
+            return [DynamicOp(inst, mispredicted=mispredicted)] \
+                + alu_chain(50, False)
+        good = timing_of(branch(False))
+        bad = timing_of(branch(True))
         assert bad.cycles > good.cycles
 
 
 class TestWatchdogEffects:
-    def _trace(self, config, instructions=400):
-        inst = Instruction(Opcode.LOAD, dest=int_reg(1), srcs=(int_reg(2),))
-        ops = [DynamicOp(inst, address=0x2000_0000 + 8 * i, lock_address=0x6000_0000)
-               for i in range(instructions)]
-        return TraceExpander(config).expand(ops)
+    def _trace(self, instructions=400):
+        return [load_at(0x2000_0000 + 8 * i) for i in range(instructions)]
 
     def test_injected_uops_counted(self):
-        config = WatchdogConfig.isa_assisted_uaf()
-        core = OutOfOrderCore(watchdog=config)
-        result = core.simulate(self._trace(config))
+        result = timing_of(self._trace(), WatchdogConfig.isa_assisted_uaf())
         assert result.injected_uops > 0
         assert result.uop_overhead > 0
 
     def test_watchdog_costs_cycles_over_baseline(self):
-        baseline_cfg = WatchdogConfig.disabled()
-        watchdog_cfg = WatchdogConfig.conservative_uaf()
-        baseline = OutOfOrderCore(watchdog=baseline_cfg).simulate(self._trace(baseline_cfg))
-        watchdog = OutOfOrderCore(watchdog=watchdog_cfg).simulate(self._trace(watchdog_cfg))
+        baseline = timing_of(self._trace(), BASELINE)
+        watchdog = timing_of(self._trace(), WatchdogConfig.conservative_uaf())
         assert watchdog.cycles > baseline.cycles
         assert watchdog.total_uops > baseline.total_uops
 
@@ -110,7 +102,6 @@ class TestWatchdogEffects:
         assert core.hierarchy.config.ideal_shadow
 
     def test_port_waits_reported_for_all_pools(self):
-        config = WatchdogConfig.isa_assisted_uaf()
-        result = OutOfOrderCore(watchdog=config).simulate(self._trace(config, 50))
+        result = timing_of(self._trace(50), WatchdogConfig.isa_assisted_uaf())
         assert set(result.port_waits) == {"alu", "branch", "load", "store",
                                           "muldiv", "fp", "lock"}

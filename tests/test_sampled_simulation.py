@@ -2,10 +2,10 @@
 
 Covers the sampled-bundle segmentation, the degenerate-schedule
 normalization that pins sampled results to the unsampled path, golden
-compiled-vs-reference bit-equality under sampling, the engine/cache
-round-trip (including the pipeline/sampling cache-collision fixes), the
-bundle-memo footprint accounting, and the long-horizon profiles that only
-sampling makes tractable.
+bit-equality under sampling with the retired reference model's pinned
+digests, the engine/cache round-trip (including the sampling
+cache-collision fix), the bundle-memo footprint accounting, and the
+long-horizon profiles that only sampling makes tractable.
 """
 
 import dataclasses
@@ -26,6 +26,8 @@ from repro.workloads.profiles import (
     long_profile_names,
     profile_by_name,
 )
+
+from tests.helpers import cell_digest, reference_digests
 
 ISA = WatchdogConfig.isa_assisted_uaf()
 
@@ -185,17 +187,18 @@ class TestGoldenSampledEquivalence:
         bundle = TraceBundle.generate(profile_name, seed=7, instructions=9_000,
                                       sampling=SMALL)
         assert bundle.samples, "schedule must genuinely sample this trace"
+        reference = reference_digests("sampled")
         for config in self.CONFIGS:
-            compiled = Simulator(pipeline="compiled").run_bundle(bundle, config)
-            reference = Simulator(pipeline="reference").run_bundle(bundle, config)
-            assert compiled.timing == reference.timing
-            assert compiled.injection == reference.injection
-            assert compiled.pointer_stats.memory_ops == \
-                reference.pointer_stats.memory_ops
-            assert compiled.pointer_stats.pointer_ops == \
-                reference.pointer_stats.pointer_ops
-            assert compiled.pages.data_words == reference.pages.data_words
-            assert compiled.pages.shadow_words == reference.pages.shadow_words
+            label = Simulator._config_name(config)
+            outcome = Simulator().run_bundle(bundle, config)
+            assert cell_digest(outcome, label) == \
+                reference[f"{profile_name}/{label}"], \
+                f"{profile_name}/{label}: diverged from the reference"
+
+    def test_pinned_table_covers_exactly_these_cells(self):
+        assert set(reference_digests("sampled")) == {
+            f"{profile_name}/{Simulator._config_name(config)}"
+            for profile_name in self.PROFILES for config in self.CONFIGS}
 
 
 def _pinned_cell(configuration, **counters):
@@ -246,7 +249,7 @@ class TestPinnedSampledAggregate:
     def _job(self):
         return BenchmarkJob(
             benchmark="mcf-long", seed=7, instructions=self.INSTRUCTIONS,
-            warmup_instructions=None, sampling=SMALL, pipeline="compiled",
+            warmup_instructions=None, sampling=SMALL,
             cells=tuple((label, config)
                         for label, (config, _, _) in self.CELLS.items()))
 
@@ -314,19 +317,6 @@ class TestEngineRoundTrip:
 class TestCacheCollisions:
     REQUEST = RunRequest("gzip", "wd", ISA, instructions=1_200)
 
-    def test_fingerprint_separates_pipelines(self):
-        compiled = request_fingerprint(self.REQUEST, pipeline="compiled")
-        reference = request_fingerprint(self.REQUEST, pipeline="reference")
-        assert compiled != reference
-
-    def test_fingerprint_resolves_pipeline_from_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
-        default = request_fingerprint(self.REQUEST)
-        assert default == request_fingerprint(self.REQUEST, pipeline="compiled")
-        monkeypatch.setenv("REPRO_PIPELINE", "reference")
-        assert request_fingerprint(self.REQUEST) == \
-            request_fingerprint(self.REQUEST, pipeline="reference")
-
     def test_fingerprint_separates_sampling_schedules(self):
         plain = request_fingerprint(self.REQUEST)
         sampled = request_fingerprint(
@@ -336,35 +326,20 @@ class TestCacheCollisions:
             sampling=dataclasses.replace(SMALL, sample=SMALL.sample + 1)))
         assert len({plain, sampled, other}) == 3
 
-    def test_memo_rekeys_when_pipeline_changes_mid_engine(self, monkeypatch):
-        # One engine, environment flipped between batches: the memo must not
-        # serve the compiled batch's cells to the reference batch.
-        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
-        engine = SweepEngine()
-        first = engine.cell(self.REQUEST)
+    def test_cached_cell_is_what_a_degraded_retry_computes(self, tmp_path):
+        from repro.sim.engine import execute_job
+
+        # The key has no term for the native kernel, so a cell cached by a
+        # native run is what a pure-Python (degraded) run of the same request
+        # reads back: the two must agree bit for bit.
+        engine = SweepEngine(cache=ResultCache(tmp_path))
+        cached = engine.cell(self.REQUEST)
         assert engine.simulated_cells == 1
-        monkeypatch.setenv("REPRO_PIPELINE", "reference")
-        second = engine.cell(self.REQUEST)
-        assert engine.simulated_cells == 2
-        # The pipelines are bit-identical, so the *results* still agree.
-        assert second == first
-
-    def test_cached_compiled_cell_not_served_to_reference_run(
-            self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
-        compiled_engine = SweepEngine(cache=ResultCache(tmp_path))
-        compiled_engine.cell(self.REQUEST)
-        assert compiled_engine.simulated_cells == 1
-
-        monkeypatch.setenv("REPRO_PIPELINE", "reference")
-        reference_engine = SweepEngine(cache=ResultCache(tmp_path))
-        reference_engine.cell(self.REQUEST)
-        assert reference_engine.simulated_cells == 1  # miss: other pipeline
-
-        # Same pipeline again: now it hits.
-        again = SweepEngine(cache=ResultCache(tmp_path))
-        again.cell(self.REQUEST)
-        assert again.simulated_cells == 0
+        job = BenchmarkJob(benchmark="gzip", seed=self.REQUEST.seed,
+                           instructions=self.REQUEST.instructions,
+                           warmup_instructions=None, sampling=None,
+                           cells=(("wd", ISA),), native=False)
+        assert execute_job(job) == [cached]
 
 
 class TestBundleMemoFootprint:
@@ -397,7 +372,7 @@ class TestBundleMemoFootprint:
         _BUNDLES.clear()
         job = BenchmarkJob(benchmark="gzip", seed=7, instructions=2_000,
                            warmup_instructions=None, sampling=None,
-                           pipeline="compiled", cells=())
+                           cells=())
         first = _bundle_for(job)
         # Replay compiles streams, growing the pinned footprint well past
         # the (tiny) budget; the next lookup must evict the older bundle.
@@ -413,7 +388,7 @@ class TestBundleMemoFootprint:
         _BUNDLES.clear()
         job = BenchmarkJob(benchmark="gzip", seed=7, instructions=12_000,
                            warmup_instructions=None, sampling=SMALL,
-                           pipeline="compiled", cells=(("wd", ISA),))
+                           cells=(("wd", ISA),))
         execute_job(job)
         assert not _BUNDLES  # streamed: no sample outlives its replay
         # Schedules that measure everything or nothing normalize to the

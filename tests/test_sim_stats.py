@@ -1,4 +1,4 @@
-"""Tests for statistics helpers, sampling, results and trace expansion."""
+"""Tests for statistics helpers, sampling, results and trace compilation."""
 
 import pytest
 
@@ -7,7 +7,9 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.isa.instructions import Instruction, Opcode, PointerHint
 from repro.isa.microops import UopKind
 from repro.isa.registers import int_reg
-from repro.memory.hierarchy import PortKind
+from repro.memory.hierarchy import PORT_CODES, SPEC_WRITE, PortKind
+from repro.pipeline.core import FLAG_KIND_MASK, FLAG_MISPREDICT
+from repro.sim.compiled import StreamCompiler, tokenize
 from repro.sim.results import BenchmarkResult, ExperimentResult
 from repro.sim.sampling import SamplingConfig, SamplingSchedule
 from repro.sim.stats import (
@@ -17,7 +19,10 @@ from repro.sim.stats import (
     geometric_mean_overhead,
     percent_overhead,
 )
-from repro.sim.trace import DynamicOp, TraceExpander
+from repro.sim.trace import DynamicOp
+
+#: µop kinds by their packed code (codes follow declaration order).
+KINDS = list(UopKind)
 
 
 class TestStats:
@@ -188,61 +193,74 @@ class TestResults:
 
 
 class TestTraceExpander:
-    def _expand(self, config, dop):
-        return TraceExpander(config).expand([dop])
+    """What one dynamic op compiles to: µop kinds, accesses and pages."""
+
+    def _compile(self, config, dop):
+        """The compiled stream of ``dop``, its µop kinds in order, and its
+        memory accesses as ``(kind, address, port code, is_write)``."""
+        stream = StreamCompiler(config).compile_measured(tokenize([dop]))
+        kinds = [KINDS[entry[0] & FLAG_KIND_MASK] for entry in stream.uops]
+        accesses = [(kinds[pos], address, spec & 3, bool(spec & SPEC_WRITE))
+                    for pos, address, spec in zip(
+                        stream.mem_pos, stream.mem_addr, stream.mem_spec)]
+        return stream, kinds, accesses
 
     def test_load_gets_addresses_for_check_and_shadow(self):
         config = WatchdogConfig.isa_assisted_uaf()
         inst = Instruction(Opcode.LOAD, dest=int_reg(1), srcs=(int_reg(2),),
                            pointer_hint=PointerHint.POINTER)
-        timed = self._expand(config, DynamicOp(inst, address=0x2000_0000,
-                                               lock_address=0x6000_0000))
-        by_kind = {t.uop.kind: t for t in timed}
-        assert by_kind[UopKind.CHECK].address == 0x6000_0000
-        assert by_kind[UopKind.CHECK].port is PortKind.LOCK
-        assert by_kind[UopKind.LOAD].address == 0x2000_0000
-        assert by_kind[UopKind.SHADOW_LOAD].port is PortKind.SHADOW
-        assert by_kind[UopKind.SHADOW_LOAD].address is not None
+        _, _, accesses = self._compile(
+            config, DynamicOp(inst, address=0x2000_0000,
+                              lock_address=0x6000_0000))
+        by_kind = {kind: (address, port)
+                   for kind, address, port, _ in accesses}
+        assert by_kind[UopKind.CHECK] == (0x6000_0000,
+                                          PORT_CODES[PortKind.LOCK])
+        assert by_kind[UopKind.LOAD][0] == 0x2000_0000
+        assert by_kind[UopKind.SHADOW_LOAD][1] == PORT_CODES[PortKind.SHADOW]
 
     def test_store_marks_writes(self):
         config = WatchdogConfig.isa_assisted_uaf()
         inst = Instruction(Opcode.STORE, srcs=(int_reg(2), int_reg(3)),
                            pointer_hint=PointerHint.POINTER)
-        timed = self._expand(config, DynamicOp(inst, address=0x2000_0000,
-                                               lock_address=0x6000_0000))
-        writes = {t.uop.kind for t in timed if t.is_write}
+        _, _, accesses = self._compile(
+            config, DynamicOp(inst, address=0x2000_0000,
+                              lock_address=0x6000_0000))
+        writes = {kind for kind, _, _, is_write in accesses if is_write}
         assert UopKind.STORE in writes and UopKind.SHADOW_STORE in writes
 
     def test_branch_misprediction_flag_propagates(self):
         config = WatchdogConfig.disabled()
         inst = Instruction(Opcode.BRANCH, srcs=(int_reg(1),))
-        timed = self._expand(config, DynamicOp(inst, mispredicted=True))
-        assert timed[0].mispredicted_branch
+        stream, kinds, _ = self._compile(config,
+                                         DynamicOp(inst, mispredicted=True))
+        assert kinds[0] is UopKind.BRANCH
+        assert stream.uops[0][0] & FLAG_MISPREDICT
 
     def test_bounds_check_uop_needs_no_memory(self):
         config = WatchdogConfig.full_safety_two_uops()
         inst = Instruction(Opcode.LOAD, dest=int_reg(1), srcs=(int_reg(2),),
                            pointer_hint=PointerHint.NOT_POINTER)
-        timed = self._expand(config, DynamicOp(inst, address=0x2000_0000,
-                                               lock_address=0x6000_0000))
-        bounds = [t for t in timed if t.uop.kind is UopKind.BOUNDS_CHECK]
-        assert bounds and bounds[0].address is None
+        _, kinds, accesses = self._compile(
+            config, DynamicOp(inst, address=0x2000_0000,
+                              lock_address=0x6000_0000))
+        assert UopKind.BOUNDS_CHECK in kinds
+        assert UopKind.BOUNDS_CHECK not in {kind for kind, *_ in accesses}
 
     def test_copy_elimination_ablation_adds_uops(self):
         base_config = WatchdogConfig.isa_assisted_uaf()
         ablation = base_config.with_(copy_elimination=False)
         inst = Instruction(Opcode.ADD_RI, dest=int_reg(1), srcs=(int_reg(2),), imm=8)
-        with_elim = TraceExpander(base_config).expand([DynamicOp(inst)])
-        without = TraceExpander(ablation).expand([DynamicOp(inst)])
+        with_elim, _, _ = self._compile(base_config, DynamicOp(inst))
+        without, _, _ = self._compile(ablation, DynamicOp(inst))
         assert len(without) == len(with_elim) + 1
 
     def test_pages_accounting_hooked(self):
-        from repro.memory.pages import PageAccountant
-        pages = PageAccountant()
         config = WatchdogConfig.isa_assisted_uaf()
-        expander = TraceExpander(config, pages=pages)
         inst = Instruction(Opcode.LOAD, dest=int_reg(1), srcs=(int_reg(2),),
                            pointer_hint=PointerHint.POINTER)
-        expander.expand([DynamicOp(inst, address=0x2000_0000, lock_address=0x6000_0000)])
-        assert pages.data_word_count > 0
-        assert pages.shadow_word_count > 0
+        stream, _, _ = self._compile(
+            config, DynamicOp(inst, address=0x2000_0000,
+                              lock_address=0x6000_0000))
+        assert stream.pages.data_word_count > 0
+        assert stream.pages.shadow_word_count > 0

@@ -182,14 +182,6 @@ class TestStreamingGoldenEquality:
                                            sampling=SMALL, seed=3)
         assert _outcome_key(streamed) == _outcome_key(retained)
 
-    def test_reference_pipeline_streams_identically(self):
-        streamed = Simulator(pipeline="reference").run_profile(
-            profile_by_name("mcf-long"), ISA, instructions=20_000, seed=7,
-            sampling=SMALL)
-        retained = _retained("mcf-long", 7, 20_000, SMALL, ISA,
-                             pipeline="compiled")
-        assert _outcome_key(streamed) == _outcome_key(retained)
-
     def test_degenerate_schedules_never_stream(self, monkeypatch):
         calls = []
         run_streaming = Simulator.run_streaming
@@ -215,7 +207,7 @@ class TestEngineStreaming:
 
         return BenchmarkJob(
             benchmark=benchmark, seed=7, instructions=instructions,
-            warmup_instructions=None, sampling=SMALL, pipeline="compiled",
+            warmup_instructions=None, sampling=SMALL,
             cells=(("baseline", WatchdogConfig.disabled()), ("isa", ISA)))
 
     @pytest.mark.parametrize("name, instructions",

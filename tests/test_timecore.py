@@ -54,7 +54,7 @@ class TestLoaderLifecycle:
         # The pipeline still runs (pure Python), end to end.
         bundle = TraceBundle.generate("gzip", seed=3, instructions=400)
         config = CONFIGURATIONS["isa-assisted"]
-        outcome = Simulator(pipeline="compiled").run_bundle(bundle, config)
+        outcome = Simulator().run_bundle(bundle, config)
         assert outcome.timing.total_uops > 0
 
     def test_failed_self_test_refuses_kernel(self, monkeypatch,
@@ -99,12 +99,11 @@ class TestLoaderLifecycle:
 class TestSimulatorKnob:
     @needs_kernel
     def test_timecore_false_forces_python_loops(self):
-        simulator = Simulator(pipeline="compiled", timecore=False)
+        simulator = Simulator(timecore=False)
         bundle = TraceBundle.generate("mcf", seed=5, instructions=400)
         config = CONFIGURATIONS["conservative"]
         forced_off = simulator.run_bundle(bundle, config)
-        forced_on = Simulator(pipeline="compiled",
-                              timecore=True).run_bundle(bundle, config)
+        forced_on = Simulator(timecore=True).run_bundle(bundle, config)
         assert forced_off.timing == forced_on.timing
 
     def test_knob_reaches_the_core(self):
@@ -125,8 +124,8 @@ class TestGoldenEquality:
             self, profile_name):
         bundle = TraceBundle.generate(profile_name, seed=SEED,
                                       instructions=INSTRUCTIONS)
-        kernel_sim = Simulator(pipeline="compiled", timecore=True)
-        python_sim = Simulator(pipeline="compiled", timecore=False)
+        kernel_sim = Simulator(timecore=True)
+        python_sim = Simulator(timecore=False)
         for label, config in CONFIGURATIONS.items():
             kernel = kernel_sim.run_bundle(bundle, config)
             python = python_sim.run_bundle(bundle, config)
@@ -144,10 +143,8 @@ class TestGoldenEquality:
         assert bundle.samples, "schedule must genuinely sample at this scale"
         for label in ("baseline", "isa-assisted", "ideal-shadow"):
             config = CONFIGURATIONS[label]
-            kernel = Simulator(pipeline="compiled",
-                               timecore=True).run_bundle(bundle, config)
-            python = Simulator(pipeline="compiled",
-                               timecore=False).run_bundle(bundle, config)
+            kernel = Simulator(timecore=True).run_bundle(bundle, config)
+            python = Simulator(timecore=False).run_bundle(bundle, config)
             assert kernel.timing == python.timing, \
                 f"{profile_name}/{label}: sampled timing diverged"
             assert CellResult.from_outcome(kernel, label=label) == \
@@ -182,11 +179,9 @@ class TestGoldenEquality:
 class TestSingleHierarchyState:
     """The structures' arrays are the only hierarchy state.
 
-    One hierarchy goes through every entry point, interleaved, three times
-    over: with the kernel on, with it off, and through the per-access
-    object path alone (``access()`` standing in for ``access_batch``, and
-    ``access()`` plus a stats reset for ``warm_batch`` + reset).  After
-    every step all three must hold equal arrays, counters and stats.
+    One hierarchy goes through every entry point, interleaved, twice over:
+    with the kernel on and with it off.  After every step both must hold
+    equal arrays, counters and stats.
     """
 
     PORTS = (PortKind.DATA, PortKind.LOCK, PortKind.SHADOW)
@@ -215,8 +210,8 @@ class TestSingleHierarchyState:
                 lats[pos] = lat
 
     def _drive(self, hierarchies, step, *args):
-        """Run one step on (kernel, python, object) and compare them."""
-        kernel_h, python_h, object_h = hierarchies
+        """Run one step on (kernel, python) and compare them."""
+        kernel_h, python_h = hierarchies
         results = []
         for hierarchy in hierarchies:
             lats = {}
@@ -228,27 +223,17 @@ class TestSingleHierarchyState:
                                  range(len(addrs)), lats)
             elif step == "warm_batch":
                 addrs, specs = args
-                if hierarchy is object_h:
-                    if isinstance(specs, int):
-                        specs = [specs] * len(addrs)
-                    self._per_access(hierarchy, addrs, specs,
-                                     range(len(addrs)), {})
-                else:
-                    hierarchy.warm_batch(addrs, specs)
+                hierarchy.warm_batch(addrs, specs)
                 hierarchy.reset_stats()
             else:
                 addrs, specs, positions = args
-                if hierarchy is object_h:
-                    self._per_access(hierarchy, addrs, specs, positions, lats)
-                else:
-                    out = [0] * (max(positions, default=-1) + 1)
-                    hierarchy.access_batch(addrs, specs, positions, out)
-                    lats = {pos: out[pos] for pos, spec
-                            in zip(positions, specs) if spec & 8}
+                out = [0] * (max(positions, default=-1) + 1)
+                hierarchy.access_batch(addrs, specs, positions, out)
+                lats = {pos: out[pos] for pos, spec
+                        in zip(positions, specs) if spec & 8}
             results.append(lats)
-        assert results[0] == results[1] == results[2], step
+        assert results[0] == results[1], step
         assert _timecore._same_hierarchy(kernel_h, python_h), step
-        assert _timecore._same_hierarchy(python_h, object_h), step
 
     @pytest.mark.parametrize("config", (
         WatchdogConfig.isa_assisted_uaf(),
@@ -262,7 +247,7 @@ class TestSingleHierarchyState:
                 config)
         measured = streams.measured
         hierarchies = [OutOfOrderCore(watchdog=config, timecore=flag).hierarchy
-                       for flag in (True, False, False)]
+                       for flag in (True, False)]
         drive = self._drive
         drive(hierarchies, "warm_working_set", streams.working_set, config)
         drive(hierarchies, "warm_batch", streams.warm.addrs,
@@ -283,10 +268,48 @@ class TestSingleHierarchyState:
         drive(hierarchies, "access", *self._plan(rng, 300))
         assert sum(hierarchies[0].stats.accesses.values()) > 0
 
+    @pytest.mark.parametrize("timecore", (
+        pytest.param(True, marks=needs_kernel), False),
+        ids=("kernel", "python"))
+    def test_access_is_a_one_element_batch(self, timecore):
+        config = WatchdogConfig.isa_assisted_uaf()
+        single, batched = (
+            OutOfOrderCore(watchdog=config, timecore=timecore).hierarchy
+            for _ in range(2))
+        addrs, specs = self._plan(random.Random(77), 2_000)
+        specs = [spec | 8 for spec in specs]  # access() reports every latency
+        positions = list(range(len(addrs)))
+        lats = {}
+        self._per_access(single, addrs, specs, positions, lats)
+        out = [0] * len(addrs)
+        batched.access_batch(addrs, specs, positions, out)
+        assert lats == dict(enumerate(out))
+        assert single.stats == batched.stats
+        assert _timecore._same_hierarchy(single, batched)
+
+    @needs_kernel
+    def test_access_runs_on_the_kernel_when_loaded(self, monkeypatch):
+        batches = []
+        run_batch = _timecore.run_batch
+
+        def counting_run_batch(lib, hierarchy, *args):
+            batches.append(hierarchy)
+            return run_batch(lib, hierarchy, *args)
+
+        monkeypatch.setattr(_timecore, "run_batch", counting_run_batch)
+        config = WatchdogConfig.isa_assisted_uaf()
+        native = OutOfOrderCore(watchdog=config).hierarchy
+        python = OutOfOrderCore(watchdog=config, timecore=False).hierarchy
+        for hierarchy in (native, python):
+            hierarchy.access(0x1000)
+            hierarchy.access(0x5000, is_write=True, port=PortKind.LOCK)
+        assert len(batches) == 2
+        assert all(hierarchy is native for hierarchy in batches)
+
     def test_same_cell_twice_in_a_row_is_identical(self):
         config = CONFIGURATIONS["isa-assisted"]
         bundle = TraceBundle.generate("equake", seed=SEED, instructions=400)
-        simulator = Simulator(pipeline="compiled")
+        simulator = Simulator()
         first = simulator.run_bundle(bundle, config)
         second = simulator.run_bundle(bundle, config)
         assert first.timing == second.timing
