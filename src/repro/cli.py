@@ -119,46 +119,18 @@ def _build_parser() -> argparse.ArgumentParser:
                             "by code changes)")
 
     bench = sub.add_parser(
-        "bench", help="time the fig7 cell matrix and write BENCH_<rev>.json")
+        "bench", help="time every bench cell and write BENCH_<rev>.json")
     bench.add_argument("--quick", action="store_true",
-                       help="reduced scale: 4 benchmarks, short traces "
-                            "(what the CI perf-smoke job runs)")
-    bench.add_argument("--benchmarks", "-b", metavar="A,B,...",
-                       help="comma-separated benchmark subset")
-    bench.add_argument("--instructions", "-n", type=int, default=None,
-                       metavar="N", help="dynamic macro instructions per run")
+                       help="reduced scale for the cells that scale (what "
+                            "the CI perf-smoke job runs)")
     bench.add_argument("--seed", type=int, default=None,
                        help="workload seed (default: 7)")
-    bench.add_argument("--sampling", choices=sorted(SAMPLING_SCHEDULES),
-                       default="none",
-                       help="run the matrix under a §9.1 sampling schedule "
-                            "(see `run --sampling`)")
-    bench.add_argument("--no-sampled", action="store_true",
-                       help="skip the sampled long-profile cell (timed by "
-                            "default and gated by --check)")
-    bench.add_argument("--no-fast-forward", action="store_true",
-                       help="skip the skip-window-only fast-forward cell")
-    bench.add_argument("--no-paper", action="store_true",
-                       help="skip the 100M-instruction paper-scale sampled "
-                            "smoke cell")
-    bench.add_argument("--no-suite", action="store_true",
-                       help="skip the merged registry suite cell "
-                            "(`repro run --all` at quick scale)")
-    bench.add_argument("--no-timecore", action="store_true",
-                       help="disable the native timing core (C kernel) "
-                            "everywhere and skip its gated matrix cell")
-    bench.add_argument("--no-mix", action="store_true",
-                       help="skip the 4-core multi-core mix cell (timed by "
-                            "default and gated by --check)")
-    bench.add_argument("--no-one-b", action="store_true",
-                       help="skip the billion-instruction streaming smoke "
-                            "cell (timed by default; --check gates both its "
-                            "throughput floor and its peak-RSS ceiling)")
     bench.add_argument("--output", "-o", metavar="FILE", default=None,
                        help="output path (default: BENCH_<rev>.json)")
     bench.add_argument("--check", metavar="BASELINE.json", default=None,
-                       help="fail if uops/sec regresses beyond the tolerance "
-                            "vs this baseline record")
+                       help="fail if a gated figure falls below its floor "
+                            "(less the tolerance) or exceeds its ceiling in "
+                            "this baseline file")
     bench.add_argument("--max-regression", type=float, default=0.30,
                        metavar="FRACTION",
                        help="allowed throughput regression for --check "
@@ -337,19 +309,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.errors import ConfigurationError
     from repro.sim import bench
 
-    kwargs = {}
-    if args.instructions is not None:
-        kwargs["instructions"] = args.instructions
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    try:
-        record = _run_bench_record(bench, args, kwargs)
-    except ConfigurationError as error:
-        print(f"invalid bench settings: {error}", file=sys.stderr)
-        return 2
+    record = bench.run_bench(
+        quick=args.quick,
+        seed=bench.DEFAULT_SEED if args.seed is None else args.seed)
     print(bench.format_summary(record))
     path = bench.write_record(record, output=args.output)
     print(f"[bench] wrote {path}")
@@ -376,23 +340,6 @@ def _cmd_bench(args) -> int:
                   f"{event.get('detail')}", file=sys.stderr)
         return 1
     return 0
-
-
-def _run_bench_record(bench, args, kwargs):
-    if args.no_timecore:
-        os.environ["REPRO_TIMECORE"] = "0"
-    return bench.run_bench(
-        benchmarks=tuple(args.benchmarks.split(",")) if args.benchmarks else None,
-        quick=args.quick,
-        sampling=SAMPLING_SCHEDULES[args.sampling](),
-        include_sampled=not args.no_sampled,
-        include_fast_forward=not args.no_fast_forward,
-        include_paper=not args.no_paper,
-        include_suite=not args.no_suite,
-        include_timecore=not args.no_timecore,
-        include_mix=not args.no_mix,
-        include_one_b=not args.no_one_b,
-        **kwargs)
 
 
 def _cmd_cache(args) -> int:

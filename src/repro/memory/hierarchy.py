@@ -188,11 +188,10 @@ class SharedMemoryBackend:
 class MemoryHierarchy:
     """L1D + lock location cache + L2 + L3 + DRAM with prefetchers and TLBs."""
 
-    #: Per-instance override for the native timing core on the batch paths:
-    #: ``None`` defers to the kernel's availability (and its
-    #: ``REPRO_TIMECORE`` kill switch), ``False`` forces the Python loops,
-    #: ``True`` is merely an explicit "use it when available".
-    native_override: Optional[bool] = None
+    #: Whether the batch paths and the scheduler of a core built on this
+    #: hierarchy use the native timing core when it loads (it is still
+    #: subject to ``REPRO_TIMECORE=0``); ``False`` forces the Python loops.
+    timecore: bool = True
 
     def __init__(self, config: Optional[HierarchyConfig] = None,
                  shared: Optional[SharedMemoryBackend] = None,
@@ -274,7 +273,7 @@ class MemoryHierarchy:
     def _batch(self, addrs, specs, positions, lats, collect: bool) -> None:
         if not len(addrs):
             return
-        if self.native_override is not False:
+        if self.timecore:
             from repro.native import _timecore
             lib = _timecore.load()
             if lib is not None:
@@ -293,8 +292,8 @@ class MemoryHierarchy:
         """Replay one batch through an already-loaded native timing core.
 
         Separate from :meth:`_batch` so the kernel's load-time self-test can
-        drive a candidate library against hierarchies whose
-        ``native_override`` forces the Python path.
+        drive a candidate library against hierarchies whose ``timecore``
+        is off.
         """
         from repro.native import _timecore
         self._apply(_timecore.run_batch(lib, self, addrs, specs, positions,

@@ -826,7 +826,7 @@ def _self_test_hier(lib) -> bool:
             specs.append(8)
             positions.append(len(positions))
         ref = MemoryHierarchy(config)
-        ref.native_override = False
+        ref.timecore = False
         ker = MemoryHierarchy(config)
         lats_ref = [0] * len(addrs)
         lats_ker = array("q", bytes(8 * len(addrs)))
@@ -836,7 +836,7 @@ def _self_test_hier(lib) -> bool:
             return False
         for warm_specs in (specs, 0):  # per-access and scalar-spec warm-up
             ref_w = MemoryHierarchy(config)
-            ref_w.native_override = False
+            ref_w.timecore = False
             ker_w = MemoryHierarchy(config)
             ref_w.warm_batch(addrs, warm_specs)
             ker_w._batch_native(lib, addrs, warm_specs, None, None, False)

@@ -92,7 +92,7 @@ class OutOfOrderCore:
     def __init__(self, machine: Optional[MachineConfig] = None,
                  watchdog: Optional[WatchdogConfig] = None,
                  hierarchy: Optional[MemoryHierarchy] = None,
-                 timecore: Optional[bool] = None):
+                 timecore: bool = True):
         self.machine = machine or MachineConfig()
         self.watchdog = watchdog or WatchdogConfig()
         if hierarchy is None:
@@ -101,13 +101,10 @@ class OutOfOrderCore:
             hierarchy = MemoryHierarchy(_derived_hierarchy_config(
                 self.machine.hierarchy, self.watchdog.lock_cache_enabled,
                 self.watchdog.ideal_shadow))
+        # ``timecore=False`` forces the Python loops for this core's
+        # scheduler and hierarchy; the hierarchy holds the flag.
+        hierarchy.timecore = timecore
         self.hierarchy = hierarchy
-        #: Native timing core knob: ``None`` uses the kernel when available
-        #: (still subject to ``REPRO_TIMECORE=0``), ``False`` forces the
-        #: Python loops.  Propagated to the hierarchy's batch paths.
-        self.timecore = timecore
-        if timecore is not None:
-            self.hierarchy.native_override = bool(timecore)
         self.units = FunctionalUnits(self.machine.functional_units, self.watchdog)
 
     # -- the array scheduler -------------------------------------------------------
@@ -125,12 +122,12 @@ class OutOfOrderCore:
            register-slot scoreboards), port reservation, completion and
            in-order commit.
 
-        When the native timing core is available (and ``timecore`` is not
-        ``False``), both passes run inside the C kernel instead, with
+        When the native timing core is available (and the hierarchy's
+        ``timecore`` is on), both passes run inside the C kernel instead, with
         bit-identical results; any unpackable stream or unusual machine
         shape falls back to the Python loop below.
         """
-        if self.timecore is not False:
+        if self.hierarchy.timecore:
             from repro.native import _timecore
             lib = _timecore.load()
             if lib is not None:
@@ -153,7 +150,7 @@ class OutOfOrderCore:
         only, so given equal latencies the result is bit-identical to the
         fused path — on the native and the Python scheduler alike.
         """
-        if self.timecore is not False:
+        if self.hierarchy.timecore:
             from repro.native import _timecore
             lib = _timecore.load()
             machine = self.machine

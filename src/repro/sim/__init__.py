@@ -21,7 +21,7 @@
 from repro.sim.trace import DynamicOp
 from repro.sim.stats import geometric_mean, percent_overhead, OverheadReport
 from repro.sim.sampling import SamplingConfig, SamplingSchedule
-from repro.sim.results import BenchmarkResult, CellResult, ExperimentResult
+from repro.sim.results import CellResult, ExperimentResult
 from repro.sim.spec import (
     BASELINE_LABEL,
     ExperimentSettings,
@@ -55,7 +55,6 @@ __all__ = [
     "OverheadReport",
     "SamplingConfig",
     "SamplingSchedule",
-    "BenchmarkResult",
     "CellResult",
     "ExperimentResult",
     "BASELINE_LABEL",

@@ -780,7 +780,7 @@ def warm_working_set(hierarchy, ws: WorkingSetArrays,
         lock_pieces = ()
     all_pieces = (shadow, locks, data)
 
-    lib = _timecore.load() if hierarchy.native_override is not False else None
+    lib = _timecore.load() if hierarchy.timecore else None
     l1 = hierarchy.l1d
     l2 = hierarchy.l2
     _install_tail(l1, l1_pieces, l1._num_sets * l1._assoc, lib)

@@ -80,10 +80,9 @@ class MultiCoreSimulator:
     """
 
     def __init__(self, machine: Optional[MachineConfig] = None,
-                 timecore: Optional[bool] = None):
+                 timecore: bool = True):
         self.machine = machine or MachineConfig()
-        #: Same knob as :class:`~repro.sim.simulator.Simulator`: ``None``
-        #: defers to ``REPRO_TIMECORE``, ``False`` forces the Python loops.
+        #: Same knob as :class:`~repro.sim.simulator.Simulator`.
         self.timecore = timecore
 
     def run_mix(self, name: str, bundles: Sequence[TraceBundle],

@@ -1,12 +1,11 @@
 """Result records shared by the experiment drivers and the benchmark harness.
 
-Five records cover the pipeline end to end:
+Four records cover the pipeline end to end:
 
 * :class:`CellResult` — the flat, JSON-serializable summary of one simulated
   (benchmark, configuration) cell.  It carries every statistic the figure
   drivers read (cycles, µop breakdown, pointer classification, shadow
   footprint), so a cached cell is indistinguishable from a fresh simulation,
-* :class:`BenchmarkResult` — one timing outcome in benchmark-harness form,
 * :class:`ExperimentResult` — a whole figure/table: per-benchmark series
   plus headline summary numbers,
 * :class:`MetricCheck` / :class:`ExperimentReport` / :class:`SuiteReport` —
@@ -302,36 +301,6 @@ class CellResult:
                 core if isinstance(core, CoreResult)
                 else CoreResult.from_dict(core)
                 for core in data["cores"] or ())
-        return _from_known_fields(cls, data)
-
-
-@dataclass
-class BenchmarkResult:
-    """One (benchmark, configuration) timing outcome."""
-
-    benchmark: str
-    configuration: str
-    cycles: int
-    total_uops: int
-    injected_uops: int
-    memory_accesses: int
-    lock_cache_misses: int = 0
-    l1d_misses: int = 0
-    extras: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def ipc(self) -> float:
-        return self.total_uops / self.cycles if self.cycles else 0.0
-
-    def overhead_vs(self, baseline: "BenchmarkResult") -> float:
-        """Slowdown relative to ``baseline`` as a fraction."""
-        return self.cycles / baseline.cycles - 1.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "BenchmarkResult":
         return _from_known_fields(cls, data)
 
 

@@ -157,12 +157,11 @@ class Simulator:
     """
 
     def __init__(self, machine: Optional[MachineConfig] = None,
-                 timecore: Optional[bool] = None):
+                 timecore: bool = True):
         self.machine = machine or MachineConfig()
-        #: Native timing-core override handed to every core this simulator
-        #: builds: ``True`` forces the C kernel (still falls back if it can't
-        #: load), ``False`` forces the Python loops, ``None`` defers to the
-        #: ``REPRO_TIMECORE`` environment switch.
+        #: Handed to every core this simulator builds: ``True`` uses the C
+        #: kernel when it loads (``REPRO_TIMECORE=0`` still disables it),
+        #: ``False`` forces the Python loops.
         self.timecore = timecore
 
     # -- workload timing runs ---------------------------------------------------------

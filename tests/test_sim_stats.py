@@ -10,7 +10,7 @@ from repro.isa.registers import int_reg
 from repro.memory.hierarchy import PORT_CODES, SPEC_WRITE, PortKind
 from repro.pipeline.core import FLAG_KIND_MASK, FLAG_MISPREDICT
 from repro.sim.compiled import StreamCompiler, tokenize
-from repro.sim.results import BenchmarkResult, ExperimentResult
+from repro.sim.results import ExperimentResult
 from repro.sim.sampling import SamplingConfig, SamplingSchedule
 from repro.sim.stats import (
     OverheadReport,
@@ -173,14 +173,6 @@ class TestSampling:
 
 
 class TestResults:
-    def test_benchmark_result_overhead(self):
-        base = BenchmarkResult("gcc", "baseline", cycles=1000, total_uops=2000,
-                               injected_uops=0, memory_accesses=100)
-        wd = BenchmarkResult("gcc", "watchdog", cycles=1150, total_uops=2900,
-                             injected_uops=900, memory_accesses=100)
-        assert wd.overhead_vs(base) == pytest.approx(0.15)
-        assert wd.ipc == pytest.approx(2900 / 1150)
-
     def test_experiment_result_table(self):
         result = ExperimentResult("demo")
         result.add_value("a", "gcc", 1.0)

@@ -162,7 +162,7 @@ def _retained(benchmark, seed, instructions, sampling, config, **simulator):
 
 
 class TestStreamingGoldenEquality:
-    @pytest.mark.parametrize("timecore", [None, False])
+    @pytest.mark.parametrize("timecore", [True, False])
     def test_run_profile_streaming_equals_retained(self, timecore):
         profile = profile_by_name("mcf-long")
         for config in (WatchdogConfig.disabled(), ISA):

@@ -9,7 +9,7 @@ from repro.experiments import fig7_runtime_overhead as fig7
 from repro.experiments.common import ExperimentSettings, OverheadSweep
 from repro.sim.cache import ResultCache, request_fingerprint
 from repro.sim.engine import SweepEngine
-from repro.sim.results import BenchmarkResult, CellResult, ExperimentResult
+from repro.sim.results import CellResult, ExperimentResult
 from repro.sim.spec import BASELINE_LABEL, ExperimentSpec, RunRequest
 from repro.workloads.bundle import TraceBundle
 
@@ -232,14 +232,6 @@ class TestJsonRoundTrips:
         assert cell.cycles > 0 and cell.pointer_fraction > 0
         restored = CellResult.from_dict(json.loads(json.dumps(cell.to_dict())))
         assert restored == cell
-
-    def test_benchmark_result_roundtrip(self):
-        record = BenchmarkResult(benchmark="gzip", configuration=ISA,
-                                 cycles=100, total_uops=150, injected_uops=50,
-                                 memory_accesses=40, extras={"mpki": 0.5})
-        restored = BenchmarkResult.from_dict(
-            json.loads(json.dumps(record.to_dict())))
-        assert restored == record
 
     def test_experiment_result_roundtrip(self):
         result = ExperimentResult(name="fig7")

@@ -98,21 +98,31 @@ class TestLoaderLifecycle:
 
 class TestSimulatorKnob:
     @needs_kernel
-    def test_timecore_false_forces_python_loops(self):
-        simulator = Simulator(timecore=False)
+    def test_timecore_false_forces_python_loops(self, monkeypatch):
         bundle = TraceBundle.generate("mcf", seed=5, instructions=400)
         config = CONFIGURATIONS["conservative"]
-        forced_off = simulator.run_bundle(bundle, config)
-        forced_on = Simulator(timecore=True).run_bundle(bundle, config)
-        assert forced_off.timing == forced_on.timing
+        loads = []
+        load = _timecore.load
+
+        def counting_load(*args, **kwargs):
+            loads.append(1)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(_timecore, "load", counting_load)
+        forced_off = Simulator(timecore=False).run_bundle(bundle, config)
+        assert not loads
+        native = Simulator().run_bundle(bundle, config)
+        assert loads
+        assert forced_off.timing == native.timing
 
     def test_knob_reaches_the_core(self):
         from repro.pipeline.core import OutOfOrderCore
 
-        core = OutOfOrderCore(timecore=False)
-        assert core.hierarchy.native_override is False
-        core = OutOfOrderCore(timecore=True)
-        assert core.hierarchy.native_override is True
+        assert OutOfOrderCore(timecore=False).hierarchy.timecore is False
+        core = OutOfOrderCore()
+        assert core.hierarchy.timecore is True
+        # Stored once: the core reads its hierarchy's flag.
+        assert "timecore" not in vars(core)
 
 
 @needs_kernel
