@@ -23,6 +23,10 @@ The kernel consumes exactly the structures the Python loops consume:
   ``MemoryHierarchy._replay`` is its Python mirror.
 * ``warm_fill`` — the working-set install of one cache (``Cache.fill`` in
   Python).
+* ``ws_expand`` — the working-set columns themselves: a snapshot's
+  per-object ``[start, end)`` line ranges expanded into the data lines and
+  their shadow lines (:func:`repro.sim.compiled.working_set_arrays`, one
+  ``array.extend(range(...))`` per range in Python).
 * ``sched_run`` — per-µop words (flags, cost and the six register-slot
   operands in one int64 each), the post-hierarchy latency array, the
   flattened port-pool free times, and ring buffers for the ROB/IQ/LQ/SQ
@@ -57,7 +61,8 @@ _SOURCE = r"""
 /* Native timing core: batched hierarchy replay + the array scheduler.
  *
  * Replicates repro.memory.hierarchy.MemoryHierarchy._replay (the Python
- * loop behind access_batch/warm_batch), Cache.fill and
+ * loop behind access_batch/warm_batch), Cache.fill,
+ * repro.sim.compiled._expand_ranges and
  * repro.pipeline.core.OutOfOrderCore.simulate_compiled statement for
  * statement.  Any change to those Python loops must be mirrored here (the
  * load-time self-test and the timecore golden tests enforce equality).
@@ -93,6 +98,9 @@ _SOURCE = r"""
 #include <string.h>
 
 typedef long long i64;
+
+/* repro.memory.address_space.SHADOW_BIT (the self-test pins the value). */
+#define SHADOW_BIT (1LL << 47)
 
 /* Demand access to one ordered set.  Returns 1 on hit (entry moved to
  * newest, dirty |= write); on miss inserts (evicting the oldest if full)
@@ -368,6 +376,31 @@ long long warm_fill(i64 *ways, i64 nsets, i64 assoc, i64 block_bytes,
     return 0;
 }
 
+/* working_set_arrays' range expansion (compiled._expand_ranges in
+ * Python): ranges holds n flat [start, end) pairs.  Writes the lines
+ * start, start + 64, ... < end of each pair into data and, for each pair
+ * of m lines, the m * mw shadow lines SHADOW_BIT + start * mw + 64 * k into
+ * shadow.  Returns the number of data lines; with data == NULL it writes
+ * nothing, so a first call sizes the columns. */
+long long ws_expand(const i64 *ranges, i64 n, i64 mw, i64 *data,
+                    i64 *shadow)
+{
+    i64 r, k, first, lines = 0;
+    for (r = 0; r < n; r++) {
+        i64 start = ranges[2 * r], end = ranges[2 * r + 1];
+        i64 m = end > start ? (end - start + 63) / 64 : 0;
+        if (data) {
+            for (k = 0; k < m; k++)
+                data[lines + k] = start + 64 * k;
+            first = SHADOW_BIT + start * mw;
+            for (k = 0; k < m * mw; k++)
+                *shadow++ = first + 64 * k;
+        }
+        lines += m;
+    }
+    return lines;
+}
+
 /* pack_stream's per-row packing for legacy tuple streams: rows holds n
  * consecutive (flags, cost, dest, s0, s1, md, ms0, ms1) octets; each row
  * becomes one packed word in out (format documented at sched_run below).
@@ -604,6 +637,8 @@ def _bind(so_path: Path):
     lib.hier_batch.argtypes = [p] * 10 + [q] + [p] * 4
     lib.warm_fill.restype = q
     lib.warm_fill.argtypes = [p, q, q, q, q, p]
+    lib.ws_expand.restype = q
+    lib.ws_expand.argtypes = [p, q, q, p, p]
     lib.pack_words.restype = q
     lib.pack_words.argtypes = [p, q, p]
     lib.sched_run.restype = q
@@ -728,6 +763,20 @@ def fill(lib, cache, addrs) -> None:
         lib.warm_fill(cache.ways.buffer_info()[0], cache._num_sets,
                       cache._assoc, cache._block_bytes, len(addrs),
                       addrs.buffer_info()[0])
+
+
+def expand_ranges(lib, ranges, mw: int):
+    """``(data, shadow)`` columns of the flat ``[start, end)`` line ranges in
+    ``ranges`` (an ``array("q")``) through the kernel's ``ws_expand``."""
+    n = len(ranges) // 2
+    src = ranges.buffer_info()[0]
+    lines = lib.ws_expand(src, n, mw, None, None)
+    data = array("q", bytes(8 * lines))
+    shadow = array("q", bytes(8 * lines * mw))
+    if lines:
+        lib.ws_expand(src, n, mw, data.buffer_info()[0],
+                      shadow.buffer_info()[0])
+    return data, shadow
 
 
 def run_batch(lib, h, addrs, specs, positions, lats, collect: bool):
@@ -973,6 +1022,21 @@ def _self_test_pack(lib) -> bool:
     return True
 
 
+def _self_test_ws(lib) -> bool:
+    """``ws_expand`` must match the Python range expansion: a few ranges,
+    one pair of objects sharing a line, a one-line global span."""
+    from repro.sim.compiled import _expand_ranges
+
+    ranges = array("q", [0x2000_0000, 0x2000_0030,   # shares its line ...
+                         0x2000_0000, 0x2000_0070,   # ... with this one
+                         0x2000_1040, 0x2000_1c58,
+                         0x1000_0000, 0x1000_0040])
+    for mw in (0, 2, 4):
+        if _expand_ranges(ranges, mw, lib) != _expand_ranges(ranges, mw, None):
+            return False
+    return True
+
+
 def _self_test(lib):
     """All kernels must reproduce the Python loops before being trusted.
 
@@ -981,6 +1045,7 @@ def _self_test(lib):
     """
     for check, stage in ((_self_test_hier, "hier_batch/warm_fill"),
                          (_self_test_sched, "sched_run"),
+                         (_self_test_ws, "ws_expand"),
                          (_self_test_pack, "pack_words")):
         if not check(lib):
             return False, stage
@@ -992,6 +1057,12 @@ def load():
     return build.load_kernel("timecore", _SOURCE, switch_env="REPRO_TIMECORE",
                              dir_env="REPRO_TIMECORE_DIR", bind=_bind,
                              self_test=_self_test)
+
+
+def loaded():
+    """The timing core if :func:`load` has already handed it out in this
+    process, else ``None``; never triggers a load."""
+    return build.loaded("timecore")
 
 
 def status():

@@ -299,11 +299,15 @@ class WarmStream:
 
 @dataclass(eq=False)
 class WorkingSetArrays:
-    """Precomputed working-set warm-up addresses (one per class)."""
+    """One configuration class's working-set install columns (int64 arrays).
 
-    shadow: List[int]
-    locks: List[int]
-    data: List[int]
+    Built by :func:`working_set_arrays`; ``shadow`` and ``locks`` are empty
+    for classes that maintain no metadata.
+    """
+
+    shadow: array
+    locks: array
+    data: array
 
 
 @dataclass(eq=False)
@@ -672,31 +676,52 @@ class StreamCompiler:
         return WarmStream(addrs=addrs, specs=specs)
 
     # -- working set ---------------------------------------------------------------
-    def working_set_arrays(self, workload) -> WorkingSetArrays:
-        """Precompute the working-set warm-up address lists for this class."""
-        return working_set_arrays(workload, self.config)
+    def working_set_arrays(self, working_set) -> WorkingSetArrays:
+        """The working-set install columns of a snapshot for this class."""
+        return working_set_arrays(working_set, self.config)
 
 
-def working_set_arrays(workload, config: WatchdogConfig) -> WorkingSetArrays:
-    """The three working-set address lists (shadow lines, locks, data lines).
+def working_set_arrays(working_set, config: WatchdogConfig) -> WorkingSetArrays:
+    """The install columns of a :class:`~repro.workloads.bundle.WorkingSetSnapshot`.
 
-    Shadow and lock lists are built only for metadata-maintaining
-    configurations; the shadow list carries ``metadata_words`` shadow lines
-    per 64-byte data line, exactly as the timed shadow µops would touch them.
+    ``data`` lists the 64-byte lines of the snapshot's ranges in order.
+    Metadata-maintaining configurations also get the snapshot's lock column
+    and ``metadata_words`` (mw) shadow lines per data line, exactly as the
+    timed shadow µops would touch them: data line ``line`` owns the shadow
+    lines of ``line + i·64/mw`` for i < mw, and because
+    ``(line + i·64/mw)·mw = line·mw + 64·i`` a range of n lines from
+    ``first`` maps to the contiguous shadow run ``SHADOW_BIT + first·mw +
+    64·k``, k < n·mw.  (The segments of the address space lie far below
+    2**47 / mw, so the shadow mapping's ``% 2**47`` never wraps here.)
+
+    The timing kernel's ``ws_expand`` writes both columns once the kernel
+    is loaded.  Building them never loads it: that is the timing runs'
+    decision (a ``Simulator(timecore=False)`` run never loads it), and the
+    columns are the same either way.
     """
-    mw = config.metadata_words
-    step = 64 // mw
-    shadow: List[int] = []
-    locks: List[int] = []
-    lines = list(workload.working_set_lines())
-    if config.enabled:
-        add = shadow.append
-        for line in lines:
-            for i in range(mw):
-                data = line + i * step
-                add(SHADOW_BIT | ((data & ~7) * mw) % _M47)
-        locks = list(workload.lock_locations())
-    return WorkingSetArrays(shadow=shadow, locks=locks, data=lines)
+    mw = config.metadata_words if config.enabled else 0
+    data, shadow = _expand_ranges(working_set.ranges, mw, _timecore.loaded())
+    locks = working_set.locks if config.enabled else array("q")
+    return WorkingSetArrays(shadow=shadow, locks=locks, data=data)
+
+
+def _expand_ranges(ranges, mw: int, lib):
+    """``(data, shadow)`` columns of flat ``[start, end)`` line ranges, with
+    ``mw`` shadow lines per data line (none when ``mw`` is 0).  Runs the
+    kernel's ``ws_expand`` when ``lib`` is loaded, one ``array.extend`` per
+    range and column otherwise."""
+    if lib is not None:
+        return _timecore.expand_ranges(lib, ranges, mw)
+    data = array("q")
+    shadow = array("q")
+    for i in range(0, len(ranges), 2):
+        start = ranges[i]
+        lines = range(start, ranges[i + 1], 64)
+        data.extend(lines)
+        if mw:
+            first = SHADOW_BIT + start * mw
+            shadow.extend(range(first, first + 64 * mw * len(lines), 64))
+    return data, shadow
 
 
 # -- working-set installation ----------------------------------------------------------

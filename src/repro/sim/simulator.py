@@ -30,7 +30,7 @@ from repro.program.ir import Program
 from repro.program.machine import ExecutionResult, Machine
 from repro.sim.sampling import SamplingConfig
 from repro.sim.trace import DynamicOp
-from repro.workloads.bundle import TraceBundle, WorkingSet, \
+from repro.workloads.bundle import TraceBundle, WorkingSetSnapshot, \
     default_warmup_instructions
 from repro.workloads.profiles import BenchmarkProfile, profile_by_name
 from repro.workloads.streaming import SampleStream
@@ -168,27 +168,23 @@ class Simulator:
     def run_trace(self, trace: Iterable[DynamicOp], config: WatchdogConfig,
                   name: str = "trace",
                   warmup_trace: Optional[Iterable[DynamicOp]] = None,
-                  workload: Optional[WorkingSet] = None) -> SimulationOutcome:
+                  working_set: Optional[WorkingSetSnapshot] = None
+                  ) -> SimulationOutcome:
         """Compile and time an already-generated dynamic trace.
 
         ``warmup_trace`` mirrors the §9.1 methodology: its accesses prime the
         cache hierarchy (data, shadow and lock accesses alike) but are not
-        timed and do not contribute to any statistic.  When the workload
-        itself is provided, its whole live working set (data lines, lock
-        locations and — for metadata-maintaining configurations — shadow
-        lines) is additionally pre-touched, which is what the long warm-up
-        windows of the paper's sampling methodology achieve.
+        timed and do not contribute to any statistic.  When the workload's
+        working set is provided, the whole of it (data lines, lock locations
+        and — for metadata-maintaining configurations — shadow lines) is
+        additionally pre-touched, which is what the long warm-up windows of
+        the paper's sampling methodology achieve.
         """
         from repro.sim import compiled as compiled_mod
 
-        # Freeze the working set before anything consumes the measured
-        # trace: for live workloads the generator advances the working set,
-        # and the warm-up must reflect the warm-up/measure boundary.
-        if workload is not None and hasattr(workload, "snapshot_working_set"):
-            workload = workload.snapshot_working_set()
         compiler = compiled_mod.StreamCompiler(config, self.machine)
-        ws_arrays = compiler.working_set_arrays(workload) \
-            if workload is not None else None
+        ws_arrays = compiler.working_set_arrays(working_set) \
+            if working_set is not None else None
         warm = compiler.compile_warm(compiled_mod.tokenize(warmup_trace)) \
             if warmup_trace is not None else None
         measured = compiler.compile_measured(compiled_mod.tokenize(trace))
@@ -270,9 +266,12 @@ class Simulator:
         if warmup_instructions is None:
             warmup_instructions = default_warmup_instructions(instructions)
         warmup = workload.trace(warmup_instructions) if warmup_instructions else None
+        # Frozen at the warm-up/measure boundary, before the measured trace
+        # advances the generator.
+        working_set = workload.snapshot_working_set()
         return self.run_trace(workload.generate(instructions), config,
                               name=profile.name, warmup_trace=warmup,
-                              workload=workload)
+                              working_set=working_set)
 
     def run_bundle(self, bundle: TraceBundle, config: WatchdogConfig) -> SimulationOutcome:
         """Time one pre-generated trace bundle under one configuration.

@@ -13,8 +13,9 @@ configurations with bit-identical results.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.sim.sampling import SamplingConfig
@@ -53,24 +54,24 @@ class WorkingSetSnapshot:
     """The live working set of a workload at one point in its generation.
 
     Captures what the working-set warm-up
-    (:func:`repro.sim.compiled.working_set_arrays`) needs — the 64-byte
-    data lines and the lock locations of every live object — so the warm-up
-    can be replayed for each configuration without keeping (or re-running)
-    the workload generator itself.
+    (:func:`repro.sim.compiled.working_set_arrays`) needs as per-object line
+    ranges, so the warm-up can be replayed for each configuration without
+    keeping (or re-running) the workload generator itself:
+
+    * ``ranges`` — flat ``[start, end)`` pairs, one per live heap object in
+      allocation order (``start`` is the object's base rounded down to its
+      64-byte line), then one for the hot global span.  The data lines of a
+      pair are ``range(start, end, 64)``; adjacent objects that share a line
+      each list it.
+    * ``locks`` — the lock location of every live object, in the same
+      order, then the global lock.
+
+    Both are ``array("q")`` columns: a snapshot stores two ints per object
+    rather than one per line.
     """
 
-    lines: Tuple[int, ...]
-    locks: Tuple[int, ...]
-
-    def working_set_lines(self) -> Iterator[int]:
-        return iter(self.lines)
-
-    def lock_locations(self) -> Iterator[int]:
-        return iter(self.locks)
-
-
-#: Anything the simulator's working-set warm-up can consume.
-WorkingSet = Union[SyntheticWorkload, WorkingSetSnapshot]
+    ranges: array
+    locks: array
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,7 @@ class TraceBundle:
         traces themselves.
         """
         def _snapshot_ops(snapshot: WorkingSetSnapshot) -> int:
-            return len(snapshot.lines) + len(snapshot.locks)
+            return len(snapshot.ranges) + len(snapshot.locks)
 
         ops = len(self.measured) + len(self.warmup) \
             + _snapshot_ops(self.working_set)
@@ -303,9 +304,9 @@ class TraceBundle:
                 if built.warm is not None:
                     # addrs + specs.
                     ops += 2 * len(built.warm)
+                # Its lock column is the snapshot's own, counted above.
                 working_set = built.working_set
-                ops += len(working_set.shadow) + len(working_set.locks) \
-                    + len(working_set.data)
+                ops += len(working_set.shadow) + len(working_set.data)
         return ops
 
     def __getstate__(self):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 import zlib
 from array import array
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.allocator.runtime import AllocationRecord, InstrumentedRuntime
 from repro.core.identifier import IdentifierTable
@@ -539,50 +539,37 @@ class WorkloadCore:
         randbelow(6)  # setident/getident pointer register
         return vr
 
-    # -- working-set introspection (used by the simulator's warm-up) --------------------
-    def working_set_lines(self) -> Iterator[int]:
-        """64-byte-aligned addresses of every line in the current working set.
-
-        Covers all live heap objects and the hot global span; the simulator
-        touches these (and their shadow lines) before the measured window so
-        that the measured window reflects steady state rather than the cold
-        start of a short synthetic trace.
-        """
-        records = self._slot_records
-        for slot in self._order:
-            record = records[slot]
-            base = record.base
-            end = base + record.size
-            line = base & ~63
-            while line < end:
-                yield line
-                line += 64
-        line = self._globals_base
-        end = line + self._global_span
-        while line < end:
-            yield line
-            line += 64
-
-    def lock_locations(self) -> Iterator[int]:
-        """Lock-location addresses of every live object plus the global lock."""
-        locks = self._slot_locks
-        for slot in self._order:
-            yield locks[slot]
-        yield self._global_lock
-
+    # -- working-set snapshot (used by the simulator's warm-up) ------------------------
     def snapshot_working_set(self):
-        """Freeze the current working set for configuration-independent reuse.
+        """Freeze the current working set as per-object line ranges.
 
-        The returned snapshot answers the same two queries the simulator's
-        warm-up asks of the live workload (`working_set_lines`,
-        `lock_locations`) but is immutable and picklable, so one generated
-        trace can be replayed under many Watchdog configurations — including
-        in worker processes — without re-running the generator.
+        One pass over the live slots, in ``_order`` order, writes each
+        object's ``[base & ~63, base + size)`` pair, then the hot global
+        span's; the 64-byte lines of a pair are ``range(start, end, 64)``.
+        The lock column holds each live object's lock location, then the
+        global lock.  The simulator installs these lines (and their shadow
+        lines) before the measured window so that it reflects steady state
+        rather than the cold start of a short synthetic trace.  The snapshot
+        owns its columns (nothing mutates them) and is picklable, so one
+        generated trace can be replayed under many Watchdog configurations —
+        including in worker processes — without re-running the generator.
         """
         from repro.workloads.bundle import WorkingSetSnapshot
 
-        return WorkingSetSnapshot(lines=tuple(self.working_set_lines()),
-                                  locks=tuple(self.lock_locations()))
+        records = self._slot_records
+        slot_locks = self._slot_locks
+        ranges = array("q")
+        add = ranges.append
+        for slot in self._order:
+            record = records[slot]
+            base = record.base
+            add(base & ~63)
+            add(base + record.size)
+        add(self._globals_base)
+        add(self._globals_base + self._global_span)
+        locks = array("q", [slot_locks[slot] for slot in self._order])
+        locks.append(self._global_lock)
+        return WorkingSetSnapshot(ranges=ranges, locks=locks)
 
     @property
     def live_objects(self) -> int:

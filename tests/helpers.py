@@ -37,6 +37,13 @@ def reference_digests(table: str) -> dict:
     return json.loads(REFERENCE_DIGESTS.read_text())[table]
 
 
+def snapshot_lines(snapshot) -> tuple:
+    """A working-set snapshot's 64-byte data lines, expanded from its ranges."""
+    ranges = snapshot.ranges
+    return tuple(line for i in range(0, len(ranges), 2)
+                 for line in range(ranges[i], ranges[i + 1], 64))
+
+
 def build_uaf_program():
     """The Figure 1 (left) heap use-after-free program."""
     builder = ProgramBuilder()

@@ -43,6 +43,8 @@ from repro.workloads.profiles import (
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.state_core import MAX_EVENT_OPS
 
+from tests.helpers import snapshot_lines
+
 
 def op_key(op):
     inst = op.instruction
@@ -60,21 +62,26 @@ def digest_ops(ops):
 
 
 def digest_bundle(bundle):
+    # The digests were recorded when a snapshot held its lines and locks as
+    # tuples; hashing the same tuples keeps every pinned value.
     crc = 0
     for sample in bundle.samples:
         crc = zlib.crc32(digest_ops(sample.warmup).encode(), crc)
         crc = zlib.crc32(digest_ops(sample.measured).encode(), crc)
-        crc = zlib.crc32(repr(sample.working_set.lines).encode(), crc)
-        crc = zlib.crc32(repr(sample.working_set.locks).encode(), crc)
+        crc = zlib.crc32(repr(snapshot_lines(sample.working_set)).encode(),
+                         crc)
+        crc = zlib.crc32(repr(tuple(sample.working_set.locks)).encode(), crc)
     if not bundle.samples:
         crc = zlib.crc32(digest_ops(bundle.warmup).encode(), crc)
         crc = zlib.crc32(digest_ops(bundle.measured).encode(), crc)
-        crc = zlib.crc32(repr(bundle.working_set.lines).encode(), crc)
+        crc = zlib.crc32(repr(snapshot_lines(bundle.working_set)).encode(),
+                         crc)
     return f"{crc:08x}"
 
 
 def state_fingerprint(workload):
     """Everything the functional state comprises, hashable for equality."""
+    snapshot = workload.snapshot_working_set()
     return (
         workload.rng.getstate(),
         tuple(workload._order),
@@ -89,8 +96,8 @@ def state_fingerprint(workload):
         workload.runtime.malloc_calls,
         workload.runtime.free_calls,
         workload.runtime.total_live_bytes(),
-        tuple(workload.working_set_lines()),
-        tuple(workload.lock_locations()),
+        snapshot_lines(snapshot),
+        tuple(snapshot.locks),
     )
 
 

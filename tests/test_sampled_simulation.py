@@ -159,7 +159,7 @@ class TestSampledExecution:
         per_sample = [
             simulator.run_trace(iter(sample.measured), ISA, name="mcf",
                                 warmup_trace=sample.warmup or None,
-                                workload=sample.working_set)
+                                working_set=sample.working_set)
             for sample in bundle.samples]
         assert aggregated.timing.cycles == \
             sum(o.timing.cycles for o in per_sample)

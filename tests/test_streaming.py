@@ -55,7 +55,7 @@ def _segment_digest(segment) -> int:
 def _assert_segments_equal(left, right):
     assert left.measured == right.measured
     assert left.warmup == right.warmup
-    assert left.working_set.lines == right.working_set.lines
+    assert left.working_set.ranges == right.working_set.ranges
     assert left.working_set.locks == right.working_set.locks
     assert _segment_digest(left) == _segment_digest(right)
 
@@ -291,7 +291,7 @@ class TestSlotCompaction:
         assert reference.rng.getstate() == compacted.rng.getstate()
         ref_snap = reference.snapshot_working_set()
         cmp_snap = compacted.snapshot_working_set()
-        assert ref_snap.lines == cmp_snap.lines
+        assert ref_snap.ranges == cmp_snap.ranges
         assert ref_snap.locks == cmp_snap.locks
         # Compaction genuinely fired: the compacted core retired its dead
         # slots while the reference kept appending.

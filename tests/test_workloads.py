@@ -11,6 +11,8 @@ from repro.workloads.juliet import JULIET_CASE_COUNT, JulietSuite
 from repro.workloads.profiles import SPEC_PROFILES, benchmark_names, profile_by_name
 from repro.workloads.synthetic import SyntheticWorkload
 
+from tests.helpers import snapshot_lines
+
 
 class TestProfiles:
     def test_twenty_benchmarks(self):
@@ -82,9 +84,10 @@ class TestSyntheticWorkload:
 
     def test_working_set_introspection(self):
         workload = SyntheticWorkload(profile_by_name("gzip"), seed=1)
-        lines = list(workload.working_set_lines())
+        snapshot = workload.snapshot_working_set()
+        lines = list(snapshot_lines(snapshot))
         assert lines and all(line % 64 == 0 for line in lines)
-        locks = list(workload.lock_locations())
+        locks = list(snapshot.locks)
         assert len(locks) == workload.live_objects + 1
 
     def test_calls_balanced_with_returns(self):
