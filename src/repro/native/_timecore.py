@@ -25,8 +25,8 @@ The kernel consumes exactly the structures the Python loops consume:
   Python).
 * ``ws_expand`` — the working-set columns themselves: a snapshot's
   per-object ``[start, end)`` line ranges expanded into the data lines and
-  their shadow lines (:func:`repro.sim.compiled.working_set_arrays`, one
-  ``array.extend(range(...))`` per range in Python).
+  their shadow lines (:meth:`repro.sim.compiled.WorkingSetArrays.columns`,
+  one ``array.extend(range(...))`` per range in Python).
 * ``sched_run`` — per-µop words (flags, cost and the six register-slot
   operands in one int64 each), the post-hierarchy latency array, the
   flattened port-pool free times, and ring buffers for the ROB/IQ/LQ/SQ
@@ -62,7 +62,7 @@ _SOURCE = r"""
  *
  * Replicates repro.memory.hierarchy.MemoryHierarchy._replay (the Python
  * loop behind access_batch/warm_batch), Cache.fill,
- * repro.sim.compiled._expand_ranges and
+ * repro.sim.compiled.WorkingSetArrays.columns and
  * repro.pipeline.core.OutOfOrderCore.simulate_compiled statement for
  * statement.  Any change to those Python loops must be mirrored here (the
  * load-time self-test and the timecore golden tests enforce equality).
@@ -376,7 +376,7 @@ long long warm_fill(i64 *ways, i64 nsets, i64 assoc, i64 block_bytes,
     return 0;
 }
 
-/* working_set_arrays' range expansion (compiled._expand_ranges in
+/* The working set's range expansion (WorkingSetArrays.columns in
  * Python): ranges holds n flat [start, end) pairs.  Writes the lines
  * start, start + 64, ... < end of each pair into data and, for each pair
  * of m lines, the m * mw shadow lines SHADOW_BIT + start * mw + 64 * k into
@@ -771,8 +771,8 @@ def expand_ranges(lib, ranges, mw: int):
     n = len(ranges) // 2
     src = ranges.buffer_info()[0]
     lines = lib.ws_expand(src, n, mw, None, None)
-    data = array("q", bytes(8 * lines))
-    shadow = array("q", bytes(8 * lines * mw))
+    data = array("q", [0]) * lines
+    shadow = array("q", [0]) * (lines * mw)
     if lines:
         lib.ws_expand(src, n, mw, data.buffer_info()[0],
                       shadow.buffer_info()[0])
@@ -1025,14 +1025,16 @@ def _self_test_pack(lib) -> bool:
 def _self_test_ws(lib) -> bool:
     """``ws_expand`` must match the Python range expansion: a few ranges,
     one pair of objects sharing a line, a one-line global span."""
-    from repro.sim.compiled import _expand_ranges
+    from repro.sim.compiled import WorkingSetArrays
 
     ranges = array("q", [0x2000_0000, 0x2000_0030,   # shares its line ...
                          0x2000_0000, 0x2000_0070,   # ... with this one
                          0x2000_1040, 0x2000_1c58,
                          0x1000_0000, 0x1000_0040])
     for mw in (0, 2, 4):
-        if _expand_ranges(ranges, mw, lib) != _expand_ranges(ranges, mw, None):
+        ws = WorkingSetArrays(ranges=ranges, locks=array("q"),
+                              metadata_words=mw)
+        if ws.columns(lib) != ws.columns(None):
             return False
     return True
 
@@ -1057,12 +1059,6 @@ def load():
     return build.load_kernel("timecore", _SOURCE, switch_env="REPRO_TIMECORE",
                              dir_env="REPRO_TIMECORE_DIR", bind=_bind,
                              self_test=_self_test)
-
-
-def loaded():
-    """The timing core if :func:`load` has already handed it out in this
-    process, else ``None``; never triggers a load."""
-    return build.loaded("timecore")
 
 
 def status():

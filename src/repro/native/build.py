@@ -193,13 +193,6 @@ def unexpected_failures() -> Dict[str, KernelStatus]:
     return {name: st for name, st in _STATUS.items() if st.unexpected}
 
 
-def loaded(name: str):
-    """Kernel ``name`` if :func:`load_kernel` has already handed it out in
-    this process, else ``None``; never builds, self-tests or loads it."""
-    cached = _LOADED.get(name)
-    return None if cached is None else cached[0]
-
-
 def forget(name: str) -> None:
     """Drop the memoized decision (and status) so the next load is fresh."""
     _LOADED.pop(name, None)

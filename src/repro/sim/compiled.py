@@ -299,15 +299,47 @@ class WarmStream:
 
 @dataclass(eq=False)
 class WorkingSetArrays:
-    """One configuration class's working-set install columns (int64 arrays).
+    """One configuration class's view of a working-set snapshot.
 
-    Built by :func:`working_set_arrays`; ``shadow`` and ``locks`` are empty
-    for classes that maintain no metadata.
+    Built by :func:`working_set_arrays`: the snapshot's own ``ranges`` and
+    ``locks`` columns (``locks`` empty for classes that maintain no
+    metadata) and the class's ``metadata_words`` (0 then).  The install
+    columns are expanded from it per run, by :meth:`columns`.
     """
 
-    shadow: array
+    ranges: array
     locks: array
-    data: array
+    metadata_words: int
+
+    def columns(self, lib):
+        """``(data, shadow)`` install columns (``array("q")``).
+
+        ``data`` lists the 64-byte lines of the ranges in order; each data
+        line owns ``metadata_words`` (mw) shadow lines, exactly as the timed
+        shadow µops would touch them: line ``line`` owns the shadow lines
+        of ``line + i·64/mw`` for i < mw, and because ``(line + i·64/mw)·mw
+        = line·mw + 64·i`` a range of n lines from ``first`` maps to the
+        contiguous shadow run ``SHADOW_BIT + first·mw + 64·k``, k < n·mw.
+        (The segments of the address space lie far below 2**47 / mw, so the
+        shadow mapping's ``% 2**47`` never wraps here.)
+
+        Runs the timing kernel's ``ws_expand`` when ``lib`` is given, one
+        ``array.extend(range(...))`` per range and column otherwise.
+        """
+        mw = self.metadata_words
+        if lib is not None:
+            return _timecore.expand_ranges(lib, self.ranges, mw)
+        ranges = self.ranges
+        data = array("q")
+        shadow = array("q")
+        for i in range(0, len(ranges), 2):
+            start = ranges[i]
+            lines = range(start, ranges[i + 1], 64)
+            data.extend(lines)
+            if mw:
+                first = SHADOW_BIT + start * mw
+                shadow.extend(range(first, first + 64 * mw * len(lines), 64))
+        return data, shadow
 
 
 @dataclass(eq=False)
@@ -677,51 +709,26 @@ class StreamCompiler:
 
     # -- working set ---------------------------------------------------------------
     def working_set_arrays(self, working_set) -> WorkingSetArrays:
-        """The working-set install columns of a snapshot for this class."""
+        """A working-set snapshot as seen by this class."""
         return working_set_arrays(working_set, self.config)
 
 
 def working_set_arrays(working_set, config: WatchdogConfig) -> WorkingSetArrays:
-    """The install columns of a :class:`~repro.workloads.bundle.WorkingSetSnapshot`.
+    """A :class:`~repro.workloads.bundle.WorkingSetSnapshot` as seen by the
+    class of ``config``: metadata-maintaining classes get the snapshot's
+    lock column and ``metadata_words`` shadow lines per data line.
 
-    ``data`` lists the 64-byte lines of the snapshot's ranges in order.
-    Metadata-maintaining configurations also get the snapshot's lock column
-    and ``metadata_words`` (mw) shadow lines per data line, exactly as the
-    timed shadow µops would touch them: data line ``line`` owns the shadow
-    lines of ``line + i·64/mw`` for i < mw, and because
-    ``(line + i·64/mw)·mw = line·mw + 64·i`` a range of n lines from
-    ``first`` maps to the contiguous shadow run ``SHADOW_BIT + first·mw +
-    64·k``, k < n·mw.  (The segments of the address space lie far below
-    2**47 / mw, so the shadow mapping's ``% 2**47`` never wraps here.)
-
-    The timing kernel's ``ws_expand`` writes both columns once the kernel
-    is loaded.  Building them never loads it: that is the timing runs'
-    decision (a ``Simulator(timecore=False)`` run never loads it), and the
-    columns are the same either way.
+    Nothing is expanded here: :func:`warm_working_set` expands the ranges
+    with the run's own kernel decision, so a ``Simulator(timecore=False)``
+    run never enters the kernel, and the bundle's stream cache pins two
+    ints per object rather than the columns.
     """
-    mw = config.metadata_words if config.enabled else 0
-    data, shadow = _expand_ranges(working_set.ranges, mw, _timecore.loaded())
-    locks = working_set.locks if config.enabled else array("q")
-    return WorkingSetArrays(shadow=shadow, locks=locks, data=data)
-
-
-def _expand_ranges(ranges, mw: int, lib):
-    """``(data, shadow)`` columns of flat ``[start, end)`` line ranges, with
-    ``mw`` shadow lines per data line (none when ``mw`` is 0).  Runs the
-    kernel's ``ws_expand`` when ``lib`` is loaded, one ``array.extend`` per
-    range and column otherwise."""
-    if lib is not None:
-        return _timecore.expand_ranges(lib, ranges, mw)
-    data = array("q")
-    shadow = array("q")
-    for i in range(0, len(ranges), 2):
-        start = ranges[i]
-        lines = range(start, ranges[i + 1], 64)
-        data.extend(lines)
-        if mw:
-            first = SHADOW_BIT + start * mw
-            shadow.extend(range(first, first + 64 * mw * len(lines), 64))
-    return data, shadow
+    if not config.enabled:
+        return WorkingSetArrays(ranges=working_set.ranges, locks=array("q"),
+                                metadata_words=0)
+    return WorkingSetArrays(ranges=working_set.ranges,
+                            locks=working_set.locks,
+                            metadata_words=config.metadata_words)
 
 
 # -- working-set installation ----------------------------------------------------------
@@ -793,9 +800,11 @@ def warm_working_set(hierarchy, ws: WorkingSetArrays,
     metadata is maintained and not idealized), then lock locations, then
     data lines — so data ends up most-recently-used in every level.
     """
-    shadow = ws.shadow if (config.enabled and not config.ideal_shadow) else ()
-    locks = ws.locks if config.enabled else ()
-    data = ws.data
+    lib = _timecore.load() if hierarchy.timecore else None
+    data, shadow = ws.columns(lib)
+    if config.ideal_shadow:
+        shadow = ()
+    locks = ws.locks
     lock_en = hierarchy.config.lock_cache_enabled
     if lock_en and locks:
         l1_pieces = (shadow, data)
@@ -805,7 +814,6 @@ def warm_working_set(hierarchy, ws: WorkingSetArrays,
         lock_pieces = ()
     all_pieces = (shadow, locks, data)
 
-    lib = _timecore.load() if hierarchy.timecore else None
     l1 = hierarchy.l1d
     l2 = hierarchy.l2
     _install_tail(l1, l1_pieces, l1._num_sets * l1._assoc, lib)

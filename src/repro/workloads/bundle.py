@@ -49,12 +49,12 @@ def default_warmup_instructions(instructions: int) -> int:
     return max(instructions // 4, 1_000)
 
 
-@dataclass(frozen=True)
+@dataclass
 class WorkingSetSnapshot:
     """The live working set of a workload at one point in its generation.
 
     Captures what the working-set warm-up
-    (:func:`repro.sim.compiled.working_set_arrays`) needs as per-object line
+    (:func:`repro.sim.compiled.warm_working_set`) needs as per-object line
     ranges, so the warm-up can be replayed for each configuration without
     keeping (or re-running) the workload generator itself:
 
@@ -67,7 +67,9 @@ class WorkingSetSnapshot:
       order, then the global lock.
 
     Both are ``array("q")`` columns: a snapshot stores two ints per object
-    rather than one per line.
+    rather than one per line.  They are shared, not copied, by every
+    :class:`~repro.sim.compiled.WorkingSetArrays` built from the snapshot,
+    so nothing may mutate them; being mutable, a snapshot is not hashable.
     """
 
     ranges: array
@@ -304,9 +306,8 @@ class TraceBundle:
                 if built.warm is not None:
                     # addrs + specs.
                     ops += 2 * len(built.warm)
-                # Its lock column is the snapshot's own, counted above.
-                working_set = built.working_set
-                ops += len(working_set.shadow) + len(working_set.data)
+                # built.working_set holds the snapshot's own columns,
+                # counted above; the install columns are per run.
         return ops
 
     def __getstate__(self):

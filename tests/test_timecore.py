@@ -102,18 +102,32 @@ class TestSimulatorKnob:
         bundle = TraceBundle.generate("mcf", seed=5, instructions=400)
         config = CONFIGURATIONS["conservative"]
         loads = []
+        expansions = []
         load = _timecore.load
+        expand = _timecore.expand_ranges
 
         def counting_load(*args, **kwargs):
             loads.append(1)
             return load(*args, **kwargs)
 
+        def counting_expand(*args, **kwargs):
+            expansions.append(1)
+            return expand(*args, **kwargs)
+
         monkeypatch.setattr(_timecore, "load", counting_load)
+        monkeypatch.setattr(_timecore, "expand_ranges", counting_expand)
         forced_off = Simulator(timecore=False).run_bundle(bundle, config)
-        assert not loads
+        assert not loads and not expansions
         native = Simulator().run_bundle(bundle, config)
         assert loads
+        assert bool(expansions) == (load() is not None)
         assert forced_off.timing == native.timing
+        # The kernel is loaded now and the bundle's streams are cached; a
+        # forced-off run still expands its working set in Python.
+        expansions.clear()
+        again = Simulator(timecore=False).run_bundle(bundle, config)
+        assert not expansions
+        assert again.timing == native.timing
 
     def test_knob_reaches_the_core(self):
         from repro.pipeline.core import OutOfOrderCore

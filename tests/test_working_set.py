@@ -1,11 +1,13 @@
-"""Working-set install columns: per-object line ranges, expanded once.
+"""Working-set install columns: per-object line ranges, expanded per run.
 
 A snapshot stores one ``[base & ~63, base + size)`` pair per live object
-plus the hot global span; :func:`repro.sim.compiled.working_set_arrays`
-expands it into the ``data``/``shadow``/``locks`` columns, through the
-timing kernel's ``ws_expand`` entry when it is loaded and one
-``array.extend(range(...))`` per range otherwise.  Both must equal an
-oracle written here from the per-line definitions the snapshot replaced:
+plus the hot global span; each install expands the class's view of it
+(:func:`repro.sim.compiled.working_set_arrays`) into the ``data`` and
+``shadow`` columns (:meth:`~repro.sim.compiled.WorkingSetArrays.columns`),
+through the timing kernel's ``ws_expand`` entry when the run uses the
+kernel and one ``array.extend(range(...))`` per range otherwise.  Both,
+and the ``locks`` column, must equal an oracle written here from the
+per-line definitions the snapshot replaced:
 lines run from ``base & ~63`` in steps of 64 while ``< base + size``, then
 the global span; each data line owns ``metadata_words`` shadow lines.
 """
@@ -17,7 +19,8 @@ import pytest
 from repro.core.config import WatchdogConfig
 from repro.memory.address_space import SHADOW_BIT
 from repro.native import _timecore, build
-from repro.sim.compiled import working_set_arrays
+from repro.pipeline.core import OutOfOrderCore
+from repro.sim.compiled import warm_working_set, working_set_arrays
 from repro.workloads.bundle import WorkingSetSnapshot, \
     default_warmup_instructions
 from repro.workloads.profiles import (
@@ -60,19 +63,19 @@ def oracle_columns(workload, config):
 
 
 def built_columns(snapshot, config):
-    """``working_set_arrays`` built by the kernel (when it loads) and in
-    Python, as ``{kind: (data, shadow, locks)}``."""
-    builds = {}
-    if _timecore.load() is not None:
-        builds["kernel"] = working_set_arrays(snapshot, config)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_timecore, "loaded", lambda: None)
-        builds["python"] = working_set_arrays(snapshot, config)
+    """The install columns of ``working_set_arrays`` expanded by the kernel
+    (when it loads) and in Python, as ``{kind: (data, shadow, locks)}``."""
+    ws = working_set_arrays(snapshot, config)
+    kernel = _timecore.load()
+    libs = {"python": None}
+    if kernel is not None:
+        libs["kernel"] = kernel
     columns = {}
-    for kind, ws in builds.items():
-        for column in (ws.data, ws.shadow, ws.locks):
+    for kind, lib in libs.items():
+        data, shadow = ws.columns(lib)
+        for column in (data, shadow, ws.locks):
             assert isinstance(column, array) and column.typecode == "q"
-        columns[kind] = (ws.data, ws.shadow, ws.locks)
+        columns[kind] = (data, shadow, ws.locks)
     return columns
 
 
@@ -150,6 +153,9 @@ class TestColumnsMatchTheOracle:
 
 
 class TestKernelBuildsTheColumns:
+    """The install expands the ranges through ``ws_expand`` exactly when
+    the run uses the kernel."""
+
     def _count_entry_calls(self, monkeypatch):
         calls = []
         expand = _timecore.expand_ranges
@@ -161,15 +167,26 @@ class TestKernelBuildsTheColumns:
         monkeypatch.setattr(_timecore, "expand_ranges", counting_expand)
         return calls
 
+    def _install_under_every_config(self, timecore):
+        snapshot = SyntheticWorkload(profile_by_name("gzip"),
+                                     seed=1).snapshot_working_set()
+        for config in CONFIGS.values():
+            core = OutOfOrderCore(watchdog=config, timecore=timecore)
+            warm_working_set(core.hierarchy,
+                             working_set_arrays(snapshot, config), config)
+
     def test_columns_come_from_the_kernel_when_loaded(self, monkeypatch):
         if _timecore.load() is None:
             pytest.skip("native timing core unavailable")
         calls = self._count_entry_calls(monkeypatch)
-        snapshot = SyntheticWorkload(profile_by_name("gzip"),
-                                     seed=1).snapshot_working_set()
-        for config in CONFIGS.values():
-            working_set_arrays(snapshot, config)
+        self._install_under_every_config(timecore=True)
         assert calls == [0, 2, 4]
+
+    def test_forced_off_run_builds_them_in_python(self, monkeypatch):
+        _timecore.load()  # loaded or not, a timecore=False run ignores it
+        calls = self._count_entry_calls(monkeypatch)
+        self._install_under_every_config(timecore=False)
+        assert calls == []
 
     def test_kill_switch_builds_them_in_python(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMECORE", "0")
@@ -177,11 +194,7 @@ class TestKernelBuildsTheColumns:
         try:
             assert _timecore.load() is None
             calls = self._count_entry_calls(monkeypatch)
-            workload = SyntheticWorkload(profile_by_name("gzip"), seed=1)
-            snapshot = workload.snapshot_working_set()
-            for config in CONFIGS.values():
-                ws = working_set_arrays(snapshot, config)
-                assert list(ws.shadow) == oracle_columns(workload, config)[1]
+            self._install_under_every_config(timecore=True)
             assert calls == []
         finally:
             build.forget("timecore")
