@@ -250,6 +250,10 @@ def load_kernel(name: str, source: str, switch_env: str, dir_env: str,
                                  "(REPRO_FAULTS)")
                 else:
                     candidate = bind(so_path)
+                    # Until the self-test passes, a nested load reads the
+                    # kernel as unavailable: a test may build the Python
+                    # reference objects that would otherwise load it.
+                    _LOADED[name] = (None,)
                     outcome = self_test(candidate)
                     detail = None
                     if isinstance(outcome, tuple):

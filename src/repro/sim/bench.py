@@ -154,6 +154,17 @@ def run_fast_forward_cell(benchmark: str, ops: int,
     return clock.record(fast_forward_ops_per_sec=_rate(ops, clock.wall))
 
 
+def run_emit_cell(benchmark: str, ops: int,
+                  seed: int = DEFAULT_SEED) -> Dict[str, object]:
+    """Time one emitted window: ``ops`` ops written as token columns.
+    Workload construction is outside the timed interval."""
+    workload = SyntheticWorkload(profile_by_name(benchmark), seed=seed)
+    clock = _Clock()
+    workload.emit(ops)
+    clock.lap("emit")
+    return clock.record(emit_ops_per_sec=_rate(ops, clock.wall))
+
+
 def run_suite_cell(seed: int = DEFAULT_SEED) -> Dict[str, object]:
     """Time ``repro run --all --quick`` as one merged batch, serial and
     cold.  ``suite_cells_per_sec`` (unique simulated cells per wall second)
@@ -272,6 +283,10 @@ CELLS: Tuple[Cell, ...] = (
          dict(benchmark="mcf-long", ops=8_000_000), dict(ops=2_000_000),
          (Gate("fast_forward", "fast_forward_ops_per_sec",
                "fast_forward_ops_per_sec", "ops/sec"),)),
+    # Emission speed decides what every timed window costs to generate.
+    Cell("emit", run_emit_cell,
+         dict(benchmark="mcf-long", ops=2_000_000), dict(ops=500_000),
+         (Gate("emit", "emit_ops_per_sec", "emit_ops_per_sec", "ops/sec"),)),
     # Never scaled: completing the full paper horizon is the point.
     Cell("paper_sampled", run_sampled_cell,
          dict(benchmark=PAPER_BENCHMARK, instructions=PAPER_INSTRUCTIONS,

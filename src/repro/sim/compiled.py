@@ -4,11 +4,13 @@ Every timing run expands its dynamic trace into µops through this module.
 Rather than decoding, injecting and annotating a ``MicroOp`` object per µop
 of every dynamic instance, it compiles in three steps:
 
-1. **Tokenization** (configuration-independent, once per trace): every
-   dynamic op is reduced to the *identity* of its static instruction —
-   opcode, register operands, access size, pointer hint — plus its dynamic
+1. **Tokens** (configuration-independent, once per trace): every dynamic
+   op is reduced to the *identity* of its static instruction — opcode,
+   register operands, access size, pointer hint — plus its dynamic
    annotations (effective address, lock location, misprediction flag).
-   Identities are interned, so a trace becomes four parallel arrays.
+   Identities are interned, so a trace becomes four parallel arrays
+   (:class:`~repro.sim.trace.TraceTokens`).  The synthetic workloads emit
+   this form directly; :func:`tokenize` builds it from ``DynamicOp`` s.
 
 2. **Template expansion** (once per identity per configuration class): the
    real injector expands each unique identity once
@@ -87,7 +89,9 @@ from repro.sim.trace import (
     DynamicOp,
     HIERARCHY_LATENCY_KINDS,
     LQ_KINDS,
+    NO_ADDRESS,
     SQ_KINDS,
+    TraceTokens,
 )
 
 _M47 = 1 << 47
@@ -111,27 +115,12 @@ def stream_class_key(config: WatchdogConfig) -> tuple:
 
 # -- tokenization ---------------------------------------------------------------------
 
-class TraceTokens:
-    """A dynamic trace reduced to interned instruction identities."""
-
-    __slots__ = ("tids", "addrs", "locks", "mis", "insts")
-
-    def __init__(self, tids, addrs, locks, mis, insts):
-        self.tids = tids
-        self.addrs = addrs
-        self.locks = locks
-        self.mis = mis
-        #: One representative :class:`Instruction` per identity.
-        self.insts = insts
-
-    def __len__(self) -> int:
-        return len(self.tids)
-
-
 def tokenize(trace: Iterable[DynamicOp]) -> TraceTokens:
-    """Intern a dynamic trace into parallel (tid, address, lock, mis) arrays.
+    """Intern a :class:`DynamicOp` trace into :class:`TraceTokens` columns.
 
-    The identity key covers every instruction field that can influence µop
+    The synthetic workloads emit tokens directly; this serves every other
+    source — functional-machine traces, :meth:`Simulator.run_trace` input —
+    and the workloads' pure-Python emitter.  The identity key covers every instruction field that can influence µop
     injection or timing annotation under the default (stateless) pointer
     identifiers: opcode, register operands, access size and pointer hint.
     Immediates, labels and comments are deliberately excluded — they never
@@ -148,8 +137,8 @@ def tokenize(trace: Iterable[DynamicOp]) -> TraceTokens:
     keepalive: List[Instruction] = []
     insts: List[Instruction] = []
     tids: List[int] = []
-    addrs: List[Optional[int]] = []
-    locks: List[Optional[int]] = []
+    addrs: List[int] = []
+    locks: List[int] = []
     mis: List[bool] = []
     get = key_to_tid.get
     id_get = id_to_tid.get
@@ -194,10 +183,13 @@ def tokenize(trace: Iterable[DynamicOp]) -> TraceTokens:
             id_to_tid[id(inst)] = tid
             keep(inst)
         append_tid(tid)
-        append_addr(dop.address)
-        append_lock(dop.lock_address)
+        address = dop.address
+        append_addr(NO_ADDRESS if address is None else address)
+        lock = dop.lock_address
+        append_lock(NO_ADDRESS if lock is None else lock)
         append_mis(dop.mispredicted)
-    return TraceTokens(tids, addrs, locks, mis, insts)
+    return TraceTokens(array("q", tids), array("q", addrs), array("q", locks),
+                       array("q", mis), insts)
 
 
 # -- compiled artifacts ----------------------------------------------------------------
@@ -563,6 +555,7 @@ class StreamCompiler:
         mw8 = mw * 8
         frame_lock = self._frame_start
         frame_floor = self._frame_floor
+        none = NO_ADDRESS
         base = 0
 
         for tid, address, lock, mispredicted in zip(
@@ -573,7 +566,7 @@ class StreamCompiler:
             if addr_ops:
                 for off, rule, spec in addr_ops:
                     if rule == ADDR_DATA:
-                        if address is not None:
+                        if address != none:
                             add_pos(base + off)
                             add_addr(address)
                             add_spec(spec)
@@ -583,7 +576,7 @@ class StreamCompiler:
                                 data_words.add(word)
                                 word += 8
                     elif rule == ADDR_SHADOW:
-                        if address is not None:
+                        if address != none:
                             shadow = SHADOW_BIT | ((address & ~7) * mw) % _M47
                             add_pos(base + off)
                             add_addr(shadow)
@@ -594,7 +587,7 @@ class StreamCompiler:
                                 shadow_words.add(word)
                                 word += 8
                     elif rule == ADDR_LOCK:
-                        if lock is not None:
+                        if lock != none:
                             add_pos(base + off)
                             add_addr(lock)
                             add_spec(spec)
@@ -674,11 +667,12 @@ class StreamCompiler:
         warm_shadow = self.config.enabled
         frame_lock = self._frame_start
         frame_floor = self._frame_floor
+        none = NO_ADDRESS
 
         for tid, address, lock in zip(tokens.tids, tokens.addrs, tokens.locks):
             for off, rule, spec in ops_by_tid[tid]:
                 if rule == ADDR_DATA:
-                    if address is not None:
+                    if address != none:
                         add_addr(address)
                         add_spec(spec)
                         if warm_shadow:
@@ -688,11 +682,11 @@ class StreamCompiler:
                                 add_addr(SHADOW_BIT | ((data & ~7) * mw) % _M47)
                                 add_spec(SPEC_SHADOW_READ)
                 elif rule == ADDR_SHADOW:
-                    if address is not None:
+                    if address != none:
                         add_addr(SHADOW_BIT | ((address & ~7) * mw) % _M47)
                         add_spec(spec)
                 elif rule == ADDR_LOCK:
-                    if lock is not None:
+                    if lock != none:
                         add_addr(lock)
                         add_spec(spec)
                 elif rule == ADDR_FRAME_PUSH:

@@ -30,11 +30,9 @@ from repro.program.ir import Program
 from repro.program.machine import ExecutionResult, Machine
 from repro.sim.sampling import SamplingConfig
 from repro.sim.trace import DynamicOp
-from repro.workloads.bundle import TraceBundle, WorkingSetSnapshot, \
-    default_warmup_instructions
+from repro.workloads.bundle import TraceBundle, WorkingSetSnapshot
 from repro.workloads.profiles import BenchmarkProfile, profile_by_name
 from repro.workloads.streaming import SampleStream
-from repro.workloads.synthetic import SyntheticWorkload
 
 
 @dataclass
@@ -241,37 +239,22 @@ class Simulator:
         stream is segmented into fast-forward/warm-up/measure windows and
         only the measure windows are timed (see :meth:`run_bundle`).
 
-        The measured portion streams straight into the timing core (O(1)
-        trace memory, suitable for very long one-off runs); sweeps that need
-        to replay one trace under many configurations materialize a
-        :class:`TraceBundle` instead and use :meth:`run_bundle`, which
-        produces bit-identical results.
-
-        A schedule that genuinely samples the horizon runs through
-        :meth:`run_streaming`, one sample in memory; one that measures
-        everything or nothing normalizes to the unsampled bundle.
+        An unsampled run generates a :class:`TraceBundle` and replays it
+        with :meth:`run_bundle`, as sweeps do, so the two paths cannot
+        disagree.  A schedule that genuinely samples the horizon runs
+        through :meth:`run_streaming`, one sample in memory; one that
+        measures everything or nothing normalizes to the unsampled bundle.
         """
-        if sampling is not None:
-            if warmup_instructions is None \
-                    and sampling.samples_horizon(instructions):
-                return self.run_streaming(profile, config,
-                                          instructions=instructions,
-                                          sampling=sampling, seed=seed)
-            bundle = TraceBundle.generate(profile, seed=seed,
-                                          instructions=instructions,
-                                          warmup_instructions=warmup_instructions,
-                                          sampling=sampling)
-            return self.run_bundle(bundle, config)
-        workload = SyntheticWorkload(profile, seed=seed)
-        if warmup_instructions is None:
-            warmup_instructions = default_warmup_instructions(instructions)
-        warmup = workload.trace(warmup_instructions) if warmup_instructions else None
-        # Frozen at the warm-up/measure boundary, before the measured trace
-        # advances the generator.
-        working_set = workload.snapshot_working_set()
-        return self.run_trace(workload.generate(instructions), config,
-                              name=profile.name, warmup_trace=warmup,
-                              working_set=working_set)
+        if sampling is not None and warmup_instructions is None \
+                and sampling.samples_horizon(instructions):
+            return self.run_streaming(profile, config,
+                                      instructions=instructions,
+                                      sampling=sampling, seed=seed)
+        bundle = TraceBundle.generate(profile, seed=seed,
+                                      instructions=instructions,
+                                      warmup_instructions=warmup_instructions,
+                                      sampling=sampling)
+        return self.run_bundle(bundle, config)
 
     def run_bundle(self, bundle: TraceBundle, config: WatchdogConfig) -> SimulationOutcome:
         """Time one pre-generated trace bundle under one configuration.
@@ -281,8 +264,8 @@ class Simulator:
         and yields exactly the cycles a fresh per-configuration workload
         generation would have produced.  The bundle caches its packed
         streams per configuration-equivalence class, so replaying n
-        configurations costs one tokenization, one compilation per injection
-        behaviour, and n array-scheduler runs.
+        configurations costs one compilation per injection behaviour and n
+        array-scheduler runs.
 
         A sampled bundle (§9.1) runs each measure window as an independent
         timing run — fresh core, working set installed from the window's own
@@ -305,7 +288,7 @@ class Simulator:
 
         Each sample segment is generated, wrapped as a transient one-sample
         bundle, compiled, simulated and folded into the accumulator — then
-        every per-sample artifact (raw traces, token/stream caches,
+        every per-sample artifact (token streams, compiled streams,
         working-set arrays) is dropped with the bundle before the next
         sample is generated.  Peak memory is one sample regardless of
         horizon; the result is bit-identical to :meth:`run_bundle` over the

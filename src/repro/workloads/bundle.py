@@ -19,14 +19,14 @@ from typing import Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.sim.sampling import SamplingConfig
-from repro.sim.trace import DynamicOp
+from repro.sim.trace import TraceTokens
 from repro.workloads.profiles import BenchmarkProfile, profile_by_name
 from repro.workloads.synthetic import SyntheticWorkload
 
-#: Instance attributes holding the lazily-built compiled-stream caches.
-#: They live outside the dataclass fields: equality, hashing and pickling of
-#: a bundle are defined by its trace content alone.
-_TOKEN_CACHE_ATTR = "_cc_tokens"
+#: Instance attribute holding the lazily-built compiled-stream cache.  It
+#: lives outside the dataclass fields: equality and pickling of a bundle are
+#: defined by its trace content alone.  Bundles are unhashable: their token
+#: columns and working-set snapshots are mutable arrays.
 _STREAM_CACHE_ATTR = "_cc_streams"
 
 
@@ -34,7 +34,7 @@ _STREAM_CACHE_ATTR = "_cc_streams"
 #: sampling schedule was requested at all, or because a requested §9.1
 #: schedule measures nothing and would normalize to the unsampled layout
 #: (the right behaviour at test scale, a silent catastrophe at paper scale:
-#: the whole 100M-instruction horizon materialized as DynamicOps).  Past
+#: the whole 100M-instruction horizon materialized as token rows).  Past
 #: this bound both cases are errors pointing at a horizon-fitted schedule.
 MAX_NORMALIZED_UNSAMPLED_INSTRUCTIONS = 4_000_000
 
@@ -82,14 +82,14 @@ class SampleSegment:
 
     The fast-forward window is applied *functionally* at generation time (the
     workload generator advances through it, no trace is kept); what remains
-    is the warm-up stream, the working set frozen at the warm-up/measure
-    boundary, and the measured stream — exactly the inputs one unsampled
-    timing run takes, so each sample replays through the unchanged
-    compile-and-schedule machinery.
+    is the warm-up stream (empty when the schedule has no warm-up window),
+    the working set frozen at the warm-up/measure boundary, and the measured
+    stream — exactly the inputs one unsampled timing run takes, so each
+    sample replays through the unchanged compile-and-schedule machinery.
     """
 
-    warmup: Tuple[DynamicOp, ...]
-    measured: Tuple[DynamicOp, ...]
+    warmup: TraceTokens
+    measured: TraceTokens
     working_set: WorkingSetSnapshot
 
 
@@ -101,10 +101,12 @@ class TraceBundle:
     seed: int
     instructions: int
     warmup_instructions: int
-    #: The untimed stream that primes the cache hierarchy.
-    warmup: Tuple[DynamicOp, ...]
-    #: The measured stream the timing model replays.
-    measured: Tuple[DynamicOp, ...]
+    #: The untimed stream that primes the cache hierarchy (empty for a
+    #: sampled bundle, or without a warm-up).
+    warmup: TraceTokens
+    #: The measured stream the timing model replays (empty for a sampled
+    #: bundle).
+    measured: TraceTokens
     #: Live working set at the warm-up/measure boundary (the last sample's,
     #: for a sampled bundle).
     working_set: WorkingSetSnapshot
@@ -153,7 +155,7 @@ class TraceBundle:
                                              sampling).segments())
                 return cls(benchmark=profile.name, seed=seed,
                            instructions=instructions, warmup_instructions=0,
-                           warmup=(), measured=(),
+                           warmup=TraceTokens(), measured=TraceTokens(),
                            working_set=samples[-1].working_set,
                            sampling=sampling, samples=samples)
             if instructions > MAX_NORMALIZED_UNSAMPLED_INSTRUCTIONS:
@@ -174,10 +176,9 @@ class TraceBundle:
         if warmup_instructions is None:
             warmup_instructions = default_warmup_instructions(instructions)
         workload = SyntheticWorkload(profile, seed=seed)
-        warmup = tuple(workload.trace(warmup_instructions)) \
-            if warmup_instructions else ()
+        warmup = workload.trace(warmup_instructions)
         snapshot = workload.snapshot_working_set()
-        measured = tuple(workload.trace(instructions))
+        measured = workload.trace(instructions)
         return cls(benchmark=profile.name, seed=seed, instructions=instructions,
                    warmup_instructions=warmup_instructions, warmup=warmup,
                    measured=measured, working_set=snapshot)
@@ -200,9 +201,8 @@ class TraceBundle:
         :func:`repro.sim.compiled.stream_class_key`): sweep cells whose
         configurations inject the same µops — e.g. with and without the lock
         location cache — share one packed stream, one warm-up access
-        sequence and one working-set array set.  Tokenization (the
-        configuration-independent interning of the dynamic traces) happens
-        at most once per bundle (per sample, for sampled bundles).
+        sequence and one working-set array set.  The traces are already
+        token columns, shared by every class.
 
         Returns a :class:`repro.sim.compiled.BundleStreams`.
         """
@@ -229,7 +229,6 @@ class TraceBundle:
             BundleStreams,
             StreamCompiler,
             stream_class_key,
-            tokenize,
         )
 
         machine = machine or MachineConfig()
@@ -243,22 +242,11 @@ class TraceBundle:
             return cached
 
         segment = self if index is None else self.samples[index]
-        tokens = self.__dict__.get(_TOKEN_CACHE_ATTR)
-        if tokens is None:
-            tokens = {}
-            object.__setattr__(self, _TOKEN_CACHE_ATTR, tokens)
-        segment_tokens = tokens.get(index)
-        if segment_tokens is None:
-            segment_tokens = tokens[index] = (
-                tokenize(segment.measured),
-                tokenize(segment.warmup) if segment.warmup else None)
-        measured_tokens, warm_tokens = segment_tokens
-
         compiler = StreamCompiler(config, machine)
         built = BundleStreams(
-            measured=compiler.compile_measured(measured_tokens),
-            warm=compiler.compile_warm(warm_tokens)
-            if warm_tokens is not None else None,
+            measured=compiler.compile_measured(segment.measured),
+            warm=compiler.compile_warm(segment.warmup)
+            if segment.warmup else None,
             working_set=compiler.working_set_arrays(segment.working_set),
         )
         streams[key] = built
@@ -268,9 +256,9 @@ class TraceBundle:
         """The bundle's pinned memory, in dynamic-op equivalents.
 
         What the engine's per-process bundle memo budgets against: the raw
-        trace streams (top-level and per-sample), the working-set snapshots,
-        and — crucially — the lazily-built token and compiled-stream caches
-        this instance currently pins, which for a compiled replay dwarf the
+        token streams (top-level and per-sample), the working-set snapshots,
+        and — crucially — the lazily-built compiled-stream cache this
+        instance currently pins, which for a compiled replay dwarfs the
         traces themselves.
         """
         def _snapshot_ops(snapshot: WorkingSetSnapshot) -> int:
@@ -281,12 +269,6 @@ class TraceBundle:
         for sample in self.samples:
             ops += len(sample.measured) + len(sample.warmup) \
                 + _snapshot_ops(sample.working_set)
-        tokens = self.__dict__.get(_TOKEN_CACHE_ATTR)
-        if tokens:
-            for measured_tokens, warm_tokens in tokens.values():
-                ops += len(measured_tokens)
-                if warm_tokens is not None:
-                    ops += len(warm_tokens)
         streams = self.__dict__.get(_STREAM_CACHE_ATTR)
         if streams:
             for built in streams.values():
@@ -311,9 +293,9 @@ class TraceBundle:
         return ops
 
     def __getstate__(self):
-        """Pickle only the trace content, never the compiled caches."""
+        """Pickle only the trace content, never the compiled cache."""
         return {key: value for key, value in self.__dict__.items()
-                if key not in (_TOKEN_CACHE_ATTR, _STREAM_CACHE_ATTR)}
+                if key != _STREAM_CACHE_ATTR}
 
     def __setstate__(self, state):
         self.__dict__.update(state)

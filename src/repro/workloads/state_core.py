@@ -18,8 +18,8 @@ pure-Python loop otherwise.  Both are verified bit-identical to draining the
 emission layer by the golden fast-forward tests.
 
 Object storage is *slot based*: every allocation gets a monotonically
-increasing slot id addressing append-only parallel arrays (size, locality
-cursor, pointer-richness, lock location, allocation record).  ``_order``
+increasing slot id addressing append-only parallel arrays (base address,
+size, locality cursor, pointer-richness, lock location, allocation record).  ``_order``
 lists the live slots in insertion order (the cold-pool window is its tail),
 ``_hot`` is the recently-touched slot list.  Slots are never reused, so a
 freed slot that lingers in the hot set (the generator's deliberate
@@ -89,6 +89,7 @@ class WorkloadCore:
         self.runtime = InstrumentedRuntime(self.memory, identifiers=self.identifiers)
 
         # Slot-based object storage (append-only; slots are never reused).
+        self._slot_bases = array("q")
         self._slot_sizes = array("q")
         self._slot_cursors = array("q")
         self._slot_rich = array("b")
@@ -131,12 +132,12 @@ class WorkloadCore:
         Called from ``__init__`` and again from ``__setstate__`` (the kernel
         handle and buffers are not picklable).  The kernel's in-place hot
         buffer holds 16 slots, so hot sets beyond 15 entries (no in-tree
-        workload comes close) fall back to the pure-Python span loop.
+        workload comes close) fall back to the pure-Python loops.  The
+        buffers are built either way, so assigning a kernel to ``_ffcore``
+        later (the loader's self-test does) switches the workload over.
         """
         profile = self.profile
         self._ffcore = _ffcore.load() if self.HOT_SET_OBJECTS <= 15 else None
-        if self._ffcore is None:
-            return
         self._c_scalars = array("q", [0] * _ffcore.SCAL_SLOTS)
         self._c_hot = array("q", [0] * 16)
         self._c_consts_d = array("d", [
@@ -145,12 +146,14 @@ class WorkloadCore:
             profile.word_integer_fraction,
             profile.word_integer_fraction + profile.fp_access_fraction,
             profile.fp_compute_fraction, profile.temporal_locality,
-            profile.spatial_locality, self.GLOBAL_ACCESS_FRACTION])
+            profile.spatial_locality, self.GLOBAL_ACCESS_FRACTION,
+            profile.load_fraction, profile.mispredict_rate])
         self._c_consts_i = array("q", [
             self._global_span, self._global_ptr_span,
             profile.working_set_objects, self._min_keep,
             self._size_low, self._size_nslots,
-            self.COLD_POOL_OBJECTS, self.HOT_SET_OBJECTS])
+            self.COLD_POOL_OBJECTS, self.HOT_SET_OBJECTS,
+            self._globals_base, self._global_lock])
 
     # -- pickling (the native kernel handle and bound method don't travel) ----------
     def __getstate__(self):
@@ -184,6 +187,7 @@ class WorkloadCore:
         assert record is not None
         self._allocation_counter += 1
         slot = len(self._slot_sizes)
+        self._slot_bases.append(record.base)
         self._slot_sizes.append(record.size)
         self._slot_cursors.append(0)
         # Whether this object is part of a pointer-rich data structure
@@ -220,6 +224,7 @@ class WorkloadCore:
         """
         keep = sorted(set(self._order) | set(self._hot) | self._stale_kept)
         remap = {old: new for new, old in enumerate(keep)}
+        self._slot_bases[:] = array("q", (self._slot_bases[s] for s in keep))
         self._slot_sizes[:] = array("q", (self._slot_sizes[s] for s in keep))
         self._slot_cursors[:] = array("q", (self._slot_cursors[s] for s in keep))
         self._slot_rich[:] = array("b", (self._slot_rich[s] for s in keep))
@@ -346,17 +351,31 @@ class WorkloadCore:
         if remaining < MAX_EVENT_OPS:
             return remaining
         if self._ffcore is not None:
-            return self._advance_span_c(remaining)
+            return self._run_kernel(remaining)
         return self._advance_span_py(remaining)
 
-    def _apply_alloc_event(self, freed_index: int, size: int) -> None:
-        """Apply an allocation event's effects (draws already consumed)."""
+    def _apply_alloc_event(self, freed_index: int, size: int) -> Tuple[int, int]:
+        """Apply an allocation event's effects (draws already consumed);
+        returns the lock locations of the freed object (-1 for none) and of
+        the new one."""
+        freed_lock = -1
         if freed_index >= 0:
-            self._free_slot(freed_index)
-        self._materialize_allocation(size)
+            freed_lock = self._slot_locks[self._free_slot(freed_index)]
+        return freed_lock, self._slot_locks[self._materialize_allocation(size)]
 
-    def _advance_span_c(self, remaining: int) -> int:
-        """Drive the native kernel, bouncing out for allocator events."""
+    def _run_kernel(self, remaining: int, rows=None, written: int = 0):
+        """Drive the native loop, bouncing out for allocator events.
+
+        Without ``rows`` it skips whole events (see :meth:`advance_bulk`)
+        and returns the remainder.  With ``rows`` — four ``array("q")``
+        columns (shape, address, lock, mispredict) holding ``written`` rows
+        and room for ``remaining + MAX_EVENT_OPS - 1`` more — it writes at
+        least ``remaining`` ops as rows, the last event whole, and returns
+        the new row count.  A GETIDENT/SETIDENT row's lock location is only
+        known once Python has applied the event's free or malloc, so it is
+        patched here: the SETIDENT is the event's last row, and a GETIDENT
+        (the event frees first) its seventh.
+        """
         advance = self._ffcore.ff_advance
         scal = self._c_scalars
         hotbuf = self._c_hot
@@ -364,8 +383,16 @@ class WorkloadCore:
         mt = array("I", state[1][:624])
         mt_addr = mt.buffer_info()[0]
         scal[_ffcore.SCAL_MTI] = state[1][624]
+        scal[_ffcore.SCAL_WRITTEN] = written
         consts_d = self._c_consts_d.buffer_info()[0]
         consts_i = self._c_consts_i.buffer_info()[0]
+        out = None
+        if rows is not None:
+            if min(map(len, rows)) < written + remaining + MAX_EVENT_OPS - 1:
+                raise ValueError("token columns too short for the window")
+            locks = rows[2]
+            pointers = array("Q", [column.buffer_info()[0] for column in rows])
+            out = pointers.buffer_info()[0]
         while True:
             hot = self._hot
             for i, slot in enumerate(hot):
@@ -381,7 +408,9 @@ class WorkloadCore:
                     self._slot_sizes.buffer_info()[0],
                     self._slot_cursors.buffer_info()[0],
                     self._slot_rich.buffer_info()[0],
-                    hotbuf.buffer_info()[0])
+                    hotbuf.buffer_info()[0],
+                    self._slot_bases.buffer_info()[0],
+                    self._slot_locks.buffer_info()[0], out)
             remaining = scal[_ffcore.SCAL_REMAINING]
             self._value_rotation = scal[_ffcore.SCAL_VALUE_ROTATION]
             self._global_cursor = scal[_ffcore.SCAL_GLOBAL_CURSOR]
@@ -389,13 +418,19 @@ class WorkloadCore:
             self._hot = list(hotbuf[:scal[_ffcore.SCAL_HOT_LEN]])
             if scal[_ffcore.SCAL_REASON] != _ffcore.REASON_ALLOC:
                 break
-            self._apply_alloc_event(scal[_ffcore.SCAL_FREED_INDEX],
-                                    scal[_ffcore.SCAL_ALLOC_SIZE])
+            freed_index = scal[_ffcore.SCAL_FREED_INDEX]
+            freed_lock, new_lock = self._apply_alloc_event(
+                freed_index, scal[_ffcore.SCAL_ALLOC_SIZE])
+            if rows is not None:
+                end = scal[_ffcore.SCAL_WRITTEN]
+                locks[end - 1] = new_lock
+                if freed_index >= 0:
+                    locks[end - 8] = freed_lock
         self.rng.setstate((state[0], tuple(mt) + (scal[_ffcore.SCAL_MTI],),
                            state[2]))
         if self._stale_kept:
             self._sweep_stale_records()
-        return remaining
+        return remaining if rows is None else scal[_ffcore.SCAL_WRITTEN]
 
     def _advance_span_py(self, remaining: int) -> int:
         """Pure-Python whole-event advance (the no-compiler fallback).

@@ -27,6 +27,7 @@ from typing import Iterator, List, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.sim.sampling import SamplingConfig, SamplingSchedule
+from repro.sim.trace import TraceTokens
 from repro.workloads.bundle import SampleSegment, TraceBundle
 from repro.workloads.profiles import BenchmarkProfile, profile_by_name
 from repro.workloads.synthetic import SyntheticWorkload
@@ -85,20 +86,20 @@ class SampleStream:
         sample.
         """
         workload = SyntheticWorkload(self.profile, seed=self.seed)
-        pending_warm: Tuple = ()
+        pending_warm = TraceTokens()
         for start, end, phase in self._windows():
             length = end - start
             if phase == SamplingSchedule.SKIP:
                 workload.fast_forward(length)
-                pending_warm = ()
+                pending_warm = TraceTokens()
             elif phase == SamplingSchedule.WARMUP:
-                pending_warm = tuple(workload.emit(length))
+                pending_warm = workload.emit(length)
             else:
                 snapshot = workload.snapshot_working_set()
-                measured = tuple(workload.emit(length))
+                measured = workload.emit(length)
                 yield SampleSegment(warmup=pending_warm, measured=measured,
                                     working_set=snapshot)
-                pending_warm = ()
+                pending_warm = TraceTokens()
 
     def segment(self, index: int) -> SampleSegment:
         """Regenerate sample ``index`` alone, bit-identically (replay-on-demand).
@@ -130,10 +131,9 @@ class SampleStream:
             warm_start = windows[position - 1][0]
         workload = SyntheticWorkload(self.profile, seed=self.seed)
         workload.fast_forward(warm_start)
-        warmup = tuple(workload.emit(measure_start - warm_start)) \
-            if measure_start > warm_start else ()
+        warmup = workload.emit(measure_start - warm_start)
         snapshot = workload.snapshot_working_set()
-        measured = tuple(workload.emit(measure_end - measure_start))
+        measured = workload.emit(measure_end - measure_start)
         return SampleSegment(warmup=warmup, measured=measured,
                              working_set=snapshot)
 
@@ -148,5 +148,6 @@ class SampleStream:
         return TraceBundle(
             benchmark=self.profile.name, seed=self.seed,
             instructions=self.instructions, warmup_instructions=0,
-            warmup=(), measured=(), working_set=segment.working_set,
+            warmup=TraceTokens(), measured=TraceTokens(),
+            working_set=segment.working_set,
             sampling=self.sampling, samples=(segment,))

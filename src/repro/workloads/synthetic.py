@@ -15,27 +15,33 @@ The generator is split into two layers:
   set, locality cursors, hot set — and can do so in bulk without producing
   any instructions (``advance_bulk``), which is what makes §9.1 fast-forward
   windows at paper scale (100M+ instructions) tractable;
-* :class:`SyntheticWorkload` (this module) materializes the
-  :class:`~repro.sim.trace.DynamicOp` stream on top of that state, but only
-  where a trace is actually consumed: :meth:`generate`/:meth:`trace` for
-  conventional runs, :meth:`emit` for the warm-up/measure windows of a
-  sampled run, with :meth:`fast_forward` covering the skip windows.
+* :class:`SyntheticWorkload` (this module) emits the dynamic stream on top
+  of that state, but only where a trace is actually consumed:
+  :meth:`trace` for conventional runs, :meth:`emit` for the warm-up/measure
+  windows of a sampled run, with :meth:`fast_forward` covering the skip
+  windows.
 
-The produced :class:`~repro.sim.trace.DynamicOp` stream is what the trace
-expander and the out-of-order timing model consume for the Figure 5/7/8/9/10/11
-experiments.
+Windows come out as :class:`~repro.sim.trace.TraceTokens`, the stream
+compiler's input for the Figure 5/7/8/9/10/11 experiments.  With the native
+kernel loaded the kernel writes the token rows itself, each op's static
+instruction named by its index in :data:`SHAPES`; otherwise the Python
+emitter below builds :class:`~repro.sim.trace.DynamicOp` s and tokenizes
+them.  The Python emitter is the kernel's oracle, and :meth:`generate`
+exposes it as an iterator of ops.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.isa.instructions import AccessSize, Instruction, Opcode, PointerHint
 from repro.isa.registers import ArchReg, fp_reg, int_reg
-from repro.sim.trace import DynamicOp
+from repro.sim.trace import NO_ADDRESS, DynamicOp, TraceTokens
+from repro.workloads import _ffcore
 from repro.workloads.profiles import BenchmarkProfile
-from repro.workloads.state_core import WorkloadCore
+from repro.workloads.state_core import MAX_EVENT_OPS, WorkloadCore
 
 #: Registers used to hold addresses (pointers into live objects).
 ADDRESS_REGS = tuple(int_reg(i) for i in range(1, 7))
@@ -54,6 +60,56 @@ RUNTIME_CALL_ALU_OPS = 6
 #: draw to ``rng.choice``: one ``_randbelow(6)`` selecting from this tuple).
 _ALU_OPCODES = (Opcode.ADD_RI, Opcode.ADD_RI, Opcode.AND_RR,
                 Opcode.XOR_RR, Opcode.ADD_RR, Opcode.MUL_RR)
+
+
+def _shapes() -> List[tuple]:
+    """Every static instruction shape the generator emits, as
+    :meth:`SyntheticWorkload._inst` arguments, in the native kernel's
+    shape-id order (the ``SH_*`` layout in :mod:`repro.workloads._ffcore`)."""
+    word, unknown = AccessSize.WORD64, PointerHint.UNKNOWN
+    shapes = [(Opcode.ADD_RI, reg, (reg,), 8, word, unknown)
+              for reg in ADDRESS_REGS]
+    kinds = ((PointerHint.POINTER, word, False),
+             (PointerHint.NOT_POINTER, word, False),
+             (PointerHint.NOT_POINTER, word, True),
+             (PointerHint.NOT_POINTER, AccessSize.WORD32, False))
+    for hint, size, fp in kinds:
+        for is_load in (False, True):
+            for address_reg in ADDRESS_REGS:
+                for data_reg in FP_REGS if fp else VALUE_REGS:
+                    if is_load:
+                        shapes.append((Opcode.FLOAD if fp else Opcode.LOAD,
+                                       data_reg, (address_reg,), 0, size,
+                                       hint))
+                    else:
+                        shapes.append((Opcode.FSTORE if fp else Opcode.STORE,
+                                       None, (address_reg, data_reg), 0, size,
+                                       hint))
+    shapes += [(Opcode.FADD, dest, (a, b), 0, word, unknown)
+               for dest in FP_REGS for a in FP_REGS for b in FP_REGS]
+    for rotation, dest in enumerate(VALUE_REGS):
+        for chained in (False, True):
+            a = VALUE_REGS[(rotation + (5 if chained else 2)) % 6]
+            b = VALUE_REGS[(rotation + 4) % 6]
+            shapes.append((Opcode.ADD_RI, dest, (a,), 1, word, unknown))
+            shapes += [(opcode, dest, (a, b), 0, word, unknown)
+                       for opcode in _ALU_OPCODES[2:]]
+    shapes += [(Opcode.BRANCH, None, (reg,), 0, word, unknown)
+               for reg in VALUE_REGS]
+    shapes += [(Opcode.SETIDENT, None, (reg, VALUE_REGS[0]), 0, word, unknown)
+               for reg in ADDRESS_REGS]
+    shapes += [(Opcode.GETIDENT, VALUE_REGS[0], (reg,), 0, word, unknown)
+               for reg in ADDRESS_REGS]
+    shapes += [(Opcode.CALL, None, (), 0, word, unknown),
+               (Opcode.RET, None, (), 0, word, unknown)]
+    assert len(shapes) == _ffcore.N_SHAPES
+    return shapes
+
+
+#: Shape id -> ``_inst`` arguments, and back (the arguments are the
+#: instruction cache's key).
+SHAPES = _shapes()
+SHAPE_IDS = {shape: index for index, shape in enumerate(SHAPES)}
 
 #: Ceiling on interned Instruction shapes per workload.  The generator only
 #: ever produces a few hundred distinct shapes, so the bound exists purely as
@@ -78,8 +134,10 @@ class SyntheticWorkload(WorkloadCore):
         #: Ops of an event split by a sampled-window boundary, waiting for
         #: the next window (`fast_forward` discards into it, `emit` drains
         #: from it) — the continuous-stream equivalent of the suspended
-        #: generator the sampled segmentation used to hold open.
-        self._pending: List[DynamicOp] = []
+        #: generator the sampled segmentation used to hold open.  One
+        #: ``(shape id, address, lock, mispredict)`` row per op, in the
+        #: token columns' encoding, whichever emitter produced it.
+        self._pending: List[Tuple[int, int, int, int]] = []
         super().__init__(profile, seed=seed)
 
     def _inst(self, opcode: Opcode, dest: Optional[ArchReg] = None,
@@ -228,16 +286,13 @@ class SyntheticWorkload(WorkloadCore):
     def generate(self, instructions: int) -> Iterator[DynamicOp]:
         """Yield approximately ``instructions`` dynamic macro operations.
 
-        This is the stand-alone streaming API: each call starts at the next
-        event boundary and a final event truncated by the limit has its tail
-        *discarded* (unchanged semantics — unsampled bundles depend on it).
-        The continuous-stream APIs (:meth:`emit`/:meth:`fast_forward`) keep
+        This is the stand-alone streaming API, in Python: each call starts
+        at the next event boundary and a final event truncated by the limit
+        has its tail *discarded*, exactly like :meth:`trace`.  The
+        continuous-stream APIs (:meth:`emit`/:meth:`fast_forward`) keep
         split events pending instead and cannot be mixed with this one.
         """
-        if self._pending:
-            raise ConfigurationError(
-                "generate() cannot follow fast_forward()/emit() mid-event; "
-                "use emit() to continue the continuous stream")
+        self._refuse_pending("generate")
         emitted = 0
         while emitted < instructions:
             for op in self._event_ops():
@@ -246,36 +301,28 @@ class SyntheticWorkload(WorkloadCore):
                 if emitted >= instructions:
                     return
 
-    def trace(self, instructions: int) -> List[DynamicOp]:
-        """Materialize a trace as a list (convenience for tests)."""
-        return list(self.generate(instructions))
+    def trace(self, instructions: int) -> TraceTokens:
+        """The next ``instructions`` ops as token columns, starting at an
+        event boundary and discarding the tail of a final split event
+        (what unsampled bundles are built from)."""
+        self._refuse_pending("trace")
+        return self._window(instructions, keep_tail=False)
+
+    def _refuse_pending(self, api: str) -> None:
+        if self._pending:
+            raise ConfigurationError(
+                f"{api}() cannot follow fast_forward()/emit() mid-event; "
+                f"use emit() to continue the continuous stream")
 
     # -- the continuous-stream window APIs (§9.1 sampled segmentation) ---------------
-    def emit(self, count: int) -> List[DynamicOp]:
-        """Materialize the next ``count`` ops of the continuous stream.
+    def emit(self, count: int) -> TraceTokens:
+        """The next ``count`` ops of the continuous stream, as token columns.
 
         Equivalent to ``islice`` over one never-restarted :meth:`generate`
         run: an event split by the window boundary keeps its tail pending for
         the next :meth:`emit`/:meth:`fast_forward` call.
         """
-        out: List[DynamicOp] = []
-        pending = self._pending
-        if pending:
-            if len(pending) >= count:
-                out = pending[:count]
-                del pending[:count]
-                return out
-            out = pending[:]
-            del pending[:]
-        while len(out) < count:
-            ops = self._event_ops()
-            need = count - len(out)
-            if len(ops) <= need:
-                out.extend(ops)
-            else:
-                out.extend(ops[:need])
-                pending.extend(ops[need:])
-        return out
+        return self._window(count, keep_tail=True)
 
     def fast_forward(self, count: int) -> None:
         """Advance the functional state across ``count`` ops of the stream.
@@ -284,8 +331,9 @@ class SyntheticWorkload(WorkloadCore):
         end up bit-identical to ``emit(count)`` with the result thrown away —
         that equivalence is what keeps sampled traces unchanged — but the
         skip window's instructions are never materialized.  Whole events are
-        advanced by the state core in bulk; only an event straddling the
-        window boundary is materialized, into the pending buffer.
+        advanced by the state core in bulk; only the last few ops (fewer
+        than ``MAX_EVENT_OPS``) are emitted, so an event straddling the
+        window boundary leaves its tail pending.
 
         Because consecutive calls compose (``fast_forward(a + b)`` ≡
         ``fast_forward(a); fast_forward(b)``, both golden-pinned), any window
@@ -296,18 +344,71 @@ class SyntheticWorkload(WorkloadCore):
         if count <= 0:
             return
         pending = self._pending
-        if pending:
-            if len(pending) >= count:
-                del pending[:count]
-                return
-            count -= len(pending)
-            del pending[:]
-        count = self.advance_bulk(count)
-        while count > 0:
-            ops = self._event_ops()
-            n = len(ops)
-            if n <= count:
-                count -= n
-            else:
-                pending.extend(ops[count:])
-                return
+        dropped = min(count, len(pending))
+        del pending[:dropped]
+        count = self.advance_bulk(count - dropped) if count > dropped else 0
+        if count:
+            self._window(count, keep_tail=True)
+
+    def _window(self, count: int, keep_tail: bool) -> TraceTokens:
+        """``count`` ops as tokens, pending rows first; the tail of a final
+        split event stays pending when ``keep_tail``, else it is dropped.
+
+        The native kernel writes the rows itself; without it the Python
+        emitter materializes the ops and :func:`repro.sim.compiled.tokenize`
+        reduces them, numbering identities the same way.
+        """
+        if self._ffcore is None:
+            return self._python_window(count, keep_tail)
+        pending = self._pending
+        columns = [array("q", bytes(8 * (count + MAX_EVENT_OPS - 1)))
+                   for _ in range(4)]
+        written = min(count, len(pending))
+        for index, row in enumerate(pending[:written]):
+            for column, value in zip(columns, row):
+                column[index] = value
+        del pending[:written]
+        if written < count:
+            written = self._run_kernel(count - written, columns, written)
+        if keep_tail:
+            pending.extend(zip(*(column[count:written] for column in columns)))
+        for column in columns:
+            del column[count:]
+        shapes = columns[0]
+        seen = array("q", bytes(8 * _ffcore.N_SHAPES))
+        distinct = self._ffcore.ff_intern(shapes.buffer_info()[0], count,
+                                          seen.buffer_info()[0])
+        if distinct < 0:
+            raise RuntimeError("native kernel wrote an unknown shape id")
+        inst = self._inst
+        return TraceTokens(shapes, columns[1], columns[2], columns[3],
+                           [inst(*SHAPES[shape]) for shape in seen[:distinct]])
+
+    def _python_window(self, count: int, keep_tail: bool) -> TraceTokens:
+        """The Python emitter: the fallback, and the kernel's oracle."""
+        from repro.sim import compiled
+
+        pending = self._pending
+        ops = [DynamicOp(self._inst(*SHAPES[shape]),
+                         None if address == NO_ADDRESS else address,
+                         None if lock == NO_ADDRESS else lock, bool(mis))
+               for shape, address, lock, mis in pending[:count]]
+        del pending[:count]
+        while len(ops) < count:
+            event = self._event_ops()
+            need = count - len(ops)
+            ops.extend(event[:need])
+            if keep_tail:
+                pending.extend(
+                    (SHAPE_IDS[_shape_key(op.instruction)],
+                     NO_ADDRESS if op.address is None else op.address,
+                     NO_ADDRESS if op.lock_address is None
+                     else op.lock_address, int(op.mispredicted))
+                    for op in event[need:])
+        return compiled.tokenize(ops)
+
+
+def _shape_key(inst: Instruction) -> tuple:
+    """An emitted instruction's :data:`SHAPES` entry."""
+    return (inst.opcode, inst.dest, inst.srcs, inst.imm, inst.size,
+            inst.pointer_hint)

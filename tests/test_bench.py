@@ -25,6 +25,7 @@ GATES = (
     ("sampled", "sampled", "sampled_uops_per_sec", "uops_per_sec", False),
     ("fast_forward", "fast_forward", "fast_forward_ops_per_sec",
      "fast_forward_ops_per_sec", False),
+    ("emit", "emit", "emit_ops_per_sec", "emit_ops_per_sec", False),
     ("paper_sampled", "paper_sampled", "paper_sampled_uops_per_sec",
      "uops_per_sec", False),
     ("suite", "suite", "suite_cells_per_sec", "suite_cells_per_sec", False),
@@ -39,7 +40,7 @@ GATES = (
 FLOORS = [gate for gate in GATES if not gate[4]]
 
 #: What the gates say about the committed cd758ba record, which predates
-#: the 1B cell.
+#: the emit and 1B cells.
 PINNED_MESSAGE = (
     "matrix: measured 369,341 uops/sec vs baseline 40,000 (floor 28,000, "
     "tolerance 30%): OK; "
@@ -56,6 +57,7 @@ PINNED_MESSAGE = (
     "(floor 210,000, tolerance 30%): OK; "
     "mix: measured 113,856 uops/sec vs baseline 14,000 (floor 9,800, "
     "tolerance 30%): OK; "
+    "emit: SKIPPED (no emit cell in record); "
     "one_b: SKIPPED (no one_b cell in record); "
     "one_b_rss: SKIPPED (no one_b cell in record)")
 
@@ -64,8 +66,10 @@ def _baseline():
     return json.loads(BASELINE.read_text(encoding="utf-8"))
 
 
-def _record_with_one_b():
+def _record_with_late_cells():
+    """The committed record plus the cells it predates."""
     record = json.loads(RECORD.read_text(encoding="utf-8"))
+    record["emit"] = {"emit_ops_per_sec": 5_000_000.0}
     record["one_b"] = {"one_b_ops_per_sec": 10_000_000.0, "peak_rss_mb": 200.0}
     return record
 
@@ -93,7 +97,7 @@ def test_committed_record_passes_with_the_pinned_message():
 def test_floor_passes_at_the_floor_and_fails_one_unit_under(
         label, cell, baseline_key, record_key, ceiling):
     floor = _baseline()[baseline_key] * (1.0 - TOLERANCE)
-    record = _record_with_one_b()
+    record = _record_with_late_cells()
     record[cell][record_key] = floor
     ok, message = check_against_baseline(record, str(BASELINE))
     assert ok, message
@@ -108,7 +112,7 @@ def test_floor_passes_at_the_floor_and_fails_one_unit_under(
 def test_rss_ceiling_passes_at_the_ceiling_and_fails_over_it():
     ceiling = _baseline()["one_b_peak_rss_mb"]
     assert ceiling == 2048
-    record = _record_with_one_b()
+    record = _record_with_late_cells()
     record["one_b"]["peak_rss_mb"] = float(ceiling)
     ok, message = check_against_baseline(record, str(BASELINE))
     assert ok, message
@@ -137,9 +141,9 @@ def test_each_baseline_number_is_read_by_its_gate_alone(
     if label == "matrix":
         # The matrix floor is mandatory: a baseline without it is unreadable.
         with pytest.raises(KeyError):
-            check_against_baseline(_record_with_one_b(), str(path))
+            check_against_baseline(_record_with_late_cells(), str(path))
         return
-    ok, message = check_against_baseline(_record_with_one_b(), str(path))
+    ok, message = check_against_baseline(_record_with_late_cells(), str(path))
     assert ok, message
     assert [part.split(": ")[0] for part in message.split("; ")] == \
         [gate[0] for gate in GATES if gate[0] != label]

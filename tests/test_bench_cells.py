@@ -18,6 +18,7 @@ TEST_SCALE = {
     "sampled": dict(benchmark="mcf-long", instructions=20_000,
                     sampling=SMALL),
     "fast_forward": dict(benchmark="mcf-long", ops=200_000),
+    "emit": dict(benchmark="mcf-long", ops=20_000),
     "paper_sampled": dict(benchmark="mcf-paper", instructions=20_000,
                           sampling=SMALL),
     "suite": {},
@@ -32,6 +33,7 @@ RATES = {
     ("compiled", "uops_per_sec"): ("total_uops", None),
     ("sampled", "uops_per_sec"): ("timed_uops", "simulate"),
     ("fast_forward", "fast_forward_ops_per_sec"): ("ops", None),
+    ("emit", "emit_ops_per_sec"): ("ops", None),
     ("paper_sampled", "uops_per_sec"): ("timed_uops", "simulate"),
     ("suite", "suite_cells_per_sec"): ("simulated_cells", None),
     ("timecore", "kernel_uops_per_sec"): ("total_uops", "simulate"),

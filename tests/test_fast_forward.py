@@ -266,21 +266,51 @@ class TestFastForwardEquivalence:
     def test_fast_forward_throughput_beats_drained_generation(self):
         """The split's raison d'être: skip windows far cheaper than emission.
 
-        Conservative 2x bound so the test is robust on any machine even on
-        the pure-Python fallback; `repro bench` tracks the real ratio
-        (>= 10x against the recorded pre-split baseline, ~45x with the
-        native kernel on a development machine).
+        Drained generation is the Python emitter (the kernel emits as fast
+        as it skips, by design).  Conservative 2x bound so the test is
+        robust on any machine even on the pure-Python fallback; `repro
+        bench` tracks the real ratio (>= 10x against the recorded pre-split
+        baseline, ~45x with the native kernel on a development machine).
         """
         import time
 
         workload = SyntheticWorkload(profile_by_name("mcf-long"), seed=7)
+        kernel, workload._ffcore = workload._ffcore, None
         started = time.perf_counter()
         workload.emit(20_000)
         emit_wall = time.perf_counter() - started
+        workload._ffcore = kernel
         started = time.perf_counter()
         workload.fast_forward(20_000)
         skip_wall = time.perf_counter() - started
         assert skip_wall * 2 < emit_wall
+
+    @pytest.mark.skipif(_ffcore.load() is None,
+                        reason="native fast-forward kernel unavailable")
+    def test_native_emission_beats_the_python_emitter(self):
+        """The kernel writes a window's token columns at least 5x faster
+        than the Python emitter builds and tokenizes its ops (~40x on a
+        development machine).  Best of three fresh windows each, so one
+        collector pause cannot decide it."""
+        import time
+
+        def best_window(native):
+            best, windows = None, []
+            for _ in range(3):
+                workload = SyntheticWorkload(profile_by_name("mcf-long"),
+                                             seed=7)
+                if not native:
+                    workload._ffcore = None
+                started = time.perf_counter()
+                windows.append(workload.emit(20_000))
+                wall = time.perf_counter() - started
+                best = wall if best is None else min(best, wall)
+            return best, windows
+
+        native_wall, native_windows = best_window(native=True)
+        python_wall, python_windows = best_window(native=False)
+        assert native_windows == python_windows
+        assert native_wall * 5 < python_wall
 
 
 class TestInstructionCache:

@@ -402,6 +402,7 @@ class TestKernelFaults:
     def test_selftest_fault_refuses_kernel_with_reason(self, monkeypatch):
         from repro.workloads import _ffcore
 
+        monkeypatch.delenv("REPRO_FFCORE", raising=False)
         monkeypatch.setenv("REPRO_FAULTS", "selftest:ffcore")
         build.forget("ffcore")
         build._WARNED.discard("ffcore")
