@@ -1,8 +1,9 @@
 """Simulation harness: traces, statistics, sampling, and the top-level simulator.
 
 * :mod:`repro.sim.trace` — dynamic-trace representation (macro-level
-  :class:`DynamicOp`) and the rules that annotate µops with the address and
-  port they access,
+  :class:`DynamicOp`, and the ``TraceTokens`` columns the stream compiler
+  reads) and the rules that annotate µops with the address and port they
+  access,
 * :mod:`repro.sim.compiled` — the stream compiler that expands a dynamic
   trace into the packed µop stream the timing model replays,
 * :mod:`repro.sim.stats` — statistic helpers (geometric mean, overhead math),

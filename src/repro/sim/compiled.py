@@ -120,7 +120,9 @@ def tokenize(trace: Iterable[DynamicOp]) -> TraceTokens:
 
     The synthetic workloads emit tokens directly; this serves every other
     source — functional-machine traces, :meth:`Simulator.run_trace` input —
-    and the workloads' pure-Python emitter.  The identity key covers every instruction field that can influence µop
+    and the workloads' pure-Python emitter.
+
+    The identity key covers every instruction field that can influence µop
     injection or timing annotation under the default (stateless) pointer
     identifiers: opcode, register operands, access size and pointer hint.
     Immediates, labels and comments are deliberately excluded — they never

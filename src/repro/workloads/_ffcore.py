@@ -226,7 +226,8 @@ long long ff_advance(uint32_t *mtstate, long long *scal, const double *cd,
             double roll2 = rnd(&st);
             int64_t is_load = rnd(&st) < load_f;
             int ptr = roll2 < ptr_f;
-            int64_t kind = ptr ? 0 : roll2 < word_f ? 1 : roll2 < wordfp_f ? 2 : 3;
+            int64_t kind = ptr ? 0 : roll2 < word_f ? 1
+                         : roll2 < wordfp_f ? 2 : 3;
             int64_t nbytes = kind == 3 ? 4 : 8;
             int64_t addr, lock, offset, areg, dreg;
             if (rnd(&st) < global_frac || n_order == 0) {  /* global target */

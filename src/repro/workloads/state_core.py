@@ -19,9 +19,9 @@ emission layer by the golden fast-forward tests.
 
 Object storage is *slot based*: every allocation gets a monotonically
 increasing slot id addressing append-only parallel arrays (base address,
-size, locality cursor, pointer-richness, lock location, allocation record).  ``_order``
-lists the live slots in insertion order (the cold-pool window is its tail),
-``_hot`` is the recently-touched slot list.  Slots are never reused, so a
+size, locality cursor, pointer-richness, lock location, allocation
+record).  ``_order`` lists the live slots in insertion order (the cold-pool
+window is its tail), ``_hot`` is the recently-touched slot list.  Slots are never reused, so a
 freed slot that lingers in the hot set (the generator's deliberate
 stale-reference behaviour) keeps addressing its frozen size/cursor data —
 exactly the semantics the original object-based generator had — while the C
@@ -354,7 +354,8 @@ class WorkloadCore:
             return self._run_kernel(remaining)
         return self._advance_span_py(remaining)
 
-    def _apply_alloc_event(self, freed_index: int, size: int) -> Tuple[int, int]:
+    def _apply_alloc_event(self, freed_index: int,
+                           size: int) -> Tuple[int, int]:
         """Apply an allocation event's effects (draws already consumed);
         returns the lock locations of the freed object (-1 for none) and of
         the new one."""
