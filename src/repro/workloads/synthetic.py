@@ -361,7 +361,7 @@ class SyntheticWorkload(WorkloadCore):
         if self._ffcore is None:
             return self._python_window(count, keep_tail)
         pending = self._pending
-        columns = [array("q", bytes(8 * (count + MAX_EVENT_OPS - 1)))
+        columns = [array("q", [0]) * (count + MAX_EVENT_OPS - 1)
                    for _ in range(4)]
         written = min(count, len(pending))
         for index, row in enumerate(pending[:written]):
@@ -375,7 +375,7 @@ class SyntheticWorkload(WorkloadCore):
         for column in columns:
             del column[count:]
         shapes = columns[0]
-        seen = array("q", bytes(8 * _ffcore.N_SHAPES))
+        seen = array("q", [0]) * _ffcore.N_SHAPES
         distinct = self._ffcore.ff_intern(shapes.buffer_info()[0], count,
                                           seen.buffer_info()[0])
         if distinct < 0:
