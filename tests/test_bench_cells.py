@@ -18,7 +18,7 @@ TEST_SCALE = {
     "sampled": dict(benchmark="mcf-long", instructions=20_000,
                     sampling=SMALL),
     "fast_forward": dict(benchmark="mcf-long", ops=200_000),
-    "emit": dict(benchmark="mcf-long", ops=20_000),
+    "emit": dict(benchmark="mcf-long", ops=200_000),
     "paper_sampled": dict(benchmark="mcf-paper", instructions=20_000,
                           sampling=SMALL),
     "suite": {},
