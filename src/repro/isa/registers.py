@@ -38,6 +38,14 @@ class ArchReg:
     regclass: RegClass
     index: int
 
+    def __post_init__(self) -> None:
+        # reg_slot maps a register onto the timing model's NUM_REG_SLOTS
+        # scoreboard slots; an index beyond its class would land outside.
+        limit = NUM_INT_REGS if self.regclass is RegClass.INT else NUM_FP_REGS
+        if not 0 <= self.index < limit:
+            raise ProgramError(f"{self.regclass.value} register index out "
+                               f"of range: {self.index}")
+
     def __str__(self) -> str:
         prefix = "r" if self.regclass is RegClass.INT else "f"
         return f"{prefix}{self.index}"

@@ -30,11 +30,11 @@ The kernel consumes exactly the structures the Python loops consume:
 * ``sched_run`` — per-µop words (flags, cost and the six register-slot
   operands in one int64 each), the post-hierarchy latency array, the
   flattened port-pool free times, and ring buffers for the ROB/IQ/LQ/SQ
-  occupancy queues.  The stream compiler emits these words directly
-  (:meth:`repro.sim.compiled.StreamCompiler.compile_measured`), so
-  :func:`pack_stream` is normally just a view; streams that predate the
-  flat form (or hand-built test streams) are packed through the
-  ``pack_words`` entry point, or the Python loop when no kernel is loaded.
+  occupancy queues.  The words are every compiled stream's only µop form:
+  the stream compiler packs each template once through
+  :func:`pack_entry_words`
+  (:meth:`repro.sim.compiled.StreamCompiler.compile_measured`), and the
+  Python scheduler decodes the same words through :func:`unpack_words`.
 
 Both are replicas of the Python loops, statement for statement — every
 counter, LRU movement, latency and stall decision lands on the same value,
@@ -63,7 +63,7 @@ _SOURCE = r"""
  * Replicates repro.memory.hierarchy.MemoryHierarchy._replay (the Python
  * loop behind access_batch/warm_batch), Cache.fill,
  * repro.sim.compiled.WorkingSetArrays.columns and
- * repro.pipeline.core.OutOfOrderCore.simulate_compiled statement for
+ * repro.pipeline.core.OutOfOrderCore._schedule_python statement for
  * statement.  Any change to those Python loops must be mirrored here (the
  * load-time self-test and the timecore golden tests enforce equality).
  *
@@ -401,39 +401,19 @@ long long ws_expand(const i64 *ranges, i64 n, i64 mw, i64 *data,
     return lines;
 }
 
-/* pack_stream's per-row packing for legacy tuple streams: rows holds n
- * consecutive (flags, cost, dest, s0, s1, md, ms0, ms1) octets; each row
- * becomes one packed word in out (format documented at sched_run below).
- * Returns 0, or -1 as soon as any field exceeds its width — the caller
- * then marks the stream tuple-only and the Python scheduler (which has no
- * field-width limits) takes over, exactly as the Python packer does. */
-long long pack_words(const long long *rows, long long n, long long *out)
-{
-    i64 k;
-    for (k = 0; k < n; k++) {
-        const i64 *r = rows + 8 * k;
-        i64 flags = r[0], cost = r[1];
-        i64 d = r[2] + 1, a = r[3] + 1, b = r[4] + 1;
-        i64 m = r[5] + 1, x = r[6] + 1, y = r[7] + 1;
-        if ((d | a | b | m | x | y) & ~63LL || flags & ~511LL
-                || cost & ~63LL)
-            return -1;
-        out[k] = flags | cost << 9 | d << 15 | a << 21 | b << 27
-                 | m << 33 | x << 39 | y << 45;
-    }
-    return 0;
-}
-
-/* OutOfOrderCore.simulate_compiled's integer scheduler.
+/* OutOfOrderCore._schedule_python, the array scheduler.
  *
- * uops[k] packs one µop (pack_stream): bits 0-8 flags (kind code | LQ 32 |
- * SQ 64 | branch 128 | mispredict 256), bits 9-14 µop cost, then six 6-bit
- * register-slot fields (value + 1; 0 = none) for dest, s0, s1, meta-dest,
- * ms0, ms1 at bits 15/21/27/33/39/45.
+ * uops[k] is one µop in the only µop-stream format, the word that
+ * pack_entry_words writes and unpack_words reads: bits 0-8 flags (kind code
+ * | LQ 32 | SQ 64 | branch 128 | mispredict 256), bits 9-14 µop cost, then
+ * six 6-bit register-slot fields (value + 1; 0 = none) for dest, s0, s1,
+ * meta-dest, ms0, ms1 at bits 15/21/27/33/39/45.  ready and meta_ready
+ * hold 64 slots, every value a field can encode.
  *
  * cfg: 0 dispatch_width, 1 dispatch_latency, 2 commit_width,
  *      3 mispredict_penalty, 4 first dispatch cycle (fetch+rename),
- *      5-8 ROB/IQ/LQ/SQ sizes.
+ *      5-8 ROB/IQ/LQ/SQ sizes (all positive: MachineConfig rejects the
+ *      rest).
  *
  * robq/iqq/lqq/sqq are caller-provided ring buffers of the queue sizes
  * (occupancy never exceeds size at append time, so size slots suffice).
@@ -639,58 +619,34 @@ def _bind(so_path: Path):
     lib.warm_fill.argtypes = [p, q, q, q, q, p]
     lib.ws_expand.restype = q
     lib.ws_expand.argtypes = [p, q, q, p, p]
-    lib.pack_words.restype = q
-    lib.pack_words.argtypes = [p, q, p]
     lib.sched_run.restype = q
     lib.sched_run.argtypes = [p, p, p, q] + [p] * 11
     return lib
 
 
 def pack_entry_words(uops):
-    """Pack per-µop tuples into kernel words, or ``None`` on overflow.
+    """Per-µop ``(flags, cost, dest, s0, s1, md, ms0, ms1)`` tuples packed
+    into kernel words (the layout documented at ``sched_run``).
 
-    The pure-Python packer: used by the stream compiler to pre-pack each
-    template's entries at build time, and by :func:`pack_stream` for legacy
-    tuple streams when no kernel is loaded.
+    The one encoder: the stream compiler packs each template's entries once
+    at build time.  Raises :class:`ValueError` on a field that does not fit:
+    a register slot outside -1..62, flags outside 0..511 or a cost outside
+    0..63.
     """
-    words = array("q", bytes(8 * len(uops)))
-    i = 0
-    try:
-        for flags, cost, dest, s0, s1, md, ms0, ms1 in uops:
-            d = dest + 1
-            a = s0 + 1
-            b = s1 + 1
-            m = md + 1
-            x = ms0 + 1
-            y = ms1 + 1
-            # Nonzero iff any slot is outside 0..63 (i.e. -1..62 pre-shift),
-            # flags outside 0..511 or cost outside 0..63.
-            if (d | a | b | m | x | y) & -64 or flags & -512 or cost & -64:
-                return None
-            words[i] = (flags | cost << 9 | d << 15 | a << 21 | b << 27
-                        | m << 33 | x << 39 | y << 45)
-            i += 1
-    except (OverflowError, ValueError, TypeError):
-        return None
+    words = array("q")
+    for entry in uops:
+        flags, cost, dest, s0, s1, md, ms0, ms1 = entry
+        d = dest + 1
+        a = s0 + 1
+        b = s1 + 1
+        m = md + 1
+        x = ms0 + 1
+        y = ms1 + 1
+        if (d | a | b | m | x | y) & -64 or flags & -512 or cost & -64:
+            raise ValueError(f"µop does not fit the packed word: {entry}")
+        words.append(flags | cost << 9 | d << 15 | a << 21 | b << 27
+                     | m << 33 | x << 39 | y << 45)
     return words
-
-
-def _pack_rows_native(lib, uops):
-    """Pack per-µop tuples through the C ``pack_words`` entry point."""
-    try:
-        rows = array("q")
-        extend = rows.extend
-        for entry in uops:
-            extend(entry)
-        if len(rows) != 8 * len(uops):
-            return None
-    except (OverflowError, ValueError, TypeError):
-        return None
-    out = array("q", bytes(8 * len(uops)))
-    if lib.pack_words(rows.buffer_info()[0], len(uops),
-                      out.buffer_info()[0]):
-        return None
-    return out
 
 
 def unpack_words(words):
@@ -701,40 +657,6 @@ def unpack_words(words):
              ((w >> 27) & 63) - 1, ((w >> 33) & 63) - 1,
              ((w >> 39) & 63) - 1, ((w >> 45) & 63) - 1)
             for w in words]
-
-
-def pack_stream(stream, lib=None):
-    """The kernel form of a compiled stream, or ``None`` when unpackable.
-
-    Returns ``(words, lat_template, mem_pos, mem_addr, mem_spec, core)`` —
-    int64 arrays plus the stream's core id.  Streams from the compiler
-    already carry the flat form (``stream.words``), so this is just a view;
-    the residual tuple-stream paths (hand-built test streams, overflow
-    fallbacks probed again) pack through the C ``pack_words`` entry when
-    ``lib`` is given, the Python loop otherwise, memoized on the stream.
-    A µop whose cost or register slots exceed the packed field widths makes
-    the whole stream unpackable — the caller falls back to the Python
-    scheduler, which has no such limits.  Callers must copy the latency
-    array before mutating it: flat streams hand out their own arenas.
-    """
-    words = getattr(stream, "words", None)
-    if words is not None:
-        return (words, stream.lat_template, stream.mem_pos,
-                stream.mem_addr, stream.mem_spec, getattr(stream, "core", 0))
-    cached = stream.__dict__.get("_tc_packed")
-    if cached is not None:
-        return cached or None
-    uops = stream.uops
-    words = (_pack_rows_native(lib, uops) if lib is not None
-             else pack_entry_words(uops))
-    if words is None:
-        stream.__dict__["_tc_packed"] = False
-        return None
-    packed = (words, array("q", stream.lat_template),
-              array("q", stream.mem_pos), array("q", stream.mem_addr),
-              array("q", stream.mem_spec), getattr(stream, "core", 0))
-    stream.__dict__["_tc_packed"] = packed
-    return packed
 
 
 def _config_array(config):
@@ -971,54 +893,23 @@ def _self_test_sched(lib) -> bool:
                      rng.randrange(-1, 32) if ms0 >= 0 else -1))
         lat_template.append(rng.choice((1, 1, 3, 3, 13, 23, 258)))
     stream = SimpleNamespace(
-        uops=uops, lat_template=lat_template, mem_pos=[], mem_addr=[],
-        mem_spec=[], total_uops=sum(u[1] for u in uops), injected_uops=0,
-        macro_instructions=len(uops), memory_accesses=0)
+        words=pack_entry_words(uops), total_uops=sum(u[1] for u in uops),
+        injected_uops=0, macro_instructions=len(uops), memory_accesses=0)
+    lats = array("q", lat_template)
     for config in (WatchdogConfig.isa_assisted_uaf(),
                    WatchdogConfig.no_lock_cache()):
         ref_core = OutOfOrderCore(machine=machine, watchdog=config,
                                   timecore=False)
         ker_core = OutOfOrderCore(machine=machine, watchdog=config)
-        ref_result = ref_core.simulate_compiled(stream)
-        ker_result = ker_core._simulate_compiled_native(stream, lib)
-        if ker_result is None or ker_result != ref_result:
+        ref_result = ref_core._schedule_python(stream, lats)
+        ker_result = ker_core._schedule_native(stream, lats, lib)
+        if ker_result != ref_result:
             return False
         for rp, kp in zip(ref_core.units.all_pools().values(),
                           ker_core.units.all_pools().values()):
             if (rp._next_free, rp.uses, rp.total_wait) != \
                     (kp._next_free, kp.uses, kp.total_wait):
                 return False
-    return True
-
-
-def _self_test_pack(lib) -> bool:
-    """``pack_words`` must agree with the Python packer, overflow included."""
-    import random
-
-    rng = random.Random(977)
-    good = []
-    for _ in range(512):
-        good.append((rng.randrange(512), rng.randrange(64),
-                     rng.randrange(-1, 63), rng.randrange(-1, 63),
-                     rng.randrange(-1, 63), rng.randrange(-1, 63),
-                     rng.randrange(-1, 63), rng.randrange(-1, 63)))
-    # Field boundaries: every slot at its extremes in one row.
-    good.append((511, 63, 62, -1, 62, -1, 62, -1))
-    good.append((0, 0, -1, -1, -1, -1, -1, -1))
-    ref = pack_entry_words(good)
-    ker = _pack_rows_native(lib, good)
-    if ref is None or ker is None or ref != ker:
-        return False
-    overflowing = ((0, 64, 0, 0, 0, 0, 0, 0),     # cost too wide
-                   (512, 1, 0, 0, 0, 0, 0, 0),    # flags too wide
-                   (0, 1, 63, 0, 0, 0, 0, 0),     # slot too high
-                   (0, 1, 0, 0, 0, 0, 0, -2),     # slot below none
-                   (0, -1, 0, 0, 0, 0, 0, 0))     # negative cost
-    for bad in overflowing:
-        rows = good[:3] + [bad]
-        if pack_entry_words(rows) is not None \
-                or _pack_rows_native(lib, rows) is not None:
-            return False
     return True
 
 
@@ -1047,8 +938,7 @@ def _self_test(lib):
     """
     for check, stage in ((_self_test_hier, "hier_batch/warm_fill"),
                          (_self_test_sched, "sched_run"),
-                         (_self_test_ws, "ws_expand"),
-                         (_self_test_pack, "pack_words")):
+                         (_self_test_ws, "ws_expand")):
         if not check(lib):
             return False, stage
     return True, None

@@ -57,8 +57,11 @@ class MachineConfig:
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
 
     def __post_init__(self) -> None:
-        if self.issue_width <= 0 or self.rob_entries <= 0:
-            raise ConfigurationError("issue width and ROB size must be positive")
+        for name in ("rob_entries", "iq_entries", "lq_entries", "sq_entries",
+                     "issue_width", "dispatch_width", "commit_width"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive, "
+                                         f"got {getattr(self, name)}")
 
     #: Fixed execution latencies per µop kind (cache-access kinds get their
     #: latency from the memory hierarchy instead).

@@ -33,6 +33,8 @@ from repro.core.config import WatchdogConfig
 from repro.isa.microops import UopKind
 from repro.isa.registers import NUM_REG_SLOTS
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.native import _timecore
+from repro.native._timecore import unpack_words
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.resources import FunctionalUnits
 
@@ -112,61 +114,49 @@ class OutOfOrderCore:
         """Replay a :class:`~repro.sim.compiled.CompiledStream`.
 
         Reproduces the retired object-per-µop reference model bit for bit
-        (the golden tests pin its recorded digests), consuming packed
-        per-µop words in two passes:
+        (the golden tests pin its recorded digests) in two passes:
 
         1. the memory hierarchy replays the packed access sequence in one
            batch (access order equals program order, so cache state and load
            latencies are independent of scheduling decisions),
-        2. a tight integer loop schedules dispatch, operand readiness (flat
-           register-slot scoreboards), port reservation, completion and
-           in-order commit.
+        2. a tight integer loop over the packed µop words schedules
+           dispatch, operand readiness (flat register-slot scoreboards), port
+           reservation, completion and in-order commit.
 
-        When the native timing core is available (and the hierarchy's
-        ``timecore`` is on), both passes run inside the C kernel instead, with
-        bit-identical results; any unpackable stream or unusual machine
-        shape falls back to the Python loop below.
+        Each pass runs in the native timing core when the hierarchy's
+        ``timecore`` is on and the kernel loads, and in its Python loop
+        otherwise, with bit-identical results.
         """
-        if self.hierarchy.timecore:
-            from repro.native import _timecore
-            lib = _timecore.load()
-            if lib is not None:
-                result = self._simulate_compiled_native(stream, lib)
-                if result is not None:
-                    return result
         lats = stream.lat_template[:]
         self.hierarchy.access_batch(stream.mem_addr, stream.mem_spec,
                                     stream.mem_pos, lats)
-        return self._schedule_python(stream, lats)
+        return self._schedule(stream, lats)
 
     def schedule_compiled(self, stream, lats) -> TimingResult:
         """Run only the scheduler pass over an already-filled latency array.
 
-        The fused :meth:`simulate_compiled` replays the hierarchy and
-        schedules in one call; a multi-core simulation instead interleaves
-        the cores' hierarchy replays in epochs (so shared-level contention
-        is ordered across cores) and then schedules each core's stream over
-        the latencies its epochs produced.  Scheduling is per-core state
-        only, so given equal latencies the result is bit-identical to the
-        fused path — on the native and the Python scheduler alike.
+        A multi-core simulation interleaves the cores' hierarchy replays in
+        epochs (so shared-level contention is ordered across cores) and then
+        schedules each core's stream over the latencies its epochs
+        produced.  Scheduling is per-core state only, so given equal
+        latencies the result is bit-identical to :meth:`simulate_compiled`.
         """
-        if self.hierarchy.timecore:
-            from repro.native import _timecore
-            lib = _timecore.load()
-            machine = self.machine
-            if lib is not None and min(
-                    machine.rob_entries, machine.iq_entries,
-                    machine.lq_entries, machine.sq_entries,
-                    machine.dispatch_width, machine.commit_width) >= 1:
-                packed = _timecore.pack_stream(stream, lib)
-                if packed is not None:
-                    if not (isinstance(lats, array) and lats.typecode == "q"):
-                        lats = array("q", lats)
-                    return self._schedule_native(stream, packed[0], lats, lib)
-        return self._schedule_python(stream, lats)
+        return self._schedule(stream, lats)
+
+    def _schedule(self, stream, lats) -> TimingResult:
+        """The scheduler pass, on the kernel's ``sched_run`` when the
+        hierarchy's ``timecore`` is on and the kernel loads, on the Python
+        loop otherwise: the one place that picks."""
+        lib = _timecore.load() if self.hierarchy.timecore else None
+        if lib is None:
+            return self._schedule_python(stream, lats)
+        return self._schedule_native(stream, lats, lib)
 
     def _schedule_python(self, stream, lats) -> TimingResult:
-        """Pass 2 of :meth:`simulate_compiled`: the Python array scheduler."""
+        """The Python array scheduler, the kernel's oracle.
+
+        Decodes ``stream.words`` through :func:`unpack_words` on each call.
+        """
         machine = self.machine
 
         # kind code -> port-pool index, honouring the Watchdog configuration
@@ -214,7 +204,7 @@ class OutOfOrderCore:
         commit_cycle = 0
 
         for (flags, cost, dest, s0, s1, md, ms0, ms1), latency in \
-                zip(stream.uops, lats):
+                zip(unpack_words(stream.words), lats):
             # ---- dispatch: front-end width, window occupancy ----------------
             if dispatched >= dispatch_width:
                 dispatch_cycle += 1
@@ -351,40 +341,11 @@ class OutOfOrderCore:
             port_waits=port_waits,
         )
 
-    def _simulate_compiled_native(self, stream, lib) -> Optional[TimingResult]:
-        """Run both passes of :meth:`simulate_compiled` in the C kernel.
-
-        Returns ``None`` (leaving all state untouched) when the stream or
-        machine shape cannot be expressed in the kernel's packed format —
-        the caller then takes the Python loop.
-        """
-        from repro.native import _timecore
-
+    def _schedule_native(self, stream, lats, lib) -> TimingResult:
+        """The C scheduler over ``stream.words`` and the post-hierarchy
+        int64 latency array ``lats``."""
         machine = self.machine
-        if min(machine.rob_entries, machine.iq_entries, machine.lq_entries,
-               machine.sq_entries, machine.dispatch_width,
-               machine.commit_width) < 1:
-            return None
-        packed = _timecore.pack_stream(stream, lib)
-        if packed is None:
-            return None
-        words, lat_template, mem_pos, mem_addr, mem_spec, _core = packed
-
-        # The packed view aliases the stream's own arenas; copy before the
-        # hierarchy writes load latencies into it.
-        lats = lat_template[:]
-        if len(mem_addr):
-            self.hierarchy._batch_native(lib, mem_addr, mem_spec, mem_pos,
-                                         lats, True)
-        return self._schedule_native(stream, words, lats, lib)
-
-    def _schedule_native(self, stream, words, lats, lib) -> TimingResult:
-        """Pass 2 of :meth:`_simulate_compiled_native`: the C scheduler.
-
-        ``words`` is the packed µop array from ``pack_stream``; ``lats`` the
-        post-hierarchy int64 latency array.
-        """
-        machine = self.machine
+        words = stream.words
         pools = list(self.units.all_pools().values())
         pool_index = {id(pool): i for i, pool in enumerate(pools)}
         pool_map = array("q", bytes(8 * len(UopKind)))
@@ -399,8 +360,8 @@ class OutOfOrderCore:
         pool_off = array("q", offsets)
         pool_uses = array("q", bytes(8 * len(pools)))
         pool_waits = array("q", bytes(8 * len(pools)))
-        # 64 slots covers every register index the packed format can encode,
-        # independent of NUM_REG_SLOTS.
+        # 64 slots cover every register slot a packed field can encode, so
+        # no word can index past the scoreboards.
         ready = array("q", bytes(8 * 64))
         meta_ready = array("q", bytes(8 * 64))
         robq = array("q", bytes(8 * machine.rob_entries))

@@ -15,7 +15,7 @@ of every dynamic instance, it compiles in three steps:
 2. **Template expansion** (once per identity per configuration class): the
    real injector expands each unique identity once
    (:func:`repro.core.uop_injection.compile_template`); the expansion is
-   lowered into numeric per-µop tuples (kind/queue/branch flags, µop cost,
+   lowered into packed per-µop words (kind/queue/branch flags, µop cost,
    register *slots* instead of ``ArchReg`` objects) plus address-derivation
    rules from :data:`repro.sim.trace.ANNOTATION_RULES`.
 
@@ -25,13 +25,13 @@ of every dynamic instance, it compiles in three steps:
    µop words, a latency prefill, and the memory-access sequence the
    hierarchy replays in a single batch) — along with exact
    injection/pointer/page statistics reconstructed from per-template
-   deltas.  Each template's µop words are packed once at build time, so
-   stream assembly is pure ``array.extend`` and the kernel consumes the
-   stream with zero further marshalling; per-µop tuples are rebuilt on
-   demand (:attr:`CompiledStream.uops`) only for the Python scheduler.  A
-   template whose cost or register slots exceed the packed field widths
-   makes the whole stream tuple-only, exactly as the old post-hoc packing
-   did.
+   deltas.  Each template's µop words are packed once at build time
+   (:func:`~repro.native._timecore.pack_entry_words`), so stream assembly
+   is pure ``array.extend``.  The packed word is the only µop form: the
+   kernel consumes it with zero further marshalling, and the Python
+   scheduler decodes it (:func:`~repro.native._timecore.unpack_words`).
+   Every template fits the word, because :class:`~repro.isa.registers.ArchReg`
+   admits only its class's 16 registers.
 
 Two Watchdog configurations that inject identically (same ``enabled``,
 pointer-identification mode, bounds mode and copy-elimination setting) share
@@ -45,14 +45,13 @@ object-per-µop reference model.
 
 from __future__ import annotations
 
-import dataclasses
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.native import _timecore
-from repro.native._timecore import pack_entry_words, unpack_words
+from repro.native._timecore import pack_entry_words
 
 from repro.core.config import WatchdogConfig
 from repro.core.pointer_id import PointerIdStats
@@ -203,14 +202,11 @@ class CompiledStream:
     The µop column is carried in the native kernel's wire format: one
     packed int64 word per µop (flags | cost << 9 | six 6-bit register-slot
     fields — the layout documented at ``sched_run`` in
-    :mod:`repro.native._timecore`).  ``words is None`` marks a *tuple-only*
-    stream — some template overflowed the packed field widths at compile
-    time — which the Python scheduler consumes via :attr:`uops` and the
-    native path refuses, exactly as the old post-hoc packing overflow did.
+    :mod:`repro.native._timecore`), which both schedulers read.
     """
 
-    #: Kernel-ready packed µop words, or ``None`` for a tuple-only stream.
-    words: Optional[array]
+    #: Packed µop words, one per µop.
+    words: array
     #: Per-µop execution latency prefill (fixed latencies; load positions are
     #: overwritten from the hierarchy batch during simulation).  Callers
     #: copy before mutating — this is the stream's own arena.
@@ -227,50 +223,9 @@ class CompiledStream:
     injection: InjectionStats
     pointer: PointerIdStats
     pages: PageAccountant
-    class_key: tuple
-    #: Which core replays this stream (0 in single-core simulation; a
-    #: multi-core mix relabels each member's stream with its core index).
-    core: int = 0
-
-    @property
-    def uops(self) -> List[tuple]:
-        """Per-µop ``(flags, cost, dest, s0, s1, md, ms0, ms1)`` tuples.
-
-        Materialized on demand from :attr:`words` (memoized) — only the
-        Python fallback scheduler and the golden tests walk tuples; the
-        production path hands :attr:`words` to the kernel untouched.
-        """
-        tuples = self.__dict__.get("_uop_tuples")
-        if tuples is None:
-            tuples = self.__dict__["_uop_tuples"] = self.to_tuples()
-        return tuples
-
-    def to_tuples(self) -> List[tuple]:
-        """Unpack :attr:`words` into fresh per-µop tuples (no memo)."""
-        return unpack_words(self.words)
-
-    def with_core(self, core: int) -> "CompiledStream":
-        """This stream relabelled for ``core`` (itself when already there).
-
-        Keeps the flat columns (and any tuple/packing memo) shared with the
-        original — relabelling is what a multi-core mix does per member,
-        and must not forfeit the bundle-cached arenas.
-        """
-        if core == self.core:
-            return self
-        clone = dataclasses.replace(self, core=core)
-        tuples = self.__dict__.get("_uop_tuples")
-        if tuples is not None:
-            clone.__dict__["_uop_tuples"] = tuples
-        # Only the *unpackable* marker transfers: a successful legacy pack
-        # memo embeds the original core id and must not be inherited.
-        if self.__dict__.get("_tc_packed") is False:
-            clone.__dict__["_tc_packed"] = False
-        return clone
 
     def __len__(self) -> int:
-        words = self.words
-        return len(words) if words is not None else len(self.uops)
+        return len(self.words)
 
 
 @dataclass(eq=False)
@@ -348,15 +303,14 @@ class BundleStreams:
 class _Template:
     """Numeric expansion of one instruction identity under one class.
 
-    Carries both forms of the µop column: packed kernel words (``words`` /
-    ``mis_words``, ``None`` when any entry overflows the packed field
-    widths) and the per-µop tuples the Python fallback consumes.  Stream
-    assembly extends flat arrays from the words, so the packing cost is
-    paid once per identity, not once per dynamic instance.
+    Carries the packed kernel words of its µops (``words``, and
+    ``mis_words`` with the misprediction flag on its branches, ``None``
+    without a branch).  Stream assembly extends flat arrays from the words,
+    so the packing cost is paid once per identity, not once per dynamic
+    instance.
     """
 
-    __slots__ = ("uops", "mis_uops", "words", "mis_words", "lats", "n",
-                 "addr_ops", "size",
+    __slots__ = ("words", "mis_words", "lats", "n", "addr_ops", "size",
                  "stat_delta", "pointer_delta", "total_cost", "injected_cost")
 
 
@@ -488,19 +442,13 @@ class StreamCompiler:
                 if kind in HIERARCHY_LATENCY_KINDS:
                     spec |= SPEC_USE_LATENCY
                 addr_ops.append((off, addr_rule, spec))
-        t.uops = tuple(entries)
-        t.mis_uops = None
+        t.words = pack_entry_words(entries)
+        t.mis_words = None
         if has_branch:
-            t.mis_uops = tuple(
+            t.mis_words = pack_entry_words(
                 (entry[0] | FLAG_MISPREDICT,) + entry[1:]
                 if entry[0] & FLAG_BRANCH else entry
                 for entry in entries)
-        t.words = pack_entry_words(t.uops)
-        t.mis_words = None
-        if t.words is not None and t.mis_uops is not None:
-            t.mis_words = pack_entry_words(t.mis_uops)
-            if t.mis_words is None:  # keep both forms in lockstep
-                t.words = None
         t.lats = array("q", lats)
         t.n = len(entries)
         t.addr_ops = tuple(addr_ops)
@@ -517,26 +465,14 @@ class StreamCompiler:
 
         Emits the kernel's wire format directly: each template's µop words
         are packed once at build time, and the replay loop assembles the
-        stream's columns with ``array("q").extend`` — C-speed memcpys — so
-        the resulting :class:`CompiledStream` needs no post-hoc
-        ``pack_stream`` pass.  If any template overflows the packed field
-        widths, the whole stream is assembled from tuples instead and
-        marked tuple-only (the Python scheduler has no width limits).
+        stream's columns with ``array("q").extend`` — C-speed memcpys.
         """
-        insts = tokens.insts
         build = self._template
-        templates = [build(inst) for inst in insts]
-        flat = all(t.words is not None for t in templates)
-        if flat:
-            stream_uops: object = array("q")
-            main = [t.words for t in templates]
-            mis = [t.words if t.mis_words is None else t.mis_words
-                   for t in templates]
-        else:
-            stream_uops = []
-            main = [t.uops for t in templates]
-            mis = [t.uops if t.mis_uops is None else t.mis_uops
-                   for t in templates]
+        templates = [build(inst) for inst in tokens.insts]
+        words = array("q")
+        main = [t.words for t in templates]
+        mis = [t.words if t.mis_words is None else t.mis_words
+               for t in templates]
         lats_by_tid = [t.lats for t in templates]
         ops_by_tid = [t.addr_ops for t in templates]
         size_by_tid = [t.size for t in templates]
@@ -545,7 +481,7 @@ class StreamCompiler:
         mem_pos = array("q")
         mem_addr = array("q")
         mem_spec = array("q")
-        extend_uops = stream_uops.extend
+        extend_words = words.extend
         extend_lats = lats.extend
         add_pos = mem_pos.append
         add_addr = mem_addr.append
@@ -562,7 +498,7 @@ class StreamCompiler:
 
         for tid, address, lock, mispredicted in zip(
                 tokens.tids, tokens.addrs, tokens.locks, tokens.mis):
-            extend_uops(mis[tid] if mispredicted else main[tid])
+            extend_words(mis[tid] if mispredicted else main[tid])
             extend_lats(lats_by_tid[tid])
             addr_ops = ops_by_tid[tid]
             if addr_ops:
@@ -621,8 +557,8 @@ class StreamCompiler:
             memory_ops += count * template.pointer_delta[0]
             pointer_ops += count * template.pointer_delta[1]
 
-        stream = CompiledStream(
-            words=stream_uops if flat else None,
+        return CompiledStream(
+            words=words,
             lat_template=lats,
             mem_pos=mem_pos,
             mem_addr=mem_addr,
@@ -634,15 +570,7 @@ class StreamCompiler:
             injection=InjectionStats(*stat_totals),
             pointer=PointerIdStats(memory_ops=memory_ops, pointer_ops=pointer_ops),
             pages=pages,
-            class_key=stream_class_key(self.config),
         )
-        if not flat:
-            # The assembled tuples ARE the fallback's input; pin them as the
-            # materialized form and pre-mark the stream unpackable so the
-            # native path never re-probes it.
-            stream.__dict__["_uop_tuples"] = stream_uops
-            stream.__dict__["_tc_packed"] = False
-        return stream
 
     # -- warm-up stream ------------------------------------------------------------
     def compile_warm(self, tokens: TraceTokens) -> WarmStream:

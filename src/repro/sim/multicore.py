@@ -111,7 +111,8 @@ class MultiCoreSimulator:
                                 timecore=self.timecore)
                  for index in range(len(bundles))]
 
-        measured = self._warm(cores, streams, config)
+        self._warm(cores, streams, config)
+        measured = [built.measured for built in streams]
         lats = [stream.lat_template[:] for stream in measured]
         self._replay_interleaved(cores, measured, lats)
 
@@ -149,28 +150,21 @@ class MultiCoreSimulator:
                                    cores=tuple(blocks))
 
     # -- phases ---------------------------------------------------------------
-    def _warm(self, cores, streams, config) -> List["CompiledStream"]:
-        """Warm every core in core order; returns the relabelled streams.
+    def _warm(self, cores, streams, config) -> None:
+        """Warm every core in core order.
 
         Warm-up is sequential, not interleaved: the §9.1 methodology warms
         each member to steady state, and a deterministic order keeps the
-        shared-level LRU state reproducible.  Each member's stream is
-        relabelled with its core index via
-        :meth:`~repro.sim.compiled.CompiledStream.with_core`, which keeps
-        the bundle-cached flat columns shared (core 0 keeps the cached
-        stream object itself).
+        shared-level LRU state reproducible.
         """
         from repro.sim import compiled as compiled_mod
 
-        measured = []
-        for index, (core, bundle_streams) in enumerate(zip(cores, streams)):
+        for core, bundle_streams in zip(cores, streams):
             compiled_mod.warm_working_set(core.hierarchy,
                                           bundle_streams.working_set, config)
             if bundle_streams.warm is not None:
                 compiled_mod.warm_trace(core.hierarchy, bundle_streams.warm,
                                         config)
-            measured.append(bundle_streams.measured.with_core(index))
-        return measured
 
     @staticmethod
     def _replay_interleaved(cores, measured, lats) -> None:

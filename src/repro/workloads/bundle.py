@@ -274,17 +274,8 @@ class TraceBundle:
             for built in streams.values():
                 measured = built.measured
                 # words + lat_template run per µop; mem_pos/mem_addr/mem_spec
-                # run per memory access.  len(measured) reads the flat word
-                # column without materializing the per-µop tuple fallback.
+                # run per memory access.
                 ops += 2 * len(measured) + 3 * len(measured.mem_pos)
-                # A pinned per-µop tuple list — a tuple-only stream (some
-                # template overflowed the packed field widths), or a flat
-                # stream whose tuples the Python fallback scheduler
-                # materialized — costs ~8 slots per µop on top of the flat
-                # columns; budget it, but never *trigger* materialization.
-                tuples = measured.__dict__.get("_uop_tuples")
-                if tuples is not None:
-                    ops += 8 * len(tuples)
                 if built.warm is not None:
                     # addrs + specs.
                     ops += 2 * len(built.warm)

@@ -33,7 +33,7 @@ exposes it as an iterator of ops.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.isa.instructions import AccessSize, Instruction, Opcode, PointerHint
@@ -106,31 +106,24 @@ def _shapes() -> List[tuple]:
     return shapes
 
 
-#: Shape id -> ``_inst`` arguments, and back (the arguments are the
-#: instruction cache's key).
+#: Shape id -> ``_inst`` arguments, and back.
 SHAPES = _shapes()
 SHAPE_IDS = {shape: index for index, shape in enumerate(SHAPES)}
 
-#: Ceiling on interned Instruction shapes per workload.  The generator only
-#: ever produces a few hundred distinct shapes, so the bound exists purely as
-#: a safety valve: a paper-scale run in a pooled worker can never grow the
-#: cache without limit (the old module-level cache could, across profiles and
-#: worker lifetimes).  Consumers compare instructions by value, so dropping
-#: the cache is always safe.
-_INSTRUCTION_CACHE_LIMIT = 4096
+#: Shape id -> its :class:`Instruction`: every instruction the generator
+#: emits, built once per process.  Instructions are immutable by
+#: convention and every consumer (compiler, tokenizer, trace equality)
+#: compares them by value, so all workloads share this one table.
+SHAPE_INSTRUCTIONS = tuple(
+    Instruction(opcode, dest=dest, srcs=srcs, imm=imm, size=size,
+                pointer_hint=hint)
+    for opcode, dest, srcs, imm, size, hint in SHAPES)
 
 
 class SyntheticWorkload(WorkloadCore):
     """Generates dynamic traces with a given benchmark's characteristics."""
 
     def __init__(self, profile: BenchmarkProfile, seed: int = 0):
-        #: Interned Instruction instances, keyed by their full field tuple.
-        #: The generator emits the same few hundred static shapes millions of
-        #: times; instructions are immutable by convention and every consumer
-        #: (expander, tokenizer, trace equality) compares them by value, so
-        #: sharing instances only removes dataclass-construction cost.  Keyed
-        #: per workload (bounded lifetime) rather than per process.
-        self._instruction_cache: Dict[tuple, Instruction] = {}
         #: Ops of an event split by a sampled-window boundary, waiting for
         #: the next window (`fast_forward` discards into it, `emit` drains
         #: from it) — the continuous-stream equivalent of the suspended
@@ -144,16 +137,9 @@ class SyntheticWorkload(WorkloadCore):
               srcs: Tuple[ArchReg, ...] = (), imm: int = 0,
               size: AccessSize = AccessSize.WORD64,
               pointer_hint: PointerHint = PointerHint.UNKNOWN) -> Instruction:
-        cache = self._instruction_cache
-        key = (opcode, dest, srcs, imm, size, pointer_hint)
-        inst = cache.get(key)
-        if inst is None:
-            if len(cache) >= _INSTRUCTION_CACHE_LIMIT:
-                cache.clear()
-            inst = cache[key] = Instruction(
-                opcode, dest=dest, srcs=srcs, imm=imm, size=size,
-                pointer_hint=pointer_hint)
-        return inst
+        """The :data:`SHAPE_INSTRUCTIONS` entry with these fields."""
+        return SHAPE_INSTRUCTIONS[SHAPE_IDS[
+            (opcode, dest, srcs, imm, size, pointer_hint)]]
 
     # -- register selection -----------------------------------------------------------
     def _address_reg(self) -> ArchReg:
@@ -380,16 +366,16 @@ class SyntheticWorkload(WorkloadCore):
                                           seen.buffer_info()[0])
         if distinct < 0:
             raise RuntimeError("native kernel wrote an unknown shape id")
-        inst = self._inst
         return TraceTokens(shapes, columns[1], columns[2], columns[3],
-                           [inst(*SHAPES[shape]) for shape in seen[:distinct]])
+                           [SHAPE_INSTRUCTIONS[shape]
+                            for shape in seen[:distinct]])
 
     def _python_window(self, count: int, keep_tail: bool) -> TraceTokens:
         """The Python emitter: the fallback, and the kernel's oracle."""
         from repro.sim import compiled
 
         pending = self._pending
-        ops = [DynamicOp(self._inst(*SHAPES[shape]),
+        ops = [DynamicOp(SHAPE_INSTRUCTIONS[shape],
                          None if address == NO_ADDRESS else address,
                          None if lock == NO_ADDRESS else lock, bool(mis))
                for shape, address, lock, mis in pending[:count]]

@@ -13,8 +13,8 @@ Covers the three equivalences the refactor must preserve:
 * **native kernel ≡ pure Python** — the optional C kernel and the fallback
   span loop advance state identically.
 
-Plus the satellite behaviours: the bounded per-workload instruction cache,
-the ``*-paper`` profiles and horizon-fitted schedule, the paper-scale
+Plus the satellite behaviours: the shape-indexed instruction table, the
+``*-paper`` profiles and horizon-fitted schedule, the paper-scale
 validation, and the engine's per-sample fan-out determinism.
 """
 
@@ -40,7 +40,12 @@ from repro.workloads.profiles import (
     paper_profile_names,
     profile_by_name,
 )
-from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.synthetic import (
+    SHAPE_IDS,
+    SHAPE_INSTRUCTIONS,
+    SHAPES,
+    SyntheticWorkload,
+)
 from repro.workloads.state_core import MAX_EVENT_OPS
 
 from tests.helpers import snapshot_lines
@@ -313,42 +318,39 @@ class TestFastForwardEquivalence:
         assert native_wall * 5 < python_wall
 
 
-class TestInstructionCache:
-    def test_module_level_cache_is_gone(self):
-        import repro.workloads.synthetic as synthetic_mod
+class TestInstructionTable:
+    """Every generated instruction comes from the one shape table."""
 
-        assert not hasattr(synthetic_mod, "_INSTRUCTION_CACHE")
+    def test_table_matches_shapes_entry_for_entry(self):
+        assert len(SHAPE_INSTRUCTIONS) == len(SHAPES) == _ffcore.N_SHAPES
+        workload = SyntheticWorkload(profile_by_name("gcc"), seed=1)
+        for index, (inst, shape) in enumerate(zip(SHAPE_INSTRUCTIONS, SHAPES)):
+            assert (inst.opcode, inst.dest, inst.srcs, inst.imm, inst.size,
+                    inst.pointer_hint) == shape
+            assert SHAPE_IDS[shape] == index
+            # The Python emitter's lookup lands on the same object.
+            assert workload._inst(*shape) is inst
 
-    def test_cache_is_per_workload_and_bounded(self):
-        from repro.workloads.synthetic import _INSTRUCTION_CACHE_LIMIT
-
-        first = SyntheticWorkload(profile_by_name("gcc"), seed=1)
-        second = SyntheticWorkload(profile_by_name("gcc"), seed=1)
-        trace_first = first.trace(4_000)
-        trace_second = second.trace(4_000)
-        assert first._instruction_cache is not second._instruction_cache
-        assert 0 < len(first._instruction_cache) <= _INSTRUCTION_CACHE_LIMIT
-        # Interning is per workload; instructions still compare by value
-        # across workloads (what the tokenizer and golden tests rely on).
-        assert all(a.instruction == b.instruction
-                   for a, b in zip(trace_first, trace_second))
-        assert trace_first[0].instruction is not trace_second[0].instruction
-
-    def test_cache_clears_at_limit_without_changing_traces(self):
-        workload = SyntheticWorkload(profile_by_name("gcc"), seed=3)
-        workload._instruction_cache.clear()
-        # Shrink the effective limit by pre-filling junk keys.
-        from repro.workloads import synthetic as synthetic_mod
-
-        original = synthetic_mod._INSTRUCTION_CACHE_LIMIT
-        synthetic_mod._INSTRUCTION_CACHE_LIMIT = 8
-        try:
-            trace = workload.trace(300)
-        finally:
-            synthetic_mod._INSTRUCTION_CACHE_LIMIT = original
-        assert len(workload._instruction_cache) <= 8
-        reference = SyntheticWorkload(profile_by_name("gcc"), seed=3).trace(300)
-        assert [op_key(op) for op in trace] == [op_key(op) for op in reference]
+    @pytest.mark.parametrize("force_python", (False, True))
+    def test_traces_are_unchanged_and_drawn_from_the_table(self,
+                                                           force_python):
+        key = ("gcc", 3, 5_000)
+        name, seed, instructions = key
+        workloads = [SyntheticWorkload(profile_by_name(name), seed=seed)
+                     for _ in range(2)]
+        if force_python:
+            for workload in workloads:
+                workload._ffcore = None
+        elif workloads[0]._ffcore is None:
+            pytest.skip("native generator kernel unavailable")
+        first, second = (workload.trace(instructions)
+                         for workload in workloads)
+        assert digest_ops(first) == TestGoldenEquality.TRACES[key]
+        table = {id(inst) for inst in SHAPE_INSTRUCTIONS}
+        assert all(id(op.instruction) in table for op in first)
+        # Two workloads share the instruction objects, not just their values.
+        assert all(a.instruction is b.instruction
+                   for a, b in zip(first, second))
 
 
 class TestPaperScale:

@@ -1,14 +1,18 @@
-"""Flat-array stream compilation: packed words and fallbacks.
+"""Flat-array stream compilation: the packed µop word is the only form.
 
 The stream compiler emits kernel-ready ``array("q")`` columns directly
-(``CompiledStream.words``); the legacy per-µop tuple form is rebuilt on
-demand.  These tests pin down the contract:
+(``CompiledStream.words``), and both schedulers read those words.  These
+tests pin down the contract:
 
-* the flat words are *bit-identical* to packing the legacy tuples through
-  :func:`repro.native._timecore.pack_entry_words`, across every benchmark
-  profile and every Table 2 configuration;
-* a stream whose fields overflow the packed word format falls back to the
-  tuple-only form and the Python scheduler with unchanged results.
+* every compiled stream, across every benchmark profile and every Table 2
+  configuration, is a word column that the one decoder
+  (:func:`repro.native._timecore.unpack_words`) and the one encoder
+  (:func:`repro.native._timecore.pack_entry_words`) round-trip;
+* every template the compiler can build fits the packed word: every
+  generator shape and every opcode at its highest legal registers, under
+  every configuration class;
+* the encoder refuses a field that does not fit, instead of emitting a
+  word the kernel would misread.
 """
 
 from array import array
@@ -16,11 +20,16 @@ from array import array
 import pytest
 
 from repro.core.config import WatchdogConfig
-from repro.native import _timecore
+from repro.isa.instructions import Instruction, Opcode, PointerHint
+from repro.isa.microops import UopKind
+from repro.isa.registers import FP_REGS, INT_REGS, NUM_REG_SLOTS
 from repro.native._timecore import pack_entry_words, unpack_words
-from repro.sim.simulator import Simulator
+from repro.pipeline.core import FLAG_LQ, FLAG_MISPREDICT, FLAG_SQ
+from repro.sim.compiled import StreamCompiler
+from repro.sim.trace import LQ_KINDS, SQ_KINDS
 from repro.workloads.bundle import TraceBundle
 from repro.workloads.profiles import benchmark_names
+from repro.workloads.synthetic import SHAPE_INSTRUCTIONS
 
 CONFIGURATIONS = {
     "baseline": WatchdogConfig.disabled(),
@@ -37,30 +46,30 @@ CONFIGURATIONS = {
 INSTRUCTIONS = 600
 SEED = 11
 
-KERNEL = _timecore.load()
-needs_kernel = pytest.mark.skipif(KERNEL is None,
-                                  reason="native timing core unavailable")
+KINDS = {kind.code: kind for kind in UopKind}
 
 
-class TestFlatEqualsLegacyPacking:
-    """compiler-emitted words == legacy tuple packing, every profile/config."""
+class TestStreamWords:
+    """Every compiled stream is packed words, every profile/config."""
 
     @pytest.mark.parametrize("profile_name", benchmark_names())
-    def test_words_match_tuple_packing(self, profile_name):
+    def test_words_round_trip_and_match_the_statistics(self, profile_name):
         bundle = TraceBundle.generate(profile_name, seed=SEED,
                                       instructions=INSTRUCTIONS)
         for label, config in CONFIGURATIONS.items():
             stream = bundle.compiled_streams(config).measured
-            assert stream.words is not None, \
-                f"{profile_name}/{label}: stream is not flat"
-            legacy = pack_entry_words(stream.uops)
-            assert legacy is not None, \
-                f"{profile_name}/{label}: tuples refuse to pack"
-            assert stream.words == legacy, \
-                f"{profile_name}/{label}: flat words diverge from tuple pack"
-            # The tuple view round-trips back to the same words.
-            assert unpack_words(stream.words) == stream.uops
-            assert len(stream) == len(stream.words)
+            words = stream.words
+            assert isinstance(words, array) and words.typecode == "q", label
+            entries = unpack_words(words)
+            assert pack_entry_words(entries) == words, label
+            assert len(stream) == len(words) == len(stream.lat_template)
+            # The decoded cost field sums to the stream's exact µop count,
+            # and the queue flags agree with the decoded kinds.
+            assert sum(entry[1] for entry in entries) == stream.total_uops
+            for flags, *_ in entries:
+                kind = KINDS[flags & 31]
+                assert bool(flags & FLAG_LQ) == (kind in LQ_KINDS), label
+                assert bool(flags & FLAG_SQ) == (kind in SQ_KINDS), label
 
     def test_columns_are_int64_arrays(self):
         bundle = TraceBundle.generate("mcf", seed=SEED,
@@ -74,22 +83,52 @@ class TestFlatEqualsLegacyPacking:
         assert isinstance(streams.warm.addrs, array)
         assert isinstance(streams.warm.specs, array)
 
-    def test_with_core_preserves_flat_form(self):
-        bundle = TraceBundle.generate("gzip", seed=SEED,
-                                      instructions=INSTRUCTIONS)
-        stream = bundle.compiled_streams(WatchdogConfig.isa_assisted_uaf()) \
-            .measured
-        assert stream.with_core(stream.core) is stream
-        moved = stream.with_core(stream.core + 3)
-        assert moved.core == stream.core + 3
-        assert moved.words is stream.words
-        assert moved.lat_template is stream.lat_template
-        assert moved.mem_addr is stream.mem_addr
-        assert stream.core != moved.core  # original untouched
+
+def _highest_register_instructions():
+    """Every opcode with ``r15``/``f15`` operands in each legal arrangement:
+    the largest register slots an instruction can name."""
+    r15, f15 = INT_REGS[-1], FP_REGS[-1]
+    return [Instruction(opcode, dest=dest, srcs=srcs, pointer_hint=hint)
+            for opcode in Opcode
+            for dest in (None, r15, f15)
+            for srcs in ((r15, f15), (f15, r15))
+            for hint in PointerHint
+            if dest is not None or opcode not in (
+                Opcode.LOAD, Opcode.FLOAD, Opcode.GETIDENT)]
+
+
+class TestEveryTemplateFits:
+    """No instruction the model admits overflows the packed word."""
+
+    @pytest.mark.parametrize("label", sorted(CONFIGURATIONS))
+    def test_templates_pack_and_round_trip(self, label):
+        compiler = StreamCompiler(CONFIGURATIONS[label])
+        insts = list(SHAPE_INSTRUCTIONS) + _highest_register_instructions()
+        highest = -1
+        for inst in insts:
+            # Building packs the template's words; a field that does not
+            # fit would raise ValueError here.
+            template = compiler._build_template(inst)
+            for words in (template.words, template.mis_words):
+                if words is None:
+                    continue
+                entries = unpack_words(words)
+                assert pack_entry_words(entries) == words, inst
+                for entry in entries:
+                    # Every register field indexes the Python scheduler's
+                    # scoreboards, which hold NUM_REG_SLOTS slots.
+                    assert all(-1 <= slot < NUM_REG_SLOTS
+                               for slot in entry[2:]), (inst, entry)
+                    highest = max(highest, *entry[2:])
+            if template.mis_words is not None:
+                assert any(word & FLAG_MISPREDICT
+                           for word in template.mis_words), inst
+        # The inputs reach the last slot, so the bound above is tight.
+        assert highest == NUM_REG_SLOTS - 1
 
 
 class TestPackedWordFormat:
-    """The packers agree and reject out-of-range fields identically."""
+    """The encoder and decoder agree and the encoder refuses overflow."""
 
     IN_RANGE = [
         (511, 63, 62, -1, 62, -1, 62, -1),
@@ -106,63 +145,10 @@ class TestPackedWordFormat:
 
     def test_round_trip(self):
         words = pack_entry_words(self.IN_RANGE)
-        assert words is not None
+        assert isinstance(words, array) and words.typecode == "q"
         assert unpack_words(words) == self.IN_RANGE
 
     def test_overflow_refused(self):
         for row in self.OVERFLOW:
-            assert pack_entry_words([row]) is None, row
-
-    @needs_kernel
-    def test_native_packer_matches_python(self):
-        import random
-        rng = random.Random(4441)
-        rows = [tuple([rng.randrange(512), rng.randrange(64)]
-                      + [rng.randrange(-1, 63) for _ in range(6)])
-                for _ in range(300)] + self.IN_RANGE
-        expected = pack_entry_words(rows)
-        native = _timecore._pack_rows_native(KERNEL, rows)
-        assert native is not None
-        assert native == expected
-        for row in self.OVERFLOW:
-            assert _timecore._pack_rows_native(KERNEL, [row]) is None, row
-
-
-class TestOverflowFallback:
-    """Packing overflow at compile time degrades to the tuple-only path."""
-
-    def test_tuple_only_stream_matches_flat_result(self, monkeypatch):
-        config = WatchdogConfig.isa_assisted_uaf()
-        bundle = TraceBundle.generate("mcf", seed=SEED,
-                                      instructions=INSTRUCTIONS)
-        flat = Simulator().run_bundle(bundle, config)
-
-        # Simulate a stream whose templates exceed the packed-field ranges:
-        # every pack attempt reports overflow, so the compiler must keep the
-        # tuple form and the scheduler must take the Python path.  A fresh
-        # template cache keeps the degraded templates out of other tests
-        # (and other tests' flat templates out of this one).
-        import repro.sim.compiled as compiled_module
-        monkeypatch.setattr(compiled_module, "_TEMPLATE_CACHE", {})
-        monkeypatch.setattr("repro.sim.compiled.pack_entry_words",
-                            lambda uops: None)
-        degraded_bundle = TraceBundle.generate("mcf", seed=SEED,
-                                               instructions=INSTRUCTIONS)
-        stream = degraded_bundle.compiled_streams(config).measured
-        assert stream.words is None
-        assert stream.__dict__["_tc_packed"] is False  # never repacked
-        assert _timecore.pack_stream(stream) is None
-        degraded = Simulator().run_bundle(degraded_bundle, config)
-        assert degraded.timing == flat.timing
-
-    def test_with_core_keeps_tuple_only_memo(self, monkeypatch):
-        import repro.sim.compiled as compiled_module
-        monkeypatch.setattr(compiled_module, "_TEMPLATE_CACHE", {})
-        monkeypatch.setattr("repro.sim.compiled.pack_entry_words",
-                            lambda uops: None)
-        bundle = TraceBundle.generate("gzip", seed=SEED, instructions=200)
-        stream = bundle.compiled_streams(WatchdogConfig.disabled()).measured
-        moved = stream.with_core(2)
-        assert moved.words is None
-        assert moved.uops == stream.uops
-        assert moved.__dict__["_tc_packed"] is False
+            with pytest.raises(ValueError):
+                pack_entry_words(self.IN_RANGE + [row])

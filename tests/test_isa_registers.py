@@ -42,6 +42,16 @@ class TestArchReg:
         with pytest.raises(ProgramError):
             fp_reg(-1)
 
+    @pytest.mark.parametrize("regclass,index", (
+        (RegClass.INT, 40), (RegClass.INT, 16), (RegClass.INT, -1),
+        (RegClass.FP, 16), (RegClass.FP, 63)))
+    def test_constructor_rejects_out_of_range_index(self, regclass, index):
+        # Such a register used to reach the timing model, where the native
+        # scheduler (64 scoreboard slots) timed it and the Python scheduler
+        # (NUM_REG_SLOTS = 32) raised IndexError.
+        with pytest.raises(ProgramError):
+            ArchReg(regclass, index)
+
     def test_registers_are_hashable_and_comparable(self):
         assert int_reg(2) == ArchReg(RegClass.INT, 2)
         assert len({int_reg(1), int_reg(1), int_reg(2)}) == 2

@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import WatchdogConfig
 from repro.isa.microops import UopKind
 from repro.isa.registers import int_reg, reg_slot
+from repro.native._timecore import pack_entry_words
 from repro.pipeline.config import FunctionalUnitConfig, MachineConfig
 from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.resources import FunctionalUnits, PortPool
@@ -43,9 +44,16 @@ class TestMachineConfig:
         assert "168-entry ROB" in text
         assert "Lock Location" in text
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MachineConfig(issue_width=0)
+    @pytest.mark.parametrize("field", (
+        "rob_entries", "iq_entries", "lq_entries", "sq_entries",
+        "issue_width", "dispatch_width", "commit_width"))
+    @pytest.mark.parametrize("value", (0, -1))
+    def test_invalid_config_rejected(self, field, value):
+        # Both schedulers need at least one slot in each queue and width;
+        # the config refuses the machine before either runs.
+        with pytest.raises(ConfigurationError, match=field):
+            MachineConfig(**{field: value})
+        assert getattr(MachineConfig(**{field: 1}), field) == 1
 
 
 def alu_pool_after(uops, lats, ports):
@@ -55,7 +63,8 @@ def alu_pool_after(uops, lats, ports):
     machine = MachineConfig(functional_units=FunctionalUnitConfig(int_alu=ports))
     core = OutOfOrderCore(machine=machine, watchdog=WatchdogConfig.disabled(),
                           timecore=False)
-    stream = SimpleNamespace(uops=uops, total_uops=len(uops), injected_uops=0,
+    stream = SimpleNamespace(words=pack_entry_words(uops),
+                             total_uops=len(uops), injected_uops=0,
                              macro_instructions=len(uops), memory_accesses=0)
     core._schedule_python(stream, lats)
     earliest = (machine.fetch_latency + machine.rename_latency

@@ -191,7 +191,7 @@ class TestTraceExpander:
         """The compiled stream of ``dop``, its µop kinds in order, and its
         memory accesses as ``(kind, address, port code, is_write)``."""
         stream = StreamCompiler(config).compile_measured(tokenize([dop]))
-        kinds = [KINDS[entry[0] & FLAG_KIND_MASK] for entry in stream.uops]
+        kinds = [KINDS[word & FLAG_KIND_MASK] for word in stream.words]
         accesses = [(kinds[pos], address, spec & 3, bool(spec & SPEC_WRITE))
                     for pos, address, spec in zip(
                         stream.mem_pos, stream.mem_addr, stream.mem_spec)]
@@ -227,7 +227,7 @@ class TestTraceExpander:
         stream, kinds, _ = self._compile(config,
                                          DynamicOp(inst, mispredicted=True))
         assert kinds[0] is UopKind.BRANCH
-        assert stream.uops[0][0] & FLAG_MISPREDICT
+        assert stream.words[0] & FLAG_MISPREDICT
 
     def test_bounds_check_uop_needs_no_memory(self):
         config = WatchdogConfig.full_safety_two_uops()

@@ -329,35 +329,6 @@ class TestSlotCompaction:
         assert clone.emit(2_000) == compacted.emit(2_000)
 
 
-class TestFootprintAudit:
-    def test_materialized_tuples_are_budgeted(self):
-        bundle = TraceBundle.generate("mcf", seed=7, instructions=3_000)
-        streams = bundle.compiled_streams(ISA)
-        before = bundle.footprint_ops()
-        # Force the Python-fallback tuple materialization the footprint
-        # previously missed.
-        tuples = streams.measured.uops
-        assert bundle.footprint_ops() == before + 8 * len(tuples)
-
-    def test_tuple_only_stream_is_budgeted(self):
-        import dataclasses as dc
-
-        bundle = TraceBundle.generate("mcf", seed=7, instructions=3_000)
-        streams = bundle.compiled_streams(ISA)
-        cache = bundle.__dict__["_cc_streams"]
-        (key, built), = list(cache.items())
-        base = bundle.footprint_ops()  # flat stream, no tuples pinned yet
-        # Rebuild the cached stream as tuple-only (words=None, tuples
-        # pinned), as a packed-width overflow at compile time would have
-        # produced it.  ``len(stream)`` falls back to the tuple list, so the
-        # per-µop column charge is unchanged; the pinned tuples add 8/µop.
-        tuples = tuple(built.measured.uops)
-        tuple_only = dc.replace(built.measured, words=None)
-        tuple_only.__dict__["_uop_tuples"] = tuples
-        cache[key] = dc.replace(built, measured=tuple_only)
-        assert bundle.footprint_ops() == base + 8 * len(tuples)
-
-
 class TestOneBPlumbing:
     def test_profiles_registered_but_not_in_figure_grids(self):
         names = one_b_profile_names()
