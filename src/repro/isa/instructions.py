@@ -145,6 +145,19 @@ STORE_OPCODES = frozenset({Opcode.STORE, Opcode.FSTORE})
 CONTROL_OPCODES = frozenset({Opcode.BRANCH, Opcode.JUMP, Opcode.CALL, Opcode.RET, Opcode.HALT})
 
 
+#: Register sources an opcode reads by position (the decoder and the injector
+#: index them) and what they are; an instruction with fewer is refused.
+REQUIRED_SRCS = {
+    Opcode.LOAD: (1, "an address register"),
+    Opcode.FLOAD: (1, "an address register"),
+    Opcode.STORE: (2, "address and value registers"),
+    Opcode.FSTORE: (2, "address and value registers"),
+    Opcode.SETIDENT: (2, "pointer and identifier registers"),
+    Opcode.GETIDENT: (1, "a pointer register"),
+    Opcode.SETBOUNDS: (1, "a pointer register"),
+}
+
+
 def is_memory_opcode(opcode: Opcode) -> bool:
     """True if the opcode accesses program memory."""
     return opcode in MEMORY_OPCODES
@@ -205,16 +218,12 @@ class Instruction:
         if len(self.srcs) > 2:
             raise ProgramError(f"{op.value} has {len(self.srcs)} register "
                                f"sources (at most 2)")
-        if op in MEMORY_OPCODES and not self.srcs:
-            raise ProgramError(f"{op.value} requires an address register")
-        if op in LOAD_OPCODES and self.dest is None:
+        required = REQUIRED_SRCS.get(op)
+        if required is not None and len(self.srcs) < required[0]:
+            raise ProgramError(f"{op.value} requires {required[1]}")
+        if self.dest is None and (op in LOAD_OPCODES
+                                  or op is Opcode.GETIDENT):
             raise ProgramError(f"{op.value} requires a destination register")
-        if op in STORE_OPCODES and len(self.srcs) < 2:
-            raise ProgramError(f"{op.value} requires address and value registers")
-        if op is Opcode.SETIDENT and len(self.srcs) < 2:
-            raise ProgramError("setident requires pointer and identifier registers")
-        if op is Opcode.GETIDENT and (self.dest is None or not self.srcs):
-            raise ProgramError("getident requires a destination and a pointer register")
 
     @property
     def is_memory(self) -> bool:

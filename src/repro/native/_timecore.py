@@ -1,18 +1,30 @@
-"""Native timing core: the compiled pipeline's two hot loops in C.
+"""Native timing core: the compiled pipeline's hot loops in C.
 
-The compiled trace pipeline runs each (trace × configuration) cell in two
-passes — a batched memory-hierarchy replay
+The compiled trace pipeline compiles each (trace × configuration class)
+into packed streams
+(:meth:`repro.sim.compiled.StreamCompiler.compile_measured` /
+:meth:`~repro.sim.compiled.StreamCompiler.compile_warm`) and runs each cell
+in two passes — a batched memory-hierarchy replay
 (:meth:`repro.memory.hierarchy.MemoryHierarchy.access_batch` /
 :meth:`~repro.memory.hierarchy.MemoryHierarchy.warm_batch`) and the
 dispatch/ready/port-reservation/commit integer scheduler
-(:meth:`repro.pipeline.core.OutOfOrderCore.simulate_compiled`).  Both are
-pure integer state machines over packed arrays, which caps the Python
-interpreter at a few hundred thousand µops per second.  This module compiles
-them to a small C kernel through the shared :mod:`repro.native.build`
-machinery (system cc, first use, cached on disk, self-tested at load).
+(:meth:`repro.pipeline.core.OutOfOrderCore.simulate_compiled`).  All are
+pure integer loops over packed arrays, which caps the Python interpreter at
+a few hundred thousand µops per second.  This module compiles them to a
+small C kernel through the shared :mod:`repro.native.build` machinery
+(system cc, first use, cached on disk, self-tested at load).
 
-The kernel consumes exactly the structures the Python loops consume:
+The kernel consumes exactly the structures the Python loops consume, in
+five entries:
 
+* ``compile_run`` — a token window (:class:`~repro.sim.trace.TraceTokens`
+  columns) replayed through one class's template table, the int64 columns
+  of :class:`repro.sim.compiled._TemplateTable`, given each identity's row.
+  In measured mode it writes the stream's packed words, latency prefill,
+  access columns (position, address, spec), the data and shadow words the
+  ``PageAccountant`` sets collect, and the statistics totals; in warm mode
+  the warm stream's addresses and specs.  A first call with no outputs
+  sizes every column (:func:`compile_tokens`).
 * ``hier_batch`` — the hierarchy's own int64 arrays (``Cache.ways``,
   ``TLB.slots``, ``StreamPrefetcher.table``; the Python paths keep no other
   copy of that state) plus the packed ``(addrs, specs, positions)`` access
@@ -36,12 +48,13 @@ The kernel consumes exactly the structures the Python loops consume:
   (:meth:`repro.sim.compiled.StreamCompiler.compile_measured`), and the
   Python scheduler decodes the same words through :func:`unpack_words`.
 
-Both are replicas of the Python loops, statement for statement — every
-counter, LRU movement, latency and stall decision lands on the same value,
-and the load-time self-test plus the timecore golden tests enforce
-bit-identical ``TimingResult``/``HierarchyStats`` output.  The kernel is
-strictly optional: ``REPRO_TIMECORE=0``, a missing compiler, a failed build
-or a failed self-test all fall back to the Python loops silently.
+All are replicas of the Python loops, statement for statement — every
+column, counter, LRU movement, latency and stall decision lands on the same
+value, and the load-time self-test plus the timecore golden tests enforce
+bit-identical streams and ``TimingResult``/``HierarchyStats`` output.  The
+kernel is strictly optional: ``REPRO_TIMECORE=0``, a missing compiler, a
+failed build or a failed self-test all fall back to the Python loops
+silently.
 """
 
 from __future__ import annotations
@@ -58,10 +71,13 @@ CFG_COLLECT = 2
 CFG_STRIDE = 3
 
 _SOURCE = r"""
-/* Native timing core: batched hierarchy replay + the array scheduler.
+/* Native timing core: stream compilation, batched hierarchy replay and
+ * the array scheduler.
  *
- * Replicates repro.memory.hierarchy.MemoryHierarchy._replay (the Python
- * loop behind access_batch/warm_batch), Cache.fill,
+ * Replicates repro.sim.compiled.StreamCompiler's compile loops
+ * (_measured_python and compile_warm),
+ * repro.memory.hierarchy.MemoryHierarchy._replay (the Python loop behind
+ * access_batch/warm_batch), Cache.fill,
  * repro.sim.compiled.WorkingSetArrays.columns and
  * repro.pipeline.core.OutOfOrderCore._schedule_python statement for
  * statement.  Any change to those Python loops must be mirrored here (the
@@ -401,6 +417,140 @@ long long ws_expand(const i64 *ranges, i64 n, i64 mw, i64 *data,
     return lines;
 }
 
+/* repro.sim.trace's address rules (the self-test runs every one). */
+#define ADDR_DATA 1
+#define ADDR_SHADOW 2
+#define ADDR_LOCK 3
+#define ADDR_FRAME_PUSH 4
+#define NO_ADDRESS (-1LL)
+#define META_SLOTS 17
+
+/* SHADOW_BIT | ((a & ~7) * mw) % 2**47, Python's modulo for every int64 a:
+ * 2**47 divides 2**64, so the wrapped unsigned product reduces alike. */
+static i64 shadow_of(i64 a, i64 mw)
+{
+    return SHADOW_BIT
+        | (i64)(((uint64_t)(a & ~7LL) * (uint64_t)mw) & (SHADOW_BIT - 1));
+}
+
+/* Stream compilation: StreamCompiler.compile_measured (cfg[0] = 0) and
+ * compile_warm (cfg[0] = 1), statement for statement.  Replays the n token
+ * rows (tids, addrs, locks, mis) through one class's template table:
+ * rows[tid] is identity tid's row (ntids identities), and row r's
+ * META_SLOTS slots at meta[META_SLOTS * r] hold
+ *   0 the offset of its µops in twords/tmis/tlats, 1 their count,
+ *   2 the offset of its address ops in taops (triples: µop offset, rule,
+ *     spec), 3 their count, 4 the access size,
+ *   5-16 its statistics: total cost, injected cost, the eight
+ *     InjectionStats fields, memory ops, pointer ops.
+ * tmis holds twords with the mispredict flag set on branch µops.
+ * cfg: 0 mode, 1 metadata words (mw), 2 shadow lines after each warm data
+ * access, 3 the frame-lock start, 4 its floor, 5 the shadow-read spec.
+ *
+ * Measured mode writes each row's µop words (from tmis when mispredicted)
+ * and latencies, one (position, address, spec) access per address op whose
+ * address exists, the 8-byte data words of each data access and the mw
+ * shadow words of each shadow access; counts (ntids zeroed slots) gets each
+ * identity's rows and totals the 12 statistics sums.  Warm mode writes
+ * accesses (address, spec) only, plus mw shadow reads after each data
+ * access when cfg[2] is set.  With sizes != NULL nothing else is written:
+ * sizes gets the column lengths (words, accesses, data words, shadow
+ * words), so a first call sizes the columns.  Returns -1 on a tid outside
+ * the rows, else 0. */
+long long compile_run(const i64 *cfg, const i64 *meta, const i64 *twords,
+                      const i64 *tmis, const i64 *tlats, const i64 *taops,
+                      const i64 *rows, i64 ntids, i64 n, const i64 *tids,
+                      const i64 *addrs, const i64 *locks, const i64 *mis,
+                      i64 *sizes, i64 *words, i64 *lats, i64 *mpos,
+                      i64 *maddr, i64 *mspec, i64 *dwords, i64 *swords,
+                      i64 *counts, i64 *totals)
+{
+    const i64 warm = cfg[0], mw = cfg[1], warm_shadow = cfg[2];
+    const i64 floor = cfg[4], shadow_read = cfg[5];
+    const int out = sizes == NULL;
+    i64 frame = cfg[3], nw = 0, nm = 0, nd = 0, ns = 0;
+    i64 k, j, i, t;
+    for (k = 0; k < n; k++) {
+        const i64 *m;
+        i64 a = addrs[k];
+        t = tids[k];
+        if (t < 0 || t >= ntids)
+            return -1;
+        m = meta + META_SLOTS * rows[t];
+        if (out && !warm) {
+            const i64 *w = (mis[k] ? tmis : twords) + m[0];
+            const i64 *l = tlats + m[0];
+            counts[t] += 1;
+            for (j = 0; j < m[1]; j++) {
+                words[nw + j] = w[j];
+                lats[nw + j] = l[j];
+            }
+        }
+        for (j = 0; j < m[3]; j++) {
+            const i64 *op = taops + 3 * (m[2] + j);
+            i64 rule = op[1], addr;
+            if (rule == ADDR_DATA) {
+                if (a == NO_ADDRESS)
+                    continue;
+                addr = a;
+            } else if (rule == ADDR_SHADOW) {
+                if (a == NO_ADDRESS)
+                    continue;
+                addr = shadow_of(a, mw);
+            } else if (rule == ADDR_LOCK) {
+                addr = locks[k];
+                if (addr == NO_ADDRESS)
+                    continue;
+            } else if (rule == ADDR_FRAME_PUSH) {
+                frame += 8;
+                addr = frame;
+            } else {  /* ADDR_FRAME_POP */
+                addr = frame;
+                frame -= 8;
+                if (frame < floor)
+                    frame = floor;
+            }
+            if (out) {
+                maddr[nm] = addr;
+                mspec[nm] = op[2];
+                if (!warm)
+                    mpos[nm] = nw + op[0];
+            }
+            nm++;
+            if (warm) {
+                if (rule == ADDR_DATA && warm_shadow) {
+                    for (i = 0; i < mw; i++, nm++)
+                        if (out) {
+                            maddr[nm] = shadow_of((a & ~63LL) + i * (64 / mw),
+                                                  mw);
+                            mspec[nm] = shadow_read;
+                        }
+                }
+            } else if (rule == ADDR_DATA) {
+                for (i = a & ~7LL; i < a + m[4]; i += 8, nd++)
+                    if (out)
+                        dwords[nd] = i;
+            } else if (rule == ADDR_SHADOW) {
+                for (i = 0; i < mw; i++, ns++)
+                    if (out)
+                        swords[ns] = addr + 8 * i;
+            }
+        }
+        nw += m[1];
+    }
+    if (!out) {
+        sizes[0] = nw;
+        sizes[1] = nm;
+        sizes[2] = nd;
+        sizes[3] = ns;
+    } else if (!warm) {
+        for (t = 0; t < ntids; t++)
+            for (j = 0; j < 12; j++)
+                totals[j] += counts[t] * meta[META_SLOTS * rows[t] + 5 + j];
+    }
+    return 0;
+}
+
 /* OutOfOrderCore._schedule_python, the array scheduler.
  *
  * uops[k] is one µop in the only µop-stream format, the word that
@@ -619,6 +769,8 @@ def _bind(so_path: Path):
     lib.warm_fill.argtypes = [p, q, q, q, q, p]
     lib.ws_expand.restype = q
     lib.ws_expand.argtypes = [p, q, q, p, p]
+    lib.compile_run.restype = q
+    lib.compile_run.argtypes = [p] * 7 + [q, q] + [p] * 14
     lib.sched_run.restype = q
     lib.sched_run.argtypes = [p, p, p, q] + [p] * 11
     return lib
@@ -699,6 +851,47 @@ def expand_ranges(lib, ranges, mw: int):
         lib.ws_expand(src, n, mw, data.buffer_info()[0],
                       shadow.buffer_info()[0])
     return data, shadow
+
+
+def _zeros(n: int) -> array:
+    return array("q", [0]) * n
+
+
+def compile_tokens(lib, cfg, table, rows, tokens):
+    """One token window through the kernel's ``compile_run`` (layout in C).
+
+    ``cfg`` is its six-slot config block (an ``array("q")``), ``table``
+    holds the template columns (``meta``, ``words``, ``mis_words``,
+    ``lats``, ``aops``) and ``rows`` lists each identity's table row.
+    Returns ``(addrs, specs)`` in warm mode, else ``(words, lats, mem_pos,
+    mem_addr, mem_spec, data_words, shadow_words, totals)``.
+    """
+    rows = array("q", rows)
+    columns = [col if isinstance(col, array) and col.typecode == "q"
+               else array("q", col)
+               for col in (tokens.tids, tokens.addrs, tokens.locks,
+                           tokens.mis)]
+    head = [col.buffer_info()[0]
+            for col in (cfg, table.meta, table.words, table.mis_words,
+                        table.lats, table.aops, rows)]
+    head += [len(rows), len(columns[0])]
+    head += [col.buffer_info()[0] for col in columns]
+    sizes = _zeros(4)
+    if lib.compile_run(*head, sizes.buffer_info()[0], *[None] * 9) < 0:
+        raise IndexError("token identity outside the window's identities")
+    n_words, n_mem, n_data, n_shadow = sizes
+    mem_addr = _zeros(n_mem)
+    mem_spec = _zeros(n_mem)
+    if cfg[0]:
+        lib.compile_run(*head, None, None, None, None,
+                        mem_addr.buffer_info()[0], mem_spec.buffer_info()[0],
+                        None, None, None, None)
+        return mem_addr, mem_spec
+    out = (_zeros(n_words), _zeros(n_words), _zeros(n_mem), mem_addr,
+           mem_spec, _zeros(n_data), _zeros(n_shadow), _zeros(len(rows)),
+           _zeros(12))
+    lib.compile_run(*head, None, *[col.buffer_info()[0] for col in out])
+    return out[:7] + out[8:]
 
 
 def run_batch(lib, h, addrs, specs, positions, lats, collect: bool):
@@ -930,6 +1123,99 @@ def _self_test_ws(lib) -> bool:
     return True
 
 
+def _same_streams(a, b) -> bool:
+    """Equal fields of two compiled (or two warm) streams: columns,
+    statistics and page word sets."""
+    import dataclasses
+
+    return all(getattr(a, field.name) == getattr(b, field.name)
+               for field in dataclasses.fields(a))
+
+
+def _self_test_compile(lib) -> bool:
+    """``compile_run`` must match the Python compile loops in both modes.
+
+    Six synthetic templates in a private table cover every address rule —
+    data (one access straddling two words), shadow at mw 2 and 4 (one
+    address past the 2**47 wrap), lock, frame push and a frame pop clamped
+    at the floor — a mispredicted branch, ``NO_ADDRESS`` rows, and, with a
+    disabled class, warm data accesses without shadow lines; then an empty
+    window.
+    """
+    from repro.core.config import WatchdogConfig
+    from repro.isa.instructions import Instruction, Opcode
+    from repro.isa.registers import int_reg
+    from repro.sim.compiled import (
+        StreamCompiler,
+        _Template,
+        _TemplateTable,
+        _identity_key,
+    )
+    from repro.sim.trace import (
+        ADDR_DATA,
+        ADDR_FRAME_POP,
+        ADDR_FRAME_PUSH,
+        ADDR_LOCK,
+        ADDR_SHADOW,
+        NO_ADDRESS as NONE,
+        TraceTokens,
+    )
+
+    # (µops, branch offset or -1, access size, address ops) per template.
+    shapes = ((3, -1, 8, ((0, ADDR_LOCK, 9), (1, ADDR_DATA, 8),
+                          (2, ADDR_SHADOW, 10))),
+              (3, -1, 4, ((0, ADDR_LOCK, 1), (1, ADDR_SHADOW, 6),
+                          (2, ADDR_DATA, 4))),
+              (2, 1, 8, ()),
+              (3, 1, 8, ((2, ADDR_FRAME_PUSH, 5),)),
+              (3, 2, 8, ((0, ADDR_FRAME_POP, 5),)),
+              (1, -1, 1, ()))
+    insts = [Instruction(Opcode.NOP, dest=int_reg(r))
+             for r in range(len(shapes))]
+    table = _TemplateTable()
+    for r, (n, branch, size, ops) in enumerate(shapes):
+        t = _Template()
+        t.words = array("q", [(8 * r + j + 1) << 9 | (128 if j == branch
+                                                      else 0)
+                              for j in range(n)])
+        t.mis_words = None if branch < 0 else \
+            array("q", [w | 256 if w & 128 else w for w in t.words])
+        t.lats = array("q", [8 * r + j + 3 for j in range(n)])
+        t.n = n
+        t.addr_ops = ops
+        t.size = size
+        t.stat_delta = tuple(r + i for i in range(8))
+        t.pointer_delta = (r, 2 * r)
+        t.total_cost = n + r
+        t.injected_cost = r
+        table.add(_identity_key(insts[r]), t)
+    rows = [(4, NONE, NONE, 0)] * 3 + [  # a RET before any CALL
+        (0, 0x2000_1003, 0x6000_0008, 0), (0, NONE, 0x6000_0010, 0),
+        (0, 0x2000_2000, NONE, 0), (1, 0x2000_30fe, 0x6000_0018, 0),
+        (2, NONE, NONE, 1), (2, NONE, NONE, 0), (3, NONE, NONE, 1),
+        (3, NONE, NONE, 0), (5, NONE, NONE, 0),
+        (0, 0x6000_0000_0408, 0x6000_0020, 0), (4, NONE, NONE, 1),
+        (1, NONE, NONE, 0)]
+    tokens = TraceTokens(*(array("q", column) for column in zip(*rows)),
+                         insts)
+    for config in (WatchdogConfig.isa_assisted_uaf(),
+                   WatchdogConfig.full_safety_fused(),
+                   WatchdogConfig.disabled()):
+        compilers = [StreamCompiler(config, lib=kernel)
+                     for kernel in (lib, None)]
+        for compiler in compilers:
+            compiler._table = table
+            compiler._frame_start = compiler._frame_floor + 8
+        for window in (tokens, TraceTokens()):
+            ker, ref = (c.compile_measured(window) for c in compilers)
+            if not _same_streams(ker, ref):
+                return False
+            ker, ref = (c.compile_warm(window) for c in compilers)
+            if not _same_streams(ker, ref):
+                return False
+    return True
+
+
 def _self_test(lib):
     """All kernels must reproduce the Python loops before being trusted.
 
@@ -938,7 +1224,8 @@ def _self_test(lib):
     """
     for check, stage in ((_self_test_hier, "hier_batch/warm_fill"),
                          (_self_test_sched, "sched_run"),
-                         (_self_test_ws, "ws_expand")):
+                         (_self_test_ws, "ws_expand"),
+                         (_self_test_compile, "compile_run")):
         if not check(lib):
             return False, stage
     return True, None

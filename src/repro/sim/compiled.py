@@ -26,12 +26,17 @@ of every dynamic instance, it compiles in three steps:
    hierarchy replays in a single batch) — along with exact
    injection/pointer/page statistics reconstructed from per-template
    deltas.  Each template's µop words are packed once at build time
-   (:func:`~repro.native._timecore.pack_entry_words`), so stream assembly
-   is pure ``array.extend``.  The packed word is the only µop form: the
-   kernel consumes it with zero further marshalling, and the Python
-   scheduler decodes it (:func:`~repro.native._timecore.unpack_words`).
-   Every template fits the word, because :class:`~repro.isa.registers.ArchReg`
-   admits only its class's 16 registers.
+   (:func:`~repro.native._timecore.pack_entry_words`) and appended to its
+   class's table, one append-only set of int64 columns per (configuration
+   class, machine).  When the run's ``timecore`` decision resolves the
+   timing kernel, its ``compile_run`` replays a window through those
+   columns in one C pass; otherwise the Python loops here, its oracle,
+   assemble the columns with ``array.extend``.  The packed word is the
+   only µop form: the kernel consumes it with zero further marshalling,
+   and the Python scheduler decodes it
+   (:func:`~repro.native._timecore.unpack_words`).  Every template fits
+   the word, because :class:`~repro.isa.registers.ArchReg` admits only its
+   class's 16 registers.
 
 Two Watchdog configurations that inject identically (same ``enabled``,
 pointer-identification mode, bounds mode and copy-elimination setting) share
@@ -314,16 +319,57 @@ class _Template:
                  "stat_delta", "pointer_delta", "total_cost", "injected_cost")
 
 
+class _TemplateTable:
+    """One configuration class's templates on one machine, append-only.
+
+    Row ``r`` is ``templates[r]``, and the same template in the int64
+    columns the kernel's ``compile_run`` reads: ``meta`` holds 17 slots per
+    row (its offsets and counts in ``words``/``mis_words``/``lats`` and in
+    the ``aops`` triples, its access size and statistics deltas; layout at
+    ``compile_run`` in the C source).  Rows never change, so a window
+    builds only its tid → row map.
+    """
+
+    __slots__ = ("index", "templates", "meta", "words", "mis_words", "lats",
+                 "aops")
+
+    def __init__(self):
+        #: :func:`_identity_key` -> row.
+        self.index: Dict[tuple, int] = {}
+        self.templates: List[_Template] = []
+        self.meta = array("q")
+        self.words = array("q")
+        self.mis_words = array("q")
+        self.lats = array("q")
+        self.aops = array("q")
+
+    def add(self, key: tuple, t: _Template) -> int:
+        """Append ``t`` as the row of identity ``key``; returns the row."""
+        row = self.index[key] = len(self.templates)
+        self.templates.append(t)
+        self.meta.extend((len(self.words), t.n, len(self.aops) // 3,
+                          len(t.addr_ops), t.size, t.total_cost,
+                          t.injected_cost, *t.stat_delta, *t.pointer_delta))
+        self.words.extend(t.words)
+        self.mis_words.extend(t.words if t.mis_words is None
+                              else t.mis_words)
+        self.lats.extend(t.lats)
+        for op in t.addr_ops:
+            self.aops.extend(op)
+        return row
+
+
 # -- the compiler ----------------------------------------------------------------------
 
-#: Cross-bundle template cache: one entry per (configuration class, machine,
-#: instruction identity).  Different bundles intern different Instruction
-#: objects for the same static shapes, so the per-compiler id() memo alone
-#: re-expands every identity once per bundle; this cache shares the built
-#: templates across bundles and sweeps.  Templates are immutable after
-#: construction — every consumer copies out of them.  The cap is a
-#: backstop for unbounded sweeps; a full cache simply restarts cold.
-_TEMPLATE_CACHE: Dict[tuple, _Template] = {}
+#: Cross-bundle template tables: one per (configuration class, machine).
+#: Different bundles intern different Instruction objects for the same
+#: static shapes, so the per-compiler id() memo alone re-expands every
+#: identity once per bundle; the tables share the built templates across
+#: bundles and sweeps.  A compiler resolves its table once, so no lookup
+#: hashes the machine.  The row limit is a backstop for unbounded sweeps: a
+#: compiler starting a window on a full table installs a fresh one, and
+#: compilers still holding the old table keep valid rows.
+_TEMPLATE_CACHE: Dict[tuple, _TemplateTable] = {}
 _TEMPLATE_CACHE_LIMIT = 1 << 16
 
 
@@ -343,12 +389,19 @@ def _identity_key(inst: Instruction) -> tuple:
 
 
 class StreamCompiler:
-    """Compiles tokenized traces for one configuration class and machine."""
+    """Compiles tokenized traces for one configuration class and machine.
+
+    ``lib`` is the run's timing kernel (:func:`repro.native._timecore.load`)
+    or ``None``: :meth:`compile_measured` and :meth:`compile_warm` run the
+    kernel's ``compile_run`` with it and their Python loops, the kernel's
+    oracle, without.
+    """
 
     def __init__(self, config: WatchdogConfig,
-                 machine: Optional[MachineConfig] = None):
+                 machine: Optional[MachineConfig] = None, lib=None):
         self.config = config
         self.machine = machine or MachineConfig()
+        self._lib = lib
         #: The template expansions run through a real injector so the
         #: statistics deltas (injection counts, pointer classification,
         #: copy-elimination ablation) are captured by construction.
@@ -358,15 +411,19 @@ class StreamCompiler:
         self._frame_start = self._frame_floor + layout.lock_region.size // 2
         self._mw = config.metadata_words
         self._shadow_step = 64 // self._mw
-        #: Templates memoized per interned-instruction identity: the warm
+        self._cache_key = (stream_class_key(config), self.machine)
+        table = _TEMPLATE_CACHE.get(self._cache_key)
+        if table is None:
+            table = _TEMPLATE_CACHE[self._cache_key] = _TemplateTable()
+        self._table = table
+        #: Table rows memoized per interned-instruction identity: the warm
         #: and measured token streams of one bundle share most identities
         #: (the generator reuses Instruction objects across the boundary),
-        #: so compiling the warm stream after the measured one rebuilds
+        #: so compiling the warm stream after the measured one looks up
         #: almost nothing.  Keyed by id(); ``_template_pins`` keeps every
         #: memoized instruction alive so an id is never recycled.
-        self._templates: Dict[int, _Template] = {}
+        self._rows: Dict[int, int] = {}
         self._template_pins: List[Instruction] = []
-        self._cache_key = (stream_class_key(config), self.machine)
 
     # -- template lowering ---------------------------------------------------------
     def _full_expand(self, inst: Instruction) -> List[MicroOp]:
@@ -387,18 +444,28 @@ class StreamCompiler:
                                    injected=True, macro=inst)]
         return uops
 
-    def _template(self, inst: Instruction) -> _Template:
-        t = self._templates.get(id(inst))
-        if t is None:
-            key = (self._cache_key, _identity_key(inst))
-            t = _TEMPLATE_CACHE.get(key)
-            if t is None:
-                if len(_TEMPLATE_CACHE) >= _TEMPLATE_CACHE_LIMIT:
-                    _TEMPLATE_CACHE.clear()
-                t = _TEMPLATE_CACHE[key] = self._build_template(inst)
-            self._templates[id(inst)] = t
-            self._template_pins.append(inst)
-        return t
+    def _window_rows(self, insts: List[Instruction]) -> List[int]:
+        """Each window identity's row in the compiler's table (tid → row),
+        building the templates it lacks."""
+        table = self._table
+        if len(table.templates) >= _TEMPLATE_CACHE_LIMIT:
+            table = self._table = _TEMPLATE_CACHE[self._cache_key] = \
+                _TemplateTable()
+            self._rows.clear()
+            self._template_pins.clear()
+        memo = self._rows
+        rows = []
+        for inst in insts:
+            row = memo.get(id(inst))
+            if row is None:
+                key = _identity_key(inst)
+                row = table.index.get(key)
+                if row is None:
+                    row = table.add(key, self._build_template(inst))
+                memo[id(inst)] = row
+                self._template_pins.append(inst)
+            rows.append(row)
+        return rows
 
     def _build_template(self, inst: Instruction) -> _Template:
         compiled = compile_template(self.injector, inst, expand=self._full_expand)
@@ -459,16 +526,54 @@ class StreamCompiler:
         t.injected_cost = injected_cost
         return t
 
+    def _kernel_cfg(self, warm: bool) -> array:
+        """``compile_run``'s config block (layout in the C source)."""
+        return array("q", (int(warm), self._mw, int(self.config.enabled),
+                           self._frame_start, self._frame_floor,
+                           SPEC_SHADOW_READ))
+
     # -- measured stream ----------------------------------------------------------
     def compile_measured(self, tokens: TraceTokens) -> CompiledStream:
         """Pack the measured stream plus its exact statistics.
 
         Emits the kernel's wire format directly: each template's µop words
-        are packed once at build time, and the replay loop assembles the
-        stream's columns with ``array("q").extend`` — C-speed memcpys.
+        are packed once at build time.  With a kernel, ``compile_run``
+        writes every column in one pass; otherwise :meth:`_measured_python`
+        assembles them with ``array("q").extend``.
         """
-        build = self._template
-        templates = [build(inst) for inst in tokens.insts]
+        rows = self._window_rows(tokens.insts)
+        pages = PageAccountant()
+        if self._lib is not None:
+            (words, lats, mem_pos, mem_addr, mem_spec, data, shadow,
+             totals) = _timecore.compile_tokens(
+                 self._lib, self._kernel_cfg(False), self._table, rows,
+                 tokens)
+            pages.data_words.update(data)
+            pages.shadow_words.update(shadow)
+        else:
+            (words, lats, mem_pos, mem_addr, mem_spec,
+             totals) = self._measured_python(rows, tokens, pages)
+        return CompiledStream(
+            words=words,
+            lat_template=lats,
+            mem_pos=mem_pos,
+            mem_addr=mem_addr,
+            mem_spec=mem_spec,
+            total_uops=totals[0],
+            injected_uops=totals[1],
+            macro_instructions=len(tokens.tids),
+            memory_accesses=len(mem_pos),
+            injection=InjectionStats(*totals[2:10]),
+            pointer=PointerIdStats(memory_ops=totals[10],
+                                   pointer_ops=totals[11]),
+            pages=pages,
+        )
+
+    def _measured_python(self, rows: List[int], tokens: TraceTokens,
+                         pages: PageAccountant) -> tuple:
+        """The measured columns, filling ``pages``, and the 12 statistics
+        totals (``compile_run``'s layout), in Python."""
+        templates = [self._table.templates[row] for row in rows]
         words = array("q")
         main = [t.words for t in templates]
         mis = [t.words if t.mis_words is None else t.mis_words
@@ -486,7 +591,6 @@ class StreamCompiler:
         add_pos = mem_pos.append
         add_addr = mem_addr.append
         add_spec = mem_spec.append
-        pages = PageAccountant()
         data_words = pages.data_words
         shadow_words = pages.shadow_words
         mw = self._mw
@@ -544,33 +648,15 @@ class StreamCompiler:
             base += n_by_tid[tid]
 
         # -- exact totals from per-template deltas -------------------------------
-        counts = Counter(tokens.tids)
-        stat_totals = [0] * 8
-        memory_ops = pointer_ops = total_cost = injected_cost = 0
-        for tid, count in counts.items():
+        totals = [0] * 12
+        for tid, count in Counter(tokens.tids).items():
             template = templates[tid]
-            total_cost += count * template.total_cost
-            injected_cost += count * template.injected_cost
-            delta = template.stat_delta
-            for i in range(8):
-                stat_totals[i] += count * delta[i]
-            memory_ops += count * template.pointer_delta[0]
-            pointer_ops += count * template.pointer_delta[1]
-
-        return CompiledStream(
-            words=words,
-            lat_template=lats,
-            mem_pos=mem_pos,
-            mem_addr=mem_addr,
-            mem_spec=mem_spec,
-            total_uops=total_cost,
-            injected_uops=injected_cost,
-            macro_instructions=len(tokens.tids),
-            memory_accesses=len(mem_pos),
-            injection=InjectionStats(*stat_totals),
-            pointer=PointerIdStats(memory_ops=memory_ops, pointer_ops=pointer_ops),
-            pages=pages,
-        )
+            for i, delta in enumerate((template.total_cost,
+                                       template.injected_cost,
+                                       *template.stat_delta,
+                                       *template.pointer_delta)):
+                totals[i] += count * delta
+        return words, lats, mem_pos, mem_addr, mem_spec, totals
 
     # -- warm-up stream ------------------------------------------------------------
     def compile_warm(self, tokens: TraceTokens) -> WarmStream:
@@ -584,10 +670,15 @@ class StreamCompiler:
         artificial first-touch misses.  (The ideal-shadow ablation filters
         all shadow accesses at replay.)  Emits int64 arrays directly, so the
         native warm replay (:func:`repro.native._timecore.run_batch`) skips
-        its conversion.
+        its conversion; with a kernel, ``compile_run`` writes them.
         """
-        build = self._template
-        ops_by_tid = [build(inst).addr_ops for inst in tokens.insts]
+        rows = self._window_rows(tokens.insts)
+        if self._lib is not None:
+            addrs, specs = _timecore.compile_tokens(
+                self._lib, self._kernel_cfg(True), self._table, rows, tokens)
+            return WarmStream(addrs=addrs, specs=specs)
+        templates = self._table.templates
+        ops_by_tid = [templates[row].addr_ops for row in rows]
         addrs = array("q")
         specs = array("q")
         add_addr = addrs.append

@@ -99,7 +99,8 @@ class MultiCoreSimulator:
                 raise ConfigurationError(
                     "mix members cannot use §9.1 sampling (sampled windows "
                     "have no cross-core interleaving order)")
-        streams = [bundle.compiled_streams(config, machine=self.machine)
+        streams = [bundle.compiled_streams(config, machine=self.machine,
+                                           timecore=self.timecore)
                    for bundle in bundles]
 
         backend = SharedMemoryBackend(_derived_hierarchy_config(

@@ -150,16 +150,17 @@ class Simulator:
 
     Every timing run compiles its traces into packed µop streams
     (:mod:`repro.sim.compiled`) and replays them on the array scheduler —
-    in the native timing core when it is loaded, else in the Python loops,
-    which are bit-identical.
+    both in the native timing core when it is loaded, else in the Python
+    loops, which are bit-identical.
     """
 
     def __init__(self, machine: Optional[MachineConfig] = None,
                  timecore: bool = True):
         self.machine = machine or MachineConfig()
-        #: Handed to every core this simulator builds: ``True`` uses the C
-        #: kernel when it loads (``REPRO_TIMECORE=0`` still disables it),
-        #: ``False`` forces the Python loops.
+        #: Handed to every stream compilation and core this simulator
+        #: runs: ``True`` uses the C kernel when it loads
+        #: (``REPRO_TIMECORE=0`` still disables it), ``False`` forces the
+        #: Python loops.
         self.timecore = timecore
 
     # -- workload timing runs ---------------------------------------------------------
@@ -178,9 +179,11 @@ class Simulator:
         additionally pre-touched, which is what the long warm-up windows of
         the paper's sampling methodology achieve.
         """
+        from repro.native import _timecore
         from repro.sim import compiled as compiled_mod
 
-        compiler = compiled_mod.StreamCompiler(config, self.machine)
+        compiler = compiled_mod.StreamCompiler(
+            config, self.machine, _timecore.load() if self.timecore else None)
         ws_arrays = compiler.working_set_arrays(working_set) \
             if working_set is not None else None
         warm = compiler.compile_warm(compiled_mod.tokenize(warmup_trace)) \
@@ -276,7 +279,8 @@ class Simulator:
             return aggregate_outcomes(
                 self.sample_outcome(bundle, index, config)
                 for index in range(len(bundle.samples)))
-        streams = bundle.compiled_streams(config, machine=self.machine)
+        streams = bundle.compiled_streams(config, machine=self.machine,
+                                          timecore=self.timecore)
         return self._run_compiled(streams.measured, streams.warm,
                                   streams.working_set, config,
                                   bundle.benchmark)
@@ -308,7 +312,8 @@ class Simulator:
         window scale, through the same machinery as an unsampled bundle.
         """
         streams = bundle.compiled_sample_streams(index, config,
-                                                 machine=self.machine)
+                                                 machine=self.machine,
+                                                 timecore=self.timecore)
         return self._run_compiled(streams.measured, streams.warm,
                                   streams.working_set, config,
                                   bundle.benchmark)

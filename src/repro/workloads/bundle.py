@@ -194,7 +194,7 @@ class TraceBundle:
         return self.measured_instructions
 
     # -- compiled-stream cache ----------------------------------------------------
-    def compiled_streams(self, config, machine=None):
+    def compiled_streams(self, config, machine=None, timecore=True):
         """The bundle's compiled replay artifacts for one configuration.
 
         Compilation is cached *per configuration-equivalence class* (see
@@ -202,17 +202,22 @@ class TraceBundle:
         configurations inject the same µops — e.g. with and without the lock
         location cache — share one packed stream, one warm-up access
         sequence and one working-set array set.  The traces are already
-        token columns, shared by every class.
+        token columns, shared by every class.  ``timecore`` is the run's
+        kernel knob (:class:`~repro.sim.simulator.Simulator`'s): the
+        compiler runs the timing kernel's ``compile_run`` when it is on and
+        the kernel loads, its Python loops otherwise, and that decision is
+        part of the cache key.
 
         Returns a :class:`repro.sim.compiled.BundleStreams`.
         """
-        return self._compiled(None, config, machine)
+        return self._compiled(None, config, machine, timecore)
 
-    def compiled_sample_streams(self, index: int, config, machine=None):
+    def compiled_sample_streams(self, index: int, config, machine=None,
+                                timecore=True):
         """Compiled replay artifacts for one :class:`SampleSegment`."""
-        return self._compiled(index, config, machine)
+        return self._compiled(index, config, machine, timecore)
 
-    def _compiled(self, index, config, machine):
+    def _compiled(self, index, config, machine, timecore):
         """Compile (warm-up, measured, working set) for one segment.
 
         ``index`` selects a sample of a sampled bundle; ``None`` selects the
@@ -224,6 +229,7 @@ class TraceBundle:
             raise ConfigurationError(
                 "sampled bundle has no whole-bundle streams; use "
                 "compiled_sample_streams(index, ...) per sample")
+        from repro.native import _timecore
         from repro.pipeline.config import MachineConfig
         from repro.sim.compiled import (
             BundleStreams,
@@ -232,17 +238,18 @@ class TraceBundle:
         )
 
         machine = machine or MachineConfig()
+        lib = _timecore.load() if timecore else None
         streams = self.__dict__.get(_STREAM_CACHE_ATTR)
         if streams is None:
             streams = {}
             object.__setattr__(self, _STREAM_CACHE_ATTR, streams)
-        key = (stream_class_key(config), machine, index)
+        key = (stream_class_key(config), machine, index, lib is not None)
         cached = streams.get(key)
         if cached is not None:
             return cached
 
         segment = self if index is None else self.samples[index]
-        compiler = StreamCompiler(config, machine)
+        compiler = StreamCompiler(config, machine, lib)
         built = BundleStreams(
             measured=compiler.compile_measured(segment.measured),
             warm=compiler.compile_warm(segment.warmup)

@@ -16,6 +16,9 @@ from repro.isa.instructions import (
     is_store_opcode,
 )
 from repro.isa.registers import fp_reg, int_reg
+from repro.sim.compiled import StreamCompiler
+
+from tests.test_compiled_pipeline import CONFIGURATIONS
 
 
 class TestOpcodeClasses:
@@ -63,6 +66,22 @@ class TestInstructionValidation:
         with pytest.raises(ProgramError):
             Instruction(Opcode.ADD_RR, dest=int_reg(4),
                         srcs=(int_reg(1), int_reg(2), int_reg(3)))
+
+    def test_setbounds_requires_a_pointer_register(self):
+        with pytest.raises(ProgramError, match="setbounds"):
+            Instruction(Opcode.SETBOUNDS)
+        Instruction(Opcode.SETBOUNDS, srcs=(int_reg(1),))
+
+    @pytest.mark.parametrize("opcode", list(Opcode), ids=lambda op: op.value)
+    def test_no_operands_is_refused_or_compiles(self, opcode):
+        """An instruction the constructor accepts never fails later, in
+        the decoder or the injector, for lack of a register source."""
+        try:
+            inst = Instruction(opcode)
+        except ProgramError:
+            return
+        for config in CONFIGURATIONS.values():
+            assert StreamCompiler(config)._build_template(inst).n >= 1
 
     def test_srcs_normalised_to_tuple(self):
         inst = Instruction(Opcode.ADD_RR, dest=int_reg(1),

@@ -101,10 +101,14 @@ class TestSimulatorKnob:
     def test_timecore_false_forces_python_loops(self, monkeypatch):
         bundle = TraceBundle.generate("mcf", seed=5, instructions=400)
         config = CONFIGURATIONS["conservative"]
+        # Settle the load decision first: its self-test runs the kernel.
+        kernel = _timecore.load()
         loads = []
         expansions = []
+        compiles = []
         load = _timecore.load
         expand = _timecore.expand_ranges
+        compile_tokens = _timecore.compile_tokens
 
         def counting_load(*args, **kwargs):
             loads.append(1)
@@ -114,20 +118,34 @@ class TestSimulatorKnob:
             expansions.append(1)
             return expand(*args, **kwargs)
 
+        def counting_compile(*args, **kwargs):
+            compiles.append(1)
+            return compile_tokens(*args, **kwargs)
+
         monkeypatch.setattr(_timecore, "load", counting_load)
         monkeypatch.setattr(_timecore, "expand_ranges", counting_expand)
+        monkeypatch.setattr(_timecore, "compile_tokens", counting_compile)
         forced_off = Simulator(timecore=False).run_bundle(bundle, config)
-        assert not loads and not expansions
+        assert not loads and not expansions and not compiles
         native = Simulator().run_bundle(bundle, config)
         assert loads
-        assert bool(expansions) == (load() is not None)
+        assert bool(expansions) == (kernel is not None)
+        # The warm and the measured stream, each in the kernel.
+        assert len(compiles) == (2 if kernel is not None else 0)
         assert forced_off.timing == native.timing
-        # The kernel is loaded now and the bundle's streams are cached; a
-        # forced-off run still expands its working set in Python.
+        # The kernel is loaded now and the bundle's native streams are
+        # cached; a forced-off run still compiles its own streams and
+        # expands its working set in Python.
         expansions.clear()
+        compiles.clear()
         again = Simulator(timecore=False).run_bundle(bundle, config)
-        assert not expansions
+        assert not expansions and not compiles
         assert again.timing == native.timing
+        trace = list(bundle.measured)
+        Simulator(timecore=False).run_trace(trace, config)
+        assert not compiles
+        Simulator().run_trace(trace, config)
+        assert len(compiles) == (1 if kernel is not None else 0)
 
     def test_knob_reaches_the_core(self):
         from repro.pipeline.core import OutOfOrderCore
