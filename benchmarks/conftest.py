@@ -1,11 +1,13 @@
 """Shared fixtures for the benchmark harness.
 
-Every figure benchmark runs the full twenty-benchmark sweep of the paper's
-evaluation.  The sweep is shared (session scope) so that configurations used
-by several figures (e.g. the ISA-assisted baseline appears in Figures 7, 8,
-9, 10 and 11) are simulated once — and, thanks to the persistent result
-cache, at most once *ever* per (configuration, scale): warm reruns of the
-harness skip straight to the reports.
+Every figure benchmark runs its registered experiment through
+:func:`repro.experiments.run_experiments` over the full twenty-benchmark
+sweep of the paper's evaluation.  The :class:`SweepEngine` is shared
+(session scope) so that configurations used by several figures (e.g. the
+ISA-assisted run appears in Figures 7, 8, 9, 10 and 11) are simulated once —
+and, thanks to the persistent result cache, at most once *ever* per
+(configuration, scale): warm reruns of the harness skip straight to the
+reports.
 
 Environment knobs:
 
@@ -24,7 +26,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.experiments.common import ExperimentSettings, OverheadSweep  # noqa: E402
+from repro.experiments.common import ExperimentSettings  # noqa: E402
 from repro.sim.cache import ResultCache  # noqa: E402
 from repro.sim.engine import SweepEngine  # noqa: E402
 
@@ -40,9 +42,10 @@ def settings():
 
 
 @pytest.fixture(scope="session")
-def sweep(settings):
+def engine():
     cache = None
     if DEFAULT_CACHE_DIR and DEFAULT_CACHE_DIR != "0":
         cache = ResultCache(DEFAULT_CACHE_DIR)
     engine = SweepEngine(workers=DEFAULT_WORKERS, cache=cache)
-    return OverheadSweep(settings, engine=engine)
+    yield engine
+    engine.close()

@@ -1,8 +1,19 @@
-"""Shared reporting helpers for the benchmark harness.
+"""Shared running and reporting helpers for the benchmark harness.
 
 Importable as :mod:`benchmarks.helpers` — benchmark modules must not import
 from ``conftest`` (two conftest modules in one session shadow each other).
 """
+
+from repro.experiments import run_experiments
+
+
+def run_experiment(benchmark, name, settings, engine):
+    """Time one registered experiment through the registry runner (one
+    round) and return its result."""
+    suite = benchmark.pedantic(run_experiments, args=([name],),
+                               kwargs={"settings": settings, "engine": engine},
+                               rounds=1, iterations=1)
+    return suite.reports[0].result
 
 
 def report(result, expected):

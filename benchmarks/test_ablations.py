@@ -1,12 +1,11 @@
 """Ablations: idealized shadow accesses (§9.3) and rename-time copy elimination (§6.2)."""
 
-from benchmarks.helpers import report
+from benchmarks.helpers import report, run_experiment
 from repro.experiments import ablations
 
 
-def test_design_ablations(benchmark, sweep):
-    result = benchmark.pedantic(ablations.run, kwargs={"sweep": sweep},
-                                rounds=1, iterations=1)
+def test_design_ablations(benchmark, settings, engine):
+    result = run_experiment(benchmark, "ablations", settings, engine)
     report(result, ablations.EXPECTED)
 
     isa = result.summary["isa-assisted_geomean_percent"]

@@ -4,13 +4,12 @@ Paper geo-means: 32% counted in words touched, 56% counted in 4KB pages
 touched (page-granularity allocation of the shadow space fragments it).
 """
 
-from benchmarks.helpers import report
+from benchmarks.helpers import report, run_experiment
 from repro.experiments import fig10_memory_overhead as fig10
 
 
-def test_fig10_memory_overhead(benchmark, sweep):
-    result = benchmark.pedantic(fig10.run, kwargs={"sweep": sweep},
-                                rounds=1, iterations=1)
+def test_fig10_memory_overhead(benchmark, settings, engine):
+    result = run_experiment(benchmark, "fig10", settings, engine)
     report(result, fig10.EXPECTED)
 
     words = result.summary["words_geomean_percent"]

@@ -4,13 +4,12 @@ Paper geo-means: Watchdog (UAF only) ≈15%, +bounds fused into the check µop
 ≈18%, +bounds as a separate µop ≈24%.
 """
 
-from benchmarks.helpers import report
+from benchmarks.helpers import report, run_experiment
 from repro.experiments import fig11_bounds_checking as fig11
 
 
-def test_fig11_bounds_checking(benchmark, sweep):
-    result = benchmark.pedantic(fig11.run, kwargs={"sweep": sweep},
-                                rounds=1, iterations=1)
+def test_fig11_bounds_checking(benchmark, settings, engine):
+    result = run_experiment(benchmark, "fig11", settings, engine)
     report(result, fig11.EXPECTED)
 
     uaf_only = result.summary["watchdog_geomean_percent"]

@@ -3,13 +3,12 @@
 Paper: conservative ≈31% average, ISA-assisted ≈18% average.
 """
 
-from benchmarks.helpers import report
+from benchmarks.helpers import report, run_experiment
 from repro.experiments import fig5_pointer_identification as fig5
 
 
-def test_fig5_pointer_identification(benchmark, sweep):
-    result = benchmark.pedantic(fig5.run, kwargs={"sweep": sweep},
-                                rounds=1, iterations=1)
+def test_fig5_pointer_identification(benchmark, settings, engine):
+    result = run_experiment(benchmark, "fig5", settings, engine)
     report(result, fig5.EXPECTED)
 
     conservative = result.summary["conservative_avg_percent"]

@@ -4,13 +4,13 @@ Paper geo-means: conservative ≈25%, ISA-assisted ≈15%; §9.3 reports ≈11% 
 idealized shadow accesses.
 """
 
-from benchmarks.helpers import report
+from benchmarks.helpers import report, run_experiment
 from repro.experiments import fig7_runtime_overhead as fig7
+from repro.experiments import run_experiments
 
 
-def test_fig7_runtime_overhead(benchmark, sweep):
-    result = benchmark.pedantic(fig7.run, kwargs={"sweep": sweep},
-                                rounds=1, iterations=1)
+def test_fig7_runtime_overhead(benchmark, settings, engine):
+    result = run_experiment(benchmark, "fig7", settings, engine)
     report(result, fig7.EXPECTED)
 
     conservative = result.summary["conservative_geomean_percent"]
@@ -26,8 +26,9 @@ def test_fig7_runtime_overhead(benchmark, sweep):
     assert conservative < 50.0
 
 
-def test_ideal_shadow_ablation(sweep):
+def test_ideal_shadow_ablation(settings, engine):
     """§9.3: shadow-access cache pressure accounts for part of the overhead."""
-    result = fig7.run(sweep=sweep)
+    result = run_experiments(["fig7"], settings=settings,
+                             engine=engine).reports[0].result
     assert result.summary["ideal-shadow_geomean_percent"] < \
         result.summary["isa-assisted_geomean_percent"]

@@ -4,13 +4,12 @@ Paper averages: total ≈44%; checks ≈29%, pointer loads ≈4%, pointer stores
 ≈2%, other (selects, frame management, allocator instrumentation) ≈9%.
 """
 
-from benchmarks.helpers import report
+from benchmarks.helpers import report, run_experiment
 from repro.experiments import fig8_uop_overhead as fig8
 
 
-def test_fig8_uop_overhead(benchmark, sweep):
-    result = benchmark.pedantic(fig8.run, kwargs={"sweep": sweep},
-                                rounds=1, iterations=1)
+def test_fig8_uop_overhead(benchmark, settings, engine):
+    result = run_experiment(benchmark, "fig8", settings, engine)
     report(result, fig8.EXPECTED)
 
     total = result.summary["total_avg_percent"]

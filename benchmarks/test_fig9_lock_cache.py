@@ -5,13 +5,12 @@ lock cache misses less than once per 1000 instructions for 17 of the 20
 benchmarks.
 """
 
-from benchmarks.helpers import report
+from benchmarks.helpers import report, run_experiment
 from repro.experiments import fig9_lock_cache as fig9
 
 
-def test_fig9_lock_location_cache(benchmark, sweep):
-    result = benchmark.pedantic(fig9.run, kwargs={"sweep": sweep},
-                                rounds=1, iterations=1)
+def test_fig9_lock_location_cache(benchmark, settings, engine):
+    result = run_experiment(benchmark, "fig9", settings, engine)
     report(result, fig9.EXPECTED)
 
     with_cache = result.summary["with-lock-cache_geomean_percent"]

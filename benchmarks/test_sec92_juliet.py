@@ -3,12 +3,12 @@
 Paper: all 291 use-after-free test cases detected, zero false positives.
 """
 
-from benchmarks.helpers import report
+from benchmarks.helpers import report, run_experiment
 from repro.experiments import sec92_juliet
 
 
-def test_sec92_juliet_suite(benchmark):
-    result = benchmark.pedantic(sec92_juliet.run, rounds=1, iterations=1)
+def test_sec92_juliet_suite(benchmark, settings, engine):
+    result = run_experiment(benchmark, "juliet", settings, engine)
     report(result, sec92_juliet.EXPECTED)
 
     assert result.summary["cases"] == 291

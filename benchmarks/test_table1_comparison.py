@@ -1,11 +1,11 @@
 """Table 1: comparison of use-after-free checking approaches."""
 
-from benchmarks.helpers import report
+from benchmarks.helpers import report, run_experiment
 from repro.experiments import table1_comparison
 
 
-def test_table1_comparison(benchmark):
-    result = benchmark.pedantic(table1_comparison.run, rounds=1, iterations=1)
+def test_table1_comparison(benchmark, settings, engine):
+    result = run_experiment(benchmark, "table1", settings, engine)
     report(result, {"mismatches_vs_paper": 0})
     print(table1_comparison.format_table())
     # Every qualitative column derived from the executable models must match

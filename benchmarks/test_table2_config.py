@@ -1,11 +1,11 @@
 """Table 2: simulated processor configuration."""
 
-from benchmarks.helpers import report
+from benchmarks.helpers import report, run_experiment
 from repro.experiments import table2_config
 
 
-def test_table2_configuration(benchmark):
-    result = benchmark.pedantic(table2_config.run, rounds=1, iterations=1)
+def test_table2_configuration(benchmark, settings, engine):
+    result = run_experiment(benchmark, "table2", settings, engine)
     report(result, table2_config.EXPECTED)
     print(table2_config.format_table())
     assert result.summary["mismatches_vs_paper"] == 0

@@ -32,7 +32,6 @@ from repro.experiments import REGISTRY, run_experiments
 from repro.sim.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.sim.engine import SweepEngine
 from repro.sim.faults import FaultPlan
-from repro.sim.journal import RunJournal
 from repro.sim.sampling import SAMPLING_SCHEDULES
 from repro.sim.spec import ResiliencePolicy, settings_from_args
 from repro.workloads.profiles import (
@@ -55,10 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiments", nargs="*", metavar="EXPERIMENT",
                      help="experiments to run (see `list`), e.g. "
                           "`repro run fig7 fig9`")
-    run.add_argument("--figure", "-f", dest="figures", action="append",
-                     metavar="NAME", choices=sorted(REGISTRY),
-                     help="deprecated alias for the positional EXPERIMENT "
-                          "arguments (repeatable)")
     run.add_argument("--all", action="store_true",
                      help="run every registered experiment as one merged sweep")
     run.add_argument("--no-check", action="store_true",
@@ -99,13 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="per-cell wall-clock budget, enforced on pooled "
                           "rounds with --workers > 1 (default: unlimited, "
                           "or REPRO_DEADLINE)")
-    run.add_argument("--resume", action="store_true",
-                     help="continue an interrupted run: serve cells the "
-                          "previous run's journal completed, re-simulate "
-                          "only failed/unreached ones")
-    run.add_argument("--journal", metavar="FILE", default=None,
-                     help="completed/failed-cell journal location (default: "
-                          "<cache-dir>/journal.jsonl)")
     run.add_argument("--faults", metavar="SPEC", default=None,
                      help="deterministic fault-injection plan, e.g. "
                           "'crash:gzip:0,slow:mcf:*:5,corrupt:gzip/baseline,"
@@ -165,11 +153,9 @@ def _cmd_list() -> int:
 def _cmd_run(args) -> int:
     from repro.errors import ConfigurationError
 
-    # dict.fromkeys: drop repeats (e.g. the same name positionally and via
-    # the --figure alias) while preserving first-seen order.
+    # dict.fromkeys: drop repeated names while preserving first-seen order.
     names: List[str] = list(REGISTRY) if args.all \
-        else list(dict.fromkeys(list(args.experiments)
-                                + list(args.figures or [])))
+        else list(dict.fromkeys(args.experiments))
     if not names:
         print("nothing to run: pass experiment names (see `list`) or --all",
               file=sys.stderr)
@@ -245,14 +231,7 @@ def _cmd_run(args) -> int:
     cache: Optional[ResultCache] = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir)
-    journal_path = args.journal or os.path.join(args.cache_dir,
-                                                "journal.jsonl")
-    journal = RunJournal(journal_path, resume=args.resume)
-    if args.resume and journal.stale:
-        print("[journal] previous journal is stale (different code or "
-              "schema); starting fresh", file=sys.stderr)
-    engine = SweepEngine(workers=args.workers, cache=cache, policy=policy,
-                         journal=journal)
+    engine = SweepEngine(workers=args.workers, cache=cache, policy=policy)
 
     try:
         suite = run_experiments(names, settings=settings, engine=engine)
@@ -272,14 +251,12 @@ def _cmd_run(args) -> int:
     stats = suite.engine
     cache_text = (f"cache hits {stats['cache_hits']}, cache dir {cache.root}"
                   if cache is not None else "cache disabled")
-    journal_text = f", journal served {stats['journal_cells']} cells" \
-        if args.resume else ""
     print(f"[engine] simulated {stats['simulated_cells']} cells "
           f"({stats['merged_unique_cells']} unique of "
           f"{stats['grid_cells_total']} grid cells) in "
           f"{stats['simulation_batches']} batch(es), "
           f"sweep {stats['sweep_seconds']:.1f}s, "
-          f"workers {stats['workers']}, {cache_text}{journal_text}")
+          f"workers {stats['workers']}, {cache_text}")
 
     for event in suite.degradations:
         print(f"[degraded] {event.describe()}", file=sys.stderr)
@@ -296,8 +273,8 @@ def _cmd_run(args) -> int:
         # Quarantined cells always fail the invocation — --no-check opts out
         # of paper-value deviations, not of cells that never produced data.
         print(f"[failed] {len(suite.cell_failures)} cell(s) exhausted the "
-              f"retry budget; rerun with --resume to retry only those cells",
-              file=sys.stderr)
+              f"retry budget; rerun the same command to retry them (with "
+              f"the cache on, only these cells re-simulate)", file=sys.stderr)
         return 1
     if not suite.ok:
         failed = ", ".join(report.name for report in suite.failures())

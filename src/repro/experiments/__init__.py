@@ -1,4 +1,4 @@
-"""Experiment drivers: one module per table/figure of the paper's evaluation.
+"""The paper's experiments: one module per table/figure of its evaluation.
 
 Each module declares itself as an
 :class:`~repro.experiments.common.ExperimentDefinition` — name, grid builder,
@@ -42,8 +42,6 @@ from repro.experiments.common import (
     ExperimentDefinition,
     ExperimentSettings,
     ExperimentSpec,
-    OverheadSweep,
-    run_definition,
     run_experiments,
 )
 
@@ -81,10 +79,8 @@ __all__ = [
     "ExperimentDefinition",
     "ExperimentSettings",
     "ExperimentSpec",
-    "OverheadSweep",
     "REGISTRY",
     "get_definition",
-    "run_definition",
     "run_experiments",
     "ablations",
     "fig5_pointer_identification",

@@ -23,8 +23,6 @@ from repro.experiments.common import (
     ExperimentDefinition,
     ExperimentSettings,
     ExperimentSpec,
-    OverheadSweep,
-    run_definition,
 )
 from repro.sim.results import ExperimentResult
 from repro.sim.stats import geometric_mean_overhead
@@ -53,8 +51,8 @@ def spec(settings: Optional[ExperimentSettings] = None) -> ExperimentSpec:
 def extract(context: ExperimentContext) -> ExperimentResult:
     """Idealized-shadow and copy-elimination ablation overheads."""
     result = ExperimentResult(name=context.spec.name)
-    for label, config in context.spec.configs:
-        overheads = context.sweep.overheads(label, config)
+    for label, _ in context.spec.configs:
+        overheads = context.overheads(label)
         for benchmark, overhead in overheads.items():
             result.add_value(label, benchmark, 100.0 * overhead)
         result.add_summary(f"{label}_geomean_percent",
@@ -85,11 +83,3 @@ DEFINITION = ExperimentDefinition(
         f"{IDEAL_SHADOW}_geomean_percent": 11.0,
     },
 )
-
-
-def run(settings: Optional[ExperimentSettings] = None,
-        sweep: Optional[OverheadSweep] = None,
-        workers: Optional[int] = None) -> ExperimentResult:
-    """Run the idealized-shadow and copy-elimination ablations."""
-    return run_definition(DEFINITION, settings=settings, sweep=sweep,
-                          workers=workers)

@@ -13,14 +13,17 @@ One generic runner (:func:`run_experiments`) then serves every experiment:
    figure wants the baseline) are simulated exactly once and the worker pool
    stays saturated across figure boundaries,
 2. each experiment's extractor turns its slice of the resolved cells into an
-   :class:`~repro.sim.results.ExperimentResult`,
+   :class:`~repro.sim.results.ExperimentResult`, reading them (and their
+   overheads, :meth:`ExperimentContext.overheads`) from its
+   :class:`ExperimentContext` — extraction never goes back to the engine,
 3. every summary metric is checked against the paper's expected value within
    its tolerance, and the whole invocation is summarized as a
    :class:`~repro.sim.results.SuiteReport` — the CLI's JSON artifact and its
    exit code both come from that record.
 
-:class:`OverheadSweep` remains the settings-scoped accessor the extractors
-(and the benchmark harness) read cells and overhead math through.
+This runner is the only way a registered experiment runs: ``repro run``,
+``repro bench``'s suite cell, the tests and the ``benchmarks/`` harness all
+call :func:`run_experiments`.
 """
 
 from __future__ import annotations
@@ -29,9 +32,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.config import WatchdogConfig
-from repro.pipeline.config import MachineConfig
-from repro.sim.cache import ResultCache
 from repro.sim.engine import SweepEngine
 from repro.sim.results import (
     CellResult,
@@ -47,10 +47,8 @@ from repro.sim.spec import (
     ExperimentSettings,
     ExperimentSpec,
     MergedGrid,
-    RunRequest,
     request_content_key,
 )
-from repro.sim.stats import geometric_mean_overhead, percent_overhead
 
 __all__ = [
     "DEFAULT_INSTRUCTIONS",
@@ -59,9 +57,7 @@ __all__ = [
     "ExperimentDefinition",
     "ExperimentSettings",
     "ExperimentSpec",
-    "OverheadSweep",
     "kernel_degradation_events",
-    "run_definition",
     "run_experiments",
 ]
 
@@ -74,99 +70,26 @@ GRID_SAMPLING_TIERS = ("none", "quick", "paper", "paper-scaled")
 NO_SAMPLING_TIERS = ("none",)
 
 
-class OverheadSweep:
-    """Settings-scoped view over a :class:`SweepEngine`.
-
-    Binds the engine to one :class:`ExperimentSettings` (benchmark list,
-    instruction count, seed) and exposes the cell lookups and overhead math
-    the figure drivers summarize with.  Outcomes are memoized inside the
-    engine, so configurations shared between figures (e.g. the ISA-assisted
-    run used by Figures 7–11) are simulated once per sweep — or never, when
-    a persistent cache already holds them.
-    """
-
-    BASELINE = BASELINE_LABEL
-
-    def __init__(self, settings: Optional[ExperimentSettings] = None,
-                 engine: Optional[SweepEngine] = None,
-                 machine: Optional[MachineConfig] = None,
-                 workers: Optional[int] = None,
-                 cache: Optional[ResultCache] = None):
-        self.settings = settings or ExperimentSettings()
-        self.engine = engine or SweepEngine(machine=machine, workers=workers,
-                                            cache=cache)
-
-    # -- declarative entry points ---------------------------------------------------
-    def run_spec(self, spec: ExperimentSpec) -> Dict[Tuple[str, str], CellResult]:
-        """Batch-execute a grid (the parallel/cached fast path)."""
-        return self.engine.run_spec(spec)
-
-    def run_configs(self, configs: Mapping[str, WatchdogConfig],
-                    include_baseline: bool = True) -> None:
-        """Pre-run every benchmark under every configuration (plus baseline)."""
-        self.run_spec(ExperimentSpec.build("sweep", configs,
-                                           settings=self.settings,
-                                           include_baseline=include_baseline))
-
-    # -- cell access ---------------------------------------------------------------
-    def request(self, benchmark: str, label: str,
-                config: WatchdogConfig) -> RunRequest:
-        return RunRequest(benchmark=benchmark, label=label, config=config,
-                          instructions=self.settings.instructions,
-                          seed=self.settings.seed,
-                          sampling=self.settings.sampling)
-
-    def outcome(self, benchmark: str, label: str,
-                config: WatchdogConfig) -> CellResult:
-        """Run (or fetch from memo/cache) one benchmark under one configuration."""
-        return self.engine.cell(self.request(benchmark, label, config))
-
-    def baseline(self, benchmark: str) -> CellResult:
-        return self.outcome(benchmark, self.BASELINE, WatchdogConfig.disabled())
-
-    # -- derived values ------------------------------------------------------------
-    def overhead(self, benchmark: str, label: str, config: WatchdogConfig) -> float:
-        """Fractional slowdown of ``config`` over the baseline.
-
-        NaN when either cell is a quarantined-failure placeholder (or the
-        baseline has no cycles at all): the extractors stay total over a
-        degraded grid — every benchmark keeps its row — while any check
-        whose inputs include a failed cell can only read DEVIATION, never a
-        silently-fabricated number.
-        """
-        baseline = self.baseline(benchmark)
-        configured = self.outcome(benchmark, label, config)
-        if baseline.failed or configured.failed or baseline.cycles <= 0:
-            return float("nan")
-        return percent_overhead(baseline.cycles, configured.cycles)
-
-    def overheads(self, label: str, config: WatchdogConfig) -> Dict[str, float]:
-        """Per-benchmark fractional slowdowns for one configuration."""
-        return {benchmark: self.overhead(benchmark, label, config)
-                for benchmark in self.settings.benchmarks}
-
-    def geo_mean_overhead(self, label: str, config: WatchdogConfig) -> float:
-        return geometric_mean_overhead(list(self.overheads(label, config).values()))
-
-    @property
-    def benchmarks(self) -> Tuple[str, ...]:
-        return self.settings.benchmarks
-
-
 @dataclass
 class ExperimentContext:
     """Everything an experiment's extractor may read.
 
-    Grid experiments get their spec and its resolved cells (plus the shared
-    :class:`OverheadSweep` accessor, whose lookups are engine-memoized — the
-    cells were already resolved, so no extractor triggers new simulation);
-    standalone experiments get only the settings and run their own machinery.
+    Grid experiments get their spec and its resolved cells, keyed by
+    (benchmark, label); standalone experiments get only the settings and run
+    their own machinery.
     """
 
     settings: ExperimentSettings
-    sweep: Optional[OverheadSweep] = None
     spec: Optional[ExperimentSpec] = None
     cells: Dict[Tuple[str, str], CellResult] = field(default_factory=dict)
+
+    def overheads(self, label: str) -> Dict[str, float]:
+        """Per-benchmark fractional slowdown of ``label`` over the baseline,
+        in ``settings.benchmarks`` order; NaN for a failed cell (see
+        :meth:`~repro.sim.results.CellResult.overhead_vs`)."""
+        return {benchmark: self.cells[benchmark, label].overhead_vs(
+                    self.cells[benchmark, BASELINE_LABEL])
+                for benchmark in self.settings.benchmarks}
 
 
 @dataclass(frozen=True)
@@ -219,44 +142,23 @@ class ExperimentDefinition:
         return result.format_table()
 
 
-def run_definition(definition: ExperimentDefinition,
-                   settings: Optional[ExperimentSettings] = None,
-                   sweep: Optional[OverheadSweep] = None,
-                   workers: Optional[int] = None,
-                   spec: Optional[ExperimentSpec] = None) -> ExperimentResult:
-    """Run one experiment standalone (the module-level ``run()`` path).
-
-    ``spec`` overrides the definition's default grid (e.g. Figure 7 without
-    the §9.3 ablation); extraction always follows the spec actually run.
-    """
-    sweep = sweep or OverheadSweep(settings, workers=workers)
-    if not definition.has_grid:
-        return definition.extract(ExperimentContext(settings=sweep.settings))
-    grid = spec if spec is not None else definition.build_spec(sweep.settings)
-    cells = sweep.run_spec(grid)
-    return definition.extract(ExperimentContext(
-        settings=sweep.settings, sweep=sweep, spec=grid, cells=cells))
-
-
 def run_experiments(names: Sequence[str],
                     settings: Optional[ExperimentSettings] = None,
-                    engine: Optional[SweepEngine] = None,
-                    workers: Optional[int] = None,
-                    cache: Optional[ResultCache] = None) -> SuiteReport:
+                    engine: Optional[SweepEngine] = None) -> SuiteReport:
     """The generic runner: execute any set of registered experiments.
 
     All requested grids are merged into one deduplicated super-spec and
     resolved in a single engine batch before any experiment extracts its
     metrics; standalone experiments run afterwards.  Returns the full
     :class:`~repro.sim.results.SuiteReport` — per-experiment results,
-    paper-vs-measured checks, and engine/cell provenance.
+    paper-vs-measured checks, and engine/cell provenance.  Without an
+    ``engine`` the run gets a serial, uncached one.
     """
     from repro.experiments import get_definition
 
     settings = settings or ExperimentSettings()
-    engine = engine or SweepEngine(workers=workers, cache=cache)
+    engine = engine or SweepEngine()
     definitions = [get_definition(name) for name in names]
-    sweep = OverheadSweep(settings, engine=engine)
 
     specs: Dict[str, ExperimentSpec] = {
         definition.name: definition.build_spec(settings)
@@ -271,8 +173,8 @@ def run_experiments(names: Sequence[str],
         t0 = time.perf_counter()
         if definition.has_grid:
             spec = specs[definition.name]
-            context = ExperimentContext(settings=settings, sweep=sweep,
-                                        spec=spec, cells=grids[spec.name])
+            context = ExperimentContext(settings=settings, spec=spec,
+                                        cells=grids[spec.name])
             provenance = {
                 "grid_cells": len(spec),
                 "unique_cells": len({request_content_key(r)
@@ -295,7 +197,6 @@ def run_experiments(names: Sequence[str],
         "simulated_cells": engine.simulated_cells,
         "simulation_batches": engine.simulation_batches,
         "cache_hits": engine.cache.hits if engine.cache is not None else 0,
-        "journal_cells": engine.journal_cells,
         "pool_rebuilds": engine.pool_rebuilds,
         "cell_failures": len(engine.cell_failures),
         "degradation_events": len(engine.degradations),

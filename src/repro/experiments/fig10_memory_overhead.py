@@ -18,8 +18,6 @@ from repro.experiments.common import (
     ExperimentDefinition,
     ExperimentSettings,
     ExperimentSpec,
-    OverheadSweep,
-    run_definition,
 )
 from repro.sim.results import ExperimentResult
 from repro.sim.stats import geometric_mean
@@ -81,11 +79,3 @@ DEFINITION = ExperimentDefinition(
         "pages_geomean_percent": 75.0,
     },
 )
-
-
-def run(settings: Optional[ExperimentSettings] = None,
-        sweep: Optional[OverheadSweep] = None,
-        workers: Optional[int] = None) -> ExperimentResult:
-    """Measure shadow word and shadow page overheads (ISA-assisted)."""
-    return run_definition(DEFINITION, settings=settings, sweep=sweep,
-                          workers=workers)

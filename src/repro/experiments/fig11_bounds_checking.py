@@ -18,8 +18,6 @@ from repro.experiments.common import (
     ExperimentDefinition,
     ExperimentSettings,
     ExperimentSpec,
-    OverheadSweep,
-    run_definition,
 )
 from repro.sim.results import ExperimentResult
 from repro.sim.stats import geometric_mean_overhead
@@ -53,8 +51,8 @@ def extract(context: ExperimentContext) -> ExperimentResult:
         BOUNDS_FUSED: "bounds_fused_geomean_percent",
         BOUNDS_TWO_UOPS: "bounds_two_uop_geomean_percent",
     }
-    for label, config in context.spec.configs:
-        overheads = context.sweep.overheads(label, config)
+    for label, _ in context.spec.configs:
+        overheads = context.overheads(label)
         for benchmark, overhead in overheads.items():
             result.add_value(label, benchmark, 100.0 * overhead)
         result.add_summary(summary_keys[label],
@@ -78,11 +76,3 @@ DEFINITION = ExperimentDefinition(
         "bounds_two_uop_geomean_percent": 10.0,
     },
 )
-
-
-def run(settings: Optional[ExperimentSettings] = None,
-        sweep: Optional[OverheadSweep] = None,
-        workers: Optional[int] = None) -> ExperimentResult:
-    """Measure overhead of the three checking configurations."""
-    return run_definition(DEFINITION, settings=settings, sweep=sweep,
-                          workers=workers)

@@ -15,8 +15,6 @@ from repro.experiments.common import (
     ExperimentDefinition,
     ExperimentSettings,
     ExperimentSpec,
-    OverheadSweep,
-    run_definition,
 )
 from repro.sim.results import ExperimentResult
 from repro.sim.stats import arithmetic_mean
@@ -71,11 +69,3 @@ DEFINITION = ExperimentDefinition(
         "isa_assisted_avg_percent": 8.0,
     },
 )
-
-
-def run(settings: Optional[ExperimentSettings] = None,
-        sweep: Optional[OverheadSweep] = None,
-        workers: Optional[int] = None) -> ExperimentResult:
-    """Classify every benchmark's memory accesses under both policies."""
-    return run_definition(DEFINITION, settings=settings, sweep=sweep,
-                          workers=workers)

@@ -17,8 +17,6 @@ from repro.experiments.common import (
     ExperimentDefinition,
     ExperimentSettings,
     ExperimentSpec,
-    OverheadSweep,
-    run_definition,
 )
 from repro.sim.results import ExperimentResult
 from repro.sim.stats import geometric_mean_overhead
@@ -35,23 +33,20 @@ ISA_ASSISTED = "isa-assisted"
 IDEAL_SHADOW = "ideal-shadow"
 
 
-def spec(settings: Optional[ExperimentSettings] = None,
-         include_ideal_shadow: bool = True) -> ExperimentSpec:
+def spec(settings: Optional[ExperimentSettings] = None) -> ExperimentSpec:
     """The Figure 7 grid: both identification policies (+ §9.3 ablation)."""
-    configs = {
+    return ExperimentSpec.build(NAME, {
         CONSERVATIVE: WatchdogConfig.conservative_uaf(),
         ISA_ASSISTED: WatchdogConfig.isa_assisted_uaf(),
-    }
-    if include_ideal_shadow:
-        configs[IDEAL_SHADOW] = WatchdogConfig.idealized_shadow()
-    return ExperimentSpec.build(NAME, configs, settings=settings)
+        IDEAL_SHADOW: WatchdogConfig.idealized_shadow(),
+    }, settings=settings)
 
 
 def extract(context: ExperimentContext) -> ExperimentResult:
     """Per-benchmark slowdown and geo-mean for each identification policy."""
     result = ExperimentResult(name=context.spec.name)
-    for label, config in context.spec.configs:
-        overheads = context.sweep.overheads(label, config)
+    for label, _ in context.spec.configs:
+        overheads = context.overheads(label)
         for benchmark, overhead in overheads.items():
             result.add_value(label, benchmark, 100.0 * overhead)
         result.add_summary(f"{label}_geomean_percent",
@@ -87,77 +82,3 @@ DEFINITION = ExperimentDefinition(
         f"{IDEAL_SHADOW}_geomean_percent": 11.0,
     },
 )
-
-
-def run(settings: Optional[ExperimentSettings] = None,
-        sweep: Optional[OverheadSweep] = None,
-        include_ideal_shadow: bool = True,
-        workers: Optional[int] = None) -> ExperimentResult:
-    """Measure per-benchmark slowdown for both identification policies."""
-    sweep = sweep or OverheadSweep(settings, workers=workers)
-    return run_definition(
-        DEFINITION, sweep=sweep,
-        spec=spec(sweep.settings, include_ideal_shadow=include_ideal_shadow))
-
-
-def main(argv=None) -> int:
-    """Stand-alone Figure 7 driver with §9.1 sampling.
-
-    ``python -m repro.experiments.fig7_runtime_overhead --sampling quick``
-    runs the figure directly — including over the long-horizon and
-    paper-scale profiles that only sampled simulation makes tractable —
-    without going through ``repro run``/``repro bench``.
-    """
-    import argparse
-    import sys
-
-    from repro.errors import ConfigurationError
-    from repro.sim.sampling import SAMPLING_SCHEDULES
-    from repro.sim.spec import settings_from_args
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.fig7_runtime_overhead",
-        description="Figure 7: runtime overhead of use-after-free checking.")
-    parser.add_argument("--benchmarks", "-b", metavar="A,B,...",
-                        help="comma-separated benchmark subset "
-                             "(default: the twenty §9.1 profiles)")
-    parser.add_argument("--instructions", "-n", type=int, default=None,
-                        metavar="N",
-                        help="dynamic macro instructions per benchmark run")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="workload seed (default: 7)")
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced scale: 4 benchmarks, short traces")
-    parser.add_argument("--sampling", choices=sorted(SAMPLING_SCHEDULES),
-                        default="none",
-                        help="periodic §9.1 sampling schedule "
-                             "(see `repro run --sampling`)")
-    parser.add_argument("--workers", "-j", type=int, default=1, metavar="N",
-                        help="worker processes for the sweep engine")
-    parser.add_argument("--no-ideal-shadow", action="store_true",
-                        help="skip the §9.3 idealized-shadow ablation")
-    args = parser.parse_args(argv)
-
-    try:
-        settings = settings_from_args(args)
-    except ConfigurationError as error:
-        print(f"invalid settings: {error}", file=sys.stderr)
-        return 2
-
-    sweep = OverheadSweep(settings, workers=args.workers)
-    try:
-        result = run(sweep=sweep,
-                     include_ideal_shadow=not args.no_ideal_shadow)
-    finally:
-        # Join the pool before interpreter teardown (same rationale as the
-        # main CLI): the stdlib atexit hook can race fd teardown.
-        sweep.engine.close()
-    print(f"=== {result.name} ===")
-    print(result.format_table())
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

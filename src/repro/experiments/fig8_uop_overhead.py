@@ -17,8 +17,6 @@ from repro.experiments.common import (
     ExperimentDefinition,
     ExperimentSettings,
     ExperimentSpec,
-    OverheadSweep,
-    run_definition,
 )
 from repro.sim.results import ExperimentResult
 from repro.sim.stats import arithmetic_mean
@@ -84,11 +82,3 @@ DEFINITION = ExperimentDefinition(
         "other_avg_percent": 6.0,
     },
 )
-
-
-def run(settings: Optional[ExperimentSettings] = None,
-        sweep: Optional[OverheadSweep] = None,
-        workers: Optional[int] = None) -> ExperimentResult:
-    """Collect the per-benchmark µop overhead breakdown (ISA-assisted)."""
-    return run_definition(DEFINITION, settings=settings, sweep=sweep,
-                          workers=workers)

@@ -17,8 +17,6 @@ from repro.experiments.common import (
     ExperimentDefinition,
     ExperimentSettings,
     ExperimentSpec,
-    OverheadSweep,
-    run_definition,
 )
 from repro.sim.results import ExperimentResult
 from repro.sim.stats import geometric_mean_overhead
@@ -44,8 +42,8 @@ def spec(settings: Optional[ExperimentSettings] = None) -> ExperimentSpec:
 def extract(context: ExperimentContext) -> ExperimentResult:
     """Overhead with and without the lock location cache, plus miss rates."""
     result = ExperimentResult(name=context.spec.name)
-    for label, config in context.spec.configs:
-        overheads = context.sweep.overheads(label, config)
+    for label, _ in context.spec.configs:
+        overheads = context.overheads(label)
         for benchmark, overhead in overheads.items():
             result.add_value(label, benchmark, 100.0 * overhead)
         result.add_summary(f"{label}_geomean_percent",
@@ -87,11 +85,3 @@ DEFINITION = ExperimentDefinition(
         f"{WITHOUT_CACHE}_geomean_percent": 12.0,
     },
 )
-
-
-def run(settings: Optional[ExperimentSettings] = None,
-        sweep: Optional[OverheadSweep] = None,
-        workers: Optional[int] = None) -> ExperimentResult:
-    """Measure overhead with and without the lock location cache."""
-    return run_definition(DEFINITION, settings=settings, sweep=sweep,
-                          workers=workers)

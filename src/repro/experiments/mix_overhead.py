@@ -37,8 +37,6 @@ from repro.experiments.common import (
     ExperimentDefinition,
     ExperimentSettings,
     ExperimentSpec,
-    OverheadSweep,
-    run_definition,
 )
 from repro.sim.results import CellResult, ExperimentResult
 from repro.sim.stats import geometric_mean_overhead
@@ -89,13 +87,6 @@ def spec(settings: Optional[ExperimentSettings] = None) -> ExperimentSpec:
                                 settings=mix_settings)
 
 
-def _overhead(baseline: CellResult, configured: CellResult) -> float:
-    """Fractional slowdown, NaN when either cell is a failure placeholder."""
-    if baseline.failed or configured.failed or baseline.cycles <= 0:
-        return float("nan")
-    return configured.overhead_vs(baseline)
-
-
 def _lock_mpki(cell: CellResult) -> float:
     return 1000.0 * cell.lock_cache_misses / max(cell.total_uops, 1)
 
@@ -121,15 +112,15 @@ def extract(context: ExperimentContext) -> ExperimentResult:
         full_base = cells[mix_name, BASELINE_LABEL]
         full_wd = cells[mix_name, WATCHDOG]
 
-        per_solo = [_overhead(base, wd)
+        per_solo = [wd.overhead_vs(base)
                     for base, wd in zip(solos_base, solos_wd)]
         solo_overheads.extend(per_solo)
-        full_overhead = _overhead(full_base, full_wd)
+        full_overhead = full_wd.overhead_vs(full_base)
         full_overheads.append(full_overhead)
         result.add_value("overhead_percent_1core", mix_name,
                          100.0 * geometric_mean_overhead(per_solo))
         result.add_value("overhead_percent_2core", mix_name,
-                         100.0 * _overhead(duo_base, duo_wd))
+                         100.0 * duo_wd.overhead_vs(duo_base))
         result.add_value("overhead_percent_4core", mix_name,
                          100.0 * full_overhead)
 
@@ -181,11 +172,3 @@ DEFINITION = ExperimentDefinition(
     # schedule, so only the unsampled tier is meaningful.
     sampling_tiers=NO_SAMPLING_TIERS,
 )
-
-
-def run(settings: Optional[ExperimentSettings] = None,
-        sweep: Optional[OverheadSweep] = None,
-        workers: Optional[int] = None) -> ExperimentResult:
-    """Measure per-mix Watchdog overhead and shared-cache contention."""
-    return run_definition(DEFINITION, settings=settings, sweep=sweep,
-                          workers=workers)

@@ -20,7 +20,7 @@
 """
 
 from repro.sim.trace import DynamicOp
-from repro.sim.stats import geometric_mean, percent_overhead, OverheadReport
+from repro.sim.stats import geometric_mean, percent_overhead
 from repro.sim.sampling import SamplingConfig, SamplingSchedule
 from repro.sim.results import CellResult, ExperimentResult
 from repro.sim.spec import (
@@ -53,7 +53,6 @@ __all__ = [
     "DynamicOp",
     "geometric_mean",
     "percent_overhead",
-    "OverheadReport",
     "SamplingConfig",
     "SamplingSchedule",
     "CellResult",

@@ -9,14 +9,13 @@ The engine receives the cells of one or more
 cheapest way available:
 
 1. **memo** — a cell already resolved by this engine instance is returned
-   as-is (figure drivers share configurations, e.g. the ISA-assisted run
+   as-is (experiments share configurations, e.g. the ISA-assisted run
    feeds Figures 7, 8, 9, 10 and 11),
-2. **journal** — with a :class:`~repro.sim.journal.RunJournal` attached in
-   resume mode, cells the interrupted previous run completed are replayed
-   from its journal records,
-3. **cache** — with a :class:`~repro.sim.cache.ResultCache` attached,
-   content-hash hits skip simulation entirely,
-4. **simulate** — remaining cells are grouped *per benchmark*: one job
+2. **cache** — with a :class:`~repro.sim.cache.ResultCache` attached,
+   content-hash hits skip simulation entirely; since failed cells are never
+   stored, rerunning an interrupted or quarantined suite re-simulates
+   exactly the cells it lacks,
+3. **simulate** — remaining cells are grouped *per benchmark*: one job
    generates the benchmark's dynamic trace once (as a
    :class:`~repro.workloads.bundle.TraceBundle`) and replays it under every
    requested configuration; a §9.1-sampled job instead streams its samples
@@ -78,7 +77,6 @@ from repro.sim.faults import (
     InjectedWorkerCrash,
     apply_execution_faults,
 )
-from repro.sim.journal import RunJournal
 from repro.sim.results import CellFailure, CellResult, DegradationEvent
 from repro.sim.sampling import SamplingConfig
 from repro.sim.simulator import OutcomeAccumulator, Simulator, \
@@ -374,15 +372,13 @@ class SweepEngine:
                  workers: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  policy: Optional[ResiliencePolicy] = None,
-                 faults: Optional[FaultPlan] = None,
-                 journal: Optional[RunJournal] = None):
+                 faults: Optional[FaultPlan] = None):
         self.machine = machine
         self.workers = max(int(workers or 1), 1)
         self.cache = cache
         self.policy = policy if policy is not None \
             else ResiliencePolicy.from_env()
         self.faults = faults if faults is not None else FaultPlan.from_env()
-        self.journal = journal
         #: Keyed by cell *content* — everything in the request except the
         #: cosmetic label (:func:`request_content_key`, the key the
         #: multi-spec merge dedups by, so the two never disagree about which
@@ -405,8 +401,6 @@ class SweepEngine:
         self.degradations: List[DegradationEvent] = []
         #: Cells that exhausted the retry budget this engine's lifetime.
         self.cell_failures: List[CellFailure] = []
-        #: Cells served from the resume journal instead of simulation.
-        self.journal_cells = 0
         #: Worker pools torn down and rebuilt after a crash or deadline.
         self.pool_rebuilds = 0
         self._executor: Optional[ProcessPoolExecutor] = None
@@ -434,7 +428,7 @@ class SweepEngine:
         return merged.split(resolved)
 
     def run_requests(self, requests: Iterable[RunRequest]) -> Dict[CellKey, CellResult]:
-        """Resolve a batch of cells via memo, journal, cache, then simulation.
+        """Resolve a batch of cells via memo, cache, then simulation.
 
         The returned dict is keyed by grid coordinates (benchmark, label);
         should a batch contain two requests with the same coordinates but
@@ -452,10 +446,7 @@ class SweepEngine:
             identity = request_content_key(request)
             if identity in self._memo or identity in seen:
                 continue
-            fingerprint = self._fingerprint(request)
-            served = self._load_journaled(request, fingerprint)
-            if served is None:
-                served = self._load_cached(request, fingerprint)
+            served = self._load_cached(request)
             if served is not None:
                 self._memo[identity] = served
                 continue
@@ -477,7 +468,7 @@ class SweepEngine:
         return resolved
 
     def _absorb_outcome(self, outcome: JobOutcome) -> None:
-        """Fold one job's terminal outcome into memo, cache and journal."""
+        """Fold one job's terminal outcome into the memo and the cache."""
         job = outcome.job
         if outcome.results is not None:
             for (label, config), cell in zip(job.cells, outcome.results):
@@ -486,11 +477,8 @@ class SweepEngine:
                 request = self._request_for(job, label, config)
                 self._memo[request_content_key(request)] = cell
                 self.simulated_cells += 1
-                fingerprint = self._fingerprint(request)
-                if self.cache is not None and fingerprint is not None:
-                    self.cache.store(fingerprint, cell)
-                if self.journal is not None and fingerprint is not None:
-                    self.journal.record_done(fingerprint, cell)
+                if self.cache is not None:
+                    self.cache.store(self._fingerprint(request), cell)
             return
         for label, config in job.cells:
             request = self._request_for(job, label, config)
@@ -500,10 +488,6 @@ class SweepEngine:
                 benchmark=job.benchmark, label=label,
                 attempts=outcome.attempts, reason=outcome.reason,
                 detail=outcome.detail))
-            fingerprint = self._fingerprint(request)
-            if self.journal is not None and fingerprint is not None:
-                self.journal.record_failed(fingerprint, job.benchmark, label,
-                                           outcome.reason)
 
     @staticmethod
     def _request_for(job: BenchmarkJob, label: str, config) -> RunRequest:
@@ -517,26 +501,16 @@ class SweepEngine:
         """Resolve a single cell (memoized)."""
         return self.run_requests([request])[request.key]
 
-    # -- caching / journal ---------------------------------------------------------
+    # -- caching -------------------------------------------------------------------
     def _fingerprint(self, request: RunRequest) -> Optional[str]:
-        """The cell's content hash — computed once, shared by cache+journal."""
-        if self.cache is None and self.journal is None:
+        """The cell's content hash, or ``None`` when there is no cache."""
+        if self.cache is None:
             return None
         return request_fingerprint(request, self.machine)
 
-    def _load_journaled(self, request: RunRequest,
-                        fingerprint: Optional[str]) -> Optional[CellResult]:
-        if self.journal is None or fingerprint is None:
-            return None
-        cell = self.journal.completed_cell(fingerprint)
-        if cell is None:
-            return None
-        self.journal_cells += 1
-        return cell.relabel(request.benchmark, request.label)
-
-    def _load_cached(self, request: RunRequest,
-                     fingerprint: Optional[str]) -> Optional[CellResult]:
-        if self.cache is None or fingerprint is None:
+    def _load_cached(self, request: RunRequest) -> Optional[CellResult]:
+        fingerprint = self._fingerprint(request)
+        if fingerprint is None:
             return None
         cell = self.cache.load(fingerprint)
         if cell is None:
@@ -748,9 +722,7 @@ class SweepEngine:
         return self._executor
 
     def close(self) -> None:
-        """Shut down the worker pool and journal (idempotent; engine stays usable)."""
+        """Shut down the worker pool (idempotent; engine stays usable)."""
         if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
-        if self.journal is not None:
-            self.journal.close()

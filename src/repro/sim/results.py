@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.sim.stats import percent_overhead
+
 
 def _from_known_fields(cls, data: Dict[str, Any]):
     """Construct a dataclass from a dict, ignoring unknown (future) keys."""
@@ -157,9 +159,9 @@ class CellResult:
 
     Collapses :class:`~repro.sim.simulator.SimulationOutcome`'s live objects
     (timing result, injection stats, pointer-classification stats, page
-    accountant) into plain counters.  Everything the figure drivers derive is
-    available as a property, and the record is immutable, hashable and
-    JSON-serializable — the currency of the sweep engine and its cache.
+    accountant) into plain counters.  Everything the experiment extractors
+    derive is available as a property, and the record is immutable, hashable
+    and JSON-serializable — the currency of the sweep engine and its cache.
     """
 
     benchmark: str
@@ -242,14 +244,23 @@ class CellResult:
             cores=tuple(getattr(outcome, "cores", ()) or ()),
         )
 
-    # -- derived values (what the figure drivers read) ------------------------------
+    # -- derived values (what the experiment extractors read) ----------------------
     @property
     def ipc(self) -> float:
         return self.total_uops / self.cycles if self.cycles else 0.0
 
     def overhead_vs(self, baseline: "CellResult") -> float:
-        """Slowdown relative to ``baseline`` as a fraction."""
-        return self.cycles / baseline.cycles - 1.0
+        """Slowdown relative to ``baseline`` as a fraction.
+
+        NaN when either cell is a quarantined-failure placeholder or the
+        baseline has no cycles: extractors stay total over a degraded grid
+        (every benchmark keeps its row), while any check whose inputs
+        include a failed cell can only read DEVIATION, never a fabricated
+        number.
+        """
+        if self.failed or baseline.failed or baseline.cycles <= 0:
+            return float("nan")
+        return percent_overhead(baseline.cycles, self.cycles)
 
     @property
     def pointer_fraction(self) -> float:

@@ -112,9 +112,8 @@ class SamplingConfig:
             and SamplingSchedule(self).measured_count(instructions) > 0
 
 
-#: Named §9.1 schedules selectable from the CLI and the standalone figure
-#: drivers (``--sampling``); each value is a zero-argument factory and
-#: ``none`` disables sampling.
+#: Named §9.1 schedules selectable from ``repro run --sampling``; each
+#: value is a zero-argument factory and ``none`` disables sampling.
 SAMPLING_SCHEDULES = {
     "none": lambda: None,
     "quick": SamplingConfig.quick,

@@ -1,8 +1,8 @@
 """Declarative experiment specifications.
 
 The paper's evaluation is one big (benchmark × configuration) grid.  Rather
-than each figure driver hand-rolling its own run loop, a driver *describes*
-its grid:
+than each experiment hand-rolling its own run loop, an experiment
+*describes* its grid:
 
 * :class:`ExperimentSettings` — the sweep-wide knobs (which benchmarks, how
   many dynamic instructions, which seed),
@@ -202,10 +202,10 @@ class ResiliencePolicy:
 def settings_from_args(args) -> ExperimentSettings:
     """Build :class:`ExperimentSettings` from parsed CLI arguments.
 
-    Shared by the ``repro run``/``repro bench`` CLI and the standalone
-    figure drivers; ``args`` needs ``benchmarks`` (comma-separated or
-    ``None``), ``quick``, ``instructions``, ``seed`` and optionally
-    ``sampling`` (a :data:`~repro.sim.sampling.SAMPLING_SCHEDULES` name).
+    Used by ``repro run``, the one command-line entry to the experiments;
+    ``args`` needs ``benchmarks`` (comma-separated or ``None``), ``quick``,
+    ``instructions``, ``seed`` and optionally ``sampling`` (a
+    :data:`~repro.sim.sampling.SAMPLING_SCHEDULES` name).
     Raises :class:`~repro.errors.ConfigurationError` for invalid
     combinations (e.g. a paper-scale horizon whose schedule measures
     nothing).

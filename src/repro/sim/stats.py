@@ -8,8 +8,7 @@ classification breakdowns (Figures 5 and 8).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Sequence
 
 from repro.errors import SimulationError
 
@@ -48,38 +47,3 @@ def percent_overhead(baseline_cycles: float, configured_cycles: float) -> float:
     if baseline_cycles <= 0:
         raise SimulationError("baseline cycles must be positive")
     return configured_cycles / baseline_cycles - 1.0
-
-
-@dataclass
-class OverheadReport:
-    """Per-benchmark overhead values for one configuration (one Figure series)."""
-
-    name: str
-    overheads: Dict[str, float] = field(default_factory=dict)
-
-    def add(self, benchmark: str, overhead: float) -> None:
-        self.overheads[benchmark] = overhead
-
-    def get(self, benchmark: str) -> float:
-        return self.overheads[benchmark]
-
-    @property
-    def benchmarks(self) -> List[str]:
-        return list(self.overheads)
-
-    def geo_mean(self) -> float:
-        return geometric_mean_overhead(list(self.overheads.values()))
-
-    def mean(self) -> float:
-        return arithmetic_mean(list(self.overheads.values()))
-
-    def as_percent(self) -> Dict[str, float]:
-        return {name: 100.0 * value for name, value in self.overheads.items()}
-
-    def format_table(self, label: str = "overhead") -> str:
-        """Render the series as paper-style rows (benchmark, percentage)."""
-        lines = [f"{'benchmark':<12} {label:>12}"]
-        for name, value in self.overheads.items():
-            lines.append(f"{name:<12} {100.0 * value:>11.1f}%")
-        lines.append(f"{'Geo. mean':<12} {100.0 * self.geo_mean():>11.1f}%")
-        return "\n".join(lines)

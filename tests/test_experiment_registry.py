@@ -18,11 +18,8 @@ import json
 import pytest
 
 from repro.experiments import REGISTRY, get_definition, run_experiments
-from repro.experiments.common import (
-    ExperimentDefinition,
-    ExperimentSettings,
-    run_definition,
-)
+from repro.experiments.common import ExperimentDefinition, ExperimentSettings
+from repro.sim.cache import ResultCache
 from repro.sim.engine import SweepEngine
 from repro.sim.results import ExperimentResult, MetricCheck, SuiteReport
 from repro.sim.sampling import SamplingConfig
@@ -87,12 +84,20 @@ class TestMergedSuite:
         assert suite.engine["merged_unique_cells"] == len(merged)
         assert suite.engine["grid_cells_total"] == merged.total_grid_cells()
 
+    def test_standalone_experiments_never_reach_the_engine(self):
+        engine = SweepEngine()
+        suite = run_experiments(STANDALONE, settings=TINY, engine=engine)
+        assert [report.name for report in suite.reports] == STANDALONE
+        assert engine.simulation_batches == 0
+        assert suite.engine["grid_cells_total"] == 0
+        assert suite.engine["simulated_cells"] == 0
+
     def test_merged_results_identical_to_standalone_runs(
             self, suite_and_engine):
         suite, _ = suite_and_engine
         by_name = {report.name: report for report in suite.reports}
         for name in GRID_EXPERIMENTS:
-            standalone = run_definition(REGISTRY[name], settings=TINY)
+            standalone = run_experiments([name], settings=TINY).reports[0].result
             merged = by_name[name].result
             assert merged.series == standalone.series, name
             assert merged.summary == standalone.summary, name
@@ -244,9 +249,13 @@ class TestCliRun:
 
     def test_run_writes_report_and_exits_zero(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
+        cache_dir = tmp_path / "cache"
         rc = self._cli(["run", "fig8", "table2", "--quick", "--no-cache",
+                        "--cache-dir", str(cache_dir),
                         "--report", str(report_path)])
         assert rc == 0
+        # --no-cache writes nothing under the cache directory.
+        assert not cache_dir.exists()
         data = json.loads(report_path.read_text())
         assert data["ok"] is True
         assert data["engine"]["simulation_batches"] == 1
@@ -258,6 +267,53 @@ class TestCliRun:
                 assert "deviation" in check
         out = capsys.readouterr().out
         assert "[check]" in out and "[engine]" in out
+
+    #: A small grid run of the cache tests below.
+    SMALL_RUN = ["run", "fig8", "--benchmarks", "gzip,mcf",
+                 "--instructions", "1500", "--no-check"]
+
+    def test_warm_rerun_is_served_by_the_cache(self, tmp_path, capsys):
+        argv = self.SMALL_RUN + ["--cache-dir", str(tmp_path / "cache")]
+        assert self._cli(argv + ["--report", str(tmp_path / "cold.json")]) == 0
+        capsys.readouterr()
+        assert self._cli(argv + ["--report", str(tmp_path / "warm.json")]) == 0
+        assert "[engine] simulated 0 cells" in capsys.readouterr().out
+        cold, warm = (json.loads((tmp_path / f"{run}.json").read_text())
+                      for run in ("cold", "warm"))
+        unique = cold["engine"]["merged_unique_cells"]
+        assert cold["engine"]["simulated_cells"] == unique
+        assert warm["engine"]["simulated_cells"] == 0
+        assert warm["engine"]["cache_hits"] == unique
+        assert [entry["result"] for entry in warm["experiments"]] \
+            == [entry["result"] for entry in cold["experiments"]]
+
+    def test_no_cache_neither_reads_nor_writes_the_cache(self, tmp_path,
+                                                         capsys):
+        cache_dir = tmp_path / "cache"
+        argv = self.SMALL_RUN + ["--cache-dir", str(cache_dir)]
+        assert self._cli(argv) == 0
+        stored = {path.name: path.stat().st_mtime_ns
+                  for path in cache_dir.iterdir()}
+        capsys.readouterr()
+        assert self._cli(argv + ["--no-cache"]) == 0
+        out = capsys.readouterr().out
+        # Every cell simulated again although the cache holds all of them.
+        assert f"[engine] simulated {len(ResultCache(cache_dir))} cells" in out
+        assert "cache disabled" in out
+        assert {path.name: path.stat().st_mtime_ns
+                for path in cache_dir.iterdir()} == stored
+
+    @pytest.mark.parametrize("option", [["--resume"],
+                                        ["--journal", "run.jsonl"],
+                                        ["--figure", "fig7"]],
+                             ids=["resume", "journal", "figure"])
+    def test_retired_run_options_are_usage_errors(self, option, capsys):
+        # The run journal and the per-figure entry are gone; a stale
+        # invocation must fail loudly rather than run something else.
+        with pytest.raises(SystemExit) as stopped:
+            self._cli(["run", "fig7"] + option)
+        assert stopped.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_rejects_unknown_experiment(self, capsys):
         rc = self._cli(["run", "fig99"])

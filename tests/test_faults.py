@@ -1,5 +1,6 @@
 """Resilience-layer tests: fault plans, retries, deadlines, quarantine,
-degraded kernels, cache corruption, concurrent writers, and journal resume.
+degraded kernels, cache corruption, concurrent writers, and healing a
+quarantined run by rerunning it over the result cache.
 
 Every recovery path in the sweep engine is exercised *deterministically*
 through :mod:`repro.sim.faults`: a :class:`FaultPlan` names the exact
@@ -18,13 +19,13 @@ import pytest
 
 from repro.core.config import WatchdogConfig
 from repro.errors import ConfigurationError
+from repro.experiments import REGISTRY, run_experiments
 from repro.experiments.common import (
     ExperimentSettings,
-    OverheadSweep,
     kernel_degradation_events,
 )
 from repro.native import build
-from repro.sim.cache import ResultCache, code_fingerprint
+from repro.sim.cache import ResultCache
 from repro.sim.engine import SweepEngine
 from repro.sim.faults import (
     DEFAULT_SLOW_SECONDS,
@@ -33,14 +34,14 @@ from repro.sim.faults import (
     InjectedWorkerCrash,
     apply_execution_faults,
 )
-from repro.sim.journal import RunJournal
 from repro.sim.results import (
     CellFailure,
     CellResult,
     DegradationEvent,
     SuiteReport,
 )
-from repro.sim.spec import ExperimentSpec, ResiliencePolicy
+from repro.sim.spec import BASELINE_LABEL, ExperimentSpec, ResiliencePolicy
+from repro.sim.stats import geometric_mean_overhead
 
 #: Same scale as test_sweep_engine: two benchmarks, short traces, so every
 #: recovery path (including real process pools) runs in a few seconds.
@@ -216,31 +217,66 @@ class TestQuarantine:
                 # ...while every mcf cell is bit-identical to fault-free.
                 assert cell == reference_cells[(benchmark, label)]
 
-    def test_failed_placeholders_are_never_cached(self, tmp_path):
+    def test_failed_placeholders_are_never_cached(self, tmp_path,
+                                                  reference_cells):
         cache = ResultCache(tmp_path)
         engine = SweepEngine(faults=FaultPlan.parse("crash:gzip:*"),
                              policy=NO_RETRY, cache=cache)
-        engine.run_spec(quick_spec())
-        assert engine.cell_failures
-        # Only mcf's real cells were persisted; a healed rerun must
-        # re-simulate gzip, not load an all-zero placeholder.
+        first = engine.run_spec(quick_spec())
+        assert len(engine.cell_failures) == LABELS_PER_BENCHMARK
+        assert first[("mcf", ISA)] == reference_cells[("mcf", ISA)]
+        # Only mcf's real cells were persisted; rerunning the same grid
+        # serves them from the cache and re-simulates exactly the
+        # quarantined gzip cells, not an all-zero placeholder.
         assert len(cache) == LABELS_PER_BENCHMARK
         healed = SweepEngine(cache=ResultCache(tmp_path))
-        healed.run_spec(quick_spec())
+        cells = healed.run_spec(quick_spec())
+        assert healed.cache.hits == LABELS_PER_BENCHMARK
         assert healed.simulated_cells == LABELS_PER_BENCHMARK
         assert not healed.cell_failures
+        assert cells == reference_cells
 
     def test_failed_cells_poison_overheads_as_nan(self):
         engine = SweepEngine(faults=FaultPlan.parse("crash:gzip:*"),
                              policy=NO_RETRY)
-        sweep = OverheadSweep(QUICK, engine=engine)
-        config = WatchdogConfig.isa_assisted_uaf()
-        sweep.run_configs({ISA: config})
-        assert math.isnan(sweep.overhead("gzip", ISA, config))
+        cells = engine.run_spec(quick_spec())
+        overheads = {benchmark: cells[benchmark, ISA].overhead_vs(
+                         cells[benchmark, BASELINE_LABEL])
+                     for benchmark in QUICK.benchmarks}
+        assert math.isnan(overheads["gzip"])
         # The geomean over a poisoned grid is NaN (never a fabricated
         # number), which can only read as DEVIATION in a metric check.
-        assert math.isnan(sweep.geo_mean_overhead(ISA, config))
-        assert sweep.overhead("mcf", ISA, config) > 0
+        assert math.isnan(geometric_mean_overhead(list(overheads.values())))
+        assert overheads["mcf"] > 0
+
+    def test_quarantined_cells_poison_every_experiment_sharing_them(self):
+        # fig9 and fig11 read fig7's ISA-assisted cells under their own
+        # labels: the relabelled placeholders must stay failed.
+        engine = SweepEngine(faults=FaultPlan.parse("crash:gzip:*"),
+                             policy=NO_RETRY)
+        names = ["fig7", "fig9", "fig11"]
+        suite = run_experiments(names, settings=QUICK, engine=engine)
+        assert {failure.benchmark for failure in suite.cell_failures} \
+            == {"gzip"}
+        for report in suite.reports:
+            for label, _ in REGISTRY[report.name].build_spec(QUICK).configs:
+                series = report.result.series[label]
+                assert math.isnan(series["gzip"]), (report.name, label)
+                assert math.isfinite(series["mcf"]), (report.name, label)
+            assert report.checks
+            assert not any(check.ok for check in report.checks), report.name
+
+    def test_overhead_vs_is_nan_for_placeholders_and_empty_baselines(self):
+        healthy = CellResult(benchmark="gzip", configuration=ISA, cycles=115)
+        baseline = CellResult(benchmark="gzip", configuration=BASELINE_LABEL,
+                              cycles=100)
+        failed = CellResult.failed_cell("gzip", ISA)
+        assert healthy.overhead_vs(baseline) == pytest.approx(0.15)
+        assert math.isnan(failed.overhead_vs(baseline))
+        assert math.isnan(healthy.overhead_vs(
+            CellResult.failed_cell("gzip", BASELINE_LABEL)))
+        assert math.isnan(healthy.overhead_vs(
+            CellResult(benchmark="gzip", configuration=BASELINE_LABEL)))
 
 
 class TestPooledCrashRecovery:
@@ -355,6 +391,43 @@ class TestCacheQuarantine:
         assert cache.drain_corruption_events() == []
 
 
+class TestCliHealing:
+    """``repro run`` heals a quarantined run by rerunning the same command."""
+
+    ARGS = ["run", "fig7", "--benchmarks", "gzip,mcf", "--instructions",
+            str(QUICK.instructions), "--no-check"]
+    #: fig7's cells per benchmark: the baseline and its three configurations.
+    FIG7_LABELS = 4
+
+    def test_rerun_simulates_exactly_the_quarantined_cells(
+            self, tmp_path, monkeypatch, capsys):
+        from repro import cli
+
+        cache_dir = tmp_path / "cache"
+        args = self.ARGS + ["--cache-dir", str(cache_dir)]
+        # --faults exports its plan through REPRO_FAULTS; setting it here
+        # first makes monkeypatch restore the variable afterwards.
+        monkeypatch.setenv("REPRO_FAULTS", "")
+        assert cli.main(args + ["--faults", "crash:gzip:*",
+                                "--retries", "0"]) == 1
+        err = capsys.readouterr().err
+        failed = [line for line in err.splitlines()
+                  if line.startswith("[failed] gzip/")]
+        assert len(failed) == self.FIG7_LABELS
+        assert "rerun the same command" in err
+        # Only mcf's cells completed, so only they were stored.
+        assert len(ResultCache(cache_dir)) == self.FIG7_LABELS
+
+        monkeypatch.delenv("REPRO_FAULTS")
+        report_path = tmp_path / "report.json"
+        assert cli.main(args + ["--report", str(report_path)]) == 0
+        engine = json.loads(report_path.read_text())["engine"]
+        assert engine["simulated_cells"] == self.FIG7_LABELS
+        assert engine["cache_hits"] == self.FIG7_LABELS
+        assert engine["cell_failures"] == 0
+        assert len(ResultCache(cache_dir)) == 2 * self.FIG7_LABELS
+
+
 def _hammer_store(payload):
     """Worker for the concurrent-writer stress test (module-level: picklable)."""
     root, key, writes, salt = payload
@@ -444,116 +517,6 @@ class TestKernelFaults:
                        for event in events)
         finally:
             build.forget("timecore")
-
-
-class TestJournal:
-    def test_records_round_trip(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        cell = CellResult(benchmark="gzip", configuration="baseline",
-                          cycles=77, total_uops=123)
-        with RunJournal(path) as journal:
-            journal.record_done("k1", cell)
-            journal.record_failed("k2", "mcf", ISA, "worker-crash")
-        resumed = RunJournal(path, resume=True)
-        assert resumed.completed_cell("k1") == cell
-        assert resumed.completed_cell("k2") is None
-        assert resumed.failed_cells() == {"k2": "worker-crash"}
-        resumed.close()
-
-    def test_last_status_wins(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        cell = CellResult(benchmark="mcf", configuration=ISA, cycles=5)
-        with RunJournal(path) as journal:
-            journal.record_failed("k", "mcf", ISA, "cell-timeout")
-            journal.record_done("k", cell)
-        resumed = RunJournal(path, resume=True)
-        assert resumed.completed_cell("k") == cell
-        assert resumed.failed_cells() == {}
-        resumed.close()
-
-    def test_truncated_tail_is_tolerated(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        cell = CellResult(benchmark="gzip", configuration="baseline", cycles=9)
-        with RunJournal(path) as journal:
-            journal.record_done("k1", cell)
-        # Simulate an interrupt arriving mid-write of the next record.
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"status": "done", "key": "k2", "cel')
-        resumed = RunJournal(path, resume=True)
-        assert not resumed.stale
-        assert resumed.completed_cell("k1") == cell
-        assert resumed.completed_cell("k2") is None
-        resumed.close()
-
-    def test_stale_code_fingerprint_discards_journal(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        path.write_text(json.dumps({"journal": 1, "code": "0" * 64}) + "\n"
-                        + json.dumps({"status": "done", "key": "k",
-                                      "benchmark": "gzip",
-                                      "label": "baseline",
-                                      "cell": CellResult(
-                                          benchmark="gzip",
-                                          configuration="baseline").to_dict()})
-                        + "\n")
-        journal = RunJournal(path, resume=True)
-        assert journal.stale
-        assert journal.completed_cell("k") is None
-        journal.close()
-        # The stale file was rewritten with a fresh, valid header.
-        fresh = RunJournal(path, resume=True)
-        assert not fresh.stale
-        fresh.close()
-
-    def test_fresh_run_truncates_previous_journal(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with RunJournal(path) as journal:
-            journal.record_done("k", CellResult(benchmark="gzip",
-                                                configuration="baseline"))
-        with RunJournal(path, resume=False):
-            pass
-        resumed = RunJournal(path, resume=True)
-        assert resumed.completed_cell("k") is None
-        resumed.close()
-
-    def test_header_pins_current_code(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        RunJournal(path).close()
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["code"] == code_fingerprint()
-
-
-class TestJournalResume:
-    def test_resume_re_simulates_only_failed_cells(self, tmp_path,
-                                                   reference_cells):
-        path = tmp_path / "journal.jsonl"
-        crashed = SweepEngine(journal=RunJournal(path),
-                              faults=FaultPlan.parse("crash:gzip:*"),
-                              policy=NO_RETRY)
-        first = crashed.run_spec(quick_spec())
-        crashed.close()
-        assert len(crashed.cell_failures) == LABELS_PER_BENCHMARK
-        assert first[("mcf", ISA)] == reference_cells[("mcf", ISA)]
-
-        resumed = SweepEngine(journal=RunJournal(path, resume=True))
-        second = resumed.run_spec(quick_spec())
-        resumed.close()
-        # mcf came straight from the journal; only gzip re-simulated.
-        assert resumed.journal_cells == LABELS_PER_BENCHMARK
-        assert resumed.simulated_cells == LABELS_PER_BENCHMARK
-        assert not resumed.cell_failures
-        assert second == reference_cells
-
-    def test_journal_serves_without_a_cache(self, tmp_path, reference_cells):
-        path = tmp_path / "journal.jsonl"
-        full = SweepEngine(journal=RunJournal(path))
-        full.run_spec(quick_spec())
-        full.close()
-        resumed = SweepEngine(journal=RunJournal(path, resume=True))
-        cells = resumed.run_spec(quick_spec())
-        resumed.close()
-        assert resumed.simulated_cells == 0
-        assert resumed.journal_cells == len(quick_spec())
-        assert cells == reference_cells
 
 
 class TestCombinedPlan:

@@ -17,6 +17,7 @@ Pins the contracts the multi-core path lives by:
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -31,7 +32,7 @@ from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.results import CellResult, CoreResult
 from repro.sim.sampling import SamplingConfig
 from repro.sim.simulator import Simulator
-from repro.sim.spec import RunRequest
+from repro.sim.spec import BASELINE_LABEL, RunRequest
 from repro.workloads.bundle import TraceBundle
 from repro.workloads.profiles import (
     MIXES,
@@ -305,11 +306,16 @@ class TestResultPlumbing:
 
 
 class TestMixOverheadExperiment:
-    def test_quick_run_reports_contention_and_per_core_stats(self):
-        from repro.experiments import mix_overhead
+    @pytest.fixture(scope="class")
+    def result(self):
+        from repro.experiments import run_experiments
         from repro.experiments.common import ExperimentSettings
 
-        result = mix_overhead.run(settings=ExperimentSettings.quick())
+        suite = run_experiments(["mix_overhead"],
+                                settings=ExperimentSettings.quick())
+        return suite.reports[0].result
+
+    def test_quick_run_reports_contention_and_per_core_stats(self, result):
         assert result.summary["mix_count"] == 2.0
         for series in ("overhead_percent_1core", "overhead_percent_2core",
                        "overhead_percent_4core", "lock_mpki_4core",
@@ -325,7 +331,7 @@ class TestMixOverheadExperiment:
         assert "mean_lock_contention_mpki" in result.summary
         assert "watchdog_geomean_percent_4core" in result.summary
 
-    def test_quick_summary_matches_pinned_golden(self):
+    def test_quick_summary_matches_pinned_golden(self, result):
         """The mix family's golden regression net (quick scale: mix1+mix5).
 
         The sampled-suite golden in ``test_experiment_registry`` excludes
@@ -335,13 +341,42 @@ class TestMixOverheadExperiment:
         warm-up ordering, epoch interleaving, shared-level attribution or
         the overhead/contention extraction shows up here.
         """
-        from repro.experiments import mix_overhead
-        from repro.experiments.common import ExperimentSettings
-
-        result = mix_overhead.run(settings=ExperimentSettings.quick())
         assert result.summary == pytest.approx({
             "mix_count": 2.0,
             "watchdog_geomean_percent_1core": 12.901296439088682,
             "watchdog_geomean_percent_4core": 13.726970471573008,
             "mean_lock_contention_mpki": -0.12682271070623546,
         }, rel=1e-9)
+
+    def test_failed_cells_poison_only_their_core_count(self):
+        """A quarantined mix cell reads NaN where it is used, nowhere else."""
+        from repro.experiments import mix_overhead
+        from repro.experiments.common import (
+            ExperimentContext,
+            ExperimentSettings,
+        )
+
+        settings = ExperimentSettings.quick()
+        spec = mix_overhead.spec(settings)
+        # Every Watchdog cell is 10% slower than its baseline.
+        cells = {request.key: CellResult(
+                     benchmark=request.benchmark, configuration=request.label,
+                     cycles=110 if request.label == mix_overhead.WATCHDOG
+                     else 100)
+                 for request in spec.requests()}
+        cells["mix1:2", mix_overhead.WATCHDOG] = CellResult.failed_cell(
+            "mix1:2", mix_overhead.WATCHDOG)
+        cells["mix5:1@0", BASELINE_LABEL] = CellResult.failed_cell(
+            "mix5:1@0", BASELINE_LABEL)
+        result = mix_overhead.extract(ExperimentContext(
+            settings=settings, spec=spec, cells=cells))
+        series = result.series
+        assert math.isnan(series["overhead_percent_2core"]["mix1"])
+        assert math.isnan(series["overhead_percent_1core"]["mix5"])
+        assert series["overhead_percent_1core"]["mix1"] == pytest.approx(10.0)
+        assert series["overhead_percent_2core"]["mix5"] == pytest.approx(10.0)
+        assert series["overhead_percent_4core"] == pytest.approx(
+            {"mix1": 10.0, "mix5": 10.0})
+        assert math.isnan(result.summary["watchdog_geomean_percent_1core"])
+        assert result.summary["watchdog_geomean_percent_4core"] \
+            == pytest.approx(10.0)

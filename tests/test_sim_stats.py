@@ -13,7 +13,6 @@ from repro.sim.compiled import StreamCompiler, tokenize
 from repro.sim.results import ExperimentResult
 from repro.sim.sampling import SamplingConfig, SamplingSchedule
 from repro.sim.stats import (
-    OverheadReport,
     arithmetic_mean,
     geometric_mean,
     geometric_mean_overhead,
@@ -46,14 +45,6 @@ class TestStats:
     def test_arithmetic_mean(self):
         assert arithmetic_mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
         assert arithmetic_mean([]) == 0.0
-
-    def test_overhead_report(self):
-        report = OverheadReport("isa")
-        report.add("gcc", 0.2)
-        report.add("lbm", 0.1)
-        assert report.geo_mean() == pytest.approx(0.1489, abs=1e-3)
-        assert report.as_percent()["gcc"] == pytest.approx(20.0)
-        assert "Geo. mean" in report.format_table()
 
 
 class TestSampling:

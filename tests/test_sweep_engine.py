@@ -2,11 +2,9 @@
 
 import json
 
-import pytest
-
 from repro.core.config import WatchdogConfig
-from repro.experiments import fig7_runtime_overhead as fig7
-from repro.experiments.common import ExperimentSettings, OverheadSweep
+from repro.experiments import run_experiments
+from repro.experiments.common import ExperimentSettings
 from repro.sim.cache import ResultCache, request_fingerprint
 from repro.sim.engine import SweepEngine
 from repro.sim.results import CellResult, ExperimentResult
@@ -18,6 +16,12 @@ from repro.workloads.bundle import TraceBundle
 QUICK = ExperimentSettings.quick(benchmarks=("gzip", "mcf"), instructions=1200)
 
 ISA = "isa-assisted"
+
+
+def quick_request(label=ISA, config=None) -> RunRequest:
+    """One cell of the QUICK grid (gzip), by default the ISA-assisted one."""
+    return RunRequest("gzip", label, config or WatchdogConfig.isa_assisted_uaf(),
+                      instructions=QUICK.instructions, seed=QUICK.seed)
 
 
 def quick_spec(include_baseline=True) -> ExperimentSpec:
@@ -78,23 +82,32 @@ class TestTraceSharing:
 
 class TestDeterminism:
     def test_parallel_results_identical_to_serial(self):
-        serial = SweepEngine(workers=1).run_spec(quick_spec())
-        parallel = SweepEngine(workers=4).run_spec(quick_spec())
-        assert serial == parallel
+        parallel_engine = SweepEngine(workers=4)
+        try:
+            parallel = parallel_engine.run_spec(quick_spec())
+        finally:
+            parallel_engine.close()
+        assert SweepEngine(workers=1).run_spec(quick_spec()) == parallel
 
     def test_fig7_summary_identical_serial_vs_parallel(self):
-        result_serial = fig7.run(sweep=OverheadSweep(QUICK, workers=1))
-        result_parallel = fig7.run(sweep=OverheadSweep(QUICK, workers=4))
-        assert result_serial.series == result_parallel.series
-        assert result_serial.summary == result_parallel.summary
+        results = []
+        for workers in (1, 4):
+            engine = SweepEngine(workers=workers)
+            try:
+                suite = run_experiments(["fig7"], settings=QUICK,
+                                        engine=engine)
+            finally:
+                engine.close()
+            results.append(suite.reports[0].result)
+        serial, parallel = results
+        assert serial.series == parallel.series
+        assert serial.summary == parallel.summary
 
     def test_engine_memoizes_cells(self):
         engine = SweepEngine()
-        sweep = OverheadSweep(QUICK, engine=engine)
-        config = WatchdogConfig.isa_assisted_uaf()
-        first = sweep.outcome("gzip", ISA, config)
+        first = engine.cell(quick_request())
         simulated = engine.simulated_cells
-        second = sweep.outcome("gzip", ISA, config)
+        second = engine.cell(quick_request())
         assert first is second
         assert engine.simulated_cells == simulated
 
@@ -102,22 +115,11 @@ class TestDeterminism:
         # fig7 calls isa_assisted_uaf "isa-assisted", fig9 "with-lock-cache",
         # fig11 "watchdog": one simulation must serve all three.
         engine = SweepEngine()
-        sweep = OverheadSweep(QUICK, engine=engine)
-        config = WatchdogConfig.isa_assisted_uaf()
-        first = sweep.outcome("gzip", "isa-assisted", config)
-        relabelled = sweep.outcome("gzip", "watchdog", config)
+        first = engine.cell(quick_request("isa-assisted"))
+        relabelled = engine.cell(quick_request("watchdog"))
         assert engine.simulated_cells == 1
         assert relabelled.configuration == "watchdog"
         assert relabelled.cycles == first.cycles
-
-    def test_run_configs_prefills_the_grid(self):
-        engine = SweepEngine()
-        sweep = OverheadSweep(QUICK, engine=engine)
-        sweep.run_configs({ISA: WatchdogConfig.isa_assisted_uaf()})
-        simulated = engine.simulated_cells
-        assert simulated == 2 * len(QUICK.benchmarks)  # baseline + config
-        sweep.geo_mean_overhead(ISA, WatchdogConfig.isa_assisted_uaf())
-        assert engine.simulated_cells == simulated  # all served from memo
 
     def test_memo_does_not_alias_same_label_different_inputs(self):
         engine = SweepEngine()
@@ -171,15 +173,12 @@ class TestResultCache:
         assert request_fingerprint(a) == request_fingerprint(b)
 
     def test_config_change_invalidates_cached_cell(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        engine = SweepEngine(cache=cache)
-        sweep = OverheadSweep(QUICK, engine=engine)
-        sweep.outcome("gzip", "wd", WatchdogConfig.isa_assisted_uaf())
+        engine = SweepEngine(cache=ResultCache(tmp_path))
+        engine.cell(quick_request("wd"))
         assert engine.simulated_cells == 1
 
         changed = SweepEngine(cache=ResultCache(tmp_path))
-        OverheadSweep(QUICK, engine=changed).outcome(
-            "gzip", "wd", WatchdogConfig.no_lock_cache())
+        changed.cell(quick_request("wd", WatchdogConfig.no_lock_cache()))
         assert changed.simulated_cells == 1  # miss: different configuration
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
