@@ -9,19 +9,23 @@ from repro.experiments import run_experiments
 
 def run_experiment(benchmark, name, settings, engine):
     """Time one registered experiment through the registry runner (one
-    round) and return its result."""
+    round) and return its :class:`~repro.sim.results.ExperimentReport`."""
     suite = benchmark.pedantic(run_experiments, args=([name],),
                                kwargs={"settings": settings, "engine": engine},
                                rounds=1, iterations=1)
-    return suite.reports[0].result
+    return suite.reports[0]
 
 
-def report(result, expected):
-    """Print a paper-vs-measured report for one experiment."""
-    lines = [f"\n=== {result.name} ===", result.format_table(),
-             "--- paper vs measured ---"]
-    for key, paper_value in expected.items():
-        measured = result.summary.get(key)
-        measured_text = f"{measured:.1f}" if isinstance(measured, float) else str(measured)
-        lines.append(f"{key:<40} paper={paper_value:<8} measured={measured_text}")
+def report(experiment):
+    """Print one experiment's table and its paper-vs-measured checks.
+
+    A check without a measured value means the experiment no longer emits
+    a metric the paper states; that fails the calling test.
+    """
+    lines = [f"\n=== {experiment.result.name} ===",
+             experiment.result.format_table(), "--- paper vs measured ---"]
+    lines.extend(check.describe() for check in experiment.checks)
     print("\n".join(lines))
+    missing = [check.metric for check in experiment.checks
+               if check.measured is None]
+    assert not missing, f"{experiment.name}: no measured {missing}"

@@ -1,12 +1,12 @@
 """Ablations: idealized shadow accesses (§9.3) and rename-time copy elimination (§6.2)."""
 
 from benchmarks.helpers import report, run_experiment
-from repro.experiments import ablations
 
 
 def test_design_ablations(benchmark, settings, engine):
-    result = run_experiment(benchmark, "ablations", settings, engine)
-    report(result, ablations.EXPECTED)
+    experiment = run_experiment(benchmark, "ablations", settings, engine)
+    report(experiment)
+    result = experiment.result
 
     isa = result.summary["isa-assisted_geomean_percent"]
     ideal = result.summary["ideal-shadow_geomean_percent"]

@@ -5,12 +5,12 @@ touched (page-granularity allocation of the shadow space fragments it).
 """
 
 from benchmarks.helpers import report, run_experiment
-from repro.experiments import fig10_memory_overhead as fig10
 
 
 def test_fig10_memory_overhead(benchmark, settings, engine):
-    result = run_experiment(benchmark, "fig10", settings, engine)
-    report(result, fig10.EXPECTED)
+    experiment = run_experiment(benchmark, "fig10", settings, engine)
+    report(experiment)
+    result = experiment.result
 
     words = result.summary["words_geomean_percent"]
     pages = result.summary["pages_geomean_percent"]

@@ -5,12 +5,12 @@ Paper geo-means: Watchdog (UAF only) ≈15%, +bounds fused into the check µop
 """
 
 from benchmarks.helpers import report, run_experiment
-from repro.experiments import fig11_bounds_checking as fig11
 
 
 def test_fig11_bounds_checking(benchmark, settings, engine):
-    result = run_experiment(benchmark, "fig11", settings, engine)
-    report(result, fig11.EXPECTED)
+    experiment = run_experiment(benchmark, "fig11", settings, engine)
+    report(experiment)
+    result = experiment.result
 
     uaf_only = result.summary["watchdog_geomean_percent"]
     fused = result.summary["bounds_fused_geomean_percent"]

@@ -4,12 +4,12 @@ Paper: conservative ≈31% average, ISA-assisted ≈18% average.
 """
 
 from benchmarks.helpers import report, run_experiment
-from repro.experiments import fig5_pointer_identification as fig5
 
 
 def test_fig5_pointer_identification(benchmark, settings, engine):
-    result = run_experiment(benchmark, "fig5", settings, engine)
-    report(result, fig5.EXPECTED)
+    experiment = run_experiment(benchmark, "fig5", settings, engine)
+    report(experiment)
+    result = experiment.result
 
     conservative = result.summary["conservative_avg_percent"]
     isa = result.summary["isa_assisted_avg_percent"]

@@ -5,13 +5,13 @@ idealized shadow accesses.
 """
 
 from benchmarks.helpers import report, run_experiment
-from repro.experiments import fig7_runtime_overhead as fig7
 from repro.experiments import run_experiments
 
 
 def test_fig7_runtime_overhead(benchmark, settings, engine):
-    result = run_experiment(benchmark, "fig7", settings, engine)
-    report(result, fig7.EXPECTED)
+    experiment = run_experiment(benchmark, "fig7", settings, engine)
+    report(experiment)
+    result = experiment.result
 
     conservative = result.summary["conservative_geomean_percent"]
     isa = result.summary["isa-assisted_geomean_percent"]

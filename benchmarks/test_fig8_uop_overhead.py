@@ -5,12 +5,12 @@ Paper averages: total ≈44%; checks ≈29%, pointer loads ≈4%, pointer stores
 """
 
 from benchmarks.helpers import report, run_experiment
-from repro.experiments import fig8_uop_overhead as fig8
 
 
 def test_fig8_uop_overhead(benchmark, settings, engine):
-    result = run_experiment(benchmark, "fig8", settings, engine)
-    report(result, fig8.EXPECTED)
+    experiment = run_experiment(benchmark, "fig8", settings, engine)
+    report(experiment)
+    result = experiment.result
 
     total = result.summary["total_avg_percent"]
     checks = result.summary["checks_avg_percent"]

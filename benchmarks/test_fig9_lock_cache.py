@@ -6,12 +6,12 @@ benchmarks.
 """
 
 from benchmarks.helpers import report, run_experiment
-from repro.experiments import fig9_lock_cache as fig9
 
 
 def test_fig9_lock_location_cache(benchmark, settings, engine):
-    result = run_experiment(benchmark, "fig9", settings, engine)
-    report(result, fig9.EXPECTED)
+    experiment = run_experiment(benchmark, "fig9", settings, engine)
+    report(experiment)
+    result = experiment.result
 
     with_cache = result.summary["with-lock-cache_geomean_percent"]
     without_cache = result.summary["without-lock-cache_geomean_percent"]

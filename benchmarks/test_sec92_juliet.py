@@ -4,12 +4,12 @@ Paper: all 291 use-after-free test cases detected, zero false positives.
 """
 
 from benchmarks.helpers import report, run_experiment
-from repro.experiments import sec92_juliet
 
 
 def test_sec92_juliet_suite(benchmark, settings, engine):
-    result = run_experiment(benchmark, "juliet", settings, engine)
-    report(result, sec92_juliet.EXPECTED)
+    experiment = run_experiment(benchmark, "juliet", settings, engine)
+    report(experiment)
+    result = experiment.result
 
     assert result.summary["cases"] == 291
     assert result.summary["detected"] == 291

@@ -5,8 +5,9 @@ from repro.experiments import table1_comparison
 
 
 def test_table1_comparison(benchmark, settings, engine):
-    result = run_experiment(benchmark, "table1", settings, engine)
-    report(result, {"mismatches_vs_paper": 0})
+    experiment = run_experiment(benchmark, "table1", settings, engine)
+    report(experiment)
+    result = experiment.result
     print(table1_comparison.format_table())
     # Every qualitative column derived from the executable models must match
     # the paper's table.

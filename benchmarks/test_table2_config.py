@@ -5,7 +5,8 @@ from repro.experiments import table2_config
 
 
 def test_table2_configuration(benchmark, settings, engine):
-    result = run_experiment(benchmark, "table2", settings, engine)
-    report(result, table2_config.EXPECTED)
+    experiment = run_experiment(benchmark, "table2", settings, engine)
+    report(experiment)
+    result = experiment.result
     print(table2_config.format_table())
     assert result.summary["mismatches_vs_paper"] == 0

@@ -22,11 +22,6 @@ from repro.experiments.common import (
 from repro.sim.results import ExperimentResult
 from repro.sim.stats import geometric_mean
 
-EXPECTED = {
-    "words_geomean_percent": 32.0,
-    "pages_geomean_percent": 56.0,
-}
-
 NAME = "fig10-memory-overhead"
 ISA_ASSISTED = "isa-assisted"
 WORDS = "words"
@@ -66,7 +61,10 @@ DEFINITION = ExperimentDefinition(
     description="Figure 10 — shadow metadata memory overhead (words/pages)",
     build_spec=spec,
     extract=extract,
-    expected=EXPECTED,
+    expected={
+        "words_geomean_percent": 32.0,
+        "pages_geomean_percent": 56.0,
+    },
     # The model's shadow footprint overshoots the paper's, and the page
     # overshoot grows with trace length rather than shrinking: measured with
     # `repro run fig10 --instructions N --no-check`, the pages geomean rises

@@ -22,12 +22,6 @@ from repro.experiments.common import (
 from repro.sim.results import ExperimentResult
 from repro.sim.stats import geometric_mean_overhead
 
-EXPECTED = {
-    "watchdog_geomean_percent": 15.0,
-    "bounds_fused_geomean_percent": 18.0,
-    "bounds_two_uop_geomean_percent": 24.0,
-}
-
 NAME = "fig11-bounds-checking"
 WATCHDOG = "watchdog"
 BOUNDS_FUSED = "bounds-1uop"
@@ -69,7 +63,11 @@ DEFINITION = ExperimentDefinition(
     description="Figure 11 — integrating bounds checking (full memory safety)",
     build_spec=spec,
     extract=extract,
-    expected=EXPECTED,
+    expected={
+        "watchdog_geomean_percent": 15.0,
+        "bounds_fused_geomean_percent": 18.0,
+        "bounds_two_uop_geomean_percent": 24.0,
+    },
     tolerances={
         "watchdog_geomean_percent": 8.0,
         "bounds_fused_geomean_percent": 8.0,

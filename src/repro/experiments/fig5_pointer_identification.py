@@ -19,12 +19,6 @@ from repro.experiments.common import (
 from repro.sim.results import ExperimentResult
 from repro.sim.stats import arithmetic_mean
 
-#: Paper values (percent of memory accesses classified as pointer ops).
-EXPECTED = {
-    "conservative_avg_percent": 31.0,
-    "isa_assisted_avg_percent": 18.0,
-}
-
 NAME = "fig5-pointer-identification"
 CONSERVATIVE = "conservative"
 ISA_ASSISTED = "isa-assisted"
@@ -50,9 +44,10 @@ def extract(context: ExperimentContext) -> ExperimentResult:
     isa_avg = arithmetic_mean(list(result.series[ISA_ASSISTED].values()))
     result.add_summary("conservative_avg_percent", conservative_avg)
     result.add_summary("isa_assisted_avg_percent", isa_avg)
+    paper = DEFINITION.expected
     result.notes.append(
-        f"paper: conservative {EXPECTED['conservative_avg_percent']:.0f}%, "
-        f"ISA-assisted {EXPECTED['isa_assisted_avg_percent']:.0f}% (averages)")
+        f"paper: conservative {paper['conservative_avg_percent']:.0f}%, "
+        f"ISA-assisted {paper['isa_assisted_avg_percent']:.0f}% (averages)")
     return result
 
 
@@ -63,7 +58,11 @@ DEFINITION = ExperimentDefinition(
                 "pointer operations",
     build_spec=spec,
     extract=extract,
-    expected=EXPECTED,
+    # Paper values (percent of memory accesses classified as pointer ops).
+    expected={
+        "conservative_avg_percent": 31.0,
+        "isa_assisted_avg_percent": 18.0,
+    },
     tolerances={
         "conservative_avg_percent": 10.0,
         "isa_assisted_avg_percent": 8.0,

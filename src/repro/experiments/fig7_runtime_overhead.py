@@ -21,12 +21,6 @@ from repro.experiments.common import (
 from repro.sim.results import ExperimentResult
 from repro.sim.stats import geometric_mean_overhead
 
-EXPECTED = {
-    "conservative_geomean_percent": 25.0,
-    "isa_assisted_geomean_percent": 15.0,
-    "ideal_shadow_geomean_percent": 11.0,
-}
-
 NAME = "fig7-runtime-overhead"
 CONSERVATIVE = "conservative"
 ISA_ASSISTED = "isa-assisted"
@@ -63,12 +57,9 @@ DEFINITION = ExperimentDefinition(
     build_spec=spec,
     extract=extract,
     expected={
-        f"{CONSERVATIVE}_geomean_percent":
-            EXPECTED["conservative_geomean_percent"],
-        f"{ISA_ASSISTED}_geomean_percent":
-            EXPECTED["isa_assisted_geomean_percent"],
-        f"{IDEAL_SHADOW}_geomean_percent":
-            EXPECTED["ideal_shadow_geomean_percent"],
+        f"{CONSERVATIVE}_geomean_percent": 25.0,
+        f"{ISA_ASSISTED}_geomean_percent": 15.0,
+        f"{IDEAL_SHADOW}_geomean_percent": 11.0,
     },
     tolerances={
         f"{CONSERVATIVE}_geomean_percent": 15.0,

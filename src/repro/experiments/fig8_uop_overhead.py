@@ -21,14 +21,6 @@ from repro.experiments.common import (
 from repro.sim.results import ExperimentResult
 from repro.sim.stats import arithmetic_mean
 
-EXPECTED = {
-    "total_avg_percent": 44.0,
-    "checks_avg_percent": 29.0,
-    "pointer_loads_avg_percent": 4.0,
-    "pointer_stores_avg_percent": 2.0,
-    "other_avg_percent": 9.0,
-}
-
 NAME = "fig8-uop-overhead"
 ISA_ASSISTED = "isa-assisted"
 SEGMENTS = ("checks", "pointer_loads", "pointer_stores", "other")
@@ -73,7 +65,13 @@ DEFINITION = ExperimentDefinition(
     description="Figure 8 — µop overhead and its breakdown (ISA-assisted)",
     build_spec=spec,
     extract=extract,
-    expected=EXPECTED,
+    expected={
+        "total_avg_percent": 44.0,
+        "checks_avg_percent": 29.0,
+        "pointer_loads_avg_percent": 4.0,
+        "pointer_stores_avg_percent": 2.0,
+        "other_avg_percent": 9.0,
+    },
     tolerances={
         "total_avg_percent": 15.0,
         "checks_avg_percent": 10.0,

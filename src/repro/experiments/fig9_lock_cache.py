@@ -21,11 +21,6 @@ from repro.experiments.common import (
 from repro.sim.results import ExperimentResult
 from repro.sim.stats import geometric_mean_overhead
 
-EXPECTED = {
-    "with_lock_cache_geomean_percent": 15.0,
-    "without_lock_cache_geomean_percent": 24.0,
-}
-
 NAME = "fig9-lock-location-cache"
 WITH_CACHE = "with-lock-cache"
 WITHOUT_CACHE = "without-lock-cache"
@@ -75,10 +70,8 @@ DEFINITION = ExperimentDefinition(
     # benchmark count, so a subset sweep would always "fail" the paper's
     # 17-of-20 figure.
     expected={
-        f"{WITH_CACHE}_geomean_percent":
-            EXPECTED["with_lock_cache_geomean_percent"],
-        f"{WITHOUT_CACHE}_geomean_percent":
-            EXPECTED["without_lock_cache_geomean_percent"],
+        f"{WITH_CACHE}_geomean_percent": 15.0,
+        f"{WITHOUT_CACHE}_geomean_percent": 24.0,
     },
     tolerances={
         f"{WITH_CACHE}_geomean_percent": 8.0,

@@ -21,12 +21,6 @@ from repro.sim.results import ExperimentResult
 from repro.sim.simulator import Simulator
 from repro.workloads.juliet import JulietCase, JulietSuite, JULIET_CASE_COUNT
 
-EXPECTED = {
-    "cases": 291,
-    "detected": 291,
-    "false_positives": 0,
-}
-
 
 @dataclass
 class JulietOutcome:

@@ -218,27 +218,31 @@ def run_mix_cell(mix: str, instructions: int,
 def run_one_b_cell(benchmark: str, instructions: int,
                    sampling: SamplingConfig,
                    seed: int = DEFAULT_SEED) -> Dict[str, object]:
-    """Stream one cell through :meth:`Simulator.run_streaming`.
+    """Stream one cell through the sweep engine's job executor.
 
     ``one_b_ops_per_sec`` is horizon instructions per wall second: at 99.8%
     skip the run is generation-dominated, and that rate collapses (~15x) if
     the native fast-forward kernel stops carrying the skip windows.
     """
-    simulator = Simulator()
+    from repro.sim.engine import BenchmarkJob, execute_job
+
+    # Also refuses a schedule that would not stream (it samples nothing).
     samples = len(SampleStream(benchmark, seed, instructions, sampling))
+    job = BenchmarkJob(benchmark=benchmark, seed=seed,
+                       instructions=instructions, warmup_instructions=None,
+                       sampling=sampling,
+                       cells=(("isa-assisted",
+                               WatchdogConfig.isa_assisted_uaf()),))
     clock = _Clock()
-    outcome = simulator.run_streaming(
-        benchmark, WatchdogConfig.isa_assisted_uaf(),
-        instructions=instructions, sampling=sampling, seed=seed)
+    (cell,) = execute_job(job)
     clock.lap("stream")
-    timed_uops = outcome.timing.total_uops
     return clock.record(
         samples=samples,
         measured_instructions=SamplingSchedule(sampling).measured_count(
             instructions),
-        streaming=True, timed_uops=timed_uops,
+        streaming=True, timed_uops=cell.total_uops,
         one_b_ops_per_sec=_rate(instructions, clock.wall),
-        timed_uops_per_sec=_rate(timed_uops, clock.wall))
+        timed_uops_per_sec=_rate(cell.total_uops, clock.wall))
 
 
 class Gate(NamedTuple):

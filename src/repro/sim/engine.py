@@ -16,12 +16,15 @@ cheapest way available:
    stored, rerunning an interrupted or quarantined suite re-simulates
    exactly the cells it lacks,
 3. **simulate** — remaining cells are grouped *per benchmark*: one job
-   generates the benchmark's dynamic trace once (as a
+   generates the benchmark's dynamic trace once (as a one-window
    :class:`~repro.workloads.bundle.TraceBundle`) and replays it under every
    requested configuration; a §9.1-sampled job instead streams its samples
    (:class:`~repro.workloads.streaming.SampleStream`), replaying each under
-   every configuration before generating the next.  Jobs run serially or on
-   a :class:`~concurrent.futures.ProcessPoolExecutor`.
+   every configuration before generating the next.  :func:`execute_job` is
+   the one place that decides which: a job streams exactly when its
+   schedule genuinely samples the horizon, and a schedule that measures
+   everything or nothing runs unsampled.  Jobs run serially or on a
+   :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Because the trace is a pure function of (profile, seed) and each cell is
 independent, the merge is deterministic: results are keyed by (benchmark,
@@ -126,11 +129,12 @@ class BenchmarkJob:
     faults: Optional[FaultPlan] = None
 
 
-#: Per-process memo of generated (unsampled and mix-member) trace bundles,
+#: Per-process memo of generated unsampled (and mix-member) trace bundles,
 #: keyed by the job's workload identity; sampled jobs stream and never enter
-#: it.  In a worker process this persists across jobs, so even when several
-#: jobs of the same benchmark land on one worker (e.g. after a cache
-#: partially resolved a grid) the trace is generated at most once per process.
+#: it, and a sampled job that runs unsampled shares the plain job's entry.
+#: In a worker process this persists across jobs, so even when several jobs
+#: of the same benchmark land on one worker (e.g. after a cache partially
+#: resolved a grid) the trace is generated at most once per process.
 #: Bounded by each bundle's *live footprint* (:meth:`TraceBundle.footprint_ops`)
 #: rather than entry count: that counts the raw trace streams plus the
 #: compiled token/stream caches and working-set arrays a replayed bundle pins
@@ -138,20 +142,18 @@ class BenchmarkJob:
 #: × 10k ops plus their compiled streams) everything stays memoized across
 #: an `--all` run, while larger bundles evict LRU-first instead of pinning
 #: gigabytes in a long-lived worker.
-_BUNDLES: "OrderedDict[Tuple[str, int, int, Optional[int], Optional[SamplingConfig]], TraceBundle]" = \
+_BUNDLES: "OrderedDict[Tuple[str, int, int, Optional[int]], TraceBundle]" = \
     OrderedDict()
 _BUNDLES_OP_BUDGET = 8_000_000
 
 
 def _bundle_for(job: BenchmarkJob) -> TraceBundle:
-    key = (job.benchmark, job.seed, job.instructions, job.warmup_instructions,
-           job.sampling)
+    key = (job.benchmark, job.seed, job.instructions, job.warmup_instructions)
     bundle = _BUNDLES.get(key)
     if bundle is None:
         bundle = TraceBundle.generate(job.benchmark, seed=job.seed,
                                       instructions=job.instructions,
-                                      warmup_instructions=job.warmup_instructions,
-                                      sampling=job.sampling)
+                                      warmup_instructions=job.warmup_instructions)
         _BUNDLES[key] = bundle
     else:
         _BUNDLES.move_to_end(key)
@@ -201,6 +203,14 @@ def execute_job(job: BenchmarkJob,
                 sample_pool: Optional[ProcessPoolExecutor] = None) -> List[CellResult]:
     """Run every cell of one benchmark job (module-level: picklable).
 
+    This is the one place that decides how a cell runs.  A job streams its
+    §9.1 samples (:func:`_execute_sampled`) exactly when its schedule
+    genuinely samples the horizon
+    (:meth:`~repro.sim.sampling.SamplingConfig.samples_horizon`); any other
+    job — no schedule, or one that measures everything or nothing — replays
+    one unsampled bundle from the ``_BUNDLES`` memo, and a multi-core mix
+    job replays its members' bundles on one shared backend.
+
     ``sample_pool`` (only ever passed for in-parent execution) enables
     per-sample parallelism for sampled jobs: the §9.1 samples of one cell
     are mutually independent, so when a batch degenerates to a single
@@ -228,9 +238,10 @@ def _execute_job_cells(job: BenchmarkJob,
     parsed = parse_mix_benchmark(job.benchmark)
     if parsed is not None:
         return _execute_mix_job(job, parsed, machine)
-    if job.sampling is not None and job.warmup_instructions is None \
+    if job.sampling is not None \
             and job.sampling.samples_horizon(job.instructions):
         return _execute_sampled(job, machine, sample_pool)
+    # No schedule, or one that measures everything or nothing: one window.
     bundle = _bundle_for(job)
     simulator = Simulator(machine)
     results: List[CellResult] = []

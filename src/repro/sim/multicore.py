@@ -59,7 +59,11 @@ from repro.memory.hierarchy import MemoryHierarchy, SharedMemoryBackend
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.core import OutOfOrderCore, _derived_hierarchy_config
 from repro.sim.results import CoreResult
-from repro.sim.simulator import SimulationOutcome, Simulator
+from repro.sim.simulator import (
+    SimulationOutcome,
+    Simulator,
+    aggregate_outcomes,
+)
 from repro.workloads.bundle import TraceBundle
 
 #: Demand accesses one core replays before the next core gets a turn.
@@ -95,12 +99,13 @@ class MultiCoreSimulator:
         if not bundles:
             raise ConfigurationError("a mix needs at least one member bundle")
         for bundle in bundles:
-            if bundle.samples:
+            if len(bundle.samples) != 1:
                 raise ConfigurationError(
                     "mix members cannot use §9.1 sampling (sampled windows "
                     "have no cross-core interleaving order)")
-        streams = [bundle.compiled_streams(config, machine=self.machine,
-                                           timecore=self.timecore)
+        streams = [bundle.compiled_sample_streams(0, config,
+                                                  machine=self.machine,
+                                                  timecore=self.timecore)
                    for bundle in bundles]
 
         backend = SharedMemoryBackend(_derived_hierarchy_config(
@@ -146,8 +151,15 @@ class MultiCoreSimulator:
                 lock_evictions=shared["lock_evictions"],
                 lock_writebacks=shared["lock_writebacks"]))
 
-        aggregate = self._aggregate(outcomes)
-        return dataclasses.replace(aggregate, benchmark=name,
+        # Counters sum, but the members ran concurrently: the mix is done
+        # when its slowest core is.  One core's outcome passes through
+        # aggregate_outcomes unchanged, which keeps the one-core golden
+        # invariant exact by construction rather than by float coincidence.
+        aggregate = aggregate_outcomes(outcomes)
+        timing = dataclasses.replace(
+            aggregate.timing,
+            cycles=max(outcome.timing.cycles for outcome in outcomes))
+        return dataclasses.replace(aggregate, benchmark=name, timing=timing,
                                    cores=tuple(blocks))
 
     # -- phases ---------------------------------------------------------------
@@ -196,23 +208,3 @@ class MultiCoreSimulator:
                 if stop < len(a):
                     done = False
             offset = stop
-
-    @staticmethod
-    def _aggregate(outcomes: List[SimulationOutcome]) -> SimulationOutcome:
-        """Fold per-core outcomes into the mix-level outcome.
-
-        Counters sum (via :func:`aggregate_outcomes`), but the mix's cycle
-        count is the slowest core's — the members ran concurrently, so the
-        mix is done when its last member is.  A single-member mix returns
-        its sole outcome untouched, which keeps the one-core golden
-        invariant exact by construction rather than by float coincidence.
-        """
-        if len(outcomes) == 1:
-            return outcomes[0]
-        from repro.sim.simulator import aggregate_outcomes
-
-        aggregate = aggregate_outcomes(outcomes)
-        aggregate.timing = dataclasses.replace(
-            aggregate.timing,
-            cycles=max(outcome.timing.cycles for outcome in outcomes))
-        return aggregate

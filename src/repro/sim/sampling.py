@@ -105,8 +105,8 @@ class SamplingConfig:
         """Whether this schedule genuinely samples an ``instructions`` horizon.
 
         False when it measures everything (:attr:`degenerate`) or nothing
-        (the horizon ends inside the first period's skip and warm-up); both
-        normalize to unsampled execution.
+        (the horizon ends inside the first period's skip and warm-up); the
+        sweep engine runs both unsampled.
         """
         return not self.degenerate \
             and SamplingSchedule(self).measured_count(instructions) > 0

@@ -2,21 +2,25 @@
 
 Glues the pieces together for the two kinds of runs the evaluation needs:
 
-* **workload timing runs** (Figures 5, 7, 8, 9, 10, 11): a synthetic
-  SPEC-like workload generates a dynamic trace; the stream compiler injects
-  Watchdog µops and annotates addresses; the out-of-order core replays the
-  compiled µop stream against the Table 2 memory hierarchy and reports
-  cycles,
+* **workload timing runs** (Figures 5, 7, 8, 9, 10, 11): a
+  :class:`~repro.workloads.bundle.TraceBundle` holds a workload's replay
+  windows (one for an unsampled run, one per §9.1 sample otherwise); the
+  stream compiler injects Watchdog µops and annotates addresses; the
+  out-of-order core replays each window's compiled µop stream against the
+  Table 2 memory hierarchy, and the windows' outcomes fold into one
+  (:func:`aggregate_outcomes`).  Which cells stream their samples instead of
+  retaining them is the sweep engine's decision (:mod:`repro.sim.engine`),
 * **program detection runs** (§9.2, the examples, the attack scenarios): a
   program built with the builder executes on the functional machine under a
   Watchdog configuration, and the result records whether a violation was
   detected (optionally also recording a dynamic trace so the same run can be
-  timed).
+  timed as a one-window bundle).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
@@ -28,11 +32,12 @@ from repro.pipeline.config import MachineConfig
 from repro.pipeline.core import OutOfOrderCore, TimingResult
 from repro.program.ir import Program
 from repro.program.machine import ExecutionResult, Machine
-from repro.sim.sampling import SamplingConfig
-from repro.sim.trace import DynamicOp
-from repro.workloads.bundle import TraceBundle, WorkingSetSnapshot
-from repro.workloads.profiles import BenchmarkProfile, profile_by_name
-from repro.workloads.streaming import SampleStream
+from repro.sim.trace import DynamicOp, TraceTokens
+from repro.workloads.bundle import (
+    SampleSegment,
+    TraceBundle,
+    WorkingSetSnapshot,
+)
 
 
 @dataclass
@@ -138,7 +143,15 @@ class OutcomeAccumulator:
 
 def aggregate_outcomes(
         outcomes: Iterable[SimulationOutcome]) -> SimulationOutcome:
-    """Fold per-sample outcomes (in sample order) into one, §9.1-style."""
+    """Fold per-window outcomes (in window order) into one, §9.1-style.
+
+    A single outcome is returned unchanged: a one-window replay (every
+    unsampled bundle, a one-core mix) is its window's run exactly, not a
+    re-derived copy of it.
+    """
+    outcomes = list(outcomes)
+    if len(outcomes) == 1:
+        return outcomes[0]
     accumulator = OutcomeAccumulator()
     for outcome in outcomes:
         accumulator.add(outcome)
@@ -171,152 +184,78 @@ class Simulator:
                   ) -> SimulationOutcome:
         """Compile and time an already-generated dynamic trace.
 
-        ``warmup_trace`` mirrors the §9.1 methodology: its accesses prime the
-        cache hierarchy (data, shadow and lock accesses alike) but are not
-        timed and do not contribute to any statistic.  When the workload's
-        working set is provided, the whole of it (data lines, lock locations
-        and — for metadata-maintaining configurations — shadow lines) is
-        additionally pre-touched, which is what the long warm-up windows of
-        the paper's sampling methodology achieve.
+        The trace is replayed as a one-window bundle.  ``warmup_trace``
+        mirrors the §9.1 methodology: its accesses prime the cache hierarchy
+        (data, shadow and lock accesses alike) but are not timed and do not
+        contribute to any statistic.  When the workload's working set is
+        provided, the whole of it (data lines, lock locations and — for
+        metadata-maintaining configurations — shadow lines) is additionally
+        pre-touched, which is what the long warm-up windows of the paper's
+        sampling methodology achieve; without one nothing is pre-touched.
         """
-        from repro.native import _timecore
+        from repro.sim.compiled import tokenize
+
+        measured = tokenize(trace)
+        window = SampleSegment(
+            warmup=tokenize(warmup_trace) if warmup_trace is not None
+            else TraceTokens(),
+            measured=measured,
+            working_set=working_set if working_set is not None
+            else WorkingSetSnapshot(ranges=array("q"), locks=array("q")))
+        # An external trace has no generator seed.
+        bundle = TraceBundle(benchmark=name, seed=0,
+                             instructions=len(measured), samples=(window,))
+        return self.run_bundle(bundle, config)
+
+    def run_bundle(self, bundle: TraceBundle, config: WatchdogConfig) -> SimulationOutcome:
+        """Time one pre-generated trace bundle under one configuration.
+
+        Each replay window is an independent timing run (see
+        :meth:`sample_outcome`), and the windows' outcomes fold into one
+        (:func:`aggregate_outcomes`; a one-window bundle's outcome is its
+        window's).  The bundle is immutable: the same bundle can be replayed
+        under any number of configurations (serially or from several worker
+        processes) and yields exactly the cycles a fresh per-configuration
+        workload generation would have produced.  The bundle caches its
+        packed streams per window and configuration-equivalence class, so
+        replaying n configurations costs one compilation per injection
+        behaviour and n array-scheduler runs.
+        """
+        return aggregate_outcomes(
+            self.sample_outcome(bundle, index, config)
+            for index in range(len(bundle.samples)))
+
+    def sample_outcome(self, bundle: TraceBundle, index: int,
+                       config: WatchdogConfig) -> SimulationOutcome:
+        """Replay window ``index`` of a bundle under one configuration.
+
+        A fresh core has the window's working set installed (see
+        :func:`repro.sim.compiled.warm_working_set`), then replays its
+        warm-up stream untimed through the full demand machinery (both leave
+        every statistic reset), then times its measured stream on the array
+        scheduler.
+        """
         from repro.sim import compiled as compiled_mod
 
-        compiler = compiled_mod.StreamCompiler(
-            config, self.machine, _timecore.load() if self.timecore else None)
-        ws_arrays = compiler.working_set_arrays(working_set) \
-            if working_set is not None else None
-        warm = compiler.compile_warm(compiled_mod.tokenize(warmup_trace)) \
-            if warmup_trace is not None else None
-        measured = compiler.compile_measured(compiled_mod.tokenize(trace))
-        return self._run_compiled(measured, warm, ws_arrays, config, name)
-
-    def _run_compiled(self, measured, warm, ws_arrays, config,
-                      name: str) -> SimulationOutcome:
-        """Warm the hierarchy and run the array scheduler on packed streams.
-
-        The working set is installed first (see
-        :func:`repro.sim.compiled.warm_working_set`), then the warm-up trace
-        replays through the full demand machinery; both leave every
-        statistic reset.
-        """
-        from repro.sim import compiled as compiled_mod
-
+        streams = bundle.compiled_sample_streams(index, config,
+                                                 machine=self.machine,
+                                                 timecore=self.timecore)
         core = OutOfOrderCore(machine=self.machine, watchdog=config,
                               timecore=self.timecore)
-        if ws_arrays is not None:
-            compiled_mod.warm_working_set(core.hierarchy, ws_arrays, config)
-        if warm is not None:
-            compiled_mod.warm_trace(core.hierarchy, warm, config)
+        compiled_mod.warm_working_set(core.hierarchy, streams.working_set,
+                                      config)
+        if streams.warm is not None:
+            compiled_mod.warm_trace(core.hierarchy, streams.warm, config)
+        measured = streams.measured
         timing = core.simulate_compiled(measured)
         return SimulationOutcome(
-            benchmark=name,
+            benchmark=bundle.benchmark,
             configuration=self._config_name(config),
             timing=timing,
             injection=measured.injection,
             pointer_stats=measured.pointer,
             pages=measured.pages,
         )
-
-    def run_benchmark(self, benchmark: str, config: WatchdogConfig,
-                      instructions: int = 20_000, seed: int = 0,
-                      warmup_instructions: Optional[int] = None,
-                      sampling: Optional["SamplingConfig"] = None) -> SimulationOutcome:
-        """Generate and time one SPEC-like synthetic benchmark."""
-        profile = profile_by_name(benchmark)
-        return self.run_profile(profile, config, instructions=instructions, seed=seed,
-                                warmup_instructions=warmup_instructions,
-                                sampling=sampling)
-
-    def run_profile(self, profile: BenchmarkProfile, config: WatchdogConfig,
-                    instructions: int = 20_000, seed: int = 0,
-                    warmup_instructions: Optional[int] = None,
-                    sampling: Optional["SamplingConfig"] = None) -> SimulationOutcome:
-        """Generate and time a workload from an explicit profile.
-
-        The workload generator produces one continuous dynamic stream; the
-        first ``warmup_instructions`` (default: a quarter of the measured
-        portion) warm the caches and the remainder is measured, mirroring the
-        warm-up/measure structure of the paper's sampling methodology.
-        ``sampling`` instead applies the §9.1 periodic schedule itself: the
-        stream is segmented into fast-forward/warm-up/measure windows and
-        only the measure windows are timed (see :meth:`run_bundle`).
-
-        An unsampled run generates a :class:`TraceBundle` and replays it
-        with :meth:`run_bundle`, as sweeps do, so the two paths cannot
-        disagree.  A schedule that genuinely samples the horizon runs
-        through :meth:`run_streaming`, one sample in memory; one that
-        measures everything or nothing normalizes to the unsampled bundle.
-        """
-        if sampling is not None and warmup_instructions is None \
-                and sampling.samples_horizon(instructions):
-            return self.run_streaming(profile, config,
-                                      instructions=instructions,
-                                      sampling=sampling, seed=seed)
-        bundle = TraceBundle.generate(profile, seed=seed,
-                                      instructions=instructions,
-                                      warmup_instructions=warmup_instructions,
-                                      sampling=sampling)
-        return self.run_bundle(bundle, config)
-
-    def run_bundle(self, bundle: TraceBundle, config: WatchdogConfig) -> SimulationOutcome:
-        """Time one pre-generated trace bundle under one configuration.
-
-        The bundle is immutable: the same bundle can be replayed under any
-        number of configurations (serially or from several worker processes)
-        and yields exactly the cycles a fresh per-configuration workload
-        generation would have produced.  The bundle caches its packed
-        streams per configuration-equivalence class, so replaying n
-        configurations costs one compilation per injection behaviour and n
-        array-scheduler runs.
-
-        A sampled bundle (§9.1) runs each measure window as an independent
-        timing run — fresh core, working set installed from the window's own
-        snapshot, warm-up window replayed untimed — and aggregates the
-        per-sample results (see :class:`OutcomeAccumulator`).
-        """
-        if bundle.samples:
-            return aggregate_outcomes(
-                self.sample_outcome(bundle, index, config)
-                for index in range(len(bundle.samples)))
-        streams = bundle.compiled_streams(config, machine=self.machine,
-                                          timecore=self.timecore)
-        return self._run_compiled(streams.measured, streams.warm,
-                                  streams.working_set, config,
-                                  bundle.benchmark)
-
-    def run_streaming(self, profile, config: WatchdogConfig,
-                      instructions: int, sampling: SamplingConfig,
-                      seed: int = 0) -> SimulationOutcome:
-        """Run a §9.1-sampled workload streaming: one sample in memory.
-
-        Each sample segment is generated, wrapped as a transient one-sample
-        bundle, compiled, simulated and folded into the accumulator — then
-        every per-sample artifact (token streams, compiled streams,
-        working-set arrays) is dropped with the bundle before the next
-        sample is generated.  Peak memory is one sample regardless of
-        horizon; the result is bit-identical to :meth:`run_bundle` over the
-        retained bundle of the same (profile, seed, instructions, sampling).
-        ``profile`` may be a :class:`BenchmarkProfile` or a profile name.
-        """
-        stream = SampleStream(profile, seed, instructions, sampling)
-        return aggregate_outcomes(
-            self.sample_outcome(stream.segment_bundle(segment), 0, config)
-            for segment in stream.segments())
-
-    def sample_outcome(self, bundle: TraceBundle, index: int,
-                       config: WatchdogConfig) -> SimulationOutcome:
-        """Replay one sample of a sampled bundle under one configuration.
-
-        Each sample is an ordinary (warm-up, working set, measured) replay at
-        window scale, through the same machinery as an unsampled bundle.
-        """
-        streams = bundle.compiled_sample_streams(index, config,
-                                                 machine=self.machine,
-                                                 timecore=self.timecore)
-        return self._run_compiled(streams.measured, streams.warm,
-                                  streams.working_set, config,
-                                  bundle.benchmark)
 
     # -- program detection runs --------------------------------------------------------
     def run_program(self, program: Program, config: WatchdogConfig,

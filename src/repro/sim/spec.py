@@ -49,9 +49,10 @@ def validate_sampling(sampling: Optional[SamplingConfig],
     surface here with a field-specific message, not as a mid-sweep failure.
 
     With ``instructions`` given, the schedule is additionally checked against
-    the horizon: at paper scale a schedule that measures nothing cannot be
-    normalized to the unsampled layout (that would materialize the whole
-    horizon), so it is rejected up front with a pointer at
+    the horizon.  The sweep engine runs a cell whose schedule measures
+    everything or nothing unsampled, as one window; at paper scale that
+    would materialize the whole horizon, so such a schedule (like no
+    schedule at all) is rejected up front with a pointer at
     :meth:`SamplingConfig.paper_scaled`.
     """
     if sampling is None:

@@ -5,16 +5,20 @@ synthetic generator picks instructions, addresses and lock locations from the
 benchmark profile and the seed alone.  The old sweep nevertheless regenerated
 the trace for every (benchmark, configuration) cell, which dominated sweep
 wall-clock time.  A :class:`TraceBundle` materializes everything one timing
-run needs — the warm-up stream, the measured stream and a snapshot of the
-workload's live working set — exactly once per (benchmark, seed,
-instructions) and lets the simulator replay it under any number of
-configurations with bit-identical results.
+run needs exactly once per (benchmark, seed, instructions) and lets the
+simulator replay it under any number of configurations with bit-identical
+results.
+
+A bundle is a tuple of replay windows (:class:`SampleSegment`): a warm-up
+stream, the working set at the warm-up/measure boundary and a measured
+stream.  An unsampled bundle is the one-window case; a §9.1-sampled bundle
+holds one window per sample.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
@@ -31,11 +35,11 @@ _STREAM_CACHE_ATTR = "_cc_streams"
 
 
 #: Largest horizon a bundle may materialize *unsampled* — whether because no
-#: sampling schedule was requested at all, or because a requested §9.1
-#: schedule measures nothing and would normalize to the unsampled layout
-#: (the right behaviour at test scale, a silent catastrophe at paper scale:
-#: the whole 100M-instruction horizon materialized as token rows).  Past
-#: this bound both cases are errors pointing at a horizon-fitted schedule.
+#: sampling schedule was requested at all, or because the sweep engine runs a
+#: cell unsampled whose §9.1 schedule measures everything or nothing (the
+#: right behaviour at test scale, a silent catastrophe at paper scale: the
+#: whole 100M-instruction horizon materialized as token rows).  Past this
+#: bound both cases are errors pointing at a horizon-fitted schedule.
 MAX_NORMALIZED_UNSAMPLED_INSTRUCTIONS = 4_000_000
 
 
@@ -78,14 +82,13 @@ class WorkingSetSnapshot:
 
 @dataclass(frozen=True)
 class SampleSegment:
-    """One §9.1 sampling period's replayable portion.
+    """One replay window: the portion of the stream one timing run takes.
 
-    The fast-forward window is applied *functionally* at generation time (the
-    workload generator advances through it, no trace is kept); what remains
-    is the warm-up stream (empty when the schedule has no warm-up window),
-    the working set frozen at the warm-up/measure boundary, and the measured
-    stream — exactly the inputs one unsampled timing run takes, so each
-    sample replays through the unchanged compile-and-schedule machinery.
+    The warm-up stream (empty without a warm-up window), the working set
+    frozen at the warm-up/measure boundary, and the measured stream.  Under
+    §9.1 sampling each window is one sampling period's replayable portion:
+    its fast-forward window was applied *functionally* at generation time
+    (the workload generator advanced through it, no trace is kept).
     """
 
     warmup: TraceTokens
@@ -95,77 +98,56 @@ class SampleSegment:
 
 @dataclass(frozen=True)
 class TraceBundle:
-    """One benchmark's dynamic trace, generated once and replayed many times."""
+    """One benchmark's dynamic trace, generated once and replayed many times.
+
+    ``samples`` holds the replay windows in stream order: one for an
+    unsampled bundle, one per §9.1 sample otherwise.
+    """
 
     benchmark: str
     seed: int
     instructions: int
-    warmup_instructions: int
-    #: The untimed stream that primes the cache hierarchy (empty for a
-    #: sampled bundle, or without a warm-up).
-    warmup: TraceTokens
-    #: The measured stream the timing model replays (empty for a sampled
-    #: bundle).
-    measured: TraceTokens
-    #: Live working set at the warm-up/measure boundary (the last sample's,
-    #: for a sampled bundle).
-    working_set: WorkingSetSnapshot
-    #: The §9.1 schedule this bundle was segmented under, or ``None`` for a
-    #: conventional (fully measured) bundle.
-    sampling: Optional[SamplingConfig] = None
-    #: Per-period replay segments; empty unless ``sampling`` is set.
-    samples: Tuple[SampleSegment, ...] = field(default=())
+    samples: Tuple[SampleSegment, ...]
 
     @classmethod
     def generate(cls, profile: Union[str, BenchmarkProfile], seed: int,
                  instructions: int,
                  warmup_instructions: Optional[int] = None,
                  sampling: Optional[SamplingConfig] = None) -> "TraceBundle":
-        """Generate the warm-up and measured streams for one benchmark.
+        """Generate one benchmark's replay windows.
 
-        The generation order matches a direct :meth:`Simulator.run_profile`
-        run: the warm-up portion is materialized first, the working set is
-        snapshotted at the warm-up/measure boundary, and the measured portion
-        continues the same generator state — so replaying the bundle is
-        indistinguishable from regenerating the workload per configuration.
+        Unsampled, the bundle is one window: the first
+        ``warmup_instructions`` (default:
+        :func:`default_warmup_instructions`) are materialized as the warm-up
+        stream, the working set is snapshotted at the warm-up/measure
+        boundary, and the measured ``instructions`` continue the same
+        generator state — so replaying the bundle is indistinguishable from
+        regenerating the workload per configuration.
 
-        With ``sampling``, the ``instructions``-long dynamic stream is instead
-        segmented into the schedule's skip/warm-up/measure windows: the
-        bundle retains every segment of
+        With ``sampling``, the ``instructions``-long dynamic stream is
+        instead segmented into the schedule's skip/warm-up/measure windows:
+        the bundle retains every segment of
         :meth:`repro.workloads.streaming.SampleStream.segments`.  A schedule
-        that would measure everything (no fast-forward, no warm-up) or
-        nothing (the trace ends inside the first fast-forward window) is
-        normalized to the unsampled layout, so degenerate schedules
-        reproduce the unsampled results bit-for-bit.
+        that measures everything (no fast-forward, no warm-up) or nothing
+        (the trace ends inside the first fast-forward window) is a
+        :class:`ConfigurationError`; running such a cell unsampled is the
+        sweep engine's decision, not the bundle's.
         """
         if isinstance(profile, str):
             profile = profile_by_name(profile)
         if sampling is not None:
             if warmup_instructions is not None:
                 # The schedule's own warm-up windows define cache priming;
-                # accepting both would silently ignore one of them (and which
-                # one would depend on whether the schedule normalizes below).
+                # accepting both would silently ignore one of them.
                 raise ConfigurationError(
                     "warmup_instructions cannot be combined with a sampling "
                     "schedule: the schedule's warm-up windows apply")
-            if sampling.validate().samples_horizon(instructions):
-                from repro.workloads.streaming import SampleStream
+            from repro.workloads.streaming import SampleStream
 
-                samples = tuple(SampleStream(profile, seed, instructions,
-                                             sampling).segments())
-                return cls(benchmark=profile.name, seed=seed,
-                           instructions=instructions, warmup_instructions=0,
-                           warmup=TraceTokens(), measured=TraceTokens(),
-                           working_set=samples[-1].working_set,
-                           sampling=sampling, samples=samples)
-            if instructions > MAX_NORMALIZED_UNSAMPLED_INSTRUCTIONS:
-                raise ConfigurationError(
-                    f"sampling schedule measures "
-                    f"{'everything' if sampling.degenerate else 'nothing'} "
-                    f"over {instructions} instructions and would fall "
-                    f"back to materializing the whole horizon unsampled; "
-                    f"choose a schedule whose period fits the horizon "
-                    f"(e.g. SamplingConfig.paper_scaled())")
+            samples = tuple(SampleStream(profile, seed, instructions,
+                                         sampling).segments())
+            return cls(benchmark=profile.name, seed=seed,
+                       instructions=instructions, samples=samples)
         if instructions > MAX_NORMALIZED_UNSAMPLED_INSTRUCTIONS:
             raise ConfigurationError(
                 f"an unsampled bundle would materialize all {instructions} "
@@ -180,55 +162,53 @@ class TraceBundle:
         snapshot = workload.snapshot_working_set()
         measured = workload.trace(instructions)
         return cls(benchmark=profile.name, seed=seed, instructions=instructions,
-                   warmup_instructions=warmup_instructions, warmup=warmup,
-                   measured=measured, working_set=snapshot)
+                   samples=(SampleSegment(warmup=warmup, measured=measured,
+                                          working_set=snapshot),))
 
     @property
     def measured_instructions(self) -> int:
         """Dynamic instructions the timing model actually replays."""
-        if self.samples:
-            return sum(len(sample.measured) for sample in self.samples)
-        return len(self.measured)
+        return sum(len(sample.measured) for sample in self.samples)
 
     def __len__(self) -> int:
         return self.measured_instructions
 
     # -- compiled-stream cache ----------------------------------------------------
     def compiled_streams(self, config, machine=None, timecore=True):
-        """The bundle's compiled replay artifacts for one configuration.
+        """The compiled replay artifacts of a one-window bundle.
 
-        Compilation is cached *per configuration-equivalence class* (see
-        :func:`repro.sim.compiled.stream_class_key`): sweep cells whose
-        configurations inject the same µops — e.g. with and without the lock
-        location cache — share one packed stream, one warm-up access
-        sequence and one working-set array set.  The traces are already
-        token columns, shared by every class.  ``timecore`` is the run's
-        kernel knob (:class:`~repro.sim.simulator.Simulator`'s): the
+        Shorthand for ``compiled_sample_streams(0, ...)`` on a one-window
+        bundle (every unsampled one); a bundle of several §9.1 samples has
+        no whole-bundle streams, and compiling just its first sample would
+        silently time a fraction of it.
+        """
+        if len(self.samples) != 1:
+            raise ConfigurationError(
+                f"bundle has {len(self.samples)} replay windows, not one; "
+                f"use compiled_sample_streams(index, ...) per sample")
+        return self.compiled_sample_streams(0, config, machine, timecore)
+
+    def compiled_sample_streams(self, index: int, config, machine=None,
+                                timecore=True):
+        """Compiled replay artifacts for replay window ``index``.
+
+        Compilation is cached per window and *per configuration-equivalence
+        class* (see :func:`repro.sim.compiled.stream_class_key`): sweep cells
+        whose configurations inject the same µops — e.g. with and without
+        the lock location cache — share one packed stream, one warm-up
+        access sequence and one working-set array set.  The traces are
+        already token columns, shared by every class.  ``timecore`` is the
+        run's kernel knob (:class:`~repro.sim.simulator.Simulator`'s): the
         compiler runs the timing kernel's ``compile_run`` when it is on and
         the kernel loads, its Python loops otherwise, and that decision is
         part of the cache key.
 
         Returns a :class:`repro.sim.compiled.BundleStreams`.
         """
-        return self._compiled(None, config, machine, timecore)
-
-    def compiled_sample_streams(self, index: int, config, machine=None,
-                                timecore=True):
-        """Compiled replay artifacts for one :class:`SampleSegment`."""
-        return self._compiled(index, config, machine, timecore)
-
-    def _compiled(self, index, config, machine, timecore):
-        """Compile (warm-up, measured, working set) for one segment.
-
-        ``index`` selects a sample of a sampled bundle; ``None`` selects the
-        conventional whole-bundle streams.
-        """
-        if index is None and self.samples:
-            # A sampled bundle's top-level streams are empty; compiling them
-            # would "succeed" with a zero-µop result instead of failing.
-            raise ConfigurationError(
-                "sampled bundle has no whole-bundle streams; use "
-                "compiled_sample_streams(index, ...) per sample")
+        if not 0 <= index < len(self.samples):
+            raise IndexError(
+                f"sample index {index} out of range: bundle has "
+                f"{len(self.samples)} samples")
         from repro.native import _timecore
         from repro.pipeline.config import MachineConfig
         from repro.sim.compiled import (
@@ -248,7 +228,7 @@ class TraceBundle:
         if cached is not None:
             return cached
 
-        segment = self if index is None else self.samples[index]
+        segment = self.samples[index]
         compiler = StreamCompiler(config, machine, lib)
         built = BundleStreams(
             measured=compiler.compile_measured(segment.measured),
@@ -262,20 +242,16 @@ class TraceBundle:
     def footprint_ops(self) -> int:
         """The bundle's pinned memory, in dynamic-op equivalents.
 
-        What the engine's per-process bundle memo budgets against: the raw
-        token streams (top-level and per-sample), the working-set snapshots,
-        and — crucially — the lazily-built compiled-stream cache this
-        instance currently pins, which for a compiled replay dwarfs the
-        traces themselves.
+        What the engine's per-process bundle memo budgets against: every
+        window's token streams and working-set snapshot, and — crucially —
+        the lazily-built compiled-stream cache this instance currently pins,
+        which for a compiled replay dwarfs the traces themselves.
         """
-        def _snapshot_ops(snapshot: WorkingSetSnapshot) -> int:
-            return len(snapshot.ranges) + len(snapshot.locks)
-
-        ops = len(self.measured) + len(self.warmup) \
-            + _snapshot_ops(self.working_set)
+        ops = 0
         for sample in self.samples:
             ops += len(sample.measured) + len(sample.warmup) \
-                + _snapshot_ops(sample.working_set)
+                + len(sample.working_set.ranges) \
+                + len(sample.working_set.locks)
         streams = self.__dict__.get(_STREAM_CACHE_ATTR)
         if streams:
             for built in streams.values():

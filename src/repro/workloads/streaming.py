@@ -3,14 +3,17 @@
 :class:`SampleStream` walks the schedule's skip/warm-up/measure windows over
 one continuous workload and *yields* each
 :class:`~repro.workloads.bundle.SampleSegment` as it is generated.  It is the
-only sampled generator: the simulator
-(:meth:`repro.sim.simulator.Simulator.run_streaming`) and the sweep engine's
-sampled executor generate → compile → simulate → aggregate → release one
-sample at a time, so peak memory is one sample's raw traces plus its
-compiled artifacts, regardless of horizon — which is what makes
-billion-instruction (``*-1b``) horizons run in flat memory.  A retained
-sampled :class:`~repro.workloads.bundle.TraceBundle` is simply
-``tuple(stream.segments())``.
+only sampled generator: the sweep engine's sampled executor generates →
+compiles → simulates → aggregates → releases one sample at a time, so peak
+memory is one sample's raw traces plus its compiled artifacts, regardless of
+horizon — which is what makes billion-instruction (``*-1b``) horizons run in
+flat memory.  A retained sampled :class:`~repro.workloads.bundle.TraceBundle`
+is simply ``tuple(stream.segments())``.
+
+A schedule that measures everything or nothing over the horizon has no
+samples to walk and is rejected here; whether such a cell runs unsampled
+instead is the sweep engine's decision
+(:func:`repro.sim.engine.execute_job`).
 
 Replay-on-demand (:meth:`SampleStream.segment`) regenerates any single
 sample bit-identically from the state core alone: a fresh workload
@@ -53,8 +56,8 @@ class SampleStream:
             raise ConfigurationError(
                 f"sampling schedule measures "
                 f"{'everything' if self.sampling.degenerate else 'nothing'} "
-                f"over {instructions} instructions; streaming requires a "
-                f"schedule that genuinely samples the horizon "
+                f"over {instructions} instructions; sampled generation "
+                f"requires a schedule that genuinely samples the horizon "
                 f"(e.g. SamplingConfig.paper_scaled())")
 
     @property
@@ -138,16 +141,12 @@ class SampleStream:
                              working_set=snapshot)
 
     def segment_bundle(self, segment: SampleSegment) -> TraceBundle:
-        """Wrap one streamed segment as a single-sample :class:`TraceBundle`.
+        """Wrap one streamed segment as a one-window :class:`TraceBundle`.
 
         The transient bundle is what lets streaming reuse the per-sample
         replay machinery (compiled-stream caching across a job's
         configurations included) unchanged; it and every compiled artifact it
         accumulates are dropped when the caller releases the segment.
         """
-        return TraceBundle(
-            benchmark=self.profile.name, seed=self.seed,
-            instructions=self.instructions, warmup_instructions=0,
-            warmup=TraceTokens(), measured=TraceTokens(),
-            working_set=segment.working_set,
-            sampling=self.sampling, samples=(segment,))
+        return TraceBundle(benchmark=self.profile.name, seed=self.seed,
+                           instructions=self.instructions, samples=(segment,))

@@ -70,14 +70,19 @@ class TestGoldenEquivalence:
                                   for profile_name in benchmark_names()
                                   for label in CONFIGURATIONS}
 
-    def test_run_profile_matches_run_bundle(self):
-        config = WatchdogConfig.isa_assisted_uaf()
+    @pytest.mark.parametrize("timecore", [True, False])
+    def test_run_trace_is_the_one_window_replay(self, timecore):
+        # An external trace replays as a one-window bundle: handed the
+        # window of a generated bundle, run_trace is that bundle's replay.
         bundle = TraceBundle.generate("mcf", seed=3, instructions=900)
-        simulator = Simulator()
-        replayed = simulator.run_bundle(bundle, config)
-        regenerated = simulator.run_benchmark("mcf", config,
-                                              instructions=900, seed=3)
-        assert replayed.timing == regenerated.timing
+        (window,) = bundle.samples
+        simulator = Simulator(timecore=timecore)
+        for label, config in CONFIGURATIONS.items():
+            traced = simulator.run_trace(
+                window.measured, config, name="mcf",
+                warmup_trace=window.warmup, working_set=window.working_set)
+            assert cell_digest(traced, label) == \
+                cell_digest(simulator.run_bundle(bundle, config), label)
 
     def test_generator_trace_replays_in_full(self):
         # A one-shot generator with a different instruction mid-trace: the
@@ -198,7 +203,7 @@ class TestStreamCaching:
         bundle = TraceBundle.generate("gzip", seed=SEED, instructions=400)
         bundle.compiled_streams(WatchdogConfig.isa_assisted_uaf())
         clone = pickle.loads(pickle.dumps(bundle))
-        assert clone.measured == bundle.measured
+        assert clone == bundle
         assert "_cc_streams" not in clone.__dict__
         assert "_cc_tokens" not in clone.__dict__
 

@@ -66,21 +66,19 @@ def digest_ops(ops):
     return f"{crc:08x}"
 
 
-def digest_bundle(bundle):
+def digest_bundle(bundle, locks=True):
     # The digests were recorded when a snapshot held its lines and locks as
-    # tuples; hashing the same tuples keeps every pinned value.
+    # tuples; hashing the same tuples keeps every pinned value.  The
+    # unsampled pins were recorded without the snapshot's locks.
     crc = 0
     for sample in bundle.samples:
         crc = zlib.crc32(digest_ops(sample.warmup).encode(), crc)
         crc = zlib.crc32(digest_ops(sample.measured).encode(), crc)
         crc = zlib.crc32(repr(snapshot_lines(sample.working_set)).encode(),
                          crc)
-        crc = zlib.crc32(repr(tuple(sample.working_set.locks)).encode(), crc)
-    if not bundle.samples:
-        crc = zlib.crc32(digest_ops(bundle.warmup).encode(), crc)
-        crc = zlib.crc32(digest_ops(bundle.measured).encode(), crc)
-        crc = zlib.crc32(repr(snapshot_lines(bundle.working_set)).encode(),
-                         crc)
+        if locks:
+            crc = zlib.crc32(repr(tuple(sample.working_set.locks)).encode(),
+                             crc)
     return f"{crc:08x}"
 
 
@@ -157,7 +155,8 @@ class TestGoldenEquality:
         name, seed, instructions = key
         bundle = TraceBundle.generate(name, seed=seed,
                                       instructions=instructions)
-        assert digest_bundle(bundle) == self.PLAIN[key]
+        assert len(bundle.samples) == 1
+        assert digest_bundle(bundle, locks=False) == self.PLAIN[key]
 
     @pytest.mark.parametrize("key", sorted(TRACES))
     def test_raw_traces_match(self, key):
@@ -390,7 +389,8 @@ class TestPaperScale:
                        sampling=SamplingConfig.paper())
 
     def test_bundle_rejects_normalization_at_paper_scale(self):
-        with pytest.raises(ConfigurationError, match="paper-scale|unsampled"):
+        # A sampled bundle never falls back to materializing its horizon.
+        with pytest.raises(ConfigurationError, match="genuinely samples"):
             TraceBundle.generate(
                 "mcf-paper", seed=7,
                 instructions=MAX_NORMALIZED_UNSAMPLED_INSTRUCTIONS + 1,
@@ -414,15 +414,6 @@ class TestPaperScale:
         assert settings.instructions == PAPER_HORIZON_INSTRUCTIONS
         assert set(settings.benchmarks) == set(paper_profile_names())
         assert settings.sampling.sampled_fraction == pytest.approx(0.02)
-
-    def test_small_horizons_still_normalize_quietly(self):
-        # Below the materialization bound the old normalize-to-unsampled
-        # behaviour is unchanged.
-        plain = TraceBundle.generate("gzip", seed=7, instructions=3_000)
-        short = TraceBundle.generate("gzip", seed=7, instructions=3_000,
-                                     sampling=SamplingConfig.quick())
-        assert short == plain
-
 
 class TestEngineSampleFanOut:
     ISA = WatchdogConfig.isa_assisted_uaf()

@@ -88,10 +88,10 @@ def call_heavy_program():
 class TestKernelMatchesPython:
     @pytest.mark.parametrize("profile_name", benchmark_names())
     def test_profile_under_every_configuration(self, profile_name):
-        bundle = TraceBundle.generate(profile_name, seed=SEED,
-                                      instructions=INSTRUCTIONS)
+        (window,) = TraceBundle.generate(profile_name, seed=SEED,
+                                         instructions=INSTRUCTIONS).samples
         for config in CONFIGURATIONS.values():
-            assert_same(config, bundle.measured, bundle.warmup)
+            assert_same(config, window.measured, window.warmup)
 
     @pytest.mark.parametrize("profile_name", long_profile_names())
     def test_every_quick_sample_of_a_long_profile(self, profile_name):
@@ -137,17 +137,18 @@ class TestKernelMatchesPython:
 
 
 def test_a_full_table_restarts_as_a_new_table(monkeypatch):
-    bundle = TraceBundle.generate("gcc", seed=SEED, instructions=INSTRUCTIONS)
+    (window,) = TraceBundle.generate("gcc", seed=SEED,
+                                     instructions=INSTRUCTIONS).samples
     config = WatchdogConfig.isa_assisted_uaf()
-    want = StreamCompiler(config).compile_measured(bundle.measured)
+    want = StreamCompiler(config).compile_measured(window.measured)
     monkeypatch.setattr(compiled, "_TEMPLATE_CACHE", {})
     monkeypatch.setattr(compiled, "_TEMPLATE_CACHE_LIMIT", 4)
     compiler = StreamCompiler(config, lib=LIB)
     full = compiler._table
-    first = compiler.compile_measured(bundle.measured)
+    first = compiler.compile_measured(window.measured)
     # One window may overfill a table; the next starts a fresh one.
     assert len(full.templates) > 4
-    again = compiler.compile_measured(bundle.measured)
+    again = compiler.compile_measured(window.measured)
     assert compiler._table is not full
     assert compiled._TEMPLATE_CACHE[compiler._cache_key] is compiler._table
     assert _timecore._same_streams(first, want)

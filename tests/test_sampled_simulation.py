@@ -1,11 +1,11 @@
 """Tests for §9.1 sampled simulation on the compiled pipeline.
 
-Covers the sampled-bundle segmentation, the degenerate-schedule
-normalization that pins sampled results to the unsampled path, golden
-bit-equality under sampling with the retired reference model's pinned
-digests, the engine/cache round-trip (including the sampling
-cache-collision fix), the bundle-memo footprint accounting, and the
-long-horizon profiles that only sampling makes tractable.
+Covers the sampled-bundle segmentation, the refusal of schedules that
+sample nothing, golden bit-equality under sampling with the retired
+reference model's pinned digests, the engine/cache round-trip (including
+the sampling cache-collision fix), the bundle-memo footprint accounting and
+sharing, the per-sample replay's index checks, and the long-horizon
+profiles that only sampling makes tractable.
 """
 
 import dataclasses
@@ -55,9 +55,6 @@ class TestSampledBundle:
         assert all(len(s.warmup) == SMALL.warmup for s in bundle.samples)
         assert bundle.measured_instructions == \
             schedule.measured_count(instructions)
-        # The sampled layout replaces the conventional streams entirely.
-        assert bundle.measured == () and bundle.warmup == ()
-        assert bundle.warmup_instructions == 0
 
     def test_windows_are_slices_of_the_continuous_stream(self):
         # One generator spans every window: the warm-up/measured segments
@@ -92,48 +89,26 @@ class TestSampledBundle:
                                       sampling=SMALL)
         assert first == second
 
-    def test_degenerate_schedule_normalizes_to_unsampled(self):
-        plain = TraceBundle.generate("gzip", seed=7, instructions=3_000)
-        unsampled = TraceBundle.generate(
-            "gzip", seed=7, instructions=3_000,
-            sampling=SamplingConfig.unsampled(3_000))
-        assert unsampled == plain
-        assert unsampled.sampling is None and unsampled.samples == ()
+    @pytest.mark.parametrize("sampling", [
+        SamplingConfig.unsampled(3_000),
+        # The quick schedule's period exceeds a 3k trace: every window
+        # would be fast-forward, so it measures nothing.
+        SamplingConfig.quick()])
+    def test_schedules_that_sample_nothing_are_refused(self, sampling):
+        # Running such a cell unsampled is the engine's decision (see
+        # test_streaming.py), never a silent fallback inside the bundle.
+        with pytest.raises(ConfigurationError, match="genuinely samples"):
+            TraceBundle.generate("gzip", seed=7, instructions=3_000,
+                                 sampling=sampling)
 
-    def test_schedule_measuring_nothing_normalizes_to_unsampled(self):
-        # The quick schedule's period exceeds a 3k trace: the whole trace
-        # would be fast-forward, so everything is measured instead.
-        plain = TraceBundle.generate("gzip", seed=7, instructions=3_000)
-        short = TraceBundle.generate("gzip", seed=7, instructions=3_000,
-                                     sampling=SamplingConfig.quick())
-        assert short == plain
+    def test_unsampled_bundle_is_one_window(self):
+        bundle = TraceBundle.generate("gzip", seed=7, instructions=3_000)
+        (window,) = bundle.samples
+        assert len(window.measured) == bundle.measured_instructions == 3_000
+        assert len(window.warmup) == 1_000  # default_warmup_instructions
 
 
 class TestSampledExecution:
-    def test_degenerate_schedule_results_exactly_equal_unsampled(self):
-        simulator = Simulator()
-        for benchmark in ("gzip", "mcf"):
-            plain = simulator.run_benchmark(benchmark, ISA,
-                                            instructions=3_000, seed=7)
-            sampled = simulator.run_benchmark(
-                benchmark, ISA, instructions=3_000, seed=7,
-                sampling=SamplingConfig.unsampled(3_000))
-            assert sampled.timing == plain.timing
-            assert sampled.timing.ipc == plain.timing.ipc
-
-    def test_quick_schedule_on_short_profiles_matches_unsampled_exactly(self):
-        # Acceptance: sampled IPC on the default-scale profiles stays within
-        # 10% of unsampled.  Under the shipped quick schedule a short trace
-        # normalizes to the unsampled layout, so the match is exact.
-        simulator = Simulator()
-        for benchmark in ("gzip", "mcf", "lbm", "gcc"):
-            plain = simulator.run_benchmark(benchmark, ISA,
-                                            instructions=8_000, seed=7)
-            sampled = simulator.run_benchmark(benchmark, ISA,
-                                              instructions=8_000, seed=7,
-                                              sampling=SamplingConfig.quick())
-            assert sampled.timing.ipc == plain.timing.ipc
-
     def test_genuine_sampling_approximates_unsampled_ipc(self):
         # With real skip windows the measured windows are a subset of the
         # trace; the working-set warm-up keeps the per-sample steady state
@@ -142,12 +117,14 @@ class TestSampledExecution:
         sampling = SamplingConfig(fast_forward=6_000, warmup=3_000,
                                   sample=3_000)
         for benchmark in ("gzip", "mcf"):
-            for config in (WatchdogConfig.disabled(), ISA):
-                plain = simulator.run_benchmark(benchmark, config,
-                                                instructions=48_000, seed=7)
-                sampled = simulator.run_benchmark(benchmark, config,
-                                                  instructions=48_000, seed=7,
+            plain_bundle = TraceBundle.generate(benchmark, seed=7,
+                                                instructions=48_000)
+            sampled_bundle = TraceBundle.generate(benchmark, seed=7,
+                                                  instructions=48_000,
                                                   sampling=sampling)
+            for config in (WatchdogConfig.disabled(), ISA):
+                plain = simulator.run_bundle(plain_bundle, config)
+                sampled = simulator.run_bundle(sampled_bundle, config)
                 assert sampled.timing.ipc == \
                     pytest.approx(plain.timing.ipc, rel=0.15)
 
@@ -345,8 +322,9 @@ class TestCacheCollisions:
 class TestBundleMemoFootprint:
     def test_footprint_counts_compiled_caches(self):
         bundle = TraceBundle.generate("gzip", seed=7, instructions=2_000)
+        (window,) = bundle.samples
         before = bundle.footprint_ops()
-        assert before >= len(bundle.measured) + len(bundle.warmup)
+        assert before >= len(window.measured) + len(window.warmup)
         bundle.compiled_streams(ISA)
         assert bundle.footprint_ops() > before
 
@@ -391,17 +369,32 @@ class TestBundleMemoFootprint:
                            cells=(("wd", ISA),))
         execute_job(job)
         assert not _BUNDLES  # streamed: no sample outlives its replay
-        # Schedules that measure everything or nothing normalize to the
-        # unsampled bundle, which is memoized like any unsampled job.
+        # Jobs whose schedules measure everything or nothing run unsampled,
+        # on the very bundle a plain unsampled job of the workload memoizes.
         for sampling in (None, SamplingConfig.unsampled(3_000),
                          SamplingConfig.quick()):
             execute_job(dataclasses.replace(job, instructions=3_000,
                                             sampling=sampling))
-        assert len(_BUNDLES) == 3
+        assert list(_BUNDLES) == [("gzip", 7, 3_000, None)]
         _BUNDLES.clear()
 
 
 class TestSampleReplay:
+    def test_sample_index_out_of_range_is_refused(self):
+        bundle = TraceBundle.generate("mcf", seed=7, instructions=12_000,
+                                      sampling=SMALL)
+        count = len(bundle.samples)
+        simulator = Simulator()
+        simulator.sample_outcome(bundle, count - 1, ISA)
+        for index in (-1, count):
+            with pytest.raises(IndexError, match=f"{count} samples"):
+                simulator.sample_outcome(bundle, index, ISA)
+            with pytest.raises(IndexError, match=f"{count} samples"):
+                bundle.compiled_sample_streams(index, ISA)
+        # One window replayed, one compiled entry: a negative index never
+        # aliased the last sample under a cache key of its own.
+        assert len(bundle.__dict__["_cc_streams"]) == 1
+
     def test_sample_can_be_replayed_again(self):
         bundle = TraceBundle.generate("gzip", seed=7, instructions=12_000,
                                       sampling=SMALL)

@@ -5,6 +5,7 @@ import pytest
 from tests.helpers import build_uaf_program
 from repro.core.config import WatchdogConfig
 from repro.sim.simulator import Simulator
+from repro.workloads.bundle import TraceBundle
 from repro.workloads.profiles import profile_by_name
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -16,10 +17,15 @@ def simulator():
     return Simulator()
 
 
+def replay(simulator, benchmark, config, seed):
+    bundle = TraceBundle.generate(benchmark, seed=seed,
+                                  instructions=INSTRUCTIONS)
+    return simulator.run_bundle(bundle, config)
+
+
 class TestWorkloadRuns:
     def test_benchmark_run_produces_timing_and_stats(self, simulator):
-        outcome = simulator.run_benchmark("gzip", WatchdogConfig.isa_assisted_uaf(),
-                                          instructions=INSTRUCTIONS, seed=1)
+        outcome = replay(simulator, "gzip", WatchdogConfig.isa_assisted_uaf(), seed=1)
         assert outcome.timing is not None and outcome.timing.cycles > 0
         assert outcome.injection is not None and outcome.injection.injected_uops > 0
         assert outcome.pointer_stats.memory_ops > 0
@@ -27,32 +33,25 @@ class TestWorkloadRuns:
         assert outcome.configuration == "isa-assisted"
 
     def test_watchdog_slower_than_baseline(self, simulator):
-        base = simulator.run_benchmark("mcf", WatchdogConfig.disabled(),
-                                       instructions=INSTRUCTIONS, seed=1)
-        wd = simulator.run_benchmark("mcf", WatchdogConfig.conservative_uaf(),
-                                     instructions=INSTRUCTIONS, seed=1)
+        base = replay(simulator, "mcf", WatchdogConfig.disabled(), seed=1)
+        wd = replay(simulator, "mcf", WatchdogConfig.conservative_uaf(), seed=1)
         assert wd.timing.total_uops > base.timing.total_uops
         assert wd.cycles > base.cycles
 
     def test_conservative_injects_more_shadow_traffic_than_isa(self, simulator):
-        cons = simulator.run_benchmark("gcc", WatchdogConfig.conservative_uaf(),
-                                       instructions=INSTRUCTIONS, seed=2)
-        isa = simulator.run_benchmark("gcc", WatchdogConfig.isa_assisted_uaf(),
-                                      instructions=INSTRUCTIONS, seed=2)
+        cons = replay(simulator, "gcc", WatchdogConfig.conservative_uaf(), seed=2)
+        isa = replay(simulator, "gcc", WatchdogConfig.isa_assisted_uaf(), seed=2)
         assert cons.pointer_stats.pointer_fraction > isa.pointer_stats.pointer_fraction
         assert cons.injection.pointer_load_uops >= isa.injection.pointer_load_uops
 
     def test_bounds_config_widens_memory_footprint(self, simulator):
-        uaf = simulator.run_benchmark("perl", WatchdogConfig.isa_assisted_uaf(),
-                                      instructions=INSTRUCTIONS, seed=3)
-        bounds = simulator.run_benchmark("perl", WatchdogConfig.full_safety_two_uops(),
-                                         instructions=INSTRUCTIONS, seed=3)
+        uaf = replay(simulator, "perl", WatchdogConfig.isa_assisted_uaf(), seed=3)
+        bounds = replay(simulator, "perl", WatchdogConfig.full_safety_two_uops(), seed=3)
         assert bounds.pages.shadow_word_count > uaf.pages.shadow_word_count
         assert bounds.injection.bounds_check_uops > 0
 
     def test_baseline_has_no_injection(self, simulator):
-        base = simulator.run_benchmark("lbm", WatchdogConfig.disabled(),
-                                       instructions=INSTRUCTIONS, seed=1)
+        base = replay(simulator, "lbm", WatchdogConfig.disabled(), seed=1)
         assert base.injection.injected_uops == 0
         assert base.configuration == "baseline"
 

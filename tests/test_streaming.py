@@ -4,9 +4,10 @@ Covers the :class:`~repro.workloads.streaming.SampleStream` walk against the
 retained bundle (segment-for-segment bit-equality), the replay-on-demand
 property (a random single sample regenerated from the state core alone
 equals the retained bundle's, native fast-forward kernel on and off),
-streamed runs through :meth:`Simulator.run_profile` and the sweep engine
-(serial and pooled, timecore on and off) against the retained replay
-:meth:`Simulator.run_bundle`, the incremental :class:`OutcomeAccumulator`,
+streamed runs through the sweep engine (serial and pooled, native kernels
+on and off) against the retained replay :meth:`Simulator.run_bundle`, the
+engine's decision to run schedules that sample nothing unsampled, the
+incremental :class:`OutcomeAccumulator`,
 the state core's retired-slot compaction (bit-invisible on every span path),
 the audited bundle footprint accounting, and the billion-instruction
 profile/bench plumbing.
@@ -101,9 +102,8 @@ class TestSampleStream:
         segment = next(iter(stream.segments()))
         bundle = stream.segment_bundle(segment)
         assert bundle.samples == (segment,)
-        assert bundle.benchmark == "mcf-long"
-        assert bundle.measured == () and bundle.warmup == ()
-        assert bundle.sampling == SMALL
+        assert (bundle.benchmark, bundle.seed, bundle.instructions) == \
+            ("mcf-long", 7, 20_000)
 
 
 class TestReplayOnDemand:
@@ -148,12 +148,6 @@ class TestReplayOnDemand:
         _assert_segments_equal(stream.segment(last), bundle.samples[last])
 
 
-def _outcome_key(outcome):
-    return (outcome.benchmark, outcome.configuration, outcome.timing,
-            outcome.injection, outcome.pointer_stats,
-            outcome.pages.data_words, outcome.pages.shadow_words)
-
-
 def _retained(benchmark, seed, instructions, sampling, config, **simulator):
     """The retained replay: every sample generated up front, then replayed."""
     bundle = TraceBundle.generate(benchmark, seed=seed,
@@ -161,57 +155,19 @@ def _retained(benchmark, seed, instructions, sampling, config, **simulator):
     return Simulator(**simulator).run_bundle(bundle, config)
 
 
-class TestStreamingGoldenEquality:
-    @pytest.mark.parametrize("timecore", [True, False])
-    def test_run_profile_streaming_equals_retained(self, timecore):
-        profile = profile_by_name("mcf-long")
-        for config in (WatchdogConfig.disabled(), ISA):
-            retained = _retained("mcf-long", 7, 20_000, SMALL, config,
-                                 timecore=timecore)
-            streamed = Simulator(timecore=timecore).run_profile(
-                profile, config, instructions=20_000, seed=7, sampling=SMALL)
-            assert _outcome_key(streamed) == _outcome_key(retained)
-
-    def test_run_streaming_equals_run_bundle(self):
-        bundle = TraceBundle.generate("gcc-long", seed=3,
-                                      instructions=20_000, sampling=SMALL)
-        simulator = Simulator()
-        retained = simulator.run_bundle(bundle, ISA)
-        streamed = simulator.run_streaming("gcc-long", ISA,
-                                           instructions=20_000,
-                                           sampling=SMALL, seed=3)
-        assert _outcome_key(streamed) == _outcome_key(retained)
-
-    def test_degenerate_schedules_never_stream(self, monkeypatch):
-        calls = []
-        run_streaming = Simulator.run_streaming
-
-        def spy(self, *args, **kwargs):
-            calls.append(kwargs["instructions"])
-            return run_streaming(self, *args, **kwargs)
-
-        monkeypatch.setattr(Simulator, "run_streaming", spy)
-        profile = profile_by_name("mcf-long")
-        for instructions, sampling in (
-                (20_000, SamplingConfig.unsampled(20_000)),
-                (1_000, SMALL),  # measures nothing
-                (20_000, SMALL)):
-            Simulator().run_profile(profile, ISA, instructions=instructions,
-                                    seed=7, sampling=sampling)
-        assert calls == [20_000]
-
-
 class TestEngineStreaming:
-    def _job(self, benchmark="mcf-long", instructions=20_000):
+    def _job(self, benchmark="mcf-long", instructions=20_000, native=True):
         from repro.sim.engine import BenchmarkJob
 
         return BenchmarkJob(
             benchmark=benchmark, seed=7, instructions=instructions,
             warmup_instructions=None, sampling=SMALL,
-            cells=(("baseline", WatchdogConfig.disabled()), ("isa", ISA)))
+            cells=(("baseline", WatchdogConfig.disabled()), ("isa", ISA)),
+            native=native)
 
     @pytest.mark.parametrize("name, instructions",
-                             [("mcf-long", 20_000), ("gzip", 12_000)])
+                             [("mcf-long", 20_000), ("gcc-long", 20_000),
+                              ("gzip", 12_000)])
     def test_serial_streaming_matches_retained(self, name, instructions):
         from repro.sim.engine import execute_job
 
@@ -221,6 +177,48 @@ class TestEngineStreaming:
                 _retained(name, 7, instructions, SMALL, config), label=label)
             for label, config in job.cells]
         assert execute_job(job) == retained
+
+    def test_python_loops_stream_what_they_retain(self):
+        from repro.sim.engine import execute_job
+
+        # A non-native job (the degraded retry) runs the Python loops.
+        job = self._job(native=False)
+        retained = [
+            CellResult.from_outcome(
+                _retained("mcf-long", 7, 20_000, SMALL, config,
+                          timecore=False), label=label)
+            for label, config in job.cells]
+        assert execute_job(job) == retained
+
+    @pytest.mark.parametrize("name, instructions, sampling", [
+        ("mcf-long", 20_000, SamplingConfig.unsampled(20_000)),
+        ("mcf-long", 1_000, SMALL),  # measures nothing
+        ("gzip", 3_000, SamplingConfig.quick()),
+        # The quick schedule on the default-scale profiles.
+        ("gcc", 8_000, SamplingConfig.quick()),
+        ("lbm", 8_000, SamplingConfig.quick())])
+    def test_schedules_that_sample_nothing_run_unsampled(
+            self, monkeypatch, name, instructions, sampling):
+        import dataclasses
+
+        from repro.sim.engine import execute_job
+
+        walks = []
+        segments = SampleStream.segments
+
+        def spy(stream):
+            walks.append(stream.benchmark)
+            return segments(stream)
+
+        monkeypatch.setattr(SampleStream, "segments", spy)
+        job = dataclasses.replace(self._job(name, instructions),
+                                  sampling=sampling)
+        unsampled = dataclasses.replace(job, sampling=None)
+        assert execute_job(job) == execute_job(unsampled)
+        assert walks == []
+        # The spy sees a job whose schedule does sample its horizon.
+        execute_job(self._job())
+        assert walks == ["mcf-long"]
 
     def test_pooled_streaming_matches_serial(self):
         from concurrent.futures import ProcessPoolExecutor
@@ -276,6 +274,15 @@ class TestOutcomeAccumulator:
     def test_empty_accumulator_refuses_finalize(self):
         with pytest.raises(ValueError):
             OutcomeAccumulator().finalize()
+        with pytest.raises(ValueError):
+            aggregate_outcomes([])
+
+    def test_single_outcome_passes_through_unchanged(self):
+        bundle = TraceBundle.generate("mcf", seed=7, instructions=2_000)
+        simulator = Simulator()
+        outcome = simulator.sample_outcome(bundle, 0, ISA)
+        assert aggregate_outcomes([outcome]) is outcome
+        assert aggregate_outcomes(iter([outcome])) is outcome
 
 
 class TestSlotCompaction:

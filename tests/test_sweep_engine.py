@@ -52,8 +52,10 @@ class TestSpecs:
 
 class TestTraceSharing:
     def test_bundle_generation_is_deterministic(self):
-        first = TraceBundle.generate("gzip", seed=7, instructions=600)
-        second = TraceBundle.generate("gzip", seed=7, instructions=600)
+        (first,) = TraceBundle.generate("gzip", seed=7,
+                                        instructions=600).samples
+        (second,) = TraceBundle.generate("gzip", seed=7,
+                                         instructions=600).samples
         assert first.measured == second.measured
         assert first.warmup == second.warmup
         assert first.working_set == second.working_set
@@ -65,8 +67,8 @@ class TestTraceSharing:
         bundle = TraceBundle.generate("mcf", seed=3, instructions=800)
         for config in (WatchdogConfig.disabled(), WatchdogConfig.isa_assisted_uaf()):
             replayed = simulator.run_bundle(bundle, config)
-            regenerated = simulator.run_benchmark("mcf", config,
-                                                  instructions=800, seed=3)
+            regenerated = simulator.run_bundle(
+                TraceBundle.generate("mcf", seed=3, instructions=800), config)
             assert replayed.cycles == regenerated.cycles
             assert replayed.timing.total_uops == regenerated.timing.total_uops
 
@@ -211,8 +213,9 @@ class TestCellResultParity:
         """
         from repro.sim.simulator import Simulator
 
-        outcome = Simulator().run_benchmark(
-            "gzip", WatchdogConfig.isa_assisted_uaf(), instructions=1200, seed=7)
+        outcome = Simulator().run_bundle(
+            TraceBundle.generate("gzip", seed=7, instructions=1200),
+            WatchdogConfig.isa_assisted_uaf())
         cell = CellResult.from_outcome(outcome, label=ISA)
         assert cell.uop_breakdown() == outcome.injection.breakdown()
         assert cell.uop_overhead_fraction() == outcome.injection.overhead_fraction()

@@ -141,7 +141,7 @@ class TestSimulatorKnob:
         again = Simulator(timecore=False).run_bundle(bundle, config)
         assert not expansions and not compiles
         assert again.timing == native.timing
-        trace = list(bundle.measured)
+        trace = list(bundle.samples[0].measured)
         Simulator(timecore=False).run_trace(trace, config)
         assert not compiles
         Simulator().run_trace(trace, config)
