@@ -74,9 +74,10 @@ class _Clock:
         self.wall = wall
 
     def record(self, **fields: object) -> Dict[str, object]:
-        fields["wall_seconds"] = round(self.wall, 4)
-        fields["phases_seconds"] = {name: round(seconds, 4)
-                                    for name, seconds in self.phases.items()}
+        """``fields`` plus the intervals, unrounded: the cell's rates divide
+        by these very seconds (:func:`format_summary` rounds for display)."""
+        fields["wall_seconds"] = self.wall
+        fields["phases_seconds"] = dict(self.phases)
         return fields
 
 

@@ -68,8 +68,6 @@ from repro.isa.registers import RegClass, reg_slot
 from repro.memory.address_space import SHADOW_BIT, AddressSpaceLayout
 from repro.memory.hierarchy import (
     PORT_CODES,
-    PORT_DATA,
-    PORT_LOCK,
     PORT_SHADOW,
     SPEC_USE_LATENCY,
     SPEC_WRITE,
@@ -100,9 +98,7 @@ from repro.sim.trace import (
 
 _M47 = 1 << 47
 
-#: Uniform warm-up access specs (read accesses on each port).
-SPEC_DATA_READ = PORT_DATA
-SPEC_LOCK_READ = PORT_LOCK
+#: The warm-up access spec of a shadow line (a read on the shadow port).
 SPEC_SHADOW_READ = PORT_SHADOW
 
 
@@ -330,12 +326,20 @@ class _TemplateTable:
     builds only its tid → row map.
     """
 
-    __slots__ = ("index", "templates", "meta", "words", "mis_words", "lats",
-                 "aops")
+    __slots__ = ("index", "id_rows", "pins", "templates", "meta", "words",
+                 "mis_words", "lats", "aops")
 
     def __init__(self):
         #: :func:`_identity_key` -> row.
         self.index: Dict[tuple, int] = {}
+        #: Rows memoized per interned-instruction object, keyed by id():
+        #: the generator interns one Instruction per static shape, so every
+        #: window, sample and bundle compiled against this table resolves
+        #: the same few hundred objects, and only an object's first window
+        #: pays for its identity key.  ``pins`` keeps every memoized
+        #: instruction alive so an id is never recycled.
+        self.id_rows: Dict[int, int] = {}
+        self.pins: List[Instruction] = []
         self.templates: List[_Template] = []
         self.meta = array("q")
         self.words = array("q")
@@ -362,13 +366,13 @@ class _TemplateTable:
 # -- the compiler ----------------------------------------------------------------------
 
 #: Cross-bundle template tables: one per (configuration class, machine).
-#: Different bundles intern different Instruction objects for the same
-#: static shapes, so the per-compiler id() memo alone re-expands every
-#: identity once per bundle; the tables share the built templates across
+#: The tables share the built templates and their id() memo across samples,
 #: bundles and sweeps.  A compiler resolves its table once, so no lookup
-#: hashes the machine.  The row limit is a backstop for unbounded sweeps: a
-#: compiler starting a window on a full table installs a fresh one, and
-#: compilers still holding the old table keep valid rows.
+#: hashes the machine.  The limit is a backstop for unbounded sweeps and for
+#: traces that build their own Instruction objects (program traces): a
+#: compiler starting a window on a table whose rows or pinned instructions
+#: reach it installs a fresh one, and compilers still holding the old table
+#: keep valid rows.
 _TEMPLATE_CACHE: Dict[tuple, _TemplateTable] = {}
 _TEMPLATE_CACHE_LIMIT = 1 << 16
 
@@ -416,14 +420,6 @@ class StreamCompiler:
         if table is None:
             table = _TEMPLATE_CACHE[self._cache_key] = _TemplateTable()
         self._table = table
-        #: Table rows memoized per interned-instruction identity: the warm
-        #: and measured token streams of one bundle share most identities
-        #: (the generator reuses Instruction objects across the boundary),
-        #: so compiling the warm stream after the measured one looks up
-        #: almost nothing.  Keyed by id(); ``_template_pins`` keeps every
-        #: memoized instruction alive so an id is never recycled.
-        self._rows: Dict[int, int] = {}
-        self._template_pins: List[Instruction] = []
 
     # -- template lowering ---------------------------------------------------------
     def _full_expand(self, inst: Instruction) -> List[MicroOp]:
@@ -448,12 +444,11 @@ class StreamCompiler:
         """Each window identity's row in the compiler's table (tid → row),
         building the templates it lacks."""
         table = self._table
-        if len(table.templates) >= _TEMPLATE_CACHE_LIMIT:
+        if len(table.templates) >= _TEMPLATE_CACHE_LIMIT \
+                or len(table.pins) >= _TEMPLATE_CACHE_LIMIT:
             table = self._table = _TEMPLATE_CACHE[self._cache_key] = \
                 _TemplateTable()
-            self._rows.clear()
-            self._template_pins.clear()
-        memo = self._rows
+        memo = table.id_rows
         rows = []
         for inst in insts:
             row = memo.get(id(inst))
@@ -463,7 +458,7 @@ class StreamCompiler:
                 if row is None:
                     row = table.add(key, self._build_template(inst))
                 memo[id(inst)] = row
-                self._template_pins.append(inst)
+                table.pins.append(inst)
             rows.append(row)
         return rows
 

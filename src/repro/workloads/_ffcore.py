@@ -418,8 +418,9 @@ def _rng_matches(lib) -> bool:
 
 def _emission_matches(lib) -> bool:
     """A short run on a small alloc-heavy profile, kernel against the
-    Python generator: windows that split allocation events, skip windows,
-    and every column of every row (shapes, addresses, locks, flags)."""
+    Python generator: windows that split allocation events, a skip window
+    (the kernel's skip against the emission layer's dropped events), and
+    every column of every row (shapes, addresses, locks, flags)."""
     from repro.workloads.profiles import BenchmarkProfile
     from repro.workloads.synthetic import SyntheticWorkload
 

@@ -139,8 +139,8 @@ LONG_PROFILES: Tuple[BenchmarkProfile, ...] = (
 #: Dynamic-instruction horizon of the paper's actual measurement regime
 #: (§9.1 simulates billions of instructions per benchmark; 100M per cell is
 #: the reproduction's paper-scale operating point).  Only reachable through
-#: sampled simulation with the state-evolution core's bulk fast-forward —
-#: materializing a horizon this long is out of the question.
+#: sampled simulation, which fast-forwards most of it — materializing a
+#: horizon this long is out of the question.
 PAPER_HORIZON_INSTRUCTIONS = 100_000_000
 
 #: Paper-scale variants of the long-horizon benchmarks.  Same dynamic

@@ -10,12 +10,14 @@ instructions is the trace-emission layer's job
 
 The split exists for one reason: §9.1 sampled simulation at paper scale
 spends >95% of the horizon inside fast-forward windows, where the functional
-state must advance but no trace may be kept.  :meth:`advance_bulk` walks
-whole events — identical RNG draws, identical allocator/cursor/hot-set
-effects — without constructing a single instruction object, via the compiled
-kernel (:mod:`repro.workloads._ffcore`) when available or an equivalent
-pure-Python loop otherwise.  Both are verified bit-identical to draining the
-emission layer by the golden fast-forward tests.
+state must advance but no trace may be kept.  The compiled kernel
+(:mod:`repro.workloads._ffcore`), driven over this class's slot arrays by
+:meth:`WorkloadCore._run_kernel`, walks whole events there — identical RNG
+draws, identical allocator/cursor/hot-set effects — without constructing a
+single instruction object.  The emission layer's event draws are the one
+Python definition of the stream: without the kernel, skip windows draw its
+events and drop them, and the golden fast-forward and emission tests check
+the kernel against it.
 
 Object storage is *slot based*: every allocation gets a monotonically
 increasing slot id addressing append-only parallel arrays (base address,
@@ -43,18 +45,14 @@ from repro.workloads.profiles import BenchmarkProfile
 
 #: Upper bound on the dynamic ops a single event can produce (an allocation
 #: event that both frees and allocates: two 7-op runtime-call sequences).
-#: ``advance_bulk`` only advances whole events while at least this many ops
-#: remain, so it never overruns a window boundary.
+#: Skip windows only advance whole events while at least this many ops
+#: remain, so they never overrun a window boundary.
 MAX_EVENT_OPS = 14
-
-# The bulk-advance loops draw ``randbelow(6)`` for register picks, value-
-# rotation and ALU-opcode choices: 6 is structural — the sizes of the
-# emission layer's ADDRESS_REGS/VALUE_REGS/FP_REGS tuples and _ALU_OPCODES —
-# not a tunable, so it stays literal in both span implementations.
 
 
 class WorkloadCore:
-    """Functional state of one synthetic workload, evolvable in bulk."""
+    """Functional state of one synthetic workload, and the native kernel's
+    loop over it."""
 
     #: Fraction of memory accesses directed at the global segment (always
     #: valid global identifier, §7) rather than heap objects.
@@ -131,13 +129,13 @@ class WorkloadCore:
 
         Called from ``__init__`` and again from ``__setstate__`` (the kernel
         handle and buffers are not picklable).  The kernel's in-place hot
-        buffer holds 16 slots, so hot sets beyond 15 entries (no in-tree
-        workload comes close) fall back to the pure-Python loops.  The
-        buffers are built either way, so assigning a kernel to ``_ffcore``
-        later (the loader's self-test does) switches the workload over.
+        buffer holds 16 slots: room for ``HOT_SET_OBJECTS`` entries plus the
+        one appended before an eviction.  The buffers are built even without
+        a kernel, so assigning one to ``_ffcore`` later (the loader's
+        self-test does) switches the workload over.
         """
         profile = self.profile
-        self._ffcore = _ffcore.load() if self.HOT_SET_OBJECTS <= 15 else None
+        self._ffcore = _ffcore.load()
         self._c_scalars = array("q", [0] * _ffcore.SCAL_SLOTS)
         self._c_hot = array("q", [0] * 16)
         self._c_consts_d = array("d", [
@@ -215,12 +213,10 @@ class WorkloadCore:
         never feed a draw or an address, so compaction is invisible to the
         emitted trace — pinned by the golden compaction tests.
 
-        Every structure is mutated **in place**: ``_advance_span_py`` binds
-        the size/cursor/rich/order/hot structures as locals for its whole
-        span, so replacing the objects (rather than their contents) would
-        desynchronize a compaction triggered mid-span.  (The native span
-        loop re-fetches buffer addresses around every allocator bounce, so
-        in-place slice assignment is safe there too.)
+        Every structure is mutated **in place**, so a reference to one of
+        them held across an allocation stays current.  (Buffer *addresses*
+        may still move; :meth:`_run_kernel` re-fetches them around every
+        allocator bounce.)
         """
         keep = sorted(set(self._order) | set(self._hot) | self._stale_kept)
         remap = {old: new for new, old in enumerate(keep)}
@@ -337,23 +333,7 @@ class WorkloadCore:
             return self._global_target(access_bytes, pointer_access)
         return self._heap_target(access_bytes, pointer_access)
 
-    # -- bulk state evolution ----------------------------------------------------------
-    def advance_bulk(self, remaining: int) -> int:
-        """Advance whole events without emitting, while ``>= MAX_EVENT_OPS``
-        ops remain; returns the unconsumed remainder (< MAX_EVENT_OPS).
-
-        The RNG stream, allocator state, working set and every cursor end up
-        exactly where draining the emission layer would have left them; only
-        the ops themselves are never materialized.  The caller (the emission
-        layer's ``fast_forward``) finishes the tail with materialized events
-        so a window boundary can split an event.
-        """
-        if remaining < MAX_EVENT_OPS:
-            return remaining
-        if self._ffcore is not None:
-            return self._run_kernel(remaining)
-        return self._advance_span_py(remaining)
-
+    # -- the native kernel ------------------------------------------------------------
     def _apply_alloc_event(self, freed_index: int,
                            size: int) -> Tuple[int, int]:
         """Apply an allocation event's effects (draws already consumed);
@@ -367,12 +347,14 @@ class WorkloadCore:
     def _run_kernel(self, remaining: int, rows=None, written: int = 0):
         """Drive the native loop, bouncing out for allocator events.
 
-        Without ``rows`` it skips whole events (see :meth:`advance_bulk`)
-        and returns the remainder.  With ``rows`` — four ``array("q")``
-        columns (shape, address, lock, mispredict) holding ``written`` rows
-        and room for ``remaining + MAX_EVENT_OPS - 1`` more — it writes at
-        least ``remaining`` ops as rows, the last event whole, and returns
-        the new row count.  A GETIDENT/SETIDENT row's lock location is only
+        Without ``rows`` it skips whole events while at least
+        ``MAX_EVENT_OPS`` ops remain, leaving the RNG stream, allocator
+        state, working set and every cursor exactly where draining the
+        emission layer would, and returns the remainder.  With ``rows`` —
+        four ``array("q")`` columns (shape, address, lock, mispredict)
+        holding ``written`` rows and room for ``remaining + MAX_EVENT_OPS -
+        1`` more — it writes at least ``remaining`` ops as rows, the last
+        event whole, and returns the new row count.  A GETIDENT/SETIDENT row's lock location is only
         known once Python has applied the event's free or malloc, so it is
         patched here: the SETIDENT is the event's last row, and a GETIDENT
         (the event frees first) its seventh.
@@ -432,148 +414,6 @@ class WorkloadCore:
         if self._stale_kept:
             self._sweep_stale_records()
         return remaining if rows is None else scal[_ffcore.SCAL_WRITTEN]
-
-    def _advance_span_py(self, remaining: int) -> int:
-        """Pure-Python whole-event advance (the no-compiler fallback).
-
-        Draw-for-draw and effect-for-effect identical to draining the
-        emission layer; every helper call is inlined onto locals because
-        this loop runs once per skipped instruction.
-        """
-        rng_random = self.rng.random
-        randbelow = self._randbelow
-        profile = self.profile
-        alloc_p = self._alloc_probability
-        ac_hi = self._ac_probability
-        mem_hi = self._mem_hi
-        br_hi = self._br_hi
-        ptr_f = profile.pointer_fraction
-        word_f = profile.word_integer_fraction
-        wordfp_f = word_f + profile.fp_access_fraction
-        fpc = profile.fp_compute_fraction
-        temporal = profile.temporal_locality
-        spatial = profile.spatial_locality
-        global_frac = self.GLOBAL_ACCESS_FRACTION
-        cold_pool = self.COLD_POOL_OBJECTS
-        hot_max = self.HOT_SET_OBJECTS
-        span_g = self._global_span
-        span_p = self._global_ptr_span
-        ws = profile.working_set_objects
-        min_keep = self._min_keep
-        size_low = self._size_low
-        size_nslots = self._size_nslots
-        sizes = self._slot_sizes
-        cursors = self._slot_cursors
-        rich = self._slot_rich
-        order = self._order
-        hot = self._hot
-        vr = self._value_rotation
-        depth = self._call_depth
-        gc = self._global_cursor
-
-        while remaining >= MAX_EVENT_OPS:
-            roll = rng_random()
-            if roll >= br_hi:  # ALU op
-                if rng_random() < fpc:
-                    randbelow(6); randbelow(6); randbelow(6)
-                else:
-                    vr = (vr + 1) % 6
-                    rng_random()  # dependent-chain roll
-                    randbelow(6)  # opcode choice
-                remaining -= 1
-            elif roll >= mem_hi:  # branch
-                rng_random()  # mispredict roll
-                vr = (vr + 1) % 6
-                remaining -= 1
-            elif roll >= ac_hi:  # memory op
-                roll2 = rng_random()
-                rng_random()  # load/store split: no functional effect
-                ptr = roll2 < ptr_f
-                fp = (not ptr) and word_f <= roll2 < wordfp_f
-                nbytes = 8 if roll2 < wordfp_f else 4
-                if rng_random() < global_frac or not order:
-                    if rng_random() < spatial:
-                        gc += nbytes
-                    else:
-                        randbelow(span_p if ptr else span_g)
-                else:
-                    if hot and rng_random() < temporal:
-                        if ptr:
-                            cands = [s for s in hot if rich[s]] or hot
-                        else:
-                            cands = hot
-                        slot = cands[randbelow(len(cands))]
-                    else:
-                        n = len(order)
-                        pool = n if n < cold_pool else cold_pool
-                        start = n - pool
-                        if ptr:
-                            cands = [s for s in order[start:] if rich[s]]
-                            slot = cands[randbelow(len(cands))] if cands \
-                                else order[start + randbelow(pool)]
-                        else:
-                            slot = order[start + randbelow(pool)]
-                        hot.append(slot)
-                        if len(hot) > hot_max:
-                            del hot[0]  # record sweep deferred to _free_slot
-                    size = sizes[slot]
-                    limit = size - nbytes
-                    if limit < 1:
-                        limit = 1
-                    if rng_random() < spatial:
-                        bound = size if size > nbytes else nbytes
-                        cursors[slot] = (cursors[slot] + nbytes) % bound
-                    else:
-                        randbelow(limit)
-                randbelow(6)  # address register
-                remaining -= 2 if rng_random() < 0.25 else 1
-                if fp:
-                    randbelow(6)
-                else:
-                    vr = (vr + 1) % 6
-            elif roll >= alloc_p:  # call / return
-                if depth < 16:
-                    r = rng_random()
-                    if r < 0.6:
-                        depth += 1
-                        remaining -= 1
-                    elif depth > 0:
-                        depth -= 1
-                        remaining -= 1
-                else:
-                    depth -= 1
-                    remaining -= 1
-            else:  # allocation event
-                n = len(order)
-                if n >= ws and n > min_keep:
-                    self._free_slot(randbelow(n))
-                    vr = self._advance_runtime_call(vr)
-                    remaining -= 7
-                self._materialize_allocation(size_low + 16 * randbelow(size_nslots))
-                vr = self._advance_runtime_call(vr)
-                remaining -= 7
-
-        self._value_rotation = vr
-        self._call_depth = depth
-        self._global_cursor = gc
-        if self._stale_kept:
-            self._sweep_stale_records()
-        return remaining
-
-    def _advance_runtime_call(self, vr: int) -> int:
-        """Draws of one ``_runtime_call_ops`` sequence (6 ALU + reg pick)."""
-        rng_random = self.rng.random
-        randbelow = self._randbelow
-        fpc = self.profile.fp_compute_fraction
-        for _ in range(6):
-            if rng_random() < fpc:
-                randbelow(6); randbelow(6); randbelow(6)
-            else:
-                vr = (vr + 1) % 6
-                rng_random()
-                randbelow(6)
-        randbelow(6)  # setident/getident pointer register
-        return vr
 
     # -- working-set snapshot (used by the simulator's warm-up) ------------------------
     def snapshot_working_set(self):

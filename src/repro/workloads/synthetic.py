@@ -10,24 +10,27 @@ program would — only the instruction selection is synthetic.
 
 The generator is split into two layers:
 
-* :class:`~repro.workloads.state_core.WorkloadCore` (the base class) evolves
+* :class:`~repro.workloads.state_core.WorkloadCore` (the base class) holds
   the workload's *functional state* — RNG stream, allocator-backed object
-  set, locality cursors, hot set — and can do so in bulk without producing
-  any instructions (``advance_bulk``), which is what makes §9.1 fast-forward
+  set, locality cursors, hot set — and drives the optional native kernel
+  (:mod:`repro.workloads._ffcore`), which advances that state through skip
+  windows without producing any instructions: what makes §9.1 fast-forward
   windows at paper scale (100M+ instructions) tractable;
-* :class:`SyntheticWorkload` (this module) emits the dynamic stream on top
-  of that state, but only where a trace is actually consumed:
-  :meth:`trace` for conventional runs, :meth:`emit` for the warm-up/measure
-  windows of a sampled run, with :meth:`fast_forward` covering the skip
-  windows.
+* :class:`SyntheticWorkload` (this module) defines the dynamic stream on
+  top of that state, one event at a time (:meth:`_event_ops`), and emits it
+  only where a trace is actually consumed: :meth:`trace` for conventional
+  runs, :meth:`emit` for the warm-up/measure windows of a sampled run, with
+  :meth:`fast_forward` covering the skip windows.
 
 Windows come out as :class:`~repro.sim.trace.TraceTokens`, the stream
 compiler's input for the Figure 5/7/8/9/10/11 experiments.  With the native
 kernel loaded the kernel writes the token rows itself, each op's static
-instruction named by its index in :data:`SHAPES`; otherwise the Python
-emitter below builds :class:`~repro.sim.trace.DynamicOp` s and tokenizes
-them.  The Python emitter is the kernel's oracle, and :meth:`generate`
-exposes it as an iterator of ops.
+instruction named by its index in :data:`SHAPES`, and skips fast-forward
+windows in C.  Otherwise the Python emitter below builds
+:class:`~repro.sim.trace.DynamicOp` s and tokenizes them, and skip windows
+draw its events and drop them.  The Python emitter is the one Python
+definition of the stream — the kernel's oracle as well as its fallback —
+and :meth:`generate` exposes it as an iterator of ops.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ ADDRESS_REGS = tuple(int_reg(i) for i in range(1, 7))
 VALUE_REGS = tuple(int_reg(i) for i in range(7, 13))
 #: Registers used for floating point data.
 FP_REGS = tuple(fp_reg(i) for i in range(0, 6))
+
+# Register picks, value rotation and ALU-opcode choices draw
+# ``_randbelow(6)``: 6 is structural — the size of each register tuple above
+# and of _ALU_OPCODES — not a tunable, so both this module and the native
+# kernel keep it literal.
 
 #: Number of ALU instructions emitted to stand in for the allocator's own
 #: work on each malloc/free (the bulk of BASELINE_*_INSTRUCTIONS is loop code
@@ -316,9 +324,10 @@ class SyntheticWorkload(WorkloadCore):
         The RNG position, allocator state, working set and locality cursors
         end up bit-identical to ``emit(count)`` with the result thrown away —
         that equivalence is what keeps sampled traces unchanged — but the
-        skip window's instructions are never materialized.  Whole events are
-        advanced by the state core in bulk; only the last few ops (fewer
-        than ``MAX_EVENT_OPS``) are emitted, so an event straddling the
+        skip window is never tokenized.  While at least ``MAX_EVENT_OPS``
+        ops remain, whole events are skipped: in C by the native kernel,
+        without one by drawing the emission layer's events and dropping
+        them.  The last few ops are emitted, so an event straddling the
         window boundary leaves its tail pending.
 
         Because consecutive calls compose (``fast_forward(a + b)`` ≡
@@ -332,7 +341,11 @@ class SyntheticWorkload(WorkloadCore):
         pending = self._pending
         dropped = min(count, len(pending))
         del pending[:dropped]
-        count = self.advance_bulk(count - dropped) if count > dropped else 0
+        count -= dropped
+        if self._ffcore is not None and count >= MAX_EVENT_OPS:
+            count = self._run_kernel(count)
+        while count >= MAX_EVENT_OPS:
+            count -= len(self._event_ops())
         if count:
             self._window(count, keep_tail=True)
 

@@ -10,8 +10,8 @@ Covers the three equivalences the refactor must preserve:
   RNG, allocator, working set, cursors and hot set exactly where emitting
   and discarding ``n`` ops would, for arbitrary window sizes including ones
   that split allocation events;
-* **native kernel ≡ pure Python** — the optional C kernel and the fallback
-  span loop advance state identically.
+* **native kernel ≡ pure Python** — the optional C kernel's skip and the
+  emission layer's dropped events advance state identically.
 
 Plus the satellite behaviours: the shape-indexed instruction table, the
 ``*-paper`` profiles and horizon-fitted schedule, the paper-scale
@@ -267,14 +267,18 @@ class TestFastForwardEquivalence:
         with pytest.raises(ConfigurationError, match="continuous stream"):
             list(workload.generate(10))
 
+    @pytest.mark.skipif(_ffcore.load() is None,
+                        reason="native fast-forward kernel unavailable")
     def test_fast_forward_throughput_beats_drained_generation(self):
         """The split's raison d'être: skip windows far cheaper than emission.
 
         Drained generation is the Python emitter (the kernel emits as fast
-        as it skips, by design).  Conservative 2x bound so the test is
-        robust on any machine even on the pure-Python fallback; `repro
-        bench` tracks the real ratio (>= 10x against the recorded pre-split
-        baseline, ~45x with the native kernel on a development machine).
+        as it skips, by design).  Without the kernel a skip window draws
+        the Python emitter's own events, so only the native skip is held to
+        this bound.  Conservative 2x bound so the test is robust on any
+        machine; `repro bench` tracks the real ratio (>= 10x against the
+        recorded pre-split baseline, ~45x with the native kernel on a
+        development machine).
         """
         import time
 

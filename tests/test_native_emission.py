@@ -18,11 +18,13 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.compiled import tokenize
 from repro.sim.trace import NO_ADDRESS, DynamicOp, TraceTokens
 from repro.workloads import _ffcore
 from repro.workloads.profiles import (
+    SPEC_PROFILES,
     BenchmarkProfile,
     benchmark_names,
     long_profile_names,
@@ -43,6 +45,32 @@ ALLOC_HEAVY = BenchmarkProfile(
     allocs_per_kilo=60.0, typical_alloc_bytes=96,
     working_set_objects=64, temporal_locality=0.7,
     spatial_locality=0.6)
+
+
+def _span(field):
+    values = [getattr(profile, field)
+              for profile in SPEC_PROFILES + (ALLOC_HEAVY,)]
+    return min(values), max(values)
+
+
+#: Each profile field's (low, high) over the SPEC profiles and ALLOC_HEAVY,
+#: the alloc-heavy corner (60 allocations per 1000 ops) they lack.
+SPANS = {field.name: _span(field.name)
+         for field in dataclasses.fields(BenchmarkProfile)
+         if field.name != "name"}
+
+
+@st.composite
+def drawn_profiles(draw):
+    """Valid profiles inside :data:`SPANS`; a pointer fraction never above
+    the word-integer fraction it is part of."""
+    fields = {}
+    for name, (low, high) in SPANS.items():
+        if name == "pointer_fraction":
+            high = min(high, fields["word_integer_fraction"])
+        fields[name] = draw(st.integers(low, high) if isinstance(low, int)
+                            else st.floats(low, high))
+    return BenchmarkProfile(name="drawn", **fields)
 
 
 def pair(profile, seed):
@@ -109,6 +137,22 @@ class TestNativeMatchesPython:
                 native.fast_forward(skip)
                 python.fast_forward(skip)
                 check(native, python, "emit", meta.randrange(1, 90))
+
+    @given(profile=drawn_profiles(), seed=st.integers(0, 1 << 16),
+           windows=st.lists(
+               st.tuples(st.one_of(st.just(1), st.integers(0, 40),
+                                   st.integers(41, 3_000)),
+                         st.integers(1, 90)),
+               min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_profiles_and_partitions(self, profile, seed, windows):
+        """Any profile in the SPEC field ranges, any skip/emit partition:
+        the kernel's skip and emission match the emission layer's."""
+        native, python = pair(profile, seed)
+        for skip, take in windows:
+            native.fast_forward(skip)
+            python.fast_forward(skip)
+            check(native, python, "emit", take)
 
     def test_after_slot_compaction(self):
         native, python = pair(profile_by_name("perl"), 3)

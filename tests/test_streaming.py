@@ -63,7 +63,7 @@ def _assert_segments_equal(left, right):
 
 @pytest.fixture
 def ffcore_disabled(monkeypatch):
-    """Force the pure-Python fast-forward span loop for one test."""
+    """Force the pure-Python generator for one test."""
     from repro.native import build
 
     monkeypatch.setenv("REPRO_FFCORE", "0")
