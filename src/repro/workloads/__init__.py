@@ -3,9 +3,11 @@
 * :mod:`repro.workloads.profiles` — per-benchmark characteristics for the
   twenty C SPEC benchmarks the paper evaluates (§9.1),
 * :mod:`repro.workloads.state_core` — the generator's state-evolution core:
-  allocator-backed object set, RNG stream and locality cursors, over which
-  it runs the optional native kernel in :mod:`repro.workloads._ffcore`
-  (the §9.1 fast-forward fast path),
+  object set, RNG stream and locality cursors, over which it runs the
+  optional native kernel in :mod:`repro.workloads._ffcore` (the §9.1
+  fast-forward fast path),
+* :mod:`repro.workloads.heap` — the workload heap: DL-malloc placement and
+  LIFO lock locations in flat arrays the kernel updates in place,
 * :mod:`repro.workloads.synthetic` — the trace-emission layer on top of the
   core: the synthetic dynamic-trace generator driven by those profiles (the
   SPEC substitute, see DESIGN.md §1),

@@ -1,33 +1,38 @@
 """State-evolution core of the synthetic workload generator.
 
 :class:`WorkloadCore` owns everything about a workload that *evolves*: the
-RNG stream, the allocator-backed live-object set (slot arrays shared with the
-optional native kernel), the hot/cold working-set structure, locality
-cursors, and the call-depth / register-rotation bookkeeping.  It knows
-nothing about :class:`~repro.sim.trace.DynamicOp` — materializing
-instructions is the trace-emission layer's job
+RNG stream, the live-object set (slot arrays shared with the optional
+native kernel) and the heap it lives on, the hot/cold working-set
+structure, locality cursors, and the call-depth / register-rotation
+bookkeeping.  It knows nothing about :class:`~repro.sim.trace.DynamicOp` —
+materializing instructions is the trace-emission layer's job
 (:class:`~repro.workloads.synthetic.SyntheticWorkload`).
 
 The split exists for one reason: §9.1 sampled simulation at paper scale
 spends >95% of the horizon inside fast-forward windows, where the functional
 state must advance but no trace may be kept.  The compiled kernel
-(:mod:`repro.workloads._ffcore`), driven over this class's slot arrays by
+(:mod:`repro.workloads._ffcore`), driven over this class's arrays by
 :meth:`WorkloadCore._run_kernel`, walks whole events there — identical RNG
-draws, identical allocator/cursor/hot-set effects — without constructing a
-single instruction object.  The emission layer's event draws are the one
-Python definition of the stream: without the kernel, skip windows draw its
-events and drop them, and the golden fast-forward and emission tests check
-the kernel against it.
+draws, identical heap/cursor/hot-set effects — without constructing a
+single instruction object or returning to Python for an allocation.  The
+emission layer's event draws are the one Python definition of the stream:
+without the kernel, skip windows draw its events and drop them, and the
+golden fast-forward and emission tests check the kernel against it.
+
+Objects live on a :class:`~repro.workloads.heap.WorkloadHeap`: dlmalloc's
+placement and LIFO lock locations, kept in flat arrays that the kernel and
+the Python methods below update alike.
 
 Object storage is *slot based*: every allocation gets a monotonically
 increasing slot id addressing append-only parallel arrays (base address,
-size, locality cursor, pointer-richness, lock location, allocation
-record).  ``_order`` lists the live slots in insertion order (the cold-pool
-window is its tail), ``_hot`` is the recently-touched slot list.  Slots are never reused, so a
-freed slot that lingers in the hot set (the generator's deliberate
-stale-reference behaviour) keeps addressing its frozen size/cursor data —
-exactly the semantics the original object-based generator had — while the C
-kernel sees plain int64/int8 arrays it can index directly.
+size, locality cursor, pointer-richness, lock location, chunk size).
+``_order`` lists the live slots in insertion order (the cold-pool window is
+its tail), ``_hot`` is the recently-touched slot list.  Slots are never
+reused, so a freed slot that lingers in the hot set (the generator's
+deliberate stale-reference behaviour) keeps addressing its frozen
+base/size/cursor data — exactly the semantics the original object-based
+generator had — while the C kernel sees plain int64/int8 arrays it can
+index directly.
 """
 
 from __future__ import annotations
@@ -35,12 +40,12 @@ from __future__ import annotations
 import random
 import zlib
 from array import array
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
-from repro.allocator.runtime import AllocationRecord, InstrumentedRuntime
-from repro.core.identifier import IdentifierTable
-from repro.memory.address_space import AddressSpace
+from repro.errors import ConfigurationError
+from repro.memory.address_space import AddressSpaceLayout
 from repro.workloads import _ffcore
+from repro.workloads.heap import WorkloadHeap
 from repro.workloads.profiles import BenchmarkProfile
 
 #: Upper bound on the dynamic ops a single event can produce (an allocation
@@ -48,6 +53,10 @@ from repro.workloads.profiles import BenchmarkProfile
 #: Skip windows only advance whole events while at least this many ops
 #: remain, so they never overrun a window boundary.
 MAX_EVENT_OPS = 14
+
+#: Most allocation events one kernel call's padding absorbs (about 5 MB of
+#: columns); a longer run returns to Python to pad again.
+_MAX_ROOM = 1 << 16
 
 
 class WorkloadCore:
@@ -68,7 +77,7 @@ class WorkloadCore:
     #: Retired (freed, unreferenced) slots tolerated in the append-only slot
     #: arrays before they are compacted.  Slots are never reused, so over a
     #: billion-instruction horizon the arrays would otherwise grow with every
-    #: allocation ever made (~26 bytes/slot) even though only the live working
+    #: allocation ever made (~41 bytes/slot) even though only the live working
     #: set is reachable; compaction keeps the generator side flat too.
     COMPACT_RETIRED_SLOTS = 1_000_000
 
@@ -82,9 +91,8 @@ class WorkloadCore:
         # The exact primitive randrange()/choice() consume; binding it keeps
         # every draw on the identical bit stream at a fraction of the cost.
         self._randbelow = self.rng._randbelow
-        self.memory = AddressSpace()
-        self.identifiers = IdentifierTable(self.memory)
-        self.runtime = InstrumentedRuntime(self.memory, identifiers=self.identifiers)
+        layout = AddressSpaceLayout()
+        self.heap = WorkloadHeap(layout.heap, layout.lock_region)
 
         # Slot-based object storage (append-only; slots are never reused).
         self._slot_bases = array("q")
@@ -92,22 +100,20 @@ class WorkloadCore:
         self._slot_cursors = array("q")
         self._slot_rich = array("b")
         self._slot_locks = array("q")
-        self._slot_live = array("b")
-        self._slot_records: List[Optional[AllocationRecord]] = []
+        self._slot_chunks = array("q")
         self._order = array("q")
         self._hot: List[int] = []
-        #: Freed slots whose records are kept alive because a duplicate hot
-        #: entry still references them (the stale-pointer quirk).
-        self._stale_kept: Set[int] = set()
 
-        self._global_lock = self.identifiers.global_identifier().lock
+        # The global segment's one identifier (§7) takes the first lock
+        # location.
+        self._global_lock = self.heap.allocate_lock()
         self._global_cursor = 0
         self._call_depth = 0
         self._value_rotation = 0
         self._allocation_counter = 0
 
         # Precomputed event/draw constants (pure functions of the profile).
-        segment = self.memory.layout.globals_seg
+        segment = layout.globals_seg
         self._globals_base = segment.base
         self._global_span = min(segment.size, self.GLOBAL_SPAN_BYTES)
         self._global_ptr_span = min(self._global_span, 1024)
@@ -136,6 +142,11 @@ class WorkloadCore:
         """
         profile = self.profile
         self._ffcore = _ffcore.load()
+        if (self._ffcore is not None
+                and self.COLD_POOL_OBJECTS > _ffcore.MAX_COLD_POOL):
+            raise ConfigurationError(
+                f"COLD_POOL_OBJECTS {self.COLD_POOL_OBJECTS} exceeds the "
+                f"generator kernel's {_ffcore.MAX_COLD_POOL}-slot pool")
         self._c_scalars = array("q", [0] * _ffcore.SCAL_SLOTS)
         self._c_hot = array("q", [0] * 16)
         self._c_consts_d = array("d", [
@@ -167,39 +178,48 @@ class WorkloadCore:
         self._attach_ffcore()
 
     # -- working set ----------------------------------------------------------------
+    def _slot_columns(self) -> Tuple[array, ...]:
+        """The per-slot arrays, which grow and compact together."""
+        return (self._slot_bases, self._slot_sizes, self._slot_cursors,
+                self._slot_rich, self._slot_locks, self._slot_chunks)
+
     def _allocation_size(self) -> int:
         # Exactly rng.randrange(low, high + 1, 16): width -> slot count ->
         # _randbelow; the result is never 0 because low >= 16.
         return self._size_low + 16 * self._randbelow(self._size_nslots)
 
     def _populate_working_set(self) -> None:
+        if self._ffcore is not None:
+            self._run_kernel(0, populate=self.profile.working_set_objects)
+            return
         for _ in range(self.profile.working_set_objects):
             self._allocate_object()
 
     def _materialize_allocation(self, size: int) -> int:
-        """malloc ``size`` bytes and register the new slot (no RNG draws)."""
-        if len(self._slot_sizes) - len(self._order) >= self.COMPACT_RETIRED_SLOTS:
-            self._compact_slots()
-        pointer, metadata = self.runtime.malloc(size)
-        record = self.runtime.record_for(pointer)
-        assert record is not None
+        """malloc ``size`` bytes and register the new slot (no RNG draws);
+        returns its lock location.
+
+        Retired slots are compacted once ``COMPACT_RETIRED_SLOTS`` of them
+        accumulate, checked after the allocation — where the kernel's call
+        returns for it.
+        """
+        base, chunk, lock = self.heap.malloc(size)
         self._allocation_counter += 1
         slot = len(self._slot_sizes)
-        self._slot_bases.append(record.base)
-        self._slot_sizes.append(record.size)
+        self._slot_bases.append(base)
+        self._slot_sizes.append(size)
         self._slot_cursors.append(0)
         # Whether this object is part of a pointer-rich data structure
         # (linked structures, pointer arrays).  Pointer loads/stores are
         # directed at these objects; plain data accesses go anywhere.
         self._slot_rich.append(1 if self._allocation_counter % 4 == 0 else 0)
-        self._slot_locks.append(metadata.identifier.lock)
-        self._slot_live.append(1)
-        self._slot_records.append(record)
+        self._slot_locks.append(lock)
+        self._slot_chunks.append(chunk)
         self._order.append(slot)
-        self._hot.append(slot)
-        if len(self._hot) > self.HOT_SET_OBJECTS:
-            self._evict_hot()
-        return slot
+        self._touch_hot(slot)
+        if len(self._slot_sizes) - len(self._order) >= self.COMPACT_RETIRED_SLOTS:
+            self._compact_slots()
+        return lock
 
     def _allocate_object(self) -> int:
         return self._materialize_allocation(self._allocation_size())
@@ -207,69 +227,47 @@ class WorkloadCore:
     def _compact_slots(self) -> None:
         """Renumber reachable slots densely, dropping retired array entries.
 
-        Reachable means: live (in ``_order``), in the hot set (possibly freed
-        but still addressable — the stale-reference quirk), or stale-kept.
-        No RNG draws and no allocator traffic happen here, and slot *ids*
-        never feed a draw or an address, so compaction is invisible to the
-        emitted trace — pinned by the golden compaction tests.
+        Reachable means: live (in ``_order``), or in the hot set (possibly
+        freed but still addressable — the stale-reference quirk).  No RNG
+        draws and no heap traffic happen here, and slot *ids* never feed a
+        draw or an address, so compaction is invisible to the emitted trace
+        — pinned by the golden compaction tests.
 
         Every structure is mutated **in place**, so a reference to one of
         them held across an allocation stays current.  (Buffer *addresses*
-        may still move; :meth:`_run_kernel` re-fetches them around every
-        allocator bounce.)
+        may still move; :meth:`_run_kernel` re-fetches them for every
+        kernel call.)
         """
-        keep = sorted(set(self._order) | set(self._hot) | self._stale_kept)
+        keep = sorted(set(self._order) | set(self._hot))
         remap = {old: new for new, old in enumerate(keep)}
-        self._slot_bases[:] = array("q", (self._slot_bases[s] for s in keep))
-        self._slot_sizes[:] = array("q", (self._slot_sizes[s] for s in keep))
-        self._slot_cursors[:] = array("q", (self._slot_cursors[s] for s in keep))
-        self._slot_rich[:] = array("b", (self._slot_rich[s] for s in keep))
-        self._slot_locks[:] = array("q", (self._slot_locks[s] for s in keep))
-        self._slot_live[:] = array("b", (self._slot_live[s] for s in keep))
-        self._slot_records[:] = [self._slot_records[s] for s in keep]
+        for column in self._slot_columns():
+            column[:] = array(column.typecode, (column[s] for s in keep))
         self._order[:] = array("q", (remap[s] for s in self._order))
         self._hot[:] = [remap[s] for s in self._hot]
-        self._stale_kept = {remap[s] for s in self._stale_kept}
 
     def _free_slot(self, index: int) -> int:
-        """Free the live object at ``_order[index]`` (no RNG draws)."""
-        if self._stale_kept:
-            self._sweep_stale_records()
+        """Free the live object at ``_order[index]`` (no RNG draws);
+        returns its lock location."""
         order = self._order
         slot = order[index]
         del order[index]
         hot = self._hot
         if slot in hot:
             hot.remove(slot)  # first occurrence only, like list.remove(obj)
-        self._slot_live[slot] = 0
-        record = self._slot_records[slot]
-        self.runtime.free(record.base, record.metadata)
-        if slot in hot:
-            # A duplicate hot entry still points at the freed object; keep
-            # its record so emission can keep addressing the stale memory,
-            # exactly as the object-based generator did.
-            self._stale_kept.add(slot)
-        else:
-            self._slot_records[slot] = None
-        return slot
+        lock = self._slot_locks[slot]
+        self.heap.free(self._slot_bases[slot], self._slot_chunks[slot], lock)
+        return lock
 
     def _free_random_object(self) -> Optional[int]:
         if len(self._order) <= self._min_keep:
             return None
         return self._free_slot(self._randbelow(len(self._order)))
 
-    def _evict_hot(self) -> None:
-        evicted = self._hot.pop(0)
-        if not self._slot_live[evicted] and evicted not in self._hot:
-            self._slot_records[evicted] = None
-            self._stale_kept.discard(evicted)
-
-    def _sweep_stale_records(self) -> None:
-        """Drop records of stale slots that have since left the hot set."""
+    def _touch_hot(self, slot: int) -> None:
         hot = self._hot
-        for slot in [s for s in self._stale_kept if s not in hot]:
-            self._slot_records[slot] = None
-            self._stale_kept.discard(slot)
+        hot.append(slot)
+        if len(hot) > self.HOT_SET_OBJECTS:
+            del hot[0]
 
     # -- memory target selection ------------------------------------------------------
     def _pick_slot(self, pointer_access: bool = False) -> int:
@@ -293,9 +291,7 @@ class WorkloadCore:
                 else order[start + self._randbelow(pool)]
         else:
             slot = order[start + self._randbelow(pool)]
-        hot.append(slot)
-        if len(hot) > self.HOT_SET_OBJECTS:
-            self._evict_hot()
+        self._touch_hot(slot)
         return slot
 
     def _heap_target(self, access_bytes: int, pointer_access: bool) -> Tuple[int, int]:
@@ -313,7 +309,7 @@ class WorkloadCore:
         else:
             offset = self._randbelow(limit)
         offset &= ~(access_bytes - 1)
-        return self._slot_records[slot].base + offset, self._slot_locks[slot]
+        return self._slot_bases[slot] + offset, self._slot_locks[slot]
 
     def _global_target(self, access_bytes: int, pointer_access: bool) -> Tuple[int, int]:
         # Global pointers (tables of pointers, static linked structures)
@@ -334,49 +330,64 @@ class WorkloadCore:
         return self._heap_target(access_bytes, pointer_access)
 
     # -- the native kernel ------------------------------------------------------------
-    def _apply_alloc_event(self, freed_index: int,
-                           size: int) -> Tuple[int, int]:
-        """Apply an allocation event's effects (draws already consumed);
-        returns the lock locations of the freed object (-1 for none) and of
-        the new one."""
-        freed_lock = -1
-        if freed_index >= 0:
-            freed_lock = self._slot_locks[self._free_slot(freed_index)]
-        return freed_lock, self._slot_locks[self._materialize_allocation(size)]
-
-    def _run_kernel(self, remaining: int, rows=None, written: int = 0):
-        """Drive the native loop, bouncing out for allocator events.
+    def _run_kernel(self, remaining: int, rows=None, written: int = 0,
+                    populate: int = 0):
+        """Drive the native loop, allocation events included.
 
         Without ``rows`` it skips whole events while at least
-        ``MAX_EVENT_OPS`` ops remain, leaving the RNG stream, allocator
-        state, working set and every cursor exactly where draining the
-        emission layer would, and returns the remainder.  With ``rows`` —
-        four ``array("q")`` columns (shape, address, lock, mispredict)
-        holding ``written`` rows and room for ``remaining + MAX_EVENT_OPS -
-        1`` more — it writes at least ``remaining`` ops as rows, the last
-        event whole, and returns the new row count.  A GETIDENT/SETIDENT row's lock location is only
-        known once Python has applied the event's free or malloc, so it is
-        patched here: the SETIDENT is the event's last row, and a GETIDENT
-        (the event frees first) its seventh.
+        ``MAX_EVENT_OPS`` ops remain, leaving the RNG stream, heap, working
+        set and every cursor exactly where draining the emission layer
+        would, and returns the remainder.  With ``rows`` — four
+        ``array("q")`` columns (shape, address, lock, mispredict) holding
+        ``written`` rows and room for ``remaining + MAX_EVENT_OPS - 1``
+        more — it writes at least ``remaining`` ops as rows, the last event
+        whole, and returns the new row count.  ``populate`` objects are
+        allocated first (a new workload's working set).
+
+        Before each call every column the kernel appends to is padded with
+        room for the allocation events the window should hold; the call
+        returns early only when that room runs out or compaction is due,
+        and the columns are cut back to their live lengths after it.
         """
         advance = self._ffcore.ff_advance
         scal = self._c_scalars
         hotbuf = self._c_hot
+        heap = self.heap
         state = self.rng.getstate()
         mt = array("I", state[1][:624])
         mt_addr = mt.buffer_info()[0]
         scal[_ffcore.SCAL_MTI] = state[1][624]
         scal[_ffcore.SCAL_WRITTEN] = written
+        scal[_ffcore.SCAL_POPULATE] = populate
+        scal[_ffcore.SCAL_COMPACT_AT] = self.COMPACT_RETIRED_SLOTS
         consts_d = self._c_consts_d.buffer_info()[0]
         consts_i = self._c_consts_i.buffer_info()[0]
         out = None
         if rows is not None:
             if min(map(len, rows)) < written + remaining + MAX_EVENT_OPS - 1:
                 raise ValueError("token columns too short for the window")
-            locks = rows[2]
             pointers = array("Q", [column.buffer_info()[0] for column in rows])
             out = pointers.buffer_info()[0]
+        # Each group's columns share a live length, and an allocation event
+        # adds at most one entry to each.
+        groups = ((_ffcore.SCAL_N_SLOTS, self._slot_columns()),
+                  (_ffcore.SCAL_N_ORDER, (self._order,)),
+                  (_ffcore.SCAL_N_FREE,
+                   (heap.free_bases, heap.free_sizes, heap.fit)),
+                  (_ffcore.SCAL_N_LOCKS, (heap.lock_stack,)))
+        arrays = (self._order, self._slot_sizes, self._slot_cursors,
+                  self._slot_rich, hotbuf, self._slot_bases,
+                  self._slot_locks, self._slot_chunks, heap.state,
+                  heap.free_bases, heap.free_sizes, heap.fit,
+                  heap.lock_stack)
         while True:
+            room = min(_MAX_ROOM, 16 + scal[_ffcore.SCAL_POPULATE]
+                       + int(remaining * self._alloc_probability * 1.25))
+            padding = bytes(8 * room)
+            for index, columns in groups:
+                scal[index] = len(columns[0])
+                for column in columns:
+                    column.frombytes(padding[:room * column.itemsize])
             hot = self._hot
             for i, slot in enumerate(hot):
                 hotbuf[i] = slot
@@ -384,35 +395,29 @@ class WorkloadCore:
             scal[_ffcore.SCAL_VALUE_ROTATION] = self._value_rotation
             scal[_ffcore.SCAL_GLOBAL_CURSOR] = self._global_cursor
             scal[_ffcore.SCAL_CALL_DEPTH] = self._call_depth
-            scal[_ffcore.SCAL_N_ORDER] = len(self._order)
             scal[_ffcore.SCAL_HOT_LEN] = len(hot)
-            advance(mt_addr, scal.buffer_info()[0], consts_d, consts_i,
-                    self._order.buffer_info()[0],
-                    self._slot_sizes.buffer_info()[0],
-                    self._slot_cursors.buffer_info()[0],
-                    self._slot_rich.buffer_info()[0],
-                    hotbuf.buffer_info()[0],
-                    self._slot_bases.buffer_info()[0],
-                    self._slot_locks.buffer_info()[0], out)
+            scal[_ffcore.SCAL_ALLOCATIONS] = self._allocation_counter
+            scal[_ffcore.SCAL_ROOM] = room
+            table = array("Q", [column.buffer_info()[0] for column in arrays])
+            reason = advance(mt_addr, scal.buffer_info()[0], consts_d,
+                             consts_i, table.buffer_info()[0], out)
+            for index, columns in groups:
+                for column in columns:
+                    del column[scal[index]:]
             remaining = scal[_ffcore.SCAL_REMAINING]
             self._value_rotation = scal[_ffcore.SCAL_VALUE_ROTATION]
             self._global_cursor = scal[_ffcore.SCAL_GLOBAL_CURSOR]
             self._call_depth = scal[_ffcore.SCAL_CALL_DEPTH]
+            self._allocation_counter = scal[_ffcore.SCAL_ALLOCATIONS]
             self._hot = list(hotbuf[:scal[_ffcore.SCAL_HOT_LEN]])
-            if scal[_ffcore.SCAL_REASON] != _ffcore.REASON_ALLOC:
+            if reason == _ffcore.REASON_DONE:
                 break
-            freed_index = scal[_ffcore.SCAL_FREED_INDEX]
-            freed_lock, new_lock = self._apply_alloc_event(
-                freed_index, scal[_ffcore.SCAL_ALLOC_SIZE])
-            if rows is not None:
-                end = scal[_ffcore.SCAL_WRITTEN]
-                locks[end - 1] = new_lock
-                if freed_index >= 0:
-                    locks[end - 8] = freed_lock
+            if reason != _ffcore.REASON_ROOM:
+                _ffcore.raise_for(reason)
+            if len(self._slot_sizes) - len(self._order) >= self.COMPACT_RETIRED_SLOTS:
+                self._compact_slots()
         self.rng.setstate((state[0], tuple(mt) + (scal[_ffcore.SCAL_MTI],),
                            state[2]))
-        if self._stale_kept:
-            self._sweep_stale_records()
         return remaining if rows is None else scal[_ffcore.SCAL_WRITTEN]
 
     # -- working-set snapshot (used by the simulator's warm-up) ------------------------
@@ -432,15 +437,15 @@ class WorkloadCore:
         """
         from repro.workloads.bundle import WorkingSetSnapshot
 
-        records = self._slot_records
+        bases = self._slot_bases
+        sizes = self._slot_sizes
         slot_locks = self._slot_locks
         ranges = array("q")
         add = ranges.append
         for slot in self._order:
-            record = records[slot]
-            base = record.base
+            base = bases[slot]
             add(base & ~63)
-            add(base + record.size)
+            add(base + sizes[slot])
         add(self._globals_base)
         add(self._globals_base + self._global_span)
         locks = array("q", [slot_locks[slot] for slot in self._order])

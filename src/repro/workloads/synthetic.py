@@ -3,19 +3,22 @@
 Generates a dynamic macro-instruction trace whose mix matches a
 :class:`~repro.workloads.profiles.BenchmarkProfile`: memory intensity,
 pointer density, allocation/call behaviour, locality and branch behaviour.
-The generator drives the *real* instrumented runtime and identifier machinery
-to obtain concrete heap addresses and lock locations, so the trace exercises
-the same allocator, shadow-address and lock-location code paths that a real
-program would — only the instruction selection is synthetic.
+Heap addresses and lock locations come from the workload's heap
+(:class:`~repro.workloads.heap.WorkloadHeap`), which places objects and
+recycles lock locations by the rules of the repository's DL-malloc and
+lock-location allocators, so the trace carries the addresses and lock
+locations a real program on that runtime would — only the instruction
+selection is synthetic.
 
 The generator is split into two layers:
 
 * :class:`~repro.workloads.state_core.WorkloadCore` (the base class) holds
-  the workload's *functional state* — RNG stream, allocator-backed object
-  set, locality cursors, hot set — and drives the optional native kernel
+  the workload's *functional state* — RNG stream, heap and object set,
+  locality cursors, hot set — and drives the optional native kernel
   (:mod:`repro.workloads._ffcore`), which advances that state through skip
-  windows without producing any instructions: what makes §9.1 fast-forward
-  windows at paper scale (100M+ instructions) tractable;
+  windows, allocation events included, without producing any instructions:
+  what makes §9.1 fast-forward windows at paper scale (100M+ instructions)
+  tractable;
 * :class:`SyntheticWorkload` (this module) defines the dynamic stream on
   top of that state, one event at a time (:meth:`_event_ops`), and emits it
   only where a trace is actually consumed: :meth:`trace` for conventional
@@ -70,18 +73,23 @@ _ALU_OPCODES = (Opcode.ADD_RI, Opcode.ADD_RI, Opcode.AND_RR,
                 Opcode.XOR_RR, Opcode.ADD_RR, Opcode.MUL_RR)
 
 
+#: A memory op's (pointer hint, access size, fp data register) by kind: 0
+#: pointer, 1 word, 2 fp, 3 32-bit.
+_MEMORY_KINDS = ((PointerHint.POINTER, AccessSize.WORD64, False),
+                 (PointerHint.NOT_POINTER, AccessSize.WORD64, False),
+                 (PointerHint.NOT_POINTER, AccessSize.WORD64, True),
+                 (PointerHint.NOT_POINTER, AccessSize.WORD32, False))
+
+
 def _shapes() -> List[tuple]:
     """Every static instruction shape the generator emits, as
-    :meth:`SyntheticWorkload._inst` arguments, in the native kernel's
-    shape-id order (the ``SH_*`` layout in :mod:`repro.workloads._ffcore`)."""
+    ``(opcode, dest, srcs, imm, size, pointer hint)`` fields, in the native
+    kernel's shape-id order (the ``SH_*`` layout in
+    :mod:`repro.workloads._ffcore`)."""
     word, unknown = AccessSize.WORD64, PointerHint.UNKNOWN
     shapes = [(Opcode.ADD_RI, reg, (reg,), 8, word, unknown)
               for reg in ADDRESS_REGS]
-    kinds = ((PointerHint.POINTER, word, False),
-             (PointerHint.NOT_POINTER, word, False),
-             (PointerHint.NOT_POINTER, word, True),
-             (PointerHint.NOT_POINTER, AccessSize.WORD32, False))
-    for hint, size, fp in kinds:
+    for hint, size, fp in _MEMORY_KINDS:
         for is_load in (False, True):
             for address_reg in ADDRESS_REGS:
                 for data_reg in FP_REGS if fp else VALUE_REGS:
@@ -114,7 +122,7 @@ def _shapes() -> List[tuple]:
     return shapes
 
 
-#: Shape id -> ``_inst`` arguments, and back.
+#: Shape id -> instruction fields, and back.
 SHAPES = _shapes()
 SHAPE_IDS = {shape: index for index, shape in enumerate(SHAPES)}
 
@@ -126,6 +134,67 @@ SHAPE_INSTRUCTIONS = tuple(
     Instruction(opcode, dest=dest, srcs=srcs, imm=imm, size=size,
                 pointer_hint=hint)
     for opcode, dest, srcs, imm, size, hint in SHAPES)
+
+
+def _instruction(opcode: Opcode, dest: Optional[ArchReg] = None,
+                 srcs: Tuple[ArchReg, ...] = (), imm: int = 0,
+                 size: AccessSize = AccessSize.WORD64,
+                 hint: PointerHint = PointerHint.UNKNOWN) -> Instruction:
+    """The :data:`SHAPE_INSTRUCTIONS` entry with these fields."""
+    return SHAPE_INSTRUCTIONS[SHAPE_IDS[(opcode, dest, srcs, imm, size, hint)]]
+
+
+def _memory_instruction(kind: int, is_load: bool, address: ArchReg,
+                        data: ArchReg) -> Instruction:
+    hint, size, fp = _MEMORY_KINDS[kind]
+    if is_load:
+        return _instruction(Opcode.FLOAD if fp else Opcode.LOAD, data,
+                            (address,), 0, size, hint)
+    return _instruction(Opcode.FSTORE if fp else Opcode.STORE, None,
+                        (address, data), 0, size, hint)
+
+
+def _alu_instruction(rotation: int, chained: bool,
+                     choice: int) -> Instruction:
+    """``_alu_op``'s integer instruction: the destination is the value
+    register at ``rotation``, the first source the previous destination
+    when ``chained``, and ``choice`` indexes :data:`_ALU_OPCODES`."""
+    dest = VALUE_REGS[rotation]
+    a = VALUE_REGS[(rotation + (5 if chained else 2)) % 6]
+    b = VALUE_REGS[(rotation + 4) % 6]
+    opcode = _ALU_OPCODES[choice]
+    if opcode is Opcode.ADD_RI:
+        return _instruction(opcode, dest, (a,), 1)
+    return _instruction(opcode, dest, (a, b))
+
+
+# The Python emitter's instructions, indexed by its draws (positions in the
+# register tuples, a memory kind, the chain flag, the opcode choice), looked
+# up in SHAPE_IDS once per process so that no emitted op hashes a shape.
+_REFRESH = tuple(_instruction(Opcode.ADD_RI, a, (a,), 8) for a in ADDRESS_REGS)
+#: [kind][is_load][address register][data register]
+_MEMORY = tuple(
+    tuple(tuple(tuple(_memory_instruction(kind, is_load, address, data)
+                      for data in (FP_REGS if fp else VALUE_REGS))
+                for address in ADDRESS_REGS)
+          for is_load in (False, True))
+    for kind, (_, _, fp) in enumerate(_MEMORY_KINDS))
+#: [dest][a][b]
+_FADD = tuple(tuple(tuple(_instruction(Opcode.FADD, dest, (a, b))
+                          for b in FP_REGS) for a in FP_REGS)
+              for dest in FP_REGS)
+#: [rotation][chained][opcode choice]
+_ALU = tuple(tuple(tuple(_alu_instruction(rotation, chained, choice)
+                         for choice in range(len(_ALU_OPCODES)))
+                   for chained in (False, True))
+             for rotation in range(len(VALUE_REGS)))
+_BRANCH = tuple(_instruction(Opcode.BRANCH, None, (v,)) for v in VALUE_REGS)
+_SETIDENT = tuple(_instruction(Opcode.SETIDENT, None, (p, VALUE_REGS[0]))
+                  for p in ADDRESS_REGS)
+_GETIDENT = tuple(_instruction(Opcode.GETIDENT, VALUE_REGS[0], (p,))
+                  for p in ADDRESS_REGS)
+_CALL = _instruction(Opcode.CALL)
+_RET = _instruction(Opcode.RET)
 
 
 class SyntheticWorkload(WorkloadCore):
@@ -141,24 +210,11 @@ class SyntheticWorkload(WorkloadCore):
         self._pending: List[Tuple[int, int, int, int]] = []
         super().__init__(profile, seed=seed)
 
-    def _inst(self, opcode: Opcode, dest: Optional[ArchReg] = None,
-              srcs: Tuple[ArchReg, ...] = (), imm: int = 0,
-              size: AccessSize = AccessSize.WORD64,
-              pointer_hint: PointerHint = PointerHint.UNKNOWN) -> Instruction:
-        """The :data:`SHAPE_INSTRUCTIONS` entry with these fields."""
-        return SHAPE_INSTRUCTIONS[SHAPE_IDS[
-            (opcode, dest, srcs, imm, size, pointer_hint)]]
-
     # -- register selection -----------------------------------------------------------
-    def _address_reg(self) -> ArchReg:
-        return ADDRESS_REGS[self._randbelow(6)]
-
-    def _value_reg(self) -> ArchReg:
+    def _value_reg(self) -> int:
+        """Rotate to the next value register; returns its index."""
         self._value_rotation = (self._value_rotation + 1) % len(VALUE_REGS)
-        return VALUE_REGS[self._value_rotation]
-
-    def _fp_reg(self) -> ArchReg:
-        return FP_REGS[self._randbelow(6)]
+        return self._value_rotation
 
     # -- instruction emission --------------------------------------------------------------
     def _memory_op(self) -> Iterator[DynamicOp]:
@@ -167,96 +223,69 @@ class SyntheticWorkload(WorkloadCore):
         is_load = self.rng.random() < profile.load_fraction
 
         if roll < profile.pointer_fraction:
-            hint, size, fp = PointerHint.POINTER, AccessSize.WORD64, False
+            kind = 0
         elif roll < profile.word_integer_fraction:
-            hint, size, fp = PointerHint.NOT_POINTER, AccessSize.WORD64, False
+            kind = 1
         elif roll < profile.word_integer_fraction + profile.fp_access_fraction:
-            hint, size, fp = PointerHint.NOT_POINTER, AccessSize.WORD64, True
+            kind = 2
         else:
-            hint, size, fp = PointerHint.NOT_POINTER, AccessSize.WORD32, False
+            kind = 3
 
-        address, lock = self._memory_target(int(size),
-                                            pointer_access=hint is PointerHint.POINTER)
-        address_reg = self._address_reg()
+        address, lock = self._memory_target(4 if kind == 3 else 8,
+                                            pointer_access=kind == 0)
+        address_reg = self._randbelow(6)
 
         # Occasionally refresh the address register with pointer arithmetic so
         # memory operations have realistic address dependences.
         if self.rng.random() < 0.25:
-            yield DynamicOp(self._inst(Opcode.ADD_RI, dest=address_reg,
-                                       srcs=(address_reg,), imm=8))
+            yield DynamicOp(_REFRESH[address_reg])
 
-        if fp:
-            opcode = Opcode.FLOAD if is_load else Opcode.FSTORE
-            data_reg = self._fp_reg()
-        else:
-            opcode = Opcode.LOAD if is_load else Opcode.STORE
-            data_reg = self._value_reg()
-
-        if is_load:
-            inst = self._inst(opcode, dest=data_reg, srcs=(address_reg,),
-                              size=size, pointer_hint=hint)
-        else:
-            inst = self._inst(opcode, srcs=(address_reg, data_reg),
-                              size=size, pointer_hint=hint)
-        yield DynamicOp(inst, address=address, lock_address=lock)
+        data_reg = self._randbelow(6) if kind == 2 else self._value_reg()
+        yield DynamicOp(_MEMORY[kind][is_load][address_reg][data_reg],
+                        address=address, lock_address=lock)
 
     def _alu_op(self) -> DynamicOp:
         if self.rng.random() < self.profile.fp_compute_fraction:
-            dest, a, b = self._fp_reg(), self._fp_reg(), self._fp_reg()
-            return DynamicOp(self._inst(Opcode.FADD, dest=dest, srcs=(a, b)))
-        previous_dest = VALUE_REGS[self._value_rotation]
-        dest = self._value_reg()
-        if self.rng.random() < 0.35:
-            # A dependent chain: consume the most recently produced value.
-            a = previous_dest
-        else:
-            a = VALUE_REGS[(self._value_rotation + 2) % len(VALUE_REGS)]
-        b = VALUE_REGS[(self._value_rotation + 4) % len(VALUE_REGS)]
+            randbelow = self._randbelow
+            dest, a, b = randbelow(6), randbelow(6), randbelow(6)
+            return DynamicOp(_FADD[dest][a][b])
+        rotation = self._value_reg()
+        # A dependent chain consumes the most recently produced value.
+        chained = self.rng.random() < 0.35
         # Pointer-arithmetic-style single-source operations dominate; the
         # two-register-source forms (which cost a select µop under Watchdog,
         # §6.2) are a smaller slice, matching the "other" segment of Figure 8.
-        opcode = _ALU_OPCODES[self._randbelow(6)]
-        if opcode is Opcode.ADD_RI:
-            return DynamicOp(self._inst(opcode, dest=dest, srcs=(a,), imm=1))
-        return DynamicOp(self._inst(opcode, dest=dest, srcs=(a, b)))
+        return DynamicOp(_ALU[rotation][chained][self._randbelow(6)])
 
     def _branch_op(self) -> DynamicOp:
         mispredicted = self.rng.random() < self.profile.mispredict_rate
-        inst = self._inst(Opcode.BRANCH, srcs=(self._value_reg(),))
-        return DynamicOp(inst, mispredicted=mispredicted)
+        return DynamicOp(_BRANCH[self._value_reg()], mispredicted=mispredicted)
 
     def _runtime_call_ops(self, lock_address: int, is_alloc: bool) -> Iterator[DynamicOp]:
         """Instructions standing in for the malloc/free runtime body."""
         for _ in range(RUNTIME_CALL_ALU_OPS):
             yield self._alu_op()
-        pointer_reg = self._address_reg()
-        identifier_reg = VALUE_REGS[0]
-        if is_alloc:
-            inst = self._inst(Opcode.SETIDENT, srcs=(pointer_reg, identifier_reg))
-        else:
-            inst = self._inst(Opcode.GETIDENT, dest=identifier_reg,
-                              srcs=(pointer_reg,))
-        yield DynamicOp(inst, lock_address=lock_address)
+        table = _SETIDENT if is_alloc else _GETIDENT
+        yield DynamicOp(table[self._randbelow(6)], lock_address=lock_address)
 
     def _allocation_event(self) -> Iterator[DynamicOp]:
         # Keep the working set roughly constant: free one object for every
         # allocation once the target population is reached.
-        freed = None
+        freed_lock = None
         if len(self._order) >= self.profile.working_set_objects:
-            freed = self._free_random_object()
-        if freed is not None:
-            yield from self._runtime_call_ops(self._slot_locks[freed],
-                                              is_alloc=False)
-        slot = self._allocate_object()
-        yield from self._runtime_call_ops(self._slot_locks[slot], is_alloc=True)
+            freed_lock = self._free_random_object()
+        if freed_lock is not None:
+            yield from self._runtime_call_ops(freed_lock, is_alloc=False)
+        lock = self._allocate_object()
+        yield from self._runtime_call_ops(lock, is_alloc=True)
 
     def _call_event(self) -> Iterator[DynamicOp]:
         if self._call_depth < 16 and self.rng.random() < 0.6:
             self._call_depth += 1
-            yield DynamicOp(self._inst(Opcode.CALL))
+            yield DynamicOp(_CALL)
         elif self._call_depth > 0:
             self._call_depth -= 1
-            yield DynamicOp(self._inst(Opcode.RET))
+            yield DynamicOp(_RET)
 
     def _event_ops(self) -> List[DynamicOp]:
         """Materialize the next event of the continuous dynamic stream.
@@ -321,7 +350,7 @@ class SyntheticWorkload(WorkloadCore):
     def fast_forward(self, count: int) -> None:
         """Advance the functional state across ``count`` ops of the stream.
 
-        The RNG position, allocator state, working set and locality cursors
+        The RNG position, heap, working set and locality cursors
         end up bit-identical to ``emit(count)`` with the result thrown away —
         that equivalence is what keeps sampled traces unchanged — but the
         skip window is never tokenized.  While at least ``MAX_EVENT_OPS``

@@ -28,7 +28,7 @@ from repro.errors import ConfigurationError
 from repro.sim.engine import SweepEngine
 from repro.sim.sampling import SamplingConfig
 from repro.sim.spec import ExperimentSettings, ExperimentSpec, RunRequest
-from repro.workloads import _ffcore
+from repro.workloads import _ffcore, synthetic
 from repro.workloads.bundle import (
     MAX_NORMALIZED_UNSAMPLED_INSTRUCTIONS,
     TraceBundle,
@@ -89,16 +89,12 @@ def state_fingerprint(workload):
         workload.rng.getstate(),
         tuple(workload._order),
         tuple(workload._hot),
-        tuple(workload._slot_cursors),
-        bytes(workload._slot_live),
-        bytes(workload._slot_rich),
+        tuple(tuple(column) for column in workload._slot_columns()),
         workload._global_cursor,
         workload._call_depth,
         workload._value_rotation,
         workload._allocation_counter,
-        workload.runtime.malloc_calls,
-        workload.runtime.free_calls,
-        workload.runtime.total_live_bytes(),
+        workload.heap.columns(),
         snapshot_lines(snapshot),
         tuple(snapshot.locks),
     )
@@ -326,13 +322,26 @@ class TestInstructionTable:
 
     def test_table_matches_shapes_entry_for_entry(self):
         assert len(SHAPE_INSTRUCTIONS) == len(SHAPES) == _ffcore.N_SHAPES
-        workload = SyntheticWorkload(profile_by_name("gcc"), seed=1)
         for index, (inst, shape) in enumerate(zip(SHAPE_INSTRUCTIONS, SHAPES)):
             assert (inst.opcode, inst.dest, inst.srcs, inst.imm, inst.size,
                     inst.pointer_hint) == shape
             assert SHAPE_IDS[shape] == index
-            # The Python emitter's lookup lands on the same object.
-            assert workload._inst(*shape) is inst
+
+    def test_python_emitter_tables_hold_every_table_entry(self):
+        """The Python emitter's per-register tables hold the table's own
+        objects, and between them every shape."""
+        def flatten(table):
+            if isinstance(table, tuple):
+                for entry in table:
+                    yield from flatten(entry)
+            else:
+                yield table
+
+        emitted = {id(inst) for name in ("_REFRESH", "_MEMORY", "_FADD",
+                                         "_ALU", "_BRANCH", "_SETIDENT",
+                                         "_GETIDENT", "_CALL", "_RET")
+                   for inst in flatten(getattr(synthetic, name))}
+        assert emitted == {id(inst) for inst in SHAPE_INSTRUCTIONS}
 
     @pytest.mark.parametrize("force_python", (False, True))
     def test_traces_are_unchanged_and_drawn_from_the_table(self,

@@ -30,7 +30,11 @@ from repro.workloads.profiles import (
     long_profile_names,
     profile_by_name,
 )
-from repro.workloads.synthetic import SHAPES, SyntheticWorkload
+from repro.workloads.synthetic import (
+    SHAPE_INSTRUCTIONS,
+    SHAPES,
+    SyntheticWorkload,
+)
 
 from tests.test_fast_forward import state_fingerprint
 
@@ -191,8 +195,7 @@ class TestTokenWindows:
         assert len(workload.trace(0)) == 0
 
     def test_every_shape_is_a_distinct_identity(self):
-        workload = SyntheticWorkload(profile_by_name("gcc"), seed=1)
-        ops = [DynamicOp(workload._inst(*shape)) for shape in SHAPES]
+        ops = [DynamicOp(inst) for inst in SHAPE_INSTRUCTIONS]
         assert len(tokenize(ops).insts) == len(SHAPES) == _ffcore.N_SHAPES
 
 
@@ -250,7 +253,7 @@ class _Corrupting:
         scal = (ctypes.c_longlong * _ffcore.SCAL_SLOTS).from_address(args[1])
         start = scal[_ffcore.SCAL_WRITTEN]
         reason = self._lib.ff_advance(*args)
-        out = args[11]
+        out = args[-1]
         if out:
             address = (ctypes.c_uint64 * 4).from_address(out)[self._column]
             for row in range(start, scal[_ffcore.SCAL_WRITTEN]):

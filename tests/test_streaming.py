@@ -27,6 +27,7 @@ from repro.sim.simulator import (
     Simulator,
     aggregate_outcomes,
 )
+from repro.workloads import _ffcore
 from repro.workloads.bundle import TraceBundle
 from repro.workloads.profiles import (
     ONE_B_HORIZON_INSTRUCTIONS,
@@ -121,6 +122,8 @@ class TestReplayOnDemand:
             _assert_segments_equal(stream.segment(index),
                                    bundle.samples[index])
 
+    @pytest.mark.skipif(_ffcore.load() is None,
+                        reason="native fast-forward kernel unavailable")
     def test_long_and_paper_profiles_native(self):
         self._check_profiles([
             ("mcf-long", 300_000, SamplingConfig.quick()),

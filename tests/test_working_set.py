@@ -43,9 +43,9 @@ def oracle_columns(workload, config):
     """``(data, shadow, locks)`` of the live workload, line by line."""
     data = []
     for slot in workload._order:
-        record = workload._slot_records[slot]
-        line = record.base & ~63
-        while line < record.base + record.size:
+        base = workload._slot_bases[slot]
+        line = base & ~63
+        while line < base + workload._slot_sizes[slot]:
             data.append(line)
             line += 64
     line = workload._globals_base

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import WatchdogConfig
 from repro.errors import ConfigurationError
 from repro.isa.instructions import Opcode, PointerHint
+from repro.memory.address_space import AddressSpaceLayout
 from repro.program.machine import Machine
 from repro.workloads.attacks import ATTACKER_VALUE, all_attack_scenarios, scenario_by_name
 from repro.workloads.juliet import JULIET_CASE_COUNT, JulietSuite
@@ -76,7 +77,7 @@ class TestSyntheticWorkload:
 
     def test_addresses_fall_in_valid_segments(self):
         workload = SyntheticWorkload(profile_by_name("twolf"), seed=2)
-        layout = workload.memory.layout
+        layout = AddressSpaceLayout()
         for dop in workload.trace(500):
             if dop.address is not None:
                 assert layout.heap.contains(dop.address) or \
