@@ -693,13 +693,14 @@ def _rng_matches(lib) -> bool:
 
 
 def _heap_matches(lib) -> bool:
-    """A fixed run of 300 mallocs and frees — splits, and frees that merge
-    with neither, either or both neighbours — through the kernel's heap and
-    the Python one: every placement and the final columns must agree."""
+    """A fixed run of 120 mallocs and frees — splits, reuses without one,
+    and frees that merge with neither, either or both neighbours — through
+    the kernel's heap and the Python one: every placement and the final
+    columns must agree."""
     draws = random.Random(4242)
     heaps = (KernelHeap(lib), WorkloadHeap())
     live = []
-    for _ in range(300):
+    for _ in range(120):
         if live and draws.random() < 0.45:
             entry = live.pop(draws.randrange(len(live)))
             for heap in heaps:
