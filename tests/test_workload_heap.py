@@ -20,7 +20,7 @@ from repro.allocator.dlmalloc import DlMallocAllocator
 from repro.core.identifier import LockLocationAllocator
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.memory.address_space import AddressSpace, Segment
-from repro.workloads import _ffcore
+from repro.workloads import _ffcore, state_core
 from repro.workloads.heap import FIT_SHIFT, WorkloadHeap
 from repro.workloads.profiles import profile_by_name
 from repro.workloads.synthetic import SyntheticWorkload
@@ -219,6 +219,18 @@ class TestKernelAllocationEvents:
         reference = SyntheticWorkload(ALLOC_HEAVY, seed=3)
         reference.fast_forward(200_000)
         assert reference.emit(2_000) == workload.emit(2_000)
+
+    def test_full_padding_returns_and_pads_again(self, monkeypatch):
+        # Room for 64 allocation events per call: the skip returns once
+        # per 64 events and carries on where it stopped.
+        monkeypatch.setattr(state_core, "_MAX_ROOM", 64)
+        workload, spy, events = self._spied(seed=4, count=100_000)
+        assert spy.rooms == events // 64 > 10
+        assert spy.calls == 1 + spy.rooms
+        reference = SyntheticWorkload(ALLOC_HEAVY, seed=4)
+        reference._ffcore = None
+        reference.fast_forward(100_000)
+        assert state_fingerprint(workload) == state_fingerprint(reference)
 
     @pytest.mark.parametrize("name", ["mcf-paper", "lbm-long"])
     def test_populates_as_the_python_path(self, name, monkeypatch):
