@@ -9,9 +9,9 @@ The public API re-exports the pieces a downstream user typically needs:
 * the program-building layer (:class:`~repro.program.builder.ProgramBuilder`,
   :class:`~repro.program.machine.Machine`) for writing and executing small
   C-like programs under Watchdog,
-* the simulation layer (:class:`~repro.sim.simulator.Simulator`,
-  :class:`~repro.pipeline.config.MachineConfig`) for timing studies on the
-  SPEC-like synthetic workloads,
+* the simulation layer (:class:`~repro.sim.simulator.Simulator`) for
+  timing studies of the SPEC-like synthetic workloads on the Table 2
+  machine (:class:`~repro.pipeline.config.MachineConfig`),
 * the sweep engine (:class:`~repro.sim.engine.SweepEngine`,
   :class:`~repro.sim.spec.ExperimentSpec`,
   :class:`~repro.sim.cache.ResultCache`) for declarative, parallel,

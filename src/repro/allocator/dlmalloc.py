@@ -198,7 +198,3 @@ class DlMallocAllocator:
         """True if ``address`` falls inside any chunk ever carved (allocated
         or free) — i.e. inside the heap's used extent."""
         return self.heap.base <= address < self._wilderness
-
-    @property
-    def heap_used_bytes(self) -> int:
-        return self._wilderness - self.heap.base

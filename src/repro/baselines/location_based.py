@@ -71,9 +71,5 @@ class LocationBasedChecker:
         return ok
 
     # -- introspection ----------------------------------------------------------------
-    @property
-    def allocated_words(self) -> int:
-        return len(self._allocated_words)
-
     def is_allocated(self, address: int) -> bool:
         return (address & ~7) in self._allocated_words

@@ -22,7 +22,6 @@ including cell provenance, as JSON.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -80,20 +79,17 @@ def _build_parser() -> argparse.ArgumentParser:
                           "fits the 100M *-paper horizons), 'quick' "
                           "(80k/10k/10k, 10%% measured), or 'none' "
                           "(default; measure everything)")
-    run.add_argument("--no-timecore", action="store_true",
-                     help="disable the native timing core (C kernel) and "
-                          "run the pure-Python timing loops")
     run.add_argument("--no-cache", action="store_true",
                      help="disable the persistent result cache")
     run.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
                      help=f"result cache location (default: {DEFAULT_CACHE_DIR})")
-    run.add_argument("--retries", type=int, default=None, metavar="N",
+    run.add_argument("--retries", type=int, default=ResiliencePolicy.retries,
+                     metavar="N",
                      help="re-executions per crashed/timed-out cell before "
-                          "quarantine (default: 2, or REPRO_RETRIES)")
+                          "quarantine (default: %(default)s)")
     run.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                      help="per-cell wall-clock budget, enforced on pooled "
-                          "rounds with --workers > 1 (default: unlimited, "
-                          "or REPRO_DEADLINE)")
+                          "rounds with --workers > 1 (default: unlimited)")
     run.add_argument("--faults", metavar="SPEC", default=None,
                      help="deterministic fault-injection plan, e.g. "
                           "'crash:gzip:0,slow:mcf:*:5,corrupt:gzip/baseline,"
@@ -119,16 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fail if a gated figure falls below its floor "
                             "(less the tolerance) or exceeds its ceiling in "
                             "this baseline file")
-    bench.add_argument("--max-regression", type=float, default=0.30,
-                       metavar="FRACTION",
-                       help="allowed throughput regression for --check "
-                            "(default: 0.30)")
-    bench.add_argument("--allow-degraded", action="store_true",
-                       help="do not fail the bench when a native kernel "
-                            "unexpectedly fell back to pure Python (by "
-                            "default any unexpected degradation event fails, "
-                            "so a dead kernel can't masquerade as a perf "
-                            "regression)")
     return parser
 
 
@@ -202,12 +188,8 @@ def _cmd_run(args) -> int:
               f"execute unsampled (raise --instructions past "
               f"{settings.sampling.fast_forward + settings.sampling.warmup} "
               f"to sample)", file=sys.stderr)
-    if args.no_timecore:
-        # Via the environment rather than a Simulator argument so sweep
-        # worker processes inherit the switch.
-        os.environ["REPRO_TIMECORE"] = "0"
     if args.faults is not None:
-        # Also via the environment: pooled workers and kernel loaders read
+        # Via the environment: pooled workers and kernel loaders read
         # the plan from REPRO_FAULTS, and validating here turns a typo into
         # a usage error instead of a mid-sweep surprise.
         try:
@@ -217,14 +199,8 @@ def _cmd_run(args) -> int:
             return 2
         os.environ["REPRO_FAULTS"] = args.faults
     try:
-        policy = ResiliencePolicy.from_env()
-        overrides = {}
-        if args.retries is not None:
-            overrides["retries"] = args.retries
-        if args.deadline is not None:
-            overrides["deadline_seconds"] = args.deadline
-        if overrides:
-            policy = dataclasses.replace(policy, **overrides)
+        policy = ResiliencePolicy(retries=args.retries,
+                                  deadline_seconds=args.deadline)
     except ConfigurationError as error:
         print(f"invalid resilience settings: {error}", file=sys.stderr)
         return 2
@@ -296,8 +272,7 @@ def _cmd_bench(args) -> int:
     print(f"[bench] wrote {path}")
     if args.check:
         try:
-            ok, message = bench.check_against_baseline(
-                record, args.check, max_regression=args.max_regression)
+            ok, message = bench.check_against_baseline(record, args.check)
         except (OSError, ValueError, KeyError) as error:
             print(f"[bench] cannot read baseline {args.check}: {error!r}",
                   file=sys.stderr)
@@ -305,13 +280,13 @@ def _cmd_bench(args) -> int:
         print(f"[bench] {message}")
         if not ok:
             return 1
-    if record.get("degradations") and not args.allow_degraded:
+    if record.get("degradations"):
         # A perf number measured on the pure-Python fallback is not a perf
         # number for the native path: fail rather than let a dead kernel
         # masquerade as (or mask) a regression.
         print("[bench] unexpected degradation(s) during perf cells — the "
-              "measurements above do not describe the native path "
-              "(--allow-degraded to accept):", file=sys.stderr)
+              "measurements above do not describe the native path:",
+              file=sys.stderr)
         for event in record["degradations"]:
             print(f"[bench]   {event.get('kind')}: {event.get('subject')} — "
                   f"{event.get('detail')}", file=sys.stderr)

@@ -42,10 +42,6 @@ class WatchdogConfig:
     lock_cache_enabled: bool = True
     ideal_shadow: bool = False
     copy_elimination: bool = True
-    #: Raise on the first violation (production behaviour).  When False the
-    #: violation is recorded and execution continues, which some experiments
-    #: use to count every violation in a run.
-    halt_on_violation: bool = True
 
     # -- derived properties ------------------------------------------------------
     @property

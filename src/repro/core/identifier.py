@@ -118,10 +118,6 @@ class LockLocationAllocator:
         total_distinct = (self._bump - self.region.base) // WORD_BYTES
         return total_distinct - len(self._free_list)
 
-    @property
-    def free_list_depth(self) -> int:
-        return len(self._free_list)
-
 
 class IdentifierTable:
     """Issues identifiers and maintains the lock-location invariant in memory.

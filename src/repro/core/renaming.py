@@ -98,10 +98,6 @@ class ReferenceCountedPool:
         return self._refcounts.get(reg, 0)
 
     @property
-    def free_registers(self) -> int:
-        return len(self._free)
-
-    @property
     def live_registers(self) -> int:
         return self.size - len(self._free)
 

@@ -19,7 +19,6 @@ injected µops.  The timing model replays the same µop stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.allocator.runtime import InstrumentedRuntime
@@ -30,7 +29,6 @@ from repro.core.metadata import PointerMetadata
 from repro.core.pointer_id import PointerIdentifier, make_identifier
 from repro.core.stack_frames import StackFrameManager
 from repro.core.uop_injection import UopInjector
-from repro.errors import MemorySafetyViolation
 from repro.isa.instructions import (
     Instruction,
     NON_POINTER_PRODUCERS,
@@ -42,16 +40,6 @@ from repro.isa.registers import ArchReg, STACK_POINTER
 from repro.memory.address_space import AddressSpace
 from repro.memory.pages import PageAccountant
 from repro.memory.shadow import ShadowSpace
-
-
-@dataclass
-class ViolationRecord:
-    """A memory-safety violation observed while ``halt_on_violation`` is off."""
-
-    kind: str
-    address: int
-    pc: Optional[int]
-    message: str
 
 
 class Watchdog:
@@ -77,7 +65,6 @@ class Watchdog:
         self.pages = PageAccountant()
         #: Sidecar register metadata (None = the "−" invalid mapping).
         self.register_metadata: Dict[ArchReg, Optional[PointerMetadata]] = {}
-        self.violations: list[ViolationRecord] = []
         # The stack pointer starts out with the initial frame's identifier.
         if self.config.enabled:
             self.register_metadata[STACK_POINTER] = self.frames.current_frame_metadata()
@@ -99,26 +86,17 @@ class Watchdog:
         return self.injector.expand(inst)
 
     # ------------------------------------------------------------------ checks
-    def _record_or_raise(self, exc: MemorySafetyViolation) -> None:
-        if self.config.halt_on_violation:
-            raise exc
-        self.violations.append(ViolationRecord(kind=exc.kind, address=exc.address or 0,
-                                               pc=exc.pc, message=str(exc)))
-
     def check_access(self, address_reg: ArchReg, address: int, size: int,
                      pc: Optional[int] = None) -> CheckOutcome:
-        """Functional semantics of the check (and fused/second bounds) µop."""
+        """Functional semantics of the check (and fused/second bounds) µop;
+        a violation raises :class:`~repro.errors.MemorySafetyViolation`."""
         if not self.config.enabled:
             return CheckOutcome.PASS
         metadata = self.get_register_metadata(address_reg)
-        try:
-            return self.checker.check_access(
-                metadata, address, size,
-                with_bounds=self.config.bounds_enabled,
-                raise_on_failure=True, pc=pc)
-        except MemorySafetyViolation as exc:
-            self._record_or_raise(exc)
-            return CheckOutcome.USE_AFTER_FREE
+        return self.checker.check_access(
+            metadata, address, size,
+            with_bounds=self.config.bounds_enabled,
+            raise_on_failure=True, pc=pc)
 
     # ------------------------------------------------------------------ shadow space
     def shadow_load(self, dest_reg: ArchReg, address: int) -> Optional[PointerMetadata]:
@@ -204,10 +182,7 @@ class Watchdog:
                 self.runtime._live.pop(pointer, None)
                 self.runtime.allocator.free(pointer)
             return
-        try:
-            self.runtime.free(pointer, metadata)
-        except MemorySafetyViolation as exc:
-            self._record_or_raise(exc)
+        self.runtime.free(pointer, metadata)
 
     # ------------------------------------------------------------------ globals
     def global_metadata(self) -> PointerMetadata:
@@ -223,10 +198,6 @@ class Watchdog:
         self.shadow.store(address, self.global_metadata())
 
     # ------------------------------------------------------------------ statistics
-    @property
-    def check_stats(self):
-        return self.checker.stats
-
     @property
     def injection_stats(self):
         return self.injector.stats

@@ -27,9 +27,9 @@ EXPECTED = {
 }
 
 
-def run(machine: MachineConfig = None) -> ExperimentResult:
-    """Check the default machine configuration against Table 2."""
-    machine = machine or MachineConfig()
+def run() -> ExperimentResult:
+    """Check the simulated machine configuration against Table 2."""
+    machine = MachineConfig()
     result = ExperimentResult(name="table2-processor-configuration")
     measured = {
         "clock_ghz": machine.clock_ghz,
@@ -54,9 +54,9 @@ def run(machine: MachineConfig = None) -> ExperimentResult:
     return result
 
 
-def format_table(machine: MachineConfig = None) -> str:
+def format_table() -> str:
     """Render the Table 2-style configuration listing."""
-    return (machine or MachineConfig()).describe()
+    return MachineConfig().describe()
 
 
 DEFINITION = ExperimentDefinition(

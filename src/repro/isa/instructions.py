@@ -142,7 +142,6 @@ SELECT_PROPAGATORS = frozenset({Opcode.ADD_RR, Opcode.SUB_RR})
 MEMORY_OPCODES = frozenset({Opcode.LOAD, Opcode.STORE, Opcode.FLOAD, Opcode.FSTORE})
 LOAD_OPCODES = frozenset({Opcode.LOAD, Opcode.FLOAD})
 STORE_OPCODES = frozenset({Opcode.STORE, Opcode.FSTORE})
-CONTROL_OPCODES = frozenset({Opcode.BRANCH, Opcode.JUMP, Opcode.CALL, Opcode.RET, Opcode.HALT})
 
 
 #: Register sources an opcode reads by position (the decoder and the injector
@@ -236,10 +235,6 @@ class Instruction:
     @property
     def is_store(self) -> bool:
         return is_store_opcode(self.opcode)
-
-    @property
-    def is_control(self) -> bool:
-        return self.opcode in CONTROL_OPCODES
 
     @property
     def address_reg(self) -> Optional[ArchReg]:

@@ -76,18 +76,6 @@ WATCHDOG_KINDS = frozenset(
     }
 )
 
-#: µop kinds that access the memory hierarchy.
-MEMORY_KINDS = frozenset(
-    {
-        UopKind.LOAD,
-        UopKind.STORE,
-        UopKind.CHECK,
-        UopKind.SHADOW_LOAD,
-        UopKind.SHADOW_STORE,
-        UopKind.LOCK_PUSH,
-        UopKind.LOCK_POP,
-    }
-)
 
 _uop_ids = itertools.count()
 
@@ -137,17 +125,6 @@ class MicroOp:
     @property
     def is_injected(self) -> bool:
         return self.injected or self.kind in WATCHDOG_KINDS
-
-    @property
-    def accesses_memory(self) -> bool:
-        return self.kind in MEMORY_KINDS
-
-    @property
-    def accesses_lock_location(self) -> bool:
-        """True if this µop reads/writes a lock location (candidates for the
-        lock location cache, §4.2)."""
-        return self.kind in (UopKind.CHECK, UopKind.LOCK_PUSH, UopKind.LOCK_POP,
-                             UopKind.SETIDENT, UopKind.GETIDENT)
 
     def __str__(self) -> str:
         parts = [self.kind.value]

@@ -21,7 +21,7 @@ implemented read-modify-write on the containing word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ProgramError, UncheckedAccessError
 from repro.isa.registers import WORD_BYTES, WORD_MASK
@@ -160,10 +160,6 @@ class AddressSpace:
         self.store_word(address, word)
 
     # -- introspection ------------------------------------------------------
-    def touched_words(self) -> Iterable[int]:
-        """Word addresses that have been written at least once."""
-        return self._words.keys()
-
     def words_in(self, segment: Segment) -> int:
         """Number of written words that fall inside ``segment``."""
         return sum(1 for a in self._words if segment.contains(a))

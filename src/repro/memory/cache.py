@@ -115,9 +115,6 @@ class Cache:
     def block_address(self, address: int) -> int:
         return address // self._block_bytes
 
-    def set_index(self, block_address: int) -> int:
-        return block_address % self._num_sets
-
     # -- access --------------------------------------------------------------
     def access(self, address: int, is_write: bool = False) -> AccessResult:
         """Access ``address``; allocate on miss; return hit/miss and latency."""
@@ -196,9 +193,6 @@ class Cache:
     @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
-
-    def misses_per_kilo_accesses(self) -> float:
-        return 1000.0 * self.miss_rate
 
     def reset_stats(self) -> None:
         self.hits = self.misses = self.evictions = self.writebacks = 0

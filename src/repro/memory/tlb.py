@@ -66,9 +66,6 @@ class TLB:
         self.hits = 0
         self.misses = 0
 
-    def page_of(self, address: int) -> int:
-        return address // self.config.page_bytes
-
     def access(self, address: int) -> int:
         """Translate ``address``; return the added latency (0 on a hit)."""
         if tlb_access(self.slots, address // self.config.page_bytes + 1):

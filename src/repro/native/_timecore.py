@@ -971,9 +971,9 @@ def _self_test_hier(lib) -> bool:
                                  ideal_shadow=ideal, **geometry)
         # Tiny geometry + mixed address locality: every path (hits, misses,
         # evictions, writebacks, TLB churn, both prefetch directions, lock
-        # and shadow ports, idealized shadow) triggers within ~2k accesses.
+        # and shadow ports, idealized shadow) triggers within ~200 accesses.
         addrs, specs, positions = [], [], []
-        for _ in range(1500):
+        for _ in range(150):
             region = rng.randrange(3)
             if region == 0:
                 a = rng.randrange(4096)
@@ -985,10 +985,19 @@ def _self_test_hier(lib) -> bool:
             specs.append(rng.randrange(3) | rng.randrange(2) << 2 | 8)
             positions.append(len(positions))
         base = rng.randrange(1 << 16)
-        for i in range(120):  # a descending run: negative-direction streams
-            addrs.append(base + 64 * (120 - i))
+        for i in range(30):  # a descending run: negative-direction streams
+            addrs.append(base + 64 * (30 - i))
             specs.append(8)
             positions.append(len(positions))
+        # The batch's page memos, which random accesses reach only by luck:
+        # per TLB (data port, then lock port) two fresh pages q, p, q, p.
+        # The last p follows a TLB hit on q, so it must take the LRU move
+        # that a memo left on p would skip.
+        for port, (q, p) in ((0, (2, 3)), (1, (4, 5))):
+            for page in (q, p, q, p):
+                addrs.append(page << 21)
+                specs.append(port | 8)
+                positions.append(len(positions))
         ref = MemoryHierarchy(config)
         ref.timecore = False
         ker = MemoryHierarchy(config)

@@ -62,14 +62,12 @@ class Machine:
 
     def __init__(self, config: Optional[WatchdogConfig] = None,
                  watchdog: Optional[Watchdog] = None,
-                 record_trace: bool = False,
-                 operation_limit: int = DEFAULT_OPERATION_LIMIT):
+                 record_trace: bool = False):
         self.watchdog = watchdog or Watchdog(config or WatchdogConfig())
         self.config = self.watchdog.config
         self.memory = self.watchdog.memory
         self.registers = RegisterFile()
         self.record_trace = record_trace
-        self.operation_limit = operation_limit
         self.trace: List[DynamicOp] = []
         self.operations_executed = 0
         self.instructions_executed = 0
@@ -262,8 +260,9 @@ class Machine:
         raise SimulationError(f"machine cannot execute operation kind {kind}")
 
     # -- the run loop ------------------------------------------------------------------------------
-    def run(self, program: Program, raise_on_violation: bool = False) -> ExecutionResult:
-        """Execute ``program`` from its entry point."""
+    def run(self, program: Program) -> ExecutionResult:
+        """Execute ``program`` from its entry point; the first memory-safety
+        violation halts it and is reported on the result."""
         program.validate()
         for offset in program.initialized_global_pointers:
             self.watchdog.initialize_global_pointer(
@@ -276,7 +275,7 @@ class Machine:
 
         try:
             while True:
-                if self.operations_executed >= self.operation_limit:
+                if self.operations_executed >= DEFAULT_OPERATION_LIMIT:
                     raise SimulationError("operation limit exceeded (runaway program?)")
                 if pc >= len(function.operations):
                     if not call_stack:
@@ -298,18 +297,9 @@ class Machine:
                 pc += 1
         except MemorySafetyViolation as exc:
             violation = exc
-            if raise_on_violation:
-                raise
-
-        detected = violation is not None or bool(self.watchdog.violations)
-        if violation is None and self.watchdog.violations:
-            first = self.watchdog.violations[0]
-            violation = MemorySafetyViolation(first.message, address=first.address,
-                                              pc=first.pc)
-            violation.kind = first.kind  # type: ignore[misc]
 
         return ExecutionResult(
-            detected=detected,
+            detected=violation is not None,
             violation=violation,
             operations_executed=self.operations_executed,
             instructions_executed=self.instructions_executed,

@@ -106,7 +106,7 @@ def run_matrix(benchmarks: Sequence[str], instructions: int,
                                       instructions=instructions)
         clock.lap("generate")
         for _, config in MATRIX_CONFIGS:
-            bundle.compiled_streams(config, machine=simulator.machine)
+            bundle.compiled_streams(config)
             clock.lap("compile")
             total_uops += simulator.run_bundle(bundle, config).timing.total_uops
             clock.lap("simulate")
@@ -394,13 +394,18 @@ def write_record(record: Dict[str, object],
     return path
 
 
-def check_against_baseline(record: Dict[str, object], baseline_path: str,
-                           max_regression: float = 0.30) -> Tuple[bool, str]:
+#: How far below its baseline a floor's figure may fall before the gate
+#: fails; ceilings take no tolerance.
+MAX_REGRESSION = 0.30
+
+
+def check_against_baseline(record: Dict[str, object],
+                           baseline_path: str) -> Tuple[bool, str]:
     """Check every :data:`CELLS` gate the baseline file declares; returns
     ``(ok, message)``.
 
-    A floor fails when the figure drops more than ``max_regression`` below
-    the baseline.  A ceiling takes no tolerance: it carries its own
+    A floor fails when the figure drops more than :data:`MAX_REGRESSION`
+    below the baseline.  A ceiling takes no tolerance: it carries its own
     headroom, and the leak it guards against (samples retained across the
     horizon) overshoots by gigabytes.  A gate whose cell the record lacks,
     or whose ceiling figure this platform cannot measure, is skipped.
@@ -428,10 +433,10 @@ def check_against_baseline(record: Dict[str, object], baseline_path: str,
                 passed = measured <= limit
                 against = f"ceiling {limit:,.0f} (no tolerance)"
             else:
-                floor = limit * (1.0 - max_regression)
+                floor = limit * (1.0 - MAX_REGRESSION)
                 passed = measured >= floor
                 against = (f"baseline {limit:,.0f} (floor {floor:,.0f}, "
-                           f"tolerance {max_regression:.0%})")
+                           f"tolerance {MAX_REGRESSION:.0%})")
             ok = ok and passed
             verdict = "OK" if passed else \
                 "EXCEEDED" if gate.ceiling else "REGRESSION"

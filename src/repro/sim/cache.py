@@ -1,11 +1,11 @@
 """Persistent, content-addressed result cache.
 
 A simulated cell is a pure function of its inputs: the benchmark profile,
-the workload seed and instruction counts, the §9.1 sampling schedule, the
-Watchdog configuration and the machine configuration.  The cache therefore
-keys each
-:class:`~repro.sim.results.CellResult` by a SHA-256 digest of a canonical
-JSON rendering of exactly those inputs (plus a schema version that is bumped
+the workload seed and instruction counts, the §9.1 sampling schedule and
+the Watchdog configuration, all simulated on the one Table 2 machine.  The
+cache therefore keys each :class:`~repro.sim.results.CellResult` by a
+SHA-256 digest of a canonical JSON rendering of exactly those inputs, the
+machine configuration included (plus a schema version that is bumped
 whenever the simulation semantics change), and stores the cell as one small
 JSON file.  Repeated figure runs, the benchmark harness and the CLI all skip
 already-computed cells; any change to a configuration knob changes the
@@ -80,8 +80,7 @@ def canonical_value(value: Any) -> Any:
 
     Every field is included — even ``compare=False`` ones: e.g.
     ``MachineConfig.EXEC_LATENCY`` is excluded from equality but is a real
-    timing input, and two machines differing only there must not share
-    cache entries.
+    timing input, so a change there must change every key.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: canonical_value(getattr(value, f.name))
@@ -96,8 +95,7 @@ def canonical_value(value: Any) -> Any:
     return value
 
 
-def request_fingerprint(request: RunRequest,
-                        machine: Optional[MachineConfig] = None) -> str:
+def request_fingerprint(request: RunRequest) -> str:
     """Content hash identifying one cell's full input space."""
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
@@ -108,7 +106,7 @@ def request_fingerprint(request: RunRequest,
         "warmup_instructions": request.warmup_instructions,
         "sampling": canonical_value(request.sampling),
         "config": canonical_value(request.config),
-        "machine": canonical_value(machine or MachineConfig()),
+        "machine": canonical_value(MachineConfig()),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -136,9 +134,8 @@ class ResultCache:
         self._corruption_events: List[DegradationEvent] = []
 
     # -- keying ---------------------------------------------------------------------
-    def key(self, request: RunRequest,
-            machine: Optional[MachineConfig] = None) -> str:
-        return request_fingerprint(request, machine)
+    def key(self, request: RunRequest) -> str:
+        return request_fingerprint(request)
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"

@@ -27,8 +27,8 @@ of every dynamic instance, it compiles in three steps:
    injection/pointer/page statistics reconstructed from per-template
    deltas.  Each template's µop words are packed once at build time
    (:func:`~repro.native._timecore.pack_entry_words`) and appended to its
-   class's table, one append-only set of int64 columns per (configuration
-   class, machine).  When the run's ``timecore`` decision resolves the
+   class's table, one append-only set of int64 columns per configuration
+   class.  When the run's ``timecore`` decision resolves the
    timing kernel, its ``compile_run`` replays a window through those
    columns in one C pass; otherwise the Python loops here, its oracle,
    assemble the columns with ``array.extend``.  The packed word is the
@@ -106,8 +106,8 @@ def stream_class_key(config: WatchdogConfig) -> tuple:
     """The configuration-equivalence class of a compiled stream.
 
     Exactly the knobs that change which µops are injected and how they are
-    annotated; lock-cache presence, idealized shadow and halt-on-violation
-    only affect *timing* and therefore share streams.
+    annotated; lock-cache presence and idealized shadow only affect
+    *timing* and therefore share streams.
     """
     return (config.enabled, config.pointer_identification,
             config.bounds_mode, config.copy_elimination)
@@ -316,7 +316,7 @@ class _Template:
 
 
 class _TemplateTable:
-    """One configuration class's templates on one machine, append-only.
+    """One configuration class's templates, append-only.
 
     Row ``r`` is ``templates[r]``, and the same template in the int64
     columns the kernel's ``compile_run`` reads: ``meta`` holds 17 slots per
@@ -365,16 +365,18 @@ class _TemplateTable:
 
 # -- the compiler ----------------------------------------------------------------------
 
-#: Cross-bundle template tables: one per (configuration class, machine).
-#: The tables share the built templates and their id() memo across samples,
-#: bundles and sweeps.  A compiler resolves its table once, so no lookup
-#: hashes the machine.  The limit is a backstop for unbounded sweeps and for
+#: Cross-bundle template tables: one per configuration class.  The tables
+#: share the built templates and their id() memo across samples, bundles and
+#: sweeps.  The limit is a backstop for unbounded sweeps and for
 #: traces that build their own Instruction objects (program traces): a
 #: compiler starting a window on a table whose rows or pinned instructions
 #: reach it installs a fresh one, and compilers still holding the old table
 #: keep valid rows.
 _TEMPLATE_CACHE: Dict[tuple, _TemplateTable] = {}
 _TEMPLATE_CACHE_LIMIT = 1 << 16
+
+#: The Table 2 machine, whose execution latencies every template carries.
+_MACHINE = MachineConfig()
 
 
 def _identity_key(inst: Instruction) -> tuple:
@@ -393,7 +395,8 @@ def _identity_key(inst: Instruction) -> tuple:
 
 
 class StreamCompiler:
-    """Compiles tokenized traces for one configuration class and machine.
+    """Compiles tokenized traces for one configuration class on the
+    Table 2 machine.
 
     ``lib`` is the run's timing kernel (:func:`repro.native._timecore.load`)
     or ``None``: :meth:`compile_measured` and :meth:`compile_warm` run the
@@ -401,10 +404,8 @@ class StreamCompiler:
     oracle, without.
     """
 
-    def __init__(self, config: WatchdogConfig,
-                 machine: Optional[MachineConfig] = None, lib=None):
+    def __init__(self, config: WatchdogConfig, lib=None):
         self.config = config
-        self.machine = machine or MachineConfig()
         self._lib = lib
         #: The template expansions run through a real injector so the
         #: statistics deltas (injection counts, pointer classification,
@@ -415,7 +416,7 @@ class StreamCompiler:
         self._frame_start = self._frame_floor + layout.lock_region.size // 2
         self._mw = config.metadata_words
         self._shadow_step = 64 // self._mw
-        self._cache_key = (stream_class_key(config), self.machine)
+        self._cache_key = stream_class_key(config)
         table = _TEMPLATE_CACHE.get(self._cache_key)
         if table is None:
             table = _TEMPLATE_CACHE[self._cache_key] = _TemplateTable()
@@ -464,7 +465,6 @@ class StreamCompiler:
 
     def _build_template(self, inst: Instruction) -> _Template:
         compiled = compile_template(self.injector, inst, expand=self._full_expand)
-        machine = self.machine
         t = _Template()
         entries = []
         lats = []
@@ -494,7 +494,7 @@ class StreamCompiler:
             ms0 = reg_slot(meta_srcs[0]) if meta_srcs else -1
             ms1 = reg_slot(meta_srcs[1]) if len(meta_srcs) == 2 else -1
             entries.append((flags, uop.uop_cost, dest, s0, s1, md, ms0, ms1))
-            lats.append(machine.latency_for(kind))
+            lats.append(_MACHINE.latency_for(kind))
             rule = ANNOTATION_RULES.get(kind)
             if rule is not None:
                 addr_rule, port, is_write = rule

@@ -38,11 +38,11 @@ One worker dying must never sink a paper-scale suite.  Simulation rounds
 run under a :class:`~repro.sim.spec.ResiliencePolicy`:
 
 * a job whose worker **crashed** (``BrokenProcessPool``, or an injected
-  :class:`~repro.sim.faults.InjectedWorkerCrash` in-process) is retried with
-  exponential backoff, transparently rebuilding the broken pool; under
-  ``degrade_native`` the retry disables the native kernels
-  (``REPRO_TIMECORE=0`` / ``REPRO_FFCORE=0``) first, since freshly-compiled
-  C is the likeliest crash source and the Python fallback is golden-equal;
+  :class:`~repro.sim.faults.InjectedWorkerCrash` in-process) is retried at
+  once, transparently rebuilding the broken pool; a crash with the native
+  kernels live retries with them disabled (``REPRO_TIMECORE=0`` /
+  ``REPRO_FFCORE=0``), since freshly-compiled C is the likeliest crash
+  source and the Python fallback is golden-equal;
   siblings whose pending futures were poisoned by the same breakage retry
   for free (``pool-collateral``) — only one job per breakage is charged,
 * a pooled job exceeding the policy's per-cell **deadline** counts as
@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -73,7 +72,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.pipeline.config import MachineConfig
 from repro.sim.cache import ResultCache, request_fingerprint
 from repro.sim.faults import (
     FaultPlan,
@@ -199,7 +197,6 @@ def _native_kernels_disabled():
 
 
 def execute_job(job: BenchmarkJob,
-                machine: Optional[MachineConfig] = None,
                 sample_pool: Optional[ProcessPoolExecutor] = None) -> List[CellResult]:
     """Run every cell of one benchmark job (module-level: picklable).
 
@@ -226,24 +223,23 @@ def execute_job(job: BenchmarkJob,
         apply_execution_faults(job.faults, job.benchmark, job.attempt)
     if not job.native:
         with _native_kernels_disabled():
-            return _execute_job_cells(job, machine, sample_pool)
-    return _execute_job_cells(job, machine, sample_pool)
+            return _execute_job_cells(job, sample_pool)
+    return _execute_job_cells(job, sample_pool)
 
 
 def _execute_job_cells(job: BenchmarkJob,
-                       machine: Optional[MachineConfig],
                        sample_pool: Optional[ProcessPoolExecutor]) -> List[CellResult]:
     from repro.workloads.profiles import parse_mix_benchmark
 
     parsed = parse_mix_benchmark(job.benchmark)
     if parsed is not None:
-        return _execute_mix_job(job, parsed, machine)
+        return _execute_mix_job(job, parsed)
     if job.sampling is not None \
             and job.sampling.samples_horizon(job.instructions):
-        return _execute_sampled(job, machine, sample_pool)
+        return _execute_sampled(job, sample_pool)
     # No schedule, or one that measures everything or nothing: one window.
     bundle = _bundle_for(job)
-    simulator = Simulator(machine)
+    simulator = Simulator()
     results: List[CellResult] = []
     for label, config in job.cells:
         outcome = simulator.run_bundle(bundle, config)
@@ -251,8 +247,7 @@ def _execute_job_cells(job: BenchmarkJob,
     return results
 
 
-def _execute_mix_job(job: BenchmarkJob, parsed,
-                     machine: Optional[MachineConfig]) -> List[CellResult]:
+def _execute_mix_job(job: BenchmarkJob, parsed) -> List[CellResult]:
     """Run one multi-core mix job: member bundles on one shared backend.
 
     Each member's trace is an ordinary benchmark bundle generated under its
@@ -270,7 +265,7 @@ def _execute_mix_job(job: BenchmarkJob, parsed,
             job, benchmark=profile_name,
             seed=mix_member_seed(mix.name, member_index, job.seed)))
         for member_index, profile_name in members]
-    simulator = MultiCoreSimulator(machine)
+    simulator = MultiCoreSimulator()
     results: List[CellResult] = []
     for label, config in job.cells:
         outcome = simulator.run_mix(job.benchmark, bundles, config)
@@ -285,12 +280,12 @@ def _replay_sample(payload) -> List[SimulationOutcome]:
     its compiled-stream caches share tokenization and per-equivalence-class
     compilation across the configs.
     """
-    bundle, configs, machine = payload
-    simulator = Simulator(machine)
+    bundle, configs = payload
+    simulator = Simulator()
     return [simulator.sample_outcome(bundle, 0, config) for config in configs]
 
 
-def _execute_sampled(job: BenchmarkJob, machine: Optional[MachineConfig],
+def _execute_sampled(job: BenchmarkJob,
                      sample_pool: Optional[ProcessPoolExecutor]) -> List[CellResult]:
     """Run a sampled job sample-major, one sample generated at a time.
 
@@ -315,7 +310,7 @@ def _execute_sampled(job: BenchmarkJob, machine: Optional[MachineConfig],
     max_inflight = (getattr(sample_pool, "_max_workers", None) or 2) + 2
     inflight: "deque" = deque()
     for segment in stream.segments():
-        payload = (stream.segment_bundle(segment), configs, machine)
+        payload = (stream.segment_bundle(segment), configs)
         if sample_pool is None:
             absorb(_replay_sample(payload))
             continue
@@ -379,16 +374,13 @@ _FAILURE_KINDS = {
 class SweepEngine:
     """Executes experiment grids; the single entry point for all sweeps."""
 
-    def __init__(self, machine: Optional[MachineConfig] = None,
-                 workers: Optional[int] = None,
+    def __init__(self, workers: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  policy: Optional[ResiliencePolicy] = None,
                  faults: Optional[FaultPlan] = None):
-        self.machine = machine
         self.workers = max(int(workers or 1), 1)
         self.cache = cache
-        self.policy = policy if policy is not None \
-            else ResiliencePolicy.from_env()
+        self.policy = policy if policy is not None else ResiliencePolicy()
         self.faults = faults if faults is not None else FaultPlan.from_env()
         #: Keyed by cell *content* — everything in the request except the
         #: cosmetic label (:func:`request_content_key`, the key the
@@ -517,7 +509,7 @@ class SweepEngine:
         """The cell's content hash, or ``None`` when there is no cache."""
         if self.cache is None:
             return None
-        return request_fingerprint(request, self.machine)
+        return request_fingerprint(request)
 
     def _load_cached(self, request: RunRequest) -> Optional[CellResult]:
         fingerprint = self._fingerprint(request)
@@ -550,8 +542,8 @@ class SweepEngine:
 
         Rounds execute every still-pending job once (pooled when the batch
         and worker count allow it, in-parent otherwise), then failures are
-        triaged: within budget → retry next round (with backoff, and with
-        native kernels disabled after a crash when the policy says so);
+        triaged: within budget → retry next round (with native kernels
+        disabled after a crash);
         budget exhausted → quarantine.  Job order is preserved throughout,
         so the caller's merge stays deterministic.
         """
@@ -560,10 +552,6 @@ class SweepEngine:
             round_states = [st for st in states if st.pending]
             if not round_states:
                 break
-            backoff = max((self.policy.backoff_before(st.attempt)
-                           for st in round_states), default=0.0)
-            if backoff > 0:
-                time.sleep(backoff)
             prepared = [dataclasses.replace(st.job, attempt=st.attempt,
                                             native=st.native)
                         for st in round_states]
@@ -597,8 +585,7 @@ class SweepEngine:
         count stays bounded by the summed budgets.
         """
         pool = self._pool()
-        futures = [pool.submit(execute_job, job, self.machine)
-                   for job in prepared]
+        futures = [pool.submit(execute_job, job) for job in prepared]
         statuses: List[Tuple[str, object]] = []
         rebuild = False
         crash_blamed = False
@@ -645,8 +632,8 @@ class SweepEngine:
             if self.workers > 1 and len(prepared) == 1 else None
         for job in prepared:
             try:
-                statuses.append(("ok", execute_job(job, self.machine,
-                                                   sample_pool=sample_pool)))
+                statuses.append(
+                    ("ok", execute_job(job, sample_pool=sample_pool)))
             except InjectedWorkerCrash as exc:
                 statuses.append(("crash", str(exc)))
             except BrokenProcessPool as exc:
@@ -679,7 +666,7 @@ class SweepEngine:
             detail=detail))
         if st.attempt < self.policy.retries:
             st.attempt += 1
-            if status == "crash" and self.policy.degrade_native and st.native:
+            if status == "crash" and st.native:
                 # A crash with the native kernels live is most plausibly a
                 # native-code fault; the Python paths are golden-equal, so
                 # trade speed for survival on the remaining attempts.

@@ -51,7 +51,7 @@ for both the native and the pure-Python batch paths.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.config import WatchdogConfig
 from repro.errors import ConfigurationError
@@ -83,9 +83,7 @@ class MultiCoreSimulator:
     single-core run of that member replays.
     """
 
-    def __init__(self, machine: Optional[MachineConfig] = None,
-                 timecore: bool = True):
-        self.machine = machine or MachineConfig()
+    def __init__(self, timecore: bool = True):
         #: Same knob as :class:`~repro.sim.simulator.Simulator`.
         self.timecore = timecore
 
@@ -104,14 +102,13 @@ class MultiCoreSimulator:
                     "mix members cannot use §9.1 sampling (sampled windows "
                     "have no cross-core interleaving order)")
         streams = [bundle.compiled_sample_streams(0, config,
-                                                  machine=self.machine,
                                                   timecore=self.timecore)
                    for bundle in bundles]
 
         backend = SharedMemoryBackend(_derived_hierarchy_config(
-            self.machine.hierarchy, config.lock_cache_enabled,
+            MachineConfig().hierarchy, config.lock_cache_enabled,
             config.ideal_shadow))
-        cores = [OutOfOrderCore(machine=self.machine, watchdog=config,
+        cores = [OutOfOrderCore(watchdog=config,
                                 hierarchy=MemoryHierarchy(shared=backend,
                                                           core_id=index),
                                 timecore=self.timecore)

@@ -26,8 +26,9 @@ Two further records carry the resilience layer's verdicts:
   non-zero; the failure record says which cell, after how many attempts,
   and why.
 
-All of them round-trip through plain dicts (``to_dict``/``from_dict``) so the
-persistent result cache and any external tooling can store them as JSON.
+Each renders to a plain JSON-ready dict (``to_dict``): the CLI's
+``--report`` artifact and the persistent result cache store them as JSON,
+and the cache reads its cells back through :meth:`CellResult.from_dict`.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class DegradationEvent:
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "DegradationEvent":
-        return _from_known_fields(cls, data)
-
 
 @dataclass(frozen=True)
 class CellFailure:
@@ -104,10 +101,6 @@ class CellFailure:
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CellFailure":
-        return _from_known_fields(cls, data)
 
 
 @dataclass(frozen=True)
@@ -360,7 +353,7 @@ class ExperimentResult:
             lines.append(f"# {note}")
         return "\n".join(lines)
 
-    # -- JSON round-trip -------------------------------------------------------------
+    # -- JSON -----------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -368,16 +361,6 @@ class ExperimentResult:
             "summary": dict(self.summary),
             "notes": list(self.notes),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExperimentResult":
-        return cls(
-            name=data["name"],
-            series={series: dict(values)
-                    for series, values in data.get("series", {}).items()},
-            summary=dict(data.get("summary", {})),
-            notes=list(data.get("notes", [])),
-        )
 
 
 @dataclass(frozen=True)
@@ -426,11 +409,6 @@ class MetricCheck:
             "ok": self.ok,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MetricCheck":
-        return cls(metric=data["metric"], expected=data["expected"],
-                   tolerance=data["tolerance"], measured=data.get("measured"))
-
 
 @dataclass
 class ExperimentReport:
@@ -460,17 +438,6 @@ class ExperimentReport:
             "checks": [check.to_dict() for check in self.checks],
             "result": self.result.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExperimentReport":
-        return cls(
-            name=data["name"],
-            result=ExperimentResult.from_dict(data["result"]),
-            checks=[MetricCheck.from_dict(check)
-                    for check in data.get("checks", [])],
-            elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-            provenance=dict(data.get("provenance", {})),
-        )
 
 
 @dataclass
@@ -511,16 +478,3 @@ class SuiteReport:
                               for failure in self.cell_failures],
             "experiments": [report.to_dict() for report in self.reports],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SuiteReport":
-        return cls(
-            reports=[ExperimentReport.from_dict(report)
-                     for report in data.get("experiments", [])],
-            settings=dict(data.get("settings", {})),
-            engine=dict(data.get("engine", {})),
-            degradations=[DegradationEvent.from_dict(event)
-                          for event in data.get("degradations", [])],
-            cell_failures=[CellFailure.from_dict(failure)
-                           for failure in data.get("cell_failures", [])],
-        )

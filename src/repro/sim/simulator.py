@@ -28,7 +28,6 @@ from repro.core.config import WatchdogConfig
 from repro.core.pointer_id import PointerIdStats
 from repro.core.uop_injection import InjectionStats
 from repro.memory.pages import PageAccountant
-from repro.pipeline.config import MachineConfig
 from repro.pipeline.core import OutOfOrderCore, TimingResult
 from repro.program.ir import Program
 from repro.program.machine import ExecutionResult, Machine
@@ -167,9 +166,7 @@ class Simulator:
     loops, which are bit-identical.
     """
 
-    def __init__(self, machine: Optional[MachineConfig] = None,
-                 timecore: bool = True):
-        self.machine = machine or MachineConfig()
+    def __init__(self, timecore: bool = True):
         #: Handed to every stream compilation and core this simulator
         #: runs: ``True`` uses the C kernel when it loads
         #: (``REPRO_TIMECORE=0`` still disables it), ``False`` forces the
@@ -238,10 +235,8 @@ class Simulator:
         from repro.sim import compiled as compiled_mod
 
         streams = bundle.compiled_sample_streams(index, config,
-                                                 machine=self.machine,
                                                  timecore=self.timecore)
-        core = OutOfOrderCore(machine=self.machine, watchdog=config,
-                              timecore=self.timecore)
+        core = OutOfOrderCore(watchdog=config, timecore=self.timecore)
         compiled_mod.warm_working_set(core.hierarchy, streams.working_set,
                                       config)
         if streams.warm is not None:

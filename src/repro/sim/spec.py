@@ -19,7 +19,6 @@ persistent result cache) — the spec stays purely descriptive.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -130,20 +129,16 @@ class ResiliencePolicy:
     on first failure.  ``deadline_seconds`` is the per-cell wall-clock budget
     enforced on pooled rounds (``None`` = unlimited; serial execution cannot
     preempt a running cell, so deadlines only bind with ``workers > 1``).
-    ``backoff_seconds`` is the base of the exponential pause before retry
-    *n* (``backoff_seconds * 2**(n-1)``) — it gives a transiently-starved
-    machine (OOM pressure, a noisy co-tenant) room to recover before the
-    re-execution hits it again.  ``degrade_native`` retries a crashed cell
-    with the native kernels disabled (``REPRO_TIMECORE=0``/``REPRO_FFCORE=0``)
-    before giving up, on the theory that a segfault in freshly-compiled C is
-    the most likely crash cause; the fallback is golden-equal, just slower,
-    and is reported as a :class:`~repro.sim.results.DegradationEvent`.
+    Retries start at once, and a crashed cell retries with the native kernels
+    disabled (``REPRO_TIMECORE=0``/``REPRO_FFCORE=0``), on the theory that a
+    segfault in freshly-compiled C is the most likely crash cause; the
+    fallback is golden-equal, just slower, and is reported as a
+    :class:`~repro.sim.results.DegradationEvent`.  ``repro run --retries`` /
+    ``--deadline`` set the two fields.
     """
 
     retries: int = 2
     deadline_seconds: Optional[float] = None
-    backoff_seconds: float = 0.0
-    degrade_native: bool = True
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -153,51 +148,6 @@ class ResiliencePolicy:
             raise ConfigurationError(
                 f"deadline_seconds must be positive, "
                 f"got {self.deadline_seconds}")
-        if self.backoff_seconds < 0:
-            raise ConfigurationError(
-                f"backoff_seconds must be >= 0, got {self.backoff_seconds}")
-
-    def backoff_before(self, attempt: int) -> float:
-        """Seconds to pause before executing 0-based attempt ``attempt``."""
-        if attempt <= 0 or self.backoff_seconds <= 0:
-            return 0.0
-        return self.backoff_seconds * (2.0 ** (attempt - 1))
-
-    @classmethod
-    def from_env(cls) -> "ResiliencePolicy":
-        """Policy overrides from ``REPRO_RETRIES`` / ``REPRO_DEADLINE`` /
-        ``REPRO_BACKOFF`` / ``REPRO_DEGRADE_NATIVE`` (CLI flags win over
-        these; both beat the defaults)."""
-        kwargs = {}
-        retries = os.environ.get("REPRO_RETRIES")
-        if retries is not None:
-            try:
-                kwargs["retries"] = int(retries)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_RETRIES must be an integer, "
-                    f"got {retries!r}") from None
-        deadline = os.environ.get("REPRO_DEADLINE")
-        if deadline is not None:
-            try:
-                kwargs["deadline_seconds"] = float(deadline)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_DEADLINE must be a number of seconds, "
-                    f"got {deadline!r}") from None
-        backoff = os.environ.get("REPRO_BACKOFF")
-        if backoff is not None:
-            try:
-                kwargs["backoff_seconds"] = float(backoff)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_BACKOFF must be a number of seconds, "
-                    f"got {backoff!r}") from None
-        degrade = os.environ.get("REPRO_DEGRADE_NATIVE")
-        if degrade is not None:
-            kwargs["degrade_native"] = degrade.strip().lower() not in \
-                ("0", "false", "no", "off")
-        return cls(**kwargs)
 
 
 def settings_from_args(args) -> ExperimentSettings:

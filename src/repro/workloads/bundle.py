@@ -174,7 +174,7 @@ class TraceBundle:
         return self.measured_instructions
 
     # -- compiled-stream cache ----------------------------------------------------
-    def compiled_streams(self, config, machine=None, timecore=True):
+    def compiled_streams(self, config, timecore=True):
         """The compiled replay artifacts of a one-window bundle.
 
         Shorthand for ``compiled_sample_streams(0, ...)`` on a one-window
@@ -186,10 +186,9 @@ class TraceBundle:
             raise ConfigurationError(
                 f"bundle has {len(self.samples)} replay windows, not one; "
                 f"use compiled_sample_streams(index, ...) per sample")
-        return self.compiled_sample_streams(0, config, machine, timecore)
+        return self.compiled_sample_streams(0, config, timecore)
 
-    def compiled_sample_streams(self, index: int, config, machine=None,
-                                timecore=True):
+    def compiled_sample_streams(self, index: int, config, timecore=True):
         """Compiled replay artifacts for replay window ``index``.
 
         Compilation is cached per window and *per configuration-equivalence
@@ -210,26 +209,24 @@ class TraceBundle:
                 f"sample index {index} out of range: bundle has "
                 f"{len(self.samples)} samples")
         from repro.native import _timecore
-        from repro.pipeline.config import MachineConfig
         from repro.sim.compiled import (
             BundleStreams,
             StreamCompiler,
             stream_class_key,
         )
 
-        machine = machine or MachineConfig()
         lib = _timecore.load() if timecore else None
         streams = self.__dict__.get(_STREAM_CACHE_ATTR)
         if streams is None:
             streams = {}
             object.__setattr__(self, _STREAM_CACHE_ATTR, streams)
-        key = (stream_class_key(config), machine, index, lib is not None)
+        key = (stream_class_key(config), index, lib is not None)
         cached = streams.get(key)
         if cached is not None:
             return cached
 
         segment = self.samples[index]
-        compiler = StreamCompiler(config, machine, lib)
+        compiler = StreamCompiler(config, lib)
         built = BundleStreams(
             measured=compiler.compile_measured(segment.measured),
             warm=compiler.compile_warm(segment.warmup)

@@ -37,10 +37,6 @@ class JulietCase:
     #: Expected violation kind for faulty cases; None for benign twins.
     expected_kind: Optional[str]
 
-    @property
-    def is_faulty(self) -> bool:
-        return self.expected_kind is not None
-
 
 # --------------------------------------------------------------------------- patterns
 def _heap_uaf_read(size: int, offset: int, faulty: bool) -> Program:
@@ -326,9 +322,6 @@ class JulietSuite:
                 name=f"{cwe}-{name}-benign-{ordinal:03d}", cwe=cwe, pattern=name,
                 program=program, expected_kind=None))
         return cases
-
-    def all_cases(self) -> List[JulietCase]:
-        return self.faulty_cases() + self.benign_cases()
 
     def patterns(self) -> List[str]:
         return [spec[0] for spec in _pattern_specs()]

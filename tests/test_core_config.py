@@ -48,6 +48,3 @@ class TestDerivedProperties:
         config = WatchdogConfig()
         with pytest.raises(Exception):
             config.enabled = False
-
-    def test_default_halts_on_violation(self):
-        assert WatchdogConfig().halt_on_violation

@@ -21,7 +21,7 @@ from repro.experiments import REGISTRY, get_definition, run_experiments
 from repro.experiments.common import ExperimentDefinition, ExperimentSettings
 from repro.sim.cache import ResultCache
 from repro.sim.engine import SweepEngine
-from repro.sim.results import ExperimentResult, MetricCheck, SuiteReport
+from repro.sim.results import ExperimentResult, MetricCheck
 from repro.sim.sampling import SamplingConfig
 from repro.sim.spec import MergedGrid, request_content_key
 
@@ -150,14 +150,13 @@ class TestQuickTierChecks:
 
     def test_suite_report_round_trips_through_json(self):
         suite = run_experiments(["fig8", "table2"], settings=TINY)
-        restored = SuiteReport.from_dict(
-            json.loads(json.dumps(suite.to_dict())))
-        assert restored.ok == suite.ok
-        assert [r.name for r in restored.reports] == \
+        data = json.loads(json.dumps(suite.to_dict()))
+        assert data["ok"] == suite.ok
+        assert [entry["name"] for entry in data["experiments"]] == \
             [r.name for r in suite.reports]
-        assert restored.reports[0].result.summary == \
+        assert data["experiments"][0]["result"]["summary"] == \
             suite.reports[0].result.summary
-        assert [c.to_dict() for c in restored.reports[0].checks] == \
+        assert data["experiments"][0]["checks"] == \
             [c.to_dict() for c in suite.reports[0].checks]
 
 
@@ -305,13 +304,31 @@ class TestCliRun:
 
     @pytest.mark.parametrize("option", [["--resume"],
                                         ["--journal", "run.jsonl"],
-                                        ["--figure", "fig7"]],
-                             ids=["resume", "journal", "figure"])
+                                        ["--figure", "fig7"],
+                                        ["--no-timecore"]],
+                             ids=["resume", "journal", "figure", "no-timecore"])
     def test_retired_run_options_are_usage_errors(self, option, capsys):
-        # The run journal and the per-figure entry are gone; a stale
+        # The run journal, the per-figure entry and the timing-kernel flag
+        # (REPRO_TIMECORE=0 is the one kill switch) are gone; a stale
         # invocation must fail loudly rather than run something else.
         with pytest.raises(SystemExit) as stopped:
             self._cli(["run", "fig7"] + option)
+        assert stopped.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--max-regression", "0.3"],
+                                        ["--allow-degraded"]],
+                             ids=["max-regression", "allow-degraded"])
+    def test_retired_bench_options_are_usage_errors(self, option, capsys,
+                                                    monkeypatch):
+        # The tolerance is a constant and a degradation always fails the
+        # bench; argparse refuses both flags before any cell runs (with
+        # run_bench stubbed out, an accepted flag fails fast instead).
+        from repro.sim import bench
+
+        monkeypatch.setattr(bench, "run_bench", None)
+        with pytest.raises(SystemExit) as stopped:
+            self._cli(["bench", "--quick"] + option)
         assert stopped.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -361,5 +378,5 @@ class TestMetricCheck:
         check = MetricCheck(metric="m", expected=10.0, tolerance=2.0,
                             measured=9.0)
         data = json.loads(json.dumps(check.to_dict()))
-        assert MetricCheck.from_dict(data) == check
-        assert data["ok"] is True and data["deviation"] == -1.0
+        assert data == {"metric": "m", "expected": 10.0, "tolerance": 2.0,
+                        "measured": 9.0, "deviation": -1.0, "ok": True}

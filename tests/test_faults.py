@@ -152,31 +152,14 @@ class TestResiliencePolicy:
             ResiliencePolicy(retries=-1)
         with pytest.raises(ConfigurationError):
             ResiliencePolicy(deadline_seconds=0)
-        with pytest.raises(ConfigurationError):
-            ResiliencePolicy(backoff_seconds=-0.1)
 
-    def test_backoff_schedule_is_exponential(self):
-        policy = ResiliencePolicy(backoff_seconds=0.1)
-        assert policy.backoff_before(0) == 0.0
-        assert policy.backoff_before(1) == pytest.approx(0.1)
-        assert policy.backoff_before(2) == pytest.approx(0.2)
-        assert ResiliencePolicy().backoff_before(3) == 0.0
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "5")
-        monkeypatch.setenv("REPRO_DEADLINE", "2.5")
-        monkeypatch.setenv("REPRO_BACKOFF", "0.25")
-        monkeypatch.setenv("REPRO_DEGRADE_NATIVE", "0")
-        policy = ResiliencePolicy.from_env()
-        assert policy.retries == 5
-        assert policy.deadline_seconds == 2.5
-        assert policy.backoff_seconds == 0.25
-        assert policy.degrade_native is False
-
-    def test_from_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "many")
-        with pytest.raises(ConfigurationError):
-            ResiliencePolicy.from_env()
+    def test_environment_does_not_set_the_policy(self, monkeypatch):
+        # `repro run --retries/--deadline` are the one way to set it.
+        for name, value in (("REPRO_RETRIES", "5"), ("REPRO_DEADLINE", "2.5"),
+                            ("REPRO_BACKOFF", "0.25"),
+                            ("REPRO_DEGRADE_NATIVE", "0")):
+            monkeypatch.setenv(name, value)
+        assert SweepEngine().policy == ResiliencePolicy()
 
 
 class TestSerialCrashRecovery:
@@ -190,14 +173,6 @@ class TestSerialCrashRecovery:
         # The retry ran with the native kernels disabled — golden-equal, so
         # still bit-identical — and said so.
         assert "native-disabled-retry" in kinds
-
-    def test_degrade_native_can_be_disabled(self, reference_cells):
-        engine = SweepEngine(
-            faults=FaultPlan.parse("crash:gzip:0"),
-            policy=ResiliencePolicy(retries=2, degrade_native=False))
-        assert engine.run_spec(quick_spec()) == reference_cells
-        assert all(event.kind != "native-disabled-retry"
-                   for event in engine.degradations)
 
 
 class TestQuarantine:
@@ -549,15 +524,17 @@ class TestReportPlumbing:
     def test_degradation_event_round_trip(self):
         event = DegradationEvent(kind="worker-crash", subject="gzip",
                                  attempt=1, detail="worker process died")
-        assert DegradationEvent.from_dict(
-            json.loads(json.dumps(event.to_dict()))) == event
+        assert json.loads(json.dumps(event.to_dict())) == {
+            "kind": "worker-crash", "subject": "gzip", "attempt": 1,
+            "detail": "worker process died"}
         assert "gzip" in event.describe()
 
     def test_cell_failure_round_trip(self):
         failure = CellFailure(benchmark="gzip", label=ISA, attempts=3,
                               reason="cell-timeout", detail="deadline 5s")
-        assert CellFailure.from_dict(
-            json.loads(json.dumps(failure.to_dict()))) == failure
+        assert json.loads(json.dumps(failure.to_dict())) == {
+            "benchmark": "gzip", "label": ISA, "attempts": 3,
+            "reason": "cell-timeout", "detail": "deadline 5s"}
         assert "3 attempts" in failure.describe()
 
     def test_suite_report_carries_resilience_records(self):
@@ -569,10 +546,11 @@ class TestReportPlumbing:
                                        attempts=2, reason="worker-crash")])
         assert not report.ok  # cell failures fail the suite...
         data = json.loads(json.dumps(report.to_dict()))
-        restored = SuiteReport.from_dict(data)
-        assert restored.degradations == report.degradations
-        assert restored.cell_failures == report.cell_failures
-        assert not restored.ok
+        assert data["degradations"] == \
+            [event.to_dict() for event in report.degradations]
+        assert data["cell_failures"] == \
+            [failure.to_dict() for failure in report.cell_failures]
+        assert data["ok"] is False
 
         degraded_only = SuiteReport(
             degradations=[DegradationEvent(kind="cache-corrupt",
