@@ -3,6 +3,9 @@
 import pytest
 
 from repro.core.config import BoundsCheckMode, PointerIdentificationMode, WatchdogConfig
+from repro.core.watchdog import Watchdog
+from repro.errors import UseAfterFreeError
+from repro.isa.registers import int_reg
 
 
 class TestNamedConfigurations:
@@ -48,3 +51,10 @@ class TestDerivedProperties:
         config = WatchdogConfig()
         with pytest.raises(Exception):
             config.enabled = False
+
+    def test_default_halts_on_violation(self):
+        watchdog = Watchdog(WatchdogConfig())
+        pointer = watchdog.malloc(64, int_reg(1))
+        watchdog.free(int_reg(1), pointer)
+        with pytest.raises(UseAfterFreeError):
+            watchdog.check_access(int_reg(1), pointer, 8)

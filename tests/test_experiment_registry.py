@@ -332,6 +332,27 @@ class TestCliRun:
         assert stopped.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("degradations, code", [
+        ([], 0),
+        ([{"kind": "kernel-unavailable", "subject": "timecore",
+           "detail": "cc exited 1"}], 1)], ids=["clean", "degraded"])
+    def test_bench_writes_its_record_then_fails_on_a_degradation(
+            self, degradations, code, tmp_path, monkeypatch, capsys):
+        from repro.sim import bench
+
+        record = {"revision": "test", "quick": True, "kernels": {},
+                  "degradations": degradations}
+        monkeypatch.setattr(bench, "run_bench", lambda quick, seed: record)
+        output = tmp_path / "record.json"
+        assert self._cli(["bench", "--quick", "--output", str(output)]) == code
+        assert json.loads(output.read_text())["degradations"] == degradations
+        assert ("unexpected degradation" in capsys.readouterr().err) == \
+            bool(degradations)
+
+    def test_run_rejects_a_negative_retry_count(self, capsys):
+        assert self._cli(["run", "fig7", "--retries", "-1"]) == 2
+        assert "invalid resilience settings" in capsys.readouterr().err
+
     def test_run_rejects_unknown_experiment(self, capsys):
         rc = self._cli(["run", "fig99"])
         assert rc == 2

@@ -1,8 +1,12 @@
 """Tests for the functional machine (detection ground truth)."""
 
+import pytest
+
 from tests.helpers import build_benign_program, build_uaf_program
 from repro.core.config import WatchdogConfig
+from repro.errors import SimulationError, UseAfterFreeError
 from repro.isa.registers import int_reg, parse_reg
+from repro.program import machine as machine_module
 from repro.program.builder import ProgramBuilder
 from repro.program.machine import Machine
 
@@ -65,6 +69,14 @@ class TestBasicExecution:
         assert result.instructions_executed >= 5
         assert result.uops_executed > result.instructions_executed
 
+    def test_runaway_guard_stops_at_the_operation_limit(self, uaf_config,
+                                                        monkeypatch):
+        # The guard is fixed at DEFAULT_OPERATION_LIMIT; lowering the
+        # constant makes the five-instruction benign program a runaway.
+        monkeypatch.setattr(machine_module, "DEFAULT_OPERATION_LIMIT", 3)
+        with pytest.raises(SimulationError, match="operation limit"):
+            Machine(uaf_config).run(build_benign_program())
+
 
 class TestDetection:
     def test_heap_uaf_detected(self, uaf_config):
@@ -83,6 +95,17 @@ class TestDetection:
     def test_uaf_not_detected_when_disabled(self, disabled_config):
         result = Machine(disabled_config).run(build_uaf_program())
         assert not result.detected
+
+    def test_violation_halts_the_run(self, uaf_config):
+        builder = ProgramBuilder()
+        with builder.function("main") as main:
+            main.malloc("r1", 64)
+            main.free("r1")
+            main.load("r9", "r1", 0)
+            main.mov_imm("r10", 1)       # never reached
+        result = Machine(uaf_config).run(builder.build())
+        assert isinstance(result.violation, UseAfterFreeError)
+        assert result.registers.read(parse_reg("r10")) == 0
 
     def test_pointer_spilled_to_memory_still_checked(self, uaf_config):
         """The shadow-space path (§3.3): metadata survives a spill/reload."""
