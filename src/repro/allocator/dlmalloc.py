@@ -16,7 +16,7 @@ allocations are word aligned, an assumption of the shadow-space scheme,
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import AllocatorError, OutOfMemoryError

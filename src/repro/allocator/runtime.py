@@ -16,13 +16,13 @@ instructions each call would execute so the timing model can charge for them
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.allocator.dlmalloc import DlMallocAllocator
-from repro.core.identifier import IdentifierTable, Identifier, INVALID_KEY
+from repro.core.identifier import IdentifierTable, Identifier
 from repro.core.metadata import PointerMetadata
-from repro.errors import AllocatorError, DoubleFreeError, InvalidFreeError
+from repro.errors import DoubleFreeError, InvalidFreeError
 from repro.memory.address_space import AddressSpace
 
 #: Approximate dynamic instruction counts of the allocator fast paths, used by

@@ -24,7 +24,7 @@ here); Watchdog's own overhead is measured by the Figure 7 experiment.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.location_based import LocationBasedChecker

@@ -14,10 +14,8 @@ Table 1 harness replays through every approach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
-
-from repro.errors import ProgramError
+from dataclasses import dataclass
+from typing import Set
 
 
 @dataclass

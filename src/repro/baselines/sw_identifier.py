@@ -23,10 +23,8 @@ Figure 7/9/11 experiments).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
-
-from repro.errors import ProgramError
 
 
 @dataclass

@@ -21,7 +21,7 @@ always passes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.metadata import PointerMetadata

@@ -18,8 +18,8 @@ are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from dataclasses import dataclass
+from typing import Set
 
 from repro.isa.instructions import Instruction, PointerHint
 

@@ -22,13 +22,12 @@ when the last mapping is overwritten.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import WatchdogConfig
 from repro.errors import SimulationError
 from repro.isa.instructions import (
-    Instruction,
     NON_POINTER_PRODUCERS,
     Opcode,
     SELECT_PROPAGATORS,

@@ -18,7 +18,6 @@ fails its check: its key no longer matches the (invalidated) lock location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.identifier import INVALID_KEY, Identifier

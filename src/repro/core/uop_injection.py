@@ -22,7 +22,7 @@ Figure 8 breakdown (checks / pointer loads / pointer stores / other).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.config import BoundsCheckMode, WatchdogConfig

@@ -19,7 +19,7 @@ injected µops.  The timing model replays the same µop stream.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.allocator.runtime import InstrumentedRuntime
 from repro.core.checks import CheckOutcome, CheckUnit

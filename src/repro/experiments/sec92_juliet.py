@@ -19,7 +19,7 @@ from repro.experiments.common import (
 )
 from repro.sim.results import ExperimentResult
 from repro.sim.simulator import Simulator
-from repro.workloads.juliet import JulietCase, JulietSuite, JULIET_CASE_COUNT
+from repro.workloads.juliet import JulietSuite, JULIET_CASE_COUNT
 
 
 @dataclass

@@ -18,8 +18,8 @@ instructions of the paper's simulator.  What matters for Watchdog is the
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.errors import ProgramError
 from repro.isa.registers import ArchReg

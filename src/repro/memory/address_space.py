@@ -20,7 +20,7 @@ implemented read-modify-write on the containing word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ProgramError, UncheckedAccessError

@@ -154,10 +154,11 @@ class Cache:
     def fill(self, addresses) -> None:
         """Install ``addresses`` in order without touching any counter.
 
-        The Python form of the kernel's ``warm_fill`` (working-set warm-up,
-        which is unobserved).  Sets are independent, so each touched set is
-        read once into a dict of its live entries (clean key to slot value,
-        oldest first), updated there and written back when the fill is done.
+        The Python working-set install's fill (warm-up, which is
+        unobserved; the kernel's ``ws_install`` leaves the same ways).  Sets
+        are independent, so each touched set is read once into a dict of its
+        live entries (clean key to slot value, oldest first), updated there
+        and written back when the fill is done.
         """
         ways = self.ways
         num_sets = self._num_sets

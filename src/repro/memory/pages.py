@@ -10,7 +10,7 @@ allocation of the shadow space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Set
+from typing import Iterable, Set
 
 PAGE_SIZE = 4096
 

@@ -16,8 +16,7 @@ bounds, §8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from repro.errors import ProgramError
 from repro.isa.registers import WORD_BYTES

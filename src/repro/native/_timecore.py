@@ -15,7 +15,7 @@ small C kernel through the shared :mod:`repro.native.build` machinery
 (system cc, first use, cached on disk, self-tested at load).
 
 The kernel consumes exactly the structures the Python loops consume, in
-five entries:
+four entries:
 
 * ``compile_run`` — a token window (:class:`~repro.sim.trace.TraceTokens`
   columns) replayed through one class's template table, the int64 columns
@@ -33,12 +33,15 @@ five entries:
   point serves both the counted (``access_batch``) and warm-up
   (``warm_batch``) variants, toggled by the ``collect`` config slot;
   ``MemoryHierarchy._replay`` is its Python mirror.
-* ``warm_fill`` — the working-set install of one cache (``Cache.fill`` in
-  Python).
-* ``ws_expand`` — the working-set columns themselves: a snapshot's
-  per-object ``[start, end)`` line ranges expanded into the data lines and
-  their shadow lines (:meth:`repro.sim.compiled.WorkingSetArrays.columns`,
-  one ``array.extend(range(...))`` per range in Python).
+* ``ws_install`` — the working-set install of a whole hierarchy
+  (:func:`install_working_set`): a snapshot's per-object ``[start, end)``
+  line ranges and lock column, read as they are, leave every cache and TLB
+  array as :func:`repro.sim.compiled._install_python` leaves it, which
+  expands them into columns
+  (:meth:`~repro.sim.compiled.WorkingSetArrays.columns`) and fills each
+  cache oldest address first.  An empty level is filled by one walk newest
+  first that stops when the level is full; a level holding lines takes the
+  forward fill.
 * ``sched_run`` — per-µop words (flags, cost and the six register-slot
   operands in one int64 each), the post-hierarchy latency array, the
   flattened port-pool free times, and ring buffers for the ROB/IQ/LQ/SQ
@@ -48,10 +51,11 @@ five entries:
   (:meth:`repro.sim.compiled.StreamCompiler.compile_measured`), and the
   Python scheduler decodes the same words through :func:`unpack_words`.
 
-All are replicas of the Python loops, statement for statement — every
-column, counter, LRU movement, latency and stall decision lands on the same
-value, and the load-time self-test plus the timecore golden tests enforce
-bit-identical streams and ``TimingResult``/``HierarchyStats`` output.  The
+All but ``ws_install`` are replicas of the Python loops, statement for
+statement; all land every column, counter, LRU movement, latency and stall
+decision on the same value, and the load-time self-test plus the timecore
+golden tests enforce bit-identical streams and
+``TimingResult``/``HierarchyStats`` output.  The
 kernel is strictly optional: ``REPRO_TIMECORE=0``, a missing compiler, a
 failed build or a failed self-test all fall back to the Python loops
 silently.
@@ -77,11 +81,12 @@ _SOURCE = r"""
  * Replicates repro.sim.compiled.StreamCompiler's compile loops
  * (_measured_python and compile_warm),
  * repro.memory.hierarchy.MemoryHierarchy._replay (the Python loop behind
- * access_batch/warm_batch), Cache.fill,
- * repro.sim.compiled.WorkingSetArrays.columns and
+ * access_batch/warm_batch) and
  * repro.pipeline.core.OutOfOrderCore._schedule_python statement for
- * statement.  Any change to those Python loops must be mirrored here (the
- * load-time self-test and the timecore golden tests enforce equality).
+ * statement, and leaves the state repro.sim.compiled._install_python (the
+ * working-set install) leaves.  Any change to those Python loops must be
+ * mirrored here (the load-time self-test and the timecore golden tests
+ * enforce equality).
  *
  * State encoding (the Python structures' own arrays, passed in place:
  * Cache.ways, TLB.slots, StreamPrefetcher.table):
@@ -377,44 +382,190 @@ long long hier_batch(const long long *cfg, long long *ctr,
     return 0;
 }
 
-/* Cache.fill: sequential warm install of `n` addresses (clean lines; LRU
- * refresh on re-touch, silent oldest-first eviction when a set is full —
- * no counters, warm-up is unobserved). */
-long long warm_fill(i64 *ways, i64 nsets, i64 assoc, i64 block_bytes,
-                    i64 n, const i64 *addrs)
+/* The working-set install (warm_working_set in Python: _install_tail
+ * per cache and _fill_tlb per TLB, over WorkingSetArrays.columns).
+ *
+ * A level's install sequence is the concatenation of up to three pieces,
+ * generated from the snapshot on the fly, in this order:
+ *   WS_SHADOW  per [start, end) range of m lines, the m * mw shadow lines
+ *              SHADOW_BIT + start * mw + 64 * k;
+ *   WS_LOCKS   the lock column;
+ *   WS_DATA    per range, the lines start, start + 64, ... below end.
+ * A mask of those bits selects a level's pieces.  Each piece is a list of
+ * runs of addresses 64 apart: one run per range, or per lock. */
+#define WS_SHADOW 1
+#define WS_LOCKS 2
+#define WS_DATA 4
+
+typedef struct {
+    const i64 *ranges, *locks;
+    i64 nr, nl, mw;
+} ws_t;
+
+static i64 ws_runs(const ws_t *ws, i64 piece)
 {
-    i64 k, block, dummy = 0;
-    for (k = 0; k < n; k++) {
-        block = addrs[k] / block_bytes;
-        set_install(ways + (block % nsets) * assoc, assoc, block + 1,
-                    &dummy, &dummy);
-    }
-    return 0;
+    return piece == WS_LOCKS ? ws->nl : ws->nr;
 }
 
-/* The working set's range expansion (WorkingSetArrays.columns in
- * Python): ranges holds n flat [start, end) pairs.  Writes the lines
- * start, start + 64, ... < end of each pair into data and, for each pair
- * of m lines, the m * mw shadow lines SHADOW_BIT + start * mw + 64 * k into
- * shadow.  Returns the number of data lines; with data == NULL it writes
- * nothing, so a first call sizes the columns. */
-long long ws_expand(const i64 *ranges, i64 n, i64 mw, i64 *data,
-                    i64 *shadow)
+/* Run r of a piece: writes its first address, returns its length. */
+static i64 ws_run(const ws_t *ws, i64 piece, i64 r, i64 *first)
 {
-    i64 r, k, first, lines = 0;
-    for (r = 0; r < n; r++) {
-        i64 start = ranges[2 * r], end = ranges[2 * r + 1];
-        i64 m = end > start ? (end - start + 63) / 64 : 0;
-        if (data) {
-            for (k = 0; k < m; k++)
-                data[lines + k] = start + 64 * k;
-            first = SHADOW_BIT + start * mw;
-            for (k = 0; k < m * mw; k++)
-                *shadow++ = first + 64 * k;
-        }
-        lines += m;
+    i64 start, end, m;
+    if (piece == WS_LOCKS) {
+        *first = ws->locks[r];
+        return 1;
     }
-    return lines;
+    start = ws->ranges[2 * r];
+    end = ws->ranges[2 * r + 1];
+    m = end > start ? (end - start + 63) / 64 : 0;
+    if (piece == WS_SHADOW) {
+        *first = SHADOW_BIT + start * ws->mw;
+        return m * ws->mw;
+    }
+    *first = start;
+    return m;
+}
+
+/* _install_tail of one cache: the last `limit` addresses of the sequence
+ * (all of it when limit < 0) installed in order, as Cache.fill does.
+ *
+ * On an empty level (slot 0 of every set empty) the same state comes from
+ * a walk newest first: each set keeps the first `assoc` distinct blocks it
+ * meets, clean, addresses that map to a full set are skipped, and the walk
+ * stops when the limit is consumed or every set is full; each set is then
+ * reversed to oldest first.  A level that already holds lines takes the
+ * forward set_install pass over the tail instead: a re-touched line keeps
+ * its dirty bit only if it was never evicted in between. */
+static void ws_cache(const ws_t *ws, i64 mask, i64 limit, i64 *ways,
+                     i64 nsets, i64 assoc, i64 block_bytes)
+{
+    i64 piece, r, j, n, s, first, block, key, *set, full = 0, dummy = 0;
+    for (s = 0; s < nsets && !ways[s * assoc]; s++)
+        ;
+    if (s < nsets) {
+        i64 skip = 0;
+        if (limit >= 0) {
+            for (piece = WS_SHADOW; piece <= WS_DATA; piece <<= 1)
+                if (mask & piece)
+                    for (r = 0; r < ws_runs(ws, piece); r++)
+                        skip += ws_run(ws, piece, r, &first);
+            skip = skip > limit ? skip - limit : 0;
+        }
+        for (piece = WS_SHADOW; piece <= WS_DATA; piece <<= 1) {
+            if (!(mask & piece))
+                continue;
+            for (r = 0; r < ws_runs(ws, piece); r++) {
+                n = ws_run(ws, piece, r, &first);
+                if (skip >= n) {
+                    skip -= n;
+                    continue;
+                }
+                for (j = skip, skip = 0; j < n; j++) {
+                    block = (first + 64 * j) / block_bytes;
+                    set_install(ways + (block % nsets) * assoc, assoc,
+                                block + 1, &dummy, &dummy);
+                }
+            }
+        }
+        return;
+    }
+    if (limit < 0)
+        limit = INT64_MAX;
+    for (piece = WS_DATA; piece >= WS_SHADOW; piece >>= 1) {
+        if (!(mask & piece))
+            continue;
+        for (r = ws_runs(ws, piece) - 1; r >= 0; r--) {
+            n = ws_run(ws, piece, r, &first);
+            for (j = n - 1; j >= 0; j--) {
+                if (limit-- == 0 || full == nsets)
+                    goto reverse;
+                block = (first + 64 * j) / block_bytes;
+                set = ways + (block % nsets) * assoc;
+                if (set[assoc - 1])
+                    continue;
+                key = (block + 1) << 1;
+                for (s = 0; set[s] && set[s] != key; s++)
+                    ;
+                if (set[s])
+                    continue;
+                set[s] = key;
+                full += s == assoc - 1;
+            }
+        }
+    }
+reverse:
+    for (set = ways; set < ways + nsets * assoc; set += assoc) {
+        for (n = 0; n < assoc && set[n]; n++)
+            ;
+        for (s = 0; s < n / 2; s++) {
+            key = set[s];
+            set[s] = set[n - 1 - s];
+            set[n - 1 - s] = key;
+        }
+    }
+}
+
+/* _fill_tlb: the newest `cap` distinct pages of the sequence, collected
+ * newest first into pages (cap slots), then accessed oldest first. */
+static void ws_tlb(const ws_t *ws, i64 mask, i64 *ent, i64 cap,
+                   i64 page_bytes, i64 *pages)
+{
+    i64 piece, r, j, n, i, first, page, c = 0, last = -1;
+    for (piece = WS_DATA; piece >= WS_SHADOW; piece >>= 1) {
+        if (!(mask & piece))
+            continue;
+        for (r = ws_runs(ws, piece) - 1; r >= 0; r--) {
+            n = ws_run(ws, piece, r, &first);
+            for (j = n - 1; j >= 0; j--) {
+                page = (first + 64 * j) / page_bytes;
+                if (page == last)
+                    continue;
+                last = page;
+                for (i = 0; i < c && pages[i] != page; i++)
+                    ;
+                if (i < c)
+                    continue;
+                pages[c++] = page;
+                if (c == cap)
+                    goto access;
+            }
+        }
+    }
+access:
+    while (c > 0)
+        tlb_access(ent, cap, pages[--c] + 1);
+}
+
+/* warm_working_set: a snapshot's nr flat [start, end) line ranges and nl
+ * lock locations, with mw shadow lines per data line, installed into the
+ * hierarchy's arrays.  cfg is hier_batch's block (the lock cache flag and
+ * the geometries); ideal drops the shadow lines.  The pieces per level:
+ *   L1D, DTLB         shadow, data when the lock cache is on and there are
+ *                     locks, else shadow, locks, data;
+ *   L2, L3            shadow, locks, data;
+ *   lock cache, TLB   the locks (only when the lock cache is on);
+ * the L1D, L2 and lock cache take the last sets * ways addresses, the L3
+ * all of them.  pages is scratch for either TLB's entries. */
+long long ws_install(const long long *cfg, const long long *ranges,
+                     long long nr, const long long *locks, long long nl,
+                     long long mw, long long ideal, long long *l1w,
+                     long long *l2w, long long *l3w, long long *lkw,
+                     long long *dtlb, long long *ltlb, long long *pages)
+{
+    const ws_t ws = {ranges, locks, nr, nl, mw};
+    const i64 all = (ideal ? 0 : WS_SHADOW) | WS_LOCKS | WS_DATA;
+    const i64 lock_on = cfg[0] && nl > 0;
+    const i64 l1 = lock_on ? all & ~WS_LOCKS : all;
+    ws_cache(&ws, l1, cfg[4] * cfg[5], l1w, cfg[4], cfg[5], cfg[6]);
+    ws_cache(&ws, all, cfg[8] * cfg[9], l2w, cfg[8], cfg[9], cfg[10]);
+    ws_cache(&ws, all, -1, l3w, cfg[12], cfg[13], cfg[14]);
+    ws_tlb(&ws, l1, dtlb, cfg[21], cfg[22], pages);
+    if (lock_on) {
+        ws_cache(&ws, WS_LOCKS, cfg[16] * cfg[17], lkw, cfg[16], cfg[17],
+                 cfg[18]);
+        ws_tlb(&ws, WS_LOCKS, ltlb, cfg[24], cfg[25], pages);
+    }
+    return 0;
 }
 
 /* repro.sim.trace's address rules (the self-test runs every one). */
@@ -765,10 +916,8 @@ def _bind(so_path: Path):
     p, q = ctypes.c_void_p, ctypes.c_longlong
     lib.hier_batch.restype = q
     lib.hier_batch.argtypes = [p] * 10 + [q] + [p] * 4
-    lib.warm_fill.restype = q
-    lib.warm_fill.argtypes = [p, q, q, q, q, p]
-    lib.ws_expand.restype = q
-    lib.ws_expand.argtypes = [p, q, q, p, p]
+    lib.ws_install.restype = q
+    lib.ws_install.argtypes = [p, p, q, p, q, q, q] + [p] * 7
     lib.compile_run.restype = q
     lib.compile_run.argtypes = [p] * 7 + [q, q] + [p] * 14
     lib.sched_run.restype = q
@@ -830,27 +979,22 @@ def _config_array(config):
         config.l2_prefetcher.streams, config.l2_prefetcher.depth])
 
 
-def fill(lib, cache, addrs) -> None:
-    """:meth:`repro.memory.cache.Cache.fill` of an ``array("q")`` through
-    the kernel's ``warm_fill``."""
-    if len(addrs):
-        lib.warm_fill(cache.ways.buffer_info()[0], cache._num_sets,
-                      cache._assoc, cache._block_bytes, len(addrs),
-                      addrs.buffer_info()[0])
-
-
-def expand_ranges(lib, ranges, mw: int):
-    """``(data, shadow)`` columns of the flat ``[start, end)`` line ranges in
-    ``ranges`` (an ``array("q")``) through the kernel's ``ws_expand``."""
-    n = len(ranges) // 2
-    src = ranges.buffer_info()[0]
-    lines = lib.ws_expand(src, n, mw, None, None)
-    data = array("q", [0]) * lines
-    shadow = array("q", [0]) * (lines * mw)
-    if lines:
-        lib.ws_expand(src, n, mw, data.buffer_info()[0],
-                      shadow.buffer_info()[0])
-    return data, shadow
+def install_working_set(lib, h, ws, ideal_shadow: bool) -> None:
+    """Install the :class:`~repro.sim.compiled.WorkingSetArrays` ``ws``
+    into hierarchy ``h`` through the kernel's ``ws_install``, in place of
+    :func:`repro.sim.compiled._install_python` (``ideal_shadow`` drops the
+    shadow lines).  Touches no counter."""
+    config = h.config
+    cfg = _config_array(config)
+    pages = _zeros(max(config.l1_tlb.entries, config.lock_tlb.entries))
+    lib.ws_install(
+        cfg.buffer_info()[0], ws.ranges.buffer_info()[0],
+        len(ws.ranges) // 2, ws.locks.buffer_info()[0], len(ws.locks),
+        ws.metadata_words, 1 if ideal_shadow else 0,
+        h.l1d.ways.buffer_info()[0], h.l2.ways.buffer_info()[0],
+        h.l3.ways.buffer_info()[0], h.lock_cache.ways.buffer_info()[0],
+        h.dtlb.slots.buffer_info()[0], h.lock_tlb.slots.buffer_info()[0],
+        pages.buffer_info()[0])
 
 
 def _zeros(n: int) -> array:
@@ -942,17 +1086,15 @@ def run_batch(lib, h, addrs, specs, positions, lats, collect: bool):
     return ctr
 
 
-def _self_test_hier(lib) -> bool:
-    """The hierarchy kernel must match the Python batch loops exactly."""
-    import random
-
+def _self_test_config(lock_en: bool, ideal: bool):
+    """The self-tests' tiny hierarchy: 16 L1D, 64 L2, 256 L3 and 8
+    lock-cache lines, TLBs of 4 and 2 entries."""
     from repro.memory.cache import CacheConfig
-    from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
+    from repro.memory.hierarchy import HierarchyConfig
     from repro.memory.prefetcher import PrefetcherConfig
     from repro.memory.tlb import TLBConfig
 
-    rng = random.Random(20120609)
-    geometry = dict(
+    return HierarchyConfig(
         l1d=CacheConfig("L1D", size_bytes=1024, associativity=2,
                         block_bytes=64, hit_latency=3),
         l2=CacheConfig("L2", size_bytes=4096, associativity=4,
@@ -965,10 +1107,18 @@ def _self_test_hier(lib) -> bool:
         l2_prefetcher=PrefetcherConfig(streams=2, depth=4),
         l1_tlb=TLBConfig("DTLB", entries=4, miss_penalty=20),
         lock_tlb=TLBConfig("LockTLB", entries=2, miss_penalty=20),
-        dram_latency=200)
+        dram_latency=200, lock_cache_enabled=lock_en, ideal_shadow=ideal)
+
+
+def _self_test_hier(lib) -> bool:
+    """The hierarchy kernel must match the Python batch loops exactly."""
+    import random
+
+    from repro.memory.hierarchy import MemoryHierarchy
+
+    rng = random.Random(20120609)
     for lock_en, ideal in ((True, False), (False, True), (True, True)):
-        config = HierarchyConfig(lock_cache_enabled=lock_en,
-                                 ideal_shadow=ideal, **geometry)
+        config = _self_test_config(lock_en, ideal)
         # Tiny geometry + mixed address locality: every path (hits, misses,
         # evictions, writebacks, TLB churn, both prefetch directions, lock
         # and shadow ports, idealized shadow) triggers within ~200 accesses.
@@ -998,6 +1148,13 @@ def _self_test_hier(lib) -> bool:
                 addrs.append(page << 21)
                 specs.append(port | 8)
                 positions.append(len(positions))
+        # Two L1D streams, at blocks B and B + 4 (beyond the depth of 3),
+        # both within reach of the miss at B + 2: the first stream found
+        # must be the one retargeted, forward, not the later one, backward.
+        for block in (1 << 22, (1 << 22) + 4, (1 << 22) + 2):
+            addrs.append(block * 64)
+            specs.append(8)
+            positions.append(len(positions))
         ref = MemoryHierarchy(config)
         ref.timecore = False
         ker = MemoryHierarchy(config)
@@ -1015,21 +1172,6 @@ def _self_test_hier(lib) -> bool:
             ker_w._batch_native(lib, addrs, warm_specs, None, None, False)
             if not _same_hierarchy(ref_w, ker_w):
                 return False
-        # warm_fill must match Cache.fill, through the one working-set
-        # install both serve (tail-limit slicing included), on sets that
-        # the batch above left holding dirty lines: first re-installing
-        # every resident L3 line (refreshes keep dirty bits), then filling.
-        from repro.sim.compiled import _install_tail
-        resident = [((slot >> 1) - 1) * config.l3.block_bytes
-                    for slot in ref.l3.ways if slot]
-        split = (addrs[:40], addrs[40:])
-        for cache_of, pieces, limit in ((lambda h: h.l3, (resident,), None),
-                                        (lambda h: h.l1d, split, 6),
-                                        (lambda h: h.l2, split, None)):
-            _install_tail(cache_of(ref), pieces, limit, None)
-            _install_tail(cache_of(ker), pieces, limit, lib)
-        if not _same_hierarchy(ref, ker):
-            return False
     return True
 
 
@@ -1115,20 +1257,61 @@ def _self_test_sched(lib) -> bool:
     return True
 
 
-def _self_test_ws(lib) -> bool:
-    """``ws_expand`` must match the Python range expansion: a few ranges,
-    one pair of objects sharing a line, a one-line global span."""
-    from repro.sim.compiled import WorkingSetArrays
+def _self_test_install(lib) -> bool:
+    """``ws_install`` must leave the state of the Python install.
 
-    ranges = array("q", [0x2000_0000, 0x2000_0030,   # shares its line ...
-                         0x2000_0000, 0x2000_0070,   # ... with this one
-                         0x2000_1040, 0x2000_1c58,
-                         0x1000_0000, 0x1000_0040])
-    for mw in (0, 2, 4):
-        ws = WorkingSetArrays(ranges=ranges, locks=array("q"),
+    The snapshot, on the tiny geometry: seeded objects that overlap (shared
+    lines) or are empty, with lock locations packed a few to a line, which
+    overflow the L3; then newest data and locks built so that the L1D, L2
+    and lock-cache tail limits each end on a unique line, with a fresh line
+    just beyond, both in sets with room (repeats of a few lines fill the
+    rest of each tail).  It is installed under four configurations (lock
+    cache on and off, ideal shadow, no metadata) into a fresh hierarchy,
+    which takes the kernel's backward walk, then again once every other
+    resident line is dirty, which takes its forward fill.
+    """
+    import random
+
+    from repro.core.config import WatchdogConfig
+    from repro.memory.hierarchy import MemoryHierarchy
+    from repro.sim.compiled import WorkingSetArrays, _install_python
+
+    rng = random.Random(1207)
+    ranges = array("q")
+    for _ in range(24):  # two pages: the DTLB fills only past the data
+        start = 0x2000_0000 + 64 * rng.randrange(120)
+        ranges.extend((start, start + rng.randrange(0, 320, 8)))
+    locks = array("q", (0x6000_0000 + 8 * rng.randrange(96)
+                        for _ in range(40)))
+
+    def lines(first, n):
+        return (0x2000_2000 + 64 * first, 0x2000_2000 + 64 * (first + n))
+
+    # Newest first, the data reads 15 repeats, U1 (the L1D's 16th
+    # address), F1, 46 repeats, U2 (the L2's 64th) and F2.
+    tail = [lines(6, 1), lines(5, 1)] + [lines(0, 3)] * 15 + [
+        lines(0, 1), lines(4, 1), lines(3, 1)] + [lines(0, 3)] * 5
+    for pair in tail:
+        ranges.extend(pair)
+    locks.extend((0x6000_0500, 0x6000_0540) + (0x6000_0580,) * 7)
+    isa = WatchdogConfig.isa_assisted_uaf()
+    for lock_en, ideal, mw in ((True, False, 2), (False, False, 4),
+                               (True, True, 2), (True, False, 0)):
+        ws = WorkingSetArrays(ranges=ranges, locks=locks if mw else array("q"),
                               metadata_words=mw)
-        if ws.columns(lib) != ws.columns(None):
-            return False
+        config = isa.with_(ideal_shadow=ideal)
+        ref, ker = (MemoryHierarchy(_self_test_config(lock_en, ideal))
+                    for _ in range(2))
+        for dirty in (False, True):
+            if dirty:
+                for h in (ref, ker):
+                    for cache in (h.l1d, h.l2, h.l3, h.lock_cache):
+                        cache.ways[::2] = array(
+                            "q", (slot | (slot > 0) for slot in cache.ways[::2]))
+            _install_python(ref, ws, config)
+            install_working_set(lib, ker, ws, ideal)
+            if not _same_hierarchy(ref, ker):
+                return False
     return True
 
 
@@ -1231,9 +1414,9 @@ def _self_test(lib):
     Returns ``(ok, detail)`` — the failing stage's name lets the loader's
     refusal message say *which* kernel diverged.
     """
-    for check, stage in ((_self_test_hier, "hier_batch/warm_fill"),
+    for check, stage in ((_self_test_hier, "hier_batch"),
                          (_self_test_sched, "sched_run"),
-                         (_self_test_ws, "ws_expand"),
+                         (_self_test_install, "ws_install"),
                          (_self_test_compile, "compile_run")):
         if not check(lib):
             return False, stage

@@ -11,7 +11,6 @@ is exactly the contention the Figure 9 experiment measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.config import WatchdogConfig

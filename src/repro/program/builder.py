@@ -20,8 +20,7 @@ Example (the heap use-after-free of Figure 1, left)::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 from repro.errors import ProgramError
 from repro.isa.instructions import AccessSize, Instruction, Opcode, PointerHint

@@ -24,8 +24,8 @@ needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Set
 
 from repro.isa.instructions import (
     Instruction,
@@ -36,7 +36,7 @@ from repro.isa.instructions import (
     NON_POINTER_PRODUCERS,
 )
 from repro.isa.registers import ArchReg, STACK_POINTER
-from repro.program.ir import OpKind, Operation, Program
+from repro.program.ir import OpKind, Program
 
 
 @dataclass

@@ -24,15 +24,14 @@ so that detection experiments and timing experiments share one execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import WatchdogConfig
-from repro.core.metadata import PointerMetadata
 from repro.core.watchdog import Watchdog
 from repro.errors import MemorySafetyViolation, ProgramError, SimulationError
 from repro.isa.instructions import Instruction, Opcode
-from repro.isa.microops import MicroOp, UopKind
-from repro.isa.registers import ArchReg, RegisterFile, STACK_POINTER, WORD_MASK
+from repro.isa.microops import UopKind
+from repro.isa.registers import RegisterFile, STACK_POINTER, WORD_MASK
 from repro.program.ir import Function, OpKind, Operation, Program
 from repro.sim.trace import DynamicOp
 

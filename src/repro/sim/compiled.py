@@ -84,7 +84,6 @@ from repro.pipeline.core import (
 from repro.sim.trace import (
     ADDR_DATA,
     ADDR_FRAME_PUSH,
-    ADDR_FRAME_POP,
     ADDR_LOCK,
     ADDR_SHADOW,
     ANNOTATION_RULES,
@@ -253,15 +252,16 @@ class WorkingSetArrays:
 
     Built by :func:`working_set_arrays`: the snapshot's own ``ranges`` and
     ``locks`` columns (``locks`` empty for classes that maintain no
-    metadata) and the class's ``metadata_words`` (0 then).  The install
-    columns are expanded from it per run, by :meth:`columns`.
+    metadata) and the class's ``metadata_words`` (0 then).  The timing
+    kernel's install reads the ranges as they are; the Python install
+    expands them per run, by :meth:`columns`.
     """
 
     ranges: array
     locks: array
     metadata_words: int
 
-    def columns(self, lib):
+    def columns(self):
         """``(data, shadow)`` install columns (``array("q")``).
 
         ``data`` lists the 64-byte lines of the ranges in order; each data
@@ -271,14 +271,10 @@ class WorkingSetArrays:
         = line·mw + 64·i`` a range of n lines from ``first`` maps to the
         contiguous shadow run ``SHADOW_BIT + first·mw + 64·k``, k < n·mw.
         (The segments of the address space lie far below 2**47 / mw, so the
-        shadow mapping's ``% 2**47`` never wraps here.)
-
-        Runs the timing kernel's ``ws_expand`` when ``lib`` is given, one
-        ``array.extend(range(...))`` per range and column otherwise.
+        shadow mapping's ``% 2**47`` never wraps here.)  One
+        ``array.extend(range(...))`` per range and column.
         """
         mw = self.metadata_words
-        if lib is not None:
-            return _timecore.expand_ranges(lib, self.ranges, mw)
         ranges = self.ranges
         data = array("q")
         shadow = array("q")
@@ -728,7 +724,7 @@ def working_set_arrays(working_set, config: WatchdogConfig) -> WorkingSetArrays:
     class of ``config``: metadata-maintaining classes get the snapshot's
     lock column and ``metadata_words`` shadow lines per data line.
 
-    Nothing is expanded here: :func:`warm_working_set` expands the ranges
+    Nothing is expanded here: :func:`warm_working_set` installs the ranges
     with the run's own kernel decision, so a ``Simulator(timecore=False)``
     run never enters the kernel, and the bundle's stream cache pins two
     ints per object rather than the columns.
@@ -748,17 +744,27 @@ def working_set_arrays(working_set, config: WatchdogConfig) -> WorkingSetArrays:
 # steady-state *residency* of the working set: data resident in the upper
 # levels, metadata behind it, everything tracked by the shared L3.  Rather
 # than replaying hundreds of thousands of demand accesses through the full
-# miss/prefetch machinery (which dominated sweep wall-clock time), the warm
-# state is installed directly: every warmed block enters the inclusive L3,
-# and each bounded structure (L1D, L2, the lock location cache, the TLBs)
-# receives the most-recent fill its capacity can hold, in access order, so
-# LRU order matches a sequential touch.
+# miss/prefetch machinery, the warm state is installed directly: every warmed
+# block enters the inclusive L3, and each bounded structure (L1D, L2, the lock
+# location cache, the TLBs) receives the most recent fill its capacity can
+# hold, in access order, so LRU order matches a sequential touch.
+#
+# The Python install (:func:`_install_python`) is the definition: it expands
+# the snapshot into columns and fills each cache in order, the oldest
+# addresses first.  The timing kernel's ``ws_install``
+# (:func:`repro.native._timecore.install_working_set`) reads the ranges and
+# locks as they are and leaves the same state.  On an empty level it walks
+# the sequence newest first, keeps each set's first ``associativity``
+# distinct blocks and stops when the level's tail limit is consumed or every
+# set is full, so most of a large snapshot's lines are never visited.  A
+# level that already holds lines (a mix's shared levels, for every core
+# after the first) takes the forward fill over the same tail, because a
+# re-touched line keeps its dirty bit only if it was never evicted.
 
-def _install_tail(cache, pieces, limit: Optional[int], lib) -> None:
+def _install_tail(cache, pieces, limit: Optional[int]) -> None:
     """Install the last ``limit`` addresses of ``pieces`` (concatenated, in
-    order) into ``cache``; ``None`` installs everything.  Runs the native
-    kernel's ``warm_fill`` when ``lib`` is loaded, :meth:`Cache.fill`
-    otherwise."""
+    order) into ``cache`` through :meth:`Cache.fill`; ``None`` installs
+    everything."""
     if limit is not None:
         tail = []
         remaining = limit
@@ -773,10 +779,7 @@ def _install_tail(cache, pieces, limit: Optional[int], lib) -> None:
     addrs = array("q")
     for piece in pieces:
         addrs.extend(piece)
-    if lib is not None:
-        _timecore.fill(lib, cache, addrs)
-    else:
-        cache.fill(addrs)
+    cache.fill(addrs)
 
 
 def _fill_tlb(tlb, pieces) -> None:
@@ -802,16 +805,15 @@ def _fill_tlb(tlb, pieces) -> None:
         tlb_access(slots, page + 1)
 
 
-def warm_working_set(hierarchy, ws: WorkingSetArrays,
-                     config: WatchdogConfig) -> None:
-    """Install the working set into a fresh hierarchy (see module comment).
+def _install_python(hierarchy, ws: WorkingSetArrays,
+                    config: WatchdogConfig) -> None:
+    """The Python install, the kernel's oracle (see the comment above).
 
     Access order mirrors the §9.1-style pre-touch: shadow lines first (when
     metadata is maintained and not idealized), then lock locations, then
     data lines — so data ends up most-recently-used in every level.
     """
-    lib = _timecore.load() if hierarchy.timecore else None
-    data, shadow = ws.columns(lib)
+    data, shadow = ws.columns()
     if config.ideal_shadow:
         shadow = ()
     locks = ws.locks
@@ -826,15 +828,27 @@ def warm_working_set(hierarchy, ws: WorkingSetArrays,
 
     l1 = hierarchy.l1d
     l2 = hierarchy.l2
-    _install_tail(l1, l1_pieces, l1._num_sets * l1._assoc, lib)
-    _install_tail(l2, all_pieces, l2._num_sets * l2._assoc, lib)
-    _install_tail(hierarchy.l3, all_pieces, None, lib)
+    _install_tail(l1, l1_pieces, l1._num_sets * l1._assoc)
+    _install_tail(l2, all_pieces, l2._num_sets * l2._assoc)
+    _install_tail(hierarchy.l3, all_pieces, None)
     _fill_tlb(hierarchy.dtlb, l1_pieces)
     if lock_pieces:
         lock_cache = hierarchy.lock_cache
         _install_tail(lock_cache, lock_pieces,
-                      lock_cache._num_sets * lock_cache._assoc, lib)
+                      lock_cache._num_sets * lock_cache._assoc)
         _fill_tlb(hierarchy.lock_tlb, lock_pieces)
+
+
+def warm_working_set(hierarchy, ws: WorkingSetArrays,
+                     config: WatchdogConfig) -> None:
+    """Install the working set into ``hierarchy`` (see the comment above),
+    through the timing kernel when the hierarchy's run uses it, and reset
+    every statistic."""
+    lib = _timecore.load() if hierarchy.timecore else None
+    if lib is not None:
+        _timecore.install_working_set(lib, hierarchy, ws, config.ideal_shadow)
+    else:
+        _install_python(hierarchy, ws, config)
     hierarchy.reset_stats()
 
 

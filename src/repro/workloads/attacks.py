@@ -15,10 +15,9 @@ triggers a violation under the full-memory-safety configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.isa.registers import parse_reg
 from repro.program.builder import ProgramBuilder
 from repro.program.ir import Program
 

@@ -15,11 +15,11 @@ error removed — used to confirm the absence of false positives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ProgramError
-from repro.program.builder import FunctionBuilder, ProgramBuilder
+from repro.program.builder import ProgramBuilder
 from repro.program.ir import Program
 
 #: Number of faulty cases in the NIST suite the paper uses.

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 

@@ -123,6 +123,20 @@ class TestPrefetcher:
         assert prefetcher.prefetches_issued == 4
         assert cache.probe(0x80)
 
+    def test_first_stream_within_depth_is_retargeted(self):
+        # pf_on_miss: streams at blocks 64 and 68 (beyond the depth of 3)
+        # are both within reach of a miss at 66; the first, older one takes
+        # it and runs forward, and the later one is left alone.
+        cache = small_cache(size=4096, assoc=4)
+        prefetcher = StreamPrefetcher(PrefetcherConfig(streams=2, depth=3),
+                                      cache)
+        for block in (64, 68, 66):
+            prefetcher.on_miss(block * 64)
+        assert list(prefetcher.table) == [2, 66, 1, 68, 1]
+        assert prefetcher.prefetches_issued == 3
+        assert all(cache.probe(block * 64) for block in (67, 68, 69))
+        assert not cache.probe(65 * 64)
+
     def test_stream_count_bounded(self):
         cache = small_cache()
         prefetcher = StreamPrefetcher(PrefetcherConfig(streams=1, depth=2), cache)

@@ -3,9 +3,8 @@
 import pytest
 
 from tests.helpers import build_benign_program, build_uaf_program
-from repro.core.config import WatchdogConfig
 from repro.errors import SimulationError, UseAfterFreeError
-from repro.isa.registers import int_reg, parse_reg
+from repro.isa.registers import parse_reg
 from repro.program import machine as machine_module
 from repro.program.builder import ProgramBuilder
 from repro.program.machine import Machine

@@ -104,42 +104,43 @@ class TestSimulatorKnob:
         # Settle the load decision first: its self-test runs the kernel.
         kernel = _timecore.load()
         loads = []
-        expansions = []
+        installs = []
         compiles = []
         load = _timecore.load
-        expand = _timecore.expand_ranges
+        install = _timecore.install_working_set
         compile_tokens = _timecore.compile_tokens
 
         def counting_load(*args, **kwargs):
             loads.append(1)
             return load(*args, **kwargs)
 
-        def counting_expand(*args, **kwargs):
-            expansions.append(1)
-            return expand(*args, **kwargs)
+        def counting_install(*args, **kwargs):
+            installs.append(1)
+            return install(*args, **kwargs)
 
         def counting_compile(*args, **kwargs):
             compiles.append(1)
             return compile_tokens(*args, **kwargs)
 
         monkeypatch.setattr(_timecore, "load", counting_load)
-        monkeypatch.setattr(_timecore, "expand_ranges", counting_expand)
+        monkeypatch.setattr(_timecore, "install_working_set",
+                            counting_install)
         monkeypatch.setattr(_timecore, "compile_tokens", counting_compile)
         forced_off = Simulator(timecore=False).run_bundle(bundle, config)
-        assert not loads and not expansions and not compiles
+        assert not loads and not installs and not compiles
         native = Simulator().run_bundle(bundle, config)
         assert loads
-        assert bool(expansions) == (kernel is not None)
+        assert len(installs) == (1 if kernel is not None else 0)
         # The warm and the measured stream, each in the kernel.
         assert len(compiles) == (2 if kernel is not None else 0)
         assert forced_off.timing == native.timing
         # The kernel is loaded now and the bundle's native streams are
         # cached; a forced-off run still compiles its own streams and
-        # expands its working set in Python.
-        expansions.clear()
+        # installs its working set in Python.
+        installs.clear()
         compiles.clear()
         again = Simulator(timecore=False).run_bundle(bundle, config)
-        assert not expansions and not compiles
+        assert not installs and not compiles
         assert again.timing == native.timing
         trace = list(bundle.samples[0].measured)
         Simulator(timecore=False).run_trace(trace, config)

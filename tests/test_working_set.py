@@ -1,13 +1,14 @@
 """Working-set install columns: per-object line ranges, expanded per run.
 
 A snapshot stores one ``[base & ~63, base + size)`` pair per live object
-plus the hot global span; each install expands the class's view of it
-(:func:`repro.sim.compiled.working_set_arrays`) into the ``data`` and
+plus the hot global span; the Python install expands the class's view of
+it (:func:`repro.sim.compiled.working_set_arrays`) into the ``data`` and
 ``shadow`` columns (:meth:`~repro.sim.compiled.WorkingSetArrays.columns`),
-through the timing kernel's ``ws_expand`` entry when the run uses the
-kernel and one ``array.extend(range(...))`` per range otherwise.  Both,
-and the ``locks`` column, must equal an oracle written here from the
-per-line definitions the snapshot replaced:
+one ``array.extend(range(...))`` per range, while the timing kernel's
+``ws_install`` reads the ranges as they are
+(``tests/test_working_set_install.py`` pins the two installs together).
+The columns, and the ``locks`` column, must equal an oracle written here
+from the per-line definitions the snapshot replaced:
 lines run from ``base & ~63`` in steps of 64 while ``< base + size``, then
 the global span; each data line owns ``metadata_words`` shadow lines.
 """
@@ -63,31 +64,23 @@ def oracle_columns(workload, config):
 
 
 def built_columns(snapshot, config):
-    """The install columns of ``working_set_arrays`` expanded by the kernel
-    (when it loads) and in Python, as ``{kind: (data, shadow, locks)}``."""
+    """The install columns of ``working_set_arrays``: ``(data, shadow,
+    locks)``."""
     ws = working_set_arrays(snapshot, config)
-    kernel = _timecore.load()
-    libs = {"python": None}
-    if kernel is not None:
-        libs["kernel"] = kernel
-    columns = {}
-    for kind, lib in libs.items():
-        data, shadow = ws.columns(lib)
-        for column in (data, shadow, ws.locks):
-            assert isinstance(column, array) and column.typecode == "q"
-        columns[kind] = (data, shadow, ws.locks)
-    return columns
+    data, shadow = ws.columns()
+    for column in (data, shadow, ws.locks):
+        assert isinstance(column, array) and column.typecode == "q"
+    return data, shadow, ws.locks
 
 
 def assert_matches_oracle(workload):
-    """Both builds equal the oracle under every configuration; returns the
+    """The columns equal the oracle under every configuration; returns the
     fused-bounds columns."""
     snapshot = workload.snapshot_working_set()
     for name, config in CONFIGS.items():
         oracle = oracle_columns(workload, config)
-        for kind, columns in built_columns(snapshot, config).items():
-            assert [list(column) for column in columns] == list(oracle), \
-                (name, kind)
+        columns = built_columns(snapshot, config)
+        assert [list(column) for column in columns] == list(oracle), name
     return columns
 
 
@@ -141,9 +134,8 @@ class TestColumnsMatchTheOracle:
              first, first + 64, first + 128, first + 192,
              SHADOW_BIT + 2 * 0x1000_0000, SHADOW_BIT + 2 * 0x1000_0000 + 64],
             list(snapshot.locks))
-        for columns in built_columns(snapshot,
-                                     CONFIGS["isa-assisted"]).values():
-            assert tuple(list(column) for column in columns) == expected
+        columns = built_columns(snapshot, CONFIGS["isa-assisted"])
+        assert tuple(list(column) for column in columns) == expected
 
     def test_real_workloads_share_lines(self):
         # The case above is not hypothetical: small objects pack lines.
@@ -152,19 +144,20 @@ class TestColumnsMatchTheOracle:
         assert len(set(data)) < len(data)
 
 
-class TestKernelBuildsTheColumns:
-    """The install expands the ranges through ``ws_expand`` exactly when
-    the run uses the kernel."""
+class TestKernelInstallsTheWorkingSet:
+    """The install runs through ``ws_install`` exactly when the run uses
+    the kernel."""
 
     def _count_entry_calls(self, monkeypatch):
         calls = []
-        expand = _timecore.expand_ranges
+        install = _timecore.install_working_set
 
-        def counting_expand(lib, ranges, mw):
-            calls.append(mw)
-            return expand(lib, ranges, mw)
+        def counting_install(lib, hierarchy, ws, ideal_shadow):
+            calls.append(ws.metadata_words)
+            return install(lib, hierarchy, ws, ideal_shadow)
 
-        monkeypatch.setattr(_timecore, "expand_ranges", counting_expand)
+        monkeypatch.setattr(_timecore, "install_working_set",
+                            counting_install)
         return calls
 
     def _install_under_every_config(self, timecore):
@@ -175,20 +168,20 @@ class TestKernelBuildsTheColumns:
             warm_working_set(core.hierarchy,
                              working_set_arrays(snapshot, config), config)
 
-    def test_columns_come_from_the_kernel_when_loaded(self, monkeypatch):
+    def test_install_runs_in_the_kernel_when_loaded(self, monkeypatch):
         if _timecore.load() is None:
             pytest.skip("native timing core unavailable")
         calls = self._count_entry_calls(monkeypatch)
         self._install_under_every_config(timecore=True)
         assert calls == [0, 2, 4]
 
-    def test_forced_off_run_builds_them_in_python(self, monkeypatch):
+    def test_forced_off_run_installs_in_python(self, monkeypatch):
         _timecore.load()  # loaded or not, a timecore=False run ignores it
         calls = self._count_entry_calls(monkeypatch)
         self._install_under_every_config(timecore=False)
         assert calls == []
 
-    def test_kill_switch_builds_them_in_python(self, monkeypatch):
+    def test_kill_switch_installs_in_python(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMECORE", "0")
         build.forget("timecore")
         try:
