@@ -73,10 +73,6 @@ def snapshot(drawn_objects, drawn_locks, mw: int) -> WorkingSetArrays:
         metadata_words=mw)
 
 
-def assert_same(kernel_h, python_h) -> None:
-    assert _timecore._same_hierarchy(kernel_h, python_h)
-
-
 @settings(max_examples=200, deadline=None)
 @given(drawn_objects=objects, drawn_locks=lock_columns,
        mw=st.sampled_from((0, 2, 4)), ideal=st.booleans(),
@@ -89,7 +85,7 @@ def test_fresh_hierarchy(drawn_objects, drawn_locks, mw, ideal, lock_en):
     python_h.timecore = False
     for h in (kernel_h, python_h):
         warm_working_set(h, ws, config)
-    assert_same(kernel_h, python_h)
+    assert _timecore._same_hierarchy(kernel_h, python_h)
 
 
 @settings(max_examples=100, deadline=None)
@@ -119,10 +115,10 @@ def test_second_core_over_dirty_shared_levels(first, second, writes, mw,
     for cores in sides:
         warm_working_set(cores[0], snapshot(*first, mw), config)
         warm_trace(cores[0], trace, config)
-    assert_same(sides[0][0], sides[1][0])
+    assert _timecore._same_hierarchy(sides[0][0], sides[1][0])
     for cores in sides:
         warm_working_set(cores[1], snapshot(*second, mw), config)
-    assert_same(sides[0][1], sides[1][1])
+    assert _timecore._same_hierarchy(sides[0][1], sides[1][1])
 
 
 @pytest.mark.parametrize("config", (
@@ -141,7 +137,7 @@ def test_largest_snapshot_on_table2_geometry(config):
                           for flag in (True, False))
     for h in (kernel_h, python_h):
         warm_working_set(h, ws, config)
-    assert_same(kernel_h, python_h)
+    assert _timecore._same_hierarchy(kernel_h, python_h)
     l3 = kernel_h.l3
     full_sets = sum(1 for i in range(1, l3._num_sets + 1)
                     if l3.ways[i * l3._assoc - 1])
