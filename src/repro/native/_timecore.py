@@ -382,8 +382,9 @@ long long hier_batch(const long long *cfg, long long *ctr,
     return 0;
 }
 
-/* The working-set install (warm_working_set in Python: _install_tail
- * per cache and _fill_tlb per TLB, over WorkingSetArrays.columns).
+/* The working-set install (repro.sim.compiled._install_python:
+ * _install_tail per cache and _fill_tlb per TLB, over
+ * WorkingSetArrays.columns).
  *
  * A level's install sequence is the concatenation of up to three pieces,
  * generated from the snapshot on the fly, in this order:

@@ -744,10 +744,11 @@ def working_set_arrays(working_set, config: WatchdogConfig) -> WorkingSetArrays:
 # steady-state *residency* of the working set: data resident in the upper
 # levels, metadata behind it, everything tracked by the shared L3.  Rather
 # than replaying hundreds of thousands of demand accesses through the full
-# miss/prefetch machinery, the warm state is installed directly: every warmed
-# block enters the inclusive L3, and each bounded structure (L1D, L2, the lock
-# location cache, the TLBs) receives the most recent fill its capacity can
-# hold, in access order, so LRU order matches a sequential touch.
+# miss/prefetch machinery (which dominated sweep wall-clock time), the warm
+# state is installed directly: every warmed block enters the inclusive L3,
+# and each bounded structure (L1D, L2, the lock location cache, the TLBs)
+# receives the most-recent fill its capacity can hold, in access order, so
+# LRU order matches a sequential touch.
 #
 # The Python install (:func:`_install_python`) is the definition: it expands
 # the snapshot into columns and fills each cache in order, the oldest
