@@ -37,6 +37,7 @@ fast-forward and emission tests.
 from __future__ import annotations
 
 import ctypes
+import math
 import random
 from array import array
 from pathlib import Path
@@ -84,17 +85,19 @@ _SOURCE = r"""
 /* Generator kernel: exact replica of the workload's event loop.
  *
  * MT19937 follows CPython's _randommodule.c: the 624-word state plus index
- * round-trips through random.Random.getstate()/setstate(), rnd() is
- * genrand_res53 (two tempered words), randbelow() is
- * _randbelow_with_getrandbits (top bits of one word, rejection-resampled).
- * Any change to the draw sequence here must match synthetic.py and
- * state_core.py exactly.
+ * round-trips through random.Random.getstate()/setstate().  A call draws
+ * from a buffer of tempered words, refilled one 624-word block at a time;
+ * draw53() is genrand_res53's 53-bit integer (random() is it over 2**53)
+ * and randbelow() is _randbelow_with_getrandbits (top bits of one word,
+ * rejection-resampled).  Any change to the draw sequence here must match
+ * synthetic.py and state_core.py exactly.
  */
 #include <stdint.h>
 #include <string.h>
 
 #define MT_N 624
 #define MT_M 397
+#define INLINE static inline __attribute__((always_inline))
 
 /* Shape ids: the generator's static instruction shapes, numbered densely
  * (synthetic.SHAPES lists them in this order).  Register operands index the
@@ -122,40 +125,102 @@ _SOURCE = r"""
 #define REASON_LOCKS_FULL 3
 #define MAX_COLD_POOL 256   /* _ffcore.MAX_COLD_POOL: cold_pool never exceeds it */
 
-typedef struct { uint32_t *mt; int64_t mti; } MT;
+typedef uint32_t v4 __attribute__((vector_size(16)));
 
-static uint32_t genrand(MT *st) {
-    uint32_t y;
-    if (st->mti >= MT_N) {
-        uint32_t *mt = st->mt;
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000u) | (mt[kk + 1] & 0x7fffffffu);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ ((y & 1u) ? 0x9908b0dfu : 0u);
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000u) | (mt[kk + 1] & 0x7fffffffu);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1)
-                ^ ((y & 1u) ? 0x9908b0dfu : 0u);
-        }
-        y = (mt[MT_N - 1] & 0x80000000u) | (mt[0] & 0x7fffffffu);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ ((y & 1u) ? 0x9908b0dfu : 0u);
-        st->mti = 0;
+/* The state words and index getstate() holds, and the tempered words of
+ * mt[mti..MT_N), which the draws read. */
+typedef struct { uint32_t *mt; int64_t mti; uint32_t word[MT_N]; } MT;
+
+static v4 load4(const uint32_t *p) {
+    v4 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static void store4(uint32_t *p, v4 v) {
+    memcpy(p, &v, sizeof v);
+}
+
+/* One twist step, on a word or on four: the new mt[k] from mt[k] (a),
+ * mt[k + 1] (b) and the word MT_M on (m). */
+#define TWIST(a, b, m) ((m) ^ ((((a) & 0x80000000u) | ((b) & 0x7fffffffu)) \
+                               >> 1) ^ (-((b) & 1u) & 0x9908b0dfu))
+
+/* Twist the block in place, four words per step.  That is exact because a
+ * step reads only final words: the first MT_N - MT_M words read words MT_M
+ * on, not yet twisted, and the rest read words MT_N - MT_M back, already
+ * twisted. */
+static void twist(uint32_t *mt) {
+    int k = 0;
+    for (; k + 4 <= MT_N - MT_M; k += 4)
+        store4(mt + k, TWIST(load4(mt + k), load4(mt + k + 1),
+                             load4(mt + k + MT_M)));
+    for (; k < MT_N - MT_M; k++)
+        mt[k] = TWIST(mt[k], mt[k + 1], mt[k + MT_M]);
+    for (; k + 4 <= MT_N - 1; k += 4)
+        store4(mt + k, TWIST(load4(mt + k), load4(mt + k + 1),
+                             load4(mt + k + MT_M - MT_N)));
+    mt[MT_N - 1] = TWIST(mt[MT_N - 1], mt[0], mt[MT_M - 1]);
+}
+
+/* Temper the block's words from the four-word step holding `from` on. */
+static void temper(MT *st, int64_t from) {
+    int64_t k;
+    for (k = from & ~(int64_t)3; k < MT_N; k += 4) {
+        v4 y = load4(st->mt + k);
+        y ^= y >> 11;
+        y ^= (y << 7) & 0x9d2c5680u;
+        y ^= (y << 15) & 0xefc60000u;
+        y ^= y >> 18;
+        store4(st->word + k, y);
     }
-    y = st->mt[st->mti++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680u;
-    y ^= (y << 15) & 0xefc60000u;
-    y ^= (y >> 18);
-    return y;
 }
 
-static double rnd(MT *st) {
-    uint32_t a = genrand(st) >> 5, b = genrand(st) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+static void mt_enter(MT *st, uint32_t *mt, int64_t mti) {
+    st->mt = mt;
+    st->mti = mti;
+    temper(st, mti);
 }
 
-static int64_t randbelow(MT *st, int64_t n) {
+static void refill(MT *st) {
+    twist(st->mt);
+    temper(st, 0);
+    st->mti = 0;
+}
+
+INLINE uint32_t genrand(MT *st) {
+    if (st->mti >= MT_N)
+        refill(st);
+    return st->word[st->mti++];
+}
+
+INLINE uint64_t draw53(MT *st) {
+    uint64_t a = genrand(st) >> 5;
+    return a << 26 | genrand(st) >> 6;
+}
+
+/* random() < p exactly when draw53() < threshold(p) = ceil(p * 2**53),
+ * since random() is draw53() / 2**53 and p * 2**53 is exact.  p <= 0 (or
+ * NaN) and p >= 1 give 0 and 2**53, which no draw and every draw is
+ * below. */
+static uint64_t threshold(double p) {
+    double x;
+    uint64_t t;
+    if (!(p > 0))
+        return 0;
+    if (p >= 1)
+        return (uint64_t)1 << 53;
+    x = p * 9007199254740992.0;
+    t = (uint64_t)x;
+    return t + ((double)t < x);
+}
+
+/* random() < p, for t = threshold(p). */
+INLINE int chance(MT *st, uint64_t t) {
+    return draw53(st) < t;
+}
+
+INLINE int64_t randbelow(MT *st, int64_t n) {
     int shift = 32 - (64 - __builtin_clzll((uint64_t)n));
     uint32_t r = genrand(st) >> shift;
     while ((int64_t)r >= n)
@@ -353,13 +418,13 @@ static int64_t list_rich(const Slots *s, int64_t start, long long *out) {
     return n;
 }
 
-/* Emit mode's token columns; shape == NULL in skip mode, where put() is a
- * no-op and only the draws and state effects remain. */
+/* Emit mode's token columns; put() writes a row only when `emit`, a
+ * constant in each of ff_advance's two copies of the loop. */
 typedef struct { long long *shape, *addr, *lock, *mis; int64_t w; } Rows;
 
-static void put(Rows *r, int64_t shape, int64_t addr, int64_t lock,
-                int64_t mis) {
-    if (r->shape) {
+INLINE void put(Rows *r, const int emit, int64_t shape, int64_t addr,
+                int64_t lock, int64_t mis) {
+    if (emit) {
         r->shape[r->w] = shape;
         r->addr[r->w] = addr;
         r->lock[r->w] = lock;
@@ -370,8 +435,8 @@ static void put(Rows *r, int64_t shape, int64_t addr, int64_t lock,
 
 /* One _alu_op: fp roll, then either three fp-register picks or value
  * rotation + chain roll + opcode choice; returns the op's shape. */
-static int64_t alu(MT *st, double fp_compute, int64_t *vr) {
-    if (rnd(st) < fp_compute) {
+INLINE int64_t alu(MT *st, uint64_t t_fp, uint64_t t_chain, int64_t *vr) {
+    if (chance(st, t_fp)) {
         int64_t d = randbelow(st, 6);
         int64_t a = randbelow(st, 6);
         int64_t b = randbelow(st, 6);
@@ -379,7 +444,7 @@ static int64_t alu(MT *st, double fp_compute, int64_t *vr) {
     } else {
         int64_t chained, k;
         *vr = (*vr + 1) % 6;
-        chained = rnd(st) < 0.35;
+        chained = chance(st, t_chain);
         k = randbelow(st, 6);    /* _ALU_OPCODES lists ADD_RI twice */
         return SH_ALU + (*vr * 2 + chained) * 5 + (k < 2 ? 0 : k - 1);
     }
@@ -387,45 +452,49 @@ static int64_t alu(MT *st, double fp_compute, int64_t *vr) {
 
 /* _runtime_call_ops: six ALU ops, then the GETIDENT/SETIDENT on a drawn
  * pointer register, carrying the object's lock location. */
-static void runtime_call(MT *st, double fp_compute, int64_t *vr,
-                         int64_t ident, int64_t lock, Rows *rows) {
+INLINE void runtime_call(MT *st, uint64_t t_fp, uint64_t t_chain,
+                         int64_t *vr, int64_t ident, int64_t lock,
+                         Rows *rows, const int emit) {
     int i;
     for (i = 0; i < 6; i++)
-        put(rows, alu(st, fp_compute, vr), NONE, NONE, 0);
-    put(rows, ident + randbelow(st, 6), NONE, lock, 0);
+        put(rows, emit, alu(st, t_fp, t_chain, vr), NONE, NONE, 0);
+    put(rows, emit, ident + randbelow(st, 6), NONE, lock, 0);
 }
 
-/* Skip mode (out == NULL) advances whole events while MAX_EVENT_OPS (14)
- * ops remain, so it never overruns a window; emit mode writes every op as
- * a row at out[0..3][scal[10]...] until `remaining` ops are written, and
- * the event that crosses the limit is written whole (the caller keeps its
- * tail pending).  scal[12] objects are first allocated as a new working
- * set.  arrays[] are, in order: order, sizes, cursors, rich (int8), hot,
- * bases, locks, chunks, then the heap's state, free bases, free sizes, fit
- * keys and lock stack; each appendable one has room for scal[11] more
- * allocation events, after which the call returns REASON_ROOM, as it does
- * when scal[13] slots or more are retired (Python then compacts). */
-long long ff_advance(uint32_t *mtstate, long long *scal, const double *cd,
-                     const long long *ci, void *const *arrays,
-                     long long *const *out)
+/* ff_advance, inlined into it once per mode, `emit` a constant in each.
+ * Skip mode advances whole events while MAX_EVENT_OPS (14) ops remain, so
+ * it never overruns a window; emit mode writes every op as a row at
+ * out[0..3][scal[10]...] until `remaining` ops are written, and the event
+ * that crosses the limit is written whole (the caller keeps its tail
+ * pending).  Every random() < p is chance() against p's threshold,
+ * computed once per call. */
+INLINE long long advance(uint32_t *mtstate, long long *scal, const double *cd,
+                         const long long *ci, void *const *arrays,
+                         long long *const *out, const int emit)
 {
-    MT st = { mtstate, scal[6] };
+    MT st;
     int64_t remaining = scal[0], vr = scal[1], gc = scal[2], depth = scal[3];
     int64_t room = scal[11], populate = scal[12], compact_at = scal[13];
-    const double alloc_p = cd[0], ac_hi = cd[1], mem_hi = cd[2], br_hi = cd[3];
-    const double ptr_f = cd[4], word_f = cd[5], wordfp_f = cd[6], fpc = cd[7];
-    const double temporal = cd[8], spatial = cd[9], global_frac = cd[10];
-    const double load_f = cd[11], mis_rate = cd[12];
+    const uint64_t t_alloc = threshold(cd[0]), t_ac = threshold(cd[1]);
+    const uint64_t t_mem = threshold(cd[2]), t_br = threshold(cd[3]);
+    const uint64_t t_ptr = threshold(cd[4]), t_word = threshold(cd[5]);
+    const uint64_t t_wordfp = threshold(cd[6]), t_fp = threshold(cd[7]);
+    const uint64_t t_temporal = threshold(cd[8]);
+    const uint64_t t_spatial = threshold(cd[9]);
+    const uint64_t t_global = threshold(cd[10]), t_load = threshold(cd[11]);
+    const uint64_t t_mis = threshold(cd[12]), t_chain = threshold(0.35);
+    const uint64_t t_refresh = threshold(0.25), t_call = threshold(0.6);
     const int64_t span_g = ci[0], span_p = ci[1], ws = ci[2];
     const int64_t min_keep = ci[3], size_low = ci[4], size_nslots = ci[5];
     const int64_t cold_pool = ci[6];
     const int64_t gbase = ci[8], glock = ci[9];
-    const int64_t stop = out ? 1 : 14;
+    const int64_t stop = emit ? 1 : 14;
     Rows rows = { 0, 0, 0, 0, scal[10] };
     Slots s;
     long long rich_pool[MAX_COLD_POOL];
     int64_t reason = 0, pool = 0, start = 0, n_rich = 0, lock = 0;
 
+    mt_enter(&st, mtstate, scal[6]);
     s.order = arrays[0]; s.sizes = arrays[1]; s.cursors = arrays[2];
     s.rich = arrays[3]; s.hot = arrays[4]; s.bases = arrays[5];
     s.locks = arrays[6]; s.chunks = arrays[7];
@@ -434,7 +503,7 @@ long long ff_advance(uint32_t *mtstate, long long *scal, const double *cd,
     s.heap.st = arrays[8]; s.heap.fbase = arrays[9]; s.heap.fsize = arrays[10];
     s.heap.fit = arrays[11]; s.heap.lstack = arrays[12];
     s.heap.nfree = scal[14]; s.heap.nlocks = scal[15];
-    if (out) {
+    if (emit) {
         rows.shape = out[0]; rows.addr = out[1];
         rows.lock = out[2]; rows.mis = out[3];
     }
@@ -454,26 +523,26 @@ long long ff_advance(uint32_t *mtstate, long long *scal, const double *cd,
         n_rich = list_rich(&s, start, rich_pool);
     }
     while (!reason && remaining >= stop) {
-        double roll = rnd(&st);
-        if (roll >= br_hi) {                           /* ALU op */
-            put(&rows, alu(&st, fpc, &vr), NONE, NONE, 0);
+        uint64_t roll = draw53(&st);
+        if (roll >= t_br) {                            /* ALU op */
+            put(&rows, emit, alu(&st, t_fp, t_chain, &vr), NONE, NONE, 0);
             remaining -= 1;
-        } else if (roll >= mem_hi) {                   /* branch */
-            int64_t mis = rnd(&st) < mis_rate;
+        } else if (roll >= t_mem) {                    /* branch */
+            int64_t mis = chance(&st, t_mis);
             vr = (vr + 1) % 6;
-            put(&rows, SH_BRANCH + vr, NONE, NONE, mis);
+            put(&rows, emit, SH_BRANCH + vr, NONE, NONE, mis);
             remaining -= 1;
-        } else if (roll >= ac_hi) {                    /* memory op */
-            double roll2 = rnd(&st);
-            int64_t is_load = rnd(&st) < load_f;
-            int ptr = roll2 < ptr_f;
-            int64_t kind = ptr ? 0 : roll2 < word_f ? 1
-                         : roll2 < wordfp_f ? 2 : 3;
+        } else if (roll >= t_ac) {                     /* memory op */
+            uint64_t roll2 = draw53(&st);
+            int64_t is_load = chance(&st, t_load);
+            int ptr = roll2 < t_ptr;
+            int64_t kind = ptr ? 0 : roll2 < t_word ? 1
+                         : roll2 < t_wordfp ? 2 : 3;
             int64_t nbytes = kind == 3 ? 4 : 8;
             int64_t addr, offset, areg, dreg;
-            if (rnd(&st) < global_frac || s.n_order == 0) {  /* global */
+            if (chance(&st, t_global) || s.n_order == 0) {   /* global */
                 int64_t span = ptr ? span_p : span_g;
-                if (rnd(&st) < spatial) {
+                if (chance(&st, t_spatial)) {
                     offset = gc % span;
                     gc += nbytes;
                 } else {
@@ -483,7 +552,7 @@ long long ff_advance(uint32_t *mtstate, long long *scal, const double *cd,
                 lock = glock;
             } else {                                   /* heap target */
                 int64_t slot;
-                if (s.hot_len > 0 && rnd(&st) < temporal) {
+                if (s.hot_len > 0 && chance(&st, t_temporal)) {
                     if (ptr) {
                         int64_t cnt = 0, tmp[16], i;
                         for (i = 0; i < s.hot_len; i++)
@@ -506,7 +575,7 @@ long long ff_advance(uint32_t *mtstate, long long *scal, const double *cd,
                     int64_t limit = size - nbytes;
                     if (limit < 1)
                         limit = 1;
-                    if (rnd(&st) < spatial) {
+                    if (chance(&st, t_spatial)) {
                         int64_t m = size > nbytes ? size : nbytes;
                         offset = s.cursors[slot] % limit;
                         s.cursors[slot] = (s.cursors[slot] + nbytes) % m;
@@ -518,8 +587,8 @@ long long ff_advance(uint32_t *mtstate, long long *scal, const double *cd,
                 lock = s.locks[slot];
             }
             areg = randbelow(&st, 6);                  /* address register */
-            if (rnd(&st) < 0.25) {                     /* refresh ADD_RI */
-                put(&rows, SH_REFRESH + areg, NONE, NONE, 0);
+            if (chance(&st, t_refresh)) {              /* refresh ADD_RI */
+                put(&rows, emit, SH_REFRESH + areg, NONE, NONE, 0);
                 remaining -= 2;
             } else {
                 remaining -= 1;
@@ -530,36 +599,38 @@ long long ff_advance(uint32_t *mtstate, long long *scal, const double *cd,
                 vr = (vr + 1) % 6;
                 dreg = vr;
             }
-            put(&rows, SH_MEM + ((kind * 2 + is_load) * 6 + areg) * 6 + dreg,
+            put(&rows, emit,
+                SH_MEM + ((kind * 2 + is_load) * 6 + areg) * 6 + dreg,
                 addr, lock, 0);
-        } else if (roll >= alloc_p) {                  /* call / return */
+        } else if (roll >= t_alloc) {                  /* call / return */
             if (depth < 16) {
-                double r = rnd(&st);
-                if (r < 0.6) {
+                if (chance(&st, t_call)) {
                     depth++;
-                    put(&rows, SH_CALL, NONE, NONE, 0);
+                    put(&rows, emit, SH_CALL, NONE, NONE, 0);
                     remaining -= 1;
                 } else if (depth > 0) {
                     depth--;
-                    put(&rows, SH_RET, NONE, NONE, 0);
+                    put(&rows, emit, SH_RET, NONE, NONE, 0);
                     remaining -= 1;
                 }
             } else {
                 depth--;
-                put(&rows, SH_RET, NONE, NONE, 0);
+                put(&rows, emit, SH_RET, NONE, NONE, 0);
                 remaining -= 1;
             }
         } else {                                       /* allocation event */
             if (s.n_order >= ws && s.n_order > min_keep) {
                 lock = free_at(&s, randbelow(&st, s.n_order));
-                runtime_call(&st, fpc, &vr, SH_GETIDENT, lock, &rows);
+                runtime_call(&st, t_fp, t_chain, &vr, SH_GETIDENT, lock,
+                             &rows, emit);
                 remaining -= 7;
             }
             reason = allocate(&s, size_low + 16 * randbelow(&st, size_nslots),
                               &lock);
             if (reason)
                 break;
-            runtime_call(&st, fpc, &vr, SH_SETIDENT, lock, &rows);
+            runtime_call(&st, t_fp, t_chain, &vr, SH_SETIDENT, lock, &rows,
+                         emit);
             remaining -= 7;
             room--;
             pool = s.n_order < cold_pool ? s.n_order : cold_pool;
@@ -575,6 +646,22 @@ long long ff_advance(uint32_t *mtstate, long long *scal, const double *cd,
     scal[10] = rows.w; scal[11] = room; scal[12] = populate;
     scal[14] = s.heap.nfree; scal[15] = s.heap.nlocks;
     return reason;
+}
+
+/* Skip mode (out == NULL) or emit mode (see advance).  scal[12] objects are
+ * first allocated as a new working set.  arrays[] are, in order: order,
+ * sizes, cursors, rich (int8), hot, bases, locks, chunks, then the heap's
+ * state, free bases, free sizes, fit keys and lock stack; each appendable
+ * one has room for scal[11] more allocation events, after which the call
+ * returns REASON_ROOM, as it does when scal[13] slots or more are retired
+ * (Python then compacts). */
+long long ff_advance(uint32_t *mtstate, long long *scal, const double *cd,
+                     const long long *ci, void *const *arrays,
+                     long long *const *out)
+{
+    if (out)
+        return advance(mtstate, scal, cd, ci, arrays, out, 1);
+    return advance(mtstate, scal, cd, ci, arrays, out, 0);
 }
 
 /* Number the shapes of col[0..n) in first-seen order, in place, listing
@@ -599,18 +686,23 @@ long long ff_intern(long long *col, long long n, long long *seen)
     return nseen;
 }
 
-/* Draw-compatibility probe: 8 doubles then 8 bounded draws, so the loader
- * can verify this kernel against random.Random before trusting it. */
-long long ff_selftest(uint32_t *mtstate, long long *mti_io, double *dout,
-                      long long *iout)
+/* Draw-layer probe, so the loader can check this kernel against
+ * random.Random before trusting it: for each p[i], whether random() < p[i]
+ * into io[i]; then 8 random() draws as 53-bit integers and 8 bounded
+ * draws. */
+long long ff_selftest(uint32_t *mtstate, long long *mti_io, const double *p,
+                      long long np, long long *io)
 {
-    MT st = { mtstate, *mti_io };
     static const int64_t ns[8] = {6, 1, 192, 8192, 13, 7, 4096, 2000000};
-    int i;
+    MT st;
+    long long i;
+    mt_enter(&st, mtstate, *mti_io);
+    for (i = 0; i < np; i++)
+        io[i] = chance(&st, threshold(p[i]));
     for (i = 0; i < 8; i++)
-        dout[i] = rnd(&st);
+        io[np + i] = (long long)draw53(&st);
     for (i = 0; i < 8; i++)
-        iout[i] = randbelow(&st, ns[i]);
+        io[np + 8 + i] = randbelow(&st, ns[i]);
     *mti_io = st.mti;
     return 0;
 }
@@ -627,7 +719,8 @@ def _bind(so_path: Path):
     lib.ff_intern.argtypes = [ctypes.c_void_p, ctypes.c_longlong,
                               ctypes.c_void_p]
     lib.ff_selftest.restype = ctypes.c_longlong
-    lib.ff_selftest.argtypes = [ctypes.c_void_p] * 4
+    lib.ff_selftest.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_longlong,
+                                                        ctypes.c_void_p]
     return lib
 
 
@@ -674,22 +767,84 @@ class KernelHeap(WorkloadHeap):
         self._call(0, (base, chunk, lock))
 
 
-def _rng_matches(lib) -> bool:
-    """The kernel's RNG must reproduce random.Random draw for draw."""
+#: ``ff_selftest``'s bounded draws, in its order.
+_PROBE_BOUNDS = (6, 1, 192, 8192, 13, 7, 4096, 2000000)
+
+
+def _untemper(y: int) -> int:
+    """The MT19937 state word that tempers to the output word ``y``."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xefc60000
+    x = y
+    for _ in range(4):
+        x = y ^ ((x << 7) & 0x9d2c5680)
+    y = x
+    for _ in range(2):
+        x = y ^ (x >> 11)
+    return x
+
+
+def _res53_words(n: int) -> tuple:
+    """Two output words that ``random()`` turns into ``n / 2**53``; the
+    low bits it drops are set."""
+    return (n >> 26) << 5 | 0x1f, (n & 0x3ffffff) << 6 | 0x3f
+
+
+def _state_with_words(mt, mti: int, raw) -> list:
+    """``mt`` changed so that MT19937 entered at index ``mti`` next tempers
+    the state words ``raw`` (:func:`_untemper` of the words wanted): the
+    block's words from ``mti`` on directly, the words after the block's
+    twist through the words it XORs in.  The two sets must not meet: either
+    ``mti`` leaves room for every word, or it is at least 397 plus the count
+    after the twist (at most 227)."""
+    mt = list(mt)
+    direct = raw[:624 - mti]
+    mt[mti:mti + len(direct)] = direct
+    for k, x in enumerate(raw[len(direct):]):
+        y = (mt[k] & 0x80000000) | (mt[k + 1] & 0x7fffffff)
+        mt[k + 397] = x ^ (y >> 1) ^ (0x9908b0df if y & 1 else 0)
+    return mt
+
+
+def _threshold_cases(probabilities) -> list:
+    """``(p, n)`` for every p: ``random()`` at ``n / 2**53`` for n one below
+    ``ceil(p * 2**53)``, at it and one above, where n is a 53-bit value."""
+    cases = []
+    for p in probabilities:
+        t = math.ceil(p * 2**53)
+        cases.extend((p, n) for n in (t - 1, t, t + 1) if 0 <= n < 2**53)
+    return cases
+
+
+def _draws_match(lib, constants) -> bool:
+    """The kernel's draws against random.Random's, from MT states whose
+    next words were chosen: for p in 0, 1/4, 0.35, 0.6, 1, 3/2**53 (whose
+    p * 2**53 is whole) and a profile's ``constants``, ``random() < p`` at
+    and next to p's threshold, entered at index 0, 623 and 624, so that one
+    call crosses a block boundary; then plain ``random()`` and bounded
+    draws, and the state after."""
+    cases = _threshold_cases((0.0, 0.25, 0.35, 0.6, 1.0, 3 / 2**53)
+                             + tuple(constants))
+    raw = [_untemper(w) for _, n in cases for w in _res53_words(n)]
+    probabilities = array("d", [p for p, _ in cases])
     rng = random.Random(987654321)
-    state = rng.getstate()
-    mt = array("I", state[1][:624])
-    mti = array("q", [state[1][624]])
-    dout = array("d", [0.0] * 8)
-    iout = array("q", [0] * 8)
-    lib.ff_selftest(mt.buffer_info()[0], mti.buffer_info()[0],
-                    dout.buffer_info()[0], iout.buffer_info()[0])
-    expected_d = [rng.random() for _ in range(8)]
-    expected_i = [rng._randbelow(n)
-                  for n in (6, 1, 192, 8192, 13, 7, 4096, 2000000)]
-    end_state = rng.getstate()
-    return (list(dout) == expected_d and list(iout) == expected_i
-            and tuple(mt) == end_state[1][:624] and mti[0] == end_state[1][624])
+    base = rng.getstate()
+    for mti in (0, 623, 624):
+        mt = array("I", _state_with_words(base[1][:624], mti, raw))
+        rng.setstate((base[0], tuple(mt) + (mti,), None))
+        index = array("q", [mti])
+        io = array("q", [0] * (len(cases) + 16))
+        lib.ff_selftest(mt.buffer_info()[0], index.buffer_info()[0],
+                        probabilities.buffer_info()[0], len(cases),
+                        io.buffer_info()[0])
+        expected = [rng.random() < p for p, _ in cases]
+        expected += [int(rng.random() * 2**53) for _ in range(8)]
+        expected += [rng._randbelow(n) for n in _PROBE_BOUNDS]
+        end = rng.getstate()[1]
+        if (list(io) != expected or tuple(mt) != end[:624]
+                or index[0] != end[624]):
+            return False
+    return True
 
 
 def _heap_matches(lib) -> bool:
@@ -714,16 +869,11 @@ def _heap_matches(lib) -> bool:
     return heaps[0].columns() == heaps[1].columns()
 
 
-def _emission_matches(lib) -> bool:
-    """A short run on a small alloc-heavy profile, kernel against the
-    Python generator: a second working set populated on each, windows that
-    split allocation events, a skip window (the kernel's skip against the
-    emission layer's dropped events), every column of every row (shapes,
-    addresses, locks, flags), and the slot arrays and heap after."""
+def _self_test_profile():
+    """A small alloc-heavy profile for the draw and emission stages."""
     from repro.workloads.profiles import BenchmarkProfile
-    from repro.workloads.synthetic import SyntheticWorkload
 
-    profile = BenchmarkProfile(
+    return BenchmarkProfile(
         name="ffcore-self-test", memory_fraction=0.35, load_fraction=0.6,
         word_integer_fraction=0.4, pointer_fraction=0.25,
         fp_access_fraction=0.1, fp_compute_fraction=0.3,
@@ -731,6 +881,16 @@ def _emission_matches(lib) -> bool:
         allocs_per_kilo=60.0, typical_alloc_bytes=48,
         working_set_objects=10, temporal_locality=0.6,
         spatial_locality=0.5)
+
+
+def _emission_matches(lib, profile) -> bool:
+    """A short run on ``profile``, kernel against the Python generator: a
+    second working set populated on each, windows that split allocation
+    events, a skip window (the kernel's skip against the emission layer's
+    dropped events), every column of every row (shapes, addresses, locks,
+    flags), and the slot arrays and heap after."""
+    from repro.workloads.synthetic import SyntheticWorkload
+
     # Built while the loader holds this kernel back, so both start in
     # Python; one then runs on the candidate.
     native = SyntheticWorkload(profile, seed=5)
@@ -752,13 +912,17 @@ def _emission_matches(lib) -> bool:
 
 
 def _self_test(lib):
-    """Three stages: the RNG primitives, the heap, then emission against
-    Python."""
-    if not _rng_matches(lib):
-        return False, "rng"
+    """Three stages: the draw layer (on the self-test profile's draw
+    probabilities among others), the heap, then emission against Python."""
+    from repro.workloads.synthetic import SyntheticWorkload
+
+    profile = _self_test_profile()
+    constants = SyntheticWorkload(profile, seed=5)._c_consts_d
+    if not _draws_match(lib, constants):
+        return False, "draws"
     if not _heap_matches(lib):
         return False, "heap"
-    if not _emission_matches(lib):
+    if not _emission_matches(lib, profile):
         return False, "emission"
     return True, None
 

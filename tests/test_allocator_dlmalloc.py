@@ -4,7 +4,7 @@ import pytest
 
 from repro.allocator.dlmalloc import ALIGNMENT, DlMallocAllocator
 from repro.errors import AllocatorError, OutOfMemoryError
-from repro.memory.address_space import AddressSpace, Segment
+from repro.memory.address_space import Segment
 
 
 @pytest.fixture

@@ -1,12 +1,8 @@
 """Tests for the baseline checkers and the Table 1 comparison harness."""
 
-import pytest
-
 from repro.baselines.comparison import (
     ComparisonHarness,
     EventKind,
-    MemoryEvent,
-    cast_corruption_scenario,
     reallocation_scenario,
     standard_scenarios,
 )

@@ -11,7 +11,7 @@ from repro.core.identifier import (
     LockLocationAllocator,
 )
 from repro.errors import OutOfMemoryError, ProgramError
-from repro.memory.address_space import AddressSpace, Segment
+from repro.memory.address_space import Segment
 
 
 class TestKeyGenerator:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import WatchdogConfig
 from repro.core.uop_injection import UopInjector
-from repro.isa.instructions import AccessSize, Instruction, Opcode, PointerHint
+from repro.isa.instructions import Instruction, Opcode, PointerHint
 from repro.isa.microops import UopKind
 from repro.isa.registers import fp_reg, int_reg
 

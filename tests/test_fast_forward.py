@@ -46,7 +46,6 @@ from repro.workloads.synthetic import (
     SHAPES,
     SyntheticWorkload,
 )
-from repro.workloads.state_core import MAX_EVENT_OPS
 
 from tests.helpers import snapshot_lines
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ProgramError
-from repro.memory.address_space import AddressSpaceLayout
 from repro.memory.shadow import ShadowSpace
 
 

@@ -1,7 +1,5 @@
 """Tests for the pointer-annotation compiler pass (§5.2)."""
 
-import pytest
-
 from repro.isa.instructions import Opcode, PointerHint
 from repro.program.builder import ProgramBuilder
 from repro.program.compiler import annotate_pointer_hints

@@ -6,7 +6,7 @@ from repro.allocator.dlmalloc import DlMallocAllocator
 from repro.allocator.runtime import InstrumentedRuntime
 from repro.core.identifier import IdentifierTable
 from repro.core.metadata import PointerMetadata
-from repro.core.renaming import INVALID_MAPPING, MetadataRenamer
+from repro.core.renaming import MetadataRenamer
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.microops import MicroOp, UopKind
 from repro.isa.registers import int_reg

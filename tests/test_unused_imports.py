@@ -1,4 +1,5 @@
-"""Every name a module under ``src/`` imports is used in that module.
+"""Every name a module under ``src/`` or ``tests/`` imports is used in that
+module.
 
 The scan reads each module's AST: a name an import binds counts as used
 when the module reads it (an ``ast.Name``, which covers attribute chains
@@ -9,7 +10,7 @@ marked ``# noqa: F401`` is a deliberate re-export and is skipped.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str):
@@ -50,8 +51,16 @@ def test_the_scan_flags_an_unused_name_and_honours_noqa():
     assert unused_imports(source) == [(3, "Dict")]
 
 
+def offenders(tree: str):
+    """``path:line name`` of each unused import under ``ROOT / tree``."""
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for path in sorted((ROOT / tree).rglob("*.py"))
+            for line, name in unused_imports(path.read_text())]
+
+
 def test_no_module_under_src_imports_a_name_it_never_uses():
-    offenders = [f"{path.relative_to(SRC)}:{line} {name}"
-                 for path in sorted(SRC.rglob("*.py"))
-                 for line, name in unused_imports(path.read_text())]
-    assert not offenders, offenders
+    assert offenders("src") == []
+
+
+def test_no_module_under_tests_imports_a_name_it_never_uses():
+    assert offenders("tests") == []

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.config import WatchdogConfig
 from repro.errors import ConfigurationError
 from repro.isa.instructions import Opcode, PointerHint
 from repro.memory.address_space import AddressSpaceLayout
