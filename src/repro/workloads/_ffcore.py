@@ -9,14 +9,17 @@ C compiler, at first use, cached on disk) that replicates CPython's MT19937
 primitives — ``random()`` is two tempered words combined as
 ``genrand_res53`` and ``_randbelow(n)`` is ``getrandbits(n.bit_length())``
 with rejection — and runs the event loop over the core's shared slot arrays.
+It twists and tempers the state four words at a time into a per-call block
+buffer, and tests ``random() < p`` as the exact integer comparison of
+``genrand_res53``'s 53-bit numerator with ``ceil(p * 2**53)``.
 
-One loop, ``ff_advance``, serves both uses; its output pointer switches its
-writes.  Without one it *skips*: it advances whole events while
-``MAX_EVENT_OPS`` remain, at about 10–13M ops/sec on a development machine.
-With one it *emits*: each op becomes one token row (its static shape id, its
-address, its lock location, its mispredict flag) until the window is full,
-and ``ff_intern`` then numbers the shapes as
-:func:`repro.sim.compiled.tokenize` numbers identities.
+One loop, ``ff_advance``, serves both uses, compiled once for each; its
+output pointer picks the copy.  Without one it *skips*: it advances whole
+events while ``MAX_EVENT_OPS`` remain, at about 20–29M ops/sec on a 2-vCPU
+development VM.  With one it *emits* (about 12–17M ops/sec): each op becomes
+one token row (its static shape id, its address, its lock location, its
+mispredict flag) until the window is full, and ``ff_intern`` then numbers
+the shapes as :func:`repro.sim.compiled.tokenize` numbers identities.
 
 Allocation events are applied in C as well: the kernel frees and places
 objects on the workload's :class:`~repro.workloads.heap.WorkloadHeap`
@@ -45,6 +48,7 @@ from pathlib import Path
 from repro.errors import OutOfMemoryError
 from repro.native import build
 from repro.workloads.heap import WorkloadHeap
+from repro.workloads.profiles import BenchmarkProfile
 
 #: ``scal`` slot layout shared with the C kernel (int64 in/out registers).
 SCAL_REMAINING = 0
@@ -767,6 +771,16 @@ class KernelHeap(WorkloadHeap):
         self._call(0, (base, chunk, lock))
 
 
+#: A small alloc-heavy profile for the self-test's draw and emission stages.
+_SELF_TEST_PROFILE = BenchmarkProfile(
+    name="ffcore-self-test", memory_fraction=0.35, load_fraction=0.6,
+    word_integer_fraction=0.4, pointer_fraction=0.25,
+    fp_access_fraction=0.1, fp_compute_fraction=0.3,
+    branch_fraction=0.15, mispredict_rate=0.3, calls_per_kilo=60.0,
+    allocs_per_kilo=60.0, typical_alloc_bytes=48,
+    working_set_objects=10, temporal_locality=0.6,
+    spatial_locality=0.5)
+
 #: ``ff_selftest``'s bounded draws, in its order.
 _PROBE_BOUNDS = (6, 1, 192, 8192, 13, 7, 4096, 2000000)
 
@@ -869,32 +883,18 @@ def _heap_matches(lib) -> bool:
     return heaps[0].columns() == heaps[1].columns()
 
 
-def _self_test_profile():
-    """A small alloc-heavy profile for the draw and emission stages."""
-    from repro.workloads.profiles import BenchmarkProfile
-
-    return BenchmarkProfile(
-        name="ffcore-self-test", memory_fraction=0.35, load_fraction=0.6,
-        word_integer_fraction=0.4, pointer_fraction=0.25,
-        fp_access_fraction=0.1, fp_compute_fraction=0.3,
-        branch_fraction=0.15, mispredict_rate=0.3, calls_per_kilo=60.0,
-        allocs_per_kilo=60.0, typical_alloc_bytes=48,
-        working_set_objects=10, temporal_locality=0.6,
-        spatial_locality=0.5)
-
-
-def _emission_matches(lib, profile) -> bool:
-    """A short run on ``profile``, kernel against the Python generator: a
-    second working set populated on each, windows that split allocation
-    events, a skip window (the kernel's skip against the emission layer's
-    dropped events), every column of every row (shapes, addresses, locks,
-    flags), and the slot arrays and heap after."""
+def _emission_matches(lib) -> bool:
+    """A short run on a small alloc-heavy profile, kernel against the
+    Python generator: a second working set populated on each, windows that
+    split allocation events, a skip window (the kernel's skip against the
+    emission layer's dropped events), every column of every row (shapes,
+    addresses, locks, flags), and the slot arrays and heap after."""
     from repro.workloads.synthetic import SyntheticWorkload
 
     # Built while the loader holds this kernel back, so both start in
     # Python; one then runs on the candidate.
-    native = SyntheticWorkload(profile, seed=5)
-    python = SyntheticWorkload(profile, seed=5)
+    native = SyntheticWorkload(_SELF_TEST_PROFILE, seed=5)
+    python = SyntheticWorkload(_SELF_TEST_PROFILE, seed=5)
     native._ffcore = lib
     native._populate_working_set()
     python._populate_working_set()
@@ -916,13 +916,12 @@ def _self_test(lib):
     probabilities among others), the heap, then emission against Python."""
     from repro.workloads.synthetic import SyntheticWorkload
 
-    profile = _self_test_profile()
-    constants = SyntheticWorkload(profile, seed=5)._c_consts_d
+    constants = SyntheticWorkload(_SELF_TEST_PROFILE, seed=5)._c_consts_d
     if not _draws_match(lib, constants):
         return False, "draws"
     if not _heap_matches(lib):
         return False, "heap"
-    if not _emission_matches(lib, profile):
+    if not _emission_matches(lib):
         return False, "emission"
     return True, None
 

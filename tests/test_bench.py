@@ -46,8 +46,8 @@ PINNED_MESSAGE = (
     "tolerance 30%): OK; "
     "sampled: measured 277,247 uops/sec vs baseline 30,000 (floor 21,000, "
     "tolerance 30%): OK; "
-    "fast_forward: measured 12,421,110 ops/sec vs baseline 4,500,000 "
-    "(floor 3,150,000, tolerance 30%): OK; "
+    "fast_forward: measured 12,421,110 ops/sec vs baseline 9,500,000 "
+    "(floor 6,650,000, tolerance 30%): OK; "
     "paper_sampled: measured 541,180 uops/sec vs baseline 30,000 "
     "(floor 21,000, tolerance 30%): OK; "
     "suite: measured 30 cells/sec vs baseline 8 (floor 6, tolerance 30%): OK; "

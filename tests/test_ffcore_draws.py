@@ -88,11 +88,6 @@ def test_threshold_cases_straddle_each_threshold():
 
 
 @needs_kernel
-def test_the_kernel_passes_every_stage():
-    assert _ffcore._self_test(LIB) == (True, None)
-
-
-@needs_kernel
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_the_draw_stage_refuses_a_broken_draw_layer(mutant, tmp_path):
     old, new = MUTANTS[mutant]
@@ -105,9 +100,10 @@ def test_the_draw_stage_refuses_a_broken_draw_layer(mutant, tmp_path):
 
 @needs_kernel
 def test_the_draw_stage_is_cheap():
-    """~0.6 ms on a development machine; the bound leaves room for a
-    sanitized or busy host."""
-    constants = SyntheticWorkload(_ffcore._self_test_profile(),
+    """~0.6 ms on a development machine and ~6 ms on the sanitized build
+    with ``PYTHONMALLOC=malloc``; the bound catches a stage that grows by
+    an order of magnitude."""
+    constants = SyntheticWorkload(_ffcore._SELF_TEST_PROFILE,
                                   seed=5)._c_consts_d
     best = None
     for _ in range(5):
@@ -115,7 +111,7 @@ def test_the_draw_stage_is_cheap():
         assert _ffcore._draws_match(LIB, constants)
         wall = time.perf_counter() - started
         best = wall if best is None else min(best, wall)
-    assert best < 0.005
+    assert best < 0.02
 
 
 def kernel_chance(p, n):
