@@ -104,9 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench", help="time every bench cell and write BENCH_<rev>.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced scale for the cells that scale (what "
-                            "the CI perf-smoke job runs)")
     bench.add_argument("--seed", type=int, default=None,
                        help="workload seed (default: 7)")
     bench.add_argument("--output", "-o", metavar="FILE", default=None,
@@ -265,7 +262,6 @@ def _cmd_bench(args) -> int:
     from repro.sim import bench
 
     record = bench.run_bench(
-        quick=args.quick,
         seed=bench.DEFAULT_SEED if args.seed is None else args.seed)
     print(bench.format_summary(record))
     path = bench.write_record(record, output=args.output)

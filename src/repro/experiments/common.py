@@ -22,8 +22,7 @@ One generic runner (:func:`run_experiments`) then serves every experiment:
    exit code both come from that record.
 
 This runner is the only way a registered experiment runs: ``repro run``,
-``repro bench``'s suite cell, the tests and the ``benchmarks/`` harness all
-call :func:`run_experiments`.
+``repro bench``'s suite cell and the tests all call :func:`run_experiments`.
 """
 
 from __future__ import annotations

@@ -112,9 +112,6 @@ class Cache:
         """``(ways, num_sets, associativity, block_bytes)`` for batch loops."""
         return self.ways, self._num_sets, self._assoc, self._block_bytes
 
-    def block_address(self, address: int) -> int:
-        return address // self._block_bytes
-
     # -- access --------------------------------------------------------------
     def access(self, address: int, is_write: bool = False) -> AccessResult:
         """Access ``address``; allocate on miss; return hit/miss and latency."""

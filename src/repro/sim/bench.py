@@ -1,10 +1,10 @@
 """Performance benchmark for the simulation hot paths (``repro bench``).
 
 :data:`CELLS` is the whole benchmark: one row per timed cell, giving its
-record key, the function that times it, its full-scale and ``--quick``
-arguments, and the CI gates that read its record.  ``BENCH_<rev>.json``
-holds each cell's record plus both native kernels' load statuses and any
-degradation event, so a number can be traced to the code that made it.
+record key, the function that times it, its arguments, and the CI gates
+that read its record.  ``BENCH_<rev>.json`` holds each cell's record plus
+both native kernels' load statuses and any degradation event, so a number
+can be traced to the code that made it.
 """
 
 from __future__ import annotations
@@ -260,63 +260,55 @@ class Gate(NamedTuple):
 class Cell(NamedTuple):
     key: str
     run: Callable[..., Dict[str, object]]
-    #: Arguments at full scale, and the ones ``--quick`` replaces.
-    full: Dict[str, object]
-    quick: Dict[str, object]
+    args: Dict[str, object]
     gates: Tuple[Gate, ...]
 
 
-_FIG7 = dict(benchmarks=tuple(benchmark_names()), instructions=8_000)
-
-#: Run in this order: the timecore cell's compile rate is measured with the
-#: template caches the earlier cells warmed, and the 1B cell's RSS stamp is
-#: the high-water mark of the whole run.
+#: Run in this order: the first cell compiles with cold template caches, so
+#: its compile rate includes building each class's templates once, and the
+#: 1B cell's RSS stamp is the high-water mark of the whole run.
 CELLS: Tuple[Cell, ...] = (
-    # The Figure 7 matrix; --quick uses ExperimentSettings.quick()'s scale.
-    Cell("compiled", run_matrix, _FIG7,
-         dict(benchmarks=("gzip", "mcf", "lbm", "gcc"), instructions=3_000),
-         (Gate("matrix", "uops_per_sec", "uops_per_sec", "uops/sec"),)),
+    # The Figure 7 matrix at the registry's default scale, per wall,
+    # simulate and compile second.
+    Cell("compiled", run_matrix,
+         dict(benchmarks=tuple(benchmark_names()), instructions=8_000),
+         (Gate("matrix", "uops_per_sec", "uops_per_sec", "uops/sec"),
+          Gate("timecore", "kernel_uops_per_sec", "kernel_uops_per_sec",
+               "uops/sec"),
+          Gate("compile", "compile_uops_per_sec", "compile_uops_per_sec",
+               "uops/sec"))),
     Cell("sampled", run_sampled_cell,
          dict(benchmark="mcf-long", instructions=LONG_HORIZON_INSTRUCTIONS,
               sampling=SamplingConfig.quick()),
-         dict(instructions=400_000),
          (Gate("sampled", "sampled_uops_per_sec", "uops_per_sec",
                "uops/sec"),)),
     # Skip speed decides whether paper-scale horizons are reachable.
     Cell("fast_forward", run_fast_forward_cell,
-         dict(benchmark="mcf-long", ops=8_000_000), dict(ops=2_000_000),
+         dict(benchmark="mcf-long", ops=8_000_000),
          (Gate("fast_forward", "fast_forward_ops_per_sec",
                "fast_forward_ops_per_sec", "ops/sec"),)),
     # Emission speed decides what every timed window costs to generate.
     Cell("emit", run_emit_cell,
-         dict(benchmark="mcf-long", ops=2_000_000), dict(ops=500_000),
+         dict(benchmark="mcf-long", ops=2_000_000),
          (Gate("emit", "emit_ops_per_sec", "emit_ops_per_sec", "ops/sec"),)),
-    # Never scaled: completing the full paper horizon is the point.
+    # Completing the full paper horizon is the point.
     Cell("paper_sampled", run_sampled_cell,
          dict(benchmark=PAPER_BENCHMARK, instructions=PAPER_INSTRUCTIONS,
-              sampling=PAPER_SMOKE_SAMPLING), {},
+              sampling=PAPER_SMOKE_SAMPLING),
          (Gate("paper_sampled", "paper_sampled_uops_per_sec", "uops_per_sec",
                "uops/sec"),)),
-    # Always at quick scale.
-    Cell("suite", run_suite_cell, {}, {},
+    # The merged registry suite, as `repro run --all --quick` runs it.
+    Cell("suite", run_suite_cell, {},
          (Gate("suite", "suite_cells_per_sec", "suite_cells_per_sec",
                "cells/sec"),)),
-    # The full matrix in both modes: the floors describe the full-matrix
-    # rate, and at smoke scale per-cell setup noise would swamp the kernel.
-    Cell("timecore", run_matrix, _FIG7, {},
-         (Gate("timecore", "kernel_uops_per_sec", "kernel_uops_per_sec",
-               "uops/sec"),
-          Gate("compile", "compile_uops_per_sec", "compile_uops_per_sec",
-               "uops/sec"))),
     # The most memory-intensive 4-app mix.
     Cell("mix", run_mix_cell, dict(mix="mix1", instructions=8_000),
-         dict(instructions=3_000),
          (Gate("mix", "mix_uops_per_sec", "mix_uops_per_sec", "uops/sec"),)),
-    # Never scaled: the full 1B horizon in flat memory is the point, and
-    # its schedule is already smoke-sized.
+    # The full 1B horizon in flat memory is the point; its schedule keeps
+    # the timed part smoke-sized.
     Cell("one_b", run_one_b_cell,
          dict(benchmark="mcf-1b", instructions=ONE_B_HORIZON_INSTRUCTIONS,
-              sampling=ONE_B_SMOKE_SAMPLING), {},
+              sampling=ONE_B_SMOKE_SAMPLING),
          (Gate("one_b", "one_b_ops_per_sec", "one_b_ops_per_sec", "ops/sec"),
           Gate("one_b_rss", "one_b_peak_rss_mb", "peak_rss_mb", "MB",
                ceiling=True))),
@@ -352,10 +344,8 @@ def peak_rss_mb() -> Optional[float]:
     return round(usage / divisor, 1)
 
 
-def run_bench(quick: bool = False,
-              seed: int = DEFAULT_SEED) -> Dict[str, object]:
-    """Run every :data:`CELLS` row, at its ``--quick`` arguments when
-    ``quick``, and return the record."""
+def run_bench(seed: int = DEFAULT_SEED) -> Dict[str, object]:
+    """Run every :data:`CELLS` row and return the record."""
     from repro.experiments.common import kernel_degradation_events
     from repro.native import _timecore, build
 
@@ -363,13 +353,12 @@ def run_bench(quick: bool = False,
         "revision": repo_revision(),
         "generated_at": datetime.datetime.now(
             datetime.timezone.utc).isoformat(timespec="seconds"),
-        "quick": quick,
         "seed": seed,
     }
     for cell in CELLS:
-        args = dict(cell.full, **(cell.quick if quick else {}))
-        stats = cell.run(seed=seed, **args)
-        stats["args"] = json.loads(json.dumps(args, default=dataclasses.asdict))
+        stats = cell.run(seed=seed, **cell.args)
+        stats["args"] = json.loads(json.dumps(cell.args,
+                                              default=dataclasses.asdict))
         rss = peak_rss_mb()
         if rss is not None:
             stats["peak_rss_mb"] = rss
@@ -447,8 +436,7 @@ def check_against_baseline(record: Dict[str, object],
 
 def format_summary(record: Dict[str, object]) -> str:
     """Human-readable rendering of a benchmark record: one line per cell."""
-    lines = [f"revision {record['revision']}"
-             f"{' (--quick)' if record.get('quick') else ''}"]
+    lines = [f"revision {record['revision']}"]
     for cell in CELLS:
         stats = record.get(cell.key)
         if stats is None:

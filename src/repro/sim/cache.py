@@ -7,7 +7,7 @@ cache therefore keys each :class:`~repro.sim.results.CellResult` by a
 SHA-256 digest of a canonical JSON rendering of exactly those inputs, the
 machine configuration included (plus a schema version that is bumped
 whenever the simulation semantics change), and stores the cell as one small
-JSON file.  Repeated figure runs, the benchmark harness and the CLI all skip
+JSON file.  Repeated figure runs through the CLI or the library skip
 already-computed cells; any change to a configuration knob changes the
 digest and transparently invalidates the entry.  The native timing core
 is not part of the key: it is bit-identical to the Python loops it

@@ -64,7 +64,7 @@ from repro.core.uop_injection import InjectionStats, UopInjector, \
     compile_template
 from repro.isa.instructions import Instruction, SINGLE_SOURCE_PROPAGATORS
 from repro.isa.microops import MicroOp, UopKind, WATCHDOG_KINDS
-from repro.isa.registers import RegClass, reg_slot
+from repro.isa.registers import reg_slot
 from repro.memory.address_space import SHADOW_BIT, AddressSpaceLayout
 from repro.memory.hierarchy import (
     PORT_CODES,
@@ -114,6 +114,24 @@ def stream_class_key(config: WatchdogConfig) -> tuple:
 
 # -- tokenization ---------------------------------------------------------------------
 
+def _identity_key(inst: Instruction) -> tuple:
+    """The template-relevant identity of an instruction, as a flat tuple.
+
+    Covers every instruction field that can influence µop injection or
+    timing annotation under the default (stateless) pointer identifiers:
+    opcode, register operands, access size and pointer hint.  Immediates,
+    labels and comments are deliberately excluded — they never reach the
+    timing model.  :func:`tokenize` interns by it and the template tables
+    key their rows on it.
+    """
+    dest = inst.dest
+    return (inst.opcode.code,
+            -1 if dest is None else reg_slot(dest),
+            tuple(reg_slot(reg) for reg in inst.srcs),
+            int(inst.size),
+            inst.pointer_hint.code)
+
+
 def tokenize(trace: Iterable[DynamicOp]) -> TraceTokens:
     """Intern a :class:`DynamicOp` trace into :class:`TraceTokens` columns.
 
@@ -121,17 +139,13 @@ def tokenize(trace: Iterable[DynamicOp]) -> TraceTokens:
     source — functional-machine traces, :meth:`Simulator.run_trace` input —
     and the workloads' pure-Python emitter.
 
-    The identity key covers every instruction field that can influence µop
-    injection or timing annotation under the default (stateless) pointer
-    identifiers: opcode, register operands, access size and pointer hint.
-    Immediates, labels and comments are deliberately excluded — they never
-    reach the timing model.
-
-    The synthetic workload generator interns :class:`Instruction` objects
-    per shape, so most dynamic ops repeat a handful of object identities;
-    those resolve through an ``id()``-keyed memo (the ``keepalive`` list
-    pins the memoized objects, so an id can never be recycled mid-call) and
-    only the first occurrence of each object pays for the structural key.
+    Instructions with equal :func:`_identity_key` s share one identity,
+    numbered in first-seen order.  The synthetic workload generator interns
+    :class:`Instruction` objects per shape, so most dynamic ops repeat a
+    handful of object identities; those resolve through an ``id()``-keyed
+    memo (the ``keepalive`` list pins the memoized objects, so an id can
+    never be recycled mid-call) and only the first occurrence of each
+    object pays for the structural key.
     """
     key_to_tid = {}
     id_to_tid = {}
@@ -144,7 +158,6 @@ def tokenize(trace: Iterable[DynamicOp]) -> TraceTokens:
     get = key_to_tid.get
     id_get = id_to_tid.get
     keep = keepalive.append
-    int_class = RegClass.INT
     append_tid = tids.append
     append_addr = addrs.append
     append_lock = locks.append
@@ -154,29 +167,7 @@ def tokenize(trace: Iterable[DynamicOp]) -> TraceTokens:
         inst = dop.instruction
         tid = id_get(id(inst))
         if tid is None:
-            srcs = inst.srcs
-            n = len(srcs)  # at most two: Instruction enforces it
-            dest = inst.dest
-            key = inst.opcode.code
-            if dest is None:
-                key = key * 33
-            else:
-                key = key * 33 + (dest.index + 1 if dest.regclass is int_class
-                                  else dest.index + 17)
-            if n:
-                reg = srcs[0]
-                key = key * 33 + (reg.index + 1 if reg.regclass is int_class
-                                  else reg.index + 17)
-                if n == 2:
-                    reg = srcs[1]
-                    key = key * 33 + (reg.index + 1
-                                      if reg.regclass is int_class
-                                      else reg.index + 17)
-                else:
-                    key = key * 33
-            else:
-                key = key * 1089
-            key = (key * 9 + inst.size) * 4 + inst.pointer_hint.code
+            key = _identity_key(inst)
             tid = get(key)
             if tid is None:
                 tid = key_to_tid[key] = len(insts)
@@ -373,21 +364,6 @@ _TEMPLATE_CACHE_LIMIT = 1 << 16
 
 #: The Table 2 machine, whose execution latencies every template carries.
 _MACHINE = MachineConfig()
-
-
-def _identity_key(inst: Instruction) -> tuple:
-    """The template-relevant identity of an instruction, as a flat tuple.
-
-    Covers exactly the fields :func:`tokenize` folds into its interning key
-    (opcode, register operands, access size, pointer hint) — everything that
-    can influence µop injection or timing annotation.
-    """
-    dest = inst.dest
-    return (inst.opcode.code,
-            -1 if dest is None else reg_slot(dest),
-            tuple(reg_slot(reg) for reg in inst.srcs),
-            int(inst.size),
-            inst.pointer_hint.code)
 
 
 class StreamCompiler:

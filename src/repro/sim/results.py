@@ -1,4 +1,4 @@
-"""Result records shared by the experiment drivers and the benchmark harness.
+"""Result records shared by the experiment modules, the CLI and the tests.
 
 Four records cover the pipeline end to end:
 

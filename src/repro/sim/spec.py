@@ -29,7 +29,7 @@ from repro.workloads.profiles import benchmark_names
 
 #: Default dynamic macro-instruction count per benchmark run.  Large enough
 #: for cache/branch behaviour to settle, small enough to keep the full
-#: 20-benchmark sweeps fast; the benchmark harness can raise it.
+#: 20-benchmark sweeps fast; ``repro run --instructions`` can raise it.
 DEFAULT_INSTRUCTIONS = 8_000
 #: Default random seed for the synthetic workloads (reproducibility).
 DEFAULT_SEED = 7
@@ -37,6 +37,15 @@ DEFAULT_SEED = 7
 #: Label of the unprotected (Watchdog-disabled) configuration every overhead
 #: experiment compares against.
 BASELINE_LABEL = "baseline"
+
+
+def validate_instructions(instructions: int) -> None:
+    """Refuse a horizon of no instructions at construction time: a zero
+    horizon simulates empty cells whose every overhead reads 0, and a
+    negative one fails inside the compile kernel on every retry."""
+    if instructions < 1:
+        raise ConfigurationError(
+            f"instructions must be >= 1, got {instructions}")
 
 
 def validate_sampling(sampling: Optional[SamplingConfig],
@@ -96,6 +105,7 @@ class ExperimentSettings:
     sampling: Optional[SamplingConfig] = None
 
     def __post_init__(self) -> None:
+        validate_instructions(self.instructions)
         validate_sampling(self.sampling, self.instructions)
 
     @classmethod
@@ -199,6 +209,7 @@ class RunRequest:
     sampling: Optional[SamplingConfig] = None
 
     def __post_init__(self) -> None:
+        validate_instructions(self.instructions)
         validate_sampling(self.sampling, self.instructions)
         if self.sampling is not None and self.warmup_instructions is not None:
             raise ConfigurationError(

@@ -1,7 +1,8 @@
 """Test suite package.
 
 Being a package (rather than a loose directory) gives the test modules a
-unique import namespace, so ``tests/conftest.py`` and
-``benchmarks/conftest.py`` can coexist in one pytest session instead of
-colliding on the top-level module name ``conftest``.
+unique import namespace: they import shared helpers and each other's
+constants as ``tests.helpers`` or ``tests.test_compiled_pipeline``, and
+``tests/conftest.py`` cannot collide with another conftest module on the
+top-level name ``conftest``.
 """

@@ -22,7 +22,6 @@ TEST_SCALE = {
     "paper_sampled": dict(benchmark="mcf-paper", instructions=20_000,
                           sampling=SMALL),
     "suite": {},
-    "timecore": dict(benchmarks=("lbm",), instructions=1_500),
     "mix": dict(mix="mix1", instructions=1_000),
     "one_b": dict(benchmark="mcf-1b", instructions=60_000, sampling=SMALL),
 }
@@ -31,13 +30,13 @@ TEST_SCALE = {
 #: whose seconds it divides by, or ``None`` for the cell's wall seconds).
 RATES = {
     ("compiled", "uops_per_sec"): ("total_uops", None),
+    ("compiled", "kernel_uops_per_sec"): ("total_uops", "simulate"),
+    ("compiled", "compile_uops_per_sec"): ("total_uops", "compile"),
     ("sampled", "uops_per_sec"): ("timed_uops", "simulate"),
     ("fast_forward", "fast_forward_ops_per_sec"): ("ops", None),
     ("emit", "emit_ops_per_sec"): ("ops", None),
     ("paper_sampled", "uops_per_sec"): ("timed_uops", "simulate"),
     ("suite", "suite_cells_per_sec"): ("simulated_cells", None),
-    ("timecore", "kernel_uops_per_sec"): ("total_uops", "simulate"),
-    ("timecore", "compile_uops_per_sec"): ("total_uops", "compile"),
     ("mix", "mix_uops_per_sec"): ("total_uops", "simulate"),
     ("one_b", "one_b_ops_per_sec"): ("instructions", None),
 }
@@ -45,7 +44,7 @@ RATES = {
 
 @pytest.fixture(scope="module")
 def record():
-    cells = tuple(cell._replace(full=TEST_SCALE[cell.key], quick={})
+    cells = tuple(cell._replace(args=TEST_SCALE[cell.key])
                   for cell in bench.CELLS)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bench, "CELLS", cells)
@@ -55,8 +54,7 @@ def record():
 def test_test_scale_rows_match_the_real_rows():
     assert list(TEST_SCALE) == [cell.key for cell in bench.CELLS]
     for cell in bench.CELLS:
-        assert TEST_SCALE[cell.key].keys() == cell.full.keys(), cell.key
-        assert cell.quick.keys() <= cell.full.keys(), cell.key
+        assert TEST_SCALE[cell.key].keys() == cell.args.keys(), cell.key
 
 
 @pytest.mark.parametrize("cell", bench.CELLS, ids=lambda cell: cell.key)

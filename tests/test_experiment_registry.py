@@ -1,12 +1,14 @@
 """Tests for the declarative experiment registry and its generic runner.
 
-Covers the three guarantees the registry refactor makes:
+Covers the four guarantees the registry makes:
 
 * **merge**: ``repro run --all`` resolves every requested grid in one engine
   batch, simulating each distinct (benchmark, configuration) cell exactly
   once (asserted via the engine's batch/cell counters),
 * **split**: the merged super-spec run is cell-for-cell identical to running
   each experiment standalone,
+* **shape**: at the default 20 × 8,000 scale every paper check passes and
+  each figure keeps the orderings the paper reports,
 * **golden**: every registered experiment, run under the quick §9.1 sampling
   schedule, reproduces pinned summary metrics exactly — the end-to-end
   regression net over workload generation, sampling segmentation, the
@@ -158,6 +160,89 @@ class TestQuickTierChecks:
             suite.reports[0].result.summary
         assert data["experiments"][0]["checks"] == \
             [c.to_dict() for c in suite.reports[0].checks]
+
+
+class TestDefaultScaleShapes:
+    """The whole registry at its default scale (20 benchmarks × 8,000
+    instructions): every paper check passes, and the figures keep the shape
+    the paper describes.
+
+    Only relations that no tolerance band implies are asserted here; a
+    value inside its band (a positive geomean, an upper bound, Juliet's
+    exact counts, Table 1's and Table 2's zero mismatches) is already part
+    of ``suite.ok``.
+    """
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return run_experiments(list(REGISTRY), settings=ExperimentSettings())
+
+    @pytest.fixture(scope="class")
+    def results(self, suite):
+        return {report.name: report.result for report in suite.reports}
+
+    def test_every_paper_check_passes(self, suite):
+        failures = [f"{report.name}: {check.describe()}"
+                    for report in suite.reports
+                    for check in report.checks if not check.ok]
+        assert suite.ok, "\n".join(failures)
+
+    def test_fig5_pointer_dense_codes_classify_more_accesses(self, results):
+        result = results["fig5"]
+        assert result.summary["conservative_avg_percent"] > \
+            result.summary["isa_assisted_avg_percent"]
+        assert result.series["isa-assisted"]["mcf"] > \
+            result.series["isa-assisted"]["lbm"]
+        assert result.series["conservative"]["gcc"] > \
+            result.series["conservative"]["milc"]
+
+    def test_fig7_identification_and_ideal_shadow_order(self, results):
+        summary = results["fig7"].summary
+        assert summary["conservative_geomean_percent"] > \
+            summary["isa-assisted_geomean_percent"] > \
+            summary["ideal-shadow_geomean_percent"]
+
+    def test_fig8_checks_dominate_and_segments_sum_to_total(self, results):
+        summary = results["fig8"].summary
+        total = summary["total_avg_percent"]
+        checks = summary["checks_avg_percent"]
+        loads = summary["pointer_loads_avg_percent"]
+        stores = summary["pointer_stores_avg_percent"]
+        other = summary["other_avg_percent"]
+        assert checks > other > loads > stores
+        assert 30.0 <= total <= 60.0
+        assert 20.0 <= checks <= 40.0
+        assert abs(total - (checks + loads + stores + other)) < 1.0
+
+    def test_fig9_lock_cache_saves_several_points(self, results):
+        summary = results["fig9"].summary
+        assert summary["without-lock-cache_geomean_percent"] - \
+            summary["with-lock-cache_geomean_percent"] >= 3.0
+        assert summary["benchmarks_below_1_mpki"] >= 15
+
+    def test_fig10_pages_exceed_words(self, results):
+        result = results["fig10"]
+        assert result.summary["pages_geomean_percent"] > \
+            result.summary["words_geomean_percent"]
+        assert result.series["words"]["mcf"] > result.series["words"]["lbm"]
+
+    def test_fig11_fused_bounds_cost_no_more_than_two_uops(self, results):
+        summary = results["fig11"].summary
+        watchdog = summary["watchdog_geomean_percent"]
+        fused = summary["bounds_fused_geomean_percent"]
+        two_uops = summary["bounds_two_uop_geomean_percent"]
+        assert watchdog < two_uops
+        assert fused <= two_uops
+        assert fused >= watchdog * 0.95
+
+    def test_ablations_ideal_shadow_and_copy_elimination(self, results):
+        summary = results["ablations"].summary
+        isa = summary["isa-assisted_geomean_percent"]
+        assert summary["ideal-shadow_geomean_percent"] < isa
+        assert summary["no-copy-elimination_geomean_percent"] >= isa * 0.95
+
+    def test_juliet_misses_nothing(self, results):
+        assert results["juliet"].summary["missed"] == 0
 
 
 #: Summary metrics of every registered experiment under the quick §9.1
@@ -316,19 +401,22 @@ class TestCliRun:
         assert stopped.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("option", [["--max-regression", "0.3"],
+    @pytest.mark.parametrize("option", [["--quick"],
+                                        ["--max-regression", "0.3"],
                                         ["--allow-degraded"]],
-                             ids=["max-regression", "allow-degraded"])
+                             ids=["quick", "max-regression",
+                                  "allow-degraded"])
     def test_retired_bench_options_are_usage_errors(self, option, capsys,
                                                     monkeypatch):
-        # The tolerance is a constant and a degradation always fails the
-        # bench; argparse refuses both flags before any cell runs (with
-        # run_bench stubbed out, an accepted flag fails fast instead).
+        # The bench has one scale, the tolerance is a constant and a
+        # degradation always fails the bench; argparse refuses each flag
+        # before any cell runs (with run_bench stubbed out, an accepted flag
+        # fails fast instead).
         from repro.sim import bench
 
         monkeypatch.setattr(bench, "run_bench", None)
         with pytest.raises(SystemExit) as stopped:
-            self._cli(["bench", "--quick"] + option)
+            self._cli(["bench"] + option)
         assert stopped.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -340,14 +428,27 @@ class TestCliRun:
             self, degradations, code, tmp_path, monkeypatch, capsys):
         from repro.sim import bench
 
-        record = {"revision": "test", "quick": True, "kernels": {},
+        record = {"revision": "test", "kernels": {},
                   "degradations": degradations}
-        monkeypatch.setattr(bench, "run_bench", lambda quick, seed: record)
+        monkeypatch.setattr(bench, "run_bench", lambda seed: record)
         output = tmp_path / "record.json"
-        assert self._cli(["bench", "--quick", "--output", str(output)]) == code
+        assert self._cli(["bench", "--output", str(output)]) == code
         assert json.loads(output.read_text())["degradations"] == degradations
         assert ("unexpected degradation" in capsys.readouterr().err) == \
             bool(degradations)
+
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    def test_run_rejects_a_non_positive_instruction_count(self, count, capsys,
+                                                          monkeypatch):
+        # Refused when the settings are built, before any cell runs (an
+        # accepted count would call the stubbed-out runner and fail).
+        from repro import cli
+
+        monkeypatch.setattr(cli, "run_experiments", None)
+        assert self._cli(["run", "fig7", "-b", "gzip", "-n", count,
+                          "--no-cache"]) == 2
+        assert f"invalid settings: instructions must be >= 1, got {count}" \
+            in capsys.readouterr().err
 
     def test_run_rejects_a_negative_retry_count(self, capsys):
         assert self._cli(["run", "fig7", "--retries", "-1"]) == 2

@@ -17,7 +17,8 @@ from repro.sim.results import CellResult
 from repro.sim.spec import BASELINE_LABEL, RunRequest
 
 #: A deliberately small sweep so the whole experiment layer is exercised in
-#: seconds; the benchmarks/ directory runs the full-scale versions.
+#: seconds; ``TestDefaultScaleShapes`` in ``tests/test_experiment_registry.py``
+#: runs the registry at the default scale.
 QUICK = ExperimentSettings.quick(benchmarks=("gzip", "mcf", "lbm"), instructions=1500)
 
 #: The single-core grid experiments, resolved as one merged batch.

@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.core.config import WatchdogConfig
+from repro.errors import ConfigurationError
 from repro.experiments import run_experiments
 from repro.experiments.common import ExperimentSettings
 from repro.sim.cache import ResultCache, request_fingerprint
@@ -48,6 +51,16 @@ class TestSpecs:
         request = quick_spec().requests()[0]
         assert request.instructions == QUICK.instructions
         assert request.seed == QUICK.seed
+
+    @pytest.mark.parametrize("instructions", [0, -5])
+    def test_settings_and_requests_need_an_instruction(self, instructions):
+        with pytest.raises(ConfigurationError, match="instructions must be"):
+            ExperimentSettings(instructions=instructions)
+        with pytest.raises(ConfigurationError, match="instructions must be"):
+            RunRequest("gzip", ISA, WatchdogConfig.isa_assisted_uaf(),
+                       instructions=instructions)
+        assert RunRequest("gzip", ISA, WatchdogConfig.isa_assisted_uaf(),
+                          instructions=1).instructions == 1
 
 
 class TestTraceSharing:
