@@ -52,11 +52,10 @@ class InstrumentedRuntime:
     """DL-malloc instrumented with setident/getident identifier management."""
 
     def __init__(self, memory: AddressSpace,
-                 allocator: Optional[DlMallocAllocator] = None,
                  identifiers: Optional[IdentifierTable] = None,
                  track_bounds: bool = False):
         self.memory = memory
-        self.allocator = allocator or DlMallocAllocator(memory)
+        self.allocator = DlMallocAllocator(memory)
         self.identifiers = identifiers or IdentifierTable(memory)
         self.track_bounds = track_bounds
         self._live: Dict[int, AllocationRecord] = {}

@@ -201,10 +201,16 @@ def _cmd_run(args) -> int:
     except ConfigurationError as error:
         print(f"invalid resilience settings: {error}", file=sys.stderr)
         return 2
+    try:
+        engine = SweepEngine(workers=args.workers, policy=policy)
+    except ConfigurationError as error:
+        print(f"invalid --workers: {error}", file=sys.stderr)
+        return 2
+    # Attached once every setting is valid, so a usage error creates no
+    # cache directory.
     cache: Optional[ResultCache] = None
     if not args.no_cache:
-        cache = ResultCache(args.cache_dir)
-    engine = SweepEngine(workers=args.workers, cache=cache, policy=policy)
+        cache = engine.cache = ResultCache(args.cache_dir)
 
     try:
         suite = run_experiments(names, settings=settings, engine=engine)

@@ -10,8 +10,11 @@ This package implements the hardware mechanisms of the paper:
   (§3, Figure 2/3) — :mod:`repro.core.uop_injection`,
 * conservative and ISA-assisted pointer identification (§5) —
   :mod:`repro.core.pointer_id`,
-* decoupled register metadata with rename-time copy elimination and
-  reference-counted physical registers (§6) — :mod:`repro.core.renaming`,
+* register metadata propagation (§6): functionally in
+  :meth:`repro.core.watchdog.Watchdog.propagate`, and for timing as the
+  injector's ``META_SELECT`` µops — single-source copies cost nothing with
+  rename-time copy elimination, one µop each without it
+  (:meth:`repro.sim.compiled.StreamCompiler._full_expand`),
 * stack-frame identifier management on call/return (Figure 3c/3d) —
   :mod:`repro.core.stack_frames`,
 * the top-level engine and configuration — :mod:`repro.core.watchdog`,
@@ -22,13 +25,8 @@ from repro.core.identifier import Identifier, LockLocationAllocator, KeyGenerato
 from repro.core.metadata import PointerMetadata, GLOBAL_IDENTIFIER_KEY
 from repro.core.config import WatchdogConfig, PointerIdentificationMode, BoundsCheckMode
 from repro.core.checks import CheckUnit, CheckOutcome
-from repro.core.pointer_id import (
-    ConservativeIdentifier,
-    IsaAssistedIdentifier,
-    ProfileGuidedIdentifier,
-)
+from repro.core.pointer_id import ConservativeIdentifier, IsaAssistedIdentifier
 from repro.core.uop_injection import UopInjector
-from repro.core.renaming import MetadataRenamer, RenameResult
 from repro.core.stack_frames import StackFrameManager
 from repro.core.watchdog import Watchdog
 
@@ -45,10 +43,7 @@ __all__ = [
     "CheckOutcome",
     "ConservativeIdentifier",
     "IsaAssistedIdentifier",
-    "ProfileGuidedIdentifier",
     "UopInjector",
-    "MetadataRenamer",
-    "RenameResult",
     "StackFrameManager",
     "Watchdog",
 ]

@@ -128,12 +128,10 @@ class IdentifierTable:
     ``INVALID_KEY`` and recycle the lock location.
     """
 
-    def __init__(self, memory: AddressSpace,
-                 keys: Optional[KeyGenerator] = None,
-                 locks: Optional[LockLocationAllocator] = None):
+    def __init__(self, memory: AddressSpace):
         self.memory = memory
-        self.keys = keys or KeyGenerator()
-        self.locks = locks or LockLocationAllocator(memory)
+        self.keys = KeyGenerator()
+        self.locks = LockLocationAllocator(memory)
         self._global: Optional[Identifier] = None
 
     def allocate_identifier(self) -> Identifier:

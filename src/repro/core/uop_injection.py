@@ -23,10 +23,10 @@ Figure 8 breakdown (checks / pointer loads / pointer stores / other).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.config import BoundsCheckMode, WatchdogConfig
-from repro.core.pointer_id import PointerIdentifier, make_identifier
+from repro.core.pointer_id import make_identifier
 from repro.isa.decoder import Decoder
 from repro.isa.instructions import (
     Instruction,
@@ -56,42 +56,15 @@ class InjectionStats:
                 + self.pointer_store_uops + self.select_uops + self.frame_uops
                 + self.other_uops)
 
-    @property
-    def total_uops(self) -> int:
-        return self.baseline_uops + self.injected_uops
-
-    def overhead_fraction(self) -> float:
-        """Injected µops as a fraction of baseline µops (Figure 8 bar height)."""
-        if self.baseline_uops == 0:
-            return 0.0
-        return self.injected_uops / self.baseline_uops
-
-    def breakdown(self) -> dict:
-        """Figure 8 segments as fractions of the baseline µop count."""
-        base = max(self.baseline_uops, 1)
-        return {
-            "checks": (self.check_uops + self.bounds_check_uops) / base,
-            "pointer_loads": self.pointer_load_uops / base,
-            "pointer_stores": self.pointer_store_uops / base,
-            "other": (self.select_uops + self.frame_uops + self.other_uops) / base,
-        }
-
 
 class UopInjector:
     """Wraps the decoder and injects Watchdog µops per the configuration."""
 
-    def __init__(self, config: WatchdogConfig,
-                 pointer_identifier: Optional[PointerIdentifier] = None,
-                 decoder: Optional[Decoder] = None):
+    def __init__(self, config: WatchdogConfig):
         self.config = config
-        self.decoder = decoder or Decoder()
-        self.pointer_identifier = pointer_identifier or make_identifier(config.conservative)
+        self.decoder = Decoder()
+        self.pointer_identifier = make_identifier(config.conservative)
         self.stats = InjectionStats()
-        #: Stamp of the most recent :meth:`expand` call.  Every µop of one
-        #: expansion carries the same stamp, and stamps increase monotonically
-        #: per dynamic macro instance, so consumers can tell instances apart
-        #: without relying on (reusable) object identity.
-        self.last_macro_seq = -1
 
     # -- helpers -----------------------------------------------------------------
     def _check_uops(self, inst: Instruction) -> List[MicroOp]:
@@ -99,13 +72,12 @@ class UopInjector:
         address_reg = inst.address_reg
         assert address_reg is not None
         uops = [MicroOp(kind=UopKind.CHECK, srcs=(address_reg,),
-                        meta_srcs=(address_reg,), imm=inst.imm, size=inst.size,
-                        injected=True, macro=inst)]
+                        meta_srcs=(address_reg,), imm=inst.imm, size=inst.size)]
         self.stats.check_uops += 1
         if self.config.bounds_mode is BoundsCheckMode.SEPARATE_UOP:
             uops.append(MicroOp(kind=UopKind.BOUNDS_CHECK, srcs=(address_reg,),
                                 meta_srcs=(address_reg,), imm=inst.imm,
-                                size=inst.size, injected=True, macro=inst))
+                                size=inst.size))
             self.stats.bounds_check_uops += 1
         return uops
 
@@ -116,18 +88,7 @@ class UopInjector:
 
     # -- main entry point -----------------------------------------------------------
     def expand(self, inst: Instruction) -> List[MicroOp]:
-        """Decode ``inst`` and inject the Watchdog µops around it.
-
-        Every returned µop is stamped with a fresh ``macro_seq``: one stamp
-        per dynamic expansion, shared by all µops of the expansion.
-        """
-        uops = self._expand(inst)
-        self.last_macro_seq = stamp = self.last_macro_seq + 1
-        for uop in uops:
-            uop.macro_seq = stamp
-        return uops
-
-    def _expand(self, inst: Instruction) -> List[MicroOp]:
+        """Decode ``inst`` and inject the Watchdog µops around it."""
         baseline = self.decoder.decode(inst)
         self.stats.baseline_uops += sum(uop.uop_cost for uop in baseline)
 
@@ -145,8 +106,7 @@ class UopInjector:
                 shadow = MicroOp(kind=UopKind.SHADOW_LOAD, dest=None,
                                  srcs=(inst.srcs[0],), meta_dest=inst.dest,
                                  meta_srcs=(inst.srcs[0],), imm=inst.imm,
-                                 uop_cost=self._shadow_uop_cost(),
-                                 injected=True, macro=inst)
+                                 uop_cost=self._shadow_uop_cost())
                 uops.append(shadow)
                 self.stats.pointer_load_uops += shadow.uop_cost
             return uops
@@ -158,8 +118,7 @@ class UopInjector:
                 shadow = MicroOp(kind=UopKind.SHADOW_STORE, dest=None,
                                  srcs=(inst.srcs[0],),
                                  meta_srcs=(inst.srcs[0], inst.srcs[1]),
-                                 imm=inst.imm, uop_cost=self._shadow_uop_cost(),
-                                 injected=True, macro=inst)
+                                 imm=inst.imm, uop_cost=self._shadow_uop_cost())
                 uops.append(shadow)
                 self.stats.pointer_store_uops += shadow.uop_cost
             uops.extend(baseline)
@@ -168,16 +127,14 @@ class UopInjector:
         if op is Opcode.CALL:
             uops.extend(baseline)
             frame = MicroOp(kind=UopKind.LOCK_PUSH, dest=STACK_POINTER,
-                            meta_dest=STACK_POINTER, uop_cost=4, injected=True,
-                            macro=inst)
+                            meta_dest=STACK_POINTER, uop_cost=4)
             uops.append(frame)
             self.stats.frame_uops += frame.uop_cost
             return uops
 
         if op is Opcode.RET:
             frame = MicroOp(kind=UopKind.LOCK_POP, dest=STACK_POINTER,
-                            meta_dest=STACK_POINTER, uop_cost=4, injected=True,
-                            macro=inst)
+                            meta_dest=STACK_POINTER, uop_cost=4)
             uops.append(frame)
             self.stats.frame_uops += frame.uop_cost
             uops.extend(baseline)
@@ -186,8 +143,7 @@ class UopInjector:
         if op in SELECT_PROPAGATORS:
             uops.extend(baseline)
             select = MicroOp(kind=UopKind.META_SELECT, dest=None,
-                             meta_dest=inst.dest, meta_srcs=inst.srcs,
-                             injected=True, macro=inst)
+                             meta_dest=inst.dest, meta_srcs=inst.srcs)
             uops.append(select)
             self.stats.select_uops += 1
             return uops
@@ -201,18 +157,11 @@ class UopInjector:
 
         return baseline
 
-    def expand_block(self, instructions) -> List[MicroOp]:
-        """Expand a sequence of macro instructions into one µop list."""
-        uops: List[MicroOp] = []
-        for inst in instructions:
-            uops.extend(self.expand(inst))
-        return uops
-
 
 # -- template compilation ------------------------------------------------------------
 #
-# For a fixed configuration (and the default, stateless pointer identifiers)
-# the expansion of a macro instruction is a pure function of the instruction's
+# For a fixed configuration (pointer identification is stateless) the
+# expansion of a macro instruction is a pure function of the instruction's
 # *static identity*: opcode, register operands, access size and pointer hint.
 # The compiled trace pipeline therefore runs the injector once per identity,
 # snapshots the µop list and the statistics it contributed, and replays that
@@ -252,19 +201,18 @@ def stats_snapshot(stats: InjectionStats) -> tuple:
 
 
 def compile_template(injector: UopInjector, inst: Instruction,
-                     expand=None) -> InjectionTemplate:
+                     expand) -> InjectionTemplate:
     """Run one expansion of ``inst`` and capture the µop list + stat deltas.
 
-    ``expand`` defaults to the injector's raw expansion; callers that wrap
-    the injector (e.g. the trace expander's copy-elimination ablation, which
-    appends its own µop and contributes to the statistics) pass their full
-    expansion so the template captures exactly what one dynamic instance
-    would have produced.
+    ``expand`` is the caller's full expansion around ``injector`` (the
+    stream compiler's adds the copy-elimination ablation's µop and counts
+    it in the injector's statistics), so the template captures exactly what
+    one dynamic instance would have produced.
     """
     identifier = injector.pointer_identifier
     before = stats_snapshot(injector.stats)
     before_ptr = (identifier.stats.memory_ops, identifier.stats.pointer_ops)
-    uops = expand(inst) if expand is not None else injector._expand(inst)
+    uops = expand(inst)
     after = stats_snapshot(injector.stats)
     after_ptr = (identifier.stats.memory_ops, identifier.stats.pointer_ops)
     return InjectionTemplate(

@@ -26,7 +26,6 @@ from repro.core.checks import CheckOutcome, CheckUnit
 from repro.core.config import WatchdogConfig
 from repro.core.identifier import IdentifierTable
 from repro.core.metadata import PointerMetadata
-from repro.core.pointer_id import PointerIdentifier, make_identifier
 from repro.core.stack_frames import StackFrameManager
 from repro.core.uop_injection import UopInjector
 from repro.isa.instructions import (
@@ -45,11 +44,9 @@ from repro.memory.shadow import ShadowSpace
 class Watchdog:
     """Functional model of the Watchdog hardware plus its software runtime."""
 
-    def __init__(self, config: Optional[WatchdogConfig] = None,
-                 memory: Optional[AddressSpace] = None,
-                 pointer_identifier: Optional[PointerIdentifier] = None):
+    def __init__(self, config: Optional[WatchdogConfig] = None):
         self.config = config or WatchdogConfig()
-        self.memory = memory or AddressSpace()
+        self.memory = AddressSpace()
         self.shadow = ShadowSpace(self.memory.layout,
                                   metadata_words=self.config.metadata_words)
         self.identifiers = IdentifierTable(self.memory)
@@ -59,9 +56,7 @@ class Watchdog:
         self.checker = CheckUnit(self.memory)
         self.frames = StackFrameManager(self.memory,
                                         track_bounds=self.config.bounds_enabled)
-        self.pointer_identifier = pointer_identifier or make_identifier(
-            self.config.conservative)
-        self.injector = UopInjector(self.config, self.pointer_identifier)
+        self.injector = UopInjector(self.config)
         self.pages = PageAccountant()
         #: Sidecar register metadata (None = the "−" invalid mapping).
         self.register_metadata: Dict[ArchReg, Optional[PointerMetadata]] = {}
@@ -204,4 +199,4 @@ class Watchdog:
 
     @property
     def pointer_id_stats(self):
-        return self.pointer_identifier.stats
+        return self.injector.pointer_identifier.stats

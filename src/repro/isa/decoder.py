@@ -53,57 +53,50 @@ class Decoder:
 
         if op in _SIMPLE_ALU:
             return [MicroOp(kind=_SIMPLE_ALU[op], dest=inst.dest, srcs=inst.srcs,
-                            imm=inst.imm, macro=inst)]
+                            imm=inst.imm)]
 
         if op in (Opcode.LOAD, Opcode.FLOAD):
             return [MicroOp(kind=UopKind.LOAD, dest=inst.dest, srcs=(inst.srcs[0],),
-                            imm=inst.imm, size=inst.size, macro=inst)]
+                            imm=inst.imm, size=inst.size)]
 
         if op in (Opcode.STORE, Opcode.FSTORE):
             return [MicroOp(kind=UopKind.STORE, dest=None, srcs=inst.srcs,
-                            imm=inst.imm, size=inst.size, macro=inst)]
+                            imm=inst.imm, size=inst.size)]
 
         if op is Opcode.BRANCH or op is Opcode.JUMP:
             return [MicroOp(kind=UopKind.BRANCH, dest=None, srcs=inst.srcs,
-                            imm=inst.imm, macro=inst)]
+                            imm=inst.imm)]
 
         if op is Opcode.CALL:
             # A call adjusts the stack pointer and transfers control; model as
             # one ALU µop (stack adjust) plus a branch µop.
             return [
                 MicroOp(kind=UopKind.ALU, dest=STACK_POINTER, srcs=(STACK_POINTER,),
-                        imm=-8, macro=inst),
-                MicroOp(kind=UopKind.BRANCH, dest=None, srcs=(), imm=inst.imm, macro=inst),
+                        imm=-8),
+                MicroOp(kind=UopKind.BRANCH, dest=None, srcs=(), imm=inst.imm),
             ]
 
         if op is Opcode.RET:
             return [
                 MicroOp(kind=UopKind.ALU, dest=STACK_POINTER, srcs=(STACK_POINTER,),
-                        imm=8, macro=inst),
-                MicroOp(kind=UopKind.BRANCH, dest=None, srcs=(), macro=inst),
+                        imm=8),
+                MicroOp(kind=UopKind.BRANCH, dest=None, srcs=()),
             ]
 
         if op is Opcode.SETIDENT:
             return [MicroOp(kind=UopKind.SETIDENT, dest=None, srcs=inst.srcs,
-                            meta_srcs=(inst.srcs[1],), meta_dest=inst.srcs[0],
-                            macro=inst)]
+                            meta_srcs=(inst.srcs[1],), meta_dest=inst.srcs[0])]
 
         if op is Opcode.GETIDENT:
             return [MicroOp(kind=UopKind.GETIDENT, dest=inst.dest, srcs=inst.srcs,
-                            meta_srcs=(inst.srcs[0],), macro=inst)]
+                            meta_srcs=(inst.srcs[0],))]
 
         if op is Opcode.SETBOUNDS:
             return [MicroOp(kind=UopKind.SETBOUNDS, dest=None, srcs=inst.srcs,
-                            meta_dest=inst.srcs[0], imm=inst.imm, macro=inst)]
+                            meta_dest=inst.srcs[0], imm=inst.imm)]
 
         if op is Opcode.NOP or op is Opcode.HALT:
-            return [MicroOp(kind=UopKind.NOP, macro=inst)]
+            return [MicroOp(kind=UopKind.NOP)]
 
         raise ProgramError(f"decoder does not handle opcode {op}")
 
-    def decode_block(self, instructions) -> List[MicroOp]:
-        """Decode a sequence of macro instructions into one µop list."""
-        uops: List[MicroOp] = []
-        for inst in instructions:
-            uops.extend(self.decode(inst))
-        return uops

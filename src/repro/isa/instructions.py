@@ -109,8 +109,8 @@ for _i, _member in enumerate(PointerHint):
 del _i, _member
 
 
-#: Opcodes whose destination can never be a valid pointer; the renamer marks
-#: their metadata mapping invalid instead of propagating (§6.2).
+#: Opcodes whose destination can never be a valid pointer; metadata
+#: propagation invalidates their destination's metadata instead (§6.2).
 NON_POINTER_PRODUCERS = frozenset(
     {
         Opcode.MUL_RR,

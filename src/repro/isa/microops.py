@@ -21,11 +21,10 @@ semantics) and the timing model (which charges its latency and port usage).
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.isa.instructions import AccessSize, Instruction
+from repro.isa.instructions import AccessSize
 from repro.isa.registers import ArchReg
 
 
@@ -64,6 +63,8 @@ del _i, _member
 
 #: µop kinds injected by Watchdog (as opposed to cracked from the program's
 #: own macro instructions).  Used for the Figure 8 µop-overhead breakdown.
+#: The decoder never emits one and the injector emits nothing else, so the
+#: kind alone tells an injected µop apart.
 WATCHDOG_KINDS = frozenset(
     {
         UopKind.CHECK,
@@ -77,15 +78,12 @@ WATCHDOG_KINDS = frozenset(
 )
 
 
-_uop_ids = itertools.count()
-
-
 @dataclass
 class MicroOp:
     """A single µop in the dynamic stream.
 
-    Registers are architectural at this point; the rename stage assigns
-    physical registers (and metadata physical registers) later.
+    Registers are architectural; the stream compiler maps them to the
+    scheduler's register slots (:func:`repro.isa.registers.reg_slot`).
 
     ``meta_srcs`` / ``meta_dest`` name the architectural registers whose
     *metadata* the µop reads/writes (the sidecar registers of §3.4) — e.g. a
@@ -102,19 +100,6 @@ class MicroOp:
     size: AccessSize = AccessSize.WORD64
     #: Relative cost in simple µops; LOCK_PUSH/LOCK_POP expand to 4 (Fig 3).
     uop_cost: int = 1
-    #: True if this µop was injected by Watchdog rather than cracked from the
-    #: program instruction.
-    injected: bool = False
-    #: The macro instruction this µop belongs to (for attribution/statistics).
-    macro: Optional[Instruction] = None
-    #: Sequence number, assigned at creation, unique within a process.
-    seq: int = field(default_factory=lambda: next(_uop_ids))
-    #: Monotonic id of the *dynamic macro instance* this µop was injected
-    #: for, stamped by :class:`~repro.core.uop_injection.UopInjector` — all
-    #: µops of one expansion share one stamp.  ``-1`` means "not stamped"
-    #: (hand-built µops).  Unlike ``id(macro)``, stamps are never reused, so
-    #: two distinct macro instances can never be silently merged.
-    macro_seq: int = -1
 
     def __post_init__(self) -> None:
         if not isinstance(self.srcs, tuple):
@@ -124,7 +109,7 @@ class MicroOp:
 
     @property
     def is_injected(self) -> bool:
-        return self.injected or self.kind in WATCHDOG_KINDS
+        return self.kind in WATCHDOG_KINDS
 
     def __str__(self) -> str:
         parts = [self.kind.value]
@@ -137,8 +122,3 @@ class MicroOp:
             parts.append("[wd]")
         return " ".join(parts)
 
-
-def alu_uop(dest: Optional[ArchReg], srcs: Tuple[ArchReg, ...], imm: int = 0,
-            macro: Optional[Instruction] = None) -> MicroOp:
-    """Convenience constructor for a plain ALU µop."""
-    return MicroOp(kind=UopKind.ALU, dest=dest, srcs=srcs, imm=imm, macro=macro)

@@ -3,8 +3,12 @@
 Watchdog conceptually extends every architectural register with a *sidecar*
 identifier register (§3.4).  In the functional machine we model this by
 storing, next to each register's 64-bit data value, a metadata slot managed by
-the Watchdog engine (see :mod:`repro.core.metadata`).  The timing model uses a
-decoupled mapping instead (§6.2), handled by :mod:`repro.core.renaming`.
+the Watchdog engine (see :mod:`repro.core.metadata`), which propagates it
+between registers in :meth:`repro.core.watchdog.Watchdog.propagate`.  The
+timing model charges the decoupled metadata registers of §6 as µops: the
+``META_SELECT`` µops of :class:`repro.core.uop_injection.UopInjector`, and
+the explicit metadata copies of the no-copy-elimination ablation
+(:meth:`repro.sim.compiled.StreamCompiler._full_expand`).
 """
 
 from __future__ import annotations

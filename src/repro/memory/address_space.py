@@ -99,9 +99,8 @@ class AddressSpaceLayout:
 class AddressSpace:
     """Functional word-granular memory plus segment bookkeeping."""
 
-    def __init__(self, layout: Optional[AddressSpaceLayout] = None,
-                 strict: bool = False):
-        self.layout = layout or AddressSpaceLayout()
+    def __init__(self, strict: bool = False):
+        self.layout = AddressSpaceLayout()
         #: word-aligned address -> 64-bit value
         self._words: Dict[int, int] = {}
         #: When strict, accesses outside any mapped segment raise

@@ -480,13 +480,6 @@ class MemoryHierarchy:
                                     ctr[25 + code])
 
     # -- statistics ----------------------------------------------------------
-    def lock_cache_mpki(self, instructions: int) -> float:
-        """This core's lock location cache misses per 1000 instructions
-        (§9.3); on a shared backend other cores' misses do not count."""
-        if instructions <= 0:
-            return 0.0
-        return 1000.0 * self.stats.shared["lock_misses"] / instructions
-
     def reset_stats(self) -> None:
         for cache in (self.l1d, self.l2, self.l3, self.lock_cache):
             cache.reset_stats()

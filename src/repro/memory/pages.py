@@ -4,7 +4,9 @@ The paper reports memory overhead two ways: total *words* of memory accessed
 and total 4KB *pages* of memory accessed, the latter reflecting on-demand
 allocation of shadow pages by the operating system (§9.3, Figure 10).  The
 difference between the two captures fragmentation from page-granularity
-allocation of the shadow space.
+allocation of the shadow space.  The accountant only counts; the ratios the
+figure plots are :meth:`repro.sim.results.CellResult.word_overhead` and
+:meth:`~repro.sim.results.CellResult.page_overhead`.
 """
 
 from __future__ import annotations
@@ -49,12 +51,6 @@ class PageAccountant:
     def shadow_word_count(self) -> int:
         return len(self.shadow_words)
 
-    def word_overhead(self) -> float:
-        """Shadow words as a fraction of data words (Figure 10, left bars)."""
-        if not self.data_words:
-            return 0.0
-        return len(self.shadow_words) / len(self.data_words)
-
     # -- page accounting ------------------------------------------------------
     @staticmethod
     def _pages(words: Iterable[int]) -> Set[int]:
@@ -67,14 +63,3 @@ class PageAccountant:
     @property
     def shadow_page_count(self) -> int:
         return len(self._pages(self.shadow_words))
-
-    def page_overhead(self) -> float:
-        """Shadow pages as a fraction of data pages (Figure 10, right bars)."""
-        data_pages = self.data_page_count
-        if data_pages == 0:
-            return 0.0
-        return self.shadow_page_count / data_pages
-
-    def clear(self) -> None:
-        self.data_words.clear()
-        self.shadow_words.clear()

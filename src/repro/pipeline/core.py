@@ -82,11 +82,6 @@ class TimingResult:
         """Committed µops per cycle."""
         return self.total_uops / self.cycles if self.cycles else 0.0
 
-    @property
-    def uop_overhead(self) -> float:
-        base = self.total_uops - self.injected_uops
-        return self.injected_uops / base if base else 0.0
-
 
 class OutOfOrderCore:
     """Dependence/port/window-limited replay of a compiled µop stream."""

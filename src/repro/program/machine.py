@@ -60,9 +60,8 @@ class Machine:
     """Functional executor for programs under a Watchdog configuration."""
 
     def __init__(self, config: Optional[WatchdogConfig] = None,
-                 watchdog: Optional[Watchdog] = None,
                  record_trace: bool = False):
-        self.watchdog = watchdog or Watchdog(config or WatchdogConfig())
+        self.watchdog = Watchdog(config)
         self.config = self.watchdog.config
         self.memory = self.watchdog.memory
         self.registers = RegisterFile()

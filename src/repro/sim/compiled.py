@@ -402,15 +402,14 @@ class StreamCompiler:
         propagation into an integer register costs an explicit
         metadata-copy µop, counted as "other".
         """
-        uops = self.injector._expand(inst)
+        uops = self.injector.expand(inst)
         config = self.config
         if config.enabled and not config.copy_elimination \
                 and inst.opcode in SINGLE_SOURCE_PROPAGATORS \
                 and inst.dest is not None and inst.dest.is_int:
             self.injector.stats.other_uops += 1
             uops = uops + [MicroOp(kind=UopKind.META_SELECT,
-                                   meta_dest=inst.dest, meta_srcs=inst.srcs,
-                                   injected=True, macro=inst)]
+                                   meta_dest=inst.dest, meta_srcs=inst.srcs)]
         return uops
 
     def _window_rows(self, insts: List[Instruction]) -> List[int]:
@@ -436,7 +435,7 @@ class StreamCompiler:
         return rows
 
     def _build_template(self, inst: Instruction) -> _Template:
-        compiled = compile_template(self.injector, inst, expand=self._full_expand)
+        compiled = compile_template(self.injector, inst, self._full_expand)
         t = _Template()
         entries = []
         lats = []

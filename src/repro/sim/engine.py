@@ -72,6 +72,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.sim.cache import ResultCache, request_fingerprint
 from repro.sim.faults import (
     FaultPlan,
@@ -378,7 +379,9 @@ class SweepEngine:
                  cache: Optional[ResultCache] = None,
                  policy: Optional[ResiliencePolicy] = None,
                  faults: Optional[FaultPlan] = None):
-        self.workers = max(int(workers or 1), 1)
+        self.workers = 1 if workers is None else int(workers)
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.cache = cache
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.faults = faults if faults is not None else FaultPlan.from_env()

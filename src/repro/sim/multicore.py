@@ -80,12 +80,10 @@ class MultiCoreSimulator:
 
     The interleaved replay works on each member's packed access arrays
     (:class:`~repro.sim.compiled.CompiledStream`), the same streams a
-    single-core run of that member replays.
+    single-core run of that member replays.  It runs in the timing kernel
+    when it loads (``REPRO_TIMECORE=0`` disables it), else in the Python
+    loops, which are bit-identical.
     """
-
-    def __init__(self, timecore: bool = True):
-        #: Same knob as :class:`~repro.sim.simulator.Simulator`.
-        self.timecore = timecore
 
     def run_mix(self, name: str, bundles: Sequence[TraceBundle],
                 config: WatchdogConfig) -> SimulationOutcome:
@@ -101,8 +99,7 @@ class MultiCoreSimulator:
                 raise ConfigurationError(
                     "mix members cannot use §9.1 sampling (sampled windows "
                     "have no cross-core interleaving order)")
-        streams = [bundle.compiled_sample_streams(0, config,
-                                                  timecore=self.timecore)
+        streams = [bundle.compiled_sample_streams(0, config)
                    for bundle in bundles]
 
         backend = SharedMemoryBackend(_derived_hierarchy_config(
@@ -110,8 +107,7 @@ class MultiCoreSimulator:
             config.ideal_shadow))
         cores = [OutOfOrderCore(watchdog=config,
                                 hierarchy=MemoryHierarchy(shared=backend,
-                                                          core_id=index),
-                                timecore=self.timecore)
+                                                          core_id=index))
                  for index in range(len(bundles))]
 
         self._warm(cores, streams, config)

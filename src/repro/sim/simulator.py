@@ -253,12 +253,12 @@ class Simulator:
         )
 
     # -- program detection runs --------------------------------------------------------
-    def run_program(self, program: Program, config: WatchdogConfig,
-                    with_timing: bool = False) -> SimulationOutcome:
-        """Execute a program functionally; optionally also time its trace."""
-        machine = Machine(config, record_trace=with_timing)
+    def run_program(self, program: Program,
+                    config: WatchdogConfig) -> SimulationOutcome:
+        """Execute a program functionally (a detection run, untimed)."""
+        machine = Machine(config)
         detection = machine.run(program)
-        outcome = SimulationOutcome(
+        return SimulationOutcome(
             benchmark=program.entry,
             configuration=self._config_name(config),
             detection=detection,
@@ -266,10 +266,6 @@ class Simulator:
             pointer_stats=machine.watchdog.pointer_id_stats,
             pages=machine.watchdog.pages,
         )
-        if with_timing and detection.trace:
-            timed = self.run_trace(detection.trace, config, name=program.entry)
-            outcome.timing = timed.timing
-        return outcome
 
     # -- helpers --------------------------------------------------------------------------
     @staticmethod

@@ -174,10 +174,10 @@ class TraceBundle:
         return self.measured_instructions
 
     # -- compiled-stream cache ----------------------------------------------------
-    def compiled_streams(self, config, timecore=True):
+    def compiled_streams(self, config):
         """The compiled replay artifacts of a one-window bundle.
 
-        Shorthand for ``compiled_sample_streams(0, ...)`` on a one-window
+        Shorthand for ``compiled_sample_streams(0, config)`` on a one-window
         bundle (every unsampled one); a bundle of several §9.1 samples has
         no whole-bundle streams, and compiling just its first sample would
         silently time a fraction of it.
@@ -186,7 +186,7 @@ class TraceBundle:
             raise ConfigurationError(
                 f"bundle has {len(self.samples)} replay windows, not one; "
                 f"use compiled_sample_streams(index, ...) per sample")
-        return self.compiled_sample_streams(0, config, timecore)
+        return self.compiled_sample_streams(0, config)
 
     def compiled_sample_streams(self, index: int, config, timecore=True):
         """Compiled replay artifacts for replay window ``index``.

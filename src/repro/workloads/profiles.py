@@ -25,7 +25,7 @@ equake) incur little.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
@@ -115,26 +115,48 @@ SPEC_PROFILES: Tuple[BenchmarkProfile, ...] = (
     _p("perl",   0.33, 0.67, 0.55, 0.39, 0.00, 0.02, 0.19, 0.08, 5.0,  1.00,  128,  512,  0.85, 0.64),
 )
 
+_SPEC_BY_NAME: Dict[str, BenchmarkProfile] = {
+    profile.name: profile for profile in SPEC_PROFILES}
+
+#: The long-horizon tiers of four representative §9.1 benchmarks.  A tier
+#: row keeps every column of its base benchmark's row above except two: the
+#: working set (``working_set_objects``), which grows with the horizon, and
+#: ``temporal_locality``, which weakens toward a full reference run's.
+#: Each cell is ``(working_set_objects, temporal_locality)``.
+_TIER_ROWS: Tuple[Tuple[str, Tuple[int, float], Tuple[int, float],
+                        Tuple[int, float]], ...] = (
+    # base    -long          -paper          -1b
+    ("mcf",  (8192, 0.50), (12288, 0.45), (16384, 0.40)),
+    ("gcc",  (4096, 0.75), (6144, 0.72),  (8192, 0.70)),
+    ("lbm",  (3072, 0.35), (4096, 0.32),  (6144, 0.30)),
+    ("perl", (3072, 0.78), (4608, 0.75),  (6144, 0.72)),
+)
+
+
+def _tier(column: int, suffix: str) -> Tuple[BenchmarkProfile, ...]:
+    """The ``<base>-<suffix>`` profiles of one :data:`_TIER_ROWS` column."""
+    tier = []
+    for row in _TIER_ROWS:
+        objects, temporal = row[column]
+        tier.append(replace(_SPEC_BY_NAME[row[0]], name=f"{row[0]}-{suffix}",
+                            working_set_objects=objects,
+                            temporal_locality=temporal))
+    return tuple(tier)
+
+
 #: Dynamic-instruction horizon the long-run profiles are meant to be
 #: simulated at.  Unsampled, a horizon this long is intractable for the
 #: Python timing model; under the §9.1 periodic schedules only the measure
 #: windows are timed, which is what opens these workloads up.
 LONG_HORIZON_INSTRUCTIONS = 1_000_000
 
-#: Long-horizon variants of representative §9.1 benchmarks.  Same dynamic
-#: instruction mix as their short counterparts, but working sets sized for a
-#: million-instruction execution (far beyond the caches) with weaker
-#: temporal locality — over a short trace these never leave their cold-start
-#: transient, so they are only meaningful under sampled simulation.  They are
-#: deliberately *not* part of :func:`benchmark_names`: the paper's figure
-#: grids stay at the calibrated twenty-benchmark scale.
-LONG_PROFILES: Tuple[BenchmarkProfile, ...] = (
-    # name        mem   load  word  ptr   fpacc fpcmp br    misp  calls allocs bytes objs  temp  spat
-    _p("mcf-long",  0.33, 0.70, 0.57, 0.40, 0.00, 0.01, 0.17, 0.09, 1.5,  0.50,  192,  8192, 0.50, 0.50),
-    _p("gcc-long",  0.32, 0.68, 0.52, 0.36, 0.00, 0.02, 0.18, 0.09, 4.0,  0.80,  144,  4096, 0.75, 0.62),
-    _p("lbm-long",  0.38, 0.62, 0.07, 0.03, 0.70, 0.55, 0.04, 0.01, 0.2,  0.01,  4096, 3072, 0.35, 0.95),
-    _p("perl-long", 0.33, 0.67, 0.55, 0.39, 0.00, 0.02, 0.19, 0.08, 5.0,  1.00,  128,  3072, 0.78, 0.64),
-)
+#: Long-horizon variants of representative §9.1 benchmarks, with working
+#: sets sized for a million-instruction execution (far beyond the caches) —
+#: over a short trace these never leave their cold-start transient, so they
+#: are only meaningful under sampled simulation.  They are deliberately
+#: *not* part of :func:`benchmark_names`: the paper's figure grids stay at
+#: the calibrated twenty-benchmark scale.
+LONG_PROFILES: Tuple[BenchmarkProfile, ...] = _tier(1, "long")
 
 #: Dynamic-instruction horizon of the paper's actual measurement regime
 #: (§9.1 simulates billions of instructions per benchmark; 100M per cell is
@@ -143,19 +165,10 @@ LONG_PROFILES: Tuple[BenchmarkProfile, ...] = (
 #: horizon this long is out of the question.
 PAPER_HORIZON_INSTRUCTIONS = 100_000_000
 
-#: Paper-scale variants of the long-horizon benchmarks.  Same dynamic
-#: instruction mix, but working sets sized for a 100M-instruction execution
-#: (object populations well past every cache level) with the weak temporal
-#: locality of a full reference run.  Like the ``*-long`` profiles they are
-#: excluded from :func:`benchmark_names`: the calibrated twenty-benchmark
-#: figure grids stay at their published scale.
-PAPER_PROFILES: Tuple[BenchmarkProfile, ...] = (
-    # name         mem   load  word  ptr   fpacc fpcmp br    misp  calls allocs bytes objs   temp  spat
-    _p("mcf-paper",  0.33, 0.70, 0.57, 0.40, 0.00, 0.01, 0.17, 0.09, 1.5,  0.50,  192,  12288, 0.45, 0.50),
-    _p("gcc-paper",  0.32, 0.68, 0.52, 0.36, 0.00, 0.02, 0.18, 0.09, 4.0,  0.80,  144,  6144,  0.72, 0.62),
-    _p("lbm-paper",  0.38, 0.62, 0.07, 0.03, 0.70, 0.55, 0.04, 0.01, 0.2,  0.01,  4096, 4096,  0.32, 0.95),
-    _p("perl-paper", 0.33, 0.67, 0.55, 0.39, 0.00, 0.02, 0.19, 0.08, 5.0,  1.00,  128,  4608,  0.75, 0.64),
-)
+#: Paper-scale variants: object populations well past every cache level.
+#: Like the ``*-long`` profiles they are excluded from
+#: :func:`benchmark_names`.
+PAPER_PROFILES: Tuple[BenchmarkProfile, ...] = _tier(2, "paper")
 
 #: Dynamic-instruction horizon matching the 1B-instruction regions of
 #: interest that full-SPEC sampled-simulation studies standardize on — an
@@ -165,19 +178,10 @@ PAPER_PROFILES: Tuple[BenchmarkProfile, ...] = (
 #: driver holds exactly one regardless of horizon.
 ONE_B_HORIZON_INSTRUCTIONS = 1_000_000_000
 
-#: Billion-instruction variants of the long-horizon benchmarks.  Same
-#: dynamic instruction mix; working sets another step past the ``*-paper``
-#: populations, with temporal locality weakened toward a full reference
-#: run's.  Like the other long-horizon tiers they are excluded from
-#: :func:`benchmark_names` (the calibrated twenty-benchmark figure grids
-#: stay at their published scale).
-ONE_B_PROFILES: Tuple[BenchmarkProfile, ...] = (
-    # name      mem   load  word  ptr   fpacc fpcmp br    misp  calls allocs bytes objs   temp  spat
-    _p("mcf-1b",  0.33, 0.70, 0.57, 0.40, 0.00, 0.01, 0.17, 0.09, 1.5,  0.50,  192,  16384, 0.40, 0.50),
-    _p("gcc-1b",  0.32, 0.68, 0.52, 0.36, 0.00, 0.02, 0.18, 0.09, 4.0,  0.80,  144,  8192,  0.70, 0.62),
-    _p("lbm-1b",  0.38, 0.62, 0.07, 0.03, 0.70, 0.55, 0.04, 0.01, 0.2,  0.01,  4096, 6144,  0.30, 0.95),
-    _p("perl-1b", 0.33, 0.67, 0.55, 0.39, 0.00, 0.02, 0.19, 0.08, 5.0,  1.00,  128,  6144,  0.72, 0.64),
-)
+#: Billion-instruction variants: working sets another step past the
+#: ``*-paper`` populations.  Excluded from :func:`benchmark_names` like the
+#: other long-horizon tiers.
+ONE_B_PROFILES: Tuple[BenchmarkProfile, ...] = _tier(3, "1b")
 
 _BY_NAME: Dict[str, BenchmarkProfile] = {
     profile.name: profile

@@ -1,12 +1,25 @@
 """Tests for Watchdog µop injection (§3, Figures 2 and 3)."""
 
+import itertools
+
 import pytest
 
-from repro.core.config import WatchdogConfig
+from repro.core.config import (
+    BoundsCheckMode,
+    PointerIdentificationMode,
+    WatchdogConfig,
+)
 from repro.core.uop_injection import UopInjector
+from repro.isa.decoder import Decoder
 from repro.isa.instructions import Instruction, Opcode, PointerHint
-from repro.isa.microops import UopKind
+from repro.isa.microops import WATCHDOG_KINDS, UopKind
 from repro.isa.registers import fp_reg, int_reg
+from repro.sim.compiled import StreamCompiler
+from repro.sim.results import CellResult
+from repro.sim.simulator import SimulationOutcome
+from repro.workloads.attacks import all_attack_scenarios
+from repro.workloads.juliet import JulietSuite
+from repro.workloads.synthetic import SHAPE_INSTRUCTIONS
 
 
 def injector_for(config=None):
@@ -126,6 +139,61 @@ class TestBoundsModes:
         assert shadow.uop_cost == 2
 
 
+def _every_instruction():
+    """Each distinct instruction a run can expand: every generator shape
+    plus every instruction of the Juliet cases (faulty and benign) and the
+    attack programs."""
+    suite = JulietSuite()
+    programs = [case.program
+                for case in suite.faulty_cases() + suite.benign_cases()]
+    programs += [scenario.program() for scenario in all_attack_scenarios()]
+    distinct = {repr(inst): inst for inst in SHAPE_INSTRUCTIONS}
+    for program in programs:
+        for inst in program.all_instructions():
+            distinct.setdefault(repr(inst), inst)
+    return list(distinct.values())
+
+
+EVERY_INSTRUCTION = _every_instruction()
+
+#: One configuration per configuration class (the knobs that change which
+#: µops are injected): the baseline plus every enabled combination.
+CLASSES = [WatchdogConfig.disabled()] + [
+    WatchdogConfig(pointer_identification=mode, bounds_mode=bounds,
+                   copy_elimination=elimination)
+    for mode, bounds, elimination in itertools.product(
+        PointerIdentificationMode, BoundsCheckMode, (True, False))]
+
+
+class TestInjectedKinds:
+    """``MicroOp.is_injected`` reads the kind alone: the decoder never emits
+    a Watchdog kind, and everything injection adds is one."""
+
+    def test_the_inputs_cover_every_shape_and_program_instruction(self):
+        assert len(EVERY_INSTRUCTION) == 648
+
+    @pytest.mark.parametrize(
+        "config", CLASSES,
+        ids=lambda c: "baseline" if not c.enabled else
+        f"{c.pointer_identification.value}+{c.bounds_mode.value}"
+        f"{'' if c.copy_elimination else '+no-copy-elim'}")
+    def test_decoder_emits_none_and_injection_adds_only_watchdog_kinds(
+            self, config):
+        decoder = Decoder()
+        injector = UopInjector(config)
+        compiler = StreamCompiler(config)
+        for inst in EVERY_INSTRUCTION:
+            baseline = decoder.decode(inst)
+            assert not any(uop.kind in WATCHDOG_KINDS for uop in baseline), inst
+            expanded = injector.expand(inst)
+            assert [uop for uop in expanded
+                    if uop.kind not in WATCHDOG_KINDS] == baseline, inst
+            full = compiler._full_expand(inst)
+            assert full[:len(expanded)] == expanded, inst
+            assert all(uop.kind in WATCHDOG_KINDS
+                       for uop in full[len(expanded):]), inst
+
+
 class TestStats:
     def test_overhead_fraction_and_breakdown(self):
         injector = injector_for()
@@ -136,12 +204,11 @@ class TestStats:
         assert stats.baseline_uops == 20
         assert stats.check_uops == 20
         assert stats.pointer_load_uops == 10
-        assert stats.overhead_fraction() > 1.0
-        breakdown = stats.breakdown()
+        # Figure 8 reads the bar and its segments off the cell these
+        # counts fill.
+        cell = CellResult.from_outcome(SimulationOutcome("b", "c",
+                                                         injection=stats))
+        assert cell.uop_overhead_fraction() > 1.0
+        breakdown = cell.uop_breakdown()
         assert set(breakdown) == {"checks", "pointer_loads", "pointer_stores", "other"}
         assert breakdown["checks"] == pytest.approx(1.0)
-
-    def test_expand_block(self):
-        injector = injector_for()
-        uops = injector.expand_block([plain_load(), Instruction(Opcode.NOP)])
-        assert len(uops) == 3

@@ -6,7 +6,7 @@ from repro.core.checks import CheckOutcome
 from repro.core.config import WatchdogConfig
 from repro.core.watchdog import Watchdog
 from repro.errors import DoubleFreeError, UseAfterFreeError
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import Instruction, Opcode, PointerHint
 from repro.isa.registers import STACK_POINTER, int_reg
 
 
@@ -129,3 +129,15 @@ class TestCallsAndFrames:
         inst = Instruction(Opcode.LOAD, dest=int_reg(1), srcs=(int_reg(2),))
         assert len(watchdog.expand(inst)) >= 2
         assert watchdog.injection_stats.check_uops == 1
+
+    def test_pointer_stats_count_the_injectors_classifications(self, watchdog):
+        # Figure 5's counts come from the one identifier the injector
+        # classifies with.
+        pointer = Instruction(Opcode.LOAD, dest=int_reg(1), srcs=(int_reg(2),),
+                              pointer_hint=PointerHint.POINTER)
+        plain = Instruction(Opcode.LOAD, dest=int_reg(1), srcs=(int_reg(2),),
+                            pointer_hint=PointerHint.NOT_POINTER)
+        for inst in (pointer, plain, plain):
+            watchdog.expand(inst)
+        stats = watchdog.pointer_id_stats
+        assert (stats.memory_ops, stats.pointer_ops) == (3, 1)

@@ -450,6 +450,22 @@ class TestCliRun:
         assert f"invalid settings: instructions must be >= 1, got {count}" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_run_rejects_a_worker_count_below_one(self, workers, capsys,
+                                                  monkeypatch, tmp_path):
+        # Refused before any cell runs (the runner is stubbed out) and
+        # before the cache directory is made.
+        from repro import cli
+
+        monkeypatch.setattr(cli, "run_experiments", None)
+        cache_dir = tmp_path / "cache"
+        assert self._cli(["run", "fig7", "-b", "gzip", "-n", "100",
+                          "--workers", workers,
+                          "--cache-dir", str(cache_dir)]) == 2
+        assert f"invalid --workers: workers must be >= 1, got {workers}" \
+            in capsys.readouterr().err
+        assert not cache_dir.exists()
+
     def test_run_rejects_a_negative_retry_count(self, capsys):
         assert self._cli(["run", "fig7", "--retries", "-1"]) == 2
         assert "invalid resilience settings" in capsys.readouterr().err

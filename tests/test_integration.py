@@ -88,10 +88,13 @@ class TestFunctionalTraceFeedsTimingModel:
     def test_simulator_program_timing_overhead_positive(self):
         simulator = Simulator()
         program = linked_list_program(nodes=10)
-        base = simulator.run_program(program, WatchdogConfig.disabled(), with_timing=True)
-        wd = simulator.run_program(program, WatchdogConfig.conservative_uaf(),
-                                   with_timing=True)
-        assert wd.timing.total_uops > base.timing.total_uops
+        timings = []
+        for config in (WatchdogConfig.disabled(),
+                       WatchdogConfig.conservative_uaf()):
+            trace = Machine(config, record_trace=True).run(program).trace
+            timings.append(simulator.run_trace(trace, config).timing)
+        base, wd = timings
+        assert wd.total_uops > base.total_uops
 
 
 class TestJulietAcrossConfigurations:

@@ -79,10 +79,6 @@ class TestRuntimeInterfaceDecoding:
         inst = Instruction(Opcode.GETIDENT, dest=int_reg(3), srcs=(int_reg(1),))
         assert decoder.decode(inst)[0].kind is UopKind.GETIDENT
 
-    def test_decode_block_concatenates(self, decoder):
-        insts = [Instruction(Opcode.NOP), Instruction(Opcode.CALL)]
-        assert len(decoder.decode_block(insts)) == 3
-
     def test_baseline_uops_are_not_marked_injected(self, decoder):
         inst = Instruction(Opcode.LOAD, dest=int_reg(1), srcs=(int_reg(2),))
         assert not decoder.decode(inst)[0].is_injected

@@ -7,6 +7,8 @@ from repro.memory.cache import Cache, CacheConfig
 from repro.memory.pages import PAGE_SIZE, PageAccountant
 from repro.memory.prefetcher import PrefetcherConfig, StreamPrefetcher
 from repro.memory.tlb import TLB, TLBConfig
+from repro.sim.results import CellResult
+from repro.sim.simulator import SimulationOutcome
 
 
 def small_cache(size=1024, assoc=2, block=64, latency=3):
@@ -145,6 +147,11 @@ class TestPrefetcher:
         assert prefetcher.table[0] == 1  # streams tracked
 
 
+def figure10_cell(pages):
+    """The cell Figure 10 reads its two ratios from."""
+    return CellResult.from_outcome(SimulationOutcome("b", "c", pages=pages))
+
+
 class TestPageAccountant:
     def test_word_counting(self):
         pages = PageAccountant()
@@ -156,7 +163,7 @@ class TestPageAccountant:
         pages.touch_data(0x1000, size=8)
         pages.touch_data(0x1008, size=8)
         pages.touch_shadow(1 << 47, size=16)
-        assert pages.word_overhead() == pytest.approx(1.0)
+        assert figure10_cell(pages).word_overhead() == pytest.approx(1.0)
 
     def test_page_overhead_reflects_fragmentation(self):
         pages = PageAccountant()
@@ -164,9 +171,9 @@ class TestPageAccountant:
         # one shadow word on each of two different pages
         pages.touch_shadow(PAGE_SIZE * 10, size=8)
         pages.touch_shadow(PAGE_SIZE * 20, size=8)
-        assert pages.page_overhead() == pytest.approx(2.0)
+        assert figure10_cell(pages).page_overhead() == pytest.approx(2.0)
 
     def test_empty_accountant_has_zero_overhead(self):
-        pages = PageAccountant()
-        assert pages.word_overhead() == 0.0
-        assert pages.page_overhead() == 0.0
+        cell = figure10_cell(PageAccountant())
+        assert cell.word_overhead() == 0.0
+        assert cell.page_overhead() == 0.0

@@ -8,11 +8,21 @@ from repro.memory.hierarchy import (
     PortKind,
     SharedMemoryBackend,
 )
+from repro.sim.results import CoreResult
 
 
 @pytest.fixture
 def hierarchy():
     return MemoryHierarchy()
+
+
+def lock_mpki(hierarchy, uops):
+    """A core's lock-cache MPKI as a mix cell reports it: its attributed
+    misses per 1000 µops (the multi-core simulator fills ``CoreResult``
+    from ``stats.shared``)."""
+    return CoreResult(core=0, benchmark="b", total_uops=uops,
+                      lock_cache_misses=hierarchy.stats.shared["lock_misses"]
+                      ).lock_cache_mpki()
 
 
 class TestLatencies:
@@ -54,8 +64,8 @@ class TestLockCache:
 
     def test_lock_cache_mpki(self, hierarchy):
         hierarchy.access(0x5000, port=PortKind.LOCK)
-        assert hierarchy.lock_cache_mpki(1000) == pytest.approx(1.0)
-        assert hierarchy.lock_cache_mpki(0) == 0.0
+        assert hierarchy.stats.shared["lock_misses"] == 1
+        assert lock_mpki(hierarchy, uops=1000) == pytest.approx(1.0)
 
     def test_lock_cache_mpki_is_per_core_on_a_shared_backend(self):
         backend = SharedMemoryBackend(HierarchyConfig())
@@ -65,8 +75,8 @@ class TestLockCache:
             core0.access(0x5000 + 64 * i, port=PortKind.LOCK)
         core1.access(0x1000)
         assert backend.lock_cache.misses == 10
-        assert core0.lock_cache_mpki(1000) == pytest.approx(10.0)
-        assert core1.lock_cache_mpki(1000) == 0.0
+        assert lock_mpki(core0, uops=1000) == pytest.approx(10.0)
+        assert lock_mpki(core1, uops=1000) == 0.0
 
 
 class TestShadowAccesses:

@@ -15,6 +15,7 @@ Pins the contracts the multi-core path lives by:
   their cache round-trip, and the ``mix_overhead`` experiment end to end.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -24,7 +25,7 @@ import pytest
 from repro.core.config import WatchdogConfig
 from repro.errors import ConfigurationError
 from repro.memory.hierarchy import MemoryHierarchy, SharedMemoryBackend
-from repro.native import _timecore
+from repro.native import _timecore, build
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.core import OutOfOrderCore, _derived_hierarchy_config
 from repro.sim.cache import ResultCache
@@ -67,6 +68,30 @@ TIMECORE_MODES = (
     pytest.param(False, id="python"),
     pytest.param(True, id="native", marks=needs_kernel),
 )
+
+
+@contextlib.contextmanager
+def timecore_off(monkeypatch):
+    """The timing kernel switched off as the engine's degraded retry does
+    it: the kill switch set and the memoized load decision dropped, on
+    entry and again on exit (before the environment is restored)."""
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_TIMECORE", "0")
+        build.forget("timecore")
+        try:
+            yield
+        finally:
+            build.forget("timecore")
+
+
+@pytest.fixture
+def timecore(request, monkeypatch):
+    """``True`` runs the test on the timing kernel, ``False`` with it off."""
+    if request.param:
+        yield True
+    else:
+        with timecore_off(monkeypatch):
+            yield False
 
 
 def _mix_bundles(token, instructions=INSTRUCTIONS, seed=SEED):
@@ -126,14 +151,14 @@ class TestMixGrammar:
 class TestSingleCoreIdentity:
     """The golden invariant: a 1-core mix IS the single-core path."""
 
-    @pytest.mark.parametrize("timecore", TIMECORE_MODES)
+    @pytest.mark.parametrize("timecore", TIMECORE_MODES, indirect=True)
     @pytest.mark.parametrize("token", sorted(SOLO_TOKENS))
     def test_one_core_mix_matches_solo_bit_for_bit(self, token, timecore):
         mix, members, bundles = _mix_bundles(token)
         (member_index, profile_name), = members
         assert profile_name == SOLO_TOKENS[token]
-        solo_sim = Simulator(timecore=timecore)
-        mix_sim = MultiCoreSimulator(timecore=timecore)
+        solo_sim = Simulator()
+        mix_sim = MultiCoreSimulator()
         for label, config in CONFIGURATIONS.items():
             solo = solo_sim.run_bundle(bundles[0], config)
             mixed = mix_sim.run_mix(token, bundles, config)
@@ -151,21 +176,23 @@ class TestSingleCoreIdentity:
 
 class TestMultiCoreReplay:
     @needs_kernel
-    def test_four_core_mix_native_matches_python(self):
+    def test_four_core_mix_native_matches_python(self, monkeypatch):
         _, members, bundles = _mix_bundles("mix1")
-        kernel_sim = MultiCoreSimulator(timecore=True)
-        python_sim = MultiCoreSimulator(timecore=False)
-        for label, config in CONFIGURATIONS.items():
-            kernel = kernel_sim.run_mix("mix1", bundles, config)
-            python = python_sim.run_mix("mix1", bundles, config)
-            assert CellResult.from_outcome(kernel, label=label) == \
-                CellResult.from_outcome(python, label=label), \
+        simulator = MultiCoreSimulator()
+        kernel = {label: simulator.run_mix("mix1", bundles, config)
+                  for label, config in CONFIGURATIONS.items()}
+        with timecore_off(monkeypatch):
+            python = {label: simulator.run_mix("mix1", bundles, config)
+                      for label, config in CONFIGURATIONS.items()}
+        for label in CONFIGURATIONS:
+            assert CellResult.from_outcome(kernel[label], label=label) == \
+                CellResult.from_outcome(python[label], label=label), \
                 f"mix1/{label}: native and Python replay diverged"
 
-    @pytest.mark.parametrize("timecore", TIMECORE_MODES)
+    @pytest.mark.parametrize("timecore", TIMECORE_MODES, indirect=True)
     def test_per_core_blocks_attribute_the_totals(self, timecore):
         _, members, bundles = _mix_bundles("mix1")
-        simulator = MultiCoreSimulator(timecore=timecore)
+        simulator = MultiCoreSimulator()
         outcome = simulator.run_mix("mix1", bundles,
                                     CONFIGURATIONS["isa-assisted"])
         cell = CellResult.from_outcome(outcome, label="isa-assisted")

@@ -129,7 +129,7 @@ class TestKernelMatchesPython:
                                       instructions=INSTRUCTIONS)
         config = WatchdogConfig.isa_assisted_uaf()
         native = bundle.compiled_streams(config)
-        python = bundle.compiled_streams(config, timecore=False)
+        python = bundle.compiled_sample_streams(0, config, timecore=False)
         assert native is not python
         assert _timecore._same_streams(native.measured, python.measured)
         assert _timecore._same_streams(native.warm, python.warm)

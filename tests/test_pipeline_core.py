@@ -82,8 +82,7 @@ class TestWatchdogEffects:
 
     def test_injected_uops_counted(self):
         result = timing_of(self._trace(), WatchdogConfig.isa_assisted_uaf())
-        assert result.injected_uops > 0
-        assert result.uop_overhead > 0
+        assert 0 < result.injected_uops < result.total_uops
 
     def test_watchdog_costs_cycles_over_baseline(self):
         baseline = timing_of(self._trace(), BASELINE)

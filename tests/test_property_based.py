@@ -6,10 +6,6 @@ from repro.allocator.dlmalloc import DlMallocAllocator
 from repro.allocator.runtime import InstrumentedRuntime
 from repro.core.identifier import IdentifierTable
 from repro.core.metadata import PointerMetadata
-from repro.core.renaming import MetadataRenamer
-from repro.isa.instructions import Instruction, Opcode
-from repro.isa.microops import MicroOp, UopKind
-from repro.isa.registers import int_reg
 from repro.memory.address_space import AddressSpace
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.pages import PageAccountant
@@ -130,31 +126,7 @@ class TestCacheProperties:
             assert cache.access(address).hit
 
 
-class TestRenamerProperties:
-    @given(st.lists(st.sampled_from(["fresh", "copy", "invalidate"]),
-                    min_size=1, max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_refcounts_never_leak_or_go_negative(self, actions):
-        """Reference-counted metadata registers are freed exactly when the
-        last mapping goes away [33]."""
-        renamer = MetadataRenamer(num_metadata_physical_registers=64)
-        registers = [int_reg(i) for i in range(8)]
-        for index, action in enumerate(actions):
-            target = registers[index % len(registers)]
-            source = registers[(index + 1) % len(registers)]
-            if action == "fresh":
-                renamer.assign_fresh(target)
-            elif action == "copy":
-                inst = Instruction(Opcode.MOV_RR, dest=target, srcs=(source,))
-                renamer.rename(MicroOp(kind=UopKind.ALU, dest=target,
-                                       srcs=(source,), macro=inst))
-            else:
-                renamer.invalidate(target)
-            live_mappings = set(renamer.mapped_registers().values())
-            assert len(live_mappings) == renamer.pool.live_registers
-            for mapping in live_mappings:
-                assert renamer.pool.refcount(mapping) >= 1
-
+class TestPageAccountingProperties:
     @given(st.lists(st.integers(0, 1 << 30), min_size=1, max_size=100))
     @settings(max_examples=50, deadline=None)
     def test_page_accounting_monotonic(self, addresses):

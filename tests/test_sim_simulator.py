@@ -4,6 +4,8 @@ import pytest
 
 from tests.helpers import build_uaf_program
 from repro.core.config import WatchdogConfig
+from repro.program.machine import Machine
+from repro.sim.results import CellResult
 from repro.sim.simulator import Simulator
 from repro.workloads.bundle import TraceBundle
 from repro.workloads.profiles import profile_by_name
@@ -41,7 +43,8 @@ class TestWorkloadRuns:
     def test_conservative_injects_more_shadow_traffic_than_isa(self, simulator):
         cons = replay(simulator, "gcc", WatchdogConfig.conservative_uaf(), seed=2)
         isa = replay(simulator, "gcc", WatchdogConfig.isa_assisted_uaf(), seed=2)
-        assert cons.pointer_stats.pointer_fraction > isa.pointer_stats.pointer_fraction
+        assert CellResult.from_outcome(cons).pointer_fraction > \
+            CellResult.from_outcome(isa).pointer_fraction
         assert cons.injection.pointer_load_uops >= isa.injection.pointer_load_uops
 
     def test_bounds_config_widens_memory_footprint(self, simulator):
@@ -79,10 +82,14 @@ class TestProgramRuns:
         assert outcome.detection.violation_kind == "use-after-free"
 
     def test_run_program_with_timing(self, simulator):
-        outcome = simulator.run_program(build_uaf_program(),
-                                        WatchdogConfig.isa_assisted_uaf(),
-                                        with_timing=True)
-        assert outcome.timing is not None and outcome.timing.cycles > 0
+        config = WatchdogConfig.isa_assisted_uaf()
+        outcome = simulator.run_program(build_uaf_program(), config)
+        assert outcome.timing is None
+        # A detection run is timed by replaying the machine's recorded trace.
+        trace = Machine(config, record_trace=True).run(
+            build_uaf_program()).trace
+        timing = simulator.run_trace(trace, config).timing
+        assert timing.cycles > 0
 
     def test_run_program_baseline_misses_error(self, simulator):
         outcome = simulator.run_program(build_uaf_program(), WatchdogConfig.disabled())

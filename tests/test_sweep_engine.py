@@ -95,6 +95,17 @@ class TestTraceSharing:
         assert first.cycles == second.cycles
 
 
+class TestWorkerCount:
+    def test_none_means_one_worker(self):
+        assert SweepEngine().workers == SweepEngine(workers=None).workers == 1
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_a_count_below_one_is_refused(self, workers):
+        with pytest.raises(ConfigurationError,
+                           match=f"workers must be >= 1, got {workers}"):
+            SweepEngine(workers=workers)
+
+
 class TestDeterminism:
     def test_parallel_results_identical_to_serial(self):
         parallel_engine = SweepEngine(workers=4)
@@ -218,24 +229,33 @@ class TestResultCache:
 
 class TestCellResultParity:
     def test_derived_stats_match_outcome_objects(self):
-        """CellResult's derived formulas mirror the live stat objects.
+        """CellResult carries every counter of the live stat objects.
 
-        The cell stores flat counters; these assertions pin its re-derived
-        fractions to the source implementations (InjectionStats,
+        The figure formulas are defined once, on the cell; these assertions
+        pin the counters they read to their sources (InjectionStats,
         PointerIdStats, PageAccountant) so the two cannot drift silently.
         """
+        from repro.core.uop_injection import STAT_FIELDS
         from repro.sim.simulator import Simulator
 
         outcome = Simulator().run_bundle(
             TraceBundle.generate("gzip", seed=7, instructions=1200),
             WatchdogConfig.isa_assisted_uaf())
         cell = CellResult.from_outcome(outcome, label=ISA)
-        assert cell.uop_breakdown() == outcome.injection.breakdown()
-        assert cell.uop_overhead_fraction() == outcome.injection.overhead_fraction()
-        assert cell.pointer_fraction == outcome.pointer_stats.pointer_fraction
-        assert cell.word_overhead() == outcome.pages.word_overhead()
-        assert cell.page_overhead() == outcome.pages.page_overhead()
+        for name in STAT_FIELDS:
+            assert getattr(cell, name) == getattr(outcome.injection, name)
+        pointer, pages = outcome.pointer_stats, outcome.pages
+        assert (cell.memory_ops, cell.pointer_ops) == \
+            (pointer.memory_ops, pointer.pointer_ops)
+        assert (cell.data_words, cell.shadow_words) == \
+            (pages.data_word_count, pages.shadow_word_count)
+        assert (cell.data_pages, cell.shadow_pages) == \
+            (pages.data_page_count, pages.shadow_page_count)
         assert cell.cycles == outcome.timing.cycles
+        # Every figure formula reads something non-trivial here.
+        assert 0 < cell.pointer_fraction < 1
+        assert cell.uop_overhead_fraction() > 0
+        assert cell.word_overhead() > 0 and cell.page_overhead() > 0
 
 
 class TestJsonRoundTrips:

@@ -1,5 +1,8 @@
 """Tests for workload profiles, the synthetic generator, Juliet suite and attacks."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -8,7 +11,14 @@ from repro.memory.address_space import AddressSpaceLayout
 from repro.program.machine import Machine
 from repro.workloads.attacks import ATTACKER_VALUE, all_attack_scenarios, scenario_by_name
 from repro.workloads.juliet import JULIET_CASE_COUNT, JulietSuite
-from repro.workloads.profiles import SPEC_PROFILES, benchmark_names, profile_by_name
+from repro.workloads.profiles import (
+    LONG_PROFILES,
+    ONE_B_PROFILES,
+    PAPER_PROFILES,
+    SPEC_PROFILES,
+    benchmark_names,
+    profile_by_name,
+)
 from repro.workloads.synthetic import SyntheticWorkload
 
 from tests.helpers import snapshot_lines
@@ -38,6 +48,30 @@ class TestProfiles:
     def test_pointer_dense_benchmarks_are_the_integer_codes(self):
         assert profile_by_name("mcf").pointer_fraction > profile_by_name("lbm").pointer_fraction
         assert profile_by_name("gcc").pointer_fraction > profile_by_name("milc").pointer_fraction
+
+    def test_every_field_of_every_profile_is_pinned(self):
+        """sha256 over each field of all 32 profiles in tier order, as the
+        twelve long-horizon rows read when they were typed out in full."""
+        profiles = SPEC_PROFILES + LONG_PROFILES + PAPER_PROFILES \
+            + ONE_B_PROFILES
+        assert len(profiles) == 32
+        rows = "\n".join(repr(dataclasses.astuple(p)) for p in profiles)
+        assert hashlib.sha256(rows.encode()).hexdigest()[:16] == \
+            "4efde67c3c4c5d13"
+
+    @pytest.mark.parametrize("suffix, tier", [
+        ("long", LONG_PROFILES), ("paper", PAPER_PROFILES),
+        ("1b", ONE_B_PROFILES)], ids=("long", "paper", "1b"))
+    def test_a_tier_row_changes_only_the_working_set_and_locality(
+            self, suffix, tier):
+        for profile in tier:
+            base, _, tag = profile.name.rpartition("-")
+            assert tag == suffix
+            assert dataclasses.replace(
+                profile, name=base,
+                working_set_objects=profile_by_name(base).working_set_objects,
+                temporal_locality=profile_by_name(base).temporal_locality) \
+                == profile_by_name(base)
 
 
 class TestSyntheticWorkload:
