@@ -180,21 +180,3 @@ class DlMallocAllocator:
             self.stats.coalesces += 1
             return predecessor
         return chunk
-
-    # -- introspection -----------------------------------------------------------
-    def chunk_size(self, address: int) -> int:
-        """Size of the allocated chunk at ``address``."""
-        chunk = self._chunks.get(address)
-        if chunk is None:
-            raise AllocatorError(f"no chunk at {address:#x}")
-        return chunk.size
-
-    def is_allocated(self, address: int) -> bool:
-        """True if ``address`` is the base of a currently-allocated chunk."""
-        chunk = self._chunks.get(address)
-        return chunk is not None and not chunk.free
-
-    def owns(self, address: int) -> bool:
-        """True if ``address`` falls inside any chunk ever carved (allocated
-        or free) — i.e. inside the heap's used extent."""
-        return self.heap.base <= address < self._wilderness

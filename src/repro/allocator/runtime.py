@@ -122,20 +122,6 @@ class InstrumentedRuntime:
         return size
 
     # -- queries -----------------------------------------------------------------
-    def live_allocations(self) -> int:
-        return len(self._live)
-
     def record_for(self, pointer: int) -> Optional[AllocationRecord]:
         """The live allocation record whose base is ``pointer``, if any."""
         return self._live.get(pointer)
-
-    def record_containing(self, address: int) -> Optional[AllocationRecord]:
-        """The live allocation containing ``address``, if any (O(n) scan,
-        used only by tests and the location-based baseline)."""
-        for record in self._live.values():
-            if record.base <= address < record.base + record.size:
-                return record
-        return None
-
-    def total_live_bytes(self) -> int:
-        return sum(record.size for record in self._live.values())

@@ -238,9 +238,3 @@ class ComparisonHarness:
         lines = [header, "-" * len(header)]
         lines.extend(summary.as_row() for summary in self.summaries())
         return "\n".join(lines)
-
-    def watchdog_summary(self) -> ApproachSummary:
-        for summary in self.summaries():
-            if summary.name == "Watchdog":
-                return summary
-        raise KeyError("Watchdog row missing")

@@ -67,7 +67,3 @@ class LocationBasedChecker:
         if not ok:
             self.stats.violations += 1
         return ok
-
-    # -- introspection ----------------------------------------------------------------
-    def is_allocated(self, address: int) -> bool:
-        return (address & ~7) in self._allocated_words

@@ -87,12 +87,6 @@ class DisjointIdentifierChecker(_IdentifierCheckerBase):
     def on_pointer_created(self, pointer: str, allocation_id: int, key: int) -> None:
         self._pointer_metadata[pointer] = (allocation_id, key)
 
-    def on_pointer_copied(self, source: str, dest: str) -> None:
-        if source in self._pointer_metadata:
-            self._pointer_metadata[dest] = self._pointer_metadata[source]
-        else:
-            self._pointer_metadata.pop(dest, None)
-
     def on_arbitrary_cast(self, pointer: str) -> None:
         """A cast/type-pun writes through the pointer's storage.  Disjoint
         metadata is unaffected (§2.2)."""

@@ -177,6 +177,16 @@ def _cmd_run(args) -> int:
               f"known: {', '.join(sorted(known))} (plus mix tokens, "
               f"see `list`)", file=sys.stderr)
         return 2
+    try:
+        # Build every grid's cells now: a combination only a cell refuses
+        # (a mix token under a sampling schedule, which mix_overhead alone
+        # drops) is a usage error too.
+        for name in names:
+            if REGISTRY[name].has_grid:
+                REGISTRY[name].build_spec(settings).requests()
+    except ConfigurationError as error:
+        print(f"invalid settings: {error}", file=sys.stderr)
+        return 2
     if settings.sampling is not None \
             and not settings.sampling.samples_horizon(settings.instructions):
         print(f"note: --sampling {args.sampling} measures "
@@ -267,18 +277,23 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     from repro.sim import bench
 
+    baseline = None
+    if args.check:
+        # Read before the first cell: an unusable baseline fails in
+        # milliseconds, not after the whole bench, and leaves no record.
+        try:
+            baseline = bench.load_baseline(args.check)
+        except (OSError, ValueError, KeyError) as error:
+            print(f"[bench] cannot read baseline {args.check}: {error!r}",
+                  file=sys.stderr)
+            return 2
     record = bench.run_bench(
         seed=bench.DEFAULT_SEED if args.seed is None else args.seed)
     print(bench.format_summary(record))
     path = bench.write_record(record, output=args.output)
     print(f"[bench] wrote {path}")
-    if args.check:
-        try:
-            ok, message = bench.check_against_baseline(record, args.check)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"[bench] cannot read baseline {args.check}: {error!r}",
-                  file=sys.stderr)
-            return 2
+    if baseline is not None:
+        ok, message = bench.check_against_baseline(record, baseline)
         print(f"[bench] {message}")
         if not ok:
             return 1

@@ -22,7 +22,7 @@ This package implements the hardware mechanisms of the paper:
 """
 
 from repro.core.identifier import Identifier, LockLocationAllocator, KeyGenerator
-from repro.core.metadata import PointerMetadata, GLOBAL_IDENTIFIER_KEY
+from repro.core.metadata import PointerMetadata
 from repro.core.config import WatchdogConfig, PointerIdentificationMode, BoundsCheckMode
 from repro.core.checks import CheckUnit, CheckOutcome
 from repro.core.pointer_id import ConservativeIdentifier, IsaAssistedIdentifier
@@ -35,7 +35,6 @@ __all__ = [
     "LockLocationAllocator",
     "KeyGenerator",
     "PointerMetadata",
-    "GLOBAL_IDENTIFIER_KEY",
     "WatchdogConfig",
     "PointerIdentificationMode",
     "BoundsCheckMode",

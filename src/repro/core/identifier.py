@@ -50,10 +50,6 @@ class Identifier:
         if self.key < 0 or self.lock < 0:
             raise ProgramError("identifier key/lock must be non-negative")
 
-    @property
-    def is_global(self) -> bool:
-        return self.key == GLOBAL_KEY
-
     def __str__(self) -> str:
         return f"id(key={self.key}, lock={self.lock:#x})"
 
@@ -70,10 +66,6 @@ class KeyGenerator:
         key = self._next
         self._next += 1
         return key
-
-    @property
-    def keys_issued(self) -> int:
-        return self._next - FIRST_DYNAMIC_KEY
 
 
 class LockLocationAllocator:
@@ -111,12 +103,6 @@ class LockLocationAllocator:
         if not self.region.contains(lock_address):
             raise ProgramError(f"lock address {lock_address:#x} outside lock region")
         self._free_list.append(lock_address)
-
-    @property
-    def live_lock_locations(self) -> int:
-        """Lock locations currently in use (allocated and not yet released)."""
-        total_distinct = (self._bump - self.region.base) // WORD_BYTES
-        return total_distinct - len(self._free_list)
 
 
 class IdentifierTable:

@@ -14,16 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.identifier import GLOBAL_KEY, Identifier
+from repro.core.identifier import Identifier
 from repro.errors import ProgramError
-
-#: Re-exported for convenience: the key of the always-valid global identifier.
-GLOBAL_IDENTIFIER_KEY = GLOBAL_KEY
-
-#: Metadata sizes in 64-bit words (shadow-space footprint and shadow-µop
-#: width): identifier only = 128 bits; identifier + base/bound = 256 bits.
-METADATA_WORDS_UAF = 2
-METADATA_WORDS_FULL = 4
 
 
 @dataclass(frozen=True)
@@ -54,15 +46,6 @@ class PointerMetadata:
     def has_bounds(self) -> bool:
         return self.base is not None
 
-    @property
-    def is_global(self) -> bool:
-        return self.identifier.key == GLOBAL_IDENTIFIER_KEY
-
-    @property
-    def size_words(self) -> int:
-        """Shadow-space footprint of this record in 64-bit words."""
-        return METADATA_WORDS_FULL if self.has_bounds else METADATA_WORDS_UAF
-
     # -- checks ----------------------------------------------------------------
     def contains(self, address: int, access_size: int = 1) -> bool:
         """Byte-granularity bounds test for an access at ``address`` (§8)."""
@@ -70,10 +53,6 @@ class PointerMetadata:
             return True
         assert self.base is not None and self.bound is not None
         return self.base <= address and address + access_size <= self.bound
-
-    def with_bounds(self, base: int, bound: int) -> "PointerMetadata":
-        """Return a copy carrying the given bounds (``setbounds``)."""
-        return PointerMetadata(identifier=self.identifier, base=base, bound=bound)
 
     def __str__(self) -> str:
         if self.has_bounds:

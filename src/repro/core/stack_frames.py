@@ -93,8 +93,3 @@ class StackFrameManager:
         self.stack_lock -= WORD_BYTES
         current_key = self.memory.load_word(self.stack_lock)
         return Identifier(key=current_key, lock=self.stack_lock)
-
-    @property
-    def depth(self) -> int:
-        """Current call depth (number of frames above the initial one)."""
-        return (self.stack_lock - self.region.base) // WORD_BYTES

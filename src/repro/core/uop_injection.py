@@ -50,12 +50,6 @@ class InjectionStats:
     frame_uops: int = 0
     other_uops: int = 0
 
-    @property
-    def injected_uops(self) -> int:
-        return (self.check_uops + self.bounds_check_uops + self.pointer_load_uops
-                + self.pointer_store_uops + self.select_uops + self.frame_uops
-                + self.other_uops)
-
 
 class UopInjector:
     """Wraps the decoder and injects Watchdog µops per the configuration."""

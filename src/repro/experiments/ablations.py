@@ -25,7 +25,6 @@ from repro.experiments.common import (
     ExperimentSpec,
 )
 from repro.sim.results import ExperimentResult
-from repro.sim.stats import geometric_mean_overhead
 
 NAME = "ablations"
 BASELINE_WD = "isa-assisted"
@@ -45,13 +44,7 @@ def spec(settings: Optional[ExperimentSettings] = None) -> ExperimentSpec:
 
 def extract(context: ExperimentContext) -> ExperimentResult:
     """Idealized-shadow and copy-elimination ablation overheads."""
-    result = ExperimentResult(name=context.spec.name)
-    for label, _ in context.spec.configs:
-        overheads = context.overheads(label)
-        for benchmark, overhead in overheads.items():
-            result.add_value(label, benchmark, 100.0 * overhead)
-        result.add_summary(f"{label}_geomean_percent",
-                           100.0 * geometric_mean_overhead(list(overheads.values())))
+    result = context.overhead_result()
     result.notes.append("paper: idealized shadow lowers ISA-assisted overhead "
                         "from 15% to 11% (§9.3); copy elimination is this "
                         "reproduction's added ablation")

@@ -14,7 +14,8 @@ One generic runner (:func:`run_experiments`) then serves every experiment:
    stays saturated across figure boundaries,
 2. each experiment's extractor turns its slice of the resolved cells into an
    :class:`~repro.sim.results.ExperimentResult`, reading them (and their
-   overheads, :meth:`ExperimentContext.overheads`) from its
+   overheads, :meth:`ExperimentContext.overheads` and
+   :meth:`ExperimentContext.overhead_result`) from its
    :class:`ExperimentContext` — extraction never goes back to the engine,
 3. every summary metric is checked against the paper's expected value within
    its tolerance, and the whole invocation is summarized as a
@@ -48,6 +49,7 @@ from repro.sim.spec import (
     MergedGrid,
     request_content_key,
 )
+from repro.sim.stats import geometric_mean_overhead
 
 __all__ = [
     "DEFAULT_INSTRUCTIONS",
@@ -89,6 +91,24 @@ class ExperimentContext:
         return {benchmark: self.cells[benchmark, label].overhead_vs(
                     self.cells[benchmark, BASELINE_LABEL])
                 for benchmark in self.settings.benchmarks}
+
+    def overhead_result(self, summary_keys: Optional[Mapping[str, str]] = None
+                        ) -> ExperimentResult:
+        """A result with, per configuration of the spec, its per-benchmark
+        overheads in percent (a series named by its label) and their
+        geometric mean (the summary ``summary_keys[label]``, by default
+        ``f"{label}_geomean_percent"``) — Figures 7, 9 and 11 and the
+        ablations."""
+        summary_keys = summary_keys or {}
+        result = ExperimentResult(name=self.spec.name)
+        for label, _ in self.spec.configs:
+            overheads = self.overheads(label)
+            for benchmark, overhead in overheads.items():
+                result.add_value(label, benchmark, 100.0 * overhead)
+            result.add_summary(
+                summary_keys.get(label, f"{label}_geomean_percent"),
+                100.0 * geometric_mean_overhead(list(overheads.values())))
+        return result
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from repro.experiments.common import (
     ExperimentSpec,
 )
 from repro.sim.results import ExperimentResult
-from repro.sim.stats import geometric_mean_overhead
 
 NAME = "fig11-bounds-checking"
 WATCHDOG = "watchdog"
@@ -39,19 +38,10 @@ def spec(settings: Optional[ExperimentSettings] = None) -> ExperimentSpec:
 
 def extract(context: ExperimentContext) -> ExperimentResult:
     """Overhead of the three checking configurations."""
-    result = ExperimentResult(name=context.spec.name)
-    summary_keys = {
-        WATCHDOG: "watchdog_geomean_percent",
+    result = context.overhead_result({
         BOUNDS_FUSED: "bounds_fused_geomean_percent",
         BOUNDS_TWO_UOPS: "bounds_two_uop_geomean_percent",
-    }
-    for label, _ in context.spec.configs:
-        overheads = context.overheads(label)
-        for benchmark, overhead in overheads.items():
-            result.add_value(label, benchmark, 100.0 * overhead)
-        result.add_summary(summary_keys[label],
-                           100.0 * geometric_mean_overhead(list(overheads.values())))
-
+    })
     result.notes.append("paper geo-means: Watchdog 15%, +bounds (1 µop) 18%, "
                         "+bounds (2 µops) 24%")
     return result

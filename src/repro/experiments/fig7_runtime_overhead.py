@@ -19,7 +19,6 @@ from repro.experiments.common import (
     ExperimentSpec,
 )
 from repro.sim.results import ExperimentResult
-from repro.sim.stats import geometric_mean_overhead
 
 NAME = "fig7-runtime-overhead"
 CONSERVATIVE = "conservative"
@@ -38,13 +37,7 @@ def spec(settings: Optional[ExperimentSettings] = None) -> ExperimentSpec:
 
 def extract(context: ExperimentContext) -> ExperimentResult:
     """Per-benchmark slowdown and geo-mean for each identification policy."""
-    result = ExperimentResult(name=context.spec.name)
-    for label, _ in context.spec.configs:
-        overheads = context.overheads(label)
-        for benchmark, overhead in overheads.items():
-            result.add_value(label, benchmark, 100.0 * overhead)
-        result.add_summary(f"{label}_geomean_percent",
-                           100.0 * geometric_mean_overhead(list(overheads.values())))
+    result = context.overhead_result()
     result.notes.append(
         "paper geo-means: conservative 25%, ISA-assisted 15%, idealized shadow 11%")
     return result

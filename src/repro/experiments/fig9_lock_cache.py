@@ -19,7 +19,6 @@ from repro.experiments.common import (
     ExperimentSpec,
 )
 from repro.sim.results import ExperimentResult
-from repro.sim.stats import geometric_mean_overhead
 
 NAME = "fig9-lock-location-cache"
 WITH_CACHE = "with-lock-cache"
@@ -36,20 +35,12 @@ def spec(settings: Optional[ExperimentSettings] = None) -> ExperimentSpec:
 
 def extract(context: ExperimentContext) -> ExperimentResult:
     """Overhead with and without the lock location cache, plus miss rates."""
-    result = ExperimentResult(name=context.spec.name)
-    for label, _ in context.spec.configs:
-        overheads = context.overheads(label)
-        for benchmark, overhead in overheads.items():
-            result.add_value(label, benchmark, 100.0 * overhead)
-        result.add_summary(f"{label}_geomean_percent",
-                           100.0 * geometric_mean_overhead(list(overheads.values())))
+    result = context.overhead_result()
 
     # Lock cache miss rate (misses per kilo-instruction) per benchmark.
     low_mpki_benchmarks = 0
     for benchmark in context.settings.benchmarks:
-        outcome = context.cells[benchmark, WITH_CACHE]
-        mpki = (1000.0 * outcome.lock_cache_misses
-                / max(outcome.total_uops, 1))
+        mpki = context.cells[benchmark, WITH_CACHE].lock_cache_mpki()
         result.add_value("lock_cache_mpki", benchmark, mpki)
         if mpki < 1.0:
             low_mpki_benchmarks += 1

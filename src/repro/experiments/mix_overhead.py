@@ -38,8 +38,8 @@ from repro.experiments.common import (
     ExperimentSettings,
     ExperimentSpec,
 )
-from repro.sim.results import CellResult, ExperimentResult
-from repro.sim.stats import geometric_mean_overhead
+from repro.sim.results import ExperimentResult
+from repro.sim.stats import geometric_mean_overhead, mpki
 from repro.workloads.profiles import mix_by_name, mix_names
 
 NAME = "mix-overhead"
@@ -87,10 +87,6 @@ def spec(settings: Optional[ExperimentSettings] = None) -> ExperimentSpec:
                                 settings=mix_settings)
 
 
-def _lock_mpki(cell: CellResult) -> float:
-    return 1000.0 * cell.lock_cache_misses / max(cell.total_uops, 1)
-
-
 def extract(context: ExperimentContext) -> ExperimentResult:
     """Per-mix overhead by core count, contention MPKI, per-core blocks."""
     result = ExperimentResult(name=context.spec.name)
@@ -129,8 +125,8 @@ def extract(context: ExperimentContext) -> ExperimentResult:
         # same seeds — the delta is purely cross-core interference).
         solo_misses = sum(cell.lock_cache_misses for cell in solos_wd)
         solo_uops = sum(cell.total_uops for cell in solos_wd)
-        solo_mpki = 1000.0 * solo_misses / max(solo_uops, 1)
-        mix_mpki = _lock_mpki(full_wd)
+        solo_mpki = mpki(solo_misses, solo_uops)
+        mix_mpki = full_wd.lock_cache_mpki()
         contention = mix_mpki - solo_mpki
         contentions.append(contention)
         result.add_value("lock_mpki_4core", mix_name, mix_mpki)

@@ -58,10 +58,6 @@ class ArchReg:
     def is_int(self) -> bool:
         return self.regclass is RegClass.INT
 
-    @property
-    def is_fp(self) -> bool:
-        return self.regclass is RegClass.FP
-
 
 NUM_INT_REGS = 16
 NUM_FP_REGS = 16
@@ -124,10 +120,6 @@ class RegisterFile:
     def write(self, reg: ArchReg, value: int) -> None:
         """Write a 64-bit value (masked) to a register."""
         self.values[reg] = value & WORD_MASK
-
-    def copy(self) -> "RegisterFile":
-        """Return an independent snapshot of the register file."""
-        return RegisterFile(values=dict(self.values))
 
     def __getitem__(self, reg: ArchReg) -> int:
         return self.read(reg)

@@ -10,7 +10,7 @@ plus the Table 2 cache hierarchy used by the timing model.
 from repro.memory.address_space import AddressSpace, AddressSpaceLayout, Segment
 from repro.memory.shadow import ShadowSpace
 from repro.memory.pages import PageAccountant, PAGE_SIZE
-from repro.memory.cache import Cache, CacheConfig, AccessResult
+from repro.memory.cache import Cache, CacheConfig
 from repro.memory.tlb import TLB, TLBConfig
 from repro.memory.prefetcher import StreamPrefetcher, PrefetcherConfig
 from repro.memory.hierarchy import MemoryHierarchy, HierarchyConfig, PortKind
@@ -24,7 +24,6 @@ __all__ = [
     "PAGE_SIZE",
     "Cache",
     "CacheConfig",
-    "AccessResult",
     "TLB",
     "TLBConfig",
     "StreamPrefetcher",

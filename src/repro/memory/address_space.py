@@ -157,13 +157,3 @@ class AddressSpace:
         mask = ((1 << (size * 8)) - 1) << offset
         word = (word & ~mask) | ((value << offset) & mask)
         self.store_word(address, word)
-
-    # -- introspection ------------------------------------------------------
-    def words_in(self, segment: Segment) -> int:
-        """Number of written words that fall inside ``segment``."""
-        return sum(1 for a in self._words if segment.contains(a))
-
-    def clear(self) -> None:
-        self._words.clear()
-        self.reads = 0
-        self.writes = 0

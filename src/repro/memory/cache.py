@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigurationError
 
@@ -46,15 +45,6 @@ class CacheConfig:
     @property
     def num_sets(self) -> int:
         return self.size_bytes // (self.associativity * self.block_bytes)
-
-
-@dataclass
-class AccessResult:
-    """Outcome of a single cache access."""
-
-    hit: bool
-    latency: int
-    evicted_block: Optional[int] = None
 
 
 def set_demand(ways, base: int, assoc: int, key: int, dirty: int) -> int:
@@ -112,42 +102,7 @@ class Cache:
         """``(ways, num_sets, associativity, block_bytes)`` for batch loops."""
         return self.ways, self._num_sets, self._assoc, self._block_bytes
 
-    # -- access --------------------------------------------------------------
-    def access(self, address: int, is_write: bool = False) -> AccessResult:
-        """Access ``address``; allocate on miss; return hit/miss and latency."""
-        block = address // self._block_bytes
-        evicted = set_demand(self.ways, (block % self._num_sets) * self._assoc,
-                             self._assoc, (block + 1) << 1,
-                             1 if is_write else 0)
-        latency = self.config.hit_latency
-        if evicted < 0:
-            self.hits += 1
-            return AccessResult(hit=True, latency=latency)
-        self.misses += 1
-        if not evicted:
-            return AccessResult(hit=False, latency=latency)
-        self.evictions += 1
-        self.writebacks += evicted & 1
-        return AccessResult(hit=False, latency=latency,
-                            evicted_block=(evicted >> 1) - 1)
-
-    def probe(self, address: int) -> bool:
-        """Check residency without updating LRU state or statistics."""
-        block = address // self._block_bytes
-        base = (block % self._num_sets) * self._assoc
-        s = self.ways[base:base + self._assoc].tolist()
-        key = (block + 1) << 1
-        return key in s or key + 1 in s
-
-    def install(self, address: int) -> None:
-        """Install a block without counting it as a demand access (prefetch)."""
-        block = address // self._block_bytes
-        evicted = set_demand(self.ways, (block % self._num_sets) * self._assoc,
-                             self._assoc, (block + 1) << 1, 0)
-        if evicted > 0:
-            self.evictions += 1
-            self.writebacks += evicted & 1
-
+    # -- warm-up --------------------------------------------------------------
     def fill(self, addresses) -> None:
         """Install ``addresses`` in order without touching any counter.
 
@@ -184,16 +139,5 @@ class Cache:
                 "q", entries.values())
 
     # -- statistics ------------------------------------------------------------
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def reset_stats(self) -> None:
         self.hits = self.misses = self.evictions = self.writebacks = 0
-
-    def flush(self) -> None:
-        self.ways[:] = array("q", [0]) * len(self.ways)

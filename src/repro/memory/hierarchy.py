@@ -142,12 +142,6 @@ class HierarchyStats:
                 for name, latency, count in zip(_STAT_KINDS, self._latency,
                                                 self._counts) if count}
 
-    def average_latency(self, kind: str) -> float:
-        index = _STAT_INDEX.get(kind)
-        if index is None or not self._counts[index]:
-            return 0.0
-        return self._latency[index] / self._counts[index]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HierarchyStats):
             return NotImplemented
@@ -178,11 +172,6 @@ class SharedMemoryBackend:
         self.lock_cache = Cache(self.config.lock_cache)
         self.l2_prefetcher = StreamPrefetcher(self.config.l2_prefetcher,
                                               self.l2)
-
-    def reset_stats(self) -> None:
-        for cache in (self.l2, self.l3, self.lock_cache):
-            cache.reset_stats()
-        self.l2_prefetcher.reset_stats()
 
 
 class MemoryHierarchy:
@@ -218,21 +207,6 @@ class MemoryHierarchy:
         self.lock_tlb = TLB(self.config.lock_tlb)
         self.stats = HierarchyStats()
 
-    # -- public access points --------------------------------------------------
-    def access(self, address: int, is_write: bool = False,
-               port: PortKind = PortKind.DATA) -> int:
-        """Perform one demand access and return its total latency in cycles.
-
-        A one-element :meth:`access_batch`: the same state transitions,
-        counters and statistics, on the kernel or the Python loop alike.
-        """
-        spec = PORT_CODES[port] | SPEC_USE_LATENCY
-        if is_write:
-            spec |= SPEC_WRITE
-        lats = [0]
-        self._batch((address,), (spec,), (0,), lats, True)
-        return lats[0]
-
     # -- batched access -------------------------------------------------------
     #
     # The timing model separates hierarchy replay from µop scheduling: the
@@ -251,9 +225,8 @@ class MemoryHierarchy:
         access; accesses with the use-latency bit store their latency into
         ``lats[positions[i]]`` (loads); the rest only update hierarchy state
         and statistics (stores retire at fixed latency off the critical
-        path).  State transitions and statistics are bit-identical to the
-        equivalent :meth:`access` sequence, which is this method one access
-        at a time.  The stream compiler hands in
+        path).  State transitions and statistics do not depend on where a
+        sequence is split into batches.  The stream compiler hands in
         ``array("q")`` columns, which the kernel consumes as they are; any
         other sequence type is converted on entry.
         """

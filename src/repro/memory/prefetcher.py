@@ -79,16 +79,5 @@ class StreamPrefetcher:
         self.table = array("q", [0]) * (1 + 2 * config.streams)
         self.prefetches_issued = 0
 
-    def on_miss(self, address: int) -> None:
-        """Notify the prefetcher of a demand miss at ``address``."""
-        cache = self.cache
-        ctr = [0, 0, 0]
-        pf_on_miss(self.table, self.config.streams, self.config.depth,
-                   cache.ways, cache._num_sets, cache._assoc,
-                   address // cache._block_bytes, ctr, 0, 1, 2)
-        cache.evictions += ctr[0]
-        cache.writebacks += ctr[1]
-        self.prefetches_issued += ctr[2]
-
     def reset_stats(self) -> None:
         self.prefetches_issued = 0

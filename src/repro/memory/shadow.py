@@ -16,7 +16,7 @@ bounds, §8).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.errors import ProgramError
 from repro.isa.registers import WORD_BYTES
@@ -49,10 +49,6 @@ class ShadowSpace:
         scaled = word * self.metadata_words
         return self.layout.shadow_address(scaled % (1 << 47))
 
-    def shadow_footprint_bytes(self) -> int:
-        """Bytes of shadow memory holding live (non-default) metadata."""
-        return len(self._entries) * self.metadata_words * WORD_BYTES
-
     # -- functional access ---------------------------------------------------
     @staticmethod
     def _key(data_address: int) -> int:
@@ -80,33 +76,3 @@ class ShadowSpace:
             self._entries.pop(key, None)
         else:
             self._entries[key] = metadata
-
-    def bulk_initialize(self, addresses: Iterable[int], metadata) -> None:
-        """Initialize many words at once (global-segment initialization, §7)."""
-        for address in addresses:
-            self._entries[self._key(address)] = metadata
-
-    def clear_range(self, base: int, size: int) -> None:
-        """Clear metadata for every word in ``[base, base+size)``."""
-        start = self._key(base)
-        end = base + size
-        addr = start
-        while addr < end:
-            self._entries.pop(addr, None)
-            addr += WORD_BYTES
-
-    # -- introspection -------------------------------------------------------
-    def live_entries(self) -> int:
-        return len(self._entries)
-
-    def touched_shadow_words(self) -> Iterable[int]:
-        """Shadow word addresses holding live metadata (for page accounting)."""
-        for data_word in self._entries:
-            base = self.shadow_address(data_word)
-            for i in range(self.metadata_words):
-                yield base + i * WORD_BYTES
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.loads = 0
-        self.stores = 0

@@ -66,24 +66,5 @@ class TLB:
         self.hits = 0
         self.misses = 0
 
-    def access(self, address: int) -> int:
-        """Translate ``address``; return the added latency (0 on a hit)."""
-        if tlb_access(self.slots, address // self.config.page_bytes + 1):
-            self.hits += 1
-            return 0
-        self.misses += 1
-        return self.config.miss_penalty
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def reset_stats(self) -> None:
         self.hits = self.misses = 0
-
-    def flush(self) -> None:
-        self.slots[:] = array("q", [0]) * len(self.slots)

@@ -77,11 +77,6 @@ class TimingResult:
     l1d_misses: int
     port_waits: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def ipc(self) -> float:
-        """Committed µops per cycle."""
-        return self.total_uops / self.cycles if self.cycles else 0.0
-
 
 class OutOfOrderCore:
     """Dependence/port/window-limited replay of a compiled µop stream."""

@@ -36,10 +36,6 @@ class PortPool:
         self.uses = 0
         self.total_wait = 0
 
-    @property
-    def count(self) -> int:
-        return len(self._next_free)
-
     def average_wait(self) -> float:
         return self.total_wait / self.uses if self.uses else 0.0
 

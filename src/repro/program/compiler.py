@@ -48,11 +48,6 @@ class PointerAnnotationStats:
     stores_annotated_pointer: int = 0
     stores_annotated_non_pointer: int = 0
 
-    @property
-    def total_annotated(self) -> int:
-        return (self.loads_annotated_pointer + self.loads_annotated_non_pointer
-                + self.stores_annotated_pointer + self.stores_annotated_non_pointer)
-
 
 def _may_hold_pointer_after(inst: Instruction, pointers: Set[ArchReg]) -> None:
     """Update the may-hold-pointer register set for one ALU instruction."""

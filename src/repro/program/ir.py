@@ -133,14 +133,3 @@ class Program:
                 if operation.kind is OpKind.CALL and operation.callee not in self.functions:
                     raise ProgramError(
                         f"{function.name} calls unknown function {operation.callee!r}")
-
-    def all_instructions(self):
-        """Iterate over every macro instruction in the program (static code)."""
-        for function in self.functions.values():
-            for operation in function:
-                if operation.kind is OpKind.MACRO:
-                    yield operation.instruction
-
-    @property
-    def static_operation_count(self) -> int:
-        return sum(len(function) for function in self.functions.values())

@@ -388,27 +388,39 @@ def write_record(record: Dict[str, object],
 MAX_REGRESSION = 0.30
 
 
+def load_baseline(path: str) -> Dict[str, object]:
+    """Read a baseline file: a JSON object that declares the matrix floor
+    (``uops_per_sec``) at least.
+
+    Raises :class:`OSError`, :class:`ValueError` or :class:`KeyError` for a
+    file that cannot serve as one, so ``repro bench --check`` can refuse it
+    before timing any cell.
+    """
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    if "uops_per_sec" not in data:
+        raise KeyError("uops_per_sec")
+    return data
+
+
 def check_against_baseline(record: Dict[str, object],
-                           baseline_path: str) -> Tuple[bool, str]:
-    """Check every :data:`CELLS` gate the baseline file declares; returns
-    ``(ok, message)``.
+                           baseline: Dict[str, object]) -> Tuple[bool, str]:
+    """Check every :data:`CELLS` gate a loaded baseline (see
+    :func:`load_baseline`) declares; returns ``(ok, message)``.
 
     A floor fails when the figure drops more than :data:`MAX_REGRESSION`
     below the baseline.  A ceiling takes no tolerance: it carries its own
     headroom, and the leak it guards against (samples retained across the
     horizon) overshoots by gigabytes.  A gate whose cell the record lacks,
     or whose ceiling figure this platform cannot measure, is skipped.
-    Every baseline must declare the matrix floor.
     """
-    data = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-    if "uops_per_sec" not in data:
-        raise KeyError("uops_per_sec")
     ok = True
     parts, skipped = [], []
     for cell in CELLS:
         stats = record.get(cell.key)
         for gate in cell.gates:
-            limit = data.get(gate.baseline_key)
+            limit = baseline.get(gate.baseline_key)
             if limit is None:
                 continue
             if stats is None or gate.ceiling and \

@@ -134,9 +134,6 @@ class ResultCache:
         self._corruption_events: List[DegradationEvent] = []
 
     # -- keying ---------------------------------------------------------------------
-    def key(self, request: RunRequest) -> str:
-        return request_fingerprint(request)
-
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
@@ -216,9 +213,6 @@ class ResultCache:
                 pass
             raise
         self.stores += 1
-
-    def contains(self, key: str) -> bool:
-        return self._path(key).exists()
 
     def clear(self) -> int:
         """Delete every cached cell; returns the number removed."""

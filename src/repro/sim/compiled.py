@@ -135,9 +135,9 @@ def _identity_key(inst: Instruction) -> tuple:
 def tokenize(trace: Iterable[DynamicOp]) -> TraceTokens:
     """Intern a :class:`DynamicOp` trace into :class:`TraceTokens` columns.
 
-    The synthetic workloads emit tokens directly; this serves every other
-    source — functional-machine traces, :meth:`Simulator.run_trace` input —
-    and the workloads' pure-Python emitter.
+    The synthetic workloads' kernel emits tokens directly; this serves
+    their pure-Python emitter and any other ``DynamicOp`` source, such as a
+    functional machine's recorded trace.
 
     Instructions with equal :func:`_identity_key` s share one identity,
     numbered in first-seen order.  The synthetic workload generator interns

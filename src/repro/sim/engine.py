@@ -503,10 +503,6 @@ class SweepEngine:
             warmup_instructions=job.warmup_instructions,
             sampling=job.sampling)
 
-    def cell(self, request: RunRequest) -> CellResult:
-        """Resolve a single cell (memoized)."""
-        return self.run_requests([request])[request.key]
-
     # -- caching -------------------------------------------------------------------
     def _fingerprint(self, request: RunRequest) -> Optional[str]:
         """The cell's content hash, or ``None`` when there is no cache."""

@@ -97,15 +97,6 @@ class FaultSpec:
     def matches_attempt(self, attempt: int) -> bool:
         return self.attempt is None or self.attempt == attempt
 
-    def token(self) -> str:
-        """The spec-string token this fault round-trips through."""
-        attempt = "*" if self.attempt is None else str(self.attempt)
-        if self.kind == "slow":
-            return f"slow:{self.subject}:{attempt}:{self.seconds:g}"
-        if self.kind in ("corrupt", "selftest"):
-            return f"{self.kind}:{self.subject}"
-        return f"{self.kind}:{self.subject}:{attempt}"
-
 
 def _parse_token(token: str) -> FaultSpec:
     parts = token.split(":")
@@ -167,10 +158,6 @@ class FaultPlan:
     @property
     def empty(self) -> bool:
         return not self.specs
-
-    def spec_string(self) -> str:
-        """Round-trippable rendering (suitable for ``REPRO_FAULTS``)."""
-        return ",".join(spec.token() for spec in self.specs)
 
     # -- match queries (one per fault kind) ------------------------------------------
     def crashes(self, benchmark: str, attempt: int) -> bool:

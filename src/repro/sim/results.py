@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.sim.stats import percent_overhead
+from repro.sim.stats import mpki, percent_overhead
 
 
 def _from_known_fields(cls, data: Dict[str, Any]):
@@ -136,7 +136,7 @@ class CoreResult:
 
     def lock_cache_mpki(self) -> float:
         """This core's attributed lock-cache misses per 1000 µops."""
-        return 1000.0 * self.lock_cache_misses / max(self.total_uops, 1)
+        return mpki(self.lock_cache_misses, self.total_uops)
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -238,10 +238,6 @@ class CellResult:
         )
 
     # -- derived values (what the experiment extractors read) ----------------------
-    @property
-    def ipc(self) -> float:
-        return self.total_uops / self.cycles if self.cycles else 0.0
-
     def overhead_vs(self, baseline: "CellResult") -> float:
         """Slowdown relative to ``baseline`` as a fraction.
 
@@ -254,6 +250,11 @@ class CellResult:
         if self.failed or baseline.failed or baseline.cycles <= 0:
             return float("nan")
         return percent_overhead(baseline.cycles, self.cycles)
+
+    def lock_cache_mpki(self) -> float:
+        """Lock-cache misses per 1000 µops (Figure 9; a mix's, over all its
+        cores)."""
+        return mpki(self.lock_cache_misses, self.total_uops)
 
     @property
     def pointer_fraction(self) -> float:

@@ -11,7 +11,7 @@ which is warm-up only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -50,11 +50,6 @@ class SamplingConfig:
     def period(self) -> int:
         return self.fast_forward + self.warmup + self.sample
 
-    @property
-    def sampled_fraction(self) -> float:
-        """Fraction of the program actually measured (2% in the paper)."""
-        return self.sample / self.period
-
     @classmethod
     def paper(cls) -> "SamplingConfig":
         """The §9.1 schedule: 480M fast-forward, 10M warm-up, 10M sample."""
@@ -90,11 +85,6 @@ class SamplingConfig:
         than an unsampled run.
         """
         return cls(fast_forward=80_000, warmup=10_000, sample=10_000)
-
-    @classmethod
-    def unsampled(cls, length: int) -> "SamplingConfig":
-        """Measure everything (used for short functional traces)."""
-        return cls(fast_forward=0, warmup=0, sample=max(length, 1))
 
     @property
     def degenerate(self) -> bool:
@@ -140,12 +130,6 @@ class SamplingSchedule:
         if position < self.config.fast_forward + self.config.warmup:
             return self.WARMUP
         return self.MEASURE
-
-    def measured_indices(self, total: int) -> Iterator[int]:
-        """Indices of measured instructions within ``total`` instructions."""
-        for index in range(total):
-            if self.phase_of(index) == self.MEASURE:
-                yield index
 
     def windows(self, total: int) -> List[Tuple[int, int, str]]:
         """Contiguous (start, end, phase) windows covering ``[0, total)``.

@@ -20,7 +20,6 @@ Glues the pieces together for the two kinds of runs the evaluation needs:
 from __future__ import annotations
 
 import dataclasses
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
@@ -31,12 +30,7 @@ from repro.memory.pages import PageAccountant
 from repro.pipeline.core import OutOfOrderCore, TimingResult
 from repro.program.ir import Program
 from repro.program.machine import ExecutionResult, Machine
-from repro.sim.trace import DynamicOp, TraceTokens
-from repro.workloads.bundle import (
-    SampleSegment,
-    TraceBundle,
-    WorkingSetSnapshot,
-)
+from repro.workloads.bundle import TraceBundle
 
 
 @dataclass
@@ -53,12 +47,6 @@ class SimulationOutcome:
     #: Per-core :class:`~repro.sim.results.CoreResult` blocks of a
     #: multi-core mix run (empty for single-core runs).
     cores: tuple = ()
-
-    @property
-    def cycles(self) -> int:
-        if self.timing is None:
-            return 0
-        return self.timing.cycles
 
     @property
     def detected(self) -> bool:
@@ -174,36 +162,6 @@ class Simulator:
         self.timecore = timecore
 
     # -- workload timing runs ---------------------------------------------------------
-    def run_trace(self, trace: Iterable[DynamicOp], config: WatchdogConfig,
-                  name: str = "trace",
-                  warmup_trace: Optional[Iterable[DynamicOp]] = None,
-                  working_set: Optional[WorkingSetSnapshot] = None
-                  ) -> SimulationOutcome:
-        """Compile and time an already-generated dynamic trace.
-
-        The trace is replayed as a one-window bundle.  ``warmup_trace``
-        mirrors the §9.1 methodology: its accesses prime the cache hierarchy
-        (data, shadow and lock accesses alike) but are not timed and do not
-        contribute to any statistic.  When the workload's working set is
-        provided, the whole of it (data lines, lock locations and — for
-        metadata-maintaining configurations — shadow lines) is additionally
-        pre-touched, which is what the long warm-up windows of the paper's
-        sampling methodology achieve; without one nothing is pre-touched.
-        """
-        from repro.sim.compiled import tokenize
-
-        measured = tokenize(trace)
-        window = SampleSegment(
-            warmup=tokenize(warmup_trace) if warmup_trace is not None
-            else TraceTokens(),
-            measured=measured,
-            working_set=working_set if working_set is not None
-            else WorkingSetSnapshot(ranges=array("q"), locks=array("q")))
-        # An external trace has no generator seed.
-        bundle = TraceBundle(benchmark=name, seed=0,
-                             instructions=len(measured), samples=(window,))
-        return self.run_bundle(bundle, config)
-
     def run_bundle(self, bundle: TraceBundle, config: WatchdogConfig) -> SimulationOutcome:
         """Time one pre-generated trace bundle under one configuration.
 

@@ -42,6 +42,12 @@ def arithmetic_mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
+def mpki(misses: int, uops: int) -> float:
+    """Misses per 1000 µops (Figure 9's lock-cache rate); a run with no
+    µops counts as one."""
+    return 1000.0 * misses / max(uops, 1)
+
+
 def percent_overhead(baseline_cycles: float, configured_cycles: float) -> float:
     """Slowdown of a configuration over its baseline, as a fraction."""
     if baseline_cycles <= 0:

@@ -153,10 +153,3 @@ def all_attack_scenarios() -> List[AttackScenario]:
             expected_kind="out-of-bounds",
             requires_bounds=True),
     ]
-
-
-def scenario_by_name(name: str) -> AttackScenario:
-    for scenario in all_attack_scenarios():
-        if scenario.name == name:
-            return scenario
-    raise KeyError(f"unknown attack scenario {name!r}")

@@ -322,6 +322,3 @@ class JulietSuite:
                 name=f"{cwe}-{name}-benign-{ordinal:03d}", cwe=cwe, pattern=name,
                 program=program, expected_kind=None))
         return cases
-
-    def patterns(self) -> List[str]:
-        return [spec[0] for spec in _pattern_specs()]

@@ -451,7 +451,3 @@ class WorkloadCore:
         locks = array("q", [slot_locks[slot] for slot in self._order])
         locks.append(self._global_lock)
         return WorkingSetSnapshot(ranges=ranges, locks=locks)
-
-    @property
-    def live_objects(self) -> int:
-        return len(self._order)

@@ -60,10 +60,6 @@ class SampleStream:
                 f"requires a schedule that genuinely samples the horizon "
                 f"(e.g. SamplingConfig.paper_scaled())")
 
-    @property
-    def benchmark(self) -> str:
-        return self.profile.name
-
     def __len__(self) -> int:
         """Number of sample segments the stream will yield."""
         return sum(1 for _, _, phase in self._windows()

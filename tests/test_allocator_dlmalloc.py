@@ -32,21 +32,13 @@ class TestBasicAllocation:
         with pytest.raises(AllocatorError):
             allocator.malloc(-8)
 
-    def test_chunk_size_at_least_request(self, allocator):
-        ptr = allocator.malloc(100)
-        assert allocator.chunk_size(ptr) >= 100
-
-    def test_is_allocated_tracking(self, allocator):
-        ptr = allocator.malloc(32)
-        assert allocator.is_allocated(ptr)
-        allocator.free(ptr)
-        assert not allocator.is_allocated(ptr)
 
 
 class TestFreeAndReuse:
     def test_free_returns_chunk_size(self, allocator):
         ptr = allocator.malloc(48)
         assert allocator.free(ptr) >= 48
+        assert allocator.free(allocator.malloc(100)) >= 100
 
     def test_freed_memory_is_reused(self, allocator):
         """The property location-based checkers stumble over (§2.1)."""
@@ -108,8 +100,3 @@ class TestStatsAndLimits:
         with pytest.raises(OutOfMemoryError):
             for _ in range(10):
                 allocator.malloc(64)
-
-    def test_owns_tracks_used_extent(self, allocator, memory):
-        ptr = allocator.malloc(64)
-        assert allocator.owns(ptr)
-        assert not allocator.owns(memory.layout.heap.limit - 8)

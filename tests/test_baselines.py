@@ -62,12 +62,13 @@ class TestIdentifierCheckers:
     def test_inline_checker_detects_uaf_after_realloc(self):
         assert not self._uaf_after_realloc(InlineIdentifierChecker())
 
-    def test_pointer_copy_shares_metadata(self):
+    def test_every_pointer_to_a_freed_allocation_fails(self):
         checker = DisjointIdentifierChecker()
         key = checker.on_alloc(1, 64)
         checker.on_pointer_created("p", 1, key)
-        checker.on_pointer_copied("p", "q")
+        checker.on_pointer_created("q", 1, key)
         checker.on_free(1)
+        assert not checker.check_access("p")
         assert not checker.check_access("q")
 
     def test_cast_destroys_inline_metadata_only(self):
@@ -113,7 +114,8 @@ class TestComparisonHarness:
             assert rows[name].comprehensive and rows[name].safe_with_casts
 
     def test_watchdog_summary_is_hardware_disjoint(self):
-        summary = ComparisonHarness().watchdog_summary()
+        summary, = [row for row in ComparisonHarness().summaries()
+                    if row.name == "Watchdog"]
         assert summary.instrumentation == "H/W"
         assert summary.metadata.lower() == "disjoint"
 

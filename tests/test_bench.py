@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.bench import check_against_baseline
+from repro.sim.bench import check_against_baseline, load_baseline
 
 ROOT = Path(__file__).resolve().parents[1]
 BASELINE = ROOT / "benchmarks" / "perf_baseline.json"
@@ -67,7 +67,7 @@ PINNED_MESSAGE = (
 
 
 def _baseline():
-    return json.loads(BASELINE.read_text(encoding="utf-8"))
+    return load_baseline(str(BASELINE))
 
 
 def _record():
@@ -87,7 +87,7 @@ def _failing(message):
 
 
 def test_committed_record_passes_with_the_pinned_message():
-    assert check_against_baseline(_record(), str(BASELINE)) == \
+    assert check_against_baseline(_record(), _baseline()) == \
         (True, PINNED_MESSAGE)
 
 
@@ -98,11 +98,11 @@ def test_floor_passes_at_the_floor_and_fails_one_unit_under(
     floor = _baseline()[baseline_key] * (1.0 - TOLERANCE)
     record = _record()
     record[cell][record_key] = floor
-    ok, message = check_against_baseline(record, str(BASELINE))
+    ok, message = check_against_baseline(record, _baseline())
     assert ok, message
     assert _part(message, label).endswith(": OK")
     record[cell][record_key] = floor - 1
-    ok, message = check_against_baseline(record, str(BASELINE))
+    ok, message = check_against_baseline(record, _baseline())
     assert not ok
     assert _failing(message) == [_part(message, label)]
     assert _part(message, label).endswith(": REGRESSION")
@@ -111,12 +111,12 @@ def test_floor_passes_at_the_floor_and_fails_one_unit_under(
 def test_gates_without_a_figure_are_skipped():
     record = _record()
     del record["one_b"]["peak_rss_mb"]
-    ok, message = check_against_baseline(record, str(BASELINE))
+    ok, message = check_against_baseline(record, _baseline())
     assert ok, message
     assert _part(message, "one_b_rss") == \
         "one_b_rss: SKIPPED (peak_rss_mb unavailable on this platform)"
     del record["one_b"]
-    ok, message = check_against_baseline(record, str(BASELINE))
+    ok, message = check_against_baseline(record, _baseline())
     assert ok, message
     assert [_part(message, label) for label in ("one_b", "one_b_rss")] == \
         ["one_b: SKIPPED (no one_b cell in record)",
@@ -128,11 +128,11 @@ def test_rss_ceiling_passes_at_the_ceiling_and_fails_over_it():
     assert ceiling == 2048
     record = _record()
     record["one_b"]["peak_rss_mb"] = float(ceiling)
-    ok, message = check_against_baseline(record, str(BASELINE))
+    ok, message = check_against_baseline(record, _baseline())
     assert ok, message
     assert _part(message, "one_b_rss").endswith(": OK")
     record["one_b"]["peak_rss_mb"] = ceiling + 1.0
-    ok, message = check_against_baseline(record, str(BASELINE))
+    ok, message = check_against_baseline(record, _baseline())
     assert not ok
     assert _failing(message) == [_part(message, "one_b_rss")]
     assert _part(message, "one_b_rss").endswith(": EXCEEDED")
@@ -155,9 +155,9 @@ def test_each_baseline_number_is_read_by_its_gate_alone(
     if label == "matrix":
         # The matrix floor is mandatory: a baseline without it is unreadable.
         with pytest.raises(KeyError):
-            check_against_baseline(_record(), str(path))
+            load_baseline(str(path))
         return
-    ok, message = check_against_baseline(_record(), str(path))
+    ok, message = check_against_baseline(_record(), load_baseline(str(path)))
     assert ok, message
     assert [part.split(": ")[0] for part in message.split("; ")] == \
         [gate[0] for gate in GATES if gate[0] != label]

@@ -28,7 +28,7 @@ from repro.sim.trace import DynamicOp
 from repro.workloads.bundle import TraceBundle
 from repro.workloads.profiles import benchmark_names
 
-from tests.helpers import cell_digest, reference_digests
+from tests.helpers import cell_digest, reference_digests, run_trace
 
 #: Every Watchdog configuration the Table 2 evaluation exercises.
 CONFIGURATIONS = {
@@ -77,8 +77,8 @@ class TestGoldenEquivalence:
         (window,) = bundle.samples
         simulator = Simulator(timecore=timecore)
         for label, config in CONFIGURATIONS.items():
-            traced = simulator.run_trace(
-                window.measured, config, name="mcf",
+            traced = run_trace(
+                simulator, window.measured, config, name="mcf",
                 warmup_trace=window.warmup, working_set=window.working_set)
             assert cell_digest(traced, label) == \
                 cell_digest(simulator.run_bundle(bundle, config), label)
@@ -99,8 +99,8 @@ class TestGoldenEquivalence:
                     yield DynamicOp(good)
 
         config = WatchdogConfig.isa_assisted_uaf()
-        streamed = Simulator().run_trace(make_trace(), config)
-        listed = Simulator().run_trace(list(make_trace()), config)
+        streamed = run_trace(Simulator(), make_trace(), config)
+        listed = run_trace(Simulator(), list(make_trace()), config)
         assert streamed.timing.macro_instructions == 101
         assert streamed.timing == listed.timing
 
@@ -217,5 +217,5 @@ class TestMacroCounting:
         trace = [DynamicOp(inst, address=0x2000_0000 + 64 * i,
                            lock_address=0x6000_0000) for i in range(5)]
         config = WatchdogConfig.isa_assisted_uaf()
-        result = Simulator().run_trace(trace, config).timing
+        result = run_trace(Simulator(), trace, config).timing
         assert result.macro_instructions == 5

@@ -31,12 +31,6 @@ class TestKeyGenerator:
         with pytest.raises(ProgramError):
             KeyGenerator(first_key=INVALID_KEY)
 
-    def test_keys_issued_counter(self):
-        generator = KeyGenerator()
-        generator.next_key()
-        generator.next_key()
-        assert generator.keys_issued == 2
-
 
 class TestLockLocationAllocator:
     def test_allocates_from_lock_region(self, memory):
@@ -74,12 +68,13 @@ class TestLockLocationAllocator:
         with pytest.raises(OutOfMemoryError):
             allocator.allocate()
 
-    def test_live_count(self, memory):
+    def test_counts_allocations_and_recycles(self, memory):
         allocator = LockLocationAllocator(memory)
         a = allocator.allocate()
         allocator.allocate()
         allocator.release(a)
-        assert allocator.live_lock_locations == 1
+        assert allocator.allocate() == a
+        assert (allocator.allocated, allocator.recycled) == (3, 1)
 
 
 class TestIdentifierTable:
@@ -125,7 +120,3 @@ class TestIdentifierValue:
     def test_negative_fields_rejected(self):
         with pytest.raises(ProgramError):
             Identifier(key=-1, lock=0)
-
-    def test_global_flag(self):
-        assert Identifier(key=GLOBAL_KEY, lock=0x10).is_global
-        assert not Identifier(key=7, lock=0x10).is_global

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.identifier import Identifier
-from repro.core.metadata import (
-    METADATA_WORDS_FULL,
-    METADATA_WORDS_UAF,
-    PointerMetadata,
-)
+from repro.core.metadata import PointerMetadata
 from repro.errors import ProgramError
 
 
@@ -20,12 +16,10 @@ class TestConstruction:
     def test_identifier_only(self, ident):
         metadata = PointerMetadata(identifier=ident)
         assert not metadata.has_bounds
-        assert metadata.size_words == METADATA_WORDS_UAF
 
     def test_with_bounds(self, ident):
         metadata = PointerMetadata(identifier=ident, base=0x100, bound=0x200)
         assert metadata.has_bounds
-        assert metadata.size_words == METADATA_WORDS_FULL
 
     def test_partial_bounds_rejected(self, ident):
         with pytest.raises(ProgramError):
@@ -63,11 +57,6 @@ class TestBoundsCheck:
     def test_no_bounds_always_contains(self, ident):
         metadata = PointerMetadata(identifier=ident)
         assert metadata.contains(0xDEAD_BEEF, 8)
-
-    def test_with_bounds_copy(self, ident):
-        metadata = PointerMetadata(identifier=ident).with_bounds(0x10, 0x20)
-        assert metadata.has_bounds
-        assert metadata.identifier == ident
 
     def test_str_rendering(self, ident):
         assert "key=7" in str(PointerMetadata(identifier=ident))

@@ -9,11 +9,12 @@ from repro.core.config import (
     PointerIdentificationMode,
     WatchdogConfig,
 )
-from repro.core.uop_injection import UopInjector
+from repro.core.uop_injection import InjectionStats, UopInjector
 from repro.isa.decoder import Decoder
 from repro.isa.instructions import Instruction, Opcode, PointerHint
 from repro.isa.microops import WATCHDOG_KINDS, UopKind
 from repro.isa.registers import fp_reg, int_reg
+from repro.program.ir import OpKind
 from repro.sim.compiled import StreamCompiler
 from repro.sim.results import CellResult
 from repro.sim.simulator import SimulationOutcome
@@ -93,7 +94,7 @@ class TestDisabledAndArithmetic:
         injector = injector_for(WatchdogConfig.disabled())
         uops = injector.expand(pointer_load())
         assert len(uops) == 1
-        assert injector.stats.injected_uops == 0
+        assert injector.stats == InjectionStats(baseline_uops=1)
 
     def test_two_source_add_gets_select_uop(self):
         inst = Instruction(Opcode.ADD_RR, dest=int_reg(1),
@@ -149,8 +150,10 @@ def _every_instruction():
     programs += [scenario.program() for scenario in all_attack_scenarios()]
     distinct = {repr(inst): inst for inst in SHAPE_INSTRUCTIONS}
     for program in programs:
-        for inst in program.all_instructions():
-            distinct.setdefault(repr(inst), inst)
+        for function in program.functions.values():
+            for op in function:
+                if op.kind is OpKind.MACRO:
+                    distinct.setdefault(repr(op.instruction), op.instruction)
     return list(distinct.values())
 
 

@@ -466,6 +466,60 @@ class TestCliRun:
             in capsys.readouterr().err
         assert not cache_dir.exists()
 
+    @pytest.mark.parametrize("horizon", [[], ["-n", "200000"]],
+                             ids=["default-horizon", "sampled-horizon"])
+    def test_run_rejects_a_mix_under_a_sampling_schedule(
+            self, horizon, capsys, monkeypatch, tmp_path):
+        # Only a cell refuses the combination; it is refused as a usage
+        # error before any cell runs (the runner is stubbed out) and before
+        # the cache directory is made.
+        from repro import cli
+
+        monkeypatch.setattr(cli, "run_experiments", None)
+        cache_dir = tmp_path / "cache"
+        assert self._cli(["run", "fig7", "-b", "mix1", "--sampling", "quick",
+                          "--cache-dir", str(cache_dir)] + horizon) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid settings: ")
+        assert "multi-core mix" in err[0]
+        assert not cache_dir.exists()
+
+    @pytest.mark.parametrize("argv", [["mix_overhead", "-b", "mix1"],
+                                      ["--all", "--quick"]],
+                             ids=["mix_overhead", "all-quick"])
+    def test_a_schedule_only_mixes_would_meet_is_accepted(
+            self, argv, monkeypatch):
+        # mix_overhead drops the schedule from its mix cells, so these
+        # reach the runner.
+        from repro import cli
+
+        reached = []
+        monkeypatch.setattr(cli, "run_experiments",
+                            lambda names, settings, engine:
+                            reached.append(names) or 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            self._cli(["run", *argv, "--sampling", "quick", "--no-cache"])
+        assert len(reached) == 1
+
+    @pytest.mark.parametrize("content", [
+        None, "{not json", "[]", '{"sampled_uops_per_sec": 30000}'],
+        ids=["missing", "malformed", "not-an-object", "no-matrix-floor"])
+    def test_bench_refuses_an_unusable_baseline_before_any_cell(
+            self, content, tmp_path, monkeypatch, capsys):
+        from repro.sim import bench
+
+        calls = []
+        monkeypatch.setattr(bench, "run_bench", lambda seed: calls.append(
+            seed) or {"revision": "test", "kernels": {}, "degradations": []})
+        baseline = tmp_path / "baseline.json"
+        if content is not None:
+            baseline.write_text(content)
+        output = tmp_path / "record.json"
+        assert self._cli(["bench", "--check", str(baseline),
+                          "--output", str(output)]) == 2
+        assert "cannot read baseline" in capsys.readouterr().err
+        assert calls == [] and not output.exists()
+
     def test_run_rejects_a_negative_retry_count(self, capsys):
         assert self._cli(["run", "fig7", "--retries", "-1"]) == 2
         assert "invalid resilience settings" in capsys.readouterr().err

@@ -115,8 +115,8 @@ class TestSweepInfrastructure:
         request = RunRequest("gzip", "isa-assisted",
                              WatchdogConfig.isa_assisted_uaf(),
                              instructions=QUICK.instructions, seed=QUICK.seed)
-        first = engine.cell(request)
-        assert engine.cell(request) is first
+        first = engine.run_requests([request])[request.key]
+        assert engine.run_requests([request])[request.key] is first
         # The merged run already resolved it: no lookup simulates again.
         assert engine.simulated_cells == simulated
 

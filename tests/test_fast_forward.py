@@ -375,11 +375,11 @@ class TestPaperScale:
     def test_paper_scaled_schedule_keeps_the_papers_proportions(self):
         schedule = SamplingConfig.paper_scaled()
         assert schedule.period == 10_000_000
-        assert schedule.sampled_fraction == pytest.approx(0.02)
+        assert schedule.sample / schedule.period == pytest.approx(0.02)
         assert schedule.warmup == schedule.sample
         custom = SamplingConfig.paper_scaled(1_000_000)
         assert custom.period == 1_000_000
-        assert custom.sampled_fraction == pytest.approx(0.02)
+        assert custom.sample / custom.period == pytest.approx(0.02)
         with pytest.raises(ConfigurationError):
             SamplingConfig.paper_scaled(10)
 
@@ -425,7 +425,8 @@ class TestPaperScale:
         settings = ExperimentSettings.paper()
         assert settings.instructions == PAPER_HORIZON_INSTRUCTIONS
         assert set(settings.benchmarks) == set(paper_profile_names())
-        assert settings.sampling.sampled_fraction == pytest.approx(0.02)
+        sampling = settings.sampling
+        assert sampling.sample / sampling.period == pytest.approx(0.02)
 
 class TestEngineSampleFanOut:
     ISA = WatchdogConfig.isa_assisted_uaf()

@@ -8,6 +8,7 @@ from repro.program.compiler import annotate_pointer_hints
 from repro.program.machine import Machine
 from repro.sim.simulator import Simulator
 from repro.workloads.juliet import JulietSuite
+from tests.helpers import run_trace
 
 
 def linked_list_program(nodes=6, corrupt=False):
@@ -80,8 +81,8 @@ class TestFunctionalTraceFeedsTimingModel:
         program = linked_list_program()
         machine = Machine(WatchdogConfig.isa_assisted_uaf(), record_trace=True)
         result = machine.run(program)
-        timing = Simulator().run_trace(
-            result.trace, WatchdogConfig.isa_assisted_uaf()).timing
+        timing = run_trace(Simulator(), result.trace,
+                           WatchdogConfig.isa_assisted_uaf()).timing
         assert timing.cycles > 0
         assert timing.injected_uops > 0
 
@@ -92,7 +93,7 @@ class TestFunctionalTraceFeedsTimingModel:
         for config in (WatchdogConfig.disabled(),
                        WatchdogConfig.conservative_uaf()):
             trace = Machine(config, record_trace=True).run(program).trace
-            timings.append(simulator.run_trace(trace, config).timing)
+            timings.append(run_trace(simulator, trace, config).timing)
         base, wd = timings
         assert wd.total_uops > base.total_uops
 

@@ -25,8 +25,8 @@ class TestArchReg:
         assert str(fp_reg(5)) == "f5"
 
     def test_register_classes(self):
-        assert int_reg(0).is_int and not int_reg(0).is_fp
-        assert fp_reg(0).is_fp and not fp_reg(0).is_int
+        assert int_reg(0).is_int and int_reg(0).regclass is RegClass.INT
+        assert fp_reg(0).regclass is RegClass.FP and not fp_reg(0).is_int
 
     def test_register_counts(self):
         assert len(INT_REGS) == 16
@@ -92,10 +92,3 @@ class TestRegisterFile:
         regs = RegisterFile()
         regs[int_reg(2)] = 99
         assert regs[int_reg(2)] == 99
-
-    def test_copy_is_independent(self):
-        regs = RegisterFile()
-        regs.write(int_reg(1), 1)
-        snapshot = regs.copy()
-        regs.write(int_reg(1), 2)
-        assert snapshot.read(int_reg(1)) == 1

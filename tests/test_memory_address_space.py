@@ -94,13 +94,6 @@ class TestAddressSpace:
         memory.store_word(memory.layout.heap.base, 1)
         memory.store_word(memory.layout.shadow_address(memory.layout.heap.base), 1)
 
-    def test_words_in_segment_counts(self, memory):
-        heap = memory.layout.heap
-        memory.store_word(heap.base, 1)
-        memory.store_word(heap.base + 8, 1)
-        memory.store_word(memory.layout.stack.base, 1)
-        assert memory.words_in(heap) == 2
-
     def test_access_counters(self, memory):
         memory.store_word(memory.layout.heap.base, 1)
         memory.load_word(memory.layout.heap.base)

@@ -5,10 +5,15 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.pages import PAGE_SIZE, PageAccountant
-from repro.memory.prefetcher import PrefetcherConfig, StreamPrefetcher
-from repro.memory.tlb import TLB, TLBConfig
+from repro.memory.prefetcher import (
+    PrefetcherConfig,
+    StreamPrefetcher,
+    pf_on_miss,
+)
+from repro.memory.tlb import TLB, TLBConfig, tlb_access
 from repro.sim.results import CellResult
 from repro.sim.simulator import SimulationOutcome
+from tests.helpers import cache_access, resident
 
 
 def small_cache(size=1024, assoc=2, block=64, latency=3):
@@ -31,99 +36,94 @@ class TestCacheConfig:
 class TestCacheBehaviour:
     def test_first_access_misses_then_hits(self):
         cache = small_cache()
-        assert not cache.access(0x1000).hit
-        assert cache.access(0x1000).hit
+        assert not cache_access(cache, 0x1000)
+        assert cache_access(cache, 0x1000)
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_same_block_different_offset_hits(self):
         cache = small_cache()
-        cache.access(0x1000)
-        assert cache.access(0x1030).hit
+        cache_access(cache, 0x1000)
+        assert cache_access(cache, 0x1030)
 
     def test_lru_eviction(self):
         cache = small_cache(size=128, assoc=1, block=64)  # 2 sets, direct mapped
-        cache.access(0x0)       # set 0
-        cache.access(0x80)      # set 0 again (evicts 0x0)
-        result = cache.access(0x0)
-        assert not result.hit
+        cache_access(cache, 0x0)       # set 0
+        cache_access(cache, 0x80)      # set 0 again (evicts 0x0)
+        assert not cache_access(cache, 0x0)
+        assert cache.evictions == 2
 
     def test_lru_order_updated_on_hit(self):
         cache = small_cache(size=256, assoc=2, block=64)  # 2 sets, 2-way
-        cache.access(0x000)     # set 0 way A
-        cache.access(0x100)     # set 0 way B
-        cache.access(0x000)     # touch A so B is LRU
-        cache.access(0x200)     # set 0: evicts B
-        assert cache.access(0x000).hit
-        assert not cache.access(0x100).hit
+        cache_access(cache, 0x000)     # set 0 way A
+        cache_access(cache, 0x100)     # set 0 way B
+        cache_access(cache, 0x000)     # touch A so B is LRU
+        cache_access(cache, 0x200)     # set 0: evicts B
+        assert cache_access(cache, 0x000)
+        assert not cache_access(cache, 0x100)
 
     def test_writeback_counted_for_dirty_eviction(self):
         cache = small_cache(size=128, assoc=1, block=64)
-        cache.access(0x0, is_write=True)
-        cache.access(0x80)
+        cache_access(cache, 0x0, is_write=True)
+        cache_access(cache, 0x80)
+        assert cache.writebacks == 1
+        cache_access(cache, 0x0)       # evicts the clean 0x80
         assert cache.writebacks == 1
 
-    def test_probe_does_not_change_stats(self):
+    def test_fill_installs_without_counting(self):
         cache = small_cache()
-        cache.access(0x1000)
-        hits_before = cache.hits
-        assert cache.probe(0x1000)
-        assert cache.hits == hits_before
+        cache.fill([0x1000, 0x2000])
+        assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
+        assert resident(cache, 0x1000) and resident(cache, 0x2000)
+        assert cache_access(cache, 0x1000)
 
-    def test_install_does_not_count_as_demand(self):
-        cache = small_cache()
-        cache.install(0x1000)
-        assert cache.accesses == 0
-        assert cache.access(0x1000).hit
 
-    def test_miss_rate(self):
-        cache = small_cache()
-        cache.access(0x0)
-        cache.access(0x0)
-        assert cache.miss_rate == pytest.approx(0.5)
-
-    def test_flush_empties_cache(self):
-        cache = small_cache()
-        cache.access(0x0)
-        cache.flush()
-        assert not cache.probe(0x0)
+def translate(tlb, address):
+    """One lookup of ``address``'s page; True on a hit."""
+    return tlb_access(tlb.slots, address // tlb.config.page_bytes + 1)
 
 
 class TestTLB:
     def test_miss_then_hit(self):
         tlb = TLB(TLBConfig("t", entries=2, miss_penalty=20))
-        assert tlb.access(0x1000) == 20
-        assert tlb.access(0x1FFF) == 0
+        assert not translate(tlb, 0x1000)
+        assert translate(tlb, 0x1FFF)
 
     def test_capacity_eviction(self):
         tlb = TLB(TLBConfig("t", entries=2, miss_penalty=20))
-        tlb.access(0x0000)
-        tlb.access(PAGE_SIZE)
-        tlb.access(2 * PAGE_SIZE)   # evicts page 0
-        assert tlb.access(0x0000) == 20
+        translate(tlb, 0x0000)
+        translate(tlb, PAGE_SIZE)
+        translate(tlb, 2 * PAGE_SIZE)   # evicts page 0
+        assert not translate(tlb, 0x0000)
 
     def test_hit_refreshes_lru_order(self):
         tlb = TLB(TLBConfig("t", entries=2, miss_penalty=20))
-        tlb.access(0x0000)
-        tlb.access(PAGE_SIZE)
-        tlb.access(0x0000)          # page 0 becomes the newest
-        tlb.access(2 * PAGE_SIZE)   # evicts page 1, the oldest
-        assert tlb.access(0x0000) == 0
-        assert tlb.access(PAGE_SIZE) == 20
+        translate(tlb, 0x0000)
+        translate(tlb, PAGE_SIZE)
+        translate(tlb, 0x0000)          # page 0 becomes the newest
+        translate(tlb, 2 * PAGE_SIZE)   # evicts page 1, the oldest
+        assert translate(tlb, 0x0000)
+        assert not translate(tlb, PAGE_SIZE)
 
-    def test_miss_rate(self):
-        tlb = TLB(TLBConfig("t", entries=4))
-        tlb.access(0)
-        tlb.access(0)
-        assert tlb.miss_rate == pytest.approx(0.5)
+
+def on_miss(prefetcher, address):
+    """Notify ``prefetcher`` of a demand miss at ``address`` in its cache,
+    as the hierarchy's batch loop does."""
+    ways, num_sets, assoc, block_bytes = prefetcher.cache.geometry()
+    ctr = [0, 0, 0]
+    pf_on_miss(prefetcher.table, prefetcher.config.streams,
+               prefetcher.config.depth, ways, num_sets, assoc,
+               address // block_bytes, ctr, 0, 1, 2)
+    prefetcher.prefetches_issued += ctr[2]
 
 
 class TestPrefetcher:
     def test_prefetches_next_blocks_into_cache(self):
         cache = small_cache(size=4096, assoc=4)
         prefetcher = StreamPrefetcher(PrefetcherConfig(streams=2, depth=4), cache)
-        prefetcher.on_miss(0x0)       # allocates a stream
-        prefetcher.on_miss(0x40)      # extends it, prefetches ahead
+        on_miss(prefetcher, 0x0)       # allocates a stream
+        on_miss(prefetcher, 0x40)      # extends it, prefetches ahead
         assert prefetcher.prefetches_issued == 4
-        assert cache.probe(0x80)
+        assert resident(cache, 0x80)
 
     def test_first_stream_within_depth_is_retargeted(self):
         # pf_on_miss: streams at blocks 64 and 68 (beyond the depth of 3)
@@ -133,17 +133,17 @@ class TestPrefetcher:
         prefetcher = StreamPrefetcher(PrefetcherConfig(streams=2, depth=3),
                                       cache)
         for block in (64, 68, 66):
-            prefetcher.on_miss(block * 64)
+            on_miss(prefetcher, block * 64)
         assert list(prefetcher.table) == [2, 66, 1, 68, 1]
         assert prefetcher.prefetches_issued == 3
-        assert all(cache.probe(block * 64) for block in (67, 68, 69))
-        assert not cache.probe(65 * 64)
+        assert all(resident(cache, block * 64) for block in (67, 68, 69))
+        assert not resident(cache, 65 * 64)
 
     def test_stream_count_bounded(self):
         cache = small_cache()
         prefetcher = StreamPrefetcher(PrefetcherConfig(streams=1, depth=2), cache)
-        prefetcher.on_miss(0x0)
-        prefetcher.on_miss(0x100000)
+        on_miss(prefetcher, 0x0)
+        on_miss(prefetcher, 0x100000)
         assert prefetcher.table[0] == 1  # streams tracked
 
 

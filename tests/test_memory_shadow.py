@@ -25,12 +25,11 @@ class TestShadowAddressing:
         assert shadow.shadow_address(base) == shadow.shadow_address(base + 4)
 
     def test_metadata_words_scales_footprint(self):
-        narrow = ShadowSpace(metadata_words=2)
-        wide = ShadowSpace(metadata_words=4)
-        addr = narrow.layout.heap.base
-        narrow.store(addr, "meta")
-        wide.store(addr, "meta")
-        assert wide.shadow_footprint_bytes() == 2 * narrow.shadow_footprint_bytes()
+        addr = ShadowSpace().layout.heap.base
+        for words in (2, 4):
+            shadow = ShadowSpace(metadata_words=words)
+            stride = shadow.shadow_address(addr + 8) - shadow.shadow_address(addr)
+            assert stride == words * 8
 
     def test_invalid_metadata_words_rejected(self):
         with pytest.raises(ProgramError):
@@ -51,32 +50,12 @@ class TestShadowStorage:
         shadow.store(addr, "metadata")
         shadow.store(addr, None)
         assert shadow.load(addr) is None
-        assert shadow.live_entries() == 0
 
     def test_word_granularity(self, shadow):
         addr = shadow.layout.heap.base
         shadow.store(addr, "meta")
         assert shadow.load(addr + 7) == "meta"
         assert shadow.load(addr + 8) is None
-
-    def test_clear_range(self, shadow):
-        base = shadow.layout.heap.base
-        for offset in range(0, 64, 8):
-            shadow.store(base + offset, "m")
-        shadow.clear_range(base, 32)
-        assert shadow.load(base) is None
-        assert shadow.load(base + 32) == "m"
-
-    def test_bulk_initialize(self, shadow):
-        base = shadow.layout.globals_seg.base
-        shadow.bulk_initialize([base, base + 8, base + 16], "global")
-        assert shadow.live_entries() == 3
-        assert shadow.load(base + 8) == "global"
-
-    def test_touched_shadow_words_count(self, shadow):
-        shadow.store(shadow.layout.heap.base, "m")
-        words = list(shadow.touched_shadow_words())
-        assert len(words) == shadow.metadata_words
 
     def test_stats_counters(self, shadow):
         shadow.load(shadow.layout.heap.base)

@@ -42,6 +42,7 @@ from repro.workloads.profiles import (
     mix_names,
     parse_mix_benchmark,
 )
+from tests.helpers import hierarchy_access
 
 KERNEL_AVAILABLE = _timecore.load() is not None
 needs_kernel = pytest.mark.skipif(not KERNEL_AVAILABLE,
@@ -269,7 +270,7 @@ class TestSharedLevels:
         # A Python-path read on the sibling: the line the native core
         # installed in the shared L3 hits from the other core.
         l3_misses_before = backend.l3.misses
-        python_h.access(addrs[0], is_write=False)
+        hierarchy_access(python_h, addrs[0])
         assert backend.l3.misses == l3_misses_before
         # Attribution followed the reader, not the installer.
         assert python_h.stats.shared["l3_misses"] == 0

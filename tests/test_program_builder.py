@@ -62,7 +62,7 @@ class TestProgramStructure:
         builder = ProgramBuilder()
         with builder.function("main") as main:
             main.mov_imm("r1", 1).mov_imm("r2", 2)
-        assert builder.build().static_operation_count == 2
+        assert len(builder.build().function("main")) == 2
 
 
 class TestBuilderApi:
@@ -112,11 +112,13 @@ class TestBuilderApi:
         assert op.instruction.dest == int_reg(1)
         assert op.instruction.srcs == (int_reg(2),)
 
-    def test_program_iterates_all_instructions(self):
+    def test_program_holds_each_functions_operations(self):
         builder = ProgramBuilder()
         with builder.function("helper") as helper:
             helper.nop().ret()
         with builder.function("main") as main:
             main.call("helper")
         program = builder.build()
-        assert len(list(program.all_instructions())) == 1  # the nop
+        assert [op.kind for op in program.function("helper")] == \
+            [OpKind.MACRO, OpKind.RETURN]  # the nop is the one macro
+        assert [op.kind for op in program.function("main")] == [OpKind.CALL]

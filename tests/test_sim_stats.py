@@ -50,7 +50,7 @@ class TestStats:
 class TestSampling:
     def test_paper_schedule_measures_two_percent(self):
         config = SamplingConfig.paper()
-        assert config.sampled_fraction == pytest.approx(0.02)
+        assert config.sample / config.period == pytest.approx(0.02)
 
     def test_phase_classification(self):
         schedule = SamplingSchedule(SamplingConfig(fast_forward=10, warmup=5, sample=5))
@@ -70,13 +70,13 @@ class TestSampling:
         assert windows[-1][1] == 16
 
     def test_unsampled_config(self):
-        config = SamplingConfig.unsampled(100)
-        assert config.sampled_fraction == 1.0
+        config = SamplingConfig(fast_forward=0, warmup=0, sample=100)
+        assert config.period == config.sample
         assert config.degenerate
 
     def test_quick_schedule(self):
         config = SamplingConfig.quick()
-        assert config.sampled_fraction == pytest.approx(0.10)
+        assert config.sample / config.period == pytest.approx(0.10)
         assert not config.degenerate
 
     # -- windows()/measured_count() edge cases ------------------------------------
@@ -121,7 +121,8 @@ class TestSampling:
             (4, 6, SamplingSchedule.WARMUP), (6, 8, SamplingSchedule.MEASURE)]
 
     def test_degenerate_schedule_is_one_measure_window(self):
-        schedule = SamplingSchedule(SamplingConfig(fast_forward=0, warmup=0, sample=3))
+        schedule = SamplingSchedule(SamplingConfig(fast_forward=0, warmup=0,
+                                                   sample=3))
         assert schedule.windows(10) == [(0, 10, SamplingSchedule.MEASURE)]
         assert schedule.measured_count(10) == 10
 
@@ -131,7 +132,8 @@ class TestSampling:
         assert not config.samples_horizon(8)       # ends inside the warm-up
         assert not config.samples_horizon(0)
         # Measures everything at any horizon: normalizes to unsampled.
-        assert not SamplingConfig.unsampled(10).samples_horizon(10)
+        assert not SamplingConfig(fast_forward=0, warmup=0, sample=10) \
+            .samples_horizon(10)
         assert SamplingConfig(fast_forward=0, warmup=1, sample=1) \
             .samples_horizon(2)
 
@@ -141,9 +143,10 @@ class TestSampling:
             windows = schedule.windows(total)
             covered = [phase for start, end, phase in windows
                        for _ in range(start, end)]
-            assert covered == [schedule.phase_of(i) for i in range(total)]
+            phases = [schedule.phase_of(i) for i in range(total)]
+            assert covered == phases
             assert schedule.measured_count(total) == \
-                sum(1 for _ in schedule.measured_indices(total))
+                phases.count(SamplingSchedule.MEASURE)
 
     # -- field-specific validation (spec-construction-time errors) -----------------
     def test_negative_fast_forward_names_the_field(self):

@@ -86,7 +86,8 @@ class TestSampleStream:
 
     def test_rejects_schedules_that_cannot_stream(self):
         with pytest.raises(ConfigurationError):
-            SampleStream("mcf", 0, 10_000, SamplingConfig.unsampled(10_000))
+            SampleStream("mcf", 0, 10_000,
+                         SamplingConfig(fast_forward=0, warmup=0, sample=10_000))
         with pytest.raises(ConfigurationError):
             # Measures nothing at this horizon: one incomplete period.
             SampleStream("mcf", 0, 1_000, SMALL)
@@ -194,7 +195,8 @@ class TestEngineStreaming:
         assert execute_job(job) == retained
 
     @pytest.mark.parametrize("name, instructions, sampling", [
-        ("mcf-long", 20_000, SamplingConfig.unsampled(20_000)),
+        ("mcf-long", 20_000,
+         SamplingConfig(fast_forward=0, warmup=0, sample=20_000)),
         ("mcf-long", 1_000, SMALL),  # measures nothing
         ("gzip", 3_000, SamplingConfig.quick()),
         # The quick schedule on the default-scale profiles.
@@ -210,7 +212,7 @@ class TestEngineStreaming:
         segments = SampleStream.segments
 
         def spy(stream):
-            walks.append(stream.benchmark)
+            walks.append(stream.profile.name)
             return segments(stream)
 
         monkeypatch.setattr(SampleStream, "segments", spy)
@@ -375,21 +377,22 @@ class TestOneBPlumbing:
     def test_ceiling_gate(self, tmp_path):
         import json
 
-        from repro.sim.bench import check_against_baseline
+        from repro.sim.bench import check_against_baseline, load_baseline
 
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(
             {"uops_per_sec": 1, "one_b_peak_rss_mb": 100}))
+        baseline = load_baseline(str(path))
         record = {"compiled": {"uops_per_sec": 10_000},
                   "one_b": {"peak_rss_mb": 50.0}}
-        ok, message = check_against_baseline(record, str(baseline))
+        ok, message = check_against_baseline(record, baseline)
         assert ok and "one_b_rss" in message and "ceiling" in message
         record["one_b"]["peak_rss_mb"] = 150.0
-        ok, message = check_against_baseline(record, str(baseline))
+        ok, message = check_against_baseline(record, baseline)
         assert not ok and "EXCEEDED" in message
         record["one_b"]["peak_rss_mb"] = None
-        ok, message = check_against_baseline(record, str(baseline))
+        ok, message = check_against_baseline(record, baseline)
         assert ok and "SKIPPED" in message
         del record["one_b"]
-        ok, message = check_against_baseline(record, str(baseline))
+        ok, message = check_against_baseline(record, baseline)
         assert ok and "SKIPPED" in message

@@ -82,7 +82,7 @@ class TestTraceSharing:
             replayed = simulator.run_bundle(bundle, config)
             regenerated = simulator.run_bundle(
                 TraceBundle.generate("mcf", seed=3, instructions=800), config)
-            assert replayed.cycles == regenerated.cycles
+            assert replayed.timing.cycles == regenerated.timing.cycles
             assert replayed.timing.total_uops == regenerated.timing.total_uops
 
     def test_bundle_is_reusable_across_configs(self):
@@ -92,7 +92,7 @@ class TestTraceSharing:
         bundle = TraceBundle.generate("gzip", seed=7, instructions=600)
         first = simulator.run_bundle(bundle, WatchdogConfig.isa_assisted_uaf())
         second = simulator.run_bundle(bundle, WatchdogConfig.isa_assisted_uaf())
-        assert first.cycles == second.cycles
+        assert first.timing.cycles == second.timing.cycles
 
 
 class TestWorkerCount:
@@ -131,9 +131,10 @@ class TestDeterminism:
 
     def test_engine_memoizes_cells(self):
         engine = SweepEngine()
-        first = engine.cell(quick_request())
+        request = quick_request()
+        first = engine.run_requests([request])[request.key]
         simulated = engine.simulated_cells
-        second = engine.cell(quick_request())
+        second = engine.run_requests([quick_request()])[request.key]
         assert first is second
         assert engine.simulated_cells == simulated
 
@@ -141,18 +142,21 @@ class TestDeterminism:
         # fig7 calls isa_assisted_uaf "isa-assisted", fig9 "with-lock-cache",
         # fig11 "watchdog": one simulation must serve all three.
         engine = SweepEngine()
-        first = engine.cell(quick_request("isa-assisted"))
-        relabelled = engine.cell(quick_request("watchdog"))
+        first, relabelled = (
+            engine.run_requests([request])[request.key] for request in
+            (quick_request("isa-assisted"), quick_request("watchdog")))
         assert engine.simulated_cells == 1
         assert relabelled.configuration == "watchdog"
         assert relabelled.cycles == first.cycles
 
     def test_memo_does_not_alias_same_label_different_inputs(self):
         engine = SweepEngine()
-        isa = engine.cell(RunRequest("gzip", "wd", WatchdogConfig.isa_assisted_uaf(),
-                                     instructions=1200, seed=7))
-        other = engine.cell(RunRequest("gzip", "wd", WatchdogConfig.conservative_uaf(),
-                                       instructions=2400, seed=9))
+        isa, other = (
+            engine.run_requests([request])[request.key] for request in (
+                RunRequest("gzip", "wd", WatchdogConfig.isa_assisted_uaf(),
+                           instructions=1200, seed=7),
+                RunRequest("gzip", "wd", WatchdogConfig.conservative_uaf(),
+                           instructions=2400, seed=9)))
         assert engine.simulated_cells == 2
         assert other is not isa
         assert other.total_uops != isa.total_uops
@@ -200,18 +204,19 @@ class TestResultCache:
 
     def test_config_change_invalidates_cached_cell(self, tmp_path):
         engine = SweepEngine(cache=ResultCache(tmp_path))
-        engine.cell(quick_request("wd"))
+        engine.run_requests([quick_request("wd")])
         assert engine.simulated_cells == 1
 
         changed = SweepEngine(cache=ResultCache(tmp_path))
-        changed.cell(quick_request("wd", WatchdogConfig.no_lock_cache()))
+        changed.run_requests(
+            [quick_request("wd", WatchdogConfig.no_lock_cache())])
         assert changed.simulated_cells == 1  # miss: different configuration
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         request = RunRequest("gzip", ISA, WatchdogConfig.isa_assisted_uaf(),
                              instructions=1200, seed=7)
-        key = cache.key(request)
+        key = request_fingerprint(request)
         (tmp_path / f"{key}.json").write_text("{not json")
         assert cache.load(key) is None
 
@@ -219,7 +224,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         request = RunRequest("gzip", ISA, WatchdogConfig.isa_assisted_uaf(),
                              instructions=1200, seed=7)
-        key = cache.key(request)
+        key = request_fingerprint(request)
         # Valid JSON, but missing the stat fields: must re-simulate, not
         # load as a zero-cycle cell.
         (tmp_path / f"{key}.json").write_text(
@@ -260,10 +265,9 @@ class TestCellResultParity:
 
 class TestJsonRoundTrips:
     def test_cell_result_roundtrip(self):
-        engine = SweepEngine()
-        cell = engine.cell(RunRequest("gzip", ISA,
-                                      WatchdogConfig.isa_assisted_uaf(),
-                                      instructions=1200, seed=7))
+        request = RunRequest("gzip", ISA, WatchdogConfig.isa_assisted_uaf(),
+                             instructions=1200, seed=7)
+        cell = SweepEngine().run_requests([request])[request.key]
         assert cell.cycles > 0 and cell.pointer_fraction > 0
         restored = CellResult.from_dict(json.loads(json.dumps(cell.to_dict())))
         assert restored == cell

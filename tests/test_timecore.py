@@ -24,6 +24,7 @@ from repro.sim.simulator import Simulator
 from repro.workloads.bundle import TraceBundle
 from repro.workloads.profiles import benchmark_names
 
+from tests.helpers import hierarchy_access, run_trace
 from tests.test_compiled_pipeline import CONFIGURATIONS, INSTRUCTIONS, SEED
 
 KERNEL_AVAILABLE = _timecore.load() is not None
@@ -143,9 +144,9 @@ class TestSimulatorKnob:
         assert not installs and not compiles
         assert again.timing == native.timing
         trace = list(bundle.samples[0].measured)
-        Simulator(timecore=False).run_trace(trace, config)
+        run_trace(Simulator(timecore=False), trace, config)
         assert not compiles
-        Simulator().run_trace(trace, config)
+        run_trace(Simulator(), trace, config)
         assert len(compiles) == (1 if kernel is not None else 0)
 
     def test_knob_reaches_the_core(self):
@@ -247,7 +248,7 @@ class TestSingleHierarchyState:
 
     def _per_access(self, hierarchy, addrs, specs, positions, lats):
         for a, spec, pos in zip(addrs, specs, positions):
-            lat = hierarchy.access(a, is_write=bool(spec & 4),
+            lat = hierarchy_access(hierarchy, a, is_write=bool(spec & 4),
                                    port=self.PORTS[spec & 3])
             if spec & 8:
                 lats[pos] = lat
@@ -344,8 +345,9 @@ class TestSingleHierarchyState:
         native = OutOfOrderCore(watchdog=config).hierarchy
         python = OutOfOrderCore(watchdog=config, timecore=False).hierarchy
         for hierarchy in (native, python):
-            hierarchy.access(0x1000)
-            hierarchy.access(0x5000, is_write=True, port=PortKind.LOCK)
+            hierarchy_access(hierarchy, 0x1000)
+            hierarchy_access(hierarchy, 0x5000, is_write=True,
+                             port=PortKind.LOCK)
         assert len(batches) == 2
         assert all(hierarchy is native for hierarchy in batches)
 

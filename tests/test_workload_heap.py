@@ -47,7 +47,7 @@ class OracleHeap:
 
     def malloc(self, size):
         base = self.allocator.malloc(size)
-        return base, self.allocator.chunk_size(base), self.locks.allocate()
+        return base, self.allocator._chunks[base].size, self.locks.allocate()
 
     def free(self, base, chunk, lock):
         self.locks.release(lock)

@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError
 from repro.isa.instructions import Opcode, PointerHint
 from repro.memory.address_space import AddressSpaceLayout
 from repro.program.machine import Machine
-from repro.workloads.attacks import ATTACKER_VALUE, all_attack_scenarios, scenario_by_name
+from repro.workloads.attacks import ATTACKER_VALUE, all_attack_scenarios
 from repro.workloads.juliet import JULIET_CASE_COUNT, JulietSuite
 from repro.workloads.profiles import (
     LONG_PROFILES,
@@ -121,8 +121,11 @@ class TestSyntheticWorkload:
         snapshot = workload.snapshot_working_set()
         lines = list(snapshot_lines(snapshot))
         assert lines and all(line % 64 == 0 for line in lines)
+        # One lock location per live object, then the globals' lock.
         locks = list(snapshot.locks)
-        assert len(locks) == workload.live_objects + 1
+        assert len(locks) > 1 and len(set(locks)) == len(locks)
+        lock_region = AddressSpaceLayout().lock_region
+        assert all(lock_region.contains(lock) for lock in locks)
 
     def test_calls_balanced_with_returns(self):
         workload = SyntheticWorkload(profile_by_name("perl"), seed=4)
@@ -144,7 +147,8 @@ class TestJulietSuite:
     def test_every_pattern_represented(self):
         suite = JulietSuite(case_count=40)
         patterns = {case.pattern for case in suite.faulty_cases()}
-        assert patterns == set(suite.patterns())
+        every = {case.pattern for case in JulietSuite().faulty_cases()}
+        assert patterns == every and len(every) == 10
 
     def test_both_cwes_present(self):
         cwes = {case.cwe for case in JulietSuite(case_count=60).faulty_cases()}
@@ -169,17 +173,18 @@ class TestJulietSuite:
         assert missed == 10
 
 
+SCENARIOS = {scenario.name: scenario for scenario in all_attack_scenarios()}
+
+
 class TestAttackScenarios:
     def test_all_scenarios_listed(self):
         names = {s.name for s in all_attack_scenarios()}
         assert names == {"heap-uaf-hijack", "stack-uaf-hijack", "double-free",
                          "heap-overflow"}
-        assert scenario_by_name("double-free").expected_kind == "double-free"
-        with pytest.raises(KeyError):
-            scenario_by_name("nope")
+        assert SCENARIOS["double-free"].expected_kind == "double-free"
 
     def test_heap_uaf_attack_succeeds_without_watchdog(self, disabled_config):
-        scenario = scenario_by_name("heap-uaf-hijack")
+        scenario = SCENARIOS["heap-uaf-hijack"]
         result = Machine(disabled_config).run(scenario.program())
         assert not result.detected
         from repro.isa.registers import parse_reg
@@ -194,7 +199,7 @@ class TestAttackScenarios:
             assert result.violation_kind == scenario.expected_kind
 
     def test_overflow_needs_bounds_extension(self, uaf_config, bounds_config):
-        scenario = scenario_by_name("heap-overflow")
+        scenario = SCENARIOS["heap-overflow"]
         assert not Machine(uaf_config).run(scenario.program()).detected
         result = Machine(bounds_config).run(scenario.program())
         assert result.detected and result.violation_kind == "out-of-bounds"
