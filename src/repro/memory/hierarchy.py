@@ -170,8 +170,7 @@ class SharedMemoryBackend:
         self.l2 = Cache(self.config.l2)
         self.l3 = Cache(self.config.l3)
         self.lock_cache = Cache(self.config.lock_cache)
-        self.l2_prefetcher = StreamPrefetcher(self.config.l2_prefetcher,
-                                              self.l2)
+        self.l2_prefetcher = StreamPrefetcher(self.config.l2_prefetcher)
 
 
 class MemoryHierarchy:
@@ -201,7 +200,7 @@ class MemoryHierarchy:
         self.l2 = shared.l2
         self.l3 = shared.l3
         self.lock_cache = shared.lock_cache
-        self.l1d_prefetcher = StreamPrefetcher(self.config.l1d_prefetcher, self.l1d)
+        self.l1d_prefetcher = StreamPrefetcher(self.config.l1d_prefetcher)
         self.l2_prefetcher = shared.l2_prefetcher
         self.dtlb = TLB(self.config.l1_tlb)
         self.lock_tlb = TLB(self.config.lock_tlb)

@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.memory.cache import Cache, set_demand
+from repro.memory.cache import set_demand
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,11 @@ def pf_on_miss(table, streams: int, depth: int, ways, num_sets: int,
 
 
 class StreamPrefetcher:
-    """Next-N-blocks stream prefetcher feeding one cache."""
+    """Next-N-blocks stream prefetcher; the hierarchy's batch loops pass
+    :func:`pf_on_miss` the arrays of the cache it feeds."""
 
-    def __init__(self, config: PrefetcherConfig, cache: Cache):
+    def __init__(self, config: PrefetcherConfig):
         self.config = config
-        self.cache = cache
         #: The streams, in the encoding the module docstring describes.
         self.table = array("q", [0]) * (1 + 2 * config.streams)
         self.prefetches_issued = 0

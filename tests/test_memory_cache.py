@@ -105,10 +105,10 @@ class TestTLB:
         assert not translate(tlb, PAGE_SIZE)
 
 
-def on_miss(prefetcher, address):
-    """Notify ``prefetcher`` of a demand miss at ``address`` in its cache,
-    as the hierarchy's batch loop does."""
-    ways, num_sets, assoc, block_bytes = prefetcher.cache.geometry()
+def on_miss(prefetcher, cache, address):
+    """Notify ``prefetcher`` of a demand miss at ``address`` in ``cache``,
+    the cache it feeds, as the hierarchy's batch loop does."""
+    ways, num_sets, assoc, block_bytes = cache.geometry()
     ctr = [0, 0, 0]
     pf_on_miss(prefetcher.table, prefetcher.config.streams,
                prefetcher.config.depth, ways, num_sets, assoc,
@@ -119,9 +119,9 @@ def on_miss(prefetcher, address):
 class TestPrefetcher:
     def test_prefetches_next_blocks_into_cache(self):
         cache = small_cache(size=4096, assoc=4)
-        prefetcher = StreamPrefetcher(PrefetcherConfig(streams=2, depth=4), cache)
-        on_miss(prefetcher, 0x0)       # allocates a stream
-        on_miss(prefetcher, 0x40)      # extends it, prefetches ahead
+        prefetcher = StreamPrefetcher(PrefetcherConfig(streams=2, depth=4))
+        on_miss(prefetcher, cache, 0x0)       # allocates a stream
+        on_miss(prefetcher, cache, 0x40)      # extends it, prefetches ahead
         assert prefetcher.prefetches_issued == 4
         assert resident(cache, 0x80)
 
@@ -130,10 +130,9 @@ class TestPrefetcher:
         # are both within reach of a miss at 66; the first, older one takes
         # it and runs forward, and the later one is left alone.
         cache = small_cache(size=4096, assoc=4)
-        prefetcher = StreamPrefetcher(PrefetcherConfig(streams=2, depth=3),
-                                      cache)
+        prefetcher = StreamPrefetcher(PrefetcherConfig(streams=2, depth=3))
         for block in (64, 68, 66):
-            on_miss(prefetcher, block * 64)
+            on_miss(prefetcher, cache, block * 64)
         assert list(prefetcher.table) == [2, 66, 1, 68, 1]
         assert prefetcher.prefetches_issued == 3
         assert all(resident(cache, block * 64) for block in (67, 68, 69))
@@ -141,9 +140,9 @@ class TestPrefetcher:
 
     def test_stream_count_bounded(self):
         cache = small_cache()
-        prefetcher = StreamPrefetcher(PrefetcherConfig(streams=1, depth=2), cache)
-        on_miss(prefetcher, 0x0)
-        on_miss(prefetcher, 0x100000)
+        prefetcher = StreamPrefetcher(PrefetcherConfig(streams=1, depth=2))
+        on_miss(prefetcher, cache, 0x0)
+        on_miss(prefetcher, cache, 0x100000)
         assert prefetcher.table[0] == 1  # streams tracked
 
 
