@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import json
+import math
 import subprocess
 import sys
 import time
@@ -390,7 +391,8 @@ MAX_REGRESSION = 0.30
 
 def load_baseline(path: str) -> Dict[str, object]:
     """Read a baseline file: a JSON object that declares the matrix floor
-    (``uops_per_sec``) at least.
+    (``uops_per_sec``) at least, and a finite number for each gate it
+    declares.
 
     Raises :class:`OSError`, :class:`ValueError` or :class:`KeyError` for a
     file that cannot serve as one, so ``repro bench --check`` can refuse it
@@ -401,6 +403,15 @@ def load_baseline(path: str) -> Dict[str, object]:
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     if "uops_per_sec" not in data:
         raise KeyError("uops_per_sec")
+    for cell in CELLS:
+        for gate in cell.gates:
+            if gate.baseline_key not in data:
+                continue
+            limit = data[gate.baseline_key]
+            if isinstance(limit, bool) or not isinstance(limit, (int, float)) \
+                    or not math.isfinite(limit):
+                raise ValueError(f"{gate.baseline_key} must be a finite "
+                                 f"number, got {limit!r}")
     return data
 
 

@@ -502,8 +502,11 @@ class TestCliRun:
         assert len(reached) == 1
 
     @pytest.mark.parametrize("content", [
-        None, "{not json", "[]", '{"sampled_uops_per_sec": 30000}'],
-        ids=["missing", "malformed", "not-an-object", "no-matrix-floor"])
+        None, "{not json", "[]", '{"sampled_uops_per_sec": 30000}',
+        '{"uops_per_sec": "fast"}',
+        '{"uops_per_sec": 40000, "one_b_peak_rss_mb": null}'],
+        ids=["missing", "malformed", "not-an-object", "no-matrix-floor",
+             "non-numeric-floor", "null-ceiling"])
     def test_bench_refuses_an_unusable_baseline_before_any_cell(
             self, content, tmp_path, monkeypatch, capsys):
         from repro.sim import bench

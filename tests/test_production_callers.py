@@ -6,7 +6,8 @@ name counts as referenced when one of them reads it: an ``ast.Name`` id, an
 ``ast.Attribute`` attr, an identifier inside a ``"module:qualname"`` string
 constant (the form perfbench's tracer wraps by name), or a literal name
 passed to ``getattr`` or ``hasattr``.  Docstrings, comments and ``__all__``
-entries do not count, and neither do ``tests/``: a function only tests call
+entries do not count, and neither does test code (any path with a ``tests``
+component, ``perfbench/tests`` included): a function only tests call
 belongs in ``tests/helpers.py``.  Dunder methods are exempt, because the
 interpreter calls them.
 
@@ -133,12 +134,20 @@ def uncalled(modules, referenced, allowlist):
     return offenders
 
 
-def production_references() -> set:
-    """The names every production source under :data:`SCANNED` reads."""
-    names = set()
+def production_modules(root: Path):
+    """Each module under :data:`SCANNED` below ``root``, less test code: a
+    path with a ``tests`` component (``perfbench/tests``) is no caller."""
     for tree in SCANNED:
-        for path in (ROOT / tree).rglob("*.py"):
-            names |= references(path.read_text())
+        for path in sorted((root / tree).rglob("*.py")):
+            if "tests" not in path.relative_to(root).parts:
+                yield path
+
+
+def production_references() -> set:
+    """The names every production module and CI heredoc reads."""
+    names = set()
+    for path in production_modules(ROOT):
+        names |= references(path.read_text())
     for source in workflow_sources(WORKFLOW.read_text()):
         names |= references(source)
     return names
@@ -213,6 +222,18 @@ class TestTheScan:
         assert self.scan('getattr(cache, "lookup")\n'
                          'hasattr(lib, "probed")\n') == [
             "lib.py:8 traced", "lib.py:10 from_ci"]
+
+    def test_a_reference_from_test_code_does_not_count(self, tmp_path):
+        # perfbench's own tests sit under a scanned tree.
+        for path, source in (("perfbench/run.py", "lib.traced()\n"),
+                             ("perfbench/tests/test_run.py",
+                              "lib.from_ci()\n")):
+            (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / path).write_text(source)
+        modules = list(production_modules(tmp_path))
+        assert modules == [tmp_path / "perfbench" / "run.py"]
+        assert self.scan(*(path.read_text() for path in modules)) == [
+            "lib.py:4 Cache.lookup", "lib.py:10 from_ci", "lib.py:12 probed"]
 
     def test_docstrings_comments_and_all_do_not_count(self):
         assert self.scan('"""lib:traced"""\n'

@@ -121,8 +121,10 @@ class TestSyntheticWorkload:
         snapshot = workload.snapshot_working_set()
         lines = list(snapshot_lines(snapshot))
         assert lines and all(line % 64 == 0 for line in lines)
-        # One lock location per live object, then the globals' lock.
+        # One lock location per live object, then the globals' lock; one
+        # [start, end) pair per live object, then the globals' span.
         locks = list(snapshot.locks)
+        assert len(snapshot.ranges) == 2 * len(locks)
         assert len(locks) > 1 and len(set(locks)) == len(locks)
         lock_region = AddressSpaceLayout().lock_region
         assert all(lock_region.contains(lock) for lock in locks)
